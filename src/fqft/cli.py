@@ -3,6 +3,7 @@
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -16,7 +17,7 @@ from .fock import build_space
 from .geometry import verify_cutting
 from .jets import Jet
 from .observables import current_observable, marginal_observable, ope_extract
-from .qm import QmTheory, qm_double_deform, qm_glue, taylor_series_oracle
+from .qm import QmTheory, qm_double_deform, taylor_series_oracle
 
 SCHEMA_VERSION = 1
 
@@ -59,9 +60,12 @@ def _parse_tolerances(pairs):
         key, sep, val = item.partition("=")
         if not sep:
             raise argparse.ArgumentTypeError(f"expected KEY=VAL, got {item!r}")
+        if key not in DEFAULT_TOLERANCES:
+            known = ", ".join(sorted(DEFAULT_TOLERANCES))
+            raise argparse.ArgumentTypeError(f"unknown tolerance {key!r} (known: {known})")
         val = float(val)
-        if val <= 0:
-            raise argparse.ArgumentTypeError(f"tolerance {key} must be positive")
+        if not (math.isfinite(val) and val > 0):
+            raise argparse.ArgumentTypeError(f"tolerance {key} must be positive and finite")
         tol[key] = val
     return tol
 
@@ -227,6 +231,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.lmax < 0:
         parser.error("--lmax must be >= 0")
+    if args.dim < 1:
+        parser.error("--dim must be >= 1")
     try:
         tol = _parse_tolerances(args.tolerance)
     except (argparse.ArgumentTypeError, ValueError) as err:

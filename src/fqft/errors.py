@@ -48,4 +48,4 @@ class ValidationError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Fallback numerical integration failed its convergence check."""
+    """The Taylor-series oracle did not converge within its term budget."""

@@ -171,7 +171,11 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 
 
 def _coeff_mul(a, b):
-    """Product of jet coefficients: scalar action on vector-like values."""
+    """Product of jet coefficients: matrix product of 2-D arrays, scalar
+    action on vector-like values."""
+    # duck-typed, so the exact pipelines never import numpy through jets
+    if getattr(a, "ndim", 0) == 2 and getattr(b, "ndim", 0) == 2:
+        return a @ b
     try:
         return a * b
     except TypeError:

@@ -13,12 +13,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import GeometryError, QuadratureError, ValidationError
-from .jets import Jet, JetAlgebra, recombine
-
-EIGEN_GAP_TOL = 1e-8
-EIGEN_COND_MAX = 1e8
-QUAD_NODES = 32
-QUAD_TOL = 1e-9
+from .jets import Jet, JetAlgebra, jet_mul, recombine
 
 
 class QmTheory:
@@ -32,23 +27,6 @@ class QmTheory:
             raise ValidationError("Hamiltonian entries must be finite")
         self.H = H.astype(np.result_type(H.dtype, np.float64))
         self.dim = H.shape[0]
-        self._eigen = None
-        self._eigen_tried = False
-
-    def eigen(self):
-        """(eigenvalues, V, V^{-1}) when H has well-separated eigenvalues
-        and a well-conditioned eigenbasis; None otherwise."""
-        if not self._eigen_tried:
-            self._eigen_tried = True
-            lam, V = np.linalg.eig(self.H)
-            scale = max(float(np.max(np.abs(lam))), 1.0)
-            gap = min(
-                (abs(lam[i] - lam[j]) for i in range(self.dim) for j in range(i + 1, self.dim)),
-                default=np.inf,
-            )
-            if gap > EIGEN_GAP_TOL * scale and np.linalg.cond(V) < EIGEN_COND_MAX:
-                self._eigen = (lam, V, np.linalg.inv(V))
-        return self._eigen
 
 
 class SegmentPF:
@@ -75,7 +53,7 @@ class SegmentPF:
         if self.alpha != inner.beta:
             raise GeometryError("segments do not share an endpoint")
         if isinstance(self.value, Jet):
-            value = qm_glue(self.value, inner.value)
+            value = jet_mul(self.value, inner.value)
         else:
             value = self.value @ inner.value
         return SegmentPF(self.theory, inner.alpha, self.beta, value)
@@ -128,68 +106,35 @@ def time_ordered(theory: QmTheory, a, b, alpha, beta):
     return qm_correlator(theory, [(sym, tau)], alpha, beta), True
 
 
-# ------------------------------------------------------ closed-form integrals
+# ---------------------------------------------------------- segment integrals
 #
-# In an eigenbasis of H the simplex integrals reduce to divided differences
-# of f(lam) = exp(-T lam).  Node coincidences only occur between identical
-# eigenvalues (same index), so exact comparisons below are safe.
+# Van Loan block exponential (C. F. Van Loan, IEEE TAC 23(3), 1978): the
+# top-right block of expm(T * M), with -H on the block diagonal and X, Y, ...
+# on the superdiagonal, is the ordered simplex integral of the alternating
+# product e^{-s H} X e^{-s' H} Y ...  No eigenbasis is needed, so clustered,
+# defective and complex spectra take the same path.
 
 
-def _dd1(T, x, y):
-    """-(first divided difference): int_0^T e^{-(T-s)x} e^{-s y} ds."""
-    if x == y:
-        return T * np.exp(-T * x)
-    return (np.exp(-T * y) - np.exp(-T * x)) / (x - y)
-
-
-def _dd2(T, x, k, y):
-    """Ordered simplex integral with nodes (x, k, y):
-    int_{0<s2<s1<T} e^{-(T-s1)x} e^{-(s1-s2)k} e^{-s2 y} ds2 ds1."""
-    if x == y:
-        if k == x:
-            return T * T * np.exp(-T * x) / 2
-        return (_dd1(T, x, k) - _dd1(T, x, x)) / (x - k)
-    return (_dd1(T, k, y) - _dd1(T, x, k)) / (x - y)
-
-
-def _maybe_real(value, *inputs):
-    if all(not np.iscomplexobj(m) for m in inputs):
-        return value.real
-    return value
+def _block_exp(theory: QmTheory, T, *blocks):
+    """Top-right block of expm(T * M) for the Van Loan block matrix M."""
+    n, k = theory.dim, len(blocks) + 1
+    M = np.zeros((k * n, k * n), dtype=np.result_type(theory.H, *blocks))
+    for i in range(k):
+        M[i * n : (i + 1) * n, i * n : (i + 1) * n] = -theory.H
+    for i, B in enumerate(blocks):
+        M[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = B
+    return expm(T * M)[:n, -n:].copy()
 
 
 def first_order_integral(theory: QmTheory, O, alpha, beta):
     """int_alpha^beta e^{-(beta-tau)H} O e^{-(tau-alpha)H} dtau."""
-    O = np.asarray(O)
-    T = beta - alpha
-    eig = theory.eigen()
-    if eig is None:
-        return _quad_first_order(theory, O, T)
-    lam, V, Vinv = eig
-    Ot = Vinv @ O @ V
-    phi = np.array([[_dd1(T, x, y) for y in lam] for x in lam])
-    return _maybe_real(V @ (Ot * phi) @ Vinv, theory.H, O)
+    return _block_exp(theory, beta - alpha, np.asarray(O))
 
 
 def second_order_ordered(theory: QmTheory, X, Y, alpha, beta):
     """int over alpha < tau2 < tau1 < beta of
     e^{-(beta-tau1)H} X e^{-(tau1-tau2)H} Y e^{-(tau2-alpha)H}."""
-    X, Y = np.asarray(X), np.asarray(Y)
-    T = beta - alpha
-    eig = theory.eigen()
-    if eig is None:
-        return _quad_second_order(theory, X, Y, T)
-    lam, V, Vinv = eig
-    Xt, Yt = Vinv @ X @ V, Vinv @ Y @ V
-    n = theory.dim
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = sum(
-                Xt[i, k] * Yt[k, j] * _dd2(T, lam[i], lam[k], lam[j])
-                for k in range(n)
-            )
-    return _maybe_real(V @ out @ Vinv, theory.H, X, Y)
+    return _block_exp(theory, beta - alpha, np.asarray(X), np.asarray(Y))
 
 
 def time_ordered_integral(theory: QmTheory, Oa, Ob, alpha, beta):
@@ -200,69 +145,7 @@ def time_ordered_integral(theory: QmTheory, Oa, Ob, alpha, beta):
     )
 
 
-# ----------------------------------------------------- quadrature fallback
-
-
-def _gauss_nodes(T, n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1) * (T / 2), w * (T / 2)
-
-
-def _quad_first_order(theory, O, T, n=QUAD_NODES):
-    def run(nodes):
-        x, w = _gauss_nodes(T, nodes)
-        total = np.zeros((theory.dim, theory.dim), dtype=complex)
-        for s, wt in zip(x, w):
-            total += wt * (expm(-(T - s) * theory.H) @ O @ expm(-s * theory.H))
-        return total
-
-    coarse, fine = run(n), run(2 * n)
-    scale = max(float(np.max(np.abs(fine))), 1.0)
-    if np.max(np.abs(fine - coarse)) > QUAD_TOL * scale:
-        raise QuadratureError("first-order segment integral did not converge")
-    return _maybe_real(fine, theory.H, O)
-
-
-def _quad_second_order(theory, X, Y, T, n=QUAD_NODES):
-    def run(nodes):
-        x, w = _gauss_nodes(T, nodes)
-        total = np.zeros((theory.dim, theory.dim), dtype=complex)
-        for s1, w1 in zip(x, w):
-            # inner integral over 0 < s2 < s1
-            xi, wi = _gauss_nodes(s1, nodes)
-            inner = np.zeros_like(total)
-            for s2, w2 in zip(xi, wi):
-                inner += w2 * (expm(-(s1 - s2) * theory.H) @ Y @ expm(-s2 * theory.H))
-            total += w1 * (expm(-(T - s1) * theory.H) @ X @ inner)
-        return total
-
-    coarse, fine = run(n), run(2 * n)
-    scale = max(float(np.max(np.abs(fine))), 1.0)
-    if np.max(np.abs(fine - coarse)) > QUAD_TOL * scale:
-        raise QuadratureError("second-order segment integral did not converge")
-    return _maybe_real(fine, theory.H, X, Y)
-
-
 # ------------------------------------------------------------- deformations
-
-
-def qm_glue(outer: Jet, inner: Jet) -> Jet:
-    """Monomial-wise matrix composition of jet-valued partition functions."""
-    if outer.algebra != inner.algebra:
-        raise ValueError("jets over different algebras")
-    alg = outer.algebra
-    coeffs = {}
-    for ma, ca in outer.coeffs.items():
-        for mb, cb in inner.coeffs.items():
-            mono = tuple(sorted(ma + mb))
-            if not alg.monomial_ok(mono):
-                continue
-            prod = ca @ cb
-            if mono in coeffs:
-                coeffs[mono] = coeffs[mono] + prod
-            else:
-                coeffs[mono] = prod
-    return Jet(alg, coeffs)
 
 
 def qm_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:

@@ -124,3 +124,23 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["ope", "--lmax", "-1"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qm", "--dim", "0"],
+        ["qm", "--dim", "-3"],
+        ["qm", "--tolerance", "oracle=nan"],
+        ["qm", "--tolerance", "bogus=1"],
+    ],
+    ids=["dim-0", "dim-negative", "tolerance-nan", "tolerance-unknown-key"],
+)
+def test_bad_qm_input_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.strip().splitlines()[-1].startswith("fqft: error: ")

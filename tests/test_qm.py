@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fqft.errors import GeometryError, ValidationError
-from fqft.jets import Jet
+from fqft.jets import Jet, jet_mul
 from fqft.qm import (
     QmTheory,
     evolve,
@@ -13,7 +15,6 @@ from fqft.qm import (
     qm_correlator,
     qm_deform,
     qm_double_deform,
-    qm_glue,
     second_order_ordered,
     taylor_series_oracle,
     time_ordered,
@@ -135,10 +136,9 @@ def test_first_order_integral_against_quadrature():
 
 
 def test_first_order_integral_degenerate_fallback():
-    # defective Hamiltonian: no eigenbasis, quadrature path
+    # defective Hamiltonian: no eigenbasis
     H = np.array([[1.0, 1.0], [0.0, 1.0]])
     th = QmTheory(H)
-    assert th.eigen() is None
     O = np.array([[0.0, 1.0], [1.0, 0.0]])
     got = first_order_integral(th, O, 0.0, 1.0)
     oracle = -taylor_series_oracle(H, O, 1.0, order=1)[1]
@@ -229,12 +229,59 @@ def test_qm_double_deform_cutting_every_order():
         )
 
 
+def _similarity(rng, dim):
+    # random non-orthogonal similarity with condition number 10: a worse one
+    # inflates the evolution's own rounding past the tolerances on any method
+    Q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return Q1 @ np.diag(np.logspace(0, 1, dim)) @ Q2
+
+
+def _hostile_hamiltonian(rng, kind, dim, gap):
+    if kind == "complex":
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if kind == "clustered":
+        # one eigenvalue pair split by `gap`
+        J = np.diag(rng.standard_normal(dim))
+        J[1, 1] = J[0, 0] + gap
+    else:
+        J = rng.standard_normal() * np.eye(dim) + np.eye(dim, k=1)
+        if kind == "jordan":
+            return J
+    S = _similarity(rng, dim)
+    return S @ J @ np.linalg.inv(S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["clustered", "jordan", "jordan-similar", "complex"]),
+    dim=st.integers(2, 16),
+    gap=st.sampled_from([10.0**-k for k in range(3, 13)] + [0.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qm_double_deform_hostile_spectra(kind, dim, gap, seed):
+    # clustered, defective and complex spectra meet the `fqft qm` tolerances
+    rng = np.random.default_rng(seed)
+    H = _hostile_hamiltonian(rng, kind, dim, gap)
+    O = rng.standard_normal((dim, dim))
+    th = QmTheory(H)
+    obs = {"o": -O}
+    seg = qm_double_deform(th, obs, 0.0, 1.0)
+    glued = qm_double_deform(th, obs, 0.4, 1.0).glue(qm_double_deform(th, obs, 0.0, 0.4))
+    oracle = taylor_series_oracle(H, O, 1.0, order=2)
+    scale = max(max(np.max(np.abs(o)) for o in oracle), 1.0)
+    for mono, o in zip([(), ("gc[o]",), ("gc[o]", "gc[o]")], oracle):
+        got = seg.value.coefficient(mono)
+        assert np.max(np.abs(got - o)) < 1e-10 * scale
+        assert np.max(np.abs(glued.value.coefficient(mono) - got)) < 1e-12 * scale
+
+
 def test_qm_glue_algebra_mismatch():
     th = QmTheory(np.eye(2))
     a = qm_deform(th, {"x": np.eye(2)}, 0.0, 1.0)
     b = qm_deform(th, {"y": np.eye(2)}, 0.0, 1.0)
     with pytest.raises(ValueError):
-        qm_glue(a.value, b.value)
+        jet_mul(a.value, b.value)
 
 
 def test_glue_endpoint_mismatch():
