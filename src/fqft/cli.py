@@ -13,13 +13,13 @@ import numpy as np
 
 from .deformation import beta as beta_fn
 from .deformation import fb_theory, theory_from_json
-from .fock import build_space
+from .fock import L_MAX_HARD_CAP, build_space
 from .geometry import verify_cutting
 from .jets import Jet
 from .observables import current_observable, marginal_observable, ope_extract
 from .qm import QmTheory, qm_double_deform, taylor_series_oracle
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DEFAULT_TOLERANCES = {
     "cutting": 1e-12,
@@ -77,7 +77,7 @@ def cmd_verify_cutting(args, tol):
     exact = args.arithmetic == "exact"
     space = build_space(args.lmax, exact=exact)
     radii = [Fraction(k) for k in (4, 3, 2, 1)] if exact else [4.0, 3.0, 2.0, 1.0]
-    report = verify_cutting(space, radii, threads=args.threads)
+    report = verify_cutting(space, radii)
     if exact:
         passed = report["exact_zero"]
     else:
@@ -116,10 +116,7 @@ def cmd_ope(args, tol):
 
 def cmd_beta(args, tol):
     if args.backend == "formal":
-        if not args.theory:
-            raise SystemExit("--theory is required with the formal backend")
-        with open(args.theory) as fh:
-            theory = theory_from_json(fh.read())
+        theory = args.formal_theory
     else:
         theory = fb_theory(build_space(args.lmax))
     res = beta_fn(theory)
@@ -211,7 +208,6 @@ def build_parser():
         p.add_argument("--theory", help="formal theory JSON file")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument(
             "--tolerance",
             action="append",
@@ -229,10 +225,25 @@ def main(argv=None):
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.lmax < 0:
-        parser.error("--lmax must be >= 0")
+    if not 0 <= args.lmax <= L_MAX_HARD_CAP:
+        parser.error(f"--lmax must be in 0..{L_MAX_HARD_CAP}")
+    formal = args.backend == "formal" and args.command in ("beta", "all")
+    uses_marginal = args.command in ("ope", "all") or (args.command == "beta" and not formal)
+    if args.lmax < 2 and uses_marginal:
+        parser.error(f"{args.command} needs --lmax >= 2 (j jbar sits at level 2)")
     if args.dim < 1:
         parser.error("--dim must be >= 1")
+    args.formal_theory = None
+    if formal:
+        if not args.theory:
+            parser.error("--theory is required with --backend formal")
+        try:
+            with open(args.theory) as fh:
+                args.formal_theory = theory_from_json(fh.read())
+        except OSError as err:
+            parser.error(f"cannot read --theory {args.theory}: {err.strerror}")
+        except (ValueError, KeyError, TypeError) as err:
+            parser.error(f"invalid --theory {args.theory}: {err!r}")
     try:
         tol = _parse_tolerances(args.tolerance)
     except (argparse.ArgumentTypeError, ValueError) as err:
@@ -250,7 +261,6 @@ def main(argv=None):
             "arithmetic": args.arithmetic,
             "backend": args.backend,
             "seed": args.seed,
-            "threads": args.threads,
             "tolerances": tol,
         },
         "results": _jsonable(results),

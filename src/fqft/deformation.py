@@ -25,7 +25,7 @@ from math import comb
 import sympy
 
 from .errors import ValidationError
-from .fock import ModeOperator, apply_mode, current_mode
+from .fock import ModeOperator, apply_current, current_mode
 from .jets import Jet, JetAlgebra, recombine
 from .observables import scale_by_level
 from .rexp import RExpansion
@@ -642,19 +642,9 @@ def fb_deformed_disk(space, R=1) -> Jet:
     alg = JetAlgebra({"g": (["g[jjbar]"], 1)})
     w = space.zero()
     for k in range(1, space.l_max // 2 + 1):
-        state = apply_mode(
-            current_mode(space, -k, bar=True),
-            apply_mode(current_mode(space, -k), space.vacuum()),
-        )
+        state = apply_current(apply_current(space.vacuum(), -k), -k, bar=True)
         w = w + state.scale(Fraction(1, 2 * k))
     coeffs = {(): space.vacuum()}
     if not w.is_zero():
         coeffs[("g[jjbar]",)] = w
     return Jet(alg, coeffs)
-
-
-def fb_glue(outer: Jet, inner: Jet) -> Jet:
-    """Glue jets of operators/states; coefficient product is composition."""
-    from .jets import jet_mul
-
-    return jet_mul(outer, inner)

@@ -1,8 +1,10 @@
 """Level-truncated Fock module for the free boson.
 
 Basis enumeration over pairs of integer partitions (chiral, antichiral),
-U(1) current modes j_n / jbar_n, Virasoro generators assembled from
-normal-ordered current bilinears, and the Shapovalov pairing.
+sparse boundary states {basis index: nonzero coefficient}, U(1) current
+modes j_n / jbar_n (as operators, or applied to a state one nonzero at a
+time), Virasoro generators assembled from normal-ordered current
+bilinears, and the Shapovalov pairing.
 
 The zero mode j_0 acts as zero throughout (the zero-mode sector is out of
 scope), and components pushed above the truncation level are dropped with a
@@ -132,21 +134,17 @@ class TruncatedFockSpace:
         return Fraction(1) if self.exact else 1.0
 
     def zero(self) -> "BoundaryState":
-        return BoundaryState(self, [self.zero_scalar()] * self.dim)
+        return BoundaryState(self, {})
 
     def vacuum(self) -> "BoundaryState":
-        v = self.zero()
-        v.coeffs[0] = self.one_scalar()
-        return v
+        return BoundaryState(self, {0: self.one_scalar()})
 
     def state(self, chiral=(), antichiral=()) -> "BoundaryState":
         """Basis vector j_{chiral} jbar_{antichiral} |0>."""
         key = FockBasisState(chiral, antichiral).key()
         if key not in self.index:
             raise ValueError(f"state {key} above truncation l_max={self.l_max}")
-        v = self.zero()
-        v.coeffs[self.index[key]] = self.one_scalar()
-        return v
+        return BoundaryState(self, {self.index[key]: self.one_scalar()})
 
     def find(self, chiral, antichiral):
         return self.index.get(FockBasisState(chiral, antichiral).key())
@@ -178,41 +176,49 @@ def _scalar_json(x):
 
 
 class BoundaryState:
-    """Coefficient vector over a truncated basis; element of a boundary space."""
+    """Sparse coefficient map {basis index: scalar} over a truncated basis;
+    element of a boundary space.  Zero coefficients are never stored, so
+    every operation costs O(number of nonzeros)."""
 
     __slots__ = ("space", "coeffs", "truncation_loss")
 
     def __init__(self, space, coeffs, truncation_loss=0):
-        if len(coeffs) != space.dim:
-            raise ValueError("coefficient length does not match space dimension")
+        coeffs = {i: c for i, c in coeffs.items() if c != 0}
+        if coeffs and not (0 <= min(coeffs) and max(coeffs) < space.dim):
+            raise ValueError("basis index outside the space")
         self.space = space
-        self.coeffs = list(coeffs)
+        self.coeffs = coeffs
         self.truncation_loss = truncation_loss
 
-    def copy(self):
-        return BoundaryState(self.space, self.coeffs, self.truncation_loss)
+    def __getitem__(self, i):
+        """Coefficient of basis vector i; the zero scalar when absent."""
+        return self.coeffs.get(i, self.space.zero_scalar())
 
     def __add__(self, other):
         _check_space(self, other)
+        out = dict(self.coeffs)
+        for i, c in other.coeffs.items():
+            out[i] = out[i] + c if i in out else c
         return BoundaryState(
-            self.space,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self.truncation_loss + other.truncation_loss,
+            self.space, out, self.truncation_loss + other.truncation_loss
         )
 
     def __sub__(self, other):
         _check_space(self, other)
+        out = dict(self.coeffs)
+        for i, c in other.coeffs.items():
+            out[i] = out[i] - c if i in out else -c
         return BoundaryState(
-            self.space,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
-            self.truncation_loss + other.truncation_loss,
+            self.space, out, self.truncation_loss + other.truncation_loss
         )
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c) -> "BoundaryState":
-        return BoundaryState(self.space, [c * a for a in self.coeffs], self.truncation_loss)
+        return BoundaryState(
+            self.space, {i: c * a for i, a in self.coeffs.items()}, self.truncation_loss
+        )
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -225,16 +231,17 @@ class BoundaryState:
         )
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.coeffs
 
     def norm_inf(self) -> float:
-        return max((abs(float(c)) for c in self.coeffs), default=0.0)
+        return max((abs(float(c)) for c in self.coeffs.values()), default=0.0)
 
     def nonzero(self):
-        return [(i, c) for i, c in enumerate(self.coeffs) if c != 0]
+        """(index, coefficient) pairs in basis order."""
+        return sorted(self.coeffs.items())
 
     def levels_present(self):
-        return sorted({self.space.levels[i] for i, _ in self.nonzero()})
+        return sorted({self.space.levels[i] for i in self.coeffs})
 
     def __repr__(self):
         terms = [f"{c}*{self.space.basis[i]!r}" for i, c in self.nonzero()[:6]]
@@ -327,42 +334,71 @@ def build_space(l_max: int, exact: bool = True) -> TruncatedFockSpace:
     return TruncatedFockSpace(l_max, exact=exact)
 
 
-def _one(space):
-    return Fraction(1) if space.exact else 1.0
+# image of a basis vector pushed above l_max by a creation mode
+_DROPPED = (-1, 0)
+
+
+def _current_image(space: TruncatedFockSpace, n: int, col: int, bar: bool):
+    """j_n (bar=False) or jbar_n on basis vector `col`.
+
+    Returns (row, weight) with j_n|col> = weight |row>, None when the image
+    vanishes, or _DROPPED when it lies above l_max.  j_{-n} with n>0 adds a
+    part; j_n removes one occurrence of n with weight n * multiplicity, per
+    [j_m, j_n] = m delta_{m+n,0}; j_0 acts as zero.  For fixed (n, bar) the
+    map col -> row is injective.
+    """
+    if n == 0:
+        return None
+    state = space.basis[col]
+    chiral, anti = state.chiral.parts, state.antichiral.parts
+    mu = anti if bar else chiral
+    level = space.levels[col] - n
+    if n < 0:
+        if level > space.l_max:
+            return _DROPPED
+        new = tuple(sorted(mu + (-n,), reverse=True))
+        weight = 1
+    else:
+        count = mu.count(n)
+        if not count:
+            return None
+        k = mu.index(n)
+        new = mu[:k] + mu[k + 1 :]
+        weight = n * count
+    key = (level, chiral, new) if bar else (level, new, anti)
+    return space.index[key], weight
 
 
 def current_mode(space: TruncatedFockSpace, n: int, bar: bool = False) -> ModeOperator:
-    """j_n (bar=False) or jbar_n acting on the truncated space.
-
-    j_{-n} with n>0 adds a part; j_n removes one occurrence of n with
-    weight n * multiplicity, per [j_m, j_n] = m delta_{m+n,0}.
-    """
-    kind = "jbar" if bar else "j"
+    """j_n (bar=False) or jbar_n as an operator on the truncated space."""
+    one = space.one_scalar()
     entries: dict[tuple[int, int], object] = {}
     dropped = set()
-    one = _one(space)
-    for col, state in enumerate(space.basis):
-        mu = state.antichiral.parts if bar else state.chiral.parts
-        other = state.chiral.parts if bar else state.antichiral.parts
-        if n == 0:
-            continue
-        if n < 0:
-            new = tuple(sorted(mu + (-n,), reverse=True))
-            if state.level + (-n) > space.l_max:
-                dropped.add(col)
-                continue
-            row = space.find(other, new) if bar else space.find(new, other)
-            entries[(row, col)] = entries.get((row, col), 0) + one
-        else:
-            count = mu.count(n)
-            if count == 0:
-                continue
-            new = list(mu)
-            new.remove(n)
-            new = tuple(new)
-            row = space.find(other, new) if bar else space.find(new, other)
-            entries[(row, col)] = entries.get((row, col), 0) + n * count * one
-    return ModeOperator(kind, n, space, entries, dropped)
+    for col in range(space.dim):
+        image = _current_image(space, n, col, bar)
+        if image is _DROPPED:
+            dropped.add(col)
+        elif image is not None:
+            row, weight = image
+            entries[(row, col)] = weight * one
+    return ModeOperator("jbar" if bar else "j", n, space, entries, dropped)
+
+
+def apply_current(v: BoundaryState, n: int, bar: bool = False) -> BoundaryState:
+    """j_n (or jbar_n) applied to v one nonzero at a time, without building
+    the operator; equals apply_mode(current_mode(v.space, n, bar), v),
+    truncation loss included."""
+    space = v.space
+    out = {}
+    loss = 0
+    for col, c in v.coeffs.items():
+        image = _current_image(space, n, col, bar)
+        if image is _DROPPED:
+            loss += 1
+        elif image is not None:
+            row, weight = image
+            out[row] = weight * c
+    return BoundaryState(space, out, v.truncation_loss + loss)
 
 
 def build_virasoro(
@@ -380,6 +416,13 @@ def build_virasoro(
     total: dict[tuple[int, int], object] = {}
     dropped = set()
     kmax = space.l_max + abs(n)
+    modes: dict[int, ModeOperator] = {}
+
+    def mode(m):
+        if m not in modes:
+            modes[m] = current_mode(space, m, bar=bar)
+        return modes[m]
+
     for k in range(-kmax, kmax + 1):
         m1, m2 = -k, k + n
         if m1 > m2:
@@ -389,9 +432,7 @@ def build_virasoro(
         # the k-sum visits (m1, m2) and (m2, m1); normal ordering makes both
         # equal j_{m1} j_{m2}, so the pair carries weight 2 * 1/2 unless m1 == m2
         weight = half if m1 == m2 else 2 * half
-        a = current_mode(space, m1, bar=bar)
-        b = current_mode(space, m2, bar=bar)
-        prod = a.compose(b)
+        prod = mode(m1).compose(mode(m2))
         dropped |= prod.dropped_cols
         for key, val in prod.entries.items():
             total[key] = total.get(key, 0) + weight * val
@@ -412,12 +453,13 @@ def apply_mode(op: ModeOperator, v: BoundaryState) -> BoundaryState:
     """Linear action of a mode operator; counts truncation losses."""
     if op.space is not v.space:
         raise SpaceMismatchError("operator and state live in different spaces")
-    out = [v.space.zero_scalar()] * v.space.dim
+    coeffs = v.coeffs
+    out = {}
     for (i, j), val in op.entries.items():
-        c = v.coeffs[j]
-        if c != 0:
-            out[i] = out[i] + val * c
-    loss = sum(1 for j, c in enumerate(v.coeffs) if c != 0 and j in op.dropped_cols)
+        c = coeffs.get(j)
+        if c is not None:
+            out[i] = out[i] + val * c if i in out else val * c
+    loss = sum(1 for j in coeffs if j in op.dropped_cols)
     return BoundaryState(v.space, out, v.truncation_loss + loss)
 
 
@@ -443,9 +485,9 @@ def shapovalov(u: BoundaryState, v: BoundaryState):
     _check_space(u, v)
     space = u.space
     total = space.zero_scalar()
-    for i, cu in enumerate(u.coeffs):
-        cv = v.coeffs[i]
-        if cu != 0 and cv != 0:
+    for i, cu in u.nonzero():
+        cv = v.coeffs.get(i)
+        if cv is not None:
             state = space.basis[i]
             norm = _chiral_norm(state.chiral.parts) * _chiral_norm(
                 state.antichiral.parts

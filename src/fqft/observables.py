@@ -27,7 +27,7 @@ from .errors import (
     TruncationOverflowError,
     ValidationError,
 )
-from .fock import BoundaryState, apply_mode, current_mode
+from .fock import BoundaryState, apply_current
 from .rexp import RExpansion, coeff_norm
 
 
@@ -35,22 +35,22 @@ from .rexp import RExpansion, coeff_norm
 
 
 def split_levels(v: BoundaryState) -> dict:
-    """Decompose a state into its total-level homogeneous parts."""
-    parts: dict[int, BoundaryState] = {}
+    """Decompose a state into its total-level homogeneous parts, in
+    ascending level order."""
+    levels = v.space.levels
+    parts: dict[int, dict] = {}
     for i, c in v.nonzero():
-        E = v.space.levels[i]
-        if E not in parts:
-            parts[E] = v.space.zero()
-        parts[E].coeffs[i] = c
-    return parts
+        parts.setdefault(levels[i], {})[i] = c
+    return {E: BoundaryState(v.space, part) for E, part in parts.items()}
 
 
 def scale_by_level(v: BoundaryState, factor_of_level) -> BoundaryState:
-    out = v.space.zero()
-    for i, c in v.nonzero():
-        out.coeffs[i] = factor_of_level(v.space.levels[i]) * c
-    out.truncation_loss = v.truncation_loss
-    return out
+    levels = v.space.levels
+    return BoundaryState(
+        v.space,
+        {i: factor_of_level(levels[i]) * c for i, c in v.coeffs.items()},
+        v.truncation_loss,
+    )
 
 
 # ----------------------------------------------------------------- observables
@@ -102,10 +102,6 @@ class LocalObservable:
     def family(self) -> GoodFamily:
         return GoodFamily.from_state(self.state)
 
-    @property
-    def total_dim(self):
-        return self.dims[0] + self.dims[1]
-
     def __repr__(self):
         return f"LocalObservable({self.label}, dims={self.dims})"
 
@@ -127,18 +123,6 @@ def marginal_observable(space) -> LocalObservable:
                            word=("j", "jbar"))
 
 
-def standard_observables(space):
-    return {
-        o.label: o
-        for o in (
-            identity_observable(space),
-            current_observable(space),
-            current_observable(space, bar=True),
-            marginal_observable(space),
-        )
-    }
-
-
 def descendant_family(obs: LocalObservable, mu=(), mubar=()) -> LocalObservable:
     """Apply creation modes j_{-mu} jbar_{-mubar} to the representative.
 
@@ -150,9 +134,9 @@ def descendant_family(obs: LocalObservable, mu=(), mubar=()) -> LocalObservable:
         return obs
     state = obs.state
     for m in mu:
-        state = apply_mode(current_mode(obs.space, -m), state)
+        state = apply_current(state, -m)
     for m in mubar:
-        state = apply_mode(current_mode(obs.space, -m, bar=True), state)
+        state = apply_current(state, -m, bar=True)
     if state.truncation_loss:
         raise TruncationOverflowError(
             f"descendant ({mu}, {mubar}) of {obs.label} exceeds l_max"
@@ -262,10 +246,9 @@ def _mode_sum_insert(series: ZSeries, kind: str) -> ZSeries:
     for n in range(-space.l_max, space.l_max + 1):
         if n == 0:
             continue
-        op = current_mode(space, n, bar=bar)
         add = {}
         for (m, mbar), v in series.terms.items():
-            w = apply_mode(op, v)
+            w = apply_current(v, n, bar=bar)
             if w.is_zero():
                 continue
             key = (m, mbar - n - 1) if bar else (m - n - 1, mbar)
@@ -492,7 +475,7 @@ def ope_extract(space, a: LocalObservable, b: LocalObservable, max_order=None) -
     # most singular first: ascending total exponent, then z-exponent
     for (m, mbar) in sorted(remainder.terms, key=lambda k: (k[0] + k[1], k[0])):
         v = remainder.terms[(m, mbar)]
-        sub = space.zero()
+        matched = {}
         for i, coeff in v.nonzero():
             s = space.basis[i]
             level = s.level
@@ -511,8 +494,8 @@ def ope_extract(space, a: LocalObservable, b: LocalObservable, max_order=None) -
                 (m, mbar),
                 coeff,
             )
-            sub.coeffs[i] = coeff
-        remainder.terms[(m, mbar)] = v - sub
+            matched[i] = coeff
+        remainder.terms[(m, mbar)] = v - BoundaryState(space, matched)
     return table
 
 

@@ -32,7 +32,8 @@ class PowerValue:
     """Canonical product  coeff * prod p^{e_p} * exp(e_exp).
 
     Integer parts of the prime exponents are folded into the rational
-    coefficient, so two values are equal iff their fields are equal.
+    coefficient, and zero carries no exponents, so two values are equal iff
+    their fields are equal.
     """
 
     __slots__ = ("coeff", "prime_exps", "e_exp")
@@ -54,6 +55,9 @@ class PowerValue:
                 self.coeff *= Fraction(p) ** whole
             if frac:
                 self.prime_exps[p] = frac
+        if self.coeff == 0:
+            self.prime_exps = {}
+            self.e_exp = Fraction(0)
 
     @classmethod
     def from_pow(cls, base, exponent) -> "PowerValue":

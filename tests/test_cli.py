@@ -17,7 +17,7 @@ def run_cli(capsys, argv):
 def test_verify_cutting_exact(capsys):
     code, report = run_cli(capsys, ["verify-cutting", "--lmax", "2"])
     assert code == 0
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["passed"] is True
     assert report["results"]["exact_zero"] is True
     assert report["wall_time_s"] is None
@@ -144,3 +144,50 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.strip().splitlines()[-1].startswith("fqft: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ope", "--lmax", "0"],
+        ["ope", "--lmax", "1"],
+        ["beta", "--lmax", "0"],
+        ["beta", "--lmax", "1"],
+        ["all", "--lmax", "0"],
+        ["all", "--lmax", "1"],
+        ["verify-cutting", "--lmax", "17"],
+        ["ope", "--lmax", "17"],
+        ["beta", "--backend", "formal", "--theory", "{tmp}/missing.json"],
+        ["beta", "--backend", "formal", "--theory", "{tmp}/malformed.json"],
+        ["beta", "--backend", "formal"],
+    ],
+    ids=[
+        "ope-lmax-0",
+        "ope-lmax-1",
+        "beta-lmax-0",
+        "beta-lmax-1",
+        "all-lmax-0",
+        "all-lmax-1",
+        "verify-cutting-above-cap",
+        "ope-above-cap",
+        "theory-missing-file",
+        "theory-malformed",
+        "theory-not-given",
+    ],
+)
+def test_bad_input_is_usage_error(capsys, tmp_path, argv):
+    (tmp_path / "malformed.json").write_text("{}")
+    with pytest.raises(SystemExit) as err:
+        main([a.format(tmp=tmp_path) for a in argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.strip().splitlines()[-1].startswith("fqft: error: ")
+
+
+def test_verify_cutting_at_low_lmax(capsys):
+    # verify-cutting needs no level-2 state, so l_max 0 and 1 stay valid
+    for lmax in ("0", "1"):
+        code, report = run_cli(capsys, ["verify-cutting", "--lmax", lmax])
+        assert code == 0 and report["results"]["exact_zero"] is True

@@ -22,7 +22,6 @@ from fqft.deformation import (
     double_deform,
     fb_deformed_annulus,
     fb_deformed_disk,
-    fb_glue,
     fb_theory,
     insert_family_deformed,
     integrated_ope,
@@ -32,7 +31,7 @@ from fqft.deformation import (
 )
 from fqft.errors import RecombinationError, ValidationError
 from fqft.fock import apply_mode, build_space, current_mode
-from fqft.jets import Jet
+from fqft.jets import Jet, jet_mul
 from fqft.rexp import RExpansion
 
 
@@ -319,7 +318,7 @@ def test_fb_theory_constants():
 def test_fb_deformed_annulus_cutting():
     space = build_space(4)
     R, m, r = Fraction(4), Fraction(2), Fraction(1)
-    glued = fb_glue(fb_deformed_annulus(space, R, m), fb_deformed_annulus(space, m, r))
+    glued = jet_mul(fb_deformed_annulus(space, R, m), fb_deformed_annulus(space, m, r))
     direct = fb_deformed_annulus(space, R, r)
     assert glued == direct
 
@@ -327,7 +326,7 @@ def test_fb_deformed_annulus_cutting():
 def test_fb_deformed_disk_closure():
     space = build_space(4)
     R, r = Fraction(3), Fraction(1)
-    glued = fb_glue(fb_deformed_annulus(space, R, r), fb_deformed_disk(space, r))
+    glued = jet_mul(fb_deformed_annulus(space, R, r), fb_deformed_disk(space, r))
     direct = fb_deformed_disk(space, R)
     assert glued == direct
 
@@ -337,7 +336,7 @@ def test_fb_deformed_disk_radius_independent():
     assert fb_deformed_disk(space, 1) == fb_deformed_disk(space, Fraction(7, 2))
     w = fb_deformed_disk(space, 1).coefficient(("g[jjbar]",))
     for k in (1, 2, 3):
-        assert w.coeffs[space.find((k,), (k,))] == Fraction(1, 2 * k)
+        assert w[space.find((k,), (k,))] == Fraction(1, 2 * k)
 
 
 def test_fb_deformed_annulus_g_zero_is_undeformed():

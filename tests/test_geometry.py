@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqft.errors import GeometryError, SpaceMismatchError
-from fqft.fock import build_space
+from fqft.fock import L_MAX_HARD_CAP, BoundaryState, build_space
 from fqft.geometry import (
     PartitionFunction,
     Surface,
@@ -39,49 +39,55 @@ def test_surface_validation():
 def test_cylinder_entries():
     space = build_space(3)
     pf = cylinder_pf(space, 1)
-    i0 = space.find((), ())
-    i1 = space.find((1,), ())
+    assert len(pf.by_level) == space.l_max + 1
+    E0 = space.levels[space.find((), ())]
+    E1 = space.levels[space.find((1,), ())]
     # shifted convention: vacuum energy 0, level gap 1 gives e^{-H}
-    assert scalar_eq(pf.diag[i0], 1)
-    assert pf.diag[i1] == pf.diag[i0] * PowerValue.from_exp(-1)
+    assert scalar_eq(pf.by_level[E0], 1)
+    assert pf.by_level[E1] == pf.by_level[E0] * PowerValue.from_exp(-1)
 
 
 def test_cylinder_semigroup():
     space = build_space(3)
     a = glue(cylinder_pf(space, Fraction(1, 3)), cylinder_pf(space, Fraction(2, 3)))
     b = cylinder_pf(space, 1)
-    assert all(scalar_eq(x, y) for x, y in zip(a.diag, b.diag))
+    assert all(scalar_eq(x, y) for x, y in zip(a.by_level, b.by_level))
     assert a.surface.kind == "cylinder" and a.surface.params["H"] == 1
 
 
 def test_cylinder_h_to_zero_limit():
     space = build_space(2)
     pf = cylinder_pf(space, Fraction(1, 10**6), shifted=True)
-    for d in pf.diag:
+    for d in pf.by_level:
         assert abs(as_float(d) - 1.0) < 1e-5
 
 
 def test_annulus_entries_shifted():
     space = build_space(3)
     pf = annulus_pf(space, 2, 1)
-    assert pf.diag[space.find((), ())] == 1
-    assert pf.diag[space.find((1,), (1,))] == Fraction(1, 4)
-    assert pf.diag[space.find((2, 1), ())] == Fraction(1, 8)
+    for parts, value in [
+        (((), ()), 1),
+        (((1,), (1,)), Fraction(1, 4)),
+        (((2, 1), ()), Fraction(1, 8)),
+    ]:
+        v = space.state(*parts)
+        assert pf.by_level[v.levels_present()[0]] == value
+        assert pf.apply(v) == v.scale(value)
 
 
 def test_annulus_ratio_dependence_only():
     space = build_space(3)
     a = annulus_pf(space, 2, 1)
     b = annulus_pf(space, 6, 3)
-    assert a.diag == b.diag
+    assert a.by_level == b.by_level
 
 
 def test_annulus_unshifted_exponent():
     space = build_space(2)
     pf = annulus_pf(space, 2, 1, shifted=False)
-    vac = pf.diag[space.find((), ())]
+    vac = pf.by_level[space.levels[space.find((), ())]]
     assert vac == PowerValue.from_pow(Fraction(1, 2), Fraction(1, 12))
-    lvl2 = pf.diag[space.find((1, 1), ())]
+    lvl2 = pf.by_level[space.levels[space.find((1, 1), ())]]
     assert lvl2 == PowerValue.from_pow(Fraction(1, 2), Fraction(25, 12))
 
 
@@ -89,7 +95,7 @@ def test_annulus_composition():
     space = build_space(4)
     glued = glue(annulus_pf(space, 4, 2), annulus_pf(space, 2, 1))
     direct = annulus_pf(space, 4, 1)
-    assert glued.diag == direct.diag
+    assert glued.by_level == direct.by_level
     assert glued.surface.params == {"R": 4, "r": 1}
 
 
@@ -99,7 +105,7 @@ def test_annulus_composition_unshifted():
         annulus_pf(space, 4, 2, shifted=False), annulus_pf(space, 2, 1, shifted=False)
     )
     direct = annulus_pf(space, 4, 1, shifted=False)
-    assert all(scalar_eq(x, y) for x, y in zip(glued.diag, direct.diag))
+    assert all(scalar_eq(x, y) for x, y in zip(glued.by_level, direct.by_level))
 
 
 def test_geometric_mismatch():
@@ -130,21 +136,22 @@ def test_disk_unshifted_radius_dependence():
     space = build_space(2)
     pf = disk_pf(space, 2, shifted=False)
     i0 = space.find((), ())
-    assert pf.state.coeffs[i0] == PowerValue.from_pow(2, Fraction(-1, 12))
+    assert pf.state[i0] == PowerValue.from_pow(2, Fraction(-1, 12))
     # cutting still holds unshifted: annulus(R,r) |D_r> = |D_R>
     closed = glue(annulus_pf(space, 2, 1, shifted=False), disk_pf(space, 1, shifted=False))
     direct = disk_pf(space, 2, shifted=False)
     assert all(
-        scalar_eq(x, y) for x, y in zip(closed.state.coeffs, direct.state.coeffs)
+        scalar_eq(closed.state[i], direct.state[i]) for i in range(space.dim)
     )
 
 
 def test_glue_associativity_on_random_state():
     space = build_space(3)
     rng = random.Random(7)
-    v = space.zero()
-    for i in range(space.dim):
-        v.coeffs[i] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    v = BoundaryState(
+        space,
+        {i: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for i in range(space.dim)},
+    )
     lhs = glue(annulus_pf(space, 4, 2), glue(annulus_pf(space, 2, 1), v).state)
     rhs = glue(annulus_pf(space, 4, 1), v)
     assert lhs.state == rhs.state
@@ -156,11 +163,12 @@ def test_product_axiom_disjoint_union():
     b = cylinder_pf(space, 2)
     kron = disjoint_union_pf(a, b)
     c3 = cylinder_pf(space, 3)
-    # sanity: the (i,i) block diagonal multiplies energies additively
-    for i in range(space.dim):
-        assert scalar_eq(kron[(i, i)], c3.diag[i] * PowerValue.from_exp(0))
+    assert len(kron) == (space.l_max + 1) ** 2
+    # sanity: the (E,E) block diagonal multiplies energies additively
+    for E in range(space.l_max + 1):
+        assert scalar_eq(kron[(E, E)], c3.by_level[E] * PowerValue.from_exp(0))
     # generic entry equals the scalar product of the factors
-    assert scalar_eq(kron[(0, 1)], a.diag[0] * b.diag[1])
+    assert scalar_eq(kron[(0, 1)], a.by_level[0] * b.by_level[1])
 
 
 @given(st.integers(min_value=0, max_value=4))
@@ -169,7 +177,19 @@ def test_verify_cutting_exact(l_max):
     space = build_space(l_max)
     report = verify_cutting(space, [Fraction(4), Fraction(3), Fraction(2), Fraction(1)])
     assert report["exact_zero"]
-    assert report["offending_index"] is None
+    assert report["offending_level"] is None
+
+
+@pytest.mark.parametrize("l_max", [0, 1, L_MAX_HARD_CAP])
+def test_verify_cutting_exact_edges(l_max):
+    space = build_space(l_max)
+    for shifted in (True, False):
+        report = verify_cutting(
+            space, [Fraction(4), Fraction(3), Fraction(2), Fraction(1)], shifted=shifted
+        )
+        assert report["exact_zero"], (l_max, shifted, report)
+        assert report["max_residual"] == 0.0 and report["disk_residual"] == 0.0
+        assert report["offending_level"] is None
 
 
 def test_verify_cutting_float():
@@ -179,20 +199,16 @@ def test_verify_cutting_float():
     assert report["disk_residual"] < 1e-12
 
 
-def test_verify_cutting_fault_injection():
+@pytest.mark.parametrize("level", range(4))
+def test_verify_cutting_fault_injection(level):
     space = build_space(3)
-    report = verify_cutting(space, [Fraction(4), Fraction(2), Fraction(1)], corrupt=5)
+    report = verify_cutting(
+        space, [Fraction(4), Fraction(2), Fraction(1)], corrupt=level
+    )
     assert report["max_residual"] > 0
-    assert report["offending_index"] == 5
-
-
-def test_verify_cutting_threads():
-    space = build_space(4)
-    pts = [Fraction(k) for k in range(8, 0, -1)]
-    seq = verify_cutting(space, pts, threads=1)
-    par = verify_cutting(space, pts, threads=4)
-    assert seq == par
-    assert seq["exact_zero"]
+    assert report["offending_level"] == level
+    assert report["offending_cut"] == 1
+    assert not report["exact_zero"]
 
 
 def test_cutting_unshifted_convention():
@@ -211,10 +227,23 @@ def test_bad_cut_points():
         verify_cutting(space, [2])
 
 
+def test_zero_power_value_is_canonical():
+    # zero carries no exponents, so it equals every other zero and is dropped
+    # from sparse states like a plain zero
+    z = PowerValue.from_pow(2, Fraction(1, 12)) * 0
+    assert z == 0 and scalar_eq(z, 0) and scalar_eq(0, z)
+    assert PowerValue.from_exp(-3) * 0 == z
+    assert hash(z) == hash(PowerValue(0))
+    space = build_space(1)
+    assert BoundaryState(space, {0: z}).is_zero()
+    assert space.vacuum().scale(z) == space.zero()
+
+
 def test_float_cylinder_matches_exact():
     exact = build_space(3)
     flt = build_space(3, exact=False)
     pe = cylinder_pf(exact, Fraction(1, 2))
     pf = cylinder_pf(flt, 0.5)
-    for x, y in zip(pe.diag, pf.diag):
+    assert len(pe.by_level) == len(pf.by_level) == 4
+    for x, y in zip(pe.by_level, pf.by_level):
         assert math.isclose(as_float(x), y, rel_tol=1e-13)

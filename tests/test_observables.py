@@ -10,7 +10,7 @@ from fqft.errors import (
     TruncationOverflowError,
     ValidationError,
 )
-from fqft.fock import build_space
+from fqft.fock import L_MAX_HARD_CAP, build_space
 from fqft.geometry import annulus_pf
 from fqft.observables import (
     GoodFamily,
@@ -120,7 +120,7 @@ def test_one_point_current_mode_coefficients():
     z, R = Fraction(1, 3), Fraction(2)
     v = one_point(space, j, z, R)
     for n in range(1, space.l_max + 1):
-        assert v.coeffs[space.find((n,), ())] == z ** (n - 1) * R ** (-n)
+        assert v[space.find((n,), ())] == z ** (n - 1) * R ** (-n)
 
 
 def test_one_point_outside_disk():
@@ -190,7 +190,7 @@ def test_two_point_radius_scaling():
         w = s2.coefficient(m, mbar)
         for i, c in v.nonzero():
             E = space.levels[i]
-            assert w.coeffs[i] == c * Fraction(2) ** (-E)
+            assert w[i] == c * Fraction(2) ** (-E)
 
 
 def test_two_point_marginal_pair():
@@ -312,3 +312,14 @@ def test_ope_table_exponent_validation():
     table.add_row("j", "j", "1", (), (), (-3, 0), Fraction(1))
     with pytest.raises(ValidationError):
         OpeTable.from_json(table.to_json())
+
+
+def test_marginal_ope_at_cap():
+    # the marginal jjbar . jjbar OPE at the truncation cap: K = 1, C = 0
+    space = build_space(L_MAX_HARD_CAP)
+    o = marginal_observable(space)
+    table = ope_extract(space, o, o)
+    consts = table.marginal_constants()
+    assert consts["K"] == {("jjbar", "jjbar"): 1}
+    assert all(v == 0 for v in consts["C"].values())
+    assert table.coefficient("jjbar", "jjbar", "1") == 1
