@@ -18,8 +18,9 @@ from .geometry import verify_cutting
 from .jets import Jet
 from .observables import current_observable, marginal_observable, ope_extract
 from .qm import QmTheory, qm_double_deform, taylor_series_oracle
+from .scalars import encode_scalar
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 DEFAULT_TOLERANCES = {
     "cutting": 1e-12,
@@ -32,10 +33,8 @@ log = logging.getLogger("fqft")
 
 
 def _jsonable(x):
-    """Deterministic JSON form: Fractions as 'p/q' strings, jets as
-    monomial -> value maps, everything else recursively plain."""
-    if isinstance(x, Fraction):
-        return str(x)
+    """Deterministic JSON form: jets as monomial -> value maps, containers
+    recursively, scalars by the shared codec."""
     if isinstance(x, Jet):
         return {("*".join(m) if m else "1"): _jsonable(c) for m, c in sorted(x.coeffs.items())}
     if isinstance(x, dict):
@@ -45,13 +44,7 @@ def _jsonable(x):
         }
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, (bool, int, float, str)) or x is None:
-        return x
-    return str(x)
+    return encode_scalar(x)
 
 
 def _parse_tolerances(pairs):
@@ -75,7 +68,7 @@ def _parse_tolerances(pairs):
 
 def cmd_verify_cutting(args, tol):
     exact = args.arithmetic == "exact"
-    space = build_space(args.lmax, exact=exact)
+    space = build_space(args.l_max, exact=exact)
     radii = [Fraction(k) for k in (4, 3, 2, 1)] if exact else [4.0, 3.0, 2.0, 1.0]
     report = verify_cutting(space, radii)
     if exact:
@@ -88,7 +81,7 @@ def cmd_verify_cutting(args, tol):
 
 
 def cmd_ope(args, tol):
-    space = build_space(args.lmax, exact=args.arithmetic == "exact")
+    space = build_space(args.l_max, exact=args.arithmetic == "exact")
     j = current_observable(space)
     table = ope_extract(space, j, j)
     o = marginal_observable(space)
@@ -118,7 +111,7 @@ def cmd_beta(args, tol):
     if args.backend == "formal":
         theory = args.formal_theory
     else:
-        theory = fb_theory(build_space(args.lmax))
+        theory = fb_theory(build_space(args.l_max))
     res = beta_fn(theory)
     results = {
         "marginals": sorted(theory.marginals),
@@ -126,7 +119,9 @@ def cmd_beta(args, tol):
         "running": _jsonable(res.running()),
         "zero": res.is_zero(),
     }
-    return results, True
+    # the free boson's beta vanishes identically; the formal backend has no
+    # cheap identity to check yet
+    return results, args.backend == "formal" or res.is_zero()
 
 
 def cmd_qm(args, tol):
@@ -178,13 +173,28 @@ def cmd_all(args, tol):
     return results, passed
 
 
-COMMANDS = {
-    "verify-cutting": cmd_verify_cutting,
-    "ope": cmd_ope,
-    "beta": cmd_beta,
-    "qm": cmd_qm,
-    "all": cmd_all,
+FLAGS = {
+    "--lmax": dict(dest="l_max", type=int, default=4),
+    "--arithmetic": dict(choices=["exact", "float64"], default="exact"),
+    "--tolerance": dict(action="append", metavar="KEY=VAL", help="override a named tolerance"),
+    "--backend": dict(choices=["free-boson", "formal"], default="free-boson"),
+    "--theory": dict(help="formal theory JSON file"),
+    "--dim": dict(type=int, default=4, help="qm Hilbert dimension"),
+    "--seed": dict(type=int, default=0),
+    "--orders": dict(type=int, default=2, choices=[0, 1, 2]),
 }
+
+# each subcommand takes the flags its command reads, plus --out and --timing
+COMMANDS = {
+    "verify-cutting": (cmd_verify_cutting, ["--lmax", "--arithmetic", "--tolerance"]),
+    "ope": (cmd_ope, ["--lmax", "--arithmetic", "--tolerance"]),
+    "beta": (cmd_beta, ["--lmax", "--backend", "--theory"]),
+    "qm": (cmd_qm, ["--dim", "--seed", "--orders", "--tolerance"]),
+}
+COMMANDS["all"] = (cmd_all, list(dict.fromkeys(f for _, fs in COMMANDS.values() for f in fs)))
+
+# the report's config holds those of these settings the subcommand takes
+SETTINGS = ("l_max", "arithmetic", "backend", "dim", "seed", "orders")
 
 
 def build_parser():
@@ -194,29 +204,13 @@ def build_parser():
         "OPE extraction, beta functions, and the quantum-mechanics oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--lmax", type=int, default=4)
-        p.add_argument(
-            "--arithmetic", choices=["exact", "float64"], default="exact"
-        )
-        p.add_argument(
-            "--backend",
-            choices=["free-boson", "formal", "qm"],
-            default="free-boson",
-        )
-        p.add_argument("--theory", help="formal theory JSON file")
+    for name, (_, flags) in COMMANDS.items():
+        # errors propagate to the top parser, so every usage error reads "fqft: error: ..."
+        p = sub.add_parser(name, exit_on_error=False)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--tolerance",
-            action="append",
-            metavar="KEY=VAL",
-            help="override a named tolerance",
-        )
         p.add_argument("--timing", action="store_true", help="include wall time")
-        p.add_argument("--dim", type=int, default=4, help="qm Hilbert dimension")
-        p.add_argument("--orders", type=int, default=2, choices=[0, 1, 2])
     return parser
 
 
@@ -225,13 +219,14 @@ def main(argv=None):
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 0 <= args.lmax <= L_MAX_HARD_CAP:
-        parser.error(f"--lmax must be in 0..{L_MAX_HARD_CAP}")
-    formal = args.backend == "formal" and args.command in ("beta", "all")
-    uses_marginal = args.command in ("ope", "all") or (args.command == "beta" and not formal)
-    if args.lmax < 2 and uses_marginal:
-        parser.error(f"{args.command} needs --lmax >= 2 (j jbar sits at level 2)")
-    if args.dim < 1:
+    formal = getattr(args, "backend", None) == "formal"
+    if "l_max" in args:
+        if not 0 <= args.l_max <= L_MAX_HARD_CAP:
+            parser.error(f"--lmax must be in 0..{L_MAX_HARD_CAP}")
+        uses_marginal = args.command in ("ope", "all") or (args.command == "beta" and not formal)
+        if args.l_max < 2 and uses_marginal:
+            parser.error(f"{args.command} needs --lmax >= 2 (j jbar sits at level 2)")
+    if "dim" in args and args.dim < 1:
         parser.error("--dim must be >= 1")
     args.formal_theory = None
     if formal:
@@ -244,25 +239,22 @@ def main(argv=None):
             parser.error(f"cannot read --theory {args.theory}: {err.strerror}")
         except (ValueError, KeyError, TypeError) as err:
             parser.error(f"invalid --theory {args.theory}: {err!r}")
-    try:
-        tol = _parse_tolerances(args.tolerance)
-    except (argparse.ArgumentTypeError, ValueError) as err:
-        parser.error(str(err))
+    config = {key: getattr(args, key) for key in SETTINGS if key in args}
+    tol = None
+    if "tolerance" in args:
+        try:
+            tol = config["tolerances"] = _parse_tolerances(args.tolerance)
+        except (argparse.ArgumentTypeError, ValueError) as err:
+            parser.error(str(err))
     log.info("running %s", args.command)
     start = time.perf_counter()
-    results, passed = COMMANDS[args.command](args, tol)
+    results, passed = COMMANDS[args.command][0](args, tol)
     elapsed = time.perf_counter() - start
     log.info("%s finished in %.3fs (passed=%s)", args.command, elapsed, passed)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "config": {
-            "l_max": args.lmax,
-            "arithmetic": args.arithmetic,
-            "backend": args.backend,
-            "seed": args.seed,
-            "tolerances": tol,
-        },
+        "config": config,
         "results": _jsonable(results),
         "passed": passed,
         "wall_time_s": elapsed if args.timing else None,

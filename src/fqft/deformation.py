@@ -29,6 +29,7 @@ from .fock import ModeOperator, apply_current, current_mode
 from .jets import Jet, JetAlgebra, recombine
 from .observables import scale_by_level
 from .rexp import RExpansion
+from .scalars import decode_scalar, encode_scalar
 
 R_SYM = sympy.Symbol("R", positive=True)
 LAM_SYM = sympy.Symbol("lam", positive=True)
@@ -219,7 +220,7 @@ def theory_to_json(theory) -> str:
 
     doc = {
         "primaries": [
-            {"label": p.label, "h": _frac_json(p.h), "hbar": _frac_json(p.hbar)}
+            {"label": p.label, "h": encode_scalar(p.h), "hbar": encode_scalar(p.hbar)}
             for p in theory.primaries
         ],
         "coefficients": [
@@ -229,13 +230,13 @@ def theory_to_json(theory) -> str:
                 "c": c,
                 "mu": list(mu),
                 "mubar": list(mubar),
-                "value": _frac_json(val),
+                "value": encode_scalar(val),
             }
             for (a, b), rows in sorted(theory.rows.items())
             for (c, mu, mubar, val) in rows
         ],
         "mixing": [
-            {"a": a, "gamma": g, "value": _frac_json(v)}
+            {"a": a, "gamma": g, "value": encode_scalar(v)}
             for (a, g), v in sorted(theory.mixing.items())
         ],
     }
@@ -247,7 +248,7 @@ def theory_from_json(text: str) -> FormalTheory:
 
     doc = json.loads(text)
     primaries = [
-        (p["label"], _frac_load(p["h"]), _frac_load(p["hbar"]))
+        (p["label"], decode_scalar(p["h"]), decode_scalar(p["hbar"]))
         for p in doc["primaries"]
     ]
     rows = [
@@ -257,23 +258,14 @@ def theory_from_json(text: str) -> FormalTheory:
             c["c"],
             tuple(c["mu"]),
             tuple(c["mubar"]),
-            _frac_load(c["value"]),
+            decode_scalar(c["value"]),
         )
         for c in doc.get("coefficients", [])
     ]
     mixing = {
-        (m["a"], m["gamma"]): _frac_load(m["value"]) for m in doc.get("mixing", [])
+        (m["a"], m["gamma"]): decode_scalar(m["value"]) for m in doc.get("mixing", [])
     }
     return FormalTheory(primaries, rows, mixing)
-
-
-def _frac_json(x):
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else str(x)
-
-
-def _frac_load(x):
-    return Fraction(x)
 
 
 # ------------------------------------------------------ correction (delta v)

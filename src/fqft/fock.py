@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ResourceLimitError, SpaceMismatchError
+from .scalars import encode_scalar
 
 # Hard cap on the truncation level; dim grows like sum p(k)p(m) and the
 # operator assembly is O(dim^2) sparse products.
@@ -160,19 +161,11 @@ class TruncatedFockSpace:
         }
         for name, op in (operators or {}).items():
             triplets = [
-                [i, j, _scalar_json(val)]
+                [i, j, encode_scalar(val)]
                 for (i, j), val in sorted(op.entries.items())
             ]
             doc["operators"][name] = triplets
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _scalar_json(x):
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else int(x)
-    if isinstance(x, int):
-        return x
-    return float(x)
 
 
 class BoundaryState:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import GeometryError, SpaceMismatchError
 from .fock import BoundaryState, TruncatedFockSpace
-from .scalars import PowerValue, as_float, scalar_eq
+from .scalars import PowerValue
 
 
 class Surface:
@@ -192,12 +192,12 @@ def _level_residual(values_a, values_b, exact):
     worst, arg = 0.0, None
     for E, (x, y) in enumerate(zip(values_a, values_b)):
         if exact:
-            if not scalar_eq(x, y):
-                d = abs(as_float(x) - as_float(y)) or float("inf")
+            if x != y:
+                d = abs(float(x) - float(y)) or float("inf")
                 if d > worst or arg is None:
                     worst, arg = d, E
         else:
-            d = abs(as_float(x) - as_float(y))
+            d = abs(float(x) - float(y))
             if d > worst:
                 worst, arg = d, E
     return worst, arg
@@ -240,11 +240,11 @@ def verify_cutting(space, cut_points, shifted=True, corrupt=None):
     closed = glue(direct, disk_pf(space, Rn, shifted=shifted)).state
     disk_direct = disk_pf(space, R0, shifted=shifted).state
     support = closed.coeffs.keys() | disk_direct.coeffs.keys()
-    if space.exact and all(scalar_eq(closed[i], disk_direct[i]) for i in support):
+    if space.exact and all(closed[i] == disk_direct[i] for i in support):
         disk_res = 0.0
     else:
         disk_res = max(
-            (abs(as_float(closed[i]) - as_float(disk_direct[i])) for i in support),
+            (abs(float(closed[i]) - float(disk_direct[i])) for i in support),
             default=0.0,
         )
 

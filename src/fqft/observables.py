@@ -29,6 +29,7 @@ from .errors import (
 )
 from .fock import BoundaryState, apply_current
 from .rexp import RExpansion, coeff_norm
+from .scalars import decode_scalar, encode_scalar
 
 
 # --------------------------------------------------------------- level tools
@@ -386,7 +387,7 @@ class OpeTable:
     def to_json(self) -> str:
         doc = {
             "primaries": [
-                {"label": l, "h": _num_json(h), "hbar": _num_json(hb)}
+                {"label": l, "h": encode_scalar(h), "hbar": encode_scalar(hb)}
                 for (l, h, hb) in self.primaries
             ],
             "rows": [
@@ -397,11 +398,11 @@ class OpeTable:
                     "mu": list(r["mu"]),
                     "mubar": list(r["mubar"]),
                     "exponents": list(r["exponents"]),
-                    "coefficient": _num_json(r["coefficient"]),
+                    "coefficient": encode_scalar(r["coefficient"]),
                 }
                 for r in self.rows
             ],
-            "mixing": {k: _num_json(v) for k, v in sorted(self.mixing.items())},
+            "mixing": {k: encode_scalar(v) for k, v in sorted(self.mixing.items())},
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -409,11 +410,14 @@ class OpeTable:
     def from_json(cls, text: str) -> "OpeTable":
         doc = json.loads(text)
         primaries = [
-            (p["label"], _num_load(p["h"]), _num_load(p["hbar"]))
+            (p["label"], decode_scalar(p["h"]), decode_scalar(p["hbar"]))
             for p in doc["primaries"]
         ]
         dims = {l: (h, hb) for (l, h, hb) in primaries}
-        table = cls(primaries, mixing=doc.get("mixing", {}))
+        table = cls(
+            primaries,
+            mixing={k: decode_scalar(v) for k, v in doc.get("mixing", {}).items()},
+        )
         for r in doc["rows"]:
             table.add_row(
                 r["a"],
@@ -422,7 +426,7 @@ class OpeTable:
                 tuple(r["mu"]),
                 tuple(r["mubar"]),
                 tuple(r["exponents"]),
-                _num_load(r["coefficient"]),
+                decode_scalar(r["coefficient"]),
             )
             if r["a"] in dims and r["b"] in dims and r["c"] in dims:
                 ha, hab = dims[r["a"]]
@@ -440,20 +444,6 @@ class OpeTable:
         return table
 
 
-def _num_json(x):
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else str(x)
-    return x
-
-
-def _num_load(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
-
-
 def ope_extract(space, a: LocalObservable, b: LocalObservable, max_order=None) -> OpeTable:
     """Extract OPE rows of O_a(z) O_b(0) by successive subtraction.
 
@@ -466,7 +456,7 @@ def ope_extract(space, a: LocalObservable, b: LocalObservable, max_order=None) -
         max_order = space.l_max
     series = two_point(space, a, b, R=1)
     table = OpeTable(
-        primaries=[("1", 0, 0)]
+        primaries=[("1", Fraction(0), Fraction(0))]
         + [(o.label, Fraction(o.dims[0]), Fraction(o.dims[1]))
            for o in (current_observable(space), current_observable(space, True),
                      marginal_observable(space))],

@@ -169,14 +169,16 @@ def qm_double_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
     for l in labels:
         coeffs[(f"g[{l}]",)] = first[l]
         coeffs[(f"gt[{l}]",)] = first[l]
-    for a in labels:
-        for b in labels:
-            S = time_ordered_integral(theory, obs[a], obs[b], alpha, beta)
-            mono = tuple(sorted((f"gt[{a}]", f"g[{b}]")))
-            if mono in coeffs:
-                coeffs[mono] = coeffs[mono] + S
+    # the time-ordered integral is symmetric, so each unordered pair is
+    # computed once and stored under both of its monomials
+    for i, a in enumerate(labels):
+        for b in labels[i:]:
+            if a == b:
+                S = 2 * second_order_ordered(theory, obs[a], obs[a], alpha, beta)
             else:
-                coeffs[mono] = S
+                S = time_ordered_integral(theory, obs[a], obs[b], alpha, beta)
+            coeffs[tuple(sorted((f"gt[{a}]", f"g[{b}]")))] = S
+            coeffs[tuple(sorted((f"gt[{b}]", f"g[{a}]")))] = S
     raw = Jet(alg, coeffs)
     return SegmentPF(theory, alpha, beta, recombine(raw, labels))
 
@@ -203,7 +205,7 @@ def taylor_series_oracle(H, O, T, order=2, tol=1e-16, max_terms=200):
 
     Scaling-and-squaring on matrix-valued polynomials: the series for the
     scaled exponent is summed term by term, then squared back up.  Entirely
-    independent of the eigen-decomposition integrals.
+    independent of the Van Loan block-exponential integrals.
     """
     real_inputs = not (np.iscomplexobj(H) or np.iscomplexobj(O))
     H, O = np.asarray(H, dtype=complex), np.asarray(O, dtype=complex)

@@ -3,7 +3,8 @@
 Used by the geometry module to keep non-integer powers exact: annulus
 entries (r/R)^(E + 1/12) in the unshifted convention, and cylinder entries
 exp(-H*E).  Rational bases are reduced to prime factorizations so equality
-is structural, never heuristic.
+is structural, never heuristic.  Also holds the JSON scalar codec that every
+report and golden file uses.
 """
 
 from __future__ import annotations
@@ -120,18 +121,20 @@ class PowerValue:
         return "*".join(parts)
 
 
-def as_float(x) -> float:
-    """Float value of an exact or floating scalar."""
-    if isinstance(x, PowerValue):
-        return float(x)
-    return float(x)
+def encode_scalar(x):
+    """The one JSON form of a scalar: a Fraction is its str ("p/q", "3" when
+    integral), numpy values become Python numbers, bool/int/float/str/None
+    pass through, and anything else (sympy, PowerValue) is its str."""
+    if isinstance(x, Fraction):
+        return str(x)
+    if hasattr(x, "tolist"):  # numpy scalar or array, duck-typed so numpy stays unimported
+        return x.tolist()
+    if isinstance(x, (bool, int, float, str)) or x is None:
+        return x
+    return str(x)
 
 
-def scalar_eq(a, b) -> bool:
-    """Exact equality across Fraction/int/PowerValue mixtures."""
-    if isinstance(a, PowerValue) or isinstance(b, PowerValue):
-        if not isinstance(a, PowerValue):
-            a = PowerValue(a)
-        if not isinstance(b, PowerValue):
-            b = PowerValue(b)
-    return a == b
+def decode_scalar(x):
+    """Inverse of encode_scalar on exact values: str and int become
+    Fractions, floats are left alone."""
+    return Fraction(x) if isinstance(x, (str, int)) else x

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import fqft.cli
 from fqft.cli import main
 from fqft.deformation import FormalTheory, theory_to_json
 
@@ -17,7 +18,8 @@ def run_cli(capsys, argv):
 def test_verify_cutting_exact(capsys):
     code, report = run_cli(capsys, ["verify-cutting", "--lmax", "2"])
     assert code == 0
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
+    assert set(report["config"]) == {"l_max", "arithmetic", "tolerances"}
     assert report["passed"] is True
     assert report["results"]["exact_zero"] is True
     assert report["wall_time_s"] is None
@@ -45,15 +47,25 @@ def test_beta_free_boson(capsys):
     code, report = run_cli(capsys, ["beta", "--lmax", "3"])
     assert code == 0
     assert report["results"]["zero"] is True
+    assert report["config"] == {"backend": "free-boson", "l_max": 3}
+
+
+def _nonzero_beta_theory():
+    return FormalTheory([("1", 0, 0), ("e", 1, 1)], [("e", "e", "e", (), (), 1)])
+
+
+def test_beta_free_boson_fails_on_nonzero_beta(capsys, monkeypatch):
+    # the free-boson pass bit is the vanishing of beta, in `beta` and in `all`
+    monkeypatch.setattr(fqft.cli, "fb_theory", lambda space: _nonzero_beta_theory())
+    code, report = run_cli(capsys, ["beta", "--lmax", "2"])
+    assert code == 1 and report["passed"] is False
+    code, report = run_cli(capsys, ["all", "--lmax", "2"])
+    assert code == 1 and report["results"]["beta"]["passed"] is False
 
 
 def test_beta_formal_backend(capsys, tmp_path):
-    th = FormalTheory(
-        [("1", 0, 0), ("e", 1, 1)],
-        [("e", "e", "e", (), (), 1)],
-    )
     path = tmp_path / "theory.json"
-    path.write_text(theory_to_json(th))
+    path.write_text(theory_to_json(_nonzero_beta_theory()))
     code, report = run_cli(
         capsys, ["beta", "--backend", "formal", "--theory", str(path)]
     )
@@ -67,6 +79,7 @@ def test_qm_report(capsys):
     assert code == 0
     assert all(d < 1e-10 for d in report["results"]["oracle_diffs"])
     assert report["results"]["cutting_residual"] < 1e-12
+    assert set(report["config"]) == {"dim", "seed", "orders", "tolerances"}
 
 
 def test_all_aggregates(capsys):
@@ -160,6 +173,11 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         ["beta", "--backend", "formal", "--theory", "{tmp}/missing.json"],
         ["beta", "--backend", "formal", "--theory", "{tmp}/malformed.json"],
         ["beta", "--backend", "formal"],
+        ["beta", "--backend", "qm"],
+        ["beta", "--arithmetic", "float64"],
+        ["qm", "--lmax", "5"],
+        ["verify-cutting", "--dim", "3"],
+        ["ope", "--theory", "x.json"],
     ],
     ids=[
         "ope-lmax-0",
@@ -173,6 +191,11 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         "theory-missing-file",
         "theory-malformed",
         "theory-not-given",
+        "beta-backend-qm",
+        "beta-arithmetic",
+        "qm-lmax",
+        "verify-cutting-dim",
+        "ope-theory",
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):

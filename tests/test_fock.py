@@ -231,7 +231,7 @@ def test_to_json_golden():
     assert names == {"j_-1", "L_0"}
     # L_0 is diagonal with the chiral level
     for i, j, val in doc["operators"]["L_0"]:
-        assert i == j and val == space.basis[i].chiral.level
+        assert i == j and Fraction(val) == space.basis[i].chiral.level
     # deterministic serialization
     assert space.to_json(ops) == space.to_json(ops)
 

@@ -20,7 +20,7 @@ from fqft.geometry import (
     glue,
     verify_cutting,
 )
-from fqft.scalars import PowerValue, as_float, scalar_eq
+from fqft.scalars import PowerValue
 
 
 def test_surface_validation():
@@ -43,7 +43,7 @@ def test_cylinder_entries():
     E0 = space.levels[space.find((), ())]
     E1 = space.levels[space.find((1,), ())]
     # shifted convention: vacuum energy 0, level gap 1 gives e^{-H}
-    assert scalar_eq(pf.by_level[E0], 1)
+    assert pf.by_level[E0] == 1
     assert pf.by_level[E1] == pf.by_level[E0] * PowerValue.from_exp(-1)
 
 
@@ -51,7 +51,7 @@ def test_cylinder_semigroup():
     space = build_space(3)
     a = glue(cylinder_pf(space, Fraction(1, 3)), cylinder_pf(space, Fraction(2, 3)))
     b = cylinder_pf(space, 1)
-    assert all(scalar_eq(x, y) for x, y in zip(a.by_level, b.by_level))
+    assert all(x == y for x, y in zip(a.by_level, b.by_level))
     assert a.surface.kind == "cylinder" and a.surface.params["H"] == 1
 
 
@@ -59,7 +59,7 @@ def test_cylinder_h_to_zero_limit():
     space = build_space(2)
     pf = cylinder_pf(space, Fraction(1, 10**6), shifted=True)
     for d in pf.by_level:
-        assert abs(as_float(d) - 1.0) < 1e-5
+        assert abs(float(d) - 1.0) < 1e-5
 
 
 def test_annulus_entries_shifted():
@@ -105,7 +105,7 @@ def test_annulus_composition_unshifted():
         annulus_pf(space, 4, 2, shifted=False), annulus_pf(space, 2, 1, shifted=False)
     )
     direct = annulus_pf(space, 4, 1, shifted=False)
-    assert all(scalar_eq(x, y) for x, y in zip(glued.by_level, direct.by_level))
+    assert all(x == y for x, y in zip(glued.by_level, direct.by_level))
 
 
 def test_geometric_mismatch():
@@ -141,7 +141,7 @@ def test_disk_unshifted_radius_dependence():
     closed = glue(annulus_pf(space, 2, 1, shifted=False), disk_pf(space, 1, shifted=False))
     direct = disk_pf(space, 2, shifted=False)
     assert all(
-        scalar_eq(closed.state[i], direct.state[i]) for i in range(space.dim)
+        closed.state[i] == direct.state[i] for i in range(space.dim)
     )
 
 
@@ -166,9 +166,9 @@ def test_product_axiom_disjoint_union():
     assert len(kron) == (space.l_max + 1) ** 2
     # sanity: the (E,E) block diagonal multiplies energies additively
     for E in range(space.l_max + 1):
-        assert scalar_eq(kron[(E, E)], c3.by_level[E] * PowerValue.from_exp(0))
+        assert kron[(E, E)] == c3.by_level[E] * PowerValue.from_exp(0)
     # generic entry equals the scalar product of the factors
-    assert scalar_eq(kron[(0, 1)], a.by_level[0] * b.by_level[1])
+    assert kron[(0, 1)] == a.by_level[0] * b.by_level[1]
 
 
 @given(st.integers(min_value=0, max_value=4))
@@ -231,7 +231,7 @@ def test_zero_power_value_is_canonical():
     # zero carries no exponents, so it equals every other zero and is dropped
     # from sparse states like a plain zero
     z = PowerValue.from_pow(2, Fraction(1, 12)) * 0
-    assert z == 0 and scalar_eq(z, 0) and scalar_eq(0, z)
+    assert z == 0 and 0 == z
     assert PowerValue.from_exp(-3) * 0 == z
     assert hash(z) == hash(PowerValue(0))
     space = build_space(1)
@@ -246,4 +246,4 @@ def test_float_cylinder_matches_exact():
     pf = cylinder_pf(flt, 0.5)
     assert len(pe.by_level) == len(pf.by_level) == 4
     for x, y in zip(pe.by_level, pf.by_level):
-        assert math.isclose(as_float(x), y, rel_tol=1e-13)
+        assert math.isclose(float(x), y, rel_tol=1e-13)

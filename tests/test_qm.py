@@ -229,6 +229,21 @@ def test_qm_double_deform_cutting_every_order():
         )
 
 
+def test_qm_double_deform_second_order_is_time_ordered_integral():
+    # three labels: each unordered pair's coefficient is bit-equal to the
+    # time-ordered integral, and each diagonal one to half of it
+    rng = np.random.default_rng(29)
+    th = random_theory(rng, 3)
+    obs = {l: random_obs(rng, 3) for l in ("a", "b", "c")}
+    seg = qm_double_deform(th, obs, 0.2, 1.3)
+    for a in obs:
+        for b in obs:
+            S = time_ordered_integral(th, obs[a], obs[b], 0.2, 1.3)
+            mono = tuple(sorted((f"gc[{a}]", f"gc[{b}]")))
+            want = S / 2 if a == b else S
+            assert np.array_equal(seg.value.coefficient(mono), want)
+
+
 def _similarity(rng, dim):
     # random non-orthogonal similarity with condition number 10: a worse one
     # inflates the evolution's own rounding past the tolerances on any method
