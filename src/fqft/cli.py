@@ -9,18 +9,15 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from .deformation import beta as beta_fn
 from .deformation import fb_theory, theory_from_json
 from .fock import L_MAX_HARD_CAP, build_space
 from .geometry import verify_cutting
 from .jets import Jet
 from .observables import current_observable, marginal_observable, ope_extract
-from .qm import QmTheory, qm_double_deform, taylor_series_oracle
 from .scalars import encode_scalar
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 DEFAULT_TOLERANCES = {
     "cutting": 1e-12,
@@ -47,15 +44,18 @@ def _jsonable(x):
     return encode_scalar(x)
 
 
-def _parse_tolerances(pairs):
-    tol = dict(DEFAULT_TOLERANCES)
+def _parse_tolerances(command, pairs):
+    """The tolerances `command` reads: defaults, overridden by KEY=VAL pairs."""
+    tol = {key: DEFAULT_TOLERANCES[key] for key in COMMANDS[command][2]}
     for item in pairs or []:
         key, sep, val = item.partition("=")
         if not sep:
             raise argparse.ArgumentTypeError(f"expected KEY=VAL, got {item!r}")
-        if key not in DEFAULT_TOLERANCES:
-            known = ", ".join(sorted(DEFAULT_TOLERANCES))
-            raise argparse.ArgumentTypeError(f"unknown tolerance {key!r} (known: {known})")
+        if key not in tol:
+            known = ", ".join(tol)
+            raise argparse.ArgumentTypeError(
+                f"{command} reads no tolerance {key!r} (it reads: {known})"
+            )
         val = float(val)
         if not (math.isfinite(val) and val > 0):
             raise argparse.ArgumentTypeError(f"tolerance {key} must be positive and finite")
@@ -125,6 +125,11 @@ def cmd_beta(args, tol):
 
 
 def cmd_qm(args, tol):
+    # numpy and scipy load here only, so the exact subcommands never pay for them
+    import numpy as np
+
+    from .qm import QmTheory, qm_double_deform, taylor_series_oracle
+
     rng = np.random.default_rng(args.seed)
     dim = args.dim
     T = 1.0
@@ -176,7 +181,6 @@ def cmd_all(args, tol):
 FLAGS = {
     "--lmax": dict(dest="l_max", type=int, default=4),
     "--arithmetic": dict(choices=["exact", "float64"], default="exact"),
-    "--tolerance": dict(action="append", metavar="KEY=VAL", help="override a named tolerance"),
     "--backend": dict(choices=["free-boson", "formal"], default="free-boson"),
     "--theory": dict(help="formal theory JSON file"),
     "--dim": dict(type=int, default=4, help="qm Hilbert dimension"),
@@ -184,14 +188,20 @@ FLAGS = {
     "--orders": dict(type=int, default=2, choices=[0, 1, 2]),
 }
 
-# each subcommand takes the flags its command reads, plus --out and --timing
+# each subcommand: its command, the flags it reads and the tolerance keys its
+# checks read; it also takes --out and --timing, and --tolerance when it
+# reads a tolerance
 COMMANDS = {
-    "verify-cutting": (cmd_verify_cutting, ["--lmax", "--arithmetic", "--tolerance"]),
-    "ope": (cmd_ope, ["--lmax", "--arithmetic", "--tolerance"]),
-    "beta": (cmd_beta, ["--lmax", "--backend", "--theory"]),
-    "qm": (cmd_qm, ["--dim", "--seed", "--orders", "--tolerance"]),
+    "verify-cutting": (cmd_verify_cutting, ["--lmax", "--arithmetic"], ["cutting"]),
+    "ope": (cmd_ope, ["--lmax", "--arithmetic"], ["ope"]),
+    "beta": (cmd_beta, ["--lmax", "--backend", "--theory"], []),
+    "qm": (cmd_qm, ["--dim", "--seed", "--orders"], ["oracle", "qm_cutting"]),
 }
-COMMANDS["all"] = (cmd_all, list(dict.fromkeys(f for _, fs in COMMANDS.values() for f in fs)))
+COMMANDS["all"] = (
+    cmd_all,
+    list(dict.fromkeys(f for _, fs, _ in COMMANDS.values() for f in fs)),
+    [key for _, _, keys in COMMANDS.values() for key in keys],
+)
 
 # the report's config holds those of these settings the subcommand takes
 SETTINGS = ("l_max", "arithmetic", "backend", "dim", "seed", "orders")
@@ -204,11 +214,18 @@ def build_parser():
         "OPE extraction, beta functions, and the quantum-mechanics oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in COMMANDS.items():
+    for name, (_, flags, tolerances) in COMMANDS.items():
         # errors propagate to the top parser, so every usage error reads "fqft: error: ..."
         p = sub.add_parser(name, exit_on_error=False)
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
+        if tolerances:
+            p.add_argument(
+                "--tolerance",
+                action="append",
+                metavar="KEY=VAL",
+                help=f"override a tolerance: {', '.join(tolerances)}",
+            )
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--timing", action="store_true", help="include wall time")
     return parser
@@ -243,7 +260,7 @@ def main(argv=None):
     tol = None
     if "tolerance" in args:
         try:
-            tol = config["tolerances"] = _parse_tolerances(args.tolerance)
+            tol = config["tolerances"] = _parse_tolerances(args.command, args.tolerance)
         except (argparse.ArgumentTypeError, ValueError) as err:
             parser.error(str(err))
     log.info("running %s", args.command)

@@ -6,8 +6,8 @@ Two backends share the same pipeline.
 * The formal backend works over abstract conformal theory data (primaries
   with dimensions, marginal-sector OPE rows, mixing matrix).  Vectors are
   formal combinations of correlator symbols <O_c^{mu,mubar}(0)>_{D_R} and
-  integral atoms, with exact rational coefficients carrying symbolic log(R),
-  log(lam), and powers of R via sympy.
+  integral atoms, with exact LogPoly coefficients (fqft.scalars): rational
+  multiples of powers of R and lam and of log(R) and log(lam).
 * The numeric free-boson backend deforms the truncated Fock-space partition
   functions by the marginal observable j jbar, with exact rational entries.
 
@@ -22,30 +22,24 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-import sympy
-
 from .errors import ValidationError
 from .fock import ModeOperator, apply_current, current_mode
 from .jets import Jet, JetAlgebra, recombine
 from .observables import scale_by_level
 from .rexp import RExpansion
-from .scalars import decode_scalar, encode_scalar
+from .scalars import LogPoly, decode_scalar, encode_scalar
 
-R_SYM = sympy.Symbol("R", positive=True)
-LAM_SYM = sympy.Symbol("lam", positive=True)
-
-
-def _rat(x):
-    if isinstance(x, Fraction):
-        return sympy.Rational(x.numerator, x.denominator)
-    return sympy.sympify(x)
+R_SYM = LogPoly.monomial(R=1)
+LAM_SYM = LogPoly.monomial(lam=1)
+LOG_R = LogPoly.monomial(log_R=1)
+LOG_LAM = LogPoly.monomial(log_lam=1)
 
 
 # ------------------------------------------------------------ formal vectors
 
 
 class FormalVector:
-    """Formal combination of correlator/integral symbols with sympy scalars.
+    """Formal combination of correlator/integral symbols with LogPoly scalars.
 
     Keys:
       ("corr", c, mu, mubar)  the correlator <O_c^{mu,mubar}(0)>_{D_R}
@@ -61,8 +55,9 @@ class FormalVector:
     def __init__(self, terms=None):
         self.terms = {}
         for key, val in (terms or {}).items():
-            val = _rat(val) if not isinstance(val, sympy.Basic) else val
-            if sympy.expand(val) != 0:
+            if not isinstance(val, LogPoly):
+                val = LogPoly.monomial(val)
+            if val:
                 self.terms[key] = val
 
     @classmethod
@@ -76,7 +71,7 @@ class FormalVector:
     def __add__(self, other):
         terms = dict(self.terms)
         for key, val in other.terms.items():
-            terms[key] = terms.get(key, 0) + val
+            terms[key] = terms[key] + val if key in terms else val
         return FormalVector(terms)
 
     def __sub__(self, other):
@@ -86,8 +81,7 @@ class FormalVector:
         return self.scale(-1)
 
     def scale(self, s):
-        s = _rat(s) if not isinstance(s, sympy.Basic) else s
-        return FormalVector({k: s * v for k, v in self.terms.items()})
+        return FormalVector({k: v * s for k, v in self.terms.items()})
 
     def __rmul__(self, s):
         return self.scale(s)
@@ -96,7 +90,7 @@ class FormalVector:
         return FormalVector({k: f(v) for k, v in self.terms.items()})
 
     def coefficient(self, key):
-        return self.terms.get(tuple(key), sympy.Integer(0))
+        return self.terms.get(tuple(key), LogPoly())
 
     def is_zero(self):
         return not self.terms
@@ -104,7 +98,7 @@ class FormalVector:
     def __eq__(self, other):
         if not isinstance(other, FormalVector):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.terms == other.terms
 
     def __repr__(self):
         bits = [f"{v}*{k}" for k, v in sorted(self.terms.items(), key=lambda kv: str(kv[0]))]
@@ -159,6 +153,7 @@ class FormalTheory:
                 raise ValidationError(f"mixing target {gamma} must be marginal")
             self.mixing[(a, gamma)] = Fraction(val)
         self.rows = {}
+        self._C, self._K = {}, {}  # memos of effective_C and K, filled on use
         for (alpha, beta, c, mu, mubar, value) in rows:
             value = Fraction(value)
             if value == 0:
@@ -190,21 +185,28 @@ class FormalTheory:
 
     def effective_C(self, alpha, beta):
         """C_{alpha beta}^gamma combining the primary-marginal channel with
-        the mixing channel of dimension-0 (1,1)-descendants."""
+        the mixing channel of dimension-0 (1,1)-descendants.  Memoised: the
+        returned dict is shared, so callers must not change it."""
+        if (alpha, beta) in self._C:
+            return self._C[alpha, beta]
         out = {}
-        for (c, mu, mubar, value) in self.rows_for(alpha, beta):
+        for (c, mu, mubar, value) in self.rows.get((alpha, beta), ()):
             if c in self.marginals and mu == () and mubar == ():
                 out[c] = out.get(c, Fraction(0)) + value
             elif self.dims[c] == (0, 0) and mu == (1,) and mubar == (1,):
                 for (a, gamma), m in self.mixing.items():
                     if a == c:
                         out[gamma] = out.get(gamma, Fraction(0)) + value * m
-        return {k: v for k, v in out.items() if v != 0}
+        out = self._C[alpha, beta] = {k: v for k, v in out.items() if v != 0}
+        return out
 
     def K(self, alpha, beta):
-        """K_{alpha beta}^a: the dimension-0 identity-sector constants."""
-        out = {}
-        for (c, mu, mubar, value) in self.rows_for(alpha, beta):
+        """K_{alpha beta}^a: the dimension-0 identity-sector constants
+        (memoised and shared, like effective_C)."""
+        if (alpha, beta) in self._K:
+            return self._K[alpha, beta]
+        out = self._K[alpha, beta] = {}
+        for (c, mu, mubar, value) in self.rows.get((alpha, beta), ()):
             if self.dims[c] == (0, 0) and mu == () and mubar == ():
                 out[c] = out.get(c, Fraction(0)) + value
         return out
@@ -308,9 +310,7 @@ def integrated_ope(theory: FormalTheory, alpha, beta) -> RExpansion:
     exp = RExpansion()
     for gamma, val in theory.effective_C(alpha, beta).items():
         # log(R/r) * C * <O_gamma>_{D_R}
-        exp = exp + RExpansion.term(
-            0, 0, FormalVector.corr(gamma, value=_rat(val) * sympy.log(R_SYM))
-        )
+        exp = exp + RExpansion.term(0, 0, FormalVector.corr(gamma, value=val * LOG_R))
         exp = exp + RExpansion.term(0, 1, FormalVector.corr(gamma, value=-val))
     for (c, mu, mubar, val) in theory.rows_for(alpha, beta):
         s, sbar = theory.exponent_pair(c, mu, mubar)
@@ -320,9 +320,7 @@ def integrated_ope(theory: FormalTheory, alpha, beta) -> RExpansion:
         exp = exp + RExpansion.term(
             0,
             0,
-            FormalVector.corr(
-                c, mu, mubar, value=_rat(Fraction(val)) * R_SYM ** _rat(denom) / _rat(denom)
-            ),
+            FormalVector.corr(c, mu, mubar, value=LogPoly.monomial(val / denom, R=denom)),
         )
         exp = exp + RExpansion.term(
             2 * (s - 1),
@@ -330,21 +328,6 @@ def integrated_ope(theory: FormalTheory, alpha, beta) -> RExpansion:
             FormalVector.corr(c, mu, mubar, value=-Fraction(val) / denom),
         )
     return exp
-
-
-def annulus_moment(a: int, b: int, R, r):
-    """int_{D_R \\ D_r} dzbar^dz/(4 pi i) z^a zbar^b, exact.
-
-    Zero unless a = b (phase integral); log(R/r) at a = -1, else the power
-    formula.  R and r may be numbers or sympy symbols.
-    """
-    if a != b:
-        return 0
-    R, r = sympy.sympify(R), sympy.sympify(r)
-    if a == -1:
-        return sympy.log(R / r)
-    k = 2 * a + 2
-    return (R**k - r**k) / k
 
 
 def marginal_coupling_algebra(theory, tilde=False, truncation=2):
@@ -373,17 +356,12 @@ def insert_family_deformed(theory: FormalTheory, beta, correction=True) -> Jet:
     return Jet(alg, coeffs)
 
 
-def deformed_one_point(theory: FormalTheory, beta, z=0, R=R_SYM) -> Jet:
-    """<O~_beta(z)>^{def}_{D_R} as a jet over the couplings.
+def deformed_one_point(theory: FormalTheory, beta) -> Jet:
+    """<O~_beta(0)>^{def}_{D_R} as a jet over the couplings.
 
-    The coefficients are assembled at the origin of the cut disk
-    (counterterm plus the annulus integral centered at the insertion point),
-    so they carry no explicit z-dependence; z only selects the attachment
-    point of the correlator symbols.
+    The coefficients are assembled at the origin of the cut disk:
+    counterterm plus the annulus integral centered at the insertion point.
     """
-    R_expr = sympy.sympify(R)
-    if z != 0 and R_expr.is_number and abs(complex(z)) >= float(R_expr):
-        raise ValidationError("insertion point must lie inside the disk")
     jet = insert_family_deformed(theory, beta, correction=True)
 
     def take_limit(e: RExpansion) -> FormalVector:
@@ -393,67 +371,49 @@ def deformed_one_point(theory: FormalTheory, beta, z=0, R=R_SYM) -> Jet:
         const = e.constant_term()
         return const if const is not None else FormalVector()
 
-    out = jet.map_coeffs(take_limit)
-    if R is not R_SYM:
-        out = out.map_coeffs(lambda v: substitute_radius(theory, v, R))
-    return out
-
-
-def substitute_radius(theory, vec: FormalVector, value) -> FormalVector:
-    value = sympy.sympify(value)
-    return vec.map_values(
-        lambda expr: sympy.expand_log(expr.subs(R_SYM, value), force=True)
-    )
+    return jet.map_coeffs(take_limit)
 
 
 # ------------------------------------------------------------------ dilation
 
 
-def dilate_family(theory: FormalTheory, expansion: RExpansion, lam=LAM_SYM) -> RExpansion:
+def dilate_family(theory: FormalTheory, expansion: RExpansion) -> RExpansion:
     """Dil_lambda on a formal family: evaluate the family at radius lam * r.
 
     r^p -> lam^p r^p, log(r) -> log(lam) + log(r), and each correlator symbol
     scales by lam^{-dimension}.
     """
-    lam = sympy.sympify(lam)
-    loglam = sympy.expand_log(sympy.log(lam), force=True)
     out = RExpansion()
     for (p, q), vec in expansion.terms.items():
         scaled = FormalVector(
             {
-                key: val * lam ** _rat(-theory.corr_dimension(key))
+                key: val * LogPoly.monomial(lam=-theory.corr_dimension(key))
                 for key, val in vec.terms.items()
             }
         )
-        lam_p = lam ** _rat(p)
         for j in range(q + 1):
-            factor = lam_p * comb(q, j) * loglam ** (q - j)
+            factor = LogPoly.monomial(comb(q, j), lam=p, log_lam=q - j)
             out = out + RExpansion.term(p, j, scaled.scale(factor))
     return out
 
 
-def anomalous_dilation(theory: FormalTheory, beta, lam=LAM_SYM):
+def anomalous_dilation(theory: FormalTheory, beta):
     """Check/return the anomalous scaling of the corrected family:
     lam^2 Dil_lam v~_beta = v~_beta + log(lam) g^alpha C_{alpha beta}^gamma v_gamma.
 
     Returns (lhs, rhs) as jets over the couplings.
     """
-    lam = sympy.sympify(lam)
     alg = marginal_coupling_algebra(theory)
     tilde = Jet(alg, {(): RExpansion.constant(FormalVector.corr(beta))})
     for alpha in theory.marginals:
         dv = compute_correction(theory, alpha, beta).expansion
         if not dv.is_zero():
             tilde = tilde + Jet(alg, {(f"g[{alpha}]",): dv})
-    lhs = tilde.map_coeffs(
-        lambda e: dilate_family(theory, e, lam).scale(lam ** 2)
-    )
+    lhs = tilde.map_coeffs(lambda e: dilate_family(theory, e).scale(LAM_SYM**2))
     rhs = tilde
     for alpha in theory.marginals:
         for gamma, val in theory.effective_C(alpha, beta).items():
-            extra = RExpansion.constant(
-                FormalVector.corr(gamma, value=_rat(val) * sympy.log(lam))
-            )
+            extra = RExpansion.constant(FormalVector.corr(gamma, value=val * LOG_LAM))
             rhs = rhs + Jet(alg, {(f"g[{alpha}]",): extra})
     return lhs, rhs
 
@@ -489,9 +449,7 @@ def double_deform(theory: FormalTheory) -> Jet:
         for beta in labels:
             vec = FormalVector()
             for gamma, val in theory.effective_C(alpha, beta).items():
-                vec = vec + FormalVector.atom(
-                    ("int", gamma), _rat(val) * sympy.log(R_SYM)
-                )
+                vec = vec + FormalVector.atom(("int", gamma), val * LOG_R)
             for a, val in theory.K(alpha, beta).items():
                 vec = vec + FormalVector.atom(("int0", a), -Fraction(val) / 2)
             if theory.rows_for(alpha, beta):
@@ -506,14 +464,9 @@ def double_deform(theory: FormalTheory) -> Jet:
     return recombine(pf, labels=labels)
 
 
-def radius_scaled(theory: FormalTheory, pf: Jet, lam=LAM_SYM) -> Jet:
+def radius_scaled(theory: FormalTheory, pf: Jet) -> Jet:
     """The same partition function on D_{lam R}: log(R) -> log(R) + log(lam)."""
-    lam = sympy.sympify(lam)
-    return pf.map_coeffs(
-        lambda vec: vec.map_values(
-            lambda expr: sympy.expand_log(expr.subs(R_SYM, lam * R_SYM), force=True)
-        )
-    )
+    return pf.map_coeffs(lambda vec: vec.map_values(LogPoly.scale_radius))
 
 
 # ---------------------------------------------------------------- beta
@@ -529,13 +482,12 @@ class BetaResult:
         self.coefficients = coefficients  # {gamma: Jet in g_c}
         self.structure = structure  # {(alpha, beta, gamma): C}
 
-    def running(self, lam=LAM_SYM):
+    def running(self):
         """g_c^gamma(lam) = g_c^gamma + log(lam) * beta^gamma."""
-        lam = sympy.sympify(lam)
         out = {}
         for gamma, b in self.coefficients.items():
-            linear = Jet.symbol(self.algebra, f"gc[{gamma}]", sympy.Integer(1))
-            out[gamma] = linear + b.map_coeffs(lambda c: _rat(c) * sympy.log(lam))
+            linear = Jet.symbol(self.algebra, f"gc[{gamma}]", Fraction(1))
+            out[gamma] = linear + b.map_coeffs(lambda c: c * LOG_LAM)
         return out
 
     def is_zero(self):

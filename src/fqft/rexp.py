@@ -2,14 +2,15 @@
 
 An RExpansion maps (p, q) -> coefficient, representing
     sum_{p,q} coeff_{p,q} * r^p * (log r)^q
-with rational exponents p and non-negative integer log powers q.
+with rational exponents p (ints when integral) and non-negative integer log
+powers q.
 Coefficients are anything with linear arithmetic: boundary states, formal
-vectors, plain scalars, or sympy expressions.
+vectors, or plain scalars (Fractions, floats, fqft.scalars values).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .scalars import canonical_exponent
 
 
 def coeff_is_zero(c) -> bool:
@@ -23,24 +24,18 @@ def coeff_is_zero(c) -> bool:
         import numpy
 
         return not numpy.any(c)
-    try:
-        import sympy
-
-        if isinstance(c, sympy.Basic):
-            return sympy.expand(c) == 0
-    except ImportError:  # pragma: no cover
-        pass
     return c == 0
 
 
 def coeff_eq(a, b) -> bool:
-    """Equality via subtraction, tolerant of mixed coefficient types."""
+    """Value equality of two coefficients, None being zero.  The exact
+    coefficient types store no zeros, so their == is structural; numpy
+    arrays compare elementwise, via their difference."""
     if a is None or b is None:
         return coeff_is_zero(a) and coeff_is_zero(b)
-    try:
+    if hasattr(a, "shape") or hasattr(b, "shape"):
         return coeff_is_zero(a - b)
-    except TypeError:
-        return a == b
+    return a == b
 
 
 def coeff_norm(c) -> float:
@@ -60,7 +55,7 @@ def coeff_norm(c) -> float:
 
 
 def _key(p, q):
-    p = Fraction(p)
+    p = canonical_exponent(p)
     q = int(q)
     if q < 0:
         raise ValueError("log power must be non-negative")
@@ -80,7 +75,7 @@ class RExpansion:
 
     @classmethod
     def constant(cls, coeff) -> "RExpansion":
-        return cls({(Fraction(0), 0): coeff})
+        return cls({(0, 0): coeff})
 
     @classmethod
     def term(cls, p, q, coeff) -> "RExpansion":
@@ -131,14 +126,14 @@ class RExpansion:
     def shift(self, dp, dq=0) -> "RExpansion":
         """Multiply by r^{dp} (log r)^{dq} termwise."""
         return RExpansion(
-            {(p + Fraction(dp), q + dq): c for (p, q), c in self.terms.items()}
+            {(p + dp, q + dq): c for (p, q), c in self.terms.items()}
         )
 
     def coefficient(self, p, q=0):
         return self.terms.get(_key(p, q))
 
     def constant_term(self):
-        return self.terms.get((Fraction(0), 0))
+        return self.terms.get((0, 0))
 
     def singular_terms(self) -> dict:
         """Terms that obstruct the r -> 0 limit: p < 0, or p = 0 with a log."""

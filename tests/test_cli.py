@@ -18,8 +18,9 @@ def run_cli(capsys, argv):
 def test_verify_cutting_exact(capsys):
     code, report = run_cli(capsys, ["verify-cutting", "--lmax", "2"])
     assert code == 0
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert set(report["config"]) == {"l_max", "arithmetic", "tolerances"}
+    assert report["config"]["tolerances"] == {"cutting": 1e-12}
     assert report["passed"] is True
     assert report["results"]["exact_zero"] is True
     assert report["wall_time_s"] is None
@@ -74,12 +75,39 @@ def test_beta_formal_backend(capsys, tmp_path):
     assert report["results"]["beta"]["e"]["gc[e]*gc[e]"] == "1/2"
 
 
+def test_beta_formal_running_golden(capsys, tmp_path):
+    # the running couplings print each rational multiple of log(lam) as
+    # sympy printed it: these strings are the report of the sympy backend
+    theory = FormalTheory(
+        [("1", 0, 0), ("x", 1, 1), ("y", 1, 1), ("z", 1, 1)],
+        [
+            ("x", "x", "x", (), (), -7),
+            ("x", "y", "x", (), (), 3),
+            ("y", "x", "x", (), (), 3),
+            ("y", "y", "z", (), (), -1),
+            ("z", "z", "y", (), (), 2),
+            ("x", "z", "z", (), (), -1),
+            ("z", "x", "z", (), (), -1),
+        ],
+    )
+    path = tmp_path / "theory.json"
+    path.write_text(theory_to_json(theory))
+    code, report = run_cli(capsys, ["beta", "--backend", "formal", "--theory", str(path)])
+    assert code == 0
+    assert report["results"]["running"] == {
+        "x": {"gc[x]": "1", "gc[x]*gc[x]": "-7*log(lam)/2", "gc[x]*gc[y]": "3*log(lam)"},
+        "y": {"gc[y]": "1", "gc[z]*gc[z]": "log(lam)"},
+        "z": {"gc[x]*gc[z]": "-log(lam)", "gc[y]*gc[y]": "-log(lam)/2", "gc[z]": "1"},
+    }
+
+
 def test_qm_report(capsys):
     code, report = run_cli(capsys, ["qm", "--dim", "4", "--seed", "7"])
     assert code == 0
     assert all(d < 1e-10 for d in report["results"]["oracle_diffs"])
     assert report["results"]["cutting_residual"] < 1e-12
     assert set(report["config"]) == {"dim", "seed", "orders", "tolerances"}
+    assert set(report["config"]["tolerances"]) == {"oracle", "qm_cutting"}
 
 
 def test_all_aggregates(capsys):
@@ -178,6 +206,9 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         ["qm", "--lmax", "5"],
         ["verify-cutting", "--dim", "3"],
         ["ope", "--theory", "x.json"],
+        ["verify-cutting", "--tolerance", "oracle=1e-3"],
+        ["ope", "--tolerance", "qm_cutting=1e-3"],
+        ["qm", "--tolerance", "cutting=1e-3"],
     ],
     ids=[
         "ope-lmax-0",
@@ -196,6 +227,9 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         "qm-lmax",
         "verify-cutting-dim",
         "ope-theory",
+        "verify-cutting-tolerance-oracle",
+        "ope-tolerance-qm_cutting",
+        "qm-tolerance-cutting",
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):

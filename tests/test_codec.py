@@ -61,11 +61,37 @@ def test_numpy_values_become_python_numbers():
     assert type(encode_scalar(np.int64(3))) is int
 
 
-def test_exact_pipeline_modules_do_not_import_numpy():
-    code = (
-        "import sys\n"
-        "import fqft.fock, fqft.geometry, fqft.observables, fqft.deformation, fqft.scalars\n"
-        "sys.exit('numpy' in sys.modules)\n"
-    )
+def _leaves_out(code, modules):
+    """Run `code` in a fresh interpreter; True when none of `modules` got imported."""
+    check = f"\nimport sys\nsys.exit(any(m in sys.modules for m in {modules!r}))\n"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqft.__file__)))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code + check], env=env).returncode == 0
+
+
+def test_exact_pipeline_modules_do_not_import_numpy():
+    # neither the exact modules nor one formal op load numpy or sympy
+    code = (
+        "import fqft.fock, fqft.geometry, fqft.observables, fqft.deformation, fqft.scalars\n"
+        "import fqft.rexp, fqft.jets\n"
+        "from fqft.deformation import FormalTheory, anomalous_dilation, beta, double_deform\n"
+        "th = FormalTheory([('1', 0, 0), ('e', 1, 1)], [('e', 'e', 'e', (), (), 3), ('e', 'e', '1', (), (), 5)])\n"
+        "double_deform(th)\n"
+        "lhs, rhs = anomalous_dilation(th, 'e')\n"
+        "assert lhs == rhs\n"
+        "beta(th).running()\n"
+    )
+    assert _leaves_out(code, ["numpy", "sympy"])
+
+
+def test_cli_loads_numpy_for_qm_only():
+    # `import fqft.cli` and the exact subcommands run as a real process load
+    # none of numpy, scipy and sympy
+    code = (
+        "import contextlib, io\n"
+        "from fqft.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['verify-cutting', '--lmax', '2'], ['ope', '--lmax', '2'], ['beta', '--lmax', '2']):\n"
+        "        assert main(argv) == 0\n"
+    )
+    assert _leaves_out("import fqft.cli\n", ["numpy", "scipy", "sympy"])
+    assert _leaves_out(code, ["numpy", "scipy", "sympy"])

@@ -8,11 +8,12 @@ import sympy
 
 from fqft.deformation import (
     LAM_SYM,
+    LOG_LAM,
+    LOG_R,
     R_SYM,
     BetaResult,
     FormalTheory,
     FormalVector,
-    annulus_moment,
     anomalous_dilation,
     beta,
     compute_correction,
@@ -33,6 +34,38 @@ from fqft.errors import RecombinationError, ValidationError
 from fqft.fock import apply_mode, build_space, current_mode
 from fqft.jets import Jet, jet_mul
 from fqft.rexp import RExpansion
+from fqft.scalars import LogPoly
+
+SYM_R, SYM_LAM = sympy.symbols("R lam", positive=True)
+
+
+def to_sympy(x: LogPoly):
+    """The sympy expression of a LogPoly, term by term."""
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * SYM_R ** sympy.Rational(a)
+            * SYM_LAM ** sympy.Rational(b)
+            * sympy.log(SYM_R) ** i
+            * sympy.log(SYM_LAM) ** j
+            for (a, b, i, j), c in x.terms.items()
+        )
+    )
+
+
+def annulus_moment(a: int, b: int, R, r):
+    """int_{D_R \\ D_r} dzbar^dz/(4 pi i) z^a zbar^b, exact, in sympy.
+
+    Zero unless a = b (phase integral); log(R/r) at a = -1, else the power
+    formula.  R and r may be numbers or sympy symbols.
+    """
+    if a != b:
+        return 0
+    R, r = sympy.sympify(R), sympy.sympify(r)
+    if a == -1:
+        return sympy.log(R / r)
+    k = 2 * a + 2
+    return (R**k - r**k) / k
 
 
 def simple_theory(C0=Fraction(3), K0=Fraction(5)):
@@ -99,6 +132,37 @@ def test_annulus_moment_selection_rule():
                 assert annulus_moment(a, b, 2, 1) == 0
 
 
+def test_integrated_ope_matches_annulus_moments():
+    # each OPE row value * z^{s-2} zbar^{sbar-2} integrates to value times the
+    # annulus moment; s = sbar = 1 rows reach the marginals directly or
+    # through the mixing matrix
+    r = sympy.Symbol("r", positive=True)
+    rng = random.Random(5)
+    for _ in range(10):
+        th = _random_theory(rng, rng.randint(1, 3))
+        for alpha in th.marginals:
+            for beta_ in th.marginals:
+                want = {}
+                for c, mu, mubar, val in th.rows_for(alpha, beta_):
+                    s, sbar = th.exponent_pair(c, mu, mubar)
+                    moment = sympy.Rational(val) * annulus_moment(s - 2, sbar - 2, SYM_R, r)
+                    if (s, sbar) != (1, 1):
+                        targets = {("corr", c, mu, mubar): 1}
+                    elif th.dims[c] == (0, 0):  # (1,1)-descendant: through the mixing
+                        targets = {("corr", g, (), ()): m for (a, g), m in th.mixing.items() if a == c}
+                    else:
+                        targets = {("corr", c, (), ()): 1}
+                    for key, m in targets.items():
+                        want[key] = want.get(key, 0) + sympy.Rational(m) * moment
+                got = {}
+                for (p, q), vec in integrated_ope(th, alpha, beta_).terms.items():
+                    for key, val in vec.terms.items():
+                        got[key] = got.get(key, 0) + r ** sympy.Rational(p) * sympy.log(r) ** q * to_sympy(val)
+                for key in set(want) | set(got):
+                    diff = sympy.expand_log(want.get(key, 0) - got.get(key, 0), force=True)
+                    assert sympy.expand(diff) == 0, (alpha, beta_, key)
+
+
 # ----------------------------------------------------------------- correction
 
 
@@ -158,8 +222,8 @@ def test_deformed_one_point_structure():
     jet = deformed_one_point(th, "e")
     assert jet.coefficient(()) == FormalVector.corr("e")
     first = jet.coefficient(("g[e]",))
-    want = FormalVector.corr("e", value=3 * sympy.log(R_SYM)) + FormalVector.corr(
-        "1", value=-sympy.Rational(5, 2) / R_SYM**2
+    want = FormalVector.corr("e", value=3 * LOG_R) + FormalVector.corr(
+        "1", value=-Fraction(5, 2) / R_SYM**2
     )
     assert first == want
 
@@ -182,12 +246,10 @@ def test_deformed_one_point_r_cancellation_general():
 def test_dilate_family_log_shift():
     th = simple_theory()
     e = RExpansion.term(0, 1, FormalVector.corr("e"))
-    d = dilate_family(th, e, LAM_SYM)
+    d = dilate_family(th, e)
     # log(lam r) <O_e>_{D_{lam r}} = lam^{-2} (log lam + log r) <O_e>_{D_r}
     assert d.coefficient(0, 1) == FormalVector.corr("e", value=LAM_SYM**-2)
-    assert d.coefficient(0, 0) == FormalVector.corr(
-        "e", value=sympy.log(LAM_SYM) * LAM_SYM**-2
-    )
+    assert d.coefficient(0, 0) == FormalVector.corr("e", value=LOG_LAM * LAM_SYM**-2)
 
 
 def test_anomalous_dilation_simple():
@@ -252,9 +314,9 @@ def test_double_deform_structure():
     assert pf.coefficient(("gc[e]",)) == FormalVector.atom(("int", "e"))
     second = pf.coefficient(("gc[e]", "gc[e]"))
     # (1/2) { log(R) C I_e - (K/2) A_1 + REG }
-    assert second.coefficient(("int", "e")) == sympy.Rational(3, 2) * sympy.log(R_SYM)
-    assert second.coefficient(("int0", "1")) == sympy.Rational(-5, 4)
-    assert second.coefficient(("reg", "e", "e")) == sympy.Rational(1, 2)
+    assert second.coefficient(("int", "e")) == Fraction(3, 2) * LOG_R
+    assert second.coefficient(("int0", "1")) == Fraction(-5, 4)
+    assert second.coefficient(("reg", "e", "e")) == Fraction(1, 2)
 
 
 def test_double_deform_asymmetric_fails():
@@ -275,9 +337,7 @@ def test_radius_scaling_anomaly():
     expect = Jet(
         pf.algebra,
         {
-            ("gc[e]", "gc[e]"): FormalVector.atom(
-                ("int", "e"), sympy.Rational(3, 2) * sympy.log(LAM_SYM)
-            )
+            ("gc[e]", "gc[e]"): FormalVector.atom(("int", "e"), Fraction(3, 2) * LOG_LAM)
         },
     )
     assert diff == expect
@@ -294,9 +354,7 @@ def test_beta_single_marginal():
     assert b.coefficient(("gc[e]", "gc[e]")) == c0 / 2
     run = res.running()["e"]
     assert run.coefficient(("gc[e]",)) == 1
-    assert run.coefficient(("gc[e]", "gc[e]")) == sympy.Rational(3, 2) * sympy.log(
-        LAM_SYM
-    )
+    assert run.coefficient(("gc[e]", "gc[e]")) == Fraction(3, 2) * LOG_LAM
 
 
 def test_beta_zero():
