@@ -17,7 +17,7 @@ from .jets import Jet
 from .observables import current_observable, marginal_observable, ope_extract
 from .scalars import encode_scalar
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 DEFAULT_TOLERANCES = {
     "cutting": 1e-12,
@@ -44,17 +44,28 @@ def _jsonable(x):
     return encode_scalar(x)
 
 
-def _parse_tolerances(command, pairs):
-    """The tolerances `command` reads: defaults, overridden by KEY=VAL pairs."""
-    tol = {key: DEFAULT_TOLERANCES[key] for key in COMMANDS[command][2]}
+# tolerances of the free-boson checks, which exact arithmetic replaces by
+# exact equality
+FLOAT_ONLY_TOLERANCES = {"cutting", "ope"}
+
+
+def _parse_tolerances(command, arithmetic, pairs):
+    """The tolerances `command` reads in `arithmetic` (None when it takes no
+    --arithmetic): defaults, overridden by KEY=VAL pairs."""
+    tol = {
+        key: DEFAULT_TOLERANCES[key]
+        for key in COMMANDS[command][2]
+        if arithmetic != "exact" or key not in FLOAT_ONLY_TOLERANCES
+    }
     for item in pairs or []:
         key, sep, val = item.partition("=")
         if not sep:
             raise argparse.ArgumentTypeError(f"expected KEY=VAL, got {item!r}")
         if key not in tol:
-            known = ", ".join(tol)
+            known = ", ".join(tol) or "none"
+            where = f" with --arithmetic {arithmetic}" if arithmetic else ""
             raise argparse.ArgumentTypeError(
-                f"{command} reads no tolerance {key!r} (it reads: {known})"
+                f"{command} reads no tolerance {key!r}{where} (it reads: {known})"
             )
         val = float(val)
         if not (math.isfinite(val) and val > 0):
@@ -189,8 +200,8 @@ FLAGS = {
 }
 
 # each subcommand: its command, the flags it reads and the tolerance keys its
-# checks read; it also takes --out and --timing, and --tolerance when it
-# reads a tolerance
+# checks read in float64; it also takes --out and --timing, and --tolerance
+# when it reads a tolerance
 COMMANDS = {
     "verify-cutting": (cmd_verify_cutting, ["--lmax", "--arithmetic"], ["cutting"]),
     "ope": (cmd_ope, ["--lmax", "--arithmetic"], ["ope"]),
@@ -224,7 +235,11 @@ def build_parser():
                 "--tolerance",
                 action="append",
                 metavar="KEY=VAL",
-                help=f"override a tolerance: {', '.join(tolerances)}",
+                help="override a tolerance: "
+                + ", ".join(
+                    f"{key} (float64 only)" if key in FLOAT_ONLY_TOLERANCES else key
+                    for key in tolerances
+                ),
             )
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--timing", action="store_true", help="include wall time")
@@ -260,9 +275,11 @@ def main(argv=None):
     tol = None
     if "tolerance" in args:
         try:
-            tol = config["tolerances"] = _parse_tolerances(args.command, args.tolerance)
+            tol = _parse_tolerances(args.command, config.get("arithmetic"), args.tolerance)
         except (argparse.ArgumentTypeError, ValueError) as err:
             parser.error(str(err))
+        if tol:
+            config["tolerances"] = tol
     log.info("running %s", args.command)
     start = time.perf_counter()
     results, passed = COMMANDS[args.command][0](args, tol)

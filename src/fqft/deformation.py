@@ -541,18 +541,19 @@ def fb_theory(space) -> FormalTheory:
 def _transport_entries(space, op: ModeOperator, R, r) -> ModeOperator:
     """rho^{-(L0+L0bar)} sandwich: entry (i, j) scales by R^{-E_i} r^{E_j}."""
     R, r = Fraction(R), Fraction(r)
-    entries = {
-        (i, j): (R ** -space.levels[i]) * (r ** space.levels[j]) * v
-        for (i, j), v in op.entries.items()
+    levels = space.levels
+    columns = {
+        j: {i: (R ** -levels[i]) * (r ** levels[j]) * v for i, v in column.items()}
+        for j, column in op.columns.items()
     }
-    return ModeOperator("transported", None, space, entries, op.dropped_cols)
+    return ModeOperator("transported", None, space, columns, op.dropped_cols)
 
 
 def fb_annulus_operator(space, R, r) -> ModeOperator:
     """The undeformed annulus (r/R)^{L0+L0bar} as a sparse operator."""
     ratio = Fraction(r) / Fraction(R)
-    entries = {(i, i): ratio ** space.levels[i] for i in range(space.dim)}
-    return ModeOperator("annulus", None, space, entries)
+    columns = {i: {i: ratio**level} for i, level in enumerate(space.levels)}
+    return ModeOperator("annulus", None, space, columns)
 
 
 def fb_deformed_annulus(space, R, r) -> Jet:
@@ -568,12 +569,12 @@ def fb_deformed_annulus(space, R, r) -> Jet:
             continue
         moment = (Fraction(R) ** (-2 * n) - Fraction(r) ** (-2 * n)) / (-2 * n)
         op = current_mode(space, n).compose(current_mode(space, n, bar=True))
-        if not op.entries:
+        if op.is_zero():
             continue
         term = _transport_entries(space, op, R, r).scale(moment)
         g_part = term if g_part is None else g_part.add(term)
     coeffs = {(): fb_annulus_operator(space, R, r)}
-    if g_part is not None and g_part.entries:
+    if g_part is not None and not g_part.is_zero():
         coeffs[("g[jjbar]",)] = g_part
     return Jet(alg, coeffs)
 

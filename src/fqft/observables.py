@@ -11,8 +11,7 @@ the insertion of a current-generated observable on an annulus is the mode
 sum  sum_n z^{-n-1} rho^{-(L0+L0bar)} j_n rho'^{L0+L0bar}  (and its
 antichiral twin), under which the inner radius cancels exactly.  The
 two-point correlator is kept as a finite bigraded series in (z, zbar), and
-the OPE is extracted from it by successive subtraction of the most singular
-rows.
+the OPE rows are read off its coefficients, most singular first.
 """
 
 from __future__ import annotations
@@ -445,12 +444,12 @@ class OpeTable:
 
 
 def ope_extract(space, a: LocalObservable, b: LocalObservable, max_order=None) -> OpeTable:
-    """Extract OPE rows of O_a(z) O_b(0) by successive subtraction.
+    """Extract OPE rows of O_a(z) O_b(0) by coordinate read-off.
 
     At R=1 the coefficient of z^m zbar^mbar is the one-point correlator of
     the target combination, i.e. a vector in the truncated Fock module whose
-    basis components are descendants of the identity; matching is an exact
-    coordinate read-off.  Components above max_order are unmatched residuals.
+    basis components are descendants of the identity; each nonzero component
+    is one row.  A component above max_order raises ExtractionError.
     """
     if max_order is None:
         max_order = space.l_max
@@ -461,31 +460,17 @@ def ope_extract(space, a: LocalObservable, b: LocalObservable, max_order=None) -
            for o in (current_observable(space), current_observable(space, True),
                      marginal_observable(space))],
     )
-    remainder = ZSeries(space, dict(series.terms))
     # most singular first: ascending total exponent, then z-exponent
-    for (m, mbar) in sorted(remainder.terms, key=lambda k: (k[0] + k[1], k[0])):
-        v = remainder.terms[(m, mbar)]
-        matched = {}
+    for (m, mbar), v in sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0][0])):
         for i, coeff in v.nonzero():
-            s = space.basis[i]
-            level = s.level
+            level, mu, mubar = space.basis[i]
             if level > max_order:
                 raise ExtractionError(
                     f"coefficient at z^{m} zbar^{mbar} contains level {level} "
                     f"above max_order={max_order}",
                     residual_norm=coeff_norm(v),
                 )
-            table.add_row(
-                a.label,
-                b.label,
-                "1",
-                s.chiral.parts,
-                s.antichiral.parts,
-                (m, mbar),
-                coeff,
-            )
-            matched[i] = coeff
-        remainder.terms[(m, mbar)] = v - BoundaryState(space, matched)
+            table.add_row(a.label, b.label, "1", mu, mubar, (m, mbar), coeff)
     return table
 
 

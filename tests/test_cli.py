@@ -18,9 +18,9 @@ def run_cli(capsys, argv):
 def test_verify_cutting_exact(capsys):
     code, report = run_cli(capsys, ["verify-cutting", "--lmax", "2"])
     assert code == 0
-    assert report["schema_version"] == 4
-    assert set(report["config"]) == {"l_max", "arithmetic", "tolerances"}
-    assert report["config"]["tolerances"] == {"cutting": 1e-12}
+    assert report["schema_version"] == 5
+    # the exact check is exact equality: it reads, and records, no tolerance
+    assert set(report["config"]) == {"l_max", "arithmetic"}
     assert report["passed"] is True
     assert report["results"]["exact_zero"] is True
     assert report["wall_time_s"] is None
@@ -32,6 +32,7 @@ def test_verify_cutting_float(capsys):
     )
     assert code == 0
     assert report["results"]["max_residual"] < 1e-12
+    assert report["config"]["tolerances"] == {"cutting": 1e-12}
 
 
 def test_ope_report(capsys):
@@ -116,6 +117,8 @@ def test_all_aggregates(capsys):
     assert set(report["results"]) == {"verify-cutting", "ope", "beta", "qm"}
     assert all(v["passed"] for v in report["results"].values())
     assert report["wall_time_s"] > 0
+    # exact cutting and OPE checks read no tolerance; qm reads its two
+    assert set(report["config"]["tolerances"]) == {"oracle", "qm_cutting"}
 
 
 def test_report_determinism(capsys):
@@ -209,6 +212,9 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         ["verify-cutting", "--tolerance", "oracle=1e-3"],
         ["ope", "--tolerance", "qm_cutting=1e-3"],
         ["qm", "--tolerance", "cutting=1e-3"],
+        ["verify-cutting", "--lmax", "2", "--tolerance", "cutting=1e-3"],
+        ["ope", "--lmax", "2", "--tolerance", "ope=1e-3"],
+        ["all", "--lmax", "2", "--tolerance", "cutting=1e-3"],
     ],
     ids=[
         "ope-lmax-0",
@@ -230,6 +236,9 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         "verify-cutting-tolerance-oracle",
         "ope-tolerance-qm_cutting",
         "qm-tolerance-cutting",
+        "verify-cutting-exact-tolerance-cutting",
+        "ope-exact-tolerance-ope",
+        "all-exact-tolerance-cutting",
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):

@@ -10,8 +10,6 @@ from functools import lru_cache
 
 from fqft.fock import (
     BoundaryState,
-    FockBasisState,
-    Partition,
     TruncatedFockSpace,
     apply_current,
     apply_mode,
@@ -58,9 +56,9 @@ def test_space_hard_cap():
 
 def test_basis_graded_lex_order():
     space = build_space(3)
-    levels = [s.level for s in space.basis]
+    levels = [level for level, _, _ in space.basis]
     assert levels == sorted(levels)
-    assert space.basis[0] == FockBasisState((), ())
+    assert space.basis[0] == (0, (), ())
 
 
 def test_state_lookup_roundtrip():
@@ -68,8 +66,22 @@ def test_state_lookup_roundtrip():
     v = space.state((2, 1), (1,))
     idx = [i for i in range(space.dim) if v[i] != 0]
     assert len(idx) == 1
-    s = space.basis[idx[0]]
-    assert s.chiral.parts == (2, 1) and s.antichiral.parts == (1,)
+    _, mu, nu = space.basis[idx[0]]
+    assert mu == (2, 1) and nu == (1,)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda space: space.state((1, 2)),
+        lambda space: space.state((0,)),
+        lambda space: space.find((-1,), ()),
+    ],
+    ids=["increasing", "zero-part", "negative-part"],
+)
+def test_invalid_partition_raises(call):
+    with pytest.raises(ValueError):
+        call(build_space(4))
 
 
 def test_current_mode_raising_and_lowering():
@@ -173,6 +185,82 @@ def test_virasoro_commutator_31():
         assert apply_mode(comm, v) == apply_mode(L2, v).scale(4)
 
 
+def _virasoro_oracle(space, n, bar=False, shifted=False):
+    """L_n summed over k from composed current-mode operators: each unordered
+    normal-ordered pair j_{m1} j_{m2} (m1 <= m2, m1 + m2 = n) once, with
+    weight 1/2 when m1 == m2 and 1 otherwise, plus -1/24 on L_0 if shifted."""
+    half = Fraction(1, 2) if space.exact else 0.5
+    total = {}
+    kmax = space.l_max + abs(n)
+    for k in range(-kmax, kmax + 1):
+        m1, m2 = -k, k + n
+        if m1 > m2 or m1 == 0 or m2 == 0:
+            continue
+        weight = half if m1 == m2 else 2 * half
+        prod = current_mode(space, m1, bar=bar).compose(current_mode(space, m2, bar=bar))
+        for key, val in prod.entries.items():
+            total[key] = total.get(key, 0) + weight * val
+    if shifted and n == 0:
+        shift = Fraction(-1, 24) if space.exact else -1.0 / 24.0
+        for i in range(space.dim):
+            total[(i, i)] = total.get((i, i), 0) + shift
+    return {key: val for key, val in total.items() if val != 0}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@pytest.mark.parametrize("l_max", range(9))
+def test_virasoro_matches_oracle(l_max, exact):
+    space = _space(l_max, exact)
+    for n in range(-2 * l_max - 1, 2 * l_max + 2):
+        for bar in (False, True):
+            for shifted in (False, True):
+                got = build_virasoro(space, n, bar=bar, shifted=shifted).entries
+                assert got == _virasoro_oracle(space, n, bar, shifted), (n, bar, shifted)
+
+
+def test_virasoro_commutator_at_cap():
+    # [L_2, L_{-2}] = 4 L_0 + 1/2 on every column L_{-2} keeps inside l_max 16
+    space = build_space(16)
+    L0 = build_virasoro(space, 0)
+    comm = commutator(build_virasoro(space, 2), build_virasoro(space, -2))
+    for col, level in enumerate(space.levels):
+        if level + 2 <= space.l_max:
+            want = {row: 4 * val for row, val in L0.columns.get(col, {}).items()}
+            want[col] = want.get(col, 0) + Fraction(1, 2)
+            assert comm.columns.get(col, {}) == want, col
+
+
+def test_virasoro_dropped_columns():
+    # L_n drops exactly the columns it maps above l_max: level - n > l_max
+    for l_max in (0, 1, 4):
+        space = _space(l_max, True)
+        for n in range(-2 * l_max - 3, 2 * l_max + 4):
+            for bar in (False, True):
+                op = build_virasoro(space, n, bar=bar)
+                want = {c for c, lv in enumerate(space.levels) if lv - n > l_max}
+                assert op.dropped_cols == want, (l_max, n, bar)
+
+
+def test_virasoro_truncation_loss():
+    space = build_space(4)
+    edge = space.state((2, 1), (1,))  # level 4 = l_max
+    for v in (space.state((1,), (1,)), edge):
+        for n in (0, 1, 2):
+            out = apply_mode(build_virasoro(space, n), v)
+            assert out.truncation_loss == 0, n
+    out = apply_mode(build_virasoro(space, -1), edge)
+    assert out.is_zero() and out.truncation_loss == 1
+
+
+def test_compose_counts_intermediate_loss():
+    # j_{-1} j_{-1} pushes a level-3 state to level 5 > l_max through a
+    # level-4 intermediate that the outer j_{-1} drops
+    space = build_space(4)
+    jm1 = current_mode(space, -1)
+    out = apply_mode(jm1.compose(jm1), space.state((3,)))
+    assert out.is_zero() and out.truncation_loss == 1
+
+
 def test_apply_mode_counts_truncation_loss():
     space = build_space(2)
     v = space.state((1, 1))  # level 2, at the edge
@@ -231,7 +319,7 @@ def test_to_json_golden():
     assert names == {"j_-1", "L_0"}
     # L_0 is diagonal with the chiral level
     for i, j, val in doc["operators"]["L_0"]:
-        assert i == j and Fraction(val) == space.basis[i].chiral.level
+        assert i == j and Fraction(val) == sum(space.basis[i][1])
     # deterministic serialization
     assert space.to_json(ops) == space.to_json(ops)
 
