@@ -1,6 +1,7 @@
 """Command-line front end: runs the pipelines and emits JSON reports."""
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -261,6 +262,8 @@ def main(argv=None):
     if "dim" in args and args.dim < 1:
         parser.error("--dim must be >= 1")
     args.formal_theory = None
+    if getattr(args, "theory", None) and not formal:
+        parser.error("--theory needs --backend formal")
     if formal:
         if not args.theory:
             parser.error("--theory is required with --backend formal")
@@ -280,25 +283,26 @@ def main(argv=None):
             parser.error(str(err))
         if tol:
             config["tolerances"] = tol
-    log.info("running %s", args.command)
-    start = time.perf_counter()
-    results, passed = COMMANDS[args.command][0](args, tol)
-    elapsed = time.perf_counter() - start
-    log.info("%s finished in %.3fs (passed=%s)", args.command, elapsed, passed)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "config": config,
-        "results": _jsonable(results),
-        "passed": passed,
-        "wall_time_s": elapsed if args.timing else None,
-    }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # opened before the run, so an unwritable path fails at once
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as err:
+        parser.error(f"cannot write --out {args.out}: {err.strerror}")
+    with out as sink:
+        log.info("running %s", args.command)
+        start = time.perf_counter()
+        results, passed = COMMANDS[args.command][0](args, tol)
+        elapsed = time.perf_counter() - start
+        log.info("%s finished in %.3fs (passed=%s)", args.command, elapsed, passed)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "config": config,
+            "results": _jsonable(results),
+            "passed": passed,
+            "wall_time_s": elapsed if args.timing else None,
+        }
+        sink.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if passed else 1
 
 

@@ -7,10 +7,15 @@ partitions as non-increasing tuples, in graded-lexicographic order;
 act on a basis vector by one index lookup (`_current_image`), either built
 into an operator or applied to a state one nonzero at a time.  Operators
 are stored by column, {col: {row: nonzero scalar}}, so products, sums and
-the action on a state are per-column merges.  Virasoro generators are
-assembled one column at a time from the normal-ordered current bilinears
-that can act on that column.  The Shapovalov pairing is diagonal in the
-basis.
+the action on a state are per-column merges.  `compose` and `commutator`
+share one product loop; in exact arithmetic it runs on integers, each
+operand written over one common denominator, a commutator subtracts its two
+products before any entry becomes a Fraction, and one Fraction is made per
+distinct result.  L_n (Lbar_n) acts on the chiral (antichiral) partition of
+a column alone, so `build_virasoro` computes the image of each distinct
+partition under the normal-ordered current bilinears once and lifts it to
+every column with that partition by index lookups.  The Shapovalov pairing
+is diagonal in the basis.
 
 The zero mode j_0 acts as zero throughout (the zero-mode sector is out of
 scope), and components pushed above the truncation level are dropped with a
@@ -22,6 +27,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import ResourceLimitError, SpaceMismatchError
 from .scalars import encode_scalar
@@ -29,11 +35,12 @@ from .scalars import encode_scalar
 # Hard cap on the truncation level.  dim grows like sum p(k)p(m) (7 567 at
 # 14, 17 345 at 16, 38 045 at 18).  Exact arithmetic, one process on a
 # 2-core Xeon, Python 3.11: build_space, L_{+-2}, L_0 and [L_2, L_{-2}] take
-# 0.005 + 0.05 + 0.04 + 0.14 s at 14 (peak RSS 30 MB, 15 MB of it imports)
-# and 0.010 + 0.11 + 0.09 + 0.33 s at 16 (peak RSS 51 MB); with the cap
-# lifted, 1.5 s and 99 MB at 18.  Neither binds at 16.  The cap is a time
-# limit: per two levels the time grows about 2.9x (the rational commutator
-# dominates) and the memory above imports about 2.3x.
+# 0.005 + 0.015 + 0.009 + 0.025 s at 14 (peak RSS 29 MB, 14 MB of it
+# imports) and 0.010 + 0.034 + 0.019 + 0.069 s at 16 (peak RSS 49 MB); with
+# the cap lifted, 0.020 + 0.083 + 0.041 + 0.178 s and 93 MB at 18.  Neither
+# binds at 16.  Per two levels the time grows about 2.4x and the memory
+# above imports about 2.3x, so the cap bounds time and memory alike; the
+# commutator is still the largest single cost.
 L_MAX_HARD_CAP = 16
 
 
@@ -244,27 +251,27 @@ class ModeOperator:
             (row, col): v for col, column in self.columns.items() for row, v in column.items()
         }
 
+    @classmethod
+    def _of(cls, kind, n, space, columns, dropped_cols=frozenset()) -> "ModeOperator":
+        """Wrap columns that are nonempty and zero-free, unchecked."""
+        out = cls.__new__(cls)
+        out.kind = kind
+        out.n = n
+        out.space = space
+        out.columns = columns
+        out.dropped_cols = frozenset(dropped_cols)
+        return out
+
     def compose(self, other) -> "ModeOperator":
         """Matrix product self @ other (other acts first)."""
-        if self.space is not other.space:
-            raise SpaceMismatchError("operators live in different spaces")
-        columns = {}
-        # a column loses what other drops, and what self drops of its image
-        dropped = set(other.dropped_cols)
-        for col, column in other.columns.items():
-            out = {}
-            for mid, val in column.items():
-                if mid in self.dropped_cols:
-                    dropped.add(col)
-                for row, val2 in self.columns.get(mid, _EMPTY).items():
-                    p = val2 * val
-                    out[row] = out[row] + p if row in out else p
-            columns[col] = out
-        return ModeOperator("composite", None, self.space, columns, dropped)
+        _check_space(self, other)
+        a, d_a = _common_denominator(self)
+        b, d_b = _common_denominator(other)
+        columns, dropped = _product(a, self.dropped_cols, b, other.dropped_cols)
+        return _from_products(self.space, columns, d_a * d_b, dropped)
 
     def add(self, other, scale_other=1) -> "ModeOperator":
-        if self.space is not other.space:
-            raise SpaceMismatchError("operators live in different spaces")
+        _check_space(self, other)
         columns = {col: dict(column) for col, column in self.columns.items()}
         for col, column in other.columns.items():
             out = columns.setdefault(col, {})
@@ -307,6 +314,64 @@ class ModeOperator:
         )
 
 
+def _common_denominator(op: ModeOperator):
+    """(columns, D): op's exact entries as integers over one common
+    denominator D, the lcm of their denominators.  Float columns come back
+    as they are, with D = 1."""
+    if not op.space.exact:
+        return op.columns, 1
+    denominators = {v.denominator for column in op.columns.values() for v in column.values()}
+    D = lcm(*denominators)
+    scale = {d: D // d for d in denominators}
+    columns = {
+        col: {row: v.numerator * scale[v.denominator] for row, v in column.items()}
+        for col, column in op.columns.items()
+    }
+    return columns, D
+
+
+def _product(a, a_dropped, b, b_dropped):
+    """Columns of a @ b (b acts first) as unreduced sums of products of the
+    given column values, and the dropped columns: those b drops, and those
+    whose image under b meets a column that a drops."""
+    columns = {}
+    dropped = set(b_dropped)
+    for col, column in b.items():
+        out = {}
+        for mid, val in column.items():
+            if mid in a_dropped:
+                dropped.add(col)
+            for row, val2 in a.get(mid, _EMPTY).items():
+                p = val2 * val
+                out[row] = out[row] + p if row in out else p
+        columns[col] = out
+    return columns, dropped
+
+
+def _from_products(space, columns, denominator, dropped) -> ModeOperator:
+    """The composite operator of `_product` sums over `denominator`, zeros
+    removed; exact entries become Fractions, one per distinct numerator."""
+    out = {}
+    if space.exact:
+        scalars = {}
+        for col, column in columns.items():
+            kept = {}
+            for row, s in column.items():
+                if s:
+                    v = scalars.get(s)
+                    if v is None:
+                        v = scalars[s] = Fraction(s, denominator)
+                    kept[row] = v
+            if kept:
+                out[col] = kept
+    else:
+        for col, column in columns.items():
+            kept = {row: v for row, v in column.items() if v != 0}
+            if kept:
+                out[col] = kept
+    return ModeOperator._of("composite", None, space, out, dropped)
+
+
 def build_space(l_max: int, exact: bool = True) -> TruncatedFockSpace:
     return TruncatedFockSpace(l_max, exact=exact)
 
@@ -315,32 +380,35 @@ def build_space(l_max: int, exact: bool = True) -> TruncatedFockSpace:
 _DROPPED = (-1, 0)
 
 
+def _mode_on_partition(mu: tuple, n: int):
+    """j_n on the chiral state j_{-mu}|0>: (new partition, weight), or None
+    when the image vanishes.  j_{-n} with n > 0 adds a part -n with weight
+    1; j_n removes one occurrence of n with weight n * multiplicity, per
+    [j_m, j_n] = m delta_{m+n,0}; j_0 finds no part 0 and acts as zero."""
+    if n < 0:
+        return tuple(sorted(mu + (-n,), reverse=True)), 1
+    count = mu.count(n)
+    if not count:
+        return None
+    k = mu.index(n)
+    return mu[:k] + mu[k + 1 :], n * count
+
+
 def _current_image(space: TruncatedFockSpace, n: int, col: int, bar: bool):
     """j_n (bar=False) or jbar_n on basis vector `col`.
 
     Returns (row, weight) with j_n|col> = weight |row>, None when the image
-    vanishes, or _DROPPED when it lies above l_max.  j_{-n} with n>0 adds a
-    part; j_n removes one occurrence of n with weight n * multiplicity, per
-    [j_m, j_n] = m delta_{m+n,0}; j_0 acts as zero.  For fixed (n, bar) the
+    vanishes, or _DROPPED when it lies above l_max.  For fixed (n, bar) the
     map col -> row is injective.
     """
-    if n == 0:
-        return None
     level, chiral, anti = space.basis[col]
-    mu = anti if bar else chiral
     level -= n
-    if n < 0:
-        if level > space.l_max:
-            return _DROPPED
-        new = tuple(sorted(mu + (-n,), reverse=True))
-        weight = 1
-    else:
-        count = mu.count(n)
-        if not count:
-            return None
-        k = mu.index(n)
-        new = mu[:k] + mu[k + 1 :]
-        weight = n * count
+    if level > space.l_max:
+        return _DROPPED
+    image = _mode_on_partition(anti if bar else chiral, n)
+    if image is None:
+        return None
+    new, weight = image
     key = (level, chiral, new) if bar else (level, new, anti)
     return space.index[key], weight
 
@@ -377,6 +445,21 @@ def apply_current(v: BoundaryState, n: int, bar: bool = False) -> BoundaryState:
     return BoundaryState(space, out, v.truncation_loss + loss)
 
 
+def _twice_virasoro(mu: tuple, n: int, creators) -> dict:
+    """2 L_n on the chiral state j_{-mu}|0> as {new partition: integer
+    weight}; `creators` are the pairs of two creation modes in L_n."""
+    pairs = [(n - m2, m2) for m2 in set(mu) if 2 * m2 >= n and m2 != n]
+    twice = {}
+    for m1, m2 in pairs + creators:
+        mid, w2 = _mode_on_partition(mu, m2)
+        image = _mode_on_partition(mid, m1)
+        if image is not None:
+            new, w1 = image
+            w = w1 * w2 if m1 == m2 else 2 * w1 * w2
+            twice[new] = twice.get(new, 0) + w
+    return twice
+
+
 def build_virasoro(
     space: TruncatedFockSpace, n: int, bar: bool = False, shifted: bool = False
 ) -> ModeOperator:
@@ -384,44 +467,44 @@ def build_virasoro(
 
     Normal ordering puts the larger mode on the right, so L_n is the sum of
     j_{m1} j_{m2} over m1 <= m2, m1 + m2 = n, with weight 1/2 when m1 == m2
-    and 1 otherwise.  On a column only two kinds of pair act: those whose
-    annihilator m2 > 0 is a part of the column's partition, and, for n < 0,
-    pairs of two creators.  A column whose level - n exceeds l_max maps
-    wholly above the truncation and is dropped.
+    and 1 otherwise.  On a partition only two kinds of pair act: those whose
+    annihilator m2 > 0 is one of its parts, and, for n < 0, pairs of two
+    creators.  L_n (Lbar_n) acts on the chiral (antichiral) partition of a
+    column alone, so its image is computed once per distinct partition and
+    lifted to each column by index lookups.  A column whose level - n
+    exceeds l_max maps wholly above the truncation and is dropped.
 
     With shifted=True, L_0 carries the -1/24 vacuum-energy offset.
     """
-    l_max = space.l_max
-    halves = {}  # w -> w/2 as a scalar, built once per distinct w
+    l_max, index = space.l_max, space.index
     shift = (Fraction(-1, 24) if space.exact else -1.0 / 24.0) if shifted and n == 0 else 0
     # both creators: m2 runs over ceil(n/2)..-1
     creators = [(n - m2, m2) for m2 in range(-(-n // 2), 0)]
+    images = {}  # partition -> [(new partition, scalar)]
     columns = {}
     dropped = set()
     for col, (level, mu, nu) in enumerate(space.basis):
-        if level - n > l_max:
+        level -= n
+        if level > l_max:
             dropped.add(col)
             continue
         parts = nu if bar else mu
-        pairs = [(n - m2, m2) for m2 in set(parts) if 2 * m2 >= n and m2 != n]
-        # twice the coefficient, so every pair adds an integer
-        twice = {}
-        for m1, m2 in pairs + creators:
-            mid, w2 = _current_image(space, m2, col, bar)
-            image = _current_image(space, m1, mid, bar)
-            if image is not None:
-                row, w1 = image
-                w = w1 * w2 if m1 == m2 else 2 * w1 * w2
-                twice[row] = twice.get(row, 0) + w
-        column = {}
-        for row, w in twice.items():
-            if w not in halves:
-                halves[w] = Fraction(w, 2) if space.exact else 0.5 * w
-            column[row] = halves[w]
+        image = images.get(parts)
+        if image is None:
+            image = images[parts] = [
+                (new, Fraction(w, 2) if space.exact else 0.5 * w)
+                for new, w in _twice_virasoro(parts, n, creators).items()
+            ]
+        if bar:
+            column = {index[(level, mu, new)]: v for new, v in image}
+        else:
+            column = {index[(level, new, nu)]: v for new, v in image}
         if shift:
             column[col] = column.get(col, 0) + shift
-        columns[col] = column
-    return ModeOperator("Lbar" if bar else "L", n, space, columns, dropped)
+        if column:
+            columns[col] = column
+    # pair weights are positive and L_0's diagonal |mu| - 1/24 never vanishes
+    return ModeOperator._of("Lbar" if bar else "L", n, space, columns, dropped)
 
 
 def apply_mode(op: ModeOperator, v: BoundaryState) -> BoundaryState:
@@ -438,7 +521,19 @@ def apply_mode(op: ModeOperator, v: BoundaryState) -> BoundaryState:
 
 
 def commutator(a: ModeOperator, b: ModeOperator) -> ModeOperator:
-    return a.compose(b).add(b.compose(a), scale_other=-1)
+    """[a, b] = a @ b - b @ a.  Both products share one denominator, so the
+    difference is taken before any entry becomes a Fraction; in float64 it
+    equals a.compose(b).add(b.compose(a), scale_other=-1) bit for bit."""
+    _check_space(a, b)
+    ai, d_a = _common_denominator(a)
+    bi, d_b = _common_denominator(b)
+    columns, dropped = _product(ai, a.dropped_cols, bi, b.dropped_cols)
+    ba, dropped_ba = _product(bi, b.dropped_cols, ai, a.dropped_cols)
+    for col, column in ba.items():
+        out = columns.setdefault(col, {})
+        for row, v in column.items():
+            out[row] = out[row] - v if row in out else -v
+    return _from_products(a.space, columns, d_a * d_b, dropped | dropped_ba)
 
 
 @lru_cache(maxsize=None)

@@ -215,6 +215,8 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         ["verify-cutting", "--lmax", "2", "--tolerance", "cutting=1e-3"],
         ["ope", "--lmax", "2", "--tolerance", "ope=1e-3"],
         ["all", "--lmax", "2", "--tolerance", "cutting=1e-3"],
+        ["verify-cutting", "--lmax", "2", "--out", "{tmp}/missing/report.json"],
+        ["beta", "--lmax", "2", "--theory", "{tmp}/missing.json"],
     ],
     ids=[
         "ope-lmax-0",
@@ -239,6 +241,8 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         "verify-cutting-exact-tolerance-cutting",
         "ope-exact-tolerance-ope",
         "all-exact-tolerance-cutting",
+        "out-unwritable",
+        "beta-theory-without-formal",
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):

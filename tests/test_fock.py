@@ -10,6 +10,7 @@ from functools import lru_cache
 
 from fqft.fock import (
     BoundaryState,
+    ModeOperator,
     TruncatedFockSpace,
     apply_current,
     apply_mode,
@@ -208,10 +209,12 @@ def _virasoro_oracle(space, n, bar=False, shifted=False):
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
-@pytest.mark.parametrize("l_max", range(9))
+@pytest.mark.parametrize("l_max", [*range(9), 10])
 def test_virasoro_matches_oracle(l_max, exact):
     space = _space(l_max, exact)
-    for n in range(-2 * l_max - 1, 2 * l_max + 2):
+    # every n up to l_max 8; at 10, the modes the commutator checks use
+    ns = range(-2 * l_max - 1, 2 * l_max + 2) if l_max <= 8 else (-2, 0, 2)
+    for n in ns:
         for bar in (False, True):
             for shifted in (False, True):
                 got = build_virasoro(space, n, bar=bar, shifted=shifted).entries
@@ -389,3 +392,88 @@ def test_apply_current_commutator(data, l_max, exact, m, n, bars):
     else:
         # each coefficient is a difference of two products of size <= 36 * 9
         assert residual.norm_inf() <= 1e-12
+
+
+def _random_operator(data, space):
+    """A random sparse operator with mixed denominators (halves, thirds and
+    powers of 2 and 3) and random dropped columns; floats in float64."""
+    value = st.builds(
+        lambda k, i, j: Fraction(k, 2**i * 3**j),
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=3),
+    )
+    if not space.exact:
+        value = value.map(float)
+    index = st.integers(min_value=0, max_value=space.dim - 1)
+    columns = data.draw(
+        st.dictionaries(index, st.dictionaries(index, value, max_size=6), max_size=10)
+    )
+    dropped = data.draw(st.frozensets(index, max_size=4))
+    return ModeOperator("random", None, space, columns, dropped)
+
+
+def _dense(op):
+    matrix = [[Fraction(0)] * op.space.dim for _ in range(op.space.dim)]
+    for (row, col), v in op.entries.items():
+        matrix[row][col] = v
+    return matrix
+
+
+def _dense_product(a, b):
+    """a @ b by the textbook triple loop."""
+    dim = len(a)
+    out = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for k in range(dim):
+            if a[i][k]:
+                for j in range(dim):
+                    out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def _dropped_by_product(a, b):
+    # a column of a @ b is lost where b loses it or where b maps it onto a
+    # column that a loses
+    return b.dropped_cols | {
+        col for (mid, col) in b.entries if mid in a.dropped_cols
+    }
+
+
+def _assert_canonical(op):
+    # no stored zeros, no empty columns, Fractions in exact mode
+    for column in op.columns.values():
+        assert column
+        for v in column.values():
+            assert v != 0
+            assert isinstance(v, Fraction) == op.space.exact
+
+
+@given(data=st.data(), l_max=st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_product_kernel_matches_dense_reference(data, l_max):
+    space = _space(l_max, True)
+    a, b = _random_operator(data, space), _random_operator(data, space)
+    A, B = _dense(a), _dense(b)
+    ab, ba = _dense_product(A, B), _dense_product(B, A)
+    prod = a.compose(b)
+    _assert_canonical(prod)
+    assert _dense(prod) == ab
+    assert prod.dropped_cols == _dropped_by_product(a, b)
+    comm = commutator(a, b)
+    _assert_canonical(comm)
+    assert _dense(comm) == [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+    assert comm.dropped_cols == _dropped_by_product(a, b) | _dropped_by_product(b, a)
+
+
+@given(data=st.data(), l_max=st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_float_commutator_is_difference_of_products(data, l_max):
+    # bit for bit: x + (-y) == x - y in IEEE arithmetic
+    space = _space(l_max, False)
+    a, b = _random_operator(data, space), _random_operator(data, space)
+    comm = commutator(a, b)
+    want = a.compose(b).add(b.compose(a), scale_other=-1)
+    _assert_canonical(comm)
+    assert comm.columns == want.columns
+    assert comm.dropped_cols == want.dropped_cols
