@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -219,7 +220,9 @@ COMMANDS["all"] = (
 SETTINGS = ("l_max", "arithmetic", "backend", "dim", "seed", "orders")
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fqft",
         description="Functorial QFT at finite truncation: cutting checks, "
@@ -272,7 +275,8 @@ def main(argv=None):
                 args.formal_theory = theory_from_json(fh.read())
         except OSError as err:
             parser.error(f"cannot read --theory {args.theory}: {err.strerror}")
-        except (ValueError, KeyError, TypeError) as err:
+        except (ValueError, KeyError, TypeError, OverflowError) as err:
+            # OverflowError: Fraction of an infinite number (1e400, Infinity)
             parser.error(f"invalid --theory {args.theory}: {err!r}")
     config = {key: getattr(args, key) for key in SETTINGS if key in args}
     tol = None

@@ -24,10 +24,11 @@ from math import comb
 
 from .errors import ValidationError
 from .fock import ModeOperator, apply_current, current_mode
+from .fock import _key as _fock_key
 from .jets import Jet, JetAlgebra, recombine
 from .observables import scale_by_level
 from .rexp import RExpansion
-from .scalars import LogPoly, decode_scalar, encode_scalar
+from .scalars import LogPoly, canonical_exponent, decode_scalar, encode_scalar
 
 R_SYM = LogPoly.monomial(R=1)
 LAM_SYM = LogPoly.monomial(lam=1)
@@ -123,16 +124,23 @@ class Primary:
 class FormalTheory:
     """Conformal theory data for the formal backend (zero central charge).
 
-    rows: OPE rows of pairs of marginals, (alpha, beta, c, mu, mubar, value).
+    rows: OPE rows of pairs of marginals, (alpha, beta, c, mu, mubar, value),
+    with mu and mubar partitions (positive, non-increasing parts).
     mixing: M_a^gamma identifying the (1,1)-descendant of a dimension-0
     primary with a combination of marginal primaries.
+    dims: label -> (h, hbar) as canonical exponents (ints when integral, as
+    the LogPoly and RExpansion keys are), so exponent sums stay in ints; the
+    primaries keep their Fractions.
     """
 
     def __init__(self, primaries, rows, mixing=None):
         self.primaries = [
             p if isinstance(p, Primary) else Primary(*p) for p in primaries
         ]
-        self.dims = {p.label: (p.h, p.hbar) for p in self.primaries}
+        self.dims = {
+            p.label: (canonical_exponent(p.h), canonical_exponent(p.hbar))
+            for p in self.primaries
+        }
         if len(self.dims) != len(self.primaries):
             raise ValidationError("duplicate primary labels")
         for p in self.primaries:
@@ -145,38 +153,53 @@ class FormalTheory:
                     f"spin-carrying marginal primary {p.label} is unsupported"
                 )
         self.marginals = [p.label for p in self.primaries if (p.h, p.hbar) == (1, 1)]
+        self._marginal_set = set(self.marginals)
         self.mixing = {}
+        self._mixing_of = {}  # source a -> [(gamma, M_a^gamma)], in mixing order
         for (a, gamma), val in (mixing or {}).items():
             if self.dims.get(a) != (0, 0):
                 raise ValidationError(f"mixing source {a} must have dimension (0,0)")
-            if gamma not in self.marginals:
+            if gamma not in self._marginal_set:
                 raise ValidationError(f"mixing target {gamma} must be marginal")
-            self.mixing[(a, gamma)] = Fraction(val)
+            val = self.mixing[(a, gamma)] = Fraction(val)
+            self._mixing_of.setdefault(a, []).append((gamma, val))
         self.rows = {}
         self._C, self._K = {}, {}  # memos of effective_C and K, filled on use
+        channels = set()  # (c, mu, mubar) already checked by this call
         for (alpha, beta, c, mu, mubar, value) in rows:
-            value = Fraction(value)
-            if value == 0:
-                continue
-            if alpha not in self.marginals or beta not in self.marginals:
+            if alpha not in self._marginal_set or beta not in self._marginal_set:
                 raise ValidationError("OPE rows must pair marginal observables")
-            if c not in self.dims:
-                raise ValidationError(f"unknown OPE target {c}")
             mu, mubar = tuple(mu), tuple(mubar)
-            s, sbar = self.exponent_pair(c, mu, mubar)
-            if s == sbar == 1 and not self._is_marginal_channel(c, mu, mubar):
-                raise ValidationError(
-                    f"degenerate row ({c}, {mu}, {mubar}) with h+|mu|=1 is "
-                    "neither a marginal primary nor a mixing channel"
-                )
-            self.rows.setdefault((alpha, beta), []).append((c, mu, mubar, value))
+            if (c, mu, mubar) not in channels:
+                self._check_channel(c, mu, mubar)
+                channels.add((c, mu, mubar))
+            value = Fraction(value)
+            if value != 0:
+                self.rows.setdefault((alpha, beta), []).append((c, mu, mubar, value))
+
+    def _check_channel(self, c, mu, mubar):
+        """Reject a row target that is unknown, has descendant labels that are
+        not partitions, or sits at h + |mu| = hbar + |mubar| = 1 without being
+        a marginal channel; zero-valued rows are checked too."""
+        if c not in self.dims:
+            raise ValidationError(f"unknown OPE target {c}")
+        try:
+            _fock_key(mu, mubar)
+        except ValueError as err:
+            raise ValidationError(f"OPE row ({c}, {mu}, {mubar}): {err}") from None
+        s, sbar = self.exponent_pair(c, mu, mubar)
+        if s == sbar == 1 and not self._is_marginal_channel(c, mu, mubar):
+            raise ValidationError(
+                f"degenerate row ({c}, {mu}, {mubar}) with h+|mu|=1 is "
+                "neither a marginal primary nor a mixing channel"
+            )
 
     def exponent_pair(self, c, mu, mubar):
         h, hbar = self.dims[c]
         return h + sum(mu), hbar + sum(mubar)
 
     def _is_marginal_channel(self, c, mu, mubar):
-        if c in self.marginals and mu == () and mubar == ():
+        if c in self._marginal_set and mu == () and mubar == ():
             return True
         return self.dims[c] == (0, 0) and mu == (1,) and mubar == (1,)
 
@@ -191,12 +214,11 @@ class FormalTheory:
             return self._C[alpha, beta]
         out = {}
         for (c, mu, mubar, value) in self.rows.get((alpha, beta), ()):
-            if c in self.marginals and mu == () and mubar == ():
+            if c in self._marginal_set and mu == () and mubar == ():
                 out[c] = out.get(c, Fraction(0)) + value
             elif self.dims[c] == (0, 0) and mu == (1,) and mubar == (1,):
-                for (a, gamma), m in self.mixing.items():
-                    if a == c:
-                        out[gamma] = out.get(gamma, Fraction(0)) + value * m
+                for gamma, m in self._mixing_of.get(c, ()):
+                    out[gamma] = out.get(gamma, Fraction(0)) + value * m
         out = self._C[alpha, beta] = {k: v for k, v in out.items() if v != 0}
         return out
 
@@ -284,50 +306,57 @@ class CorrectionTerm:
         self.expansion = expansion
 
 
+def _add(coeffs, key, value):
+    """coeffs[key] += value, adding only when the key repeats."""
+    coeffs[key] = coeffs[key] + value if key in coeffs else value
+
+
+def _expansion(terms) -> RExpansion:
+    """Wrap {(p, q): {key: scalar}} once; the constructors drop zeros, so
+    rows that cancel vanish."""
+    return RExpansion({pq: FormalVector(vec) for pq, vec in terms.items()})
+
+
+def _channel(C, **powers):
+    """The marginal channel C^gamma <O_gamma> as vector terms, each value
+    times the monomial LogPoly.monomial(**powers)."""
+    return {
+        ("corr", gamma, (), ()): LogPoly.monomial(val, **powers) for gamma, val in C.items()
+    }
+
+
 def compute_correction(theory: FormalTheory, alpha, beta) -> CorrectionTerm:
     """Minimal-subtraction correction:
     delta v = log(r) * C * <O_gamma>_{D_r}
               + sum_{s = sbar != 1} value * r^{2(s-1)}/(2(s-1)) * <O_c^{..}>_{D_r}.
     The s = 0 term is the -K/(2 r^2) counterterm of the special marginal OPE.
     """
-    exp = RExpansion()
-    for gamma, val in theory.effective_C(alpha, beta).items():
-        exp = exp + RExpansion.term(0, 1, FormalVector.corr(gamma, value=val))
-    for (c, mu, mubar, val) in theory.rows_for(alpha, beta):
+    terms = {(0, 1): _channel(theory.effective_C(alpha, beta))}
+    for (c, mu, mubar, val) in theory.rows.get((alpha, beta), ()):
         s, sbar = theory.exponent_pair(c, mu, mubar)
         if s != sbar or s == 1:
             continue
-        coeff = Fraction(val) / (2 * (s - 1))
-        exp = exp + RExpansion.term(
-            2 * (s - 1), 0, FormalVector.corr(c, mu, mubar, value=coeff)
-        )
-    return CorrectionTerm(alpha, beta, exp)
+        denom = 2 * (s - 1)
+        _add(terms.setdefault((denom, 0), {}), ("corr", c, mu, mubar), val / denom)
+    return CorrectionTerm(alpha, beta, _expansion(terms))
 
 
 def integrated_ope(theory: FormalTheory, alpha, beta) -> RExpansion:
     """int_{D_R \\ D_r} dmu <O_alpha(z) O_beta(0)>_{D_R}, termwise via the
     annulus moments; an RExpansion in r with symbolic R in the scalars."""
-    exp = RExpansion()
-    for gamma, val in theory.effective_C(alpha, beta).items():
-        # log(R/r) * C * <O_gamma>_{D_R}
-        exp = exp + RExpansion.term(0, 0, FormalVector.corr(gamma, value=val * LOG_R))
-        exp = exp + RExpansion.term(0, 1, FormalVector.corr(gamma, value=-val))
-    for (c, mu, mubar, val) in theory.rows_for(alpha, beta):
+    C = theory.effective_C(alpha, beta)
+    # log(R/r) * C * <O_gamma>_{D_R}
+    const = _channel(C, log_R=1)
+    terms = {(0, 0): const, (0, 1): {key: -val for key, val in _channel(C).items()}}
+    for (c, mu, mubar, val) in theory.rows.get((alpha, beta), ()):
         s, sbar = theory.exponent_pair(c, mu, mubar)
         if s != sbar or s == 1:
             continue
         denom = 2 * (s - 1)
-        exp = exp + RExpansion.term(
-            0,
-            0,
-            FormalVector.corr(c, mu, mubar, value=LogPoly.monomial(val / denom, R=denom)),
-        )
-        exp = exp + RExpansion.term(
-            2 * (s - 1),
-            0,
-            FormalVector.corr(c, mu, mubar, value=-Fraction(val) / denom),
-        )
-    return exp
+        key = ("corr", c, mu, mubar)
+        _add(const, key, LogPoly.monomial(val / denom, R=denom))
+        _add(terms.setdefault((denom, 0), {}), key, -val / denom)
+    return _expansion(terms)
 
 
 def marginal_coupling_algebra(theory, tilde=False, truncation=2):
@@ -381,20 +410,24 @@ def dilate_family(theory: FormalTheory, expansion: RExpansion) -> RExpansion:
     """Dil_lambda on a formal family: evaluate the family at radius lam * r.
 
     r^p -> lam^p r^p, log(r) -> log(lam) + log(r), and each correlator symbol
-    scales by lam^{-dimension}.
+    scales by lam^{-dimension}: the value at r^p (log r)^q of a symbol of
+    dimension D contributes comb(q, j) lam^{p - D} (log lam)^{q - j} times
+    itself at r^p (log r)^j, for j = 0..q.
     """
-    out = RExpansion()
+    return _dilate(theory, expansion, 0)
+
+
+def _dilate(theory, expansion, weight) -> RExpansion:
+    """lam^weight * Dil_lambda(expansion), one monomial product per
+    (value, j)."""
+    terms = {}
     for (p, q), vec in expansion.terms.items():
-        scaled = FormalVector(
-            {
-                key: val * LogPoly.monomial(lam=-theory.corr_dimension(key))
-                for key, val in vec.terms.items()
-            }
-        )
-        for j in range(q + 1):
-            factor = LogPoly.monomial(comb(q, j), lam=p, log_lam=q - j)
-            out = out + RExpansion.term(p, j, scaled.scale(factor))
-    return out
+        for key, val in vec.terms.items():
+            lam = canonical_exponent(weight + p - theory.corr_dimension(key))
+            for j in range(q + 1):
+                factor = LogPoly._of({(0, lam, 0, q - j): comb(q, j)})
+                _add(terms.setdefault((p, j), {}), key, val * factor)
+    return _expansion(terms)
 
 
 def anomalous_dilation(theory: FormalTheory, beta):
@@ -404,18 +437,18 @@ def anomalous_dilation(theory: FormalTheory, beta):
     Returns (lhs, rhs) as jets over the couplings.
     """
     alg = marginal_coupling_algebra(theory)
-    tilde = Jet(alg, {(): RExpansion.constant(FormalVector.corr(beta))})
+    tilde = {(): RExpansion.constant(FormalVector.corr(beta))}
+    rhs = dict(tilde)
     for alpha in theory.marginals:
+        mono = (f"g[{alpha}]",)
         dv = compute_correction(theory, alpha, beta).expansion
         if not dv.is_zero():
-            tilde = tilde + Jet(alg, {(f"g[{alpha}]",): dv})
-    lhs = tilde.map_coeffs(lambda e: dilate_family(theory, e).scale(LAM_SYM**2))
-    rhs = tilde
-    for alpha in theory.marginals:
-        for gamma, val in theory.effective_C(alpha, beta).items():
-            extra = RExpansion.constant(FormalVector.corr(gamma, value=val * LOG_LAM))
-            rhs = rhs + Jet(alg, {(f"g[{alpha}]",): extra})
-    return lhs, rhs
+            tilde[mono] = rhs[mono] = dv
+        C = theory.effective_C(alpha, beta)
+        if C:
+            _add(rhs, mono, RExpansion.constant(FormalVector(_channel(C, log_lam=1))))
+    lhs = Jet(alg, {mono: _dilate(theory, e, 2) for mono, e in tilde.items()})
+    return lhs, Jet(alg, rhs)
 
 
 # ------------------------------------------------------- double deformation
@@ -447,19 +480,12 @@ def double_deform(theory: FormalTheory) -> Jet:
         coeffs[(f"gt[{m}]",)] = FormalVector.atom(("int", m))
     for alpha in labels:
         for beta in labels:
-            vec = FormalVector()
-            for gamma, val in theory.effective_C(alpha, beta).items():
-                vec = vec + FormalVector.atom(("int", gamma), val * LOG_R)
-            for a, val in theory.K(alpha, beta).items():
-                vec = vec + FormalVector.atom(("int0", a), -Fraction(val) / 2)
-            if theory.rows_for(alpha, beta):
-                vec = vec + FormalVector.atom(
-                    ("reg",) + tuple(sorted((alpha, beta)))
-                )
-            if vec.is_zero():
-                continue
-            mono = tuple(sorted((f"gt[{beta}]", f"g[{alpha}]")))
-            coeffs[mono] = vec
+            C, K = theory.effective_C(alpha, beta), theory.K(alpha, beta)
+            vec = {("int", g): LogPoly.monomial(val, log_R=1) for g, val in C.items()}
+            vec.update((("int0", a), -val / 2) for a, val in K.items())
+            if (alpha, beta) in theory.rows:
+                vec[("reg",) + tuple(sorted((alpha, beta)))] = 1
+            coeffs[tuple(sorted((f"gt[{beta}]", f"g[{alpha}]")))] = FormalVector(vec)
     pf = Jet(alg, coeffs)
     return recombine(pf, labels=labels)
 
@@ -497,17 +523,17 @@ class BetaResult:
 def beta(theory: FormalTheory) -> BetaResult:
     labels = theory.marginals
     alg = JetAlgebra.combined_coupling(labels)
+    names = {label: f"gc[{label}]" for label in labels}
     structure = {}
-    per_gamma = {gamma: Jet(alg, {}) for gamma in labels}
+    per_gamma = {gamma: {} for gamma in labels}
     for alpha in labels:
         for b_ in labels:
+            mono = tuple(sorted((names[alpha], names[b_])))
             for gamma, val in theory.effective_C(alpha, b_).items():
                 structure[(alpha, b_, gamma)] = val
-                mono = tuple(sorted((f"gc[{alpha}]", f"gc[{b_}]")))
-                per_gamma[gamma] = per_gamma[gamma] + Jet(
-                    alg, {mono: Fraction(val) / 2}
-                )
-    return BetaResult(alg, per_gamma, structure)
+                _add(per_gamma[gamma], mono, val / 2)
+    coefficients = {gamma: Jet(alg, coeffs) for gamma, coeffs in per_gamma.items()}
+    return BetaResult(alg, coefficients, structure)
 
 
 # ------------------------------------------------- numeric free-boson route

@@ -217,6 +217,8 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         ["all", "--lmax", "2", "--tolerance", "cutting=1e-3"],
         ["verify-cutting", "--lmax", "2", "--out", "{tmp}/missing/report.json"],
         ["beta", "--lmax", "2", "--theory", "{tmp}/missing.json"],
+        ["beta", "--backend", "formal", "--theory", "{tmp}/value-inf.json"],
+        ["beta", "--backend", "formal", "--theory", "{tmp}/h-inf.json"],
     ],
     ids=[
         "ope-lmax-0",
@@ -243,10 +245,21 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         "all-exact-tolerance-cutting",
         "out-unwritable",
         "beta-theory-without-formal",
+        "theory-value-1e400",
+        "theory-h-infinity",
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     (tmp_path / "malformed.json").write_text("{}")
+    # both numbers decode to float('inf'), which has no Fraction
+    primaries = '[{"label": "1", "h": "0", "hbar": "0"}, {"label": "e", "h": "1", "hbar": "1"}]'
+    row = '{"a": "e", "b": "e", "c": "e", "mu": [], "mubar": [], "value": 1e400}'
+    (tmp_path / "value-inf.json").write_text(
+        f'{{"primaries": {primaries}, "coefficients": [{row}]}}'
+    )
+    (tmp_path / "h-inf.json").write_text(
+        '{"primaries": [{"label": "e", "h": Infinity, "hbar": "1"}]}'
+    )
     with pytest.raises(SystemExit) as err:
         main([a.format(tmp=tmp_path) for a in argv])
     assert err.value.code == 2
@@ -261,3 +274,26 @@ def test_verify_cutting_at_low_lmax(capsys):
     for lmax in ("0", "1"):
         code, report = run_cli(capsys, ["verify-cutting", "--lmax", lmax])
         assert code == 0 and report["results"]["exact_zero"] is True
+
+
+def test_cached_parser_keeps_no_state(capsys, tmp_path):
+    # build_parser is built once per process; a run after a usage error and
+    # after other subcommands reports exactly what a fresh parser gives
+    path = tmp_path / "theory.json"
+    path.write_text(theory_to_json(_nonzero_beta_theory()))
+    runs = [
+        ["verify-cutting", "--lmax", "2"],
+        ["beta", "--backend", "formal", "--theory", str(path)],
+        ["qm", "--dim", "2"],
+    ]
+    with pytest.raises(SystemExit) as err:
+        main(["qm", "--dim", "two"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    shared = [run_cli(capsys, argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        fqft.cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0, 0]

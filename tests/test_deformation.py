@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqft.deformation import (
     LAM_SYM,
@@ -26,13 +29,14 @@ from fqft.deformation import (
     fb_theory,
     insert_family_deformed,
     integrated_ope,
+    marginal_coupling_algebra,
     radius_scaled,
     theory_from_json,
     theory_to_json,
 )
 from fqft.errors import RecombinationError, ValidationError
 from fqft.fock import apply_mode, build_space, current_mode
-from fqft.jets import Jet, jet_mul
+from fqft.jets import Jet, JetAlgebra, jet_mul, recombine
 from fqft.rexp import RExpansion
 from fqft.scalars import LogPoly
 
@@ -94,6 +98,14 @@ def test_theory_validation():
         )
     with pytest.raises(ValidationError):
         FormalTheory([("1", 0, 0), ("e", 1, 1)], [], mixing={("e", "e"): 1})
+    # a zero-valued row is validated before it is dropped
+    for row in [("e", "f", "nope", (), (), 0), ("e", "e", "nope", (), (), 0)]:
+        with pytest.raises(ValidationError):
+            FormalTheory([("1", 0, 0), ("e", 1, 1)], [row])
+    # descendant labels are partitions: positive, non-increasing parts
+    for mu, mubar in [((2, 3), ()), ((), (1, 2)), ((-1,), ()), ((0,), (0,))]:
+        with pytest.raises(ValidationError):
+            FormalTheory([("1", 0, 0), ("e", 1, 1)], [("e", "e", "1", mu, mubar, 1)])
 
 
 def test_effective_c_with_mixing():
@@ -403,3 +415,228 @@ def test_fb_deformed_annulus_g_zero_is_undeformed():
     op = jet.coefficient(())
     for i in range(space.dim):
         assert op.entries[(i, i)] == Fraction(1, 2) ** space.levels[i]
+
+
+# ------------------------------------------------ single-pass builders vs oracle
+# Test-only copies of the formal builders as first written: every result grows
+# by `+` over the immutable value types, C_{alpha beta}^gamma scans the whole
+# mixing matrix, and the dimensions are the primaries' Fractions.
+
+
+def _ref_dims(th):
+    return {p.label: (p.h, p.hbar) for p in th.primaries}
+
+
+def _ref_exponents(th, c, mu, mubar):
+    h, hbar = _ref_dims(th)[c]
+    return h + sum(mu), hbar + sum(mubar)
+
+
+def _ref_effective_C(th, alpha, beta_):
+    dims, out = _ref_dims(th), {}
+    for (c, mu, mubar, value) in th.rows_for(alpha, beta_):
+        if c in th.marginals and mu == () and mubar == ():
+            out[c] = out.get(c, Fraction(0)) + value
+        elif dims[c] == (0, 0) and mu == (1,) and mubar == (1,):
+            for (a, gamma), m in th.mixing.items():
+                if a == c:
+                    out[gamma] = out.get(gamma, Fraction(0)) + value * m
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _ref_K(th, alpha, beta_):
+    dims, out = _ref_dims(th), {}
+    for (c, mu, mubar, value) in th.rows_for(alpha, beta_):
+        if dims[c] == (0, 0) and mu == () and mubar == ():
+            out[c] = out.get(c, Fraction(0)) + value
+    return out
+
+
+def _ref_correction(th, alpha, beta_):
+    exp = RExpansion()
+    for gamma, val in _ref_effective_C(th, alpha, beta_).items():
+        exp = exp + RExpansion.term(0, 1, FormalVector.corr(gamma, value=val))
+    for (c, mu, mubar, val) in th.rows_for(alpha, beta_):
+        s, sbar = _ref_exponents(th, c, mu, mubar)
+        if s != sbar or s == 1:
+            continue
+        coeff = Fraction(val) / (2 * (s - 1))
+        exp = exp + RExpansion.term(2 * (s - 1), 0, FormalVector.corr(c, mu, mubar, value=coeff))
+    return exp
+
+
+def _ref_integrated_ope(th, alpha, beta_):
+    exp = RExpansion()
+    for gamma, val in _ref_effective_C(th, alpha, beta_).items():
+        exp = exp + RExpansion.term(0, 0, FormalVector.corr(gamma, value=val * LOG_R))
+        exp = exp + RExpansion.term(0, 1, FormalVector.corr(gamma, value=-val))
+    for (c, mu, mubar, val) in th.rows_for(alpha, beta_):
+        s, sbar = _ref_exponents(th, c, mu, mubar)
+        if s != sbar or s == 1:
+            continue
+        denom = 2 * (s - 1)
+        value = LogPoly.monomial(val / denom, R=denom)
+        exp = exp + RExpansion.term(0, 0, FormalVector.corr(c, mu, mubar, value=value))
+        exp = exp + RExpansion.term(denom, 0, FormalVector.corr(c, mu, mubar, value=-val / denom))
+    return exp
+
+
+def _ref_dilate(th, expansion):
+    dims, out = _ref_dims(th), RExpansion()
+    for (p, q), vec in expansion.terms.items():
+        scaled = FormalVector(
+            {
+                key: val * LogPoly.monomial(lam=-(sum(dims[key[1]]) + sum(key[2]) + sum(key[3])))
+                for key, val in vec.terms.items()
+            }
+        )
+        for j in range(q + 1):
+            factor = LogPoly.monomial(comb(q, j), lam=p, log_lam=q - j)
+            out = out + RExpansion.term(p, j, scaled.scale(factor))
+    return out
+
+
+def _ref_anomalous_dilation(th, beta_):
+    alg = marginal_coupling_algebra(th)
+    tilde = Jet(alg, {(): RExpansion.constant(FormalVector.corr(beta_))})
+    for alpha in th.marginals:
+        dv = _ref_correction(th, alpha, beta_)
+        if not dv.is_zero():
+            tilde = tilde + Jet(alg, {(f"g[{alpha}]",): dv})
+    lhs = tilde.map_coeffs(lambda e: _ref_dilate(th, e).scale(LAM_SYM**2))
+    rhs = tilde
+    for alpha in th.marginals:
+        for gamma, val in _ref_effective_C(th, alpha, beta_).items():
+            extra = RExpansion.constant(FormalVector.corr(gamma, value=val * LOG_LAM))
+            rhs = rhs + Jet(alg, {(f"g[{alpha}]",): extra})
+    return lhs, rhs
+
+
+def _ref_double_deform(th):
+    labels = th.marginals
+    alg = JetAlgebra.double_coupling(labels)
+    coeffs = {(): FormalVector.atom(("disk",))}
+    for m in labels:
+        coeffs[(f"g[{m}]",)] = FormalVector.atom(("int", m))
+        coeffs[(f"gt[{m}]",)] = FormalVector.atom(("int", m))
+    for alpha in labels:
+        for beta_ in labels:
+            vec = FormalVector()
+            for gamma, val in _ref_effective_C(th, alpha, beta_).items():
+                vec = vec + FormalVector.atom(("int", gamma), val * LOG_R)
+            for a, val in _ref_K(th, alpha, beta_).items():
+                vec = vec + FormalVector.atom(("int0", a), -Fraction(val) / 2)
+            if th.rows_for(alpha, beta_):
+                vec = vec + FormalVector.atom(("reg",) + tuple(sorted((alpha, beta_))))
+            if not vec.is_zero():
+                coeffs[tuple(sorted((f"gt[{beta_}]", f"g[{alpha}]")))] = vec
+    return recombine(Jet(alg, coeffs), labels=labels)
+
+
+def _ref_beta(th):
+    labels = th.marginals
+    alg = JetAlgebra.combined_coupling(labels)
+    structure = {}
+    per_gamma = {gamma: Jet(alg, {}) for gamma in labels}
+    for alpha in labels:
+        for b_ in labels:
+            for gamma, val in _ref_effective_C(th, alpha, b_).items():
+                structure[(alpha, b_, gamma)] = val
+                mono = tuple(sorted((f"gc[{alpha}]", f"gc[{b_}]")))
+                per_gamma[gamma] = per_gamma[gamma] + Jet(alg, {mono: Fraction(val) / 2})
+    return BetaResult(alg, per_gamma, structure)
+
+
+_HOSTILE_PRIMARIES = [
+    ("1", 0, 0),
+    ("z", 0, 0),
+    ("half", Fraction(1, 2), Fraction(1, 2)),  # s = 1/2: r^{-1} from a Fraction exponent
+    ("qtr", Fraction(1, 4), Fraction(1, 4)),  # s = 1/4: r^{-3/2}
+    ("phi", 2, 2),
+    ("sp", 2, 1),
+]
+# every (c, mu, mubar) below is a valid target; m0 is always a marginal
+_HOSTILE_CHANNELS = [
+    ("1", (), ()),  # K: the r^{-2} counterterm
+    ("z", (), ()),
+    ("1", (1,), (1,)),  # mixing channels
+    ("z", (1,), (1,)),
+    ("1", (1,), ()),  # spin row, dropped by the builders
+    ("sp", (), ()),  # spin row
+    ("sp", (), (1,)),  # s = sbar = 2
+    ("1", (2, 1), (2, 1)),
+    ("1", (2, 1), (3,)),
+    ("half", (), ()),
+    ("half", (1,), (1,)),
+    ("qtr", (), ()),
+    ("qtr", (2, 1), (1, 1, 1)),
+    ("phi", (), ()),
+    ("m0", (1,), (1,)),
+]
+
+
+@st.composite
+def _hostile_theories(draw):
+    """1-4 marginals; repeated rows in one pair, some cancelling to zero;
+    mixing, spin rows, Fraction dimensions and (2, 1) descendants.  Rows are
+    mirrored in (a, b) with sign +1 (symmetric), -1 (antisymmetric: beta's
+    off-diagonal terms cancel) or not at all; double_deform raises on the
+    last two unless their bilinear part happens to be symmetric."""
+    labels = [f"m{i}" for i in range(draw(st.integers(1, 4)))]
+    channels = [(m, (), ()) for m in labels] + _HOSTILE_CHANNELS
+    value = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+    mirror = draw(st.sampled_from([1, -1, None]))
+    rows = []
+    for ia, a in enumerate(labels):
+        for b in labels[ia if mirror else 0:]:
+            new = []
+            for _ in range(draw(st.integers(0, 5))):
+                (c, mu, mubar), v = draw(st.sampled_from(channels)), draw(value)
+                new.append((a, b, c, mu, mubar, v))
+                twin = draw(st.sampled_from([None, 1, -1]))  # a repeat, or its cancellation
+                if twin:
+                    new.append((a, b, c, mu, mubar, twin * v))
+            rows.extend(new)
+            if mirror and a != b:
+                rows.extend((b, a, *row[2:5], mirror * row[5]) for row in new)
+    mixing = {
+        (src, m): draw(st.integers(-2, 2))
+        for src in ("1", "z")
+        for m in labels
+        if draw(st.booleans())
+    }
+    primaries = _HOSTILE_PRIMARIES + [(m, 1, 1) for m in labels]
+    return FormalTheory(primaries, rows, mixing)
+
+
+def _same(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hostile_theories())
+def test_single_pass_builders_match_reference(th):
+    for a in th.marginals:
+        for b in th.marginals:
+            dv = compute_correction(th, a, b).expansion
+            _same(dv, _ref_correction(th, a, b))
+            io = integrated_ope(th, a, b)
+            _same(io, _ref_integrated_ope(th, a, b))
+            _same(dilate_family(th, dv), _ref_dilate(th, dv))
+            _same(dilate_family(th, io), _ref_dilate(th, io))
+    for b in th.marginals:
+        got, want = anomalous_dilation(th, b), _ref_anomalous_dilation(th, b)
+        _same(got[0], want[0])
+        _same(got[1], want[1])
+    try:
+        want = _ref_double_deform(th)
+    except RecombinationError:
+        with pytest.raises(RecombinationError):
+            double_deform(th)
+    else:
+        _same(double_deform(th), want)
+    got, want = beta(th), _ref_beta(th)
+    _same(got.coefficients, want.coefficients)
+    assert got.structure == want.structure
+    _same(got.running(), want.running())
