@@ -58,7 +58,7 @@ class FormalVector:
         for key, val in (terms or {}).items():
             if not isinstance(val, LogPoly):
                 val = LogPoly.monomial(val)
-            if val:
+            if val.terms:
                 self.terms[key] = val
 
     @classmethod
@@ -215,10 +215,10 @@ class FormalTheory:
         out = {}
         for (c, mu, mubar, value) in self.rows.get((alpha, beta), ()):
             if c in self._marginal_set and mu == () and mubar == ():
-                out[c] = out.get(c, Fraction(0)) + value
+                _add(out, c, value)
             elif self.dims[c] == (0, 0) and mu == (1,) and mubar == (1,):
                 for gamma, m in self._mixing_of.get(c, ()):
-                    out[gamma] = out.get(gamma, Fraction(0)) + value * m
+                    _add(out, gamma, value * m)
         out = self._C[alpha, beta] = {k: v for k, v in out.items() if v != 0}
         return out
 
@@ -230,7 +230,7 @@ class FormalTheory:
         out = self._K[alpha, beta] = {}
         for (c, mu, mubar, value) in self.rows.get((alpha, beta), ()):
             if self.dims[c] == (0, 0) and mu == () and mubar == ():
-                out[c] = out.get(c, Fraction(0)) + value
+                _add(out, c, value)
         return out
 
     def corr_dimension(self, key):
@@ -317,12 +317,10 @@ def _expansion(terms) -> RExpansion:
     return RExpansion({pq: FormalVector(vec) for pq, vec in terms.items()})
 
 
-def _channel(C, **powers):
+def _channel(C, key=(0, 0, 0, 0)):
     """The marginal channel C^gamma <O_gamma> as vector terms, each value
-    times the monomial LogPoly.monomial(**powers)."""
-    return {
-        ("corr", gamma, (), ()): LogPoly.monomial(val, **powers) for gamma, val in C.items()
-    }
+    times the monomial of the canonical LogPoly key (a, b, i, j)."""
+    return {("corr", gamma, (), ()): LogPoly._of({key: val}) for gamma, val in C.items()}
 
 
 def compute_correction(theory: FormalTheory, alpha, beta) -> CorrectionTerm:
@@ -346,7 +344,7 @@ def integrated_ope(theory: FormalTheory, alpha, beta) -> RExpansion:
     annulus moments; an RExpansion in r with symbolic R in the scalars."""
     C = theory.effective_C(alpha, beta)
     # log(R/r) * C * <O_gamma>_{D_R}
-    const = _channel(C, log_R=1)
+    const = _channel(C, (0, 0, 1, 0))
     terms = {(0, 0): const, (0, 1): {key: -val for key, val in _channel(C).items()}}
     for (c, mu, mubar, val) in theory.rows.get((alpha, beta), ()):
         s, sbar = theory.exponent_pair(c, mu, mubar)
@@ -419,7 +417,8 @@ def dilate_family(theory: FormalTheory, expansion: RExpansion) -> RExpansion:
 
 def _dilate(theory, expansion, weight) -> RExpansion:
     """lam^weight * Dil_lambda(expansion), one monomial product per
-    (value, j)."""
+    (value, j): an exponent shift, which multiplies coefficients only where
+    comb(q, j) != 1 and returns the value itself where it shifts nothing."""
     terms = {}
     for (p, q), vec in expansion.terms.items():
         for key, val in vec.terms.items():
@@ -446,7 +445,7 @@ def anomalous_dilation(theory: FormalTheory, beta):
             tilde[mono] = rhs[mono] = dv
         C = theory.effective_C(alpha, beta)
         if C:
-            _add(rhs, mono, RExpansion.constant(FormalVector(_channel(C, log_lam=1))))
+            _add(rhs, mono, RExpansion.constant(FormalVector(_channel(C, (0, 0, 0, 1)))))
     lhs = Jet(alg, {mono: _dilate(theory, e, 2) for mono, e in tilde.items()})
     return lhs, Jet(alg, rhs)
 
@@ -481,7 +480,7 @@ def double_deform(theory: FormalTheory) -> Jet:
     for alpha in labels:
         for beta in labels:
             C, K = theory.effective_C(alpha, beta), theory.K(alpha, beta)
-            vec = {("int", g): LogPoly.monomial(val, log_R=1) for g, val in C.items()}
+            vec = {("int", g): LogPoly._of({(0, 0, 1, 0): val}) for g, val in C.items()}
             vec.update((("int0", a), -val / 2) for a, val in K.items())
             if (alpha, beta) in theory.rows:
                 vec[("reg",) + tuple(sorted((alpha, beta)))] = 1
@@ -531,8 +530,11 @@ def beta(theory: FormalTheory) -> BetaResult:
             mono = tuple(sorted((names[alpha], names[b_])))
             for gamma, val in theory.effective_C(alpha, b_).items():
                 structure[(alpha, b_, gamma)] = val
-                _add(per_gamma[gamma], mono, val / 2)
-    coefficients = {gamma: Jet(alg, coeffs) for gamma, coeffs in per_gamma.items()}
+                _add(per_gamma[gamma], mono, val)
+    coefficients = {
+        gamma: Jet(alg, {mono: c / 2 for mono, c in coeffs.items()})
+        for gamma, coeffs in per_gamma.items()
+    }
     return BetaResult(alg, coefficients, structure)
 
 

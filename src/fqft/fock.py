@@ -70,11 +70,11 @@ def partition_count(n: int) -> int:
 
 def _key(chiral, antichiral) -> tuple:
     """The basis key (level, chiral, antichiral) of j_{chiral} jbar_{antichiral}|0>;
-    parts must be positive and non-increasing."""
+    parts must be positive ints (not bools or floats) and non-increasing."""
     mu, nu = tuple(chiral), tuple(antichiral)
     for parts in (mu, nu):
-        if any(p <= 0 for p in parts):
-            raise ValueError("partition parts must be positive")
+        if any(type(p) is not int or p <= 0 for p in parts):
+            raise ValueError(f"partition parts must be positive integers, got {parts}")
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("partition parts must be non-increasing")
     return (sum(mu) + sum(nu), mu, nu)

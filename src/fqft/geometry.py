@@ -108,16 +108,18 @@ def annulus_pf(
     if not R > r > 0:
         raise GeometryError("annulus radii must satisfy R > r > 0")
     surface = Surface("annulus", R=R, r=r)
-    energies = _level_energies(space, shifted)
     if space.exact:
         ratio = Fraction(r) / Fraction(R)
+        levels = range(space.l_max + 1)
         if shifted:
-            by_level = [ratio**e for e in energies]
+            by_level = [ratio**E for E in levels]
         else:
-            by_level = [PowerValue.from_pow(ratio, e) for e in energies]
+            # (r/R)^(E + 1/12): factorise r/R once, then a rational factor per level
+            base = PowerValue.from_pow(ratio, Fraction(1, 12))
+            by_level = [base * ratio**E for E in levels]
     else:
         ratio = float(r) / float(R)
-        by_level = [ratio ** float(e) for e in energies]
+        by_level = [ratio ** float(e) for e in _level_energies(space, shifted)]
     return PartitionFunction(surface, space, by_level=by_level)
 
 
@@ -211,8 +213,10 @@ def verify_cutting(space, cut_points, shifted=True, corrupt=None):
         annulus(R_0, R_m) o annulus(R_m, R_n) = annulus(R_0, R_n)
     is checked level by level, plus the disk closure
         annulus(R_0, R_n) |disk(R_n)> = |disk(R_0)>.
-    `corrupt` optionally perturbs the scalar of one level of a glued
-    factor, for fault-injection tests.  Returns a residual report dict.
+    `corrupt` optionally scales the scalar of one level of a glued factor
+    by 101/100 (1.01 in float64), for fault-injection tests; a factor works
+    on rationals, PowerValues and floats alike.  Returns a residual report
+    dict.
     """
     radii = list(cut_points)
     if len(radii) < 2 or any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
@@ -229,7 +233,7 @@ def verify_cutting(space, cut_points, shifted=True, corrupt=None):
         inner = annulus_pf(space, radii[m], Rn, shifted=shifted)
         if corrupt is not None:
             bad = list(inner.by_level)
-            bad[corrupt] = bad[corrupt] + (Fraction(1, 100) if space.exact else 0.01)
+            bad[corrupt] = bad[corrupt] * (Fraction(101, 100) if space.exact else 1.01)
             inner = PartitionFunction(inner.surface, space, by_level=bad)
         glued = glue(outer, inner)
         res, level = _level_residual(glued.by_level, direct.by_level, space.exact)

@@ -8,6 +8,15 @@ prime factorizations so equality is structural, never heuristic.
 LogPoly, a finite sum of c * R^a * lam^b * (log R)^i * (log lam)^j, is the
 scalar of the formal perturbation backend in fqft.deformation.
 
+Both are immutable: no operation changes an operand, so a result may share
+an operand's dict, or be the operand itself.  That makes the common products
+exponent shifts.  A LogPoly times a monomial with coefficient 1 (the int 1)
+moves every key and reuses the coefficients, and a zero shift returns the
+operand; dilation is such a shift in lam and log(lam).  A PowerValue times
+a rational keeps the operand's prime exponents and multiplies only the
+coefficient, so (r/R)^(E + 1/12) is (r/R)^(1/12), factorised once, times
+the rational (r/R)^E.
+
 Also holds the JSON scalar codec that every report and golden file uses.
 """
 
@@ -38,31 +47,47 @@ class PowerValue:
 
     Integer parts of the prime exponents are folded into the rational
     coefficient, and zero carries no exponents, so two values are equal iff
-    their fields are equal.
+    their fields are equal; a value equal to a rational hashes as that
+    rational.  Immutable: no operation changes a value's fields, so products
+    may share the `prime_exps` dict of an operand.
     """
 
     __slots__ = ("coeff", "prime_exps", "e_exp")
 
-    def __init__(self, coeff=1, prime_exps=None, e_exp=Fraction(0)):
-        self.coeff = Fraction(coeff)
-        self.e_exp = Fraction(e_exp)
-        exps: dict[int, Fraction] = {}
+    def __init__(self, coeff=1, prime_exps=None, e_exp=0):
+        coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
+        self.e_exp = e_exp if type(e_exp) is Fraction else Fraction(e_exp)
+        exps = {}
+        num = den = 1  # prime powers folded into coeff
         for p, e in (prime_exps or {}).items():
-            e = Fraction(e)
-            if e:
-                exps[p] = exps.get(p, Fraction(0)) + e
-        self.prime_exps = {}
-        # fold integer parts into coeff, keep fractional part in [0, 1)
-        for p, e in sorted(exps.items()):
-            whole = math.floor(e)
-            frac = e - whole
-            if whole:
-                self.coeff *= Fraction(p) ** whole
-            if frac:
-                self.prime_exps[p] = frac
-        if self.coeff == 0:
+            if type(e) is not Fraction:
+                e = Fraction(e)
+            n, d = e.numerator, e.denominator
+            if 0 < n < d:  # already canonical: a fractional part in (0, 1)
+                exps[p] = e
+                continue
+            whole, rest = divmod(n, d)  # floor, and a fractional part in [0, 1)
+            if whole > 0:
+                num *= p**whole
+            elif whole < 0:
+                den *= p**-whole
+            if rest:
+                exps[p] = Fraction(rest, d)
+        if num != 1 or den != 1:
+            coeff = Fraction(coeff.numerator * num, coeff.denominator * den)
+        self.coeff = coeff
+        self.prime_exps = exps
+        if not coeff:
             self.prime_exps = {}
             self.e_exp = Fraction(0)
+
+    @classmethod
+    def _of(cls, coeff, prime_exps, e_exp):
+        """Wrap canonical fields, unchecked; a zero coeff clears the rest."""
+        out = cls.__new__(cls)
+        out.coeff = coeff
+        out.prime_exps, out.e_exp = (prime_exps, e_exp) if coeff else ({}, Fraction(0))
+        return out
 
     @classmethod
     def from_pow(cls, base, exponent) -> "PowerValue":
@@ -70,31 +95,31 @@ class PowerValue:
         if base <= 0:
             raise ValueError("base must be positive")
         exponent = Fraction(exponent)
-        exps: dict[int, Fraction] = {}
-        for p, k in _factorint(base.numerator).items():
-            exps[p] = exps.get(p, Fraction(0)) + k * exponent
-        for p, k in _factorint(base.denominator).items():
-            exps[p] = exps.get(p, Fraction(0)) - k * exponent
+        exps = {p: k * exponent for p, k in _factorint(base.numerator).items()}
+        exps.update((p, -k * exponent) for p, k in _factorint(base.denominator).items())
         return cls(1, exps)
 
     @classmethod
     def from_exp(cls, t) -> "PowerValue":
         """exp(t) for exact rational t, kept symbolic."""
-        return cls(1, None, Fraction(t))
+        return cls._of(Fraction(1), {}, Fraction(t))
 
     def __mul__(self, other):
         if isinstance(other, PowerValue):
             exps = dict(self.prime_exps)
             for p, e in other.prime_exps.items():
-                exps[p] = exps.get(p, Fraction(0)) + e
+                exps[p] = exps[p] + e if p in exps else e
             return PowerValue(self.coeff * other.coeff, exps, self.e_exp + other.e_exp)
+        if isinstance(other, (int, Fraction)):
+            # a rational factor moves no exponent: share them
+            return PowerValue._of(self.coeff * other, self.prime_exps, self.e_exp)
         return PowerValue(self.coeff * Fraction(other), self.prime_exps, self.e_exp)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = PowerValue(other)
+            return not self.prime_exps and not self.e_exp and self.coeff == other
         if not isinstance(other, PowerValue):
             return NotImplemented
         return (
@@ -104,11 +129,14 @@ class PowerValue:
         )
 
     def __hash__(self):
+        if not self.prime_exps and not self.e_exp:
+            return hash(self.coeff)  # equal to a rational: hash as it does
         return hash((self.coeff, tuple(sorted(self.prime_exps.items())), self.e_exp))
 
     def __float__(self):
         val = float(self.coeff)
-        for p, e in self.prime_exps.items():
+        # in prime order, so the rounding does not depend on the dict's order
+        for p, e in sorted(self.prime_exps.items()):
             val *= p ** float(e)
         if self.e_exp:
             val *= math.exp(float(self.e_exp))
@@ -152,6 +180,10 @@ class LogPoly:
     powers a, b (ints when integral) and log powers i, j >= 0.  Zero stores
     no terms, so equality and the zero test are structural.  Closed under
     +, -, * and the radius substitution R -> lam R (`scale_radius`).
+
+    Immutable: `terms` is never changed after construction, and results may
+    share it.  Multiplying by a monomial whose coefficient is the int 1 is an
+    exponent shift that reuses the coefficients; the zero shift returns self.
     """
 
     __slots__ = ("terms",)
@@ -225,9 +257,14 @@ class LogPoly:
                 out = out + self * LogPoly._of({key: c})
             return out
         ((a2, b2, i2, j2), c2), = other.terms.items()
+        unit = type(c2) is int and c2 == 1  # a unit monomial only shifts exponents
+        if unit and not (a2 or b2 or i2 or j2):
+            return self
         return LogPoly._of(
             {
-                (canonical_exponent(a + a2), canonical_exponent(b + b2), i + i2, j + j2): c * c2
+                (canonical_exponent(a + a2), canonical_exponent(b + b2), i + i2, j + j2): (
+                    c if unit else c * c2
+                )
                 for (a, b, i, j), c in self.terms.items()
             }
         )

@@ -219,6 +219,8 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         ["beta", "--lmax", "2", "--theory", "{tmp}/missing.json"],
         ["beta", "--backend", "formal", "--theory", "{tmp}/value-inf.json"],
         ["beta", "--backend", "formal", "--theory", "{tmp}/h-inf.json"],
+        ["beta", "--backend", "formal", "--theory", "{tmp}/float-part.json"],
+        ["beta", "--backend", "formal", "--theory", "{tmp}/bool-part.json"],
     ],
     ids=[
         "ope-lmax-0",
@@ -247,6 +249,8 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         "beta-theory-without-formal",
         "theory-value-1e400",
         "theory-h-infinity",
+        "theory-float-part",
+        "theory-bool-part",
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
@@ -260,6 +264,12 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     (tmp_path / "h-inf.json").write_text(
         '{"primaries": [{"label": "e", "h": Infinity, "hbar": "1"}]}'
     )
+    # descendant labels must be partitions of ints: 0.5 and true are not parts
+    for name, part in [("float-part", "0.5"), ("bool-part", "true")]:
+        bad = f'{{"a": "e", "b": "e", "c": "1", "mu": [{part}], "mubar": [{part}], "value": 1}}'
+        (tmp_path / f"{name}.json").write_text(
+            f'{{"primaries": {primaries}, "coefficients": [{bad}]}}'
+        )
     with pytest.raises(SystemExit) as err:
         main([a.format(tmp=tmp_path) for a in argv])
     assert err.value.code == 2

@@ -38,7 +38,7 @@ from fqft.errors import RecombinationError, ValidationError
 from fqft.fock import apply_mode, build_space, current_mode
 from fqft.jets import Jet, JetAlgebra, jet_mul, recombine
 from fqft.rexp import RExpansion
-from fqft.scalars import LogPoly
+from fqft.scalars import LogPoly, canonical_exponent
 
 SYM_R, SYM_LAM = sympy.symbols("R lam", positive=True)
 
@@ -102,8 +102,10 @@ def test_theory_validation():
     for row in [("e", "f", "nope", (), (), 0), ("e", "e", "nope", (), (), 0)]:
         with pytest.raises(ValidationError):
             FormalTheory([("1", 0, 0), ("e", 1, 1)], [row])
-    # descendant labels are partitions: positive, non-increasing parts
-    for mu, mubar in [((2, 3), ()), ((), (1, 2)), ((-1,), ()), ((0,), (0,))]:
+    # descendant labels are partitions: positive int, non-increasing parts
+    bad_labels = [((2, 3), ()), ((), (1, 2)), ((-1,), ()), ((0,), (0,))]
+    bad_labels += [((0.5,), (0.5,)), ((1.0,), (1,)), ((True,), (True,)), ((Fraction(1),), (1,))]
+    for mu, mubar in bad_labels:
         with pytest.raises(ValidationError):
             FormalTheory([("1", 0, 0), ("e", 1, 1)], [("e", "e", "1", mu, mubar, 1)])
 
@@ -640,3 +642,54 @@ def test_single_pass_builders_match_reference(th):
     _same(got.coefficients, want.coefficients)
     assert got.structure == want.structure
     _same(got.running(), want.running())
+
+
+def _general_dilate(th, expansion):
+    """Dil_lambda by the general rule, term by term: every coefficient times
+    comb(q, j), every key shifted by lam^{p - D} (log lam)^{q - j}."""
+    dims, terms = _ref_dims(th), {}
+    for (p, q), vec in expansion.terms.items():
+        for key, val in vec.terms.items():
+            lam = p - (sum(dims[key[1]]) + sum(key[2]) + sum(key[3]))
+            for j in range(q + 1):
+                out = terms.setdefault((p, j), {}).setdefault(key, {})
+                for (a, b, i, k), c in val.terms.items():
+                    key2 = (a, canonical_exponent(b + lam), i, k + q - j)
+                    out[key2] = out.get(key2, 0) + c * comb(q, j)
+    return RExpansion(
+        {pq: FormalVector({k: LogPoly(t) for k, t in vec.items()}) for pq, vec in terms.items()}
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.sampled_from([-2, -1, 0, 1, Fraction(-3, 2)]), st.integers(0, 4)),
+        st.dictionaries(
+            st.sampled_from([("1", (), ()), ("half", (), ()), ("phi", (1,), (1,)), ("m0", (), ())]),
+            st.dictionaries(
+                st.tuples(
+                    st.sampled_from([0, 1, Fraction(1, 2)]),
+                    st.sampled_from([0, -2, Fraction(1, 3)]),
+                    st.integers(0, 2),
+                    st.integers(0, 2),
+                ),
+                st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2])),
+                max_size=3,
+            ),
+            max_size=3,
+        ),
+        max_size=4,
+    )
+)
+def test_dilation_with_log_powers_matches_general_rule(raw):
+    # (log r)^q up to 4, so comb(q, j) > 1 multiplies coefficients; the rest
+    # of the terms are pure exponent shifts
+    th = FormalTheory(_HOSTILE_PRIMARIES + [("m0", 1, 1)], [])
+    expansion = RExpansion(
+        {
+            pq: FormalVector({("corr", *label): LogPoly(t) for label, t in vec.items()})
+            for pq, vec in raw.items()
+        }
+    )
+    _same(dilate_family(th, expansion), _general_dilate(th, expansion))

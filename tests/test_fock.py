@@ -77,8 +77,20 @@ def test_state_lookup_roundtrip():
         lambda space: space.state((1, 2)),
         lambda space: space.state((0,)),
         lambda space: space.find((-1,), ()),
+        lambda space: space.find((1.0,), ()),
+        lambda space: space.state((), (0.5,)),
+        lambda space: space.find((True,), ()),
+        lambda space: space.state((Fraction(1),)),
     ],
-    ids=["increasing", "zero-part", "negative-part"],
+    ids=[
+        "increasing",
+        "zero-part",
+        "negative-part",
+        "float-part",
+        "half-part",
+        "bool-part",
+        "fraction-part",
+    ],
 )
 def test_invalid_partition_raises(call):
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fqft.errors import GeometryError, SpaceMismatchError
@@ -89,6 +89,24 @@ def test_annulus_unshifted_exponent():
     assert vac == PowerValue.from_pow(Fraction(1, 2), Fraction(1, 12))
     lvl2 = pf.by_level[space.levels[space.find((1, 1), ())]]
     assert lvl2 == PowerValue.from_pow(Fraction(1, 2), Fraction(25, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from([0, 1]), st.integers(2, 12)),
+    st.builds(Fraction, st.integers(1, 200), st.integers(1, 30)),
+    st.builds(Fraction, st.integers(1, 200), st.integers(1, 30)),
+)
+def test_annulus_unshifted_matches_from_pow(l_max, a, b):
+    # r/R is factorised once and scaled per level; each level equals its own
+    # factorisation (r/R)^(E + 1/12) by value, repr and hash
+    assume(a != b)
+    R, r = max(a, b), min(a, b)
+    pf = annulus_pf(build_space(l_max), R, r, shifted=False)
+    want = [PowerValue.from_pow(r / R, E + Fraction(1, 12)) for E in range(l_max + 1)]
+    assert pf.by_level == want
+    assert repr(pf.by_level) == repr(want)
+    assert [hash(x) for x in pf.by_level] == [hash(x) for x in want]
 
 
 def test_annulus_composition():
@@ -199,11 +217,19 @@ def test_verify_cutting_float():
     assert report["disk_residual"] < 1e-12
 
 
-@pytest.mark.parametrize("level", range(4))
-def test_verify_cutting_fault_injection(level):
-    space = build_space(3)
+_FAULT_CASES = [(level, s, e) for level in range(4) for s in (True, False) for e in (True, False)]
+
+
+# ids name only what differs from the default (shifted, exact): "2", "2-unshifted-float64"
+@pytest.mark.parametrize(
+    "level, shifted, exact",
+    _FAULT_CASES,
+    ids=[f"{l}{'' if s else '-unshifted'}{'' if e else '-float64'}" for l, s, e in _FAULT_CASES],
+)
+def test_verify_cutting_fault_injection(level, shifted, exact):
+    space = build_space(3, exact=exact)
     report = verify_cutting(
-        space, [Fraction(4), Fraction(2), Fraction(1)], corrupt=level
+        space, [Fraction(4), Fraction(2), Fraction(1)], shifted=shifted, corrupt=level
     )
     assert report["max_residual"] > 0
     assert report["offending_level"] == level

@@ -1,5 +1,8 @@
-"""LogPoly, the formal backend's exact scalar, against sympy as an oracle."""
+"""LogPoly, the formal backend's exact scalar, against sympy as an oracle;
+the exponent-shift and canonical-input fast paths of LogPoly and PowerValue
+against reference copies of the general rules."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqft.scalars import LogPoly
+from fqft.scalars import LogPoly, PowerValue, _factorint, canonical_exponent
 
 R, LAM = sympy.symbols("R lam", positive=True)
 
@@ -95,3 +98,155 @@ def test_rational_equality():
 def test_log_lam_multiples_print_as_sympy(value, text):
     x = value * LogPoly.monomial(log_lam=1)
     assert str(x) == text == str(sympy.Rational(value) * sympy.log(LAM))
+
+
+# ------------------------------------------- fast paths against the general rules
+
+
+def _typed(terms):
+    """A term dict with each coefficient's type, so int and Fraction differ."""
+    return sorted(((repr(k), type(c).__name__, c) for k, c in terms.items()))
+
+
+def _general_monomial_product(x, key, c2):
+    """x * c2 R^a lam^b (log R)^i (log lam)^j by the general rule: shift every
+    key and multiply every coefficient, unit or not."""
+    a2, b2, i2, j2 = key
+    return LogPoly._of(
+        {
+            (canonical_exponent(a + a2), canonical_exponent(b + b2), i + i2, j + j2): c * c2
+            for (a, b, i, j), c in x.terms.items()
+        }
+    )
+
+
+# the unit, dilation's comb(q, j) > 1, and rationals (Fraction(1) among them)
+monomial_coeffs = st.one_of(
+    st.sampled_from([1, math.comb(2, 1), math.comb(3, 1), math.comb(4, 2)]),
+    rationals.filter(bool),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_dicts, keys, monomial_coeffs)
+def test_monomial_product_matches_general_rule(terms, key, c2):
+    x = LogPoly(terms)
+    mono = LogPoly.monomial(c2, *key)
+    want = _general_monomial_product(x, next(iter(mono.terms)), next(iter(mono.terms.values())))
+    for got in (x * mono, mono * x):
+        assert got == want and repr(got) == repr(want)
+        assert _typed(got.terms) == _typed(want.terms)
+    if mono == 1:  # a zero shift returns the operand itself
+        assert x * mono is x and x * 1 == x
+
+
+def _general_power_value(coeff=1, prime_exps=None, e_exp=Fraction(0)):
+    """PowerValue's fields by the general rule: sum each prime's exponent,
+    fold its floor into the coefficient one power at a time, keep the
+    fractional part."""
+    coeff, e_exp = Fraction(coeff), Fraction(e_exp)
+    exps = {}
+    for p, e in (prime_exps or {}).items():
+        e = Fraction(e)
+        if e:
+            exps[p] = exps.get(p, Fraction(0)) + e
+    kept = {}
+    for p, e in sorted(exps.items()):
+        whole = math.floor(e)
+        if whole:
+            coeff *= Fraction(p) ** whole
+        if e - whole:
+            kept[p] = e - whole
+    if coeff == 0:
+        kept, e_exp = {}, Fraction(0)
+    return coeff, kept, e_exp
+
+
+def _general_from_pow(base, exponent):
+    base, exponent = Fraction(base), Fraction(exponent)
+    exps = {}
+    for p, k in _factorint(base.numerator).items():
+        exps[p] = exps.get(p, Fraction(0)) + k * exponent
+    for p, k in _factorint(base.denominator).items():
+        exps[p] = exps.get(p, Fraction(0)) - k * exponent
+    return _general_power_value(1, exps)
+
+
+def _fields(x: PowerValue):
+    assert type(x.coeff) is Fraction and type(x.e_exp) is Fraction
+    assert all(type(e) is Fraction and 0 < e < 1 for e in x.prime_exps.values())
+    return x.coeff, x.prime_exps, x.e_exp
+
+
+# negative, integral, zero and canonical exponents; a zero coefficient
+exponents = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 12]))
+prime_dicts = st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]), exponents, max_size=4)
+coeffs = st.one_of(st.integers(-5, 5), rationals)
+power_values = st.builds(PowerValue, coeffs, prime_dicts, exponents)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs, prime_dicts, exponents, st.integers(-3, 3), rationals)
+def test_power_value_constructor_matches_general_rule(coeff, exps, e_exp, k, q):
+    x = PowerValue(coeff, exps, e_exp)
+    assert _fields(x) == _general_power_value(coeff, exps, e_exp)
+    assert _fields(PowerValue(coeff, {p: e.numerator for p, e in exps.items()})) == (
+        _general_power_value(coeff, {p: e.numerator for p, e in exps.items()})
+    )
+    want = _general_power_value(x.coeff * q, x.prime_exps, x.e_exp)
+    assert _fields(x * q) == _fields(q * x) == want
+    assert _fields(x * k) == _general_power_value(x.coeff * k, x.prime_exps, x.e_exp)
+    assert _fields(PowerValue.from_exp(e_exp)) == _general_power_value(1, None, e_exp)
+    if q > 0:
+        assert _fields(PowerValue.from_pow(q, e_exp)) == _general_from_pow(q, e_exp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(power_values, power_values)
+def test_power_value_product_matches_general_rule(x, y):
+    merged = dict(x.prime_exps)
+    for p, e in y.prime_exps.items():
+        merged[p] = merged.get(p, 0) + e
+    want = _general_power_value(x.coeff * y.coeff, merged, x.e_exp + y.e_exp)
+    assert _fields(x * y) == _fields(y * x) == want
+    assert repr(x * y) == repr(PowerValue(*want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(power_values, rationals)
+def test_power_value_hash_agrees_with_equality(x, q):
+    for value in (x, PowerValue(q), PowerValue.from_pow(4, Fraction(1, 2)) * q):
+        if value == q:
+            assert hash(value) == hash(q)
+    assert hash(x) == hash(PowerValue(x.coeff, x.prime_exps, x.e_exp))
+
+
+def test_power_value_equal_to_rational_is_found_by_it():
+    assert PowerValue(3) == 3 and hash(PowerValue(3)) == hash(3)
+    assert {3: "x"}.get(PowerValue(3)) == "x"
+    assert {Fraction(3, 2): "y"}.get(PowerValue(Fraction(3, 2))) == "y"
+    root = PowerValue.from_pow(9, Fraction(1, 2))
+    assert root == 3 and hash(root) == hash(3)
+    assert PowerValue.from_exp(0) == 1 and hash(PowerValue.from_exp(0)) == hash(1)
+    assert {PowerValue(0), 0, Fraction(0)} == {0}
+
+
+def _snapshot(x):
+    if isinstance(x, LogPoly):
+        return _typed(x.terms)
+    return (x.coeff, dict(x.prime_exps), x.e_exp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_dicts, term_dicts, keys, power_values, power_values, rationals)
+def test_shared_values_are_never_mutated(t1, t2, key, u, v, q):
+    x, y = LogPoly(t1), LogPoly(t2)
+    shared = [x * LogPoly.monomial(1), x * 1, x * LogPoly.monomial(1, *key)]
+    shared += [u * q, q * u, u * PowerValue.from_exp(q), u * PowerValue(q)]
+    before = [_snapshot(s) for s in [x, u, *shared]]
+    for s in shared:
+        if isinstance(s, LogPoly):
+            _ = [s + y, y + s, s - y, s * y, y * s, s * 3, -s, s.scale_radius(), s**2]
+        else:
+            _ = [s * v, v * s, s * s, s * q, s * 0]
+    assert [_snapshot(s) for s in [x, u, *shared]] == before
