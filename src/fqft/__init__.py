@@ -2,7 +2,7 @@
 
 Level-truncated free boson Fock modules, partition functions satisfying the
 cutting axiom, local observables as r -> 0 limits of boundary-state families,
-OPE extraction by successive subtraction, and conformal perturbation theory
+OPE extraction by coordinate read-off, and conformal perturbation theory
 up to the second-order beta function, with a one-dimensional (quantum
 mechanics) backend checked against an exact matrix-exponential oracle.
 """

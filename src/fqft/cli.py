@@ -35,7 +35,7 @@ def _jsonable(x):
     """Deterministic JSON form: jets as monomial -> value maps, containers
     recursively, scalars by the shared codec."""
     if isinstance(x, Jet):
-        return {("*".join(m) if m else "1"): _jsonable(c) for m, c in sorted(x.coeffs.items())}
+        return {("*".join(m) if m else "1"): _jsonable(c) for m, c in sorted(x.terms.items())}
     if isinstance(x, dict):
         return {
             (",".join(map(str, k)) if isinstance(k, tuple) else str(k)): _jsonable(v)

@@ -26,8 +26,7 @@ from .errors import ValidationError
 from .fock import ModeOperator, apply_current, current_mode
 from .fock import _key as _fock_key
 from .jets import Jet, JetAlgebra, recombine
-from .observables import scale_by_level
-from .rexp import RExpansion
+from .rexp import RExpansion, Sparse
 from .scalars import LogPoly, canonical_exponent, decode_scalar, encode_scalar
 
 R_SYM = LogPoly.monomial(R=1)
@@ -39,7 +38,7 @@ LOG_LAM = LogPoly.monomial(log_lam=1)
 # ------------------------------------------------------------ formal vectors
 
 
-class FormalVector:
+class FormalVector(Sparse):
     """Formal combination of correlator/integral symbols with LogPoly scalars.
 
     Keys:
@@ -51,15 +50,16 @@ class FormalVector:
                               deformed one-point function (R-independent)
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _zero = staticmethod(LogPoly.is_zero)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        for key, val in (terms or {}).items():
-            if not isinstance(val, LogPoly):
-                val = LogPoly.monomial(val)
-            if val.terms:
-                self.terms[key] = val
+        super().__init__(
+            {
+                key: val if isinstance(val, LogPoly) else LogPoly.monomial(val)
+                for key, val in (terms or {}).items()
+            }
+        )
 
     @classmethod
     def corr(cls, c, mu=(), mubar=(), value=1):
@@ -69,37 +69,8 @@ class FormalVector:
     def atom(cls, key, value=1):
         return cls({tuple(key): value})
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, val in other.terms.items():
-            terms[key] = terms[key] + val if key in terms else val
-        return FormalVector(terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, s):
-        return FormalVector({k: v * s for k, v in self.terms.items()})
-
-    def __rmul__(self, s):
-        return self.scale(s)
-
-    def map_values(self, f):
-        return FormalVector({k: f(v) for k, v in self.terms.items()})
-
     def coefficient(self, key):
         return self.terms.get(tuple(key), LogPoly())
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalVector):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __repr__(self):
         bits = [f"{v}*{k}" for k, v in sorted(self.terms.items(), key=lambda kv: str(kv[0]))]
@@ -223,14 +194,15 @@ class FormalTheory:
         return out
 
     def K(self, alpha, beta):
-        """K_{alpha beta}^a: the dimension-0 identity-sector constants
-        (memoised and shared, like effective_C)."""
+        """K_{alpha beta}^a: the dimension-0 identity-sector constants,
+        without zeros (memoised and shared, like effective_C)."""
         if (alpha, beta) in self._K:
             return self._K[alpha, beta]
-        out = self._K[alpha, beta] = {}
+        out = {}
         for (c, mu, mubar, value) in self.rows.get((alpha, beta), ()):
             if self.dims[c] == (0, 0) and mu == () and mubar == ():
                 _add(out, c, value)
+        out = self._K[alpha, beta] = {k: v for k, v in out.items() if v != 0}
         return out
 
     def corr_dimension(self, key):
@@ -295,17 +267,6 @@ def theory_from_json(text: str) -> FormalTheory:
 # ------------------------------------------------------ correction (delta v)
 
 
-class CorrectionTerm:
-    """The counterterm delta v_{alpha beta, r} restoring goodness."""
-
-    __slots__ = ("alpha", "beta", "expansion")
-
-    def __init__(self, alpha, beta, expansion):
-        self.alpha = alpha
-        self.beta = beta
-        self.expansion = expansion
-
-
 def _add(coeffs, key, value):
     """coeffs[key] += value, adding only when the key repeats."""
     coeffs[key] = coeffs[key] + value if key in coeffs else value
@@ -323,8 +284,8 @@ def _channel(C, key=(0, 0, 0, 0)):
     return {("corr", gamma, (), ()): LogPoly._of({key: val}) for gamma, val in C.items()}
 
 
-def compute_correction(theory: FormalTheory, alpha, beta) -> CorrectionTerm:
-    """Minimal-subtraction correction:
+def compute_correction(theory: FormalTheory, alpha, beta) -> RExpansion:
+    """Minimal-subtraction correction, the counterterm restoring goodness:
     delta v = log(r) * C * <O_gamma>_{D_r}
               + sum_{s = sbar != 1} value * r^{2(s-1)}/(2(s-1)) * <O_c^{..}>_{D_r}.
     The s = 0 term is the -K/(2 r^2) counterterm of the special marginal OPE.
@@ -336,7 +297,7 @@ def compute_correction(theory: FormalTheory, alpha, beta) -> CorrectionTerm:
             continue
         denom = 2 * (s - 1)
         _add(terms.setdefault((denom, 0), {}), ("corr", c, mu, mubar), val / denom)
-    return CorrectionTerm(alpha, beta, _expansion(terms))
+    return _expansion(terms)
 
 
 def integrated_ope(theory: FormalTheory, alpha, beta) -> RExpansion:
@@ -377,7 +338,7 @@ def insert_family_deformed(theory: FormalTheory, beta, correction=True) -> Jet:
     for alpha in theory.marginals:
         term = integrated_ope(theory, alpha, beta)
         if correction:
-            term = term + compute_correction(theory, alpha, beta).expansion
+            term = term + compute_correction(theory, alpha, beta)
         if not term.is_zero():
             coeffs[(f"g[{alpha}]",)] = term
     return Jet(alg, coeffs)
@@ -440,12 +401,13 @@ def anomalous_dilation(theory: FormalTheory, beta):
     rhs = dict(tilde)
     for alpha in theory.marginals:
         mono = (f"g[{alpha}]",)
-        dv = compute_correction(theory, alpha, beta).expansion
+        dv = compute_correction(theory, alpha, beta)
         if not dv.is_zero():
             tilde[mono] = rhs[mono] = dv
         C = theory.effective_C(alpha, beta)
-        if C:
-            _add(rhs, mono, RExpansion.constant(FormalVector(_channel(C, (0, 0, 0, 1)))))
+        if C:  # effective_C stores no zeros, so the channel vector is nonzero
+            log_lam = RExpansion._of({(0, 0): FormalVector._of(_channel(C, (0, 0, 0, 1)))})
+            _add(rhs, mono, log_lam)
     lhs = Jet(alg, {mono: _dilate(theory, e, 2) for mono, e in tilde.items()})
     return lhs, Jet(alg, rhs)
 
@@ -481,17 +443,20 @@ def double_deform(theory: FormalTheory) -> Jet:
         for beta in labels:
             C, K = theory.effective_C(alpha, beta), theory.K(alpha, beta)
             vec = {("int", g): LogPoly._of({(0, 0, 1, 0): val}) for g, val in C.items()}
-            vec.update((("int0", a), -val / 2) for a, val in K.items())
+            vec.update(
+                (("int0", a), LogPoly._of({(0, 0, 0, 0): -val / 2})) for a, val in K.items()
+            )
             if (alpha, beta) in theory.rows:
-                vec[("reg",) + tuple(sorted((alpha, beta)))] = 1
-            coeffs[tuple(sorted((f"gt[{beta}]", f"g[{alpha}]")))] = FormalVector(vec)
+                vec[("reg",) + tuple(sorted((alpha, beta)))] = LogPoly.monomial(1)
+            if vec:  # C and K store no zeros, and the keys are distinct atoms
+                coeffs[tuple(sorted((f"gt[{beta}]", f"g[{alpha}]")))] = FormalVector._of(vec)
     pf = Jet(alg, coeffs)
     return recombine(pf, labels=labels)
 
 
 def radius_scaled(theory: FormalTheory, pf: Jet) -> Jet:
     """The same partition function on D_{lam R}: log(R) -> log(R) + log(lam)."""
-    return pf.map_coeffs(lambda vec: vec.map_values(LogPoly.scale_radius))
+    return pf.map_coeffs(lambda vec: vec.map_coeffs(LogPoly.scale_radius))
 
 
 # ---------------------------------------------------------------- beta
@@ -531,8 +496,10 @@ def beta(theory: FormalTheory) -> BetaResult:
             for gamma, val in theory.effective_C(alpha, b_).items():
                 structure[(alpha, b_, gamma)] = val
                 _add(per_gamma[gamma], mono, val)
+    # the monomials are sorted quadratics in gc, each allowed; C_ab + C_ba
+    # can cancel, so only zeros are left to drop
     coefficients = {
-        gamma: Jet(alg, {mono: c / 2 for mono, c in coeffs.items()})
+        gamma: Jet._of(alg, {mono: c / 2 for mono, c in coeffs.items() if c})
         for gamma, coeffs in per_gamma.items()
     }
     return BetaResult(alg, coefficients, structure)

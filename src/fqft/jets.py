@@ -14,7 +14,7 @@ the bilinear part.
 from __future__ import annotations
 
 from .errors import RecombinationError
-from .rexp import coeff_eq, coeff_is_zero
+from .rexp import Sparse, coeff_eq, coeff_is_zero
 
 
 class JetAlgebra:
@@ -69,18 +69,20 @@ class JetAlgebra:
         return hash((tuple(sorted(self.groups.items())), self.truncation))
 
 
-class Jet:
-    """Polynomial in nilpotent symbols; monomials are sorted name tuples."""
+class Jet(Sparse):
+    """Polynomial in nilpotent symbols; monomials are sorted name tuples, and
+    those that vanish in the algebra drop."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra",)
+    _context = "algebra"
 
-    def __init__(self, algebra, coeffs=None):
+    def __init__(self, algebra, terms=None):
         self.algebra = algebra
-        self.coeffs = {}
-        for mono, c in (coeffs or {}).items():
-            mono = tuple(sorted(mono))
-            if algebra.monomial_ok(mono) and not coeff_is_zero(c):
-                self.coeffs[mono] = c
+        super().__init__(terms)
+
+    def _norm(self, mono):
+        mono = tuple(sorted(mono))
+        return mono if self.algebra.monomial_ok(mono) else None
 
     @classmethod
     def const(cls, algebra, value):
@@ -91,65 +93,19 @@ class Jet:
         return cls(algebra, {(name,): coeff})
 
     def coefficient(self, mono=()):
-        return self.coeffs.get(tuple(sorted(mono)))
-
-    def __add__(self, other):
-        self._check(other)
-        coeffs = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            if mono in coeffs:
-                s = coeffs[mono] + c
-                if coeff_is_zero(s):
-                    del coeffs[mono]
-                else:
-                    coeffs[mono] = s
-            else:
-                coeffs[mono] = c
-        out = Jet.__new__(Jet)
-        out.algebra, out.coeffs = self.algebra, coeffs
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, s):
-        return Jet(self.algebra, {m: s * c for m, c in self.coeffs.items()})
-
-    def __rmul__(self, s):
-        return self.scale(s)
+        return self.terms.get(tuple(sorted(mono)))
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self.scale(other)
         return jet_mul(self, other)
 
-    def map_coeffs(self, f):
-        return Jet(self.algebra, {m: f(c) for m, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        if self.algebra != other.algebra:
-            return False
-        monos = set(self.coeffs) | set(other.coeffs)
-        return all(coeff_eq(self.coeffs.get(m), other.coeffs.get(m)) for m in monos)
-
-    def is_zero(self):
-        return not self.coeffs
-
     def __repr__(self):
         bits = []
-        for mono in sorted(self.coeffs):
+        for mono in sorted(self.terms):
             label = "*".join(mono) if mono else "1"
-            bits.append(f"{label}: {self.coeffs[mono]!r}")
+            bits.append(f"{label}: {self.terms[mono]!r}")
         return "Jet{" + ", ".join(bits) + "}"
-
-    def _check(self, other):
-        if self.algebra != other.algebra:
-            raise ValueError("jets over different algebras")
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
@@ -157,8 +113,8 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     a._check(b)
     alg = a.algebra
     coeffs = {}
-    for ma, ca in a.coeffs.items():
-        for mb, cb in b.coeffs.items():
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
             mono = tuple(sorted(ma + mb))
             if not alg.monomial_ok(mono):
                 continue
@@ -167,7 +123,8 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
                 coeffs[mono] = coeffs[mono] + prod
             else:
                 coeffs[mono] = prod
-    return Jet(alg, coeffs)
+    # the monomials are sorted and allowed already; only zeros are left to drop
+    return a._like({m: c for m, c in coeffs.items() if not coeff_is_zero(c)})
 
 
 def _coeff_mul(a, b):
@@ -236,7 +193,7 @@ def recombine(expr: Jet, labels=None) -> Jet:
                     )
                 if s_ij is not None:
                     out[tuple(sorted((f"gc[{li}]", f"gc[{lj}]")))] = s_ij
-    extra = set(expr.coeffs) - seen
+    extra = set(expr.terms) - seen
     if extra:
         raise RecombinationError(f"monomials outside the (g, g~) scheme: {sorted(extra)}")
     return Jet(target, out)

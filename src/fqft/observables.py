@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .fock import BoundaryState, apply_current
-from .rexp import RExpansion, coeff_norm
+from .rexp import RExpansion, Sparse, coeff_norm
 from .scalars import decode_scalar, encode_scalar
 
 
@@ -56,29 +56,15 @@ def scale_by_level(v: BoundaryState, factor_of_level) -> BoundaryState:
 # ----------------------------------------------------------------- observables
 
 
-class GoodFamily:
-    """Family of boundary states indexed by the cut radius, as an RExpansion."""
+def canonical_family(state: BoundaryState) -> RExpansion:
+    """Canonical family sum_E r^{-E} w_E of a one-point correlator: an
+    RExpansion of states, one nonzero level part per integer exponent."""
+    return RExpansion._of({(-E, 0): part for E, part in split_levels(state).items()})
 
-    __slots__ = ("space", "expansion")
 
-    def __init__(self, space, expansion: RExpansion):
-        self.space = space
-        self.expansion = expansion
-
-    @classmethod
-    def from_state(cls, state: BoundaryState) -> "GoodFamily":
-        """Canonical family sum_E r^{-E} w_E of a one-point correlator."""
-        terms = {
-            (Fraction(-E), 0): part for E, part in split_levels(state).items()
-        }
-        return cls(state.space, RExpansion(terms))
-
-    def canonical_state(self) -> BoundaryState:
-        """One-point correlator at R=1: sum of all term coefficients."""
-        out = self.space.zero()
-        for c in self.expansion.terms.values():
-            out = out + c
-        return out
+def canonical_state(space, family: RExpansion) -> BoundaryState:
+    """One-point correlator at R=1 of a family: the sum of its coefficients."""
+    return sum(family.terms.values(), space.zero())
 
 
 class LocalObservable:
@@ -99,8 +85,8 @@ class LocalObservable:
         self.word = word
 
     @property
-    def family(self) -> GoodFamily:
-        return GoodFamily.from_state(self.state)
+    def family(self) -> RExpansion:
+        return canonical_family(self.state)
 
     def __repr__(self):
         return f"LocalObservable({self.label}, dims={self.dims})"
@@ -197,64 +183,43 @@ def limit_r0(e: RExpansion, space=None, rel_tol=1e-9) -> BoundaryState:
 # --------------------------------------------------------------- correlators
 
 
-class ZSeries:
+class ZSeries(Sparse):
     """Finite bigraded series sum z^m zbar^mbar w_{m,mbar} with state coefficients."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space",)
+    _zero = staticmethod(BoundaryState.is_zero)
+    _context = "space"
 
     def __init__(self, space, terms=None):
         self.space = space
-        self.terms = {}
-        for key, v in (terms or {}).items():
-            if not v.is_zero():
-                self.terms[key] = v
+        super().__init__(terms)
 
     def coefficient(self, m, mbar=0) -> BoundaryState:
         return self.terms.get((m, mbar), self.space.zero())
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms[k] + v if k in terms else v
-        return ZSeries(self.space, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return ZSeries(self.space, {k: v.scale(c) for k, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
     def evaluate(self, z, zbar=None) -> BoundaryState:
         if zbar is None:
             zbar = z.conjugate() if isinstance(z, complex) else z
-        out = self.space.zero() if not self.terms else None
-        total = None
-        for (m, mbar), v in self.terms.items():
-            term = v.scale(z**m * zbar**mbar)
-            total = term if total is None else total + term
-        return total if total is not None else out
+        return sum(
+            (v.scale(z**m * zbar**mbar) for (m, mbar), v in self.terms.items()),
+            self.space.zero(),
+        )
 
 
 def _mode_sum_insert(series: ZSeries, kind: str) -> ZSeries:
     """Insert sum_n z^{-n-1} j_n (or the antichiral twin) into a series."""
     space = series.space
     bar = kind == "jbar"
-    out = ZSeries(space)
+    terms = {}
     for n in range(-space.l_max, space.l_max + 1):
         if n == 0:
             continue
-        add = {}
         for (m, mbar), v in series.terms.items():
             w = apply_current(v, n, bar=bar)
-            if w.is_zero():
-                continue
-            key = (m, mbar - n - 1) if bar else (m - n - 1, mbar)
-            add[key] = add[key] + w if key in add else w
-        out = out + ZSeries(space, add)
-    return out
+            if not w.is_zero():
+                key = (m, mbar - n - 1) if bar else (m - n - 1, mbar)
+                terms[key] = terms[key] + w if key in terms else w
+    return ZSeries(space, terms)
 
 
 def correlator_series(space, a: LocalObservable, b: LocalObservable, R=1) -> ZSeries:
@@ -299,14 +264,15 @@ def two_point(space, a: LocalObservable, b: LocalObservable, R=1) -> ZSeries:
 def dilation(lam, x):
     """Dil_lambda: a level-E homogeneous part scales by lambda^{-E}.
 
-    Acts on boundary states, RExpansions of them, or good families.
+    Acts on boundary states and on RExpansions of them (families).  On an
+    exact space a non-float lambda is taken as a Fraction, as one_point
+    takes R.
     """
     if isinstance(x, BoundaryState):
+        lam = Fraction(lam) if x.space.exact and not isinstance(lam, float) else lam
         return scale_by_level(x, lambda E: lam ** -E if E else 1)
     if isinstance(x, RExpansion):
         return x.map_coeffs(lambda v: dilation(lam, v))
-    if isinstance(x, GoodFamily):
-        return GoodFamily(x.space, dilation(lam, x.expansion))
     raise TypeError(f"cannot dilate {type(x).__name__}")
 
 

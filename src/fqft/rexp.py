@@ -1,4 +1,8 @@
-"""Finite expansions in the cut radius r with log terms.
+"""Sparse linear combinations, and finite expansions in the cut radius r
+with log terms.
+
+Sparse is the immutable {key: nonzero coefficient} algebra that RExpansion,
+jets, formal vectors and (z, zbar) series share.
 
 An RExpansion maps (p, q) -> coefficient, representing
     sum_{p,q} coeff_{p,q} * r^p * (log r)^q
@@ -18,8 +22,7 @@ def coeff_is_zero(c) -> bool:
     if c is None:
         return True
     if hasattr(c, "is_zero"):
-        z = c.is_zero
-        return bool(z() if callable(z) else z)
+        return c.is_zero()
     if hasattr(c, "shape"):  # numpy matrices as coefficients
         import numpy
 
@@ -54,7 +57,115 @@ def coeff_norm(c) -> float:
         return 0.0 if coeff_is_zero(c) else float("inf")
 
 
-def _key(p, q):
+class Sparse:
+    """Immutable finite sum {key: nonzero coefficient}: the linear algebra
+    shared by RExpansion, Jet, FormalVector and ZSeries.
+
+    A subclass sets how keys normalise (`_norm`, None to take them as given;
+    a key normalising to None drops), how coefficients test zero (`_zero`),
+    and the name of the attribute operands must share (`_context`, e.g. a
+    jet's "algebra").  Zero coefficients are never stored, so `terms` is
+    compared with ==, and results may share coefficients with operands.
+    """
+
+    __slots__ = ("terms",)
+    _norm = None
+    _zero = staticmethod(coeff_is_zero)
+    _context = None
+
+    def __init__(self, terms=None):
+        """Normalise each key, sum entries whose keys normalise equal, drop
+        zeros."""
+        acc, norm, zero = {}, self._norm, self._zero
+        for key, c in (terms or {}).items():
+            if norm is not None:
+                key = norm(key)
+                if key is None:
+                    continue
+            if key in acc:
+                c = acc[key] + c
+            if zero(c):
+                acc.pop(key, None)
+            else:
+                acc[key] = c
+        self.terms = acc
+
+    @classmethod
+    def _of(cls, *args):
+        """Wrap a zero-free dict with normalised keys, unchecked; the
+        arguments are the public constructor's (context first, if any)."""
+        out = object.__new__(cls)
+        if cls._context:
+            setattr(out, cls._context, args[0])
+        out.terms = args[-1]
+        return out
+
+    def _like(self, terms):
+        """_of over self's context."""
+        name = self._context
+        return self._of(getattr(self, name), terms) if name else self._of(terms)
+
+    def _same_context(self, other) -> bool:
+        name = self._context
+        if not name:
+            return True
+        a, b = getattr(self, name), getattr(other, name)
+        return a is b or a == b
+
+    def _check(self, other):
+        if self._context and not self._same_context(other):
+            raise ValueError(f"{type(self).__name__}s over different {self._context}s")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        terms, zero = dict(self.terms), self._zero
+        for key, c in other.terms.items():
+            if key in terms:
+                c = terms[key] + c
+                if zero(c):
+                    del terms[key]
+                    continue
+            terms[key] = c
+        return self._like(terms)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, s):
+        return self.map_coeffs(lambda c: s * c)
+
+    __rmul__ = scale
+
+    def map_coeffs(self, f):
+        """Apply f to each coefficient, dropping those it sends to zero."""
+        zero = self._zero
+        return self._like(
+            {key: fc for key, c in self.terms.items() if not zero(fc := f(c))}
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if not self._same_context(other):
+            return False
+        try:
+            return self.terms == other.terms
+        except ValueError:  # numpy arrays: == is elementwise, with no truth value
+            return self.terms.keys() == other.terms.keys() and all(
+                coeff_eq(c, other.terms[key]) for key, c in self.terms.items()
+            )
+
+
+def _key(pq):
+    p, q = pq
     p = canonical_exponent(p)
     q = int(q)
     if q < 0:
@@ -62,16 +173,11 @@ def _key(p, q):
     return (p, q)
 
 
-class RExpansion:
+class RExpansion(Sparse):
     """Finite Laurent-log expansion in the cut radius."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for (p, q), c in (terms or {}).items():
-            if not coeff_is_zero(c):
-                self.terms[_key(p, q)] = c
+    __slots__ = ()
+    _norm = staticmethod(_key)
 
     @classmethod
     def constant(cls, coeff) -> "RExpansion":
@@ -80,33 +186,6 @@ class RExpansion:
     @classmethod
     def term(cls, p, q, coeff) -> "RExpansion":
         return cls({(p, q): coeff})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            if key in terms:
-                s = terms[key] + c
-                if coeff_is_zero(s):
-                    del terms[key]
-                else:
-                    terms[key] = s
-            else:
-                terms[key] = c
-        out = RExpansion.__new__(RExpansion)
-        out.terms = terms
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, s) -> "RExpansion":
-        return RExpansion({key: s * c for key, c in self.terms.items()})
-
-    def __rmul__(self, s):
-        return self.scale(s)
 
     def __mul__(self, other):
         """Convolution with another expansion, or scalar action."""
@@ -120,9 +199,6 @@ class RExpansion:
                 terms[key] = terms[key] + prod if key in terms else prod
         return RExpansion(terms)
 
-    def map_coeffs(self, f) -> "RExpansion":
-        return RExpansion({key: f(c) for key, c in self.terms.items()})
-
     def shift(self, dp, dq=0) -> "RExpansion":
         """Multiply by r^{dp} (log r)^{dq} termwise."""
         return RExpansion(
@@ -130,7 +206,7 @@ class RExpansion:
         )
 
     def coefficient(self, p, q=0):
-        return self.terms.get(_key(p, q))
+        return self.terms.get(_key((p, q)))
 
     def constant_term(self):
         return self.terms.get((0, 0))
@@ -149,15 +225,6 @@ class RExpansion:
             return None
         key = min(self.terms, key=lambda pq: (pq[0], -pq[1]))
         return key, self.terms[key]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, RExpansion):
-            return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        return all(coeff_eq(self.terms.get(k), other.terms.get(k)) for k in keys)
 
     def __repr__(self):
         bits = []

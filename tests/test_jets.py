@@ -53,6 +53,13 @@ def test_rexp_log_power_validation():
 # ----------------------------------------------------------------- JetAlgebra
 
 
+def test_jet_constructor_sums_monomials_that_sort_equal():
+    alg = JetAlgebra.double_coupling(["x", "y"])
+    j = Jet(alg, {("g[x]", "gt[y]"): 1, ("gt[y]", "g[x]"): 2})
+    assert j.coefficient(("g[x]", "gt[y]")) == 3
+    assert Jet(alg, {("g[x]", "gt[y]"): 1, ("gt[y]", "g[x]"): -1}).is_zero()
+
+
 def _alg():
     return JetAlgebra.double_coupling(["x", "y"])
 
@@ -88,7 +95,9 @@ def test_square_of_sum():
     s = Jet.symbol(alg, "g[x]") + Jet.symbol(alg, "gt[x]")
     sq = jet_mul(s, s)
     assert sq.coefficient(("g[x]", "gt[x]")) == 2
-    assert len(sq.coeffs) == 1
+    assert len(sq.terms) == 1
+    # (g + gt)(g - gt) = gt g - g gt: a product whose terms cancel stores nothing
+    assert jet_mul(s, Jet.symbol(alg, "g[x]") - Jet.symbol(alg, "gt[x]")).terms == {}
 
 
 def test_global_truncation():

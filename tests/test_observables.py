@@ -13,9 +13,10 @@ from fqft.errors import (
 from fqft.fock import L_MAX_HARD_CAP, build_space
 from fqft.geometry import annulus_pf
 from fqft.observables import (
-    GoodFamily,
     OpeTable,
     ZSeries,
+    canonical_family,
+    canonical_state,
     current_observable,
     descendant_family,
     dilation,
@@ -85,13 +86,13 @@ def test_limit_r0_float_tolerance():
 def test_canonical_family_roundtrip():
     space = build_space(3)
     w = space.state((1,)) + space.state((2, 1)).scale(Fraction(5))
-    fam = GoodFamily.from_state(w)
-    assert fam.expansion.coefficient(-1) == space.state((1,))
-    assert fam.expansion.coefficient(-3) == space.state((2, 1)).scale(5)
-    assert fam.canonical_state() == w
+    fam = canonical_family(w)
+    assert fam.coefficient(-1) == space.state((1,))
+    assert fam.coefficient(-3) == space.state((2, 1)).scale(5)
+    assert canonical_state(space, fam) == w
     # reinsertion: the one-point correlator on D_r, viewed as a family,
     # reproduces the original limit
-    out = insert_family(space, fam.expansion, 1)
+    out = insert_family(space, fam, 1)
     assert limit_r0(out, space) == w
 
 
@@ -214,6 +215,16 @@ def test_dilation_eigenvalues():
     v = space.state((1,), (1,))
     assert dilation(lam, v) == v.scale(Fraction(1, 9))
     assert dilation(1, v) == v
+
+
+def test_dilation_int_lambda_is_exact():
+    # an int lambda on an exact space scales by Fractions, not floats
+    space = build_space(4)
+    d = dilation(2, space.state((1,)))
+    assert d == space.state((1,)).scale(Fraction(1, 2))
+    assert all(type(c) is Fraction for c in d.coeffs.values())
+    e = dilation(3, RExpansion({(-2, 0): space.state((1,), (1,))}))
+    assert all(type(c) is Fraction for c in e.coefficient(-2).coeffs.values())
 
 
 def test_dilation_on_expansion():

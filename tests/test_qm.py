@@ -171,7 +171,7 @@ def test_qm_deform_zero_coupling_is_evolve():
     th = QmTheory(np.diag([1.0, 2.0]))
     seg = qm_deform(th, {}, 0.0, 1.0)
     assert isinstance(seg.value, Jet)
-    assert list(seg.value.coeffs) == [()]
+    assert list(seg.value.terms) == [()]
     assert np.allclose(seg.value.coefficient(()), evolve(th, 0.0, 1.0).value)
 
 
@@ -181,7 +181,7 @@ def test_qm_deform_first_order_cutting():
     obs = {"o": random_obs(rng, 4)}
     whole = qm_deform(th, obs, 0.0, 2.0)
     glued = qm_deform(th, obs, 0.8, 2.0).glue(qm_deform(th, obs, 0.0, 0.8))
-    for mono, c in whole.value.coeffs.items():
+    for mono, c in whole.value.terms.items():
         assert np.max(np.abs(glued.value.coefficient(mono) - c)) < 1e-12 * max(
             1.0, np.max(np.abs(c))
         )
@@ -222,8 +222,8 @@ def test_qm_double_deform_cutting_every_order():
     obs = {"a": random_obs(rng, 4), "b": random_obs(rng, 4)}
     whole = qm_double_deform(th, obs, 0.0, 1.5)
     glued = qm_double_deform(th, obs, 0.6, 1.5).glue(qm_double_deform(th, obs, 0.0, 0.6))
-    assert set(glued.value.coeffs) == set(whole.value.coeffs)
-    for mono, c in whole.value.coeffs.items():
+    assert set(glued.value.terms) == set(whole.value.terms)
+    for mono, c in whole.value.terms.items():
         assert np.max(np.abs(glued.value.coefficient(mono) - c)) < 1e-12 * max(
             1.0, np.max(np.abs(c))
         )
