@@ -138,7 +138,7 @@ def cmd_beta(args, tol):
 
 
 def cmd_qm(args, tol):
-    # numpy and scipy load here only, so the exact subcommands never pay for them
+    # numpy loads here only, so the exact subcommands never pay for it
     import numpy as np
 
     from .qm import QmTheory, qm_double_deform, taylor_series_oracle

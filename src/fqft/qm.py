@@ -9,8 +9,9 @@ which we check against a matrix-exponential oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import GeometryError, QuadratureError, ValidationError
 from .jets import Jet, JetAlgebra, jet_mul, recombine
@@ -61,12 +62,7 @@ class SegmentPF:
 
 def evolve(theory: QmTheory, alpha, beta) -> SegmentPF:
     """exp(-(beta - alpha) H), the Euclidean evolution operator."""
-    if beta < alpha:
-        raise GeometryError("segment endpoints must satisfy beta >= alpha")
-    if beta == alpha:
-        value = np.eye(theory.dim, dtype=theory.H.dtype)
-    else:
-        value = expm(-(beta - alpha) * theory.H)
+    (value,) = _block_row(theory, alpha, beta)
     return SegmentPF(theory, alpha, beta, value)
 
 
@@ -108,33 +104,128 @@ def time_ordered(theory: QmTheory, a, b, alpha, beta):
 
 # ---------------------------------------------------------- segment integrals
 #
-# Van Loan block exponential (C. F. Van Loan, IEEE TAC 23(3), 1978): the
-# top-right block of expm(T * M), with -H on the block diagonal and X, Y, ...
-# on the superdiagonal, is the ordered simplex integral of the alternating
-# product e^{-s H} X e^{-s' H} Y ...  No eigenbasis is needed, so clustered,
-# defective and complex spectra take the same path.
+# Van Loan block exponential (C. F. Van Loan, "Computing integrals involving
+# the matrix exponential", IEEE TAC 23(3), 1978): with -H on the block
+# diagonal and X, Y, ... on the superdiagonal, the top block row of
+# expm(T * M) holds exp(-T H) and then the ordered simplex integrals of the
+# alternating products e^{-s H} X e^{-s' H} ..., one insertion more per block.
+# No eigenbasis is needed, so clustered, defective and complex spectra take
+# the same path.  The exponential itself is numpy-only scaling and squaring
+# with a diagonal Pade approximant (N. J. Higham, "The scaling and squaring
+# method for the matrix exponential revisited", SIMAX 26(4), 2005), of degree
+# and scaling chosen from ||A^k||_1^(1/k) as in A. H. Al-Mohy and
+# N. J. Higham, "A new scaling and squaring algorithm for the matrix
+# exponential", SIMAX 31(3), 2009.
+
+# largest ||A||_1 at which the degree-m approximant's backward error stays
+# below the double-precision unit roundoff (Al-Mohy & Higham 2009, Table 3.1;
+# 4.25 for degree 13 as in their Algorithm 5.1)
+_THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068,
+    13: 4.25,
+}
+# Pade numerator coefficients b_j = (2m-j)! / (j! (m-j)!), scaled so b_m = 1
+_PADE = {
+    m: [
+        math.factorial(2 * m - j) / (math.factorial(j) * math.factorial(m - j))
+        for j in range(m + 1)
+    ]
+    for m in _THETA
+}
 
 
-def _block_exp(theory: QmTheory, T, *blocks):
-    """Top-right block of expm(T * M) for the Van Loan block matrix M."""
-    n, k = theory.dim, len(blocks) + 1
+def _onenorm(A):
+    return float(np.abs(A).sum(axis=0).max())
+
+
+def _ell(A, m):
+    """Squarings to add so that the degree-m backward error of A, bounded
+    through ||abs(A)^(2m+1)||_1, stays below unit roundoff (Al-Mohy & Higham
+    2009, eq. (5.1) and Algorithm 5.1)."""
+    norm = _onenorm(A)
+    if norm == 0:
+        return 0
+    B = np.abs(A) / norm  # ||B||_1 = 1, so its powers cannot overflow
+    v = np.ones(len(A))
+    for _ in range(2 * m + 1):
+        v = v @ B
+    top = float(v.max())  # ||abs(A)^(2m+1)||_1 / norm^(2m+1)
+    if top == 0:
+        return 0
+    # |c_{2m+1}|, the leading coefficient of the approximant's error series
+    c = math.factorial(m) ** 2 / (math.factorial(2 * m) * math.factorial(2 * m + 1))
+    log2_alpha = math.log2(top) + 2 * m * math.log2(norm) + math.log2(c)
+    return max(0, math.ceil((log2_alpha + 53) / (2 * m)))
+
+
+def _pade_choice(A, A4, A6):
+    """(degree, squarings) for exp(A): Al-Mohy & Higham 2009, Algorithm 5.1,
+    with the exact 1-norms of the formed powers A^4 and A^6, and the bounds
+    ||A^8|| <= ||A^4||^2 and ||A^10|| <= ||A^4|| ||A^6|| for those not formed."""
+    d4, d6 = _onenorm(A4) ** (1 / 4), _onenorm(A6) ** (1 / 6)
+    eta = max(d4, d6)
+    for m in (3, 5, 7, 9):
+        if eta < _THETA[m] and _ell(A, m) == 0:
+            return m, 0
+    eta = max(d4, d4**0.4 * d6**0.6)
+    s = max(0, math.ceil(math.log2(eta / _THETA[13]))) if eta > 0 else 0
+    return 13, s + _ell(A / 2**s, 13)
+
+
+def _expm(A):
+    """exp(A) for a square numpy array, by scaling and squaring."""
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    m, s = _pade_choice(A, A4, A6)
+    # the scaling A -> A / 2^s goes into the coefficients: b_j (A / 2^s)^j
+    # is (b_j / 2^(s j)) A^j, exactly, since 2^s is a power of two
+    b = [math.ldexp(bj, -s * j) for j, bj in enumerate(_PADE[m])]
+    if m < 13:
+        powers = [A2, A4, A6, A4 @ A4] if m == 9 else [A2, A4, A6][: m // 2]
+        U = sum(b[2 * k + 3] * P for k, P in enumerate(powers))
+        V = sum(b[2 * k + 2] * P for k, P in enumerate(powers))
+    else:
+        U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
+        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
+    U.flat[:: len(A) + 1] += b[1]
+    U = A @ U
+    V.flat[:: len(A) + 1] += b[0]
+    X = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        X = X @ X
+    return X
+
+
+def _block_row(theory: QmTheory, alpha, beta, *blocks):
+    """Top block row of expm((beta - alpha) * M) for the Van Loan block
+    matrix M: exp(-(beta - alpha) H), then one integral per inserted block."""
+    if beta < alpha:
+        raise GeometryError("segment endpoints must satisfy beta >= alpha")
+    blocks = [np.asarray(B) for B in blocks]
+    n, k, T = theory.dim, len(blocks) + 1, beta - alpha
     M = np.zeros((k * n, k * n), dtype=np.result_type(theory.H, *blocks))
+    diagonal = -T * theory.H
     for i in range(k):
-        M[i * n : (i + 1) * n, i * n : (i + 1) * n] = -theory.H
+        M[i * n : (i + 1) * n, i * n : (i + 1) * n] = diagonal
     for i, B in enumerate(blocks):
-        M[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = B
-    return expm(T * M)[:n, -n:].copy()
+        M[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = T * B
+    E = _expm(M)
+    return [E[:n, i * n : (i + 1) * n].copy() for i in range(k)]
 
 
 def first_order_integral(theory: QmTheory, O, alpha, beta):
     """int_alpha^beta e^{-(beta-tau)H} O e^{-(tau-alpha)H} dtau."""
-    return _block_exp(theory, beta - alpha, np.asarray(O))
+    return _block_row(theory, alpha, beta, O)[1]
 
 
 def second_order_ordered(theory: QmTheory, X, Y, alpha, beta):
     """int over alpha < tau2 < tau1 < beta of
     e^{-(beta-tau1)H} X e^{-(tau1-tau2)H} Y e^{-(tau2-alpha)H}."""
-    return _block_exp(theory, beta - alpha, np.asarray(X), np.asarray(Y))
+    return _block_row(theory, alpha, beta, X, Y)[2]
 
 
 def time_ordered_integral(theory: QmTheory, Oa, Ob, alpha, beta):
@@ -153,9 +244,11 @@ def qm_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
     pf + g^a * int <O_a(tau)> dtau, with first-order nilpotent couplings."""
     labels = sorted(obs)
     alg = JetAlgebra({"g": ([f"g[{l}]" for l in labels], 1)}, truncation=2)
-    coeffs = {(): evolve(theory, alpha, beta).value}
+    # one 2n x 2n exponential per label: (1,1) is the evolution, (1,2) the integral
+    rows = {l: _block_row(theory, alpha, beta, obs[l]) for l in labels}
+    coeffs = {(): rows[labels[0]][0] if labels else evolve(theory, alpha, beta).value}
     for l in labels:
-        coeffs[(f"g[{l}]",)] = first_order_integral(theory, obs[l], alpha, beta)
+        coeffs[(f"g[{l}]",)] = rows[l][1]
     return SegmentPF(theory, alpha, beta, Jet(alg, coeffs))
 
 
@@ -164,17 +257,19 @@ def qm_double_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
     pf + g_c^a int <O_a> + (1/2) g_c^a g_c^b int int T{<O_a O_b>}."""
     labels = sorted(obs)
     alg = JetAlgebra.double_coupling(labels)
-    first = {l: first_order_integral(theory, obs[l], alpha, beta) for l in labels}
-    coeffs = {(): evolve(theory, alpha, beta).value}
+    # one 3n x 3n exponential per label: its top block row is the evolution,
+    # the first order and the ordered second order of that label
+    rows = {l: _block_row(theory, alpha, beta, obs[l], obs[l]) for l in labels}
+    coeffs = {(): rows[labels[0]][0] if labels else evolve(theory, alpha, beta).value}
     for l in labels:
-        coeffs[(f"g[{l}]",)] = first[l]
-        coeffs[(f"gt[{l}]",)] = first[l]
+        coeffs[(f"g[{l}]",)] = rows[l][1]
+        coeffs[(f"gt[{l}]",)] = rows[l][1]
     # the time-ordered integral is symmetric, so each unordered pair is
     # computed once and stored under both of its monomials
     for i, a in enumerate(labels):
         for b in labels[i:]:
             if a == b:
-                S = 2 * second_order_ordered(theory, obs[a], obs[a], alpha, beta)
+                S = 2 * rows[a][2]
             else:
                 S = time_ordered_integral(theory, obs[a], obs[b], alpha, beta)
             coeffs[tuple(sorted((f"gt[{a}]", f"g[{b}]")))] = S

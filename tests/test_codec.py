@@ -85,13 +85,17 @@ def test_exact_pipeline_modules_do_not_import_numpy():
 
 def test_cli_loads_numpy_for_qm_only():
     # `import fqft.cli` and the exact subcommands run as a real process load
-    # none of numpy, scipy and sympy
-    code = (
+    # none of numpy, scipy and sympy; `fqft qm` and `import fqft.qm` load
+    # numpy but not scipy
+    run = (
         "import contextlib, io\n"
         "from fqft.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for argv in (['verify-cutting', '--lmax', '2'], ['ope', '--lmax', '2'], ['beta', '--lmax', '2']):\n"
+        "    for argv in {argvs!r}:\n"
         "        assert main(argv) == 0\n"
     )
+    exact = [["verify-cutting", "--lmax", "2"], ["ope", "--lmax", "2"], ["beta", "--lmax", "2"]]
     assert _leaves_out("import fqft.cli\n", ["numpy", "scipy", "sympy"])
-    assert _leaves_out(code, ["numpy", "scipy", "sympy"])
+    assert _leaves_out(run.format(argvs=exact), ["numpy", "scipy", "sympy"])
+    assert _leaves_out(run.format(argvs=[["qm", "--dim", "4", "--seed", "1"]]), ["scipy", "sympy"])
+    assert _leaves_out("import fqft.qm\n", ["scipy", "sympy"])

@@ -1,8 +1,11 @@
 """Tests for the one-dimensional (quantum mechanics) backend."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -10,6 +13,9 @@ from fqft.errors import GeometryError, ValidationError
 from fqft.jets import Jet, jet_mul
 from fqft.qm import (
     QmTheory,
+    _block_row,
+    _expm,
+    _pade_choice,
     evolve,
     first_order_integral,
     qm_correlator,
@@ -289,6 +295,124 @@ def test_qm_double_deform_hostile_spectra(kind, dim, gap, seed):
         got = seg.value.coefficient(mono)
         assert np.max(np.abs(got - o)) < 1e-10 * scale
         assert np.max(np.abs(glued.value.coefficient(mono) - got)) < 1e-12 * scale
+
+
+# ------------------------------------------------------- matrix exponential
+
+
+def _mp_expm(A):
+    """exp(A) to 30 digits, rounded to double."""
+    with mpmath.workdps(30):
+        E = mpmath.expm(mpmath.matrix(A.tolist()))
+        out = np.array([[complex(E[i, j]) for j in range(E.cols)] for i in range(E.rows)])
+    return out if np.iscomplexobj(A) else out.real
+
+
+def _van_loan(H, O):
+    """The 3n x 3n matrix whose exponential holds a segment's three orders."""
+    n = H.shape[0]
+    M = np.zeros((3 * n, 3 * n), dtype=np.result_type(H, O))
+    for i in range(3):
+        M[i * n : (i + 1) * n, i * n : (i + 1) * n] = -H
+    M[:n, n : 2 * n] = M[n : 2 * n, 2 * n :] = O
+    return M
+
+
+def _expm_input(rng, kind, dim, norm):
+    """A matrix of 1-norm about `norm` whose exponential is in range and well
+    conditioned: spectra are shifted to abscissa 0, and a Jordan block's
+    eigenvalue is imaginary, so that its nilpotent part does not grow with the
+    norm (a nilpotent part of norm 1e3 makes exp(A) a sum of huge cancelling
+    terms, beyond any float method)."""
+    if kind in ("jordan", "jordan-similar"):
+        A = 1j * norm * np.eye(dim) + min(norm, 1.0) * np.eye(dim, k=1)
+        if kind == "jordan":
+            return A
+        S = _similarity(rng, dim)
+        return S @ A @ np.linalg.inv(S)
+    if kind == "complex":
+        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    elif kind == "van-loan":
+        A = _van_loan(rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim)))
+    elif kind == "clustered":
+        A = _hostile_hamiltonian(rng, "clustered", dim, 1e-9)
+    else:
+        A = rng.standard_normal((dim, dim))
+    A = A * (norm / np.abs(A).sum(axis=0).max())
+    return A - np.max(np.linalg.eigvals(A).real) * np.eye(len(A))
+
+
+def _check_expm(A, norm):
+    # relative to the largest entry; exp's condition number grows with the norm
+    got, ref = _expm(A), expm(A)
+    assert got.dtype == ref.dtype
+    scale, tol = np.max(np.abs(ref)), 1e-14 * max(norm, 1.0)
+    if np.max(np.abs(got - ref)) > tol * scale:
+        # scipy may be the one that is off: judge both against 30 digits
+        exact = _mp_expm(A)
+        assert np.max(np.abs(got - exact)) <= tol * scale
+
+
+def test_expm_zero_matrix_is_identity():
+    for dtype in (float, complex):
+        for n in (1, 4, 12):
+            E = _expm(np.zeros((n, n), dtype=dtype))
+            assert E.dtype == dtype and np.array_equal(E, np.eye(n))
+
+
+def test_expm_every_degree_and_squaring():
+    # norms 1e-3 ... 1e3 run each Pade degree and up to 8 squarings
+    rng = np.random.default_rng(31)
+    choices = set()
+    for norm in 10.0 ** np.arange(-3, 3.25, 0.25):
+        A = _expm_input(rng, "gaussian", 6, norm)
+        A4 = np.linalg.matrix_power(A, 4)
+        choices.add(_pade_choice(A, A4, A4 @ A @ A))
+        _check_expm(A, norm)
+    assert {m for m, _ in choices} == {3, 5, 7, 9, 13}
+    assert max(s for _, s in choices) >= 8
+
+
+def test_expm_real_jordan_block():
+    # exp(lam I + N) = e^lam sum_k N^k / k!, a closed form independent of scipy
+    for lam in (-3.0, 0.5):
+        for n in range(2, 9):
+            N = np.eye(n, k=1)
+            want = sum(np.linalg.matrix_power(N, k) / math.factorial(k) for k in range(n))
+            want = np.exp(lam) * want
+            got = _expm(lam * np.eye(n) + N)
+            assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ["gaussian", "clustered", "jordan", "jordan-similar", "complex", "van-loan"]
+    ),
+    dim=st.integers(2, 8),
+    log_norm=st.floats(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# scipy is off by 4e-8 here and `_expm` by 2e-13, relative to 30 digits
+@example(kind="van-loan", dim=4, log_norm=3.0, seed=647)
+def test_expm_matches_scipy(kind, dim, log_norm, seed):
+    dim = dim // 2 if kind == "van-loan" else dim
+    norm = 10.0**log_norm
+    _check_expm(_expm_input(np.random.default_rng(seed), kind, dim, norm), norm)
+
+
+@pytest.mark.parametrize("n", [4, 16, 32])
+def test_block_row_is_top_row_of_van_loan_exponential(n):
+    # the segment sizes `fqft qm` runs: each block against scipy's exponential
+    rng = np.random.default_rng(n)
+    for H in (rng.standard_normal((n, n)), _hostile_hamiltonian(rng, "clustered", n, 1e-7)):
+        O = rng.standard_normal((n, n))
+        th = QmTheory(H)
+        for T in (0.4, 1.0):
+            ref = expm(T * _van_loan(H, O))
+            scale = np.max(np.abs(ref[:n]))
+            for i, block in enumerate(_block_row(th, 1.0 - T, 1.0, O, O)):
+                assert np.max(np.abs(block - ref[:n, i * n : (i + 1) * n])) < 1e-13 * scale
 
 
 def test_qm_glue_algebra_mismatch():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqft.scalars import LogPoly, PowerValue, _factorint, canonical_exponent
@@ -129,14 +129,18 @@ monomial_coeffs = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(term_dicts, keys, monomial_coeffs)
+@example(terms={}, key=(Fraction(0), Fraction(0), 0, 0), c2=Fraction(1))
 def test_monomial_product_matches_general_rule(terms, key, c2):
     x = LogPoly(terms)
     mono = LogPoly.monomial(c2, *key)
-    want = _general_monomial_product(x, next(iter(mono.terms)), next(iter(mono.terms.values())))
+    (mono_key, mono_coeff), = mono.terms.items()
+    want = _general_monomial_product(x, mono_key, mono_coeff)
     for got in (x * mono, mono * x):
         assert got == want and repr(got) == repr(want)
         assert _typed(got.terms) == _typed(want.terms)
-    if mono == 1:  # a zero shift returns the operand itself
+    # only the int unit returns the operand itself; Fraction(1) builds a new
+    # value, checked above for its terms and coefficient types
+    if mono == 1 and type(mono_coeff) is int:
         assert x * mono is x and x * 1 == x
 
 
