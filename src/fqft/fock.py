@@ -3,19 +3,15 @@
 The basis is the list of key tuples (level, chiral, antichiral), the two
 partitions as non-increasing tuples, in graded-lexicographic order;
 `space.index` maps a key to its basis index.  Boundary states are sparse
-{basis index: nonzero coefficient} maps.  U(1) current modes j_n / jbar_n
-act on a basis vector by one index lookup (`_current_image`), either built
-into an operator or applied to a state one nonzero at a time.  Operators
-are stored by column, {col: {row: nonzero scalar}}, so products, sums and
-the action on a state are per-column merges.  `compose` and `commutator`
-share one product loop; in exact arithmetic it runs on integers, each
-operand written over one common denominator, a commutator subtracts its two
-products before any entry becomes a Fraction, and one Fraction is made per
-distinct result.  L_n (Lbar_n) acts on the chiral (antichiral) partition of
-a column alone, so `build_virasoro` computes the image of each distinct
-partition under the normal-ordered current bilinears once and lifts it to
-every column with that partition by index lookups.  The Shapovalov pairing
-is diagonal in the basis.
+{basis index: nonzero coefficient} maps; `apply_current` applies a U(1)
+current mode to a state one nonzero at a time.  Operators are read by
+column, {col: {row: nonzero scalar}}.  j_n, L_n and their bars act on one
+chiral side: each is a partition table {mu: {new: weight}} with its side
+and level shift, whose columns are lifted only when read.  `compose` and
+`commutator` of two tables on one side multiply the tables, as integers
+over one denominator in exact arithmetic, and lift the result once with
+one Fraction per distinct numerator; other operands multiply column by
+column.  The Shapovalov pairing is diagonal in the basis.
 
 The zero mode j_0 acts as zero throughout (the zero-mode sector is out of
 scope), and components pushed above the truncation level are dropped with a
@@ -27,20 +23,18 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .errors import ResourceLimitError, SpaceMismatchError
 from .scalars import encode_scalar
 
 # Hard cap on the truncation level.  dim grows like sum p(k)p(m) (7 567 at
 # 14, 17 345 at 16, 38 045 at 18).  Exact arithmetic, one process on a
-# 2-core Xeon, Python 3.11: build_space, L_{+-2}, L_0 and [L_2, L_{-2}] take
-# 0.005 + 0.015 + 0.009 + 0.025 s at 14 (peak RSS 29 MB, 14 MB of it
-# imports) and 0.010 + 0.034 + 0.019 + 0.069 s at 16 (peak RSS 49 MB); with
-# the cap lifted, 0.020 + 0.083 + 0.041 + 0.178 s and 93 MB at 18.  Neither
-# binds at 16.  Per two levels the time grows about 2.4x and the memory
-# above imports about 2.3x, so the cap bounds time and memory alike; the
-# commutator is still the largest single cost.
+# 2-core Xeon, Python 3.11, median of 3: build_space, the tables of L_{+-2}
+# and L_0, [L_2, L_{-2}] and reading L_0's columns take 0.007 + 0.008 + 0.005
+# + 0.032 + 0.012 s at 14 (peak RSS 22 MB, 16 MB of it imports) and 0.015 +
+# 0.015 + 0.009 + 0.061 + 0.022 s at 16 (31 MB); with the cap lifted, 0.036 +
+# 0.025 + 0.017 + 0.151 + 0.042 s and 53 MB at 18.  Per two levels time and
+# memory above imports grow 2-2.5x; the commutator is the largest cost.
 L_MAX_HARD_CAP = 16
 
 
@@ -227,22 +221,44 @@ _EMPTY: dict = {}  # the column of an operator that has none stored
 
 class ModeOperator:
     """Sparse action of j_n / jbar_n / L_n / Lbar_n on a truncated space,
-    stored by column as {col: {row: nonzero scalar}}.  dropped_cols are the
+    read by column as {col: {row: nonzero scalar}}.  dropped_cols are the
     columns whose image has components above l_max (dropped, and counted as
-    truncation loss by apply_mode)."""
+    truncation loss by apply_mode).  A mode on one side (`bar` False or
+    True; None for a generic operator) holds its partition table with
+    weights over `denominator` (integers in exact arithmetic, floats over 1
+    in float64); its columns and dropped columns are lifted when read."""
 
-    __slots__ = ("kind", "n", "space", "columns", "dropped_cols")
+    __slots__ = ("kind", "n", "space", "bar", "table", "denominator", "_columns", "_dropped")
 
     def __init__(self, kind, n, space, columns, dropped_cols=frozenset()):
-        self.kind = kind
-        self.n = n
-        self.space = space
-        self.columns = {}
+        self.kind, self.n, self.space = kind, n, space
+        self.bar, self.table, self.denominator = None, None, 1
+        self._columns = {}
         for col, column in columns.items():
             column = {row: v for row, v in column.items() if v != 0}
             if column:
-                self.columns[col] = column
-        self.dropped_cols = frozenset(dropped_cols)
+                self._columns[col] = column
+        self._dropped = frozenset(dropped_cols)
+
+    @classmethod
+    def _one_sided(cls, kind, n, space, bar, table, denominator) -> "ModeOperator":
+        """Wrap a partition table whose images are nonempty and zero-free."""
+        out = cls(kind, n, space, {})
+        out.bar, out.table, out.denominator, out._columns = bar, table, denominator, None
+        return out
+
+    @property
+    def columns(self) -> dict:
+        if self._columns is None:
+            terms = [(self.table, 1, self.n, ())]
+            lifted = _lift(self.space, self.bar, self.n, terms, self.denominator)
+            self._columns, self._dropped = lifted
+        return self._columns
+
+    @property
+    def dropped_cols(self) -> frozenset:
+        self.columns  # a table is lifted on first read
+        return self._dropped
 
     @property
     def entries(self) -> dict:
@@ -251,34 +267,20 @@ class ModeOperator:
             (row, col): v for col, column in self.columns.items() for row, v in column.items()
         }
 
-    @classmethod
-    def _of(cls, kind, n, space, columns, dropped_cols=frozenset()) -> "ModeOperator":
-        """Wrap columns that are nonempty and zero-free, unchecked."""
-        out = cls.__new__(cls)
-        out.kind = kind
-        out.n = n
-        out.space = space
-        out.columns = columns
-        out.dropped_cols = frozenset(dropped_cols)
-        return out
-
     def compose(self, other) -> "ModeOperator":
         """Matrix product self @ other (other acts first)."""
         _check_space(self, other)
-        a, d_a = _common_denominator(self)
-        b, d_b = _common_denominator(other)
-        columns, dropped = _product(a, self.dropped_cols, b, other.dropped_cols)
-        return _from_products(self.space, columns, d_a * d_b, dropped)
+        if self.bar is not None and self.bar == other.bar:
+            return _table_product(self, other, commute=False)
+        columns, dropped = _product(
+            self.columns, self.dropped_cols, other.columns, other.dropped_cols
+        )
+        return ModeOperator("composite", None, self.space, columns, dropped)
 
     def add(self, other, scale_other=1) -> "ModeOperator":
         _check_space(self, other)
         columns = {col: dict(column) for col, column in self.columns.items()}
-        for col, column in other.columns.items():
-            out = columns.setdefault(col, {})
-            for row, val in column.items():
-                # negation is exact and cheaper than a product with -1
-                val = -val if scale_other == -1 else scale_other * val
-                out[row] = out[row] + val if row in out else val
+        _accumulate(columns, other.columns, scale_other)
         return ModeOperator(
             "composite", None, self.space, columns, self.dropped_cols | other.dropped_cols
         )
@@ -314,26 +316,11 @@ class ModeOperator:
         )
 
 
-def _common_denominator(op: ModeOperator):
-    """(columns, D): op's exact entries as integers over one common
-    denominator D, the lcm of their denominators.  Float columns come back
-    as they are, with D = 1."""
-    if not op.space.exact:
-        return op.columns, 1
-    denominators = {v.denominator for column in op.columns.values() for v in column.values()}
-    D = lcm(*denominators)
-    scale = {d: D // d for d in denominators}
-    columns = {
-        col: {row: v.numerator * scale[v.denominator] for row, v in column.items()}
-        for col, column in op.columns.items()
-    }
-    return columns, D
-
-
 def _product(a, a_dropped, b, b_dropped):
     """Columns of a @ b (b acts first) as unreduced sums of products of the
     given column values, and the dropped columns: those b drops, and those
-    whose image under b meets a column that a drops."""
+    whose image under b meets a column that a drops.  Partition tables
+    multiply alike, keyed by partition."""
     columns = {}
     dropped = set(b_dropped)
     for col, column in b.items():
@@ -348,36 +335,83 @@ def _product(a, a_dropped, b, b_dropped):
     return columns, dropped
 
 
-def _from_products(space, columns, denominator, dropped) -> ModeOperator:
-    """The composite operator of `_product` sums over `denominator`, zeros
-    removed; exact entries become Fractions, one per distinct numerator."""
-    out = {}
-    if space.exact:
-        scalars = {}
-        for col, column in columns.items():
-            kept = {}
-            for row, s in column.items():
-                if s:
-                    v = scalars.get(s)
-                    if v is None:
-                        v = scalars[s] = Fraction(s, denominator)
-                    kept[row] = v
-            if kept:
-                out[col] = kept
-    else:
-        for col, column in columns.items():
-            kept = {row: v for row, v in column.items() if v != 0}
-            if kept:
-                out[col] = kept
-    return ModeOperator._of("composite", None, space, out, dropped)
+def _accumulate(out, columns, scale=1):
+    """out += scale * columns, in place, column by column."""
+    for col, column in columns.items():
+        acc = out.setdefault(col, {})
+        for row, val in column.items():
+            # negation is exact and cheaper than a product with -1
+            val = val if scale == 1 else -val if scale == -1 else scale * val
+            acc[row] = acc[row] + val if row in acc else val
+
+
+def _table_product(a: ModeOperator, b: ModeOperator, commute: bool) -> ModeOperator:
+    """a @ b, or [a, b] when commute, of two tables on one side, lifted
+    once.  A column keeps a product's entries when every level it passes is
+    at most l_max; a @ b drops it when b drops it, or when b's image of its
+    partition is nonzero and a drops that image."""
+    terms = [(_product(a.table, (), b.table, ())[0], 1, b.n, b.table)]
+    if commute:
+        terms.append((_product(b.table, (), a.table, ())[0], -1, a.n, a.table))
+    out = ModeOperator("composite", None, a.space, {})
+    lifted = _lift(a.space, a.bar, a.n + b.n, terms, a.denominator * b.denominator)
+    out._columns, out._dropped = lifted  # nonempty and zero-free columns
+    return out
+
+
+def _lift(space, bar, n, terms, denominator):
+    """(columns, dropped columns) of the one-sided operator from level x to
+    x - n that sums `terms` (table over `denominator`, sign, level shift of
+    the factor acting first, partitions that factor maps to nonzero).  A
+    term reaches level x where x - first and x - n are at most l_max; a
+    column is dropped where some x - first exceeds l_max, or where x - n
+    does and a first factor maps its partition to nonzero.  Within a level
+    the basis runs over mu, then nu, so the columns of one (level, mu) are a
+    block, which a chiral image new of mu maps in order onto (x - n, new)."""
+    l_max = space.l_max
+    starts, col = {}, 0  # (level, mu) -> the first column of its block
+    while col < space.dim:
+        level, mu, _ = space.basis[col]
+        starts[level, mu] = col
+        col += len(partitions(level - sum(mu)))
+    rules, tables = [], {}
+    for x in range(l_max + 1):
+        kept = tuple(t for t, term in enumerate(terms) if max(x - term[2], x - n) <= l_max)
+        if kept not in tables:
+            summed = {}
+            for t in kept:
+                _accumulate(summed, terms[t][0], terms[t][1])
+            # one scalar per distinct numerator; zeros are not lifted
+            values = {s for image in summed.values() for s in image.values()}
+            scalar = {s: Fraction(s, denominator) if space.exact else s for s in values}
+            tables[kept] = {
+                p: {new: scalar[s] for new, s in image.items() if s} for p, image in summed.items()
+            }
+        drop_all = any(x - term[2] > l_max for term in terms)
+        drop = () if drop_all or x - n <= l_max else {p for term in terms for p in term[3]}
+        rules.append((tables[kept], drop_all, drop))
+    columns, dropped = {}, []
+    for (level, mu), start in starts.items():
+        table, drop_all, drop = rules[level]
+        block = range(start, start + len(partitions(level - sum(mu))))
+        if drop_all or not bar and mu in drop:
+            dropped.extend(block)
+        if bar:
+            for col, nu in zip(block, partitions(level - sum(mu))):
+                if nu in drop:
+                    dropped.append(col)
+                for new, v in table.get(nu, _EMPTY).items():
+                    columns.setdefault(col, {})[space.index[level - n, mu, new]] = v
+            continue
+        for new, v in table.get(mu, _EMPTY).items():
+            shift = starts[level - n, new] - start
+            for col in block:
+                columns.setdefault(col, {})[col + shift] = v
+    return columns, frozenset(dropped)
 
 
 def build_space(l_max: int, exact: bool = True) -> TruncatedFockSpace:
     return TruncatedFockSpace(l_max, exact=exact)
-
-
-# image of a basis vector pushed above l_max by a creation mode
-_DROPPED = (-1, 0)
 
 
 def _mode_on_partition(mu: tuple, n: int):
@@ -394,38 +428,16 @@ def _mode_on_partition(mu: tuple, n: int):
     return mu[:k] + mu[k + 1 :], n * count
 
 
-def _current_image(space: TruncatedFockSpace, n: int, col: int, bar: bool):
-    """j_n (bar=False) or jbar_n on basis vector `col`.
-
-    Returns (row, weight) with j_n|col> = weight |row>, None when the image
-    vanishes, or _DROPPED when it lies above l_max.  For fixed (n, bar) the
-    map col -> row is injective.
-    """
-    level, chiral, anti = space.basis[col]
-    level -= n
-    if level > space.l_max:
-        return _DROPPED
-    image = _mode_on_partition(anti if bar else chiral, n)
-    if image is None:
-        return None
-    new, weight = image
-    key = (level, chiral, new) if bar else (level, new, anti)
-    return space.index[key], weight
-
-
 def current_mode(space: TruncatedFockSpace, n: int, bar: bool = False) -> ModeOperator:
     """j_n (bar=False) or jbar_n as an operator on the truncated space."""
-    one = space.one_scalar()
-    columns = {}
-    dropped = set()
-    for col in range(space.dim):
-        image = _current_image(space, n, col, bar)
-        if image is _DROPPED:
-            dropped.add(col)
-        elif image is not None:
-            row, weight = image
-            columns[col] = {row: weight * one}
-    return ModeOperator("jbar" if bar else "j", n, space, columns, dropped)
+    one = 1 if space.exact else 1.0
+    table = {}
+    for size in range(min(space.l_max, space.l_max + n) + 1):  # see build_virasoro
+        for mu in partitions(size):
+            image = _mode_on_partition(mu, n)
+            if image is not None:
+                table[mu] = {image[0]: image[1] * one}
+    return ModeOperator._one_sided("jbar" if bar else "j", n, space, bar, table, 1)
 
 
 def apply_current(v: BoundaryState, n: int, bar: bool = False) -> BoundaryState:
@@ -436,12 +448,15 @@ def apply_current(v: BoundaryState, n: int, bar: bool = False) -> BoundaryState:
     out = {}
     loss = 0
     for col, c in v.coeffs.items():
-        image = _current_image(space, n, col, bar)
-        if image is _DROPPED:
+        level, mu, nu = space.basis[col]
+        level -= n
+        if level > space.l_max:
             loss += 1
-        elif image is not None:
-            row, weight = image
-            out[row] = weight * c
+            continue
+        image = _mode_on_partition(nu if bar else mu, n)
+        if image is not None:
+            new, weight = image
+            out[space.index[(level, mu, new) if bar else (level, new, nu)]] = weight * c
     return BoundaryState(space, out, v.truncation_loss + loss)
 
 
@@ -463,48 +478,35 @@ def _twice_virasoro(mu: tuple, n: int, creators) -> dict:
 def build_virasoro(
     space: TruncatedFockSpace, n: int, bar: bool = False, shifted: bool = False
 ) -> ModeOperator:
-    """L_n = (1/2) sum_k :j_{-k} j_{k+n}:, assembled one column at a time.
+    """L_n = (1/2) sum_k :j_{-k} j_{k+n}:, as a partition table.
 
     Normal ordering puts the larger mode on the right, so L_n is the sum of
     j_{m1} j_{m2} over m1 <= m2, m1 + m2 = n, with weight 1/2 when m1 == m2
     and 1 otherwise.  On a partition only two kinds of pair act: those whose
     annihilator m2 > 0 is one of its parts, and, for n < 0, pairs of two
     creators.  L_n (Lbar_n) acts on the chiral (antichiral) partition of a
-    column alone, so its image is computed once per distinct partition and
-    lifted to each column by index lookups.  A column whose level - n
-    exceeds l_max maps wholly above the truncation and is dropped.
+    column alone; a column whose level - n exceeds l_max maps wholly above
+    the truncation and is dropped.
 
     With shifted=True, L_0 carries the -1/24 vacuum-energy offset.
     """
-    l_max, index = space.l_max, space.index
-    shift = (Fraction(-1, 24) if space.exact else -1.0 / 24.0) if shifted and n == 0 else 0
-    # both creators: m2 runs over ceil(n/2)..-1
-    creators = [(n - m2, m2) for m2 in range(-(-n // 2), 0)]
-    images = {}  # partition -> [(new partition, scalar)]
-    columns = {}
-    dropped = set()
-    for col, (level, mu, nu) in enumerate(space.basis):
-        level -= n
-        if level > l_max:
-            dropped.add(col)
-            continue
-        parts = nu if bar else mu
-        image = images.get(parts)
-        if image is None:
-            image = images[parts] = [
-                (new, Fraction(w, 2) if space.exact else 0.5 * w)
-                for new, w in _twice_virasoro(parts, n, creators).items()
-            ]
-        if bar:
-            column = {index[(level, mu, new)]: v for new, v in image}
-        else:
-            column = {index[(level, new, nu)]: v for new, v in image}
-        if shift:
-            column[col] = column.get(col, 0) + shift
-        if column:
-            columns[col] = column
-    # pair weights are positive and L_0's diagonal |mu| - 1/24 never vanishes
-    return ModeOperator._of("Lbar" if bar else "L", n, space, columns, dropped)
+    # exact weights are integers over 24: a pair's w/2 is 12 w, the shift -1
+    denominator, half, shift = (24, 12, -1) if space.exact else (1, 0.5, -1.0 / 24.0)
+    shift = shift if shifted and n == 0 else 0
+    # both creators: m2 runs over ceil(n/2)..-1, and j_{m1} with -m1 > l_max
+    # leaves every column it reaches above the truncation
+    creators = [(n - m2, m2) for m2 in range(-(-n // 2), min(0, n + space.l_max + 1))]
+    table = {}
+    # a column whose partition on this side exceeds l_max + n is dropped
+    for size in range(min(space.l_max, space.l_max + n) + 1):
+        for mu in partitions(size):
+            image = {new: half * w for new, w in _twice_virasoro(mu, n, creators).items()}
+            if shift:
+                image[mu] = image.get(mu, 0) + shift
+            # pair weights are positive and L_0's diagonal |mu| - 1/24 never vanishes
+            if image:
+                table[mu] = image
+    return ModeOperator._one_sided("Lbar" if bar else "L", n, space, bar, table, denominator)
 
 
 def apply_mode(op: ModeOperator, v: BoundaryState) -> BoundaryState:
@@ -521,19 +523,17 @@ def apply_mode(op: ModeOperator, v: BoundaryState) -> BoundaryState:
 
 
 def commutator(a: ModeOperator, b: ModeOperator) -> ModeOperator:
-    """[a, b] = a @ b - b @ a.  Both products share one denominator, so the
-    difference is taken before any entry becomes a Fraction; in float64 it
-    equals a.compose(b).add(b.compose(a), scale_other=-1) bit for bit."""
+    """[a, b] = a @ b - b @ a, the two products subtracted in one pass (for
+    two tables on one side, as integers before any entry becomes a
+    Fraction); in float64 it equals a.compose(b).add(b.compose(a),
+    scale_other=-1) bit for bit."""
     _check_space(a, b)
-    ai, d_a = _common_denominator(a)
-    bi, d_b = _common_denominator(b)
-    columns, dropped = _product(ai, a.dropped_cols, bi, b.dropped_cols)
-    ba, dropped_ba = _product(bi, b.dropped_cols, ai, a.dropped_cols)
-    for col, column in ba.items():
-        out = columns.setdefault(col, {})
-        for row, v in column.items():
-            out[row] = out[row] - v if row in out else -v
-    return _from_products(a.space, columns, d_a * d_b, dropped | dropped_ba)
+    if a.bar is not None and a.bar == b.bar:
+        return _table_product(a, b, commute=True)
+    columns, dropped = _product(a.columns, a.dropped_cols, b.columns, b.dropped_cols)
+    ba, dropped_ba = _product(b.columns, b.dropped_cols, a.columns, a.dropped_cols)
+    _accumulate(columns, ba, -1)
+    return ModeOperator("composite", None, a.space, columns, dropped | dropped_ba)
 
 
 @lru_cache(maxsize=None)

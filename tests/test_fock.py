@@ -1,9 +1,10 @@
 """Tests for the truncated Fock module."""
 
+import hashlib
 import json
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from functools import lru_cache
@@ -198,8 +199,44 @@ def test_virasoro_commutator_31():
         assert apply_mode(comm, v) == apply_mode(L2, v).scale(4)
 
 
+def _current_oracle(space, n, bar=False):
+    """j_n (or jbar_n) as a column operator read off the basis keys: j_{-k}
+    adds a part k with weight 1, j_k removes one part k with weight k times
+    its multiplicity, and a column whose level - n exceeds l_max is dropped."""
+    one = space.one_scalar()
+    columns, dropped = {}, set()
+    for col, (level, mu, nu) in enumerate(space.basis):
+        if level - n > space.l_max:
+            dropped.add(col)
+            continue
+        parts = list(nu if bar else mu)
+        if n < 0:
+            parts.append(-n)
+            weight = 1
+        elif n in parts:
+            weight = n * parts.count(n)
+            parts.remove(n)
+        else:
+            continue
+        new = tuple(sorted(parts, reverse=True))
+        row = space.index[(level - n, mu, new) if bar else (level - n, new, nu)]
+        columns[col] = {row: weight * one}
+    return ModeOperator("oracle", n, space, columns, dropped)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@pytest.mark.parametrize("l_max", range(6))
+def test_current_mode_matches_oracle(l_max, exact):
+    space = _space(l_max, exact)
+    for n in range(-l_max - 2, l_max + 3):
+        for bar in (False, True):
+            op, want = current_mode(space, n, bar=bar), _current_oracle(space, n, bar)
+            assert op.entries == want.entries, (n, bar)
+            assert op.dropped_cols == want.dropped_cols, (n, bar)
+
+
 def _virasoro_oracle(space, n, bar=False, shifted=False):
-    """L_n summed over k from composed current-mode operators: each unordered
+    """L_n summed over k from composed current-mode oracles: each unordered
     normal-ordered pair j_{m1} j_{m2} (m1 <= m2, m1 + m2 = n) once, with
     weight 1/2 when m1 == m2 and 1 otherwise, plus -1/24 on L_0 if shifted."""
     half = Fraction(1, 2) if space.exact else 0.5
@@ -210,7 +247,7 @@ def _virasoro_oracle(space, n, bar=False, shifted=False):
         if m1 > m2 or m1 == 0 or m2 == 0:
             continue
         weight = half if m1 == m2 else 2 * half
-        prod = current_mode(space, m1, bar=bar).compose(current_mode(space, m2, bar=bar))
+        prod = _current_oracle(space, m1, bar).compose(_current_oracle(space, m2, bar))
         for key, val in prod.entries.items():
             total[key] = total.get(key, 0) + weight * val
     if shifted and n == 0:
@@ -254,6 +291,104 @@ def test_virasoro_dropped_columns():
                 op = build_virasoro(space, n, bar=bar)
                 want = {c for c, lv in enumerate(space.levels) if lv - n > l_max}
                 assert op.dropped_cols == want, (l_max, n, bar)
+
+
+@pytest.mark.parametrize("n", [10**6, -(10**6)])
+def test_virasoro_far_mode_on_small_space(n):
+    # every column of l_max 2 is dropped by L_{-10^6} and kept, with a zero
+    # image, by L_{10^6}
+    space = build_space(2)
+    for bar in (False, True):
+        op = build_virasoro(space, n, bar=bar)
+        assert op.is_zero()
+        assert op.dropped_cols == (set(range(space.dim)) if n < 0 else set())
+
+
+def test_commutator_keeps_columns_whose_inner_image_vanishes():
+    # [L_-1, L_-1] at l_max 4: L_-1 takes a level-3 column to level 4, where
+    # the outer L_-1 drops.  The column is dropped only when the inner image
+    # is nonzero, and L_-1 j_{-mu}|0> vanishes for mu = () alone, so the
+    # columns (3, (), nu) (or (3, mu, ()) on the antichiral side) are kept.
+    space = build_space(4)
+    for bar in (False, True):
+        kept = {
+            c
+            for c, (level, mu, nu) in enumerate(space.basis)
+            if level < 3 or (level == 3 and (nu if bar else mu) == ())
+        }
+        assert len(kept) == space.levels.index(3) + 3
+        Lm1 = build_virasoro(space, -1, bar=bar)
+        for op in (commutator(Lm1, Lm1), Lm1.compose(Lm1)):
+            assert op.dropped_cols == set(range(space.dim)) - kept, bar
+        assert commutator(Lm1, Lm1).is_zero()
+
+
+def _virasoro_digest(space):
+    """SHA-256 of space.to_json over build_virasoro(space, n, bar, shifted)
+    for every n in -2 l_max - 1..2 l_max + 1 and over [L_m, L_n] for m, n in
+    -3..3 on both sides, then of each operator's sorted dropped_cols."""
+    ops = {}
+    for n in range(-2 * space.l_max - 1, 2 * space.l_max + 2):
+        for bar in (False, True):
+            for shifted in (False, True):
+                ops[f"L{n},{bar:d},{shifted:d}"] = build_virasoro(space, n, bar, shifted)
+    for bar in (False, True):
+        modes = {n: build_virasoro(space, n, bar=bar) for n in range(-3, 4)}
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                ops[f"[L{m},L{n}],{bar:d}"] = commutator(modes[m], modes[n])
+    digest = hashlib.sha256(space.to_json(ops).encode())
+    for name in sorted(ops):
+        digest.update(f"{name}:{sorted(ops[name].dropped_cols)}".encode())
+    return digest.hexdigest()
+
+
+# _virasoro_digest as computed by the column-by-column assembly of commit
+# 4fe6f57: partition tables must reproduce its operators byte for byte
+VIRASORO_DIGESTS = {
+    (0, True): "da7f9701c7442a3a5be029f779a3def9"
+        "62b1a38337c8976d4a55f3f002811c07",
+    (0, False): "6424b2374d04be58b4e68e5bde54be91"
+        "14ab9fb318d6ecdfc0f742f189c5380c",
+    (1, True): "e2d845ade7944129011752bd35e110cd"
+        "3606f514be61a98bcc840e4083b450da",
+    (1, False): "5c0ebbd22ee3158dd8b74e7dbe5a05e6"
+        "946084d0ec42577ae250f272b96f006d",
+    (2, True): "391660042868df4d37bbf7ff542fd969"
+        "85c949bf4da1fbf3387a595e2424923b",
+    (2, False): "a1e82c36ad07eeaaeec131b0f54c110d"
+        "310650527b0a7c759a23f76b8ca78e8f",
+    (3, True): "9231b148c0b5b805f6e4739ab4173083"
+        "f5439329996dd52f6b96d470f87fb53a",
+    (3, False): "95ec7f9b2dac7138df13afd9c2b4e7dc"
+        "4e883342af0e5c86874f3bf2b4bc6471",
+    (4, True): "de7e1660681554de5b9a68152c1dd0c4"
+        "00b807b74dfcc438db09d18a60538416",
+    (4, False): "654ad437f0f74810841af4530ea33bca"
+        "2466483a68ee1d5db420548d36f34e55",
+    (5, True): "cdc4987a31c54686d744f00ce4f15193"
+        "631ea38be1ac45ac5e8f384d60632870",
+    (5, False): "c283e064c917a7445e06a1c78282a9f3"
+        "57e949153c522270d48950e66e8cab18",
+    (6, True): "033df0aff509ac66e9011aa376c5f4ee"
+        "8b521daec5b56409779babff87422722",
+    (6, False): "1bba1bdd8438309cc4bff04d288556b1"
+        "84f9ffcf750c78a9a582edb131e2b4a9",
+    (7, True): "e9699f922c287bc59df01183271ce5a6"
+        "eee07cd2e311b2a332424a24f44858a5",
+    (7, False): "22c832310a0e543e31b5e164f04f62c4"
+        "7d833f823bf4e55062f99a38e4a468a9",
+    (8, True): "f4f9f7498469e2d72503525e0acb34e0"
+        "f8c1ad5097350cd51c9ee86229d7a8eb",
+    (8, False): "a0ab2e1e62e8f57604279e18bcdb0440"
+        "215e52bfa84d67cc702d5cc0c53cd040",
+}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@pytest.mark.parametrize("l_max", range(9))
+def test_virasoro_operators_match_pinned_digests(l_max, exact):
+    assert _virasoro_digest(_space(l_max, exact)) == VIRASORO_DIGESTS[l_max, exact]
 
 
 def test_virasoro_truncation_loss():
@@ -489,3 +624,75 @@ def test_float_commutator_is_difference_of_products(data, l_max):
     _assert_canonical(comm)
     assert comm.columns == want.columns
     assert comm.dropped_cols == want.dropped_cols
+
+
+def _mode(space, kind, n, bar):
+    if kind == "j":
+        return current_mode(space, n, bar=bar)
+    return build_virasoro(space, n, bar=bar, shifted=kind == "L shifted")
+
+
+def _column_copy(op):
+    """op as a generic column operator, so products take the column path."""
+    return ModeOperator(op.kind, op.n, op.space, op.columns, op.dropped_cols)
+
+
+_KINDS = st.sampled_from(["j", "L", "L shifted"])
+_MODE = st.integers(min_value=-7, max_value=7)
+
+
+@given(
+    l_max=st.integers(min_value=0, max_value=6),
+    exact=st.booleans(),
+    bar=st.booleans(),
+    kinds=st.tuples(_KINDS, _KINDS),
+    m=_MODE,
+    n=_MODE,
+)
+@example(l_max=0, exact=True, bar=False, kinds=("L", "j"), m=-1, n=1)
+@example(l_max=1, exact=False, bar=True, kinds=("L shifted", "L"), m=0, n=-1)
+@settings(max_examples=100, deadline=None)
+def test_one_sided_products_match_dense_reference(l_max, exact, bar, kinds, m, n):
+    # float64 is exact here too: the entries are multiples of 1/2, and the
+    # one non-dyadic value, the -1/24 of a shifted L_0, sits on a diagonal,
+    # so every product entry it enters is a single product
+    space = _space(l_max, exact)
+    a, b = _mode(space, kinds[0], m, bar), _mode(space, kinds[1], n, bar)
+    A, B = _dense(a), _dense(b)
+    ab, ba = _dense_product(A, B), _dense_product(B, A)
+    prod, comm = a.compose(b), commutator(a, b)
+    _assert_canonical(prod)
+    _assert_canonical(comm)
+    assert _dense(prod) == ab
+    assert prod.dropped_cols == _dropped_by_product(a, b)
+    assert _dense(comm) == [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+    assert comm.dropped_cols == _dropped_by_product(a, b) | _dropped_by_product(b, a)
+    # the column path on the lifted operands gives the same entries bit for bit
+    a_cols, b_cols = _column_copy(a), _column_copy(b)
+    assert prod.columns == a_cols.compose(b_cols).columns
+    assert comm.columns == commutator(a_cols, b_cols).columns
+
+
+@given(
+    data=st.data(),
+    l_max=st.integers(min_value=0, max_value=4),
+    exact=st.booleans(),
+    kinds=st.tuples(_KINDS, _KINDS),
+    m=_MODE,
+    n=_MODE,
+)
+@settings(max_examples=60, deadline=None)
+def test_mixed_operands_match_dense_reference(data, l_max, exact, kinds, m, n):
+    # a chiral times an antichiral mode, and a mode plus a generic operator,
+    # take the column path
+    space = _space(l_max, exact)
+    a, b = _mode(space, kinds[0], m, False), _mode(space, kinds[1], n, True)
+    prod = a.compose(b)
+    _assert_canonical(prod)
+    assert _dense(prod) == _dense_product(_dense(a), _dense(b))
+    assert prod.dropped_cols == _dropped_by_product(a, b)
+    r = _random_operator(data, space)
+    total = a.add(r)
+    _assert_canonical(total)
+    assert _dense(total) == [[x + y for x, y in zip(p, q)] for p, q in zip(_dense(a), _dense(r))]
+    assert total.dropped_cols == a.dropped_cols | r.dropped_cols
