@@ -190,7 +190,7 @@ class FormalTheory:
             elif self.dims[c] == (0, 0) and mu == (1,) and mubar == (1,):
                 for gamma, m in self._mixing_of.get(c, ()):
                     _add(out, gamma, value * m)
-        out = self._C[alpha, beta] = {k: v for k, v in out.items() if v != 0}
+        out = self._C[alpha, beta] = {k: v for k, v in out.items() if v}
         return out
 
     def K(self, alpha, beta):
@@ -202,7 +202,7 @@ class FormalTheory:
         for (c, mu, mubar, value) in self.rows.get((alpha, beta), ()):
             if self.dims[c] == (0, 0) and mu == () and mubar == ():
                 _add(out, c, value)
-        out = self._K[alpha, beta] = {k: v for k, v in out.items() if v != 0}
+        out = self._K[alpha, beta] = {k: v for k, v in out.items() if v}
         return out
 
     def corr_dimension(self, key):
@@ -273,15 +273,31 @@ def _add(coeffs, key, value):
 
 
 def _expansion(terms) -> RExpansion:
-    """Wrap {(p, q): {key: scalar}} once; the constructors drop zeros, so
-    rows that cancel vanish."""
-    return RExpansion({pq: FormalVector(vec) for pq, vec in terms.items()})
+    """Wrap {(p, q): {key: LogPoly}} with the unchecked constructors, in one
+    pass.  The callers make every p canonical (an int when integral) and
+    every q an int, where they make it; their sums over a repeated key can
+    cancel, so zero LogPolys, and rows left empty, drop here."""
+    out = {}
+    for pq, vec in terms.items():
+        vec = {key: val for key, val in vec.items() if val}
+        if vec:
+            out[pq] = FormalVector._of(vec)
+    return RExpansion._of(out)
 
 
 def _channel(C, key=(0, 0, 0, 0)):
     """The marginal channel C^gamma <O_gamma> as vector terms, each value
     times the monomial of the canonical LogPoly key (a, b, i, j)."""
     return {("corr", gamma, (), ()): LogPoly._of({key: val}) for gamma, val in C.items()}
+
+
+def _power_rows(theory, alpha, beta):
+    """(2(s - 1), symbol, value) for each OPE row of (alpha, beta) with
+    s = sbar != 1, the exponent canonical: 2(1/2 - 1) is the int -1."""
+    for (c, mu, mubar, val) in theory.rows.get((alpha, beta), ()):
+        s, sbar = theory.exponent_pair(c, mu, mubar)
+        if s == sbar != 1:
+            yield canonical_exponent(2 * (s - 1)), ("corr", c, mu, mubar), val
 
 
 def compute_correction(theory: FormalTheory, alpha, beta) -> RExpansion:
@@ -291,12 +307,8 @@ def compute_correction(theory: FormalTheory, alpha, beta) -> RExpansion:
     The s = 0 term is the -K/(2 r^2) counterterm of the special marginal OPE.
     """
     terms = {(0, 1): _channel(theory.effective_C(alpha, beta))}
-    for (c, mu, mubar, val) in theory.rows.get((alpha, beta), ()):
-        s, sbar = theory.exponent_pair(c, mu, mubar)
-        if s != sbar or s == 1:
-            continue
-        denom = 2 * (s - 1)
-        _add(terms.setdefault((denom, 0), {}), ("corr", c, mu, mubar), val / denom)
+    for denom, key, val in _power_rows(theory, alpha, beta):
+        _add(terms.setdefault((denom, 0), {}), key, LogPoly._of({(0, 0, 0, 0): val / denom}))
     return _expansion(terms)
 
 
@@ -307,14 +319,9 @@ def integrated_ope(theory: FormalTheory, alpha, beta) -> RExpansion:
     # log(R/r) * C * <O_gamma>_{D_R}
     const = _channel(C, (0, 0, 1, 0))
     terms = {(0, 0): const, (0, 1): {key: -val for key, val in _channel(C).items()}}
-    for (c, mu, mubar, val) in theory.rows.get((alpha, beta), ()):
-        s, sbar = theory.exponent_pair(c, mu, mubar)
-        if s != sbar or s == 1:
-            continue
-        denom = 2 * (s - 1)
-        key = ("corr", c, mu, mubar)
-        _add(const, key, LogPoly.monomial(val / denom, R=denom))
-        _add(terms.setdefault((denom, 0), {}), key, -val / denom)
+    for denom, key, val in _power_rows(theory, alpha, beta):
+        _add(const, key, LogPoly._of({(denom, 0, 0, 0): val / denom}))
+        _add(terms.setdefault((denom, 0), {}), key, LogPoly._of({(0, 0, 0, 0): -val / denom}))
     return _expansion(terms)
 
 
@@ -377,16 +384,26 @@ def dilate_family(theory: FormalTheory, expansion: RExpansion) -> RExpansion:
 
 
 def _dilate(theory, expansion, weight) -> RExpansion:
-    """lam^weight * Dil_lambda(expansion), one monomial product per
-    (value, j): an exponent shift, which multiplies coefficients only where
-    comb(q, j) != 1 and returns the value itself where it shifts nothing."""
+    """lam^weight * Dil_lambda(expansion), by dilate_family's rule for any
+    weight, p, q and dimension, as a direct exponent shift of each monomial;
+    a zero shift (so j = q and comb(q, j) = 1) is the value itself.  Shifted
+    values stay zero-free, but values from different q can meet at one
+    (p, j) and cancel, which _expansion drops."""
     terms = {}
     for (p, q), vec in expansion.terms.items():
+        rows = [(terms.setdefault((p, j), {}), comb(q, j), q - j) for j in range(q + 1)]
         for key, val in vec.terms.items():
             lam = canonical_exponent(weight + p - theory.corr_dimension(key))
-            for j in range(q + 1):
-                factor = LogPoly._of({(0, lam, 0, q - j): comb(q, j)})
-                _add(terms.setdefault((p, j), {}), key, val * factor)
+            for row, n, dj in rows:
+                moved = val
+                if lam or dj:
+                    moved = LogPoly._of(
+                        {
+                            (a, canonical_exponent(b + lam), i, k + dj): c * n if n != 1 else c
+                            for (a, b, i, k), c in val.terms.items()
+                        }
+                    )
+                _add(row, key, moved)
     return _expansion(terms)
 
 
@@ -408,8 +425,10 @@ def anomalous_dilation(theory: FormalTheory, beta):
         if C:  # effective_C stores no zeros, so the channel vector is nonzero
             log_lam = RExpansion._of({(0, 0): FormalVector._of(_channel(C, (0, 0, 0, 1)))})
             _add(rhs, mono, log_lam)
-    lhs = Jet(alg, {mono: _dilate(theory, e, 2) for mono, e in tilde.items()})
-    return lhs, Jet(alg, rhs)
+    # monomials () and single symbols; nonzero values: dilation is invertible,
+    # and dv and the log(lam) channel never share an (r, log r) key
+    lhs = Jet._of(alg, {mono: _dilate(theory, e, 2) for mono, e in tilde.items()})
+    return lhs, Jet._of(alg, rhs)
 
 
 # ------------------------------------------------------- double deformation
@@ -450,8 +469,8 @@ def double_deform(theory: FormalTheory) -> Jet:
                 vec[("reg",) + tuple(sorted((alpha, beta)))] = LogPoly.monomial(1)
             if vec:  # C and K store no zeros, and the keys are distinct atoms
                 coeffs[tuple(sorted((f"gt[{beta}]", f"g[{alpha}]")))] = FormalVector._of(vec)
-    pf = Jet(alg, coeffs)
-    return recombine(pf, labels=labels)
+    # sorted monomials of degree at most one per group, nonzero atom vectors
+    return recombine(Jet._of(alg, coeffs), labels=labels)
 
 
 def radius_scaled(theory: FormalTheory, pf: Jet) -> Jet:

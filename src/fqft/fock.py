@@ -510,16 +510,29 @@ def build_virasoro(
 
 
 def apply_mode(op: ModeOperator, v: BoundaryState) -> BoundaryState:
-    """Linear action of a mode operator; counts truncation losses."""
+    """Linear action of a mode operator; counts truncation losses.  A table
+    not lifted yet acts one nonzero at a time, as apply_current does, and
+    stays unlifted: a column is lost where level - n exceeds l_max."""
     if op.space is not v.space:
         raise SpaceMismatchError("operator and state live in different spaces")
-    out = {}
-    loss = 0
+    space, out, loss = v.space, {}, 0
+    if op.table is not None and op._columns is None:
+        for col, c in v.coeffs.items():
+            level, mu, nu = space.basis[col]
+            level -= op.n
+            if level > space.l_max:
+                loss += 1
+                continue
+            for new, w in op.table.get(nu if op.bar else mu, _EMPTY).items():
+                row = space.index[(level, mu, new) if op.bar else (level, new, nu)]
+                val = (Fraction(w, op.denominator) if space.exact else w) * c
+                out[row] = out[row] + val if row in out else val
+        return BoundaryState(space, out, v.truncation_loss + loss)
     for col, c in v.coeffs.items():
         loss += col in op.dropped_cols
         for row, val in op.columns.get(col, _EMPTY).items():
             out[row] = out[row] + val * c if row in out else val * c
-    return BoundaryState(v.space, out, v.truncation_loss + loss)
+    return BoundaryState(space, out, v.truncation_loss + loss)
 
 
 def commutator(a: ModeOperator, b: ModeOperator) -> ModeOperator:

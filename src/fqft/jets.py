@@ -13,6 +13,8 @@ the bilinear part.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import RecombinationError
 from .rexp import Sparse, coeff_eq, coeff_is_zero
 
@@ -139,12 +141,6 @@ def _coeff_mul(a, b):
         return b.scale(a) if hasattr(b, "scale") else a.scale(b)
 
 
-def _split_symbol(name):
-    """'g[x]' -> ('g', 'x')."""
-    head, _, rest = name.partition("[")
-    return head, rest[:-1]
-
-
 def recombine(expr: Jet, labels=None) -> Jet:
     """Rewrite a (g, g~) double-deformation jet in the combined coupling.
 
@@ -152,59 +148,41 @@ def recombine(expr: Jet, labels=None) -> Jet:
     symmetric, and maps to (1/2) g_c g_c.  Anything else cannot be expressed
     in g_c alone and raises RecombinationError.
     """
-    if labels is None:
-        labels = sorted(
-            {_split_symbol(s)[1] for s in expr.algebra.symbols if _split_symbol(s)[0] in ("g", "gt")}
-        )
+    if labels is None:  # the x of every g[x] and gt[x]
+        names = (s.partition("[") for s in expr.algebra.symbols)
+        labels = sorted({rest[:-1] for head, _, rest in names if head in ("g", "gt")})
     target = JetAlgebra.combined_coupling(labels, truncation=expr.algebra.truncation)
+    g, gt, gc = ({label: f"{head}[{label}]" for label in labels} for head in ("g", "gt", "gc"))
+    # monomials not read yet, by their sorted keys: "g[..." sorts before "gt[..."
+    rest = dict(expr.terms)
     out = {}
-    seen = set()
-    const = expr.coefficient(())
+    const = rest.pop((), None)
     if const is not None:
         out[()] = const
     for label in labels:
-        cg = expr.coefficient((f"g[{label}]",))
-        cgt = expr.coefficient((f"gt[{label}]",))
+        cg, cgt = rest.pop((g[label],), None), rest.pop((gt[label],), None)
         if not coeff_eq(cg, cgt):
-            raise RecombinationError(
-                f"linear coefficients of g[{label}] and gt[{label}] differ"
-            )
+            raise RecombinationError(f"linear coefficients of g[{label}] and gt[{label}] differ")
         if cg is not None:
-            out[(f"gc[{label}]",)] = cg
-        seen.add((f"g[{label}]",))
-        seen.add((f"gt[{label}]",))
-    seen.add(())
+            out[(gc[label],)] = cg
     for i, li in enumerate(labels):
-        for lj in labels:
-            mono = tuple(sorted((f"gt[{li}]", f"g[{lj}]")))
-            seen.add(mono)
         for lj in labels[i:]:
-            s_ij = expr.coefficient((f"gt[{li}]", f"g[{lj}]"))
-            s_ji = expr.coefficient((f"gt[{lj}]", f"g[{li}]"))
+            s_ij = rest.pop((g[lj], gt[li]), None)
             if li == lj:
-                if s_ij is None:
-                    continue
-                half = _halve(s_ij)
-                out[(f"gc[{li}]", f"gc[{li}]")] = half
-            else:
-                if not coeff_eq(s_ij, s_ji):
-                    raise RecombinationError(
-                        f"bilinear part not symmetric in ({li}, {lj})"
-                    )
-                if s_ij is not None:
-                    out[tuple(sorted((f"gc[{li}]", f"gc[{lj}]")))] = s_ij
-    extra = set(expr.terms) - seen
-    if extra:
-        raise RecombinationError(f"monomials outside the (g, g~) scheme: {sorted(extra)}")
-    return Jet(target, out)
+                # halving keeps an exact value nonzero; a float64 one can underflow
+                if s_ij is not None and not coeff_is_zero(half := _halve(s_ij)):
+                    out[(gc[li], gc[li])] = half
+                continue
+            s_ji = rest.pop((g[li], gt[lj]), None)
+            if not coeff_eq(s_ij, s_ji):
+                raise RecombinationError(f"bilinear part not symmetric in ({li}, {lj})")
+            if s_ij is not None:
+                out[tuple(sorted((gc[li], gc[lj])))] = s_ij
+    if rest:
+        raise RecombinationError(f"monomials outside the (g, g~) scheme: {sorted(rest)}")
+    # sorted monomials of degree at most two in gc; the values are nonzero
+    return Jet._of(target, out)
 
 
 def _halve(c):
-    from fractions import Fraction
-
-    if hasattr(c, "shape"):  # numpy coefficients stay float
-        return c / 2
-    try:
-        return Fraction(1, 2) * c
-    except TypeError:
-        return c / 2
+    return c / 2 if hasattr(c, "shape") else Fraction(1, 2) * c  # numpy stays float

@@ -18,16 +18,15 @@ from .scalars import canonical_exponent
 
 
 def coeff_is_zero(c) -> bool:
-    """Zero test across the coefficient types used in expansions/jets."""
+    """Zero test across the coefficient types of expansions and jets, each
+    type's own: is_zero() of the fqft values, any() of a numpy array, == 0
+    of a number; None is zero."""
     if c is None:
         return True
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    if hasattr(c, "shape"):  # numpy matrices as coefficients
-        import numpy
-
-        return not numpy.any(c)
-    return c == 0
+    is_zero = getattr(c, "is_zero", None)
+    if is_zero is not None:
+        return is_zero()
+    return not c.any() if hasattr(c, "shape") else c == 0
 
 
 def coeff_eq(a, b) -> bool:
@@ -92,8 +91,11 @@ class Sparse:
 
     @classmethod
     def _of(cls, *args):
-        """Wrap a zero-free dict with normalised keys, unchecked; the
-        arguments are the public constructor's (context first, if any)."""
+        """Wrap a dict unchecked, given the public constructor's arguments
+        (context first, if any).  Only for a dict the constructor would keep
+        as it is: every key already normalised (an RExpansion's p an int when
+        integral, a jet's monomial sorted and allowed), no zero coefficient,
+        and no sum of entries that could cancel left unchecked."""
         out = object.__new__(cls)
         if cls._context:
             setattr(out, cls._context, args[0])

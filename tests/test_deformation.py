@@ -1,6 +1,9 @@
 """Tests for the conformal perturbation theory engine."""
 
+import contextlib
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +11,9 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import fqft.deformation
+from fqft.cli import main
 
 from fqft.deformation import (
     LAM_SYM,
@@ -693,3 +699,167 @@ def test_dilation_with_log_powers_matches_general_rule(raw):
         }
     )
     _same(dilate_family(th, expansion), _general_dilate(th, expansion))
+
+
+def _walk(x):
+    """x and everything inside it: the values of dicts, jets, expansions,
+    formal vectors and LogPolys, down to their scalars."""
+    yield x
+    for v in (x if isinstance(x, dict) else getattr(x, "terms", {})).values():
+        yield from _walk(v)
+
+
+def _canonical(x):
+    """A rational exponent stored as the builders must: an int when integral."""
+    return type(x) is int or type(x) is Fraction and x.denominator > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hostile_theories())
+def test_trusted_constructors_store_no_zeros(th):
+    # the builders wrap their dicts unchecked: no level of any output may
+    # store a zero, and every key must be one the checked constructors keep
+    outputs = []
+    for a in th.marginals:
+        for b in th.marginals:
+            outputs += [compute_correction(th, a, b), integrated_ope(th, a, b)]
+        outputs += anomalous_dilation(th, a)
+    with contextlib.suppress(RecombinationError):
+        outputs.append(double_deform(th))
+    res = beta(th)
+    outputs += [res.coefficients, res.running()]
+    for x in (x for out in outputs for x in _walk(out)):
+        if isinstance(x, (Jet, RExpansion, FormalVector, LogPoly)):
+            for v in x.terms.values():
+                assert v != 0 if isinstance(v, (int, Fraction)) else v.terms, x
+        if isinstance(x, RExpansion):
+            assert all(_canonical(p) and type(q) is int for p, q in x.terms), x
+        if isinstance(x, LogPoly):
+            assert all(_canonical(a) and _canonical(b) for a, b, _, _ in x.terms), x
+        if isinstance(x, Jet):
+            assert all(m == tuple(sorted(m)) and x.algebra.monomial_ok(m) for m in x.terms), x
+
+
+def _with_correction(monkeypatch, change):
+    """Let anomalous_dilation read compute_correction's output through change."""
+    original = fqft.deformation.compute_correction
+    monkeypatch.setattr(
+        fqft.deformation, "compute_correction", lambda th, a, b: change(original(th, a, b))
+    )
+
+
+@pytest.mark.parametrize("p", [-2, 2])  # the K counterterm (s = 0) and phi (s = 2)
+def test_dilation_identity_bites_on_a_wrong_correction(monkeypatch, p):
+    # the left side must come from dilating the correction, term by term: a
+    # term moved off its r^{2(s-1)}, or a missing log(r) channel, breaks it
+    th = FormalTheory(
+        [("1", 0, 0), ("e", 1, 1), ("phi", 2, 2)],
+        [("e", "e", "e", (), (), 3), ("e", "e", "1", (), (), 5), ("e", "e", "phi", (), (), 7)],
+    )
+
+    def unchanged(dv):
+        return dv
+
+    def doubled(dv):
+        return dv + RExpansion.term(p, 0, dv.coefficient(p, 0))
+
+    def moved(dv):  # r^{2(s-1)} -> r^{4(s-1)}
+        term = dv.coefficient(p, 0)
+        return dv - RExpansion.term(p, 0, term) + RExpansion.term(2 * p, 0, term)
+
+    def no_log(dv):
+        return dv - RExpansion.term(0, 1, dv.coefficient(0, 1))
+
+    # lam^2 Dil_lam scales r^{2(s-1)} <O>_{D_r} by lam^{2 + 2(s-1) - 2s} = 1,
+    # so the identity holds whatever that term's coefficient
+    for change, holds in ((unchanged, True), (doubled, True), (moved, False), (no_log, False)):
+        _with_correction(monkeypatch, change)
+        lhs, rhs = anomalous_dilation(th, "e")
+        assert (lhs == rhs) == holds, change.__name__
+        monkeypatch.undo()
+
+
+# ----------------------------------------------------- pinned formal outputs
+
+
+def _formal_rows(rng, n_marginals):
+    """A copy of the benchmark's random_formal_rows: symmetric random
+    marginal-sector data (primaries, rows, mixing), the same number of rows
+    for every pair of marginals."""
+
+    def value(limit, denominator=1):
+        return Fraction(rng.choice([v for v in range(-limit, limit + 1) if v]), denominator)
+
+    labels = [f"m{i}" for i in range(n_marginals)]
+    primaries = [("1", 0, 0)] + [(l, 1, 1) for l in labels] + [("phi", 2, 2)]
+    rows = []
+    for ia, a in enumerate(labels):
+        for b in labels[ia:]:
+            targets = rng.sample(labels, (n_marginals + 1) // 2)
+            new = [(a, b, c, (), (), value(5)) for c in sorted(targets)]
+            new.append((a, b, "1", (), (), value(6, 2)))
+            new.append((a, b, "1", (1,), (1,), value(3)))
+            new.append((a, b, "phi", (1,), (1,), value(3, 3)))
+            rows.extend(new)
+            if a != b:
+                rows.extend((b, a, c, mu, mubar, v) for (_, _, c, mu, mubar, v) in new)
+    mixing = {("1", l): value(2) for l in sorted(rng.sample(labels, (n_marginals + 1) // 2))}
+    return primaries, rows, mixing
+
+
+def _typed(x):
+    """repr(x), and how many of the exact scalars inside it are ints and how
+    many Fractions: repr prints the two alike, the report codec does not."""
+    kinds = Counter(type(v).__name__ for v in _walk(x) if isinstance(v, (int, Fraction)))
+    return f"{x!r} {sorted(kinds.items())}"
+
+
+def _formal_digest(th):
+    """SHA-256 over double_deform, both sides of anomalous_dilation for
+    every marginal, and beta's coefficients and running couplings."""
+    digest = hashlib.sha256(_typed(double_deform(th)).encode())
+    for b in th.marginals:
+        lhs, rhs = anomalous_dilation(th, b)
+        digest.update(f"{b}: {_typed(lhs)} = {_typed(rhs)}".encode())
+    res = beta(th)
+    digest.update(f"{_typed(res.coefficients)} {_typed(res.running())}".encode())
+    return digest.hexdigest()
+
+
+def _formal_report_digest(capsys, tmp_path, th):
+    """SHA-256 of the `fqft beta --backend formal` JSON report."""
+    path = tmp_path / "theory.json"
+    path.write_text(theory_to_json(th))
+    assert main(["beta", "--backend", "formal", "--theory", str(path)]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+# _formal_digest of the theory _formal_rows(random.Random(n), n) draws, and
+# the report digest for n = 11, as the builders of commit 5ec2856 computed
+# them (checked constructors throughout): the formal outputs are pinned
+# byte for byte
+FORMAL_DIGESTS = {
+    1: "743b98b125d36d64f0761ae9b2f02065309e9d6b649d16060d2486351d4a4b84",
+    2: "e711027e24b0e715965af76ce2f390dbba03ce132481069b57d1471806583ede",
+    3: "5ad5a86d8698b95e01d8ab3145aa3e6522bb25ebff89b2118b26f4171ad86ebe",
+    4: "0df70f63249c4b5a01b756d96aa5fcb2c0325a14f648ab9718cabec5d1fbc919",
+    5: "5a7988ef411dec953510447edb86369feafde4f6ae4d7a652ae520abda6e48be",
+    6: "54fc92e3fabe2febae44aaa4fafe78c32f76bfab5caa06932b21ea12e30005e7",
+    7: "6481820efa0b4d03e2a771373eb1dbe6a7cfce561e5a9971c9288adf278fb5c7",
+    8: "d4c149c657152ad23990226f510a1aea9a1ac48005d371d2fcb6697e0b092114",
+    9: "9fecebbd37980df1c5ed5803ca25d13f844f0d69d2b06ff47f462ecad9a3d7c0",
+    10: "d64e1490f0d1566a2b526cc17da3c74b7986bc79a61887cdccbedc478c44bd68",
+    11: "7c38996348a77fc92e3bd8e4d483c224eb8b862c1b491a8b1cdde564493762cb",
+}
+FORMAL_REPORT_DIGEST = "b3bc5b4c5507250dfeeac91cf0a84c2322c02709cd9a6efa9468453533ab5008"
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_formal_outputs_match_pinned_digests(n):
+    th = FormalTheory(*_formal_rows(random.Random(n), n))
+    assert _formal_digest(th) == FORMAL_DIGESTS[n]
+
+
+def test_formal_report_matches_pinned_digest(capsys, tmp_path):
+    th = FormalTheory(*_formal_rows(random.Random(11), 11))
+    assert _formal_report_digest(capsys, tmp_path, th) == FORMAL_REPORT_DIGEST

@@ -674,6 +674,41 @@ def test_one_sided_products_match_dense_reference(l_max, exact, bar, kinds, m, n
 
 
 @given(
+    l_max=st.integers(min_value=0, max_value=6),
+    exact=st.booleans(),
+    kind=_KINDS,
+    n=_MODE,
+    bar=st.booleans(),
+    coeffs=st.dictionaries(
+        st.integers(min_value=0, max_value=400),
+        st.tuples(st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=7)),
+        max_size=8,
+    ),
+    loss=st.integers(min_value=0, max_value=3),
+)
+@example(l_max=0, exact=True, kind="L shifted", n=0, bar=False, coeffs={0: (1, 1)}, loss=0)
+@example(l_max=0, exact=False, kind="j", n=-1, bar=True, coeffs={0: (2, 3)}, loss=1)
+@example(l_max=1, exact=True, kind="L", n=-1, bar=True, coeffs={1: (3, 2), 2: (-1, 7)}, loss=0)
+@example(l_max=1, exact=False, kind="j", n=1, bar=False, coeffs={1: (5, 1), 2: (1, 3)}, loss=2)
+@settings(max_examples=150, deadline=None)
+def test_unlifted_table_acts_like_its_columns(l_max, exact, kind, n, bar, coeffs, loss):
+    # a table acts on a sparse state one nonzero at a time and stays
+    # unlifted; its lifted columns give the same state bit for bit, with the
+    # same scalar types and truncation loss
+    space = _space(l_max, exact)
+    values = {i % space.dim: Fraction(k, d) if exact else k / d for i, (k, d) in coeffs.items()}
+    v = BoundaryState(space, values, loss)
+    op = _mode(space, kind, n, bar)
+    got = apply_mode(op, v)
+    assert op._columns is None
+    want = apply_mode(_column_copy(op), v)
+    assert got == want
+    types = [{i: type(c) for i, c in w.coeffs.items()} for w in (got, want)]
+    assert types[0] == types[1]
+    assert got.truncation_loss == want.truncation_loss
+
+
+@given(
     data=st.data(),
     l_max=st.integers(min_value=0, max_value=4),
     exact=st.booleans(),

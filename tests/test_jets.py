@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,3 +217,19 @@ def test_recombine_rexp_coefficients():
     out = recombine(expr)
     assert coeff_eq(out.coefficient(("gc[x]",)), e)
     assert coeff_eq(out.coefficient(("gc[x]", "gc[x]")), e.scale(Fraction(1, 2)))
+
+
+def test_recombine_rejects_monomials_outside_the_scheme():
+    # g[y] and gt[y] belong to no label that is recombined
+    alg = JetAlgebra.double_coupling(["x", "y"])
+    expr = Jet(alg, {("g[x]",): Fraction(1), ("gt[x]",): Fraction(1), ("g[y]",): Fraction(2)})
+    with pytest.raises(RecombinationError):
+        recombine(expr, labels=["x"])
+
+
+def test_recombine_drops_a_float_half_that_underflows():
+    # the output is wrapped unchecked, so a halved diagonal must be tested:
+    # half the smallest subnormal rounds to zero
+    alg = JetAlgebra.double_coupling(["x"])
+    tiny = np.array([[5e-324]])
+    assert recombine(Jet(alg, {("g[x]", "gt[x]"): tiny})).terms == {}

@@ -450,3 +450,14 @@ def test_oracle_against_finite_coupling():
     series = oracle[0] + g * oracle[1] + g * g * oracle[2]
     full = expm(-T * (H + g * O))
     assert np.max(np.abs(series - full)) < 5e-9  # O(g^3)
+
+
+def test_double_deform_by_zero_keeps_only_the_constant():
+    # a zero observable gives zero first and second orders, and the jet
+    # stores no zero matrix: only the evolution remains
+    H = np.array([[1.0, 0.5], [0.0, 2.0]])
+    theory = QmTheory(H)
+    seg = qm_double_deform(theory, {"o": np.zeros((2, 2))}, 0.0, 1.0)
+    assert list(seg.value.terms) == [()]
+    want = evolve(theory, 0.0, 1.0).value
+    np.testing.assert_allclose(seg.value.coefficient(()), want, rtol=1e-14)
