@@ -264,6 +264,9 @@ def main(argv=None):
             parser.error(f"{args.command} needs --lmax >= 2 (j jbar sits at level 2)")
     if "dim" in args and args.dim < 1:
         parser.error("--dim must be >= 1")
+    if "seed" in args and args.seed < 0:
+        # numpy's default_rng takes non-negative seeds only
+        parser.error("--seed must be >= 0")
     args.formal_theory = None
     if getattr(args, "theory", None) and not formal:
         parser.error("--theory needs --backend formal")

@@ -7,11 +7,11 @@ partitions as non-increasing tuples, in graded-lexicographic order;
 current mode to a state one nonzero at a time.  Operators are read by
 column, {col: {row: nonzero scalar}}.  j_n, L_n and their bars act on one
 chiral side: each is a partition table {mu: {new: weight}} with its side
-and level shift, whose columns are lifted only when read.  `compose` and
-`commutator` of two tables on one side multiply the tables, as integers
-over one denominator in exact arithmetic, and lift the result once with
-one Fraction per distinct numerator; other operands multiply column by
-column.  The Shapovalov pairing is diagonal in the basis.
+and level shift.  `compose` and `commutator` of two tables on one side
+multiply the tables, as integers over one denominator in exact arithmetic;
+other operands multiply column by column.  A table, or such a product, is
+lifted lazily from block runs (one Fraction per distinct numerator), and
+its entries are read from the runs.  The Shapovalov pairing is diagonal.
 
 The zero mode j_0 acts as zero throughout (the zero-mode sector is out of
 scope), and components pushed above the truncation level are dropped with a
@@ -29,12 +29,12 @@ from .scalars import encode_scalar
 
 # Hard cap on the truncation level.  dim grows like sum p(k)p(m) (7 567 at
 # 14, 17 345 at 16, 38 045 at 18).  Exact arithmetic, one process on a
-# 2-core Xeon, Python 3.11, median of 3: build_space, the tables of L_{+-2}
-# and L_0, [L_2, L_{-2}] and reading L_0's columns take 0.007 + 0.008 + 0.005
-# + 0.032 + 0.012 s at 14 (peak RSS 22 MB, 16 MB of it imports) and 0.015 +
-# 0.015 + 0.009 + 0.061 + 0.022 s at 16 (31 MB); with the cap lifted, 0.036 +
-# 0.025 + 0.017 + 0.151 + 0.042 s and 53 MB at 18.  Per two levels time and
-# memory above imports grow 2-2.5x; the commutator is the largest cost.
+# 2-core Xeon, Python 3.11, median of 5: build_space, the tables of L_{+-2}
+# and L_0, lifting [L_2, L_{-2}] and L_0's columns take 0.004 + 0.004 + 0.001
+# + 0.014 + 0.004 s at 14 (peak RSS 22 MB, 14 MB of it imports) and 0.008 +
+# 0.008 + 0.002 + 0.033 + 0.011 s at 16 (31 MB); with the cap lifted, 0.026 +
+# 0.019 + 0.005 + 0.087 + 0.026 s and 50 MB at 18.  Per two levels time and
+# memory above imports grow 2-3x; the commutator's lift is the largest cost.
 L_MAX_HARD_CAP = 16
 
 
@@ -86,16 +86,19 @@ class TruncatedFockSpace:
             )
         self.l_max = l_max
         self.exact = exact
-        self.basis = sorted(
-            (total, mu, nu)
-            for total in range(l_max + 1)
-            for k in range(total + 1)
-            for mu in partitions(k)
-            for nu in partitions(total - k)
-        )
-        self.index = {key: i for i, key in enumerate(self.basis)}
-        self.dim = len(self.basis)
-        self.levels = [key[0] for key in self.basis]
+        # built in order: per level, mu runs over the chiral partitions of
+        # size <= level, lexicographically, and nu over the rest; the columns
+        # of one (level, mu) form a block, blocks[level][mu] its first column
+        chiral = sorted((mu, k) for k in range(l_max + 1) for mu in partitions(k))
+        self.basis, self.blocks = basis, blocks = [], []
+        for total in range(l_max + 1):
+            blocks.append({})
+            for mu, k in chiral:
+                if k <= total:
+                    blocks[total][mu] = len(basis)
+                    basis += [(total, mu, nu) for nu in partitions(total - k)]
+        self.index = dict(zip(basis, range(len(basis))))
+        self.dim, self.levels = len(basis), [key[0] for key in basis]
 
     def zero_scalar(self):
         return Fraction(0) if self.exact else 0.0
@@ -224,15 +227,19 @@ class ModeOperator:
     read by column as {col: {row: nonzero scalar}}.  dropped_cols are the
     columns whose image has components above l_max (dropped, and counted as
     truncation loss by apply_mode).  A mode on one side (`bar` False or
-    True; None for a generic operator) holds its partition table with
-    weights over `denominator` (integers in exact arithmetic, floats over 1
-    in float64); its columns and dropped columns are lifted when read."""
+    True, else None) holds its partition table with weights over
+    `denominator` (integers in exact arithmetic, floats over 1 in float64).
+    A mode or a product of two on one side is lifted from its `_pending`
+    terms (then let go) when its columns are first read; its entries are
+    read from the lift's runs without lifting it."""
 
-    __slots__ = ("kind", "n", "space", "bar", "table", "denominator", "_columns", "_dropped")
+    __slots__ = (
+        "kind", "n", "space", "bar", "table", "denominator", "_pending", "_columns", "_dropped"
+    )
 
     def __init__(self, kind, n, space, columns, dropped_cols=frozenset()):
         self.kind, self.n, self.space = kind, n, space
-        self.bar, self.table, self.denominator = None, None, 1
+        self.bar, self.table, self.denominator, self._pending = None, None, 1, None
         self._columns = {}
         for col, column in columns.items():
             column = {row: v for row, v in column.items() if v != 0}
@@ -245,14 +252,20 @@ class ModeOperator:
         """Wrap a partition table whose images are nonempty and zero-free."""
         out = cls(kind, n, space, {})
         out.bar, out.table, out.denominator, out._columns = bar, table, denominator, None
+        out._pending = (bar, n, [(table, 1, n, ())], denominator)  # _lift's arguments
         return out
 
     @property
     def columns(self) -> dict:
         if self._columns is None:
-            terms = [(self.table, 1, self.n, ())]
-            lifted = _lift(self.space, self.bar, self.n, terms, self.denominator)
-            self._columns, self._dropped = lifted
+            (runs, self._dropped), self._pending = _lift(self.space, *self._pending), None
+            self._columns = columns = {}
+            for row, col, size, v in runs:
+                if size == 1:  # most runs are single entries: skip the range
+                    columns.setdefault(col, {})[row] = v
+                    continue
+                for i in range(size):
+                    columns.setdefault(col + i, {})[row + i] = v
         return self._columns
 
     @property
@@ -263,9 +276,16 @@ class ModeOperator:
     @property
     def entries(self) -> dict:
         """A fresh {(row, col): scalar} dict of the nonzero entries."""
-        return {
-            (row, col): v for col, column in self.columns.items() for row, v in column.items()
-        }
+        if self._columns is not None:
+            return {(r, col): v for col in self._columns for r, v in self._columns[col].items()}
+        out = {}  # read from the runs, without lifting
+        for row, col, size, v in _lift(self.space, *self._pending)[0]:
+            if size == 1:
+                out[row, col] = v
+                continue
+            for i in range(size):
+                out[row + i, col + i] = v
+        return out
 
     def compose(self, other) -> "ModeOperator":
         """Matrix product self @ other (other acts first)."""
@@ -347,33 +367,29 @@ def _accumulate(out, columns, scale=1):
 
 def _table_product(a: ModeOperator, b: ModeOperator, commute: bool) -> ModeOperator:
     """a @ b, or [a, b] when commute, of two tables on one side, lifted
-    once.  A column keeps a product's entries when every level it passes is
-    at most l_max; a @ b drops it when b drops it, or when b's image of its
-    partition is nonzero and a drops that image."""
+    when read.  A column keeps a product's entries when every level it
+    passes is at most l_max; a @ b drops it when b drops it, or when b's
+    image of its partition is nonzero and a drops that image."""
     terms = [(_product(a.table, (), b.table, ())[0], 1, b.n, b.table)]
     if commute:
         terms.append((_product(b.table, (), a.table, ())[0], -1, a.n, a.table))
     out = ModeOperator("composite", None, a.space, {})
-    lifted = _lift(a.space, a.bar, a.n + b.n, terms, a.denominator * b.denominator)
-    out._columns, out._dropped = lifted  # nonempty and zero-free columns
+    out._pending = (a.bar, a.n + b.n, terms, a.denominator * b.denominator)
+    out._columns = None  # lifted when read
     return out
 
 
 def _lift(space, bar, n, terms, denominator):
-    """(columns, dropped columns) of the one-sided operator from level x to
+    """(runs, dropped columns) of the one-sided operator from level x to
     x - n that sums `terms` (table over `denominator`, sign, level shift of
-    the factor acting first, partitions that factor maps to nonzero).  A
+    the factor acting first, partitions that factor maps to nonzero); a run
+    (row, col, size, value) is the entries (row + i, col + i), i < size.  A
     term reaches level x where x - first and x - n are at most l_max; a
     column is dropped where some x - first exceeds l_max, or where x - n
-    does and a first factor maps its partition to nonzero.  Within a level
-    the basis runs over mu, then nu, so the columns of one (level, mu) are a
-    block, which a chiral image new of mu maps in order onto (x - n, new)."""
-    l_max = space.l_max
-    starts, col = {}, 0  # (level, mu) -> the first column of its block
-    while col < space.dim:
-        level, mu, _ = space.basis[col]
-        starts[level, mu] = col
-        col += len(partitions(level - sum(mu)))
+    does and a first factor maps its partition to nonzero.  A chiral image
+    new of mu maps the block (x, mu) onto (x - n, new) in order, one run; an
+    antichiral image new of nu maps (x, mu, nu) into the block (x - n, mu)."""
+    l_max, blocks = space.l_max, space.blocks
     rules, tables = [], {}
     for x in range(l_max + 1):
         kept = tuple(t for t, term in enumerate(terms) if max(x - term[2], x - n) <= l_max)
@@ -390,24 +406,32 @@ def _lift(space, bar, n, terms, denominator):
         drop_all = any(x - term[2] > l_max for term in terms)
         drop = () if drop_all or x - n <= l_max else {p for term in terms for p in term[3]}
         rules.append((tables[kept], drop_all, drop))
-    columns, dropped = {}, []
-    for (level, mu), start in starts.items():
+    runs, dropped = [], []
+    counts = [partition_count(k) for k in range(l_max + 1)]
+    for level, starts in enumerate(blocks):
         table, drop_all, drop = rules[level]
-        block = range(start, start + len(partitions(level - sum(mu))))
-        if drop_all or not bar and mu in drop:
-            dropped.extend(block)
-        if bar:
-            for col, nu in zip(block, partitions(level - sum(mu))):
-                if nu in drop:
-                    dropped.append(col)
-                for new, v in table.get(nu, _EMPTY).items():
-                    columns.setdefault(col, {})[space.index[level - n, mu, new]] = v
-            continue
-        for new, v in table.get(mu, _EMPTY).items():
-            shift = starts[level - n, new] - start
-            for col in block:
-                columns.setdefault(col, {})[col + shift] = v
-    return columns, frozenset(dropped)
+        y, sides = level - n, {}  # the images' level; antichiral images by |mu|
+        targets = blocks[y] if 0 <= y <= l_max else None
+        for mu, start in starts.items():
+            m = sum(mu)
+            if drop_all or not bar and mu in drop:
+                dropped += range(start, start + counts[level - m])
+            if not bar:
+                for new, v in table.get(mu, _EMPTY).items():
+                    runs.append((targets[new], start, counts[level - m], v))
+                continue
+            if m not in sides:  # (position of nu, rank of new, value), dropped positions
+                nus = list(enumerate(partitions(level - m)))
+                rank = {p: i for i, p in enumerate(partitions(y - m))} if targets else _EMPTY
+                images = [
+                    (j, rank[new], v) for j, nu in nus for new, v in table.get(nu, _EMPTY).items()
+                ]
+                sides[m] = images, [j for j, nu in nus if nu in drop]
+            images, lost = sides[m]
+            row = targets[mu] if images else None  # the block (y, mu) exists where nu has an image
+            dropped += [start + j for j in lost]
+            runs += [(row + r, start + j, 1, v) for j, r, v in images]
+    return runs, frozenset(dropped)
 
 
 def build_space(l_max: int, exact: bool = True) -> TruncatedFockSpace:
@@ -500,9 +524,10 @@ def build_virasoro(
     # a column whose partition on this side exceeds l_max + n is dropped
     for size in range(min(space.l_max, space.l_max + n) + 1):
         for mu in partitions(size):
-            image = {new: half * w for new, w in _twice_virasoro(mu, n, creators).items()}
-            if shift:
-                image[mu] = image.get(mu, 0) + shift
+            if n:
+                image = {new: half * w for new, w in _twice_virasoro(mu, n, creators).items()}
+            else:  # each part k of mu, m times, pairs to 2 k m: 2 L_0 is 2 |mu|
+                image = {mu: half * (2 * size) + shift} if size or shift else {}
             # pair weights are positive and L_0's diagonal |mu| - 1/24 never vanishes
             if image:
                 table[mu] = image

@@ -177,8 +177,17 @@ def test_bad_flags_exit_2():
         ["qm", "--dim", "-3"],
         ["qm", "--tolerance", "oracle=nan"],
         ["qm", "--tolerance", "bogus=1"],
+        ["qm", "--seed", "-1"],
+        ["all", "--seed", "-1"],
     ],
-    ids=["dim-0", "dim-negative", "tolerance-nan", "tolerance-unknown-key"],
+    ids=[
+        "dim-0",
+        "dim-negative",
+        "tolerance-nan",
+        "tolerance-unknown-key",
+        "seed-negative",
+        "all-seed-negative",
+    ],
 )
 def test_bad_qm_input_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as err:

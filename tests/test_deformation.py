@@ -779,6 +779,22 @@ def test_dilation_identity_bites_on_a_wrong_correction(monkeypatch, p):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("key", [None, (-2, 0), (0, 1)], ids=["all", "K", "log"])
+def test_goodness_sees_the_counterterm_coefficients(monkeypatch, key):
+    # the dilation identity cannot see the coefficient of the -K/(2 r^2)
+    # counterterm (see above); goodness does: doubling the whole correction,
+    # that term alone or the log(r) channel alone leaves a singular term
+    th = simple_theory(C0=Fraction(3), K0=Fraction(5))
+    deformed_one_point(th, "e")  # good with the correction as computed
+
+    def doubled(dv):
+        return dv + (dv if key is None else RExpansion.term(*key, dv.coefficient(*key)))
+
+    _with_correction(monkeypatch, doubled)
+    with pytest.raises(ValidationError, match="deformed family is not good"):
+        deformed_one_point(th, "e")
+
+
 # ----------------------------------------------------- pinned formal outputs
 
 

@@ -63,6 +63,24 @@ def test_basis_graded_lex_order():
     assert space.basis[0] == (0, (), ())
 
 
+@pytest.mark.parametrize("l_max", range(17))
+def test_basis_is_built_in_order_with_its_blocks(l_max):
+    # the basis is generated sorted; blocks[level][mu] is the first column
+    # of the run of (level, mu, nu) over nu in partitions(level - |mu|)
+    space = build_space(l_max)
+    assert space.basis == sorted(space.basis)
+    assert space.index == {key: i for i, key in enumerate(space.basis)}
+    assert len(space.blocks) == l_max + 1
+    col = 0
+    for level, starts in enumerate(space.blocks):
+        for mu, start in starts.items():
+            assert start == col
+            for nu in partitions(level - sum(mu)):
+                assert space.basis[col] == (level, mu, nu)
+                col += 1
+    assert col == space.dim
+
+
 def test_state_lookup_roundtrip():
     space = build_space(4)
     v = space.state((2, 1), (1,))
@@ -344,7 +362,9 @@ def _virasoro_digest(space):
 
 
 # _virasoro_digest as computed by the column-by-column assembly of commit
-# 4fe6f57: partition tables must reproduce its operators byte for byte
+# 4fe6f57 (l_max 0-8), and by the eagerly lifted table products of 857b781
+# (9-12, the levels the benchmark's virasoro checks reach): partition tables
+# and their lazy lifts must reproduce these operators byte for byte
 VIRASORO_DIGESTS = {
     (0, True): "da7f9701c7442a3a5be029f779a3def9"
         "62b1a38337c8976d4a55f3f002811c07",
@@ -382,13 +402,31 @@ VIRASORO_DIGESTS = {
         "f8c1ad5097350cd51c9ee86229d7a8eb",
     (8, False): "a0ab2e1e62e8f57604279e18bcdb0440"
         "215e52bfa84d67cc702d5cc0c53cd040",
+    (9, True): "f6e7e50a7153c5e2a464cd20c0340ffb"
+        "78fc318ef93a40c7e6dfae5eba54dd95",
+    (9, False): "0de5df1c05a511110ff792a485c44c04"
+        "19dd02070190547a291f25d71a83897e",
+    (10, True): "d9bba78275d07766ed460d14b900428d"
+        "8b40951c78acd46d9ad5b97bcd471859",
+    (10, False): "3e79c09c9c4688b80033f444c50816d9"
+        "65d4b0a67bfdedd7c37279e1e1ffea69",
+    (11, True): "10436f820f93d6b63b21e9e76606db81"
+        "5a0ba7856dc59f0f83757ad56cf2d112",
+    (11, False): "ba18933ec6140df99ca0357b3b9e7f19"
+        "4cef30d2f5f988cfc2217e11b519fb03",
+    (12, True): "ffe1fa3864f12fafc5415f6e45bee337"
+        "2bb3180532a40f7860750a6382046784",
+    (12, False): "2c457a455799aedcd4d46c431727f5cc"
+        "a9a0afbc48dc99c262d1c8196f21dae3",
 }
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
-@pytest.mark.parametrize("l_max", range(9))
+@pytest.mark.parametrize("l_max", range(13))
 def test_virasoro_operators_match_pinned_digests(l_max, exact):
-    assert _virasoro_digest(_space(l_max, exact)) == VIRASORO_DIGESTS[l_max, exact]
+    # built on a fresh space: the cached ones of _space stay small
+    space = _space(l_max, exact) if l_max <= 8 else build_space(l_max, exact)
+    assert _virasoro_digest(space) == VIRASORO_DIGESTS[l_max, exact]
 
 
 def test_virasoro_truncation_loss():
@@ -731,3 +769,88 @@ def test_mixed_operands_match_dense_reference(data, l_max, exact, kinds, m, n):
     _assert_canonical(total)
     assert _dense(total) == [[x + y for x, y in zip(p, q)] for p, q in zip(_dense(a), _dense(r))]
     assert total.dropped_cols == a.dropped_cols | r.dropped_cols
+
+
+@given(
+    data=st.data(),
+    l_max=st.integers(min_value=0, max_value=6),
+    exact=st.booleans(),
+    bar=st.booleans(),
+    kinds=st.tuples(_KINDS, _KINDS, _KINDS),
+    modes=st.tuples(_MODE, _MODE, _MODE),
+    commute=st.booleans(),
+)
+@example(data=None, l_max=0, exact=True, bar=False, kinds=("L", "L", "L"), modes=(1, -1, 1), commute=True)
+@example(data=None, l_max=1, exact=False, bar=True, kinds=("j", "L", "j"), modes=(1, -1, -1), commute=False)
+@example(data=None, l_max=4, exact=True, bar=False, kinds=("L", "L", "L"), modes=(2, -2, 1), commute=True)
+@settings(max_examples=80, deadline=None)
+def test_products_of_products_match_the_column_path(data, l_max, exact, bar, kinds, modes, commute):
+    # a product of two modes on one side stays unlifted until read; as an
+    # operand, or under any other operation, it must act as its lifted
+    # columns do on the column path, bit for bit, dropped columns included
+    space = _space(l_max, exact)
+    a, b = (_mode(space, kind, n, bar) for kind, n in zip(kinds[:2], modes))
+
+    def fresh():
+        return commutator(a, b) if commute else a.compose(b)
+
+    lifted = _column_copy(fresh())
+    a_cols, b_cols = _column_copy(a), _column_copy(b)
+    by_columns = commutator(a_cols, b_cols) if commute else a_cols.compose(b_cols)
+    assert lifted.columns == by_columns.columns
+    assert lifted.dropped_cols == by_columns.dropped_cols
+    same, other = (_mode(space, kinds[2], modes[2], side) for side in (bar, not bar))
+    operands = [same, other, fresh()]
+    if data is not None:
+        operands.append(_random_operator(data, space))
+    for c in operands:
+        c_cols = _column_copy(c)
+        pairs = [
+            (fresh().compose(c), lifted.compose(c_cols)),
+            (c.compose(fresh()), c_cols.compose(lifted)),
+            (commutator(fresh(), c), commutator(lifted, c_cols)),
+            (commutator(c, fresh()), commutator(c_cols, lifted)),
+            (fresh().add(c, -1), lifted.add(c_cols, -1)),
+        ]
+        for got, want in pairs:
+            assert got.columns == want.columns
+            assert got.dropped_cols == want.dropped_cols
+    assert fresh().entries == lifted.entries
+    assert fresh().dropped_cols == lifted.dropped_cols
+    assert fresh().scale(3).columns == lifted.scale(3).columns
+    assert fresh() == lifted and lifted == fresh()
+    assert fresh().is_zero() == lifted.is_zero()
+    one = space.one_scalar()
+    v = BoundaryState(space, {i: (i + 1) * one for i in range(0, space.dim, 2)}, 1)
+    got, want = apply_mode(fresh(), v), apply_mode(lifted, v)
+    assert got == want and got.truncation_loss == want.truncation_loss
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@pytest.mark.parametrize("l_max", [0, 1, 5])
+def test_entries_agree_before_and_after_columns(l_max, exact):
+    # entries of an unlifted operator are read from its runs without lifting
+    # it; once lifted they are read from its columns
+    space = build_space(l_max, exact)
+    makers = []
+    for bar in (False, True):
+        for n in range(-3, 4):
+            makers += [
+                lambda n=n, bar=bar: current_mode(space, n, bar),
+                lambda n=n, bar=bar: build_virasoro(space, n, bar, shifted=n == 0),
+                lambda n=n, bar=bar: commutator(
+                    build_virasoro(space, n, bar), build_virasoro(space, -n - 1, bar)
+                ),
+                lambda n=n, bar=bar: current_mode(space, n, bar).compose(
+                    build_virasoro(space, 1 - n, bar)
+                ),
+            ]
+    for make in makers:
+        op = make()
+        before = op.entries
+        assert op._columns is None
+        op.columns
+        after = op.entries
+        assert before == after
+        assert after == {(r, c): v for c, col in op.columns.items() for r, v in col.items()}
+        assert [type(v) for v in before.values()] == [type(after[k]) for k in before]
