@@ -9,7 +9,9 @@ Two backends share the same pipeline.
   integral atoms, with exact LogPoly coefficients (fqft.scalars): rational
   multiples of powers of R and lam and of log(R) and log(lam).
 * The numeric free-boson backend deforms the truncated Fock-space partition
-  functions by the marginal observable j jbar, with exact rational entries.
+  functions by the marginal observable j jbar, with exact rational entries:
+  the deformed annulus and disk act on jets of boundary states, through
+  apply_current, never as assembled operators.
 
 A family at cut radius r is an RExpansion whose (p, q) term means
 r^p (log r)^q times a formal vector of families <...>_{D_r}; pairing with
@@ -23,8 +25,8 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ValidationError
-from .fock import ModeOperator, apply_current, current_mode
 from .fock import _key as _fock_key
+from .fock import apply_current
 from .jets import Jet, JetAlgebra, recombine
 from .rexp import RExpansion, Sparse
 from .scalars import LogPoly, canonical_exponent, decode_scalar, encode_scalar
@@ -552,45 +554,28 @@ def fb_theory(space) -> FormalTheory:
     )
 
 
-def _transport_entries(space, op: ModeOperator, R, r) -> ModeOperator:
-    """rho^{-(L0+L0bar)} sandwich: entry (i, j) scales by R^{-E_i} r^{E_j}."""
-    R, r = Fraction(R), Fraction(r)
-    levels = space.levels
-    columns = {
-        j: {i: (R ** -levels[i]) * (r ** levels[j]) * v for i, v in column.items()}
-        for j, column in op.columns.items()
-    }
-    return ModeOperator("transported", None, space, columns, op.dropped_cols)
-
-
-def fb_annulus_operator(space, R, r) -> ModeOperator:
-    """The undeformed annulus (r/R)^{L0+L0bar} as a sparse operator."""
-    ratio = Fraction(r) / Fraction(R)
-    columns = {i: {i: ratio**level} for i, level in enumerate(space.levels)}
-    return ModeOperator("annulus", None, space, columns)
-
-
-def fb_deformed_annulus(space, R, r) -> Jet:
-    """First-order j jbar deformation of the free-boson annulus.
+def fb_deformed_annulus(space, R, r, w: Jet) -> Jet:
+    """The j jbar-deformed free-boson annulus D_R \\ D_r, to first order in
+    g, glued onto a jet w of boundary states on its inner circle:
+    (1 + g sum_{n != 0} c_n j_n jbar_n) (r/R)^{L0+L0bar} w.
 
     Termwise integration of the transported insertion mode sums leaves only
-    the diagonal modes, with moment (R^{-2n} - r^{-2n}) / (-2n) per mode n.
+    the diagonal modes, with moment c_n = ((R/r)^{2n} - 1) / (2n) per mode
+    n; j_n jbar_n vanishes on the truncated space for |n| > l_max / 2.
     """
-    alg = JetAlgebra({"g": (["g[jjbar]"], 1)})
-    g_part = None
-    for n in range(-space.l_max, space.l_max + 1):
-        if n == 0:
-            continue
-        moment = (Fraction(R) ** (-2 * n) - Fraction(r) ** (-2 * n)) / (-2 * n)
-        op = current_mode(space, n).compose(current_mode(space, n, bar=True))
-        if op.is_zero():
-            continue
-        term = _transport_entries(space, op, R, r).scale(moment)
-        g_part = term if g_part is None else g_part.add(term)
-    coeffs = {(): fb_annulus_operator(space, R, r)}
-    if g_part is not None and not g_part.is_zero():
-        coeffs[("g[jjbar]",)] = g_part
-    return Jet(alg, coeffs)
+    from .observables import scale_by_level
+
+    ratio = Fraction(r) / Fraction(R)
+    terms = {mono: scale_by_level(v, lambda level: ratio**level) for mono, v in w.terms.items()}
+    base = terms.get(())
+    if base is not None:
+        g = terms.get(("g[jjbar]",), space.zero())
+        for n in range(-(space.l_max // 2), space.l_max // 2 + 1):
+            if n:
+                image = apply_current(apply_current(base, n, bar=True), n)
+                g = g + image.scale((ratio ** (-2 * n) - 1) / (2 * n))
+        terms[("g[jjbar]",)] = g
+    return Jet(w.algebra, terms)
 
 
 def fb_deformed_disk(space, R=1) -> Jet:

@@ -4,14 +4,15 @@ The basis is the list of key tuples (level, chiral, antichiral), the two
 partitions as non-increasing tuples, in graded-lexicographic order;
 `space.index` maps a key to its basis index.  Boundary states are sparse
 {basis index: nonzero coefficient} maps; `apply_current` applies a U(1)
-current mode to a state one nonzero at a time.  Operators are read by
-column, {col: {row: nonzero scalar}}.  j_n, L_n and their bars act on one
-chiral side: each is a partition table {mu: {new: weight}} with its side
-and level shift.  `compose` and `commutator` of two tables on one side
-multiply the tables, as integers over one denominator in exact arithmetic;
-other operands multiply column by column.  A table, or such a product, is
-lifted lazily from block runs (one Fraction per distinct numerator), and
-its entries are read from the runs.  The Shapovalov pairing is diagonal.
+current mode to a state one nonzero at a time.  A mode operator is j_n,
+L_n or a bar, each a partition table {mu: {new: weight}} acting on one
+chiral side with a level shift, or the product or commutator of two modes
+on one side, whose tables multiply as integers over one denominator in
+exact arithmetic.  Per level its terms reduce to one rule, which
+`apply_mode` reads one nonzero at a time; the rule is lifted once, when
+first read, to block runs (one Fraction per distinct numerator), from which
+its entries, its columns {col: {row: nonzero scalar}} and its dropped
+columns are read.  The Shapovalov pairing is diagonal.
 
 The zero mode j_0 acts as zero throughout (the zero-mode sector is out of
 scope), and components pushed above the truncation level are dropped with a
@@ -219,48 +220,75 @@ def _check_space(a, b):
         raise SpaceMismatchError("operands live in different truncated spaces")
 
 
-_EMPTY: dict = {}  # the column of an operator that has none stored
+_EMPTY: dict = {}  # the image of a partition a table does not map
 
 
 class ModeOperator:
-    """Sparse action of j_n / jbar_n / L_n / Lbar_n on a truncated space,
-    read by column as {col: {row: nonzero scalar}}.  dropped_cols are the
-    columns whose image has components above l_max (dropped, and counted as
-    truncation loss by apply_mode).  A mode on one side (`bar` False or
-    True, else None) holds its partition table with weights over
-    `denominator` (integers in exact arithmetic, floats over 1 in float64).
-    A mode or a product of two on one side is lifted from its `_pending`
-    terms (then let go) when its columns are first read; its entries are
-    read from the lift's runs without lifting it."""
+    """j_n, jbar_n, L_n or Lbar_n on a truncated space, or the product or
+    commutator of two of them on one side (`bar` False or True); it maps
+    level x to x - n.  It is held as its terms (partition table {p: {new:
+    weight}} with weights over `denominator`, integers in exact arithmetic
+    and floats over 1 in float64; sign; level shift of the factor acting
+    first; partitions that factor maps to nonzero).  A mode keeps its own
+    `table`, a product None.  Per level the terms reduce to one rule, which
+    apply_mode reads one nonzero at a time; the rules are lifted once, when
+    first read, to block runs, from which `.entries`, `.columns` ({col:
+    {row: nonzero scalar}}) and `.dropped_cols` are read.  dropped_cols are
+    the columns whose image has components above l_max (dropped, and
+    counted as truncation loss by apply_mode)."""
 
     __slots__ = (
-        "kind", "n", "space", "bar", "table", "denominator", "_pending", "_columns", "_dropped"
+        "space", "bar", "n", "denominator", "terms", "table", "_rules", "_lifted", "_columns"
     )
 
-    def __init__(self, kind, n, space, columns, dropped_cols=frozenset()):
-        self.kind, self.n, self.space = kind, n, space
-        self.bar, self.table, self.denominator, self._pending = None, None, 1, None
-        self._columns = {}
-        for col, column in columns.items():
-            column = {row: v for row, v in column.items() if v != 0}
-            if column:
-                self._columns[col] = column
-        self._dropped = frozenset(dropped_cols)
+    def __init__(self, space, bar, n, denominator, terms, table=None):
+        self.space, self.bar, self.n, self.denominator = space, bar, n, denominator
+        self.terms, self.table = terms, table
+        self._rules = self._lifted = self._columns = None
 
-    @classmethod
-    def _one_sided(cls, kind, n, space, bar, table, denominator) -> "ModeOperator":
-        """Wrap a partition table whose images are nonempty and zero-free."""
-        out = cls(kind, n, space, {})
-        out.bar, out.table, out.denominator, out._columns = bar, table, denominator, None
-        out._pending = (bar, n, [(table, 1, n, ())], denominator)  # _lift's arguments
-        return out
+    def _level_rules(self) -> list:
+        """Per level x, (summed table {p: {new: nonzero scalar}}, drop_all,
+        drop).  A term reaches level x where x - first and x - n are at most
+        l_max.  Every column at x is dropped where some x - first exceeds
+        l_max (drop_all); else a column whose partition is in `drop`, where
+        x - n exceeds l_max and a first factor maps that partition to nonzero."""
+        if self._rules is None:
+            l_max, n, terms = self.space.l_max, self.n, self.terms
+            self._rules, tables = [], {}
+            for x in range(l_max + 1):
+                kept = tuple(t for t, term in enumerate(terms) if max(x - term[2], x - n) <= l_max)
+                if kept not in tables:
+                    tables[kept] = self._summed([terms[t] for t in kept])
+                drop_all = any(x - term[2] > l_max for term in terms)
+                drop = () if drop_all or x - n <= l_max else {p for term in terms for p in term[3]}
+                self._rules.append((tables[kept], drop_all, drop))
+        return self._rules
+
+    def _summed(self, terms) -> dict:
+        """The signed sum of the terms' tables, one scalar per distinct
+        numerator; zeros are dropped."""
+        summed = {}
+        for table, sign, _, _ in terms:
+            for p, image in table.items():
+                acc = summed.setdefault(p, {})
+                for new, w in image.items():
+                    w = w if sign == 1 else -w  # negation is exact
+                    acc[new] = acc[new] + w if new in acc else w
+        values = {s for image in summed.values() for s in image.values()}
+        exact, denominator = self.space.exact, self.denominator
+        scalar = {s: Fraction(s, denominator) if exact else s for s in values}
+        return {p: {new: scalar[s] for new, s in image.items() if s} for p, image in summed.items()}
+
+    def _runs(self) -> tuple:
+        if self._lifted is None:
+            self._lifted = _lift(self)
+        return self._lifted
 
     @property
     def columns(self) -> dict:
         if self._columns is None:
-            (runs, self._dropped), self._pending = _lift(self.space, *self._pending), None
             self._columns = columns = {}
-            for row, col, size, v in runs:
+            for row, col, size, v in self._runs()[0]:
                 if size == 1:  # most runs are single entries: skip the range
                     columns.setdefault(col, {})[row] = v
                     continue
@@ -270,16 +298,13 @@ class ModeOperator:
 
     @property
     def dropped_cols(self) -> frozenset:
-        self.columns  # a table is lifted on first read
-        return self._dropped
+        return self._runs()[1]
 
     @property
     def entries(self) -> dict:
         """A fresh {(row, col): scalar} dict of the nonzero entries."""
-        if self._columns is not None:
-            return {(r, col): v for col in self._columns for r, v in self._columns[col].items()}
-        out = {}  # read from the runs, without lifting
-        for row, col, size, v in _lift(self.space, *self._pending)[0]:
+        out = {}
+        for row, col, size, v in self._runs()[0]:
             if size == 1:
                 out[row, col] = v
                 continue
@@ -288,124 +313,46 @@ class ModeOperator:
         return out
 
     def compose(self, other) -> "ModeOperator":
-        """Matrix product self @ other (other acts first)."""
-        _check_space(self, other)
-        if self.bar is not None and self.bar == other.bar:
-            return _table_product(self, other, commute=False)
-        columns, dropped = _product(
-            self.columns, self.dropped_cols, other.columns, other.dropped_cols
-        )
-        return ModeOperator("composite", None, self.space, columns, dropped)
-
-    def add(self, other, scale_other=1) -> "ModeOperator":
-        _check_space(self, other)
-        columns = {col: dict(column) for col, column in self.columns.items()}
-        _accumulate(columns, other.columns, scale_other)
-        return ModeOperator(
-            "composite", None, self.space, columns, self.dropped_cols | other.dropped_cols
-        )
-
-    def scale(self, c) -> "ModeOperator":
-        columns = {
-            col: {row: c * v for row, v in column.items()}
-            for col, column in self.columns.items()
-        }
-        return ModeOperator(self.kind, self.n, self.space, columns, self.dropped_cols)
-
-    def is_zero(self) -> bool:
-        return not self.columns
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __mul__(self, other):
-        if isinstance(other, ModeOperator):
-            return self.compose(other)
-        if isinstance(other, BoundaryState):
-            return apply_mode(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModeOperator)
-            and self.space is other.space
-            and self.columns == other.columns
-        )
+        """Matrix product self @ other (other acts first) of two modes on
+        one side."""
+        return _product(self, other, commute=False)
 
 
-def _product(a, a_dropped, b, b_dropped):
-    """Columns of a @ b (b acts first) as unreduced sums of products of the
-    given column values, and the dropped columns: those b drops, and those
-    whose image under b meets a column that a drops.  Partition tables
-    multiply alike, keyed by partition."""
-    columns = {}
-    dropped = set(b_dropped)
-    for col, column in b.items():
-        out = {}
-        for mid, val in column.items():
-            if mid in a_dropped:
-                dropped.add(col)
-            for row, val2 in a.get(mid, _EMPTY).items():
-                p = val2 * val
-                out[row] = out[row] + p if row in out else p
-        columns[col] = out
-    return columns, dropped
-
-
-def _accumulate(out, columns, scale=1):
-    """out += scale * columns, in place, column by column."""
-    for col, column in columns.items():
-        acc = out.setdefault(col, {})
-        for row, val in column.items():
-            # negation is exact and cheaper than a product with -1
-            val = val if scale == 1 else -val if scale == -1 else scale * val
-            acc[row] = acc[row] + val if row in acc else val
-
-
-def _table_product(a: ModeOperator, b: ModeOperator, commute: bool) -> ModeOperator:
-    """a @ b, or [a, b] when commute, of two tables on one side, lifted
-    when read.  A column keeps a product's entries when every level it
-    passes is at most l_max; a @ b drops it when b drops it, or when b's
-    image of its partition is nonzero and a drops that image."""
-    terms = [(_product(a.table, (), b.table, ())[0], 1, b.n, b.table)]
-    if commute:
-        terms.append((_product(b.table, (), a.table, ())[0], -1, a.n, a.table))
-    out = ModeOperator("composite", None, a.space, {})
-    out._pending = (a.bar, a.n + b.n, terms, a.denominator * b.denominator)
-    out._columns = None  # lifted when read
+def _table_product(a: dict, b: dict) -> dict:
+    """The partition table of a @ b (b acts first), unreduced: every
+    partition b maps keeps an image, possibly empty."""
+    out = {}
+    for p, image in b.items():
+        acc = {}
+        for mid, w in image.items():
+            for new, w2 in a.get(mid, _EMPTY).items():
+                x = w2 * w
+                acc[new] = acc[new] + x if new in acc else x
+        out[p] = acc
     return out
 
 
-def _lift(space, bar, n, terms, denominator):
-    """(runs, dropped columns) of the one-sided operator from level x to
-    x - n that sums `terms` (table over `denominator`, sign, level shift of
-    the factor acting first, partitions that factor maps to nonzero); a run
-    (row, col, size, value) is the entries (row + i, col + i), i < size.  A
-    term reaches level x where x - first and x - n are at most l_max; a
-    column is dropped where some x - first exceeds l_max, or where x - n
-    does and a first factor maps its partition to nonzero.  A chiral image
-    new of mu maps the block (x, mu) onto (x - n, new) in order, one run; an
+def _product(a: ModeOperator, b: ModeOperator, commute: bool) -> ModeOperator:
+    """a @ b, or [a, b] when commute, of two modes on one side, lifted when
+    read.  A column keeps a product's entries when every level it passes is
+    at most l_max; a @ b drops it when b drops it, or when b's image of its
+    partition is nonzero and a drops that image."""
+    _check_space(a, b)
+    if a.table is None or b.table is None or a.bar != b.bar:
+        raise ValueError("only two modes on one side multiply")
+    terms = [(_table_product(a.table, b.table), 1, b.n, b.table)]
+    if commute:
+        terms.append((_table_product(b.table, a.table), -1, a.n, a.table))
+    return ModeOperator(a.space, a.bar, a.n + b.n, a.denominator * b.denominator, terms)
+
+
+def _lift(op: ModeOperator):
+    """(runs, dropped columns) of op's level rules; a run (row, col, size,
+    value) is the entries (row + i, col + i), i < size.  A chiral image new
+    of mu maps the block (x, mu) onto (x - n, new) in order, one run; an
     antichiral image new of nu maps (x, mu, nu) into the block (x - n, mu)."""
+    space, bar, n, rules = op.space, op.bar, op.n, op._level_rules()
     l_max, blocks = space.l_max, space.blocks
-    rules, tables = [], {}
-    for x in range(l_max + 1):
-        kept = tuple(t for t, term in enumerate(terms) if max(x - term[2], x - n) <= l_max)
-        if kept not in tables:
-            summed = {}
-            for t in kept:
-                _accumulate(summed, terms[t][0], terms[t][1])
-            # one scalar per distinct numerator; zeros are not lifted
-            values = {s for image in summed.values() for s in image.values()}
-            scalar = {s: Fraction(s, denominator) if space.exact else s for s in values}
-            tables[kept] = {
-                p: {new: scalar[s] for new, s in image.items() if s} for p, image in summed.items()
-            }
-        drop_all = any(x - term[2] > l_max for term in terms)
-        drop = () if drop_all or x - n <= l_max else {p for term in terms for p in term[3]}
-        rules.append((tables[kept], drop_all, drop))
     runs, dropped = [], []
     counts = [partition_count(k) for k in range(l_max + 1)]
     for level, starts in enumerate(blocks):
@@ -461,7 +408,7 @@ def current_mode(space: TruncatedFockSpace, n: int, bar: bool = False) -> ModeOp
             image = _mode_on_partition(mu, n)
             if image is not None:
                 table[mu] = {image[0]: image[1] * one}
-    return ModeOperator._one_sided("jbar" if bar else "j", n, space, bar, table, 1)
+    return ModeOperator(space, bar, n, 1, [(table, 1, n, ())], table)
 
 
 def apply_current(v: BoundaryState, n: int, bar: bool = False) -> BoundaryState:
@@ -531,47 +478,35 @@ def build_virasoro(
             # pair weights are positive and L_0's diagonal |mu| - 1/24 never vanishes
             if image:
                 table[mu] = image
-    return ModeOperator._one_sided("Lbar" if bar else "L", n, space, bar, table, denominator)
+    return ModeOperator(space, bar, n, denominator, [(table, 1, n, ())], table)
 
 
 def apply_mode(op: ModeOperator, v: BoundaryState) -> BoundaryState:
-    """Linear action of a mode operator; counts truncation losses.  A table
-    not lifted yet acts one nonzero at a time, as apply_current does, and
-    stays unlifted: a column is lost where level - n exceeds l_max."""
+    """Linear action of a mode operator, one nonzero at a time through its
+    level rules, as apply_current does; counts a nonzero in a dropped column
+    as truncation loss and leaves the operator unlifted."""
     if op.space is not v.space:
         raise SpaceMismatchError("operator and state live in different spaces")
     space, out, loss = v.space, {}, 0
-    if op.table is not None and op._columns is None:
-        for col, c in v.coeffs.items():
-            level, mu, nu = space.basis[col]
-            level -= op.n
-            if level > space.l_max:
-                loss += 1
-                continue
-            for new, w in op.table.get(nu if op.bar else mu, _EMPTY).items():
-                row = space.index[(level, mu, new) if op.bar else (level, new, nu)]
-                val = (Fraction(w, op.denominator) if space.exact else w) * c
-                out[row] = out[row] + val if row in out else val
-        return BoundaryState(space, out, v.truncation_loss + loss)
+    basis, index, rules, bar, n = space.basis, space.index, op._level_rules(), op.bar, op.n
     for col, c in v.coeffs.items():
-        loss += col in op.dropped_cols
-        for row, val in op.columns.get(col, _EMPTY).items():
-            out[row] = out[row] + val * c if row in out else val * c
+        level, mu, nu = basis[col]
+        table, drop_all, drop = rules[level]
+        p = nu if bar else mu
+        if drop_all or p in drop:
+            loss += 1
+        for new, w in table.get(p, _EMPTY).items():
+            row = index[(level - n, mu, new) if bar else (level - n, new, nu)]
+            out[row] = out[row] + w * c if row in out else w * c
     return BoundaryState(space, out, v.truncation_loss + loss)
 
 
 def commutator(a: ModeOperator, b: ModeOperator) -> ModeOperator:
-    """[a, b] = a @ b - b @ a, the two products subtracted in one pass (for
-    two tables on one side, as integers before any entry becomes a
-    Fraction); in float64 it equals a.compose(b).add(b.compose(a),
-    scale_other=-1) bit for bit."""
-    _check_space(a, b)
-    if a.bar is not None and a.bar == b.bar:
-        return _table_product(a, b, commute=True)
-    columns, dropped = _product(a.columns, a.dropped_cols, b.columns, b.dropped_cols)
-    ba, dropped_ba = _product(b.columns, b.dropped_cols, a.columns, a.dropped_cols)
-    _accumulate(columns, ba, -1)
-    return ModeOperator("composite", None, a.space, columns, dropped | dropped_ba)
+    """[a, b] = a @ b - b @ a of two modes on one side, the two products
+    summed per level (as integers, in exact arithmetic, before any entry
+    becomes a Fraction); in float64 each entry is x + (-y), which equals
+    x - y bit for bit."""
+    return _product(a, b, commute=True)
 
 
 @lru_cache(maxsize=None)

@@ -41,8 +41,8 @@ from fqft.deformation import (
     theory_to_json,
 )
 from fqft.errors import RecombinationError, ValidationError
-from fqft.fock import apply_mode, build_space, current_mode
-from fqft.jets import Jet, JetAlgebra, jet_mul, recombine
+from fqft.fock import BoundaryState, build_space
+from fqft.jets import Jet, JetAlgebra, recombine
 from fqft.rexp import RExpansion
 from fqft.scalars import LogPoly, canonical_exponent
 
@@ -393,20 +393,34 @@ def test_fb_theory_constants():
     assert beta(th).is_zero()
 
 
+FB_JETS = JetAlgebra({"g": (["g[jjbar]"], 1)})
+
+
+def _basis_jets(space):
+    """Every basis state as a jet, alone and with a g part."""
+    for i in range(space.dim):
+        e = BoundaryState(space, {i: Fraction(1)})
+        g = BoundaryState(space, {space.dim - 1 - i: Fraction(3), 0: Fraction(-1, 2)})
+        yield Jet.const(FB_JETS, e)
+        yield Jet(FB_JETS, {(): e, ("g[jjbar]",): g})
+
+
 def test_fb_deformed_annulus_cutting():
+    # A(R, m) glued onto A(m, r) is A(R, r), on state jets at integer and
+    # non-integer radii
     space = build_space(4)
-    R, m, r = Fraction(4), Fraction(2), Fraction(1)
-    glued = jet_mul(fb_deformed_annulus(space, R, m), fb_deformed_annulus(space, m, r))
-    direct = fb_deformed_annulus(space, R, r)
-    assert glued == direct
+    radii = [(4, 2, 1), (Fraction(7, 2), Fraction(5, 3), 1), (Fraction(7, 2), 2, Fraction(5, 3))]
+    for R, m, r in radii:
+        for w in _basis_jets(space):
+            glued = fb_deformed_annulus(space, R, m, fb_deformed_annulus(space, m, r, w))
+            assert glued == fb_deformed_annulus(space, R, r, w), (R, m, r, w)
 
 
 def test_fb_deformed_disk_closure():
     space = build_space(4)
-    R, r = Fraction(3), Fraction(1)
-    glued = jet_mul(fb_deformed_annulus(space, R, r), fb_deformed_disk(space, r))
-    direct = fb_deformed_disk(space, R)
-    assert glued == direct
+    for R, r in [(3, 1), (4, 2), (Fraction(7, 2), Fraction(5, 3))]:
+        glued = fb_deformed_annulus(space, R, r, fb_deformed_disk(space, r))
+        assert glued == fb_deformed_disk(space, R), (R, r)
 
 
 def test_fb_deformed_disk_radius_independent():
@@ -418,11 +432,12 @@ def test_fb_deformed_disk_radius_independent():
 
 
 def test_fb_deformed_annulus_g_zero_is_undeformed():
-    space = build_space(3)
-    jet = fb_deformed_annulus(space, 2, 1)
-    op = jet.coefficient(())
-    for i in range(space.dim):
-        assert op.entries[(i, i)] == Fraction(1, 2) ** space.levels[i]
+    # at g = 0 the annulus scales a state by (r/R)^level
+    space = build_space(4)
+    for w in _basis_jets(space):
+        (i, c), = w.coefficient(()).coeffs.items()
+        out = fb_deformed_annulus(space, 2, 1, w).coefficient(())
+        assert out == BoundaryState(space, {i: Fraction(1, 2) ** space.levels[i] * c})
 
 
 # ------------------------------------------------ single-pass builders vs oracle

@@ -1,6 +1,7 @@
 """Tests for the truncated Fock module."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from functools import lru_cache
 
+from fqft import fock
 from fqft.fock import (
     BoundaryState,
-    ModeOperator,
     TruncatedFockSpace,
     apply_current,
     apply_mode,
@@ -137,20 +138,20 @@ def test_current_mode_zero_mode_vanishes():
 
 
 def test_antichiral_modes_commute_with_chiral():
+    # j_m and jbar_n act on the two partitions of a basis key, so they
+    # commute on every basis state with headroom for both creation modes
     space = build_space(4)
-    jm1 = current_mode(space, -1)
-    jbm2 = current_mode(space, -2, bar=True)
-    comm = commutator(jm1, jbm2)
-    # commutator entries may only involve dropped columns; check action on
-    # states with headroom
-    v = space.vacuum()
-    a = apply_mode(jm1, apply_mode(jbm2, v))
-    b = apply_mode(jbm2, apply_mode(jm1, v))
-    assert a == b
+    for m, n in [(-1, -2), (-2, 1), (1, -1), (2, 1)]:
+        jm, jbn = current_mode(space, m), current_mode(space, n, bar=True)
+        for col, level in enumerate(space.levels):
+            if level + max(0, -m) + max(0, -n) <= space.l_max:
+                v = BoundaryState(space, {col: Fraction(1)})
+                a = apply_mode(jm, apply_mode(jbn, v))
+                b = apply_mode(jbn, apply_mode(jm, v))
+                assert a == b and a.truncation_loss == b.truncation_loss == 0, (m, n, col)
+    vac = space.vacuum()
+    a = apply_mode(current_mode(space, -1), apply_mode(current_mode(space, -2, bar=True), vac))
     assert a == space.state((1,), (2,))
-    assert not any(
-        val != 0 for (i, j), val in comm.entries.items() if space.levels[j] <= 1
-    )
 
 
 @given(
@@ -239,7 +240,7 @@ def _current_oracle(space, n, bar=False):
         new = tuple(sorted(parts, reverse=True))
         row = space.index[(level - n, mu, new) if bar else (level - n, new, nu)]
         columns[col] = {row: weight * one}
-    return ModeOperator("oracle", n, space, columns, dropped)
+    return _Columns(space, columns, dropped)
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
@@ -265,7 +266,7 @@ def _virasoro_oracle(space, n, bar=False, shifted=False):
         if m1 > m2 or m1 == 0 or m2 == 0:
             continue
         weight = half if m1 == m2 else 2 * half
-        prod = _current_oracle(space, m1, bar).compose(_current_oracle(space, m2, bar))
+        prod = _column_product(_current_oracle(space, m1, bar), _current_oracle(space, m2, bar))
         for key, val in prod.entries.items():
             total[key] = total.get(key, 0) + weight * val
     if shifted and n == 0:
@@ -318,7 +319,7 @@ def test_virasoro_far_mode_on_small_space(n):
     space = build_space(2)
     for bar in (False, True):
         op = build_virasoro(space, n, bar=bar)
-        assert op.is_zero()
+        assert not op.entries
         assert op.dropped_cols == (set(range(space.dim)) if n < 0 else set())
 
 
@@ -338,7 +339,7 @@ def test_commutator_keeps_columns_whose_inner_image_vanishes():
         Lm1 = build_virasoro(space, -1, bar=bar)
         for op in (commutator(Lm1, Lm1), Lm1.compose(Lm1)):
             assert op.dropped_cols == set(range(space.dim)) - kept, bar
-        assert commutator(Lm1, Lm1).is_zero()
+        assert not commutator(Lm1, Lm1).entries
 
 
 def _virasoro_digest(space):
@@ -579,9 +580,74 @@ def test_apply_current_commutator(data, l_max, exact, m, n, bars):
         assert residual.norm_inf() <= 1e-12
 
 
+class _Columns:
+    """The column reference: an operator as {col: {row: nonzero scalar}}
+    with its dropped columns, multiplied column by column by _column_product
+    and applied by _column_apply."""
+
+    def __init__(self, space, columns, dropped):
+        self.space, self.columns = space, {}
+        for col, column in columns.items():
+            column = {row: v for row, v in column.items() if v != 0}
+            if column:
+                self.columns[col] = column
+        self.dropped_cols = frozenset(dropped)
+
+    @classmethod
+    def of(cls, op):
+        """A copy of an operator's lifted columns."""
+        return cls(op.space, op.columns, op.dropped_cols)
+
+    @property
+    def entries(self):
+        return {(r, c): v for c, column in self.columns.items() for r, v in column.items()}
+
+
+def _unreduced_product(a, b):
+    """Columns of a @ b (b acts first) as unreduced sums of products of the
+    column values, and the dropped columns (_dropped_by_product)."""
+    columns = {}
+    dropped = set(b.dropped_cols)
+    for col, column in b.columns.items():
+        out = {}
+        for mid, val in column.items():
+            if mid in a.dropped_cols:
+                dropped.add(col)
+            for row, val2 in a.columns.get(mid, {}).items():
+                p = val2 * val
+                out[row] = out[row] + p if row in out else p
+        columns[col] = out
+    return columns, dropped
+
+
+def _column_product(a, b, commute=False):
+    """a @ b, or [a, b] = a @ b + (-(b @ a)) when commute, column by column."""
+    columns, dropped = _unreduced_product(a, b)
+    if commute:
+        ba, dropped_ba = _unreduced_product(b, a)
+        for col, column in ba.items():
+            acc = columns.setdefault(col, {})
+            for row, val in column.items():
+                acc[row] = acc[row] + -val if row in acc else -val
+        dropped |= dropped_ba
+    return _Columns(a.space, columns, dropped)
+
+
+def _column_apply(op, v):
+    """op applied to v column by column; a nonzero in a dropped column
+    counts as truncation loss."""
+    out, loss = {}, 0
+    for col, c in v.coeffs.items():
+        loss += col in op.dropped_cols
+        for row, val in op.columns.get(col, {}).items():
+            out[row] = out[row] + val * c if row in out else val * c
+    return BoundaryState(v.space, out, v.truncation_loss + loss)
+
+
 def _random_operator(data, space):
-    """A random sparse operator with mixed denominators (halves, thirds and
-    powers of 2 and 3) and random dropped columns; floats in float64."""
+    """A random sparse column operator with mixed denominators (halves,
+    thirds and powers of 2 and 3) and random dropped columns; floats in
+    float64."""
     value = st.builds(
         lambda k, i, j: Fraction(k, 2**i * 3**j),
         st.integers(min_value=-9, max_value=9),
@@ -595,7 +661,7 @@ def _random_operator(data, space):
         st.dictionaries(index, st.dictionaries(index, value, max_size=6), max_size=10)
     )
     dropped = data.draw(st.frozensets(index, max_size=4))
-    return ModeOperator("random", None, space, columns, dropped)
+    return _Columns(space, columns, dropped)
 
 
 def _dense(op):
@@ -634,45 +700,10 @@ def _assert_canonical(op):
             assert isinstance(v, Fraction) == op.space.exact
 
 
-@given(data=st.data(), l_max=st.integers(min_value=1, max_value=3))
-@settings(max_examples=150, deadline=None)
-def test_product_kernel_matches_dense_reference(data, l_max):
-    space = _space(l_max, True)
-    a, b = _random_operator(data, space), _random_operator(data, space)
-    A, B = _dense(a), _dense(b)
-    ab, ba = _dense_product(A, B), _dense_product(B, A)
-    prod = a.compose(b)
-    _assert_canonical(prod)
-    assert _dense(prod) == ab
-    assert prod.dropped_cols == _dropped_by_product(a, b)
-    comm = commutator(a, b)
-    _assert_canonical(comm)
-    assert _dense(comm) == [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
-    assert comm.dropped_cols == _dropped_by_product(a, b) | _dropped_by_product(b, a)
-
-
-@given(data=st.data(), l_max=st.integers(min_value=1, max_value=3))
-@settings(max_examples=150, deadline=None)
-def test_float_commutator_is_difference_of_products(data, l_max):
-    # bit for bit: x + (-y) == x - y in IEEE arithmetic
-    space = _space(l_max, False)
-    a, b = _random_operator(data, space), _random_operator(data, space)
-    comm = commutator(a, b)
-    want = a.compose(b).add(b.compose(a), scale_other=-1)
-    _assert_canonical(comm)
-    assert comm.columns == want.columns
-    assert comm.dropped_cols == want.dropped_cols
-
-
 def _mode(space, kind, n, bar):
     if kind == "j":
         return current_mode(space, n, bar=bar)
     return build_virasoro(space, n, bar=bar, shifted=kind == "L shifted")
-
-
-def _column_copy(op):
-    """op as a generic column operator, so products take the column path."""
-    return ModeOperator(op.kind, op.n, op.space, op.columns, op.dropped_cols)
 
 
 _KINDS = st.sampled_from(["j", "L", "L shifted"])
@@ -705,10 +736,10 @@ def test_one_sided_products_match_dense_reference(l_max, exact, bar, kinds, m, n
     assert prod.dropped_cols == _dropped_by_product(a, b)
     assert _dense(comm) == [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
     assert comm.dropped_cols == _dropped_by_product(a, b) | _dropped_by_product(b, a)
-    # the column path on the lifted operands gives the same entries bit for bit
-    a_cols, b_cols = _column_copy(a), _column_copy(b)
-    assert prod.columns == a_cols.compose(b_cols).columns
-    assert comm.columns == commutator(a_cols, b_cols).columns
+    # the column reference on the lifted operands gives the same entries bit for bit
+    a_cols, b_cols = _Columns.of(a), _Columns.of(b)
+    assert prod.columns == _column_product(a_cols, b_cols).columns
+    assert comm.columns == _column_product(a_cols, b_cols, commute=True).columns
 
 
 @given(
@@ -723,52 +754,42 @@ def test_one_sided_products_match_dense_reference(l_max, exact, bar, kinds, m, n
         max_size=8,
     ),
     loss=st.integers(min_value=0, max_value=3),
+    factor=st.none() | st.tuples(_KINDS, _MODE, st.booleans()),
 )
-@example(l_max=0, exact=True, kind="L shifted", n=0, bar=False, coeffs={0: (1, 1)}, loss=0)
-@example(l_max=0, exact=False, kind="j", n=-1, bar=True, coeffs={0: (2, 3)}, loss=1)
-@example(l_max=1, exact=True, kind="L", n=-1, bar=True, coeffs={1: (3, 2), 2: (-1, 7)}, loss=0)
-@example(l_max=1, exact=False, kind="j", n=1, bar=False, coeffs={1: (5, 1), 2: (1, 3)}, loss=2)
-@settings(max_examples=150, deadline=None)
-def test_unlifted_table_acts_like_its_columns(l_max, exact, kind, n, bar, coeffs, loss):
-    # a table acts on a sparse state one nonzero at a time and stays
-    # unlifted; its lifted columns give the same state bit for bit, with the
-    # same scalar types and truncation loss
+@example(l_max=0, exact=True, kind="L shifted", n=0, bar=False, coeffs={0: (1, 1)}, loss=0, factor=None)
+@example(l_max=0, exact=False, kind="j", n=-1, bar=True, coeffs={0: (2, 3)}, loss=1, factor=None)
+@example(l_max=1, exact=True, kind="L", n=-1, bar=True, coeffs={1: (3, 2), 2: (-1, 7)}, loss=0, factor=None)
+@example(l_max=1, exact=False, kind="j", n=1, bar=False, coeffs={1: (5, 1), 2: (1, 3)}, loss=2, factor=None)
+# products and commutators at l_max 0 and 1, in both arithmetics
+@example(l_max=0, exact=True, kind="L shifted", n=0, bar=True, coeffs={0: (1, 2)}, loss=0, factor=("L", 0, False))
+@example(l_max=0, exact=False, kind="L", n=1, bar=False, coeffs={0: (3, 1)}, loss=1, factor=("L", -1, True))
+@example(l_max=1, exact=True, kind="j", n=1, bar=False, coeffs={0: (1, 1), 1: (2, 3), 2: (-4, 5)}, loss=0, factor=("j", -1, True))
+@example(l_max=1, exact=False, kind="L shifted", n=0, bar=True, coeffs={1: (1, 3), 2: (5, 7)}, loss=2, factor=("j", -1, False))
+@settings(max_examples=200, deadline=None)
+def test_unlifted_table_acts_like_its_columns(l_max, exact, kind, n, bar, coeffs, loss, factor):
+    # a mode, or the product (commutator when factor[2]) of a mode with a
+    # second mode on its side, acts on a sparse state one nonzero at a time
+    # and stays unlifted; the column reference of its factors' lifted
+    # columns gives the same state bit for bit, with the same scalar types
+    # and truncation loss
     space = _space(l_max, exact)
     values = {i % space.dim: Fraction(k, d) if exact else k / d for i, (k, d) in coeffs.items()}
     v = BoundaryState(space, values, loss)
-    op = _mode(space, kind, n, bar)
+    op = a = _mode(space, kind, n, bar)
+    if factor is not None:
+        b = _mode(space, factor[0], factor[1], bar)
+        op = commutator(a, b) if factor[2] else a.compose(b)
     got = apply_mode(op, v)
-    assert op._columns is None
-    want = apply_mode(_column_copy(op), v)
+    assert op._lifted is None and op._columns is None
+    if factor is None:
+        ref = _Columns.of(a)
+    else:
+        ref = _column_product(_Columns.of(a), _Columns.of(b), commute=factor[2])
+    want = _column_apply(ref, v)
     assert got == want
     types = [{i: type(c) for i, c in w.coeffs.items()} for w in (got, want)]
     assert types[0] == types[1]
     assert got.truncation_loss == want.truncation_loss
-
-
-@given(
-    data=st.data(),
-    l_max=st.integers(min_value=0, max_value=4),
-    exact=st.booleans(),
-    kinds=st.tuples(_KINDS, _KINDS),
-    m=_MODE,
-    n=_MODE,
-)
-@settings(max_examples=60, deadline=None)
-def test_mixed_operands_match_dense_reference(data, l_max, exact, kinds, m, n):
-    # a chiral times an antichiral mode, and a mode plus a generic operator,
-    # take the column path
-    space = _space(l_max, exact)
-    a, b = _mode(space, kinds[0], m, False), _mode(space, kinds[1], n, True)
-    prod = a.compose(b)
-    _assert_canonical(prod)
-    assert _dense(prod) == _dense_product(_dense(a), _dense(b))
-    assert prod.dropped_cols == _dropped_by_product(a, b)
-    r = _random_operator(data, space)
-    total = a.add(r)
-    _assert_canonical(total)
-    assert _dense(total) == [[x + y for x, y in zip(p, q)] for p, q in zip(_dense(a), _dense(r))]
-    assert total.dropped_cols == a.dropped_cols | r.dropped_cols
 
 
 @given(
@@ -785,52 +806,76 @@ def test_mixed_operands_match_dense_reference(data, l_max, exact, kinds, m, n):
 @example(data=None, l_max=4, exact=True, bar=False, kinds=("L", "L", "L"), modes=(2, -2, 1), commute=True)
 @settings(max_examples=80, deadline=None)
 def test_products_of_products_match_the_column_path(data, l_max, exact, bar, kinds, modes, commute):
-    # a product of two modes on one side stays unlifted until read; as an
-    # operand, or under any other operation, it must act as its lifted
-    # columns do on the column path, bit for bit, dropped columns included
+    # a product of two modes on one side lifts to the column reference's
+    # product of its factors, bit for bit, dropped columns included.  A
+    # product of products is not an operator; applied one factor at a time
+    # it acts on a state as the column reference's product of products
     space = _space(l_max, exact)
     a, b = (_mode(space, kind, n, bar) for kind, n in zip(kinds[:2], modes))
-
-    def fresh():
-        return commutator(a, b) if commute else a.compose(b)
-
-    lifted = _column_copy(fresh())
-    a_cols, b_cols = _column_copy(a), _column_copy(b)
-    by_columns = commutator(a_cols, b_cols) if commute else a_cols.compose(b_cols)
-    assert lifted.columns == by_columns.columns
-    assert lifted.dropped_cols == by_columns.dropped_cols
+    prod = commutator(a, b) if commute else a.compose(b)
+    ref = _column_product(_Columns.of(a), _Columns.of(b), commute)
+    assert prod.entries == ref.entries
+    assert prod.dropped_cols == ref.dropped_cols
+    assert prod.columns == ref.columns
     same, other = (_mode(space, kinds[2], modes[2], side) for side in (bar, not bar))
-    operands = [same, other, fresh()]
+    operands = [same, other, prod]
     if data is not None:
         operands.append(_random_operator(data, space))
-    for c in operands:
-        c_cols = _column_copy(c)
-        pairs = [
-            (fresh().compose(c), lifted.compose(c_cols)),
-            (c.compose(fresh()), c_cols.compose(lifted)),
-            (commutator(fresh(), c), commutator(lifted, c_cols)),
-            (commutator(c, fresh()), commutator(c_cols, lifted)),
-            (fresh().add(c, -1), lifted.add(c_cols, -1)),
-        ]
-        for got, want in pairs:
-            assert got.columns == want.columns
-            assert got.dropped_cols == want.dropped_cols
-    assert fresh().entries == lifted.entries
-    assert fresh().dropped_cols == lifted.dropped_cols
-    assert fresh().scale(3).columns == lifted.scale(3).columns
-    assert fresh() == lifted and lifted == fresh()
-    assert fresh().is_zero() == lifted.is_zero()
     one = space.one_scalar()
     v = BoundaryState(space, {i: (i + 1) * one for i in range(0, space.dim, 2)}, 1)
-    got, want = apply_mode(fresh(), v), apply_mode(lifted, v)
-    assert got == want and got.truncation_loss == want.truncation_loss
+    for c in operands:
+        c_ref = c if isinstance(c, _Columns) else _Columns.of(c)
+        pairs = [  # (prod after c, c after prod) on v, then their references
+            (apply_mode(prod, _column_apply(c_ref, v)), _column_product(ref, c_ref)),
+            (_column_apply(c_ref, apply_mode(prod, v)), _column_product(c_ref, ref)),
+        ]
+        for got, want in pairs:
+            want = _column_apply(want, v)
+            if exact:
+                assert got == want
+            else:  # the factors' sums are taken in another order
+                assert (got - want).norm_inf() <= 1e-12 * max(1.0, want.norm_inf())
+
+
+def test_products_of_products_and_of_two_sides_raise():
+    space = build_space(3)
+    L1, Lm1 = build_virasoro(space, 1), build_virasoro(space, -1)
+    Lbar1, jm1 = build_virasoro(space, 1, bar=True), current_mode(space, -1)
+    prod, comm = L1.compose(Lm1), commutator(L1, Lm1)
+    for a, b in [(prod, L1), (L1, comm), (prod, comm), (L1, Lbar1), (Lbar1, jm1)]:
+        with pytest.raises(ValueError):
+            a.compose(b)
+        with pytest.raises(ValueError):
+            commutator(a, b)
+
+
+def test_each_operator_is_lifted_once(monkeypatch):
+    # entries, dropped_cols and columns, read in any order and twice each,
+    # share one lift
+    calls = []
+    lift = fock._lift
+    monkeypatch.setattr(fock, "_lift", lambda op: calls.append(op) or lift(op))
+    space = build_space(5)
+    reads = [lambda op: op.entries, lambda op: op.dropped_cols, lambda op: op.columns]
+    for bar in (False, True):
+        makers = [
+            lambda: current_mode(space, -1, bar),
+            lambda: build_virasoro(space, 2, bar),
+            lambda: commutator(build_virasoro(space, 2, bar), build_virasoro(space, -2, bar)),
+        ]
+        for make in makers:
+            for order in itertools.permutations(reads):
+                op, calls[:] = make(), []
+                for read in order + order:
+                    read(op)
+                assert calls == [op], (bar, order)
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
 @pytest.mark.parametrize("l_max", [0, 1, 5])
 def test_entries_agree_before_and_after_columns(l_max, exact):
-    # entries of an unlifted operator are read from its runs without lifting
-    # it; once lifted they are read from its columns
+    # entries of an operator are read from its runs without building its
+    # columns; once its columns are built they agree with them
     space = build_space(l_max, exact)
     makers = []
     for bar in (False, True):
