@@ -29,7 +29,7 @@ from .fock import _key as _fock_key
 from .fock import apply_current
 from .jets import Jet, JetAlgebra, recombine
 from .rexp import RExpansion, Sparse
-from .scalars import LogPoly, canonical_exponent, decode_scalar, encode_scalar
+from .scalars import LogPoly, canonical_exponent, decode_scalar
 
 R_SYM = LogPoly.monomial(R=1)
 LAM_SYM = LogPoly.monomial(lam=1)
@@ -213,34 +213,6 @@ class FormalTheory:
         return h + hbar + sum(mu) + sum(mubar)
 
 
-def theory_to_json(theory) -> str:
-    import json
-
-    doc = {
-        "primaries": [
-            {"label": p.label, "h": encode_scalar(p.h), "hbar": encode_scalar(p.hbar)}
-            for p in theory.primaries
-        ],
-        "coefficients": [
-            {
-                "a": a,
-                "b": b,
-                "c": c,
-                "mu": list(mu),
-                "mubar": list(mubar),
-                "value": encode_scalar(val),
-            }
-            for (a, b), rows in sorted(theory.rows.items())
-            for (c, mu, mubar, val) in rows
-        ],
-        "mixing": [
-            {"a": a, "gamma": g, "value": encode_scalar(v)}
-            for (a, g), v in sorted(theory.mixing.items())
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def theory_from_json(text: str) -> FormalTheory:
     import json
 
@@ -327,12 +299,9 @@ def integrated_ope(theory: FormalTheory, alpha, beta) -> RExpansion:
     return _expansion(terms)
 
 
-def marginal_coupling_algebra(theory, tilde=False, truncation=2):
-    prefix = "gt" if tilde else "g"
-    return JetAlgebra(
-        {prefix: ([f"{prefix}[{m}]" for m in theory.marginals], 1)},
-        truncation=truncation,
-    )
+def marginal_coupling_algebra(theory):
+    """One first-order coupling g[m] per marginal m."""
+    return JetAlgebra({"g": ([f"g[{m}]" for m in theory.marginals], 1)})
 
 
 def insert_family_deformed(theory: FormalTheory, beta, correction=True) -> Jet:
@@ -374,23 +343,17 @@ def deformed_one_point(theory: FormalTheory, beta) -> Jet:
 # ------------------------------------------------------------------ dilation
 
 
-def dilate_family(theory: FormalTheory, expansion: RExpansion) -> RExpansion:
-    """Dil_lambda on a formal family: evaluate the family at radius lam * r.
-
-    r^p -> lam^p r^p, log(r) -> log(lam) + log(r), and each correlator symbol
-    scales by lam^{-dimension}: the value at r^p (log r)^q of a symbol of
-    dimension D contributes comb(q, j) lam^{p - D} (log lam)^{q - j} times
-    itself at r^p (log r)^j, for j = 0..q.
-    """
-    return _dilate(theory, expansion, 0)
-
-
 def _dilate(theory, expansion, weight) -> RExpansion:
-    """lam^weight * Dil_lambda(expansion), by dilate_family's rule for any
-    weight, p, q and dimension, as a direct exponent shift of each monomial;
-    a zero shift (so j = q and comb(q, j) = 1) is the value itself.  Shifted
-    values stay zero-free, but values from different q can meet at one
-    (p, j) and cancel, which _expansion drops."""
+    """lam^weight * Dil_lambda(expansion): the family evaluated at radius
+    lam * r.  r^p -> lam^p r^p, log(r) -> log(lam) + log(r), and each
+    correlator symbol scales by lam^{-dimension}: the value at r^p (log r)^q
+    of a symbol of dimension D contributes comb(q, j) lam^{weight + p - D}
+    (log lam)^{q - j} times itself at r^p (log r)^j, for j = 0..q.
+
+    Each monomial's exponents shift directly; a zero shift (so j = q and
+    comb(q, j) = 1) is the value itself.  Shifted values stay zero-free, but
+    values from different q can meet at one (p, j) and cancel, which
+    _expansion drops."""
     terms = {}
     for (p, q), vec in expansion.terms.items():
         rows = [(terms.setdefault((p, j), {}), comb(q, j), q - j) for j in range(q + 1)]
@@ -434,16 +397,6 @@ def anomalous_dilation(theory: FormalTheory, beta):
 
 
 # ------------------------------------------------------- double deformation
-
-
-def deform_first(theory: FormalTheory, tilde=False) -> Jet:
-    """First-order deformed disk partition function as a jet over couplings."""
-    alg = marginal_coupling_algebra(theory, tilde=tilde)
-    prefix = "gt" if tilde else "g"
-    coeffs = {(): FormalVector.atom(("disk",))}
-    for m in theory.marginals:
-        coeffs[(f"{prefix}[{m}]",)] = FormalVector.atom(("int", m))
-    return Jet(alg, coeffs)
 
 
 def double_deform(theory: FormalTheory) -> Jet:

@@ -11,8 +11,7 @@ on one side, whose tables multiply as integers over one denominator in
 exact arithmetic.  Per level its terms reduce to one rule, which
 `apply_mode` reads one nonzero at a time; the rule is lifted once, when
 first read, to block runs (one Fraction per distinct numerator), from which
-its entries, its columns {col: {row: nonzero scalar}} and its dropped
-columns are read.  The Shapovalov pairing is diagonal.
+its entries {(row, col): nonzero scalar} and its dropped columns are read.
 
 The zero mode j_0 acts as zero throughout (the zero-mode sector is out of
 scope), and components pushed above the truncation level are dropped with a
@@ -21,12 +20,10 @@ queryable loss counter.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ResourceLimitError, SpaceMismatchError
-from .scalars import encode_scalar
 
 # Hard cap on the truncation level.  dim grows like sum p(k)p(m) (7 567 at
 # 14, 17 345 at 16, 38 045 at 18).  Exact arithmetic, one process on a
@@ -123,21 +120,6 @@ class TruncatedFockSpace:
     def find(self, chiral, antichiral):
         return self.index.get(_key(chiral, antichiral))
 
-    def to_json(self, operators=None) -> str:
-        """Dump {l_max, basis, operators:{name: sparse triplets}} for golden files."""
-        doc = {
-            "l_max": self.l_max,
-            "basis": [[list(mu), list(nu)] for _, mu, nu in self.basis],
-            "operators": {},
-        }
-        for name, op in (operators or {}).items():
-            triplets = [
-                [i, j, encode_scalar(val)]
-                for (i, j), val in sorted(op.entries.items())
-            ]
-            doc["operators"][name] = triplets
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
 
 class BoundaryState:
     """Sparse coefficient map {basis index: scalar} over a truncated basis;
@@ -204,9 +186,6 @@ class BoundaryState:
         """(index, coefficient) pairs in basis order."""
         return sorted(self.coeffs.items())
 
-    def levels_present(self):
-        return sorted({self.space.levels[i] for i in self.coeffs})
-
     def __repr__(self):
         basis = self.space.basis
         terms = [
@@ -232,19 +211,16 @@ class ModeOperator:
     first; partitions that factor maps to nonzero).  A mode keeps its own
     `table`, a product None.  Per level the terms reduce to one rule, which
     apply_mode reads one nonzero at a time; the rules are lifted once, when
-    first read, to block runs, from which `.entries`, `.columns` ({col:
-    {row: nonzero scalar}}) and `.dropped_cols` are read.  dropped_cols are
-    the columns whose image has components above l_max (dropped, and
-    counted as truncation loss by apply_mode)."""
+    first read, to block runs, from which `.entries` and `.dropped_cols`
+    are read.  dropped_cols are the columns whose image has components
+    above l_max (dropped, and counted as truncation loss by apply_mode)."""
 
-    __slots__ = (
-        "space", "bar", "n", "denominator", "terms", "table", "_rules", "_lifted", "_columns"
-    )
+    __slots__ = ("space", "bar", "n", "denominator", "terms", "table", "_rules", "_lifted")
 
     def __init__(self, space, bar, n, denominator, terms, table=None):
         self.space, self.bar, self.n, self.denominator = space, bar, n, denominator
         self.terms, self.table = terms, table
-        self._rules = self._lifted = self._columns = None
+        self._rules = self._lifted = None
 
     def _level_rules(self) -> list:
         """Per level x, (summed table {p: {new: nonzero scalar}}, drop_all,
@@ -285,18 +261,6 @@ class ModeOperator:
         return self._lifted
 
     @property
-    def columns(self) -> dict:
-        if self._columns is None:
-            self._columns = columns = {}
-            for row, col, size, v in self._runs()[0]:
-                if size == 1:  # most runs are single entries: skip the range
-                    columns.setdefault(col, {})[row] = v
-                    continue
-                for i in range(size):
-                    columns.setdefault(col + i, {})[row + i] = v
-        return self._columns
-
-    @property
     def dropped_cols(self) -> frozenset:
         return self._runs()[1]
 
@@ -305,7 +269,7 @@ class ModeOperator:
         """A fresh {(row, col): scalar} dict of the nonzero entries."""
         out = {}
         for row, col, size, v in self._runs()[0]:
-            if size == 1:
+            if size == 1:  # most runs are single entries: skip the range
                 out[row, col] = v
                 continue
             for i in range(size):
@@ -507,29 +471,3 @@ def commutator(a: ModeOperator, b: ModeOperator) -> ModeOperator:
     becomes a Fraction); in float64 each entry is x + (-y), which equals
     x - y bit for bit."""
     return _product(a, b, commute=True)
-
-
-@lru_cache(maxsize=None)
-def _chiral_norm(parts: tuple[int, ...]) -> int:
-    """<mu|mu> = prod_k k^{m_k} m_k! from repeated mode commutation."""
-    norm = 1
-    for part in set(parts):
-        m = parts.count(part)
-        fact = 1
-        for i in range(2, m + 1):
-            fact *= i
-        norm *= part**m * fact
-    return norm
-
-
-def shapovalov(u: BoundaryState, v: BoundaryState):
-    """Bilinear Shapovalov pairing; basis states are pairwise orthogonal."""
-    _check_space(u, v)
-    space = u.space
-    total = space.zero_scalar()
-    for i, cu in u.nonzero():
-        cv = v.coeffs.get(i)
-        if cv is not None:
-            _, mu, nu = space.basis[i]
-            total = total + cu * cv * _chiral_norm(mu) * _chiral_norm(nu)
-    return total

@@ -1,7 +1,7 @@
 """Surfaces, their partition functions, and the cutting axiom.
 
-Cylinder and annulus partition functions are functions of L_0 + Lbar_0
-alone, so they are stored as one scalar per total level 0..l_max; the disk
+Annulus partition functions are functions of L_0 + Lbar_0 alone, so they
+are stored as one scalar per total level 0..l_max; the disk
 partition function is the vacuum state.  Gluing multiplies level scalars or
 applies them to the nonzeros of a boundary state, and verify_cutting checks
 the cutting identities over chains of nested annuli level by level, in
@@ -14,7 +14,6 @@ restores the explicit 1/12 in the annulus exponent for cross-checks.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import GeometryError, SpaceMismatchError
@@ -23,15 +22,12 @@ from .scalars import PowerValue
 
 
 class Surface:
-    """One of cylinder(H), annulus(R, r), disk(R)."""
+    """One of annulus(R, r), disk(R)."""
 
     __slots__ = ("kind", "params")
 
     def __init__(self, kind, **params):
-        if kind == "cylinder":
-            if params.get("H", 0) <= 0:
-                raise GeometryError("cylinder length must be positive")
-        elif kind == "annulus":
+        if kind == "annulus":
             R, r = params.get("R", 0), params.get("r", 0)
             if not R > r > 0:
                 raise GeometryError("annulus radii must satisfy R > r > 0")
@@ -49,7 +45,7 @@ class Surface:
 
 
 class PartitionFunction:
-    """Level-graded operator (cylinder/annulus) or boundary state (disk)."""
+    """Level-graded operator (annulus) or boundary state (disk)."""
 
     __slots__ = ("surface", "space", "by_level", "state")
 
@@ -86,19 +82,6 @@ def _level_energies(space, shifted):
         return list(levels)
     offset = Fraction(1, 12) if space.exact else 1.0 / 12.0
     return [E + offset for E in levels]
-
-
-def cylinder_pf(space: TruncatedFockSpace, H, shifted: bool = True) -> PartitionFunction:
-    """exp(-H (L_0 + Lbar_0)) on the cylinder of length H."""
-    if H <= 0:
-        raise GeometryError("cylinder length must be positive")
-    surface = Surface("cylinder", H=H)
-    energies = _level_energies(space, shifted)
-    if space.exact:
-        by_level = [PowerValue.from_exp(-Fraction(H) * e) for e in energies]
-    else:
-        by_level = [math.exp(-float(H) * e) for e in energies]
-    return PartitionFunction(surface, space, by_level=by_level)
 
 
 def annulus_pf(
@@ -142,8 +125,6 @@ def disk_pf(space: TruncatedFockSpace, R, shifted: bool = True) -> PartitionFunc
 
 
 def _glued_surface(outer: Surface, inner: Surface) -> Surface:
-    if outer.kind == "cylinder" and inner.kind == "cylinder":
-        return Surface("cylinder", H=outer.params["H"] + inner.params["H"])
     if outer.kind == "annulus" and inner.kind == "annulus":
         if outer.params["r"] != inner.params["R"]:
             raise GeometryError(
@@ -174,19 +155,6 @@ def glue(outer: PartitionFunction, inner) -> PartitionFunction:
         by_level = [a * b for a, b in zip(outer.by_level, inner.by_level)]
         return PartitionFunction(surface, outer.space, by_level=by_level)
     return PartitionFunction(surface, outer.space, state=outer.apply(inner.state))
-
-
-def disjoint_union_pf(a: PartitionFunction, b: PartitionFunction):
-    """Product axiom: the partition function of a disjoint union is the
-    tensor product.  Returned as the dict {(E, F): scalar} over pairs of
-    levels of the two factors."""
-    if not (a.is_operator and b.is_operator):
-        raise GeometryError("disjoint union check implemented for operators")
-    return {
-        (E, F): x * y
-        for E, x in enumerate(a.by_level)
-        for F, y in enumerate(b.by_level)
-    }
 
 
 def _level_residual(values_a, values_b, exact):

@@ -1,10 +1,9 @@
 """One-dimensional FQFT: quantum mechanics on a segment.
 
 Partition functions on segments are Euclidean evolution operators
-exp(-length * H); the cutting axiom is the semigroup law.  Constant
-endomorphism families are good and give the usual time-ordered correlators,
-and the double deformation reproduces second-order perturbation theory,
-which we check against a matrix-exponential oracle.
+exp(-length * H); the cutting axiom is the semigroup law.  Deforming twice
+by constant endomorphism families reproduces second-order perturbation
+theory, which we check against a matrix-exponential oracle.
 """
 
 from __future__ import annotations
@@ -58,48 +57,6 @@ class SegmentPF:
         else:
             value = self.value @ inner.value
         return SegmentPF(self.theory, inner.alpha, self.beta, value)
-
-
-def evolve(theory: QmTheory, alpha, beta) -> SegmentPF:
-    """exp(-(beta - alpha) H), the Euclidean evolution operator."""
-    (value,) = _block_row(theory, alpha, beta)
-    return SegmentPF(theory, alpha, beta, value)
-
-
-def qm_correlator(theory: QmTheory, insertions, alpha, beta):
-    """<O_1(tau_1) ... O_k(tau_k)> with tau_1 > ... > tau_k: the alternating
-    product of evolutions and observables.  insertions: [(O, tau), ...]."""
-    taus = [tau for _, tau in insertions]
-    if any(t2 >= t1 for t1, t2 in zip(taus, taus[1:])):
-        raise ValidationError("insertion times must be strictly decreasing")
-    if taus and not (alpha < taus[-1] and taus[0] < beta):
-        raise ValidationError("insertion times must lie inside the segment")
-    out = None
-    prev = beta
-    for O, tau in insertions:
-        seg = evolve(theory, tau, prev).value
-        out = seg if out is None else out @ seg
-        out = out @ np.asarray(O)
-        prev = tau
-    seg = evolve(theory, alpha, prev).value
-    return seg if out is None else out @ seg
-
-
-def time_ordered(theory: QmTheory, a, b, alpha, beta):
-    """Time-ordered two-point correlator.
-
-    a, b are (matrix, time) pairs.  Returns (matrix, coincident): coincident
-    times resolve to the symmetrized product (O_a O_b + O_b O_a)/2, flagged
-    in the second component.
-    """
-    (Oa, tau), (Ob, taut) = a, b
-    if tau > taut:
-        return qm_correlator(theory, [(Oa, tau), (Ob, taut)], alpha, beta), False
-    if tau < taut:
-        return qm_correlator(theory, [(Ob, taut), (Oa, tau)], alpha, beta), False
-    Oa, Ob = np.asarray(Oa), np.asarray(Ob)
-    sym = (Oa @ Ob + Ob @ Oa) / 2
-    return qm_correlator(theory, [(sym, tau)], alpha, beta), True
 
 
 # ---------------------------------------------------------- segment integrals
@@ -217,39 +174,7 @@ def _block_row(theory: QmTheory, alpha, beta, *blocks):
     return [E[:n, i * n : (i + 1) * n].copy() for i in range(k)]
 
 
-def first_order_integral(theory: QmTheory, O, alpha, beta):
-    """int_alpha^beta e^{-(beta-tau)H} O e^{-(tau-alpha)H} dtau."""
-    return _block_row(theory, alpha, beta, O)[1]
-
-
-def second_order_ordered(theory: QmTheory, X, Y, alpha, beta):
-    """int over alpha < tau2 < tau1 < beta of
-    e^{-(beta-tau1)H} X e^{-(tau1-tau2)H} Y e^{-(tau2-alpha)H}."""
-    return _block_row(theory, alpha, beta, X, Y)[2]
-
-
-def time_ordered_integral(theory: QmTheory, Oa, Ob, alpha, beta):
-    """Double integral of the time-ordered two-point correlator over the
-    square [alpha, beta]^2; symmetric in (Oa, Ob)."""
-    return second_order_ordered(theory, Oa, Ob, alpha, beta) + second_order_ordered(
-        theory, Ob, Oa, alpha, beta
-    )
-
-
 # ------------------------------------------------------------- deformations
-
-
-def qm_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
-    """First-order deformation by the constant families in `obs`:
-    pf + g^a * int <O_a(tau)> dtau, with first-order nilpotent couplings."""
-    labels = sorted(obs)
-    alg = JetAlgebra({"g": ([f"g[{l}]" for l in labels], 1)}, truncation=2)
-    # one 2n x 2n exponential per label: (1,1) is the evolution, (1,2) the integral
-    rows = {l: _block_row(theory, alpha, beta, obs[l]) for l in labels}
-    coeffs = {(): rows[labels[0]][0] if labels else evolve(theory, alpha, beta).value}
-    for l in labels:
-        coeffs[(f"g[{l}]",)] = rows[l][1]
-    return SegmentPF(theory, alpha, beta, Jet(alg, coeffs))
 
 
 def qm_double_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
@@ -260,7 +185,7 @@ def qm_double_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
     # one 3n x 3n exponential per label: its top block row is the evolution,
     # the first order and the ordered second order of that label
     rows = {l: _block_row(theory, alpha, beta, obs[l], obs[l]) for l in labels}
-    coeffs = {(): rows[labels[0]][0] if labels else evolve(theory, alpha, beta).value}
+    coeffs = {(): rows[labels[0]][0] if labels else _block_row(theory, alpha, beta)[0]}
     for l in labels:
         coeffs[(f"g[{l}]",)] = rows[l][1]
         coeffs[(f"gt[{l}]",)] = rows[l][1]
@@ -270,8 +195,11 @@ def qm_double_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
         for b in labels[i:]:
             if a == b:
                 S = 2 * rows[a][2]
-            else:
-                S = time_ordered_integral(theory, obs[a], obs[b], alpha, beta)
+            else:  # the ordered integrals of (a, b) and of (b, a)
+                S = (
+                    _block_row(theory, alpha, beta, obs[a], obs[b])[2]
+                    + _block_row(theory, alpha, beta, obs[b], obs[a])[2]
+                )
             coeffs[tuple(sorted((f"gt[{a}]", f"g[{b}]")))] = S
             coeffs[tuple(sorted((f"gt[{b}]", f"g[{a}]")))] = S
     raw = Jet(alg, coeffs)

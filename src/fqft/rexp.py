@@ -40,22 +40,6 @@ def coeff_eq(a, b) -> bool:
     return a == b
 
 
-def coeff_norm(c) -> float:
-    """Infinity norm of a coefficient, for float-mode tolerances."""
-    if c is None:
-        return 0.0
-    if hasattr(c, "norm_inf"):
-        return c.norm_inf()
-    if hasattr(c, "shape"):
-        import numpy
-
-        return float(numpy.max(numpy.abs(c))) if c.size else 0.0
-    try:
-        return abs(float(c))
-    except (TypeError, ValueError):
-        return 0.0 if coeff_is_zero(c) else float("inf")
-
-
 class Sparse:
     """Immutable finite sum {key: nonzero coefficient}: the linear algebra
     shared by RExpansion, Jet, FormalVector and ZSeries.
@@ -189,24 +173,6 @@ class RExpansion(Sparse):
     def term(cls, p, q, coeff) -> "RExpansion":
         return cls({(p, q): coeff})
 
-    def __mul__(self, other):
-        """Convolution with another expansion, or scalar action."""
-        if not isinstance(other, RExpansion):
-            return self.scale(other)
-        terms: dict = {}
-        for (p1, q1), c1 in self.terms.items():
-            for (p2, q2), c2 in other.terms.items():
-                key = (p1 + p2, q1 + q2)
-                prod = c1 * c2
-                terms[key] = terms[key] + prod if key in terms else prod
-        return RExpansion(terms)
-
-    def shift(self, dp, dq=0) -> "RExpansion":
-        """Multiply by r^{dp} (log r)^{dq} termwise."""
-        return RExpansion(
-            {(p + dp, q + dq): c for (p, q), c in self.terms.items()}
-        )
-
     def coefficient(self, p, q=0):
         return self.terms.get(_key((p, q)))
 
@@ -220,13 +186,6 @@ class RExpansion(Sparse):
             for (p, q), c in self.terms.items()
             if p < 0 or (p == 0 and q > 0)
         }
-
-    def most_singular(self):
-        """Worst term under r -> 0: smallest p, then largest log power."""
-        if not self.terms:
-            return None
-        key = min(self.terms, key=lambda pq: (pq[0], -pq[1]))
-        return key, self.terms[key]
 
     def __repr__(self):
         bits = []

@@ -1,9 +1,9 @@
 """Exact scalar values with structural equality.
 
-PowerValue, c * prod_p p^{e_p} * e^{t}, keeps the geometry module's
-non-integer powers exact: annulus entries (r/R)^(E + 1/12) in the unshifted
-convention, and cylinder entries exp(-H*E).  Rational bases are reduced to
-prime factorizations so equality is structural, never heuristic.
+PowerValue, c * prod_p p^{e_p}, keeps the geometry module's non-integer
+powers exact: annulus entries (r/R)^(E + 1/12) and the disk's R^(-1/12) in
+the unshifted convention.  Rational bases are reduced to prime
+factorizations so equality is structural, never heuristic.
 
 LogPoly, a finite sum of c * R^a * lam^b * (log R)^i * (log lam)^j, is the
 scalar of the formal perturbation backend in fqft.deformation.
@@ -43,7 +43,7 @@ def _factorint(n: int) -> dict[int, int]:
 
 
 class PowerValue:
-    """Canonical product  coeff * prod p^{e_p} * exp(e_exp).
+    """Canonical product  coeff * prod p^{e_p}.
 
     Integer parts of the prime exponents are folded into the rational
     coefficient, and zero carries no exponents, so two values are equal iff
@@ -52,11 +52,10 @@ class PowerValue:
     may share the `prime_exps` dict of an operand.
     """
 
-    __slots__ = ("coeff", "prime_exps", "e_exp")
+    __slots__ = ("coeff", "prime_exps")
 
-    def __init__(self, coeff=1, prime_exps=None, e_exp=0):
+    def __init__(self, coeff=1, prime_exps=None):
         coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
-        self.e_exp = e_exp if type(e_exp) is Fraction else Fraction(e_exp)
         exps = {}
         num = den = 1  # prime powers folded into coeff
         for p, e in (prime_exps or {}).items():
@@ -76,17 +75,14 @@ class PowerValue:
         if num != 1 or den != 1:
             coeff = Fraction(coeff.numerator * num, coeff.denominator * den)
         self.coeff = coeff
-        self.prime_exps = exps
-        if not coeff:
-            self.prime_exps = {}
-            self.e_exp = Fraction(0)
+        self.prime_exps = exps if coeff else {}
 
     @classmethod
-    def _of(cls, coeff, prime_exps, e_exp):
-        """Wrap canonical fields, unchecked; a zero coeff clears the rest."""
+    def _of(cls, coeff, prime_exps):
+        """Wrap canonical fields, unchecked; a zero coeff clears the exponents."""
         out = cls.__new__(cls)
         out.coeff = coeff
-        out.prime_exps, out.e_exp = (prime_exps, e_exp) if coeff else ({}, Fraction(0))
+        out.prime_exps = prime_exps if coeff else {}
         return out
 
     @classmethod
@@ -99,47 +95,36 @@ class PowerValue:
         exps.update((p, -k * exponent) for p, k in _factorint(base.denominator).items())
         return cls(1, exps)
 
-    @classmethod
-    def from_exp(cls, t) -> "PowerValue":
-        """exp(t) for exact rational t, kept symbolic."""
-        return cls._of(Fraction(1), {}, Fraction(t))
-
     def __mul__(self, other):
         if isinstance(other, PowerValue):
             exps = dict(self.prime_exps)
             for p, e in other.prime_exps.items():
                 exps[p] = exps[p] + e if p in exps else e
-            return PowerValue(self.coeff * other.coeff, exps, self.e_exp + other.e_exp)
+            return PowerValue(self.coeff * other.coeff, exps)
         if isinstance(other, (int, Fraction)):
             # a rational factor moves no exponent: share them
-            return PowerValue._of(self.coeff * other, self.prime_exps, self.e_exp)
-        return PowerValue(self.coeff * Fraction(other), self.prime_exps, self.e_exp)
+            return PowerValue._of(self.coeff * other, self.prime_exps)
+        return PowerValue(self.coeff * Fraction(other), self.prime_exps)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return not self.prime_exps and not self.e_exp and self.coeff == other
+            return not self.prime_exps and self.coeff == other
         if not isinstance(other, PowerValue):
             return NotImplemented
-        return (
-            self.coeff == other.coeff
-            and self.prime_exps == other.prime_exps
-            and self.e_exp == other.e_exp
-        )
+        return self.coeff == other.coeff and self.prime_exps == other.prime_exps
 
     def __hash__(self):
-        if not self.prime_exps and not self.e_exp:
+        if not self.prime_exps:
             return hash(self.coeff)  # equal to a rational: hash as it does
-        return hash((self.coeff, tuple(sorted(self.prime_exps.items())), self.e_exp))
+        return hash((self.coeff, tuple(sorted(self.prime_exps.items()))))
 
     def __float__(self):
         val = float(self.coeff)
         # in prime order, so the rounding does not depend on the dict's order
         for p, e in sorted(self.prime_exps.items()):
             val *= p ** float(e)
-        if self.e_exp:
-            val *= math.exp(float(self.e_exp))
         return val
 
     def is_zero(self) -> bool:
@@ -148,8 +133,6 @@ class PowerValue:
     def __repr__(self):
         parts = [str(self.coeff)]
         parts += [f"{p}^({e})" for p, e in sorted(self.prime_exps.items())]
-        if self.e_exp:
-            parts.append(f"exp({self.e_exp})")
         return "*".join(parts)
 
 
@@ -271,28 +254,10 @@ class LogPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        """Integer powers; a negative one needs a single log-free term."""
-        base = self
-        if n < 0:
-            if len(self.terms) != 1 or any(next(iter(self.terms))[2:]):
-                raise ValueError(f"({self})**({n}) is not a LogPoly")
-            ((a, b, _, _), c), = self.terms.items()
-            base, n = LogPoly._of({(-a, -b, 0, 0): 1 / Fraction(c)}), -n
-        out = LogPoly._of({(0, 0, 0, 0): 1})
-        for _ in range(n):
-            out = out * base
-        return out
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
-        if not isinstance(other, LogPoly):
-            return NotImplemented
-        return self * other**-1
-
-    def __rtruediv__(self, other):
-        return self**-1 * other
+        return NotImplemented
 
     def scale_radius(self) -> "LogPoly":
         """The substitution R -> lam R: R^a -> lam^a R^a and

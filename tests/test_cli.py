@@ -6,7 +6,8 @@ import pytest
 
 import fqft.cli
 from fqft.cli import main
-from fqft.deformation import FormalTheory, theory_to_json
+from fqft.deformation import FormalTheory
+from theory_json import theory_to_json
 
 
 def run_cli(capsys, argv):

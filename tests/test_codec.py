@@ -11,38 +11,64 @@ import pytest
 
 import fqft
 from fqft.cli import _jsonable
-from fqft.deformation import fb_theory, theory_from_json, theory_to_json
+from fqft.deformation import fb_theory, theory_from_json
 from fqft.fock import build_space, build_virasoro, current_mode
-from fqft.observables import OpeTable, marginal_observable, ope_extract
+from fqft.observables import marginal_observable, ope_extract
 from fqft.scalars import decode_scalar, encode_scalar
+from theory_json import theory_to_json
+
+
+def _written(x):
+    """x as the CLI report writes it and a reader parses it back."""
+    return json.loads(json.dumps(_jsonable(x)))
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
 def test_writers_share_one_codec(exact):
+    # the CLI's _jsonable is the one writer: operator entries, OPE rows and a
+    # theory read back through decode_scalar and theory_from_json
     space = build_space(4, exact=exact)
     ops = {"j_-1": current_mode(space, -1), "L_0": build_virasoro(space, 0)}
-    doc = json.loads(space.to_json(ops))
+    doc = _written({name: sorted(op.entries.items()) for name, op in ops.items()})
     for name, op in ops.items():
-        back = {(i, j): decode_scalar(v) for i, j, v in doc["operators"][name]}
+        back = {(i, j): decode_scalar(v) for (i, j), v in doc[name]}
         assert back == op.entries
-        assert all(type(v) is (str if exact else float) for _, _, v in doc["operators"][name])
+        assert all(type(v) is (str if exact else float) for _, v in doc[name])
 
     o = marginal_observable(space)
     table = ope_extract(space, o, o)
-    back = OpeTable.from_json(table.to_json())
-    assert (back.primaries, back.rows, back.mixing) == (table.primaries, table.rows, table.mixing)
-    primaries = json.loads(table.to_json())["primaries"]
-    dims = [(p["h"], p["hbar"]) for p in primaries]
-    assert dims == [("0", "0"), ("1", "0"), ("0", "1"), ("1", "1")]
+    rows = _written(table.rows)
+    assert [decode_scalar(r["coefficient"]) for r in rows] == [
+        r["coefficient"] for r in table.rows
+    ]
+    assert [(r["mu"], r["mubar"], r["exponents"]) for r in rows] == [
+        (list(r["mu"]), list(r["mubar"]), list(r["exponents"])) for r in table.rows
+    ]
+    dims = _written([(h, hbar) for _, h, hbar in table.primaries])
+    assert dims == [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]
 
     theory = fb_theory(space)
-    text = theory_to_json(theory)
-    back = theory_from_json(text)
+    doc = _written(
+        {
+            "primaries": [{"label": p.label, "h": p.h, "hbar": p.hbar} for p in theory.primaries],
+            "coefficients": [
+                {"a": a, "b": b, "c": c, "mu": mu, "mubar": mubar, "value": val}
+                for (a, b), rows in sorted(theory.rows.items())
+                for (c, mu, mubar, val) in rows
+            ],
+            "mixing": [
+                {"a": a, "gamma": g, "value": v} for (a, g), v in sorted(theory.mixing.items())
+            ],
+        }
+    )
+    # the tests' theory writer and the CLI codec write the same document
+    assert json.loads(theory_to_json(theory)) == doc
+    back = theory_from_json(json.dumps(doc))
     assert [(p.label, p.h, p.hbar) for p in back.primaries] == [
         (p.label, p.h, p.hbar) for p in theory.primaries
     ]
     assert (back.rows, back.mixing) == (theory.rows, theory.mixing)
-    assert json.loads(text)["mixing"] == [{"a": "1", "gamma": "jjbar", "value": "1"}]
+    assert doc["mixing"] == [{"a": "1", "gamma": "jjbar", "value": "1"}]
 
     # the CLI report: integral Fractions are strings there too
     assert _jsonable({("a", "b"): [Fraction(3), Fraction(-1, 2), 0.5, 2, True, None]}) == {

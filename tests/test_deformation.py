@@ -16,19 +16,16 @@ import fqft.deformation
 from fqft.cli import main
 
 from fqft.deformation import (
-    LAM_SYM,
     LOG_LAM,
     LOG_R,
-    R_SYM,
     BetaResult,
     FormalTheory,
     FormalVector,
+    _dilate,
     anomalous_dilation,
     beta,
     compute_correction,
-    deform_first,
     deformed_one_point,
-    dilate_family,
     double_deform,
     fb_deformed_annulus,
     fb_deformed_disk,
@@ -38,13 +35,13 @@ from fqft.deformation import (
     marginal_coupling_algebra,
     radius_scaled,
     theory_from_json,
-    theory_to_json,
 )
 from fqft.errors import RecombinationError, ValidationError
 from fqft.fock import BoundaryState, build_space
 from fqft.jets import Jet, JetAlgebra, recombine
 from fqft.rexp import RExpansion
 from fqft.scalars import LogPoly, canonical_exponent
+from theory_json import theory_to_json
 
 SYM_R, SYM_LAM = sympy.symbols("R lam", positive=True)
 
@@ -243,7 +240,7 @@ def test_deformed_one_point_structure():
     assert jet.coefficient(()) == FormalVector.corr("e")
     first = jet.coefficient(("g[e]",))
     want = FormalVector.corr("e", value=3 * LOG_R) + FormalVector.corr(
-        "1", value=-Fraction(5, 2) / R_SYM**2
+        "1", value=LogPoly.monomial(Fraction(-5, 2), R=-2)
     )
     assert first == want
 
@@ -257,7 +254,7 @@ def test_deformed_one_point_r_cancellation_general():
     )
     jet = deformed_one_point(th, "e")
     first = jet.coefficient(("g[e]",))
-    assert first == FormalVector.corr("phi", value=2 * R_SYM**2)
+    assert first == FormalVector.corr("phi", value=LogPoly.monomial(2, R=2))
 
 
 # ------------------------------------------------------------------ dilation
@@ -266,10 +263,12 @@ def test_deformed_one_point_r_cancellation_general():
 def test_dilate_family_log_shift():
     th = simple_theory()
     e = RExpansion.term(0, 1, FormalVector.corr("e"))
-    d = dilate_family(th, e)
+    d = _dilate(th, e, 0)
     # log(lam r) <O_e>_{D_{lam r}} = lam^{-2} (log lam + log r) <O_e>_{D_r}
-    assert d.coefficient(0, 1) == FormalVector.corr("e", value=LAM_SYM**-2)
-    assert d.coefficient(0, 0) == FormalVector.corr("e", value=LOG_LAM * LAM_SYM**-2)
+    assert d.coefficient(0, 1) == FormalVector.corr("e", value=LogPoly.monomial(lam=-2))
+    assert d.coefficient(0, 0) == FormalVector.corr(
+        "e", value=LOG_LAM * LogPoly.monomial(lam=-2)
+    )
 
 
 def test_anomalous_dilation_simple():
@@ -318,13 +317,6 @@ def test_anomalous_dilation_randomized():
 
 
 # ---------------------------------------------------------- double deformation
-
-
-def test_deform_first_radius_independent():
-    th = simple_theory()
-    pf = deform_first(th)
-    scaled = radius_scaled(th, pf)
-    assert scaled == pf
 
 
 def test_double_deform_structure():
@@ -526,7 +518,7 @@ def _ref_anomalous_dilation(th, beta_):
         dv = _ref_correction(th, alpha, beta_)
         if not dv.is_zero():
             tilde = tilde + Jet(alg, {(f"g[{alpha}]",): dv})
-    lhs = tilde.map_coeffs(lambda e: _ref_dilate(th, e).scale(LAM_SYM**2))
+    lhs = tilde.map_coeffs(lambda e: _ref_dilate(th, e).scale(LogPoly.monomial(lam=2)))
     rhs = tilde
     for alpha in th.marginals:
         for gamma, val in _ref_effective_C(th, alpha, beta_).items():
@@ -646,8 +638,8 @@ def test_single_pass_builders_match_reference(th):
             _same(dv, _ref_correction(th, a, b))
             io = integrated_ope(th, a, b)
             _same(io, _ref_integrated_ope(th, a, b))
-            _same(dilate_family(th, dv), _ref_dilate(th, dv))
-            _same(dilate_family(th, io), _ref_dilate(th, io))
+            _same(_dilate(th, dv, 0), _ref_dilate(th, dv))
+            _same(_dilate(th, io, 0), _ref_dilate(th, io))
     for b in th.marginals:
         got, want = anomalous_dilation(th, b), _ref_anomalous_dilation(th, b)
         _same(got[0], want[0])
@@ -713,7 +705,7 @@ def test_dilation_with_log_powers_matches_general_rule(raw):
             for pq, vec in raw.items()
         }
     )
-    _same(dilate_family(th, expansion), _general_dilate(th, expansion))
+    _same(_dilate(th, expansion, 0), _general_dilate(th, expansion))
 
 
 def _walk(x):

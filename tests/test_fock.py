@@ -22,9 +22,9 @@ from fqft.fock import (
     current_mode,
     partition_count,
     partitions,
-    shapovalov,
 )
 from fqft.errors import ResourceLimitError, SpaceMismatchError
+from fqft.scalars import encode_scalar
 
 import pytest
 
@@ -294,11 +294,12 @@ def test_virasoro_commutator_at_cap():
     space = build_space(16)
     L0 = build_virasoro(space, 0)
     comm = commutator(build_virasoro(space, 2), build_virasoro(space, -2))
+    L0_columns, comm_columns = _Columns.of(L0).columns, _Columns.of(comm).columns
     for col, level in enumerate(space.levels):
         if level + 2 <= space.l_max:
-            want = {row: 4 * val for row, val in L0.columns.get(col, {}).items()}
+            want = {row: 4 * val for row, val in L0_columns.get(col, {}).items()}
             want[col] = want.get(col, 0) + Fraction(1, 2)
-            assert comm.columns.get(col, {}) == want, col
+            assert comm_columns.get(col, {}) == want, col
 
 
 def test_virasoro_dropped_columns():
@@ -342,8 +343,24 @@ def test_commutator_keeps_columns_whose_inner_image_vanishes():
         assert not commutator(Lm1, Lm1).entries
 
 
+def space_to_json(space, operators=None) -> str:
+    """Dump {l_max, basis, operators:{name: sparse triplets}} for golden files."""
+    doc = {
+        "l_max": space.l_max,
+        "basis": [[list(mu), list(nu)] for _, mu, nu in space.basis],
+        "operators": {},
+    }
+    for name, op in (operators or {}).items():
+        triplets = [
+            [i, j, encode_scalar(val)]
+            for (i, j), val in sorted(op.entries.items())
+        ]
+        doc["operators"][name] = triplets
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def _virasoro_digest(space):
-    """SHA-256 of space.to_json over build_virasoro(space, n, bar, shifted)
+    """SHA-256 of space_to_json over build_virasoro(space, n, bar, shifted)
     for every n in -2 l_max - 1..2 l_max + 1 and over [L_m, L_n] for m, n in
     -3..3 on both sides, then of each operator's sorted dropped_cols."""
     ops = {}
@@ -356,7 +373,7 @@ def _virasoro_digest(space):
         for m in range(-3, 4):
             for n in range(-3, 4):
                 ops[f"[L{m},L{n}],{bar:d}"] = commutator(modes[m], modes[n])
-    digest = hashlib.sha256(space.to_json(ops).encode())
+    digest = hashlib.sha256(space_to_json(space, ops).encode())
     for name in sorted(ops):
         digest.update(f"{name}:{sorted(ops[name].dropped_cols)}".encode())
     return digest.hexdigest()
@@ -468,28 +485,6 @@ def test_space_mismatch_raises():
         apply_mode(current_mode(a, -1), b.vacuum())
 
 
-def test_shapovalov_norms():
-    space = build_space(4)
-    assert shapovalov(space.vacuum(), space.vacuum()) == 1
-    assert shapovalov(space.state((1,)), space.state((1,))) == 1
-    assert shapovalov(space.state((2,)), space.state((2,))) == 2
-    assert shapovalov(space.state((1, 1)), space.state((1, 1))) == 2
-    assert shapovalov(space.state((2, 1)), space.state((2, 1))) == 2
-    assert shapovalov(space.state((2, 2)), space.state((2, 2))) == 8
-    assert shapovalov(space.state((1,), (1,)), space.state((1,), (1,))) == 1
-    assert shapovalov(space.state((1,)), space.state((2,))) == 0
-
-
-def test_shapovalov_mode_adjointness():
-    # <j_{-n} u, v> = <u, j_n v>
-    space = build_space(5)
-    u = space.state((2,))
-    v = space.state((2, 1))
-    jm1 = current_mode(space, -1)
-    jp1 = current_mode(space, 1)
-    assert shapovalov(apply_mode(jm1, u), v) == shapovalov(u, apply_mode(jp1, v))
-
-
 def test_float_backend():
     space = build_space(3, exact=False)
     v = apply_mode(build_virasoro(space, -2), space.vacuum())
@@ -500,7 +495,7 @@ def test_float_backend():
 def test_to_json_golden():
     space = build_space(2)
     ops = {"j_-1": current_mode(space, -1), "L_0": build_virasoro(space, 0)}
-    doc = json.loads(space.to_json(ops))
+    doc = json.loads(space_to_json(space, ops))
     assert doc["l_max"] == 2
     assert doc["basis"][0] == [[], []]
     assert len(doc["basis"]) == space.dim
@@ -510,7 +505,7 @@ def test_to_json_golden():
     for i, j, val in doc["operators"]["L_0"]:
         assert i == j and Fraction(val) == sum(space.basis[i][1])
     # deterministic serialization
-    assert space.to_json(ops) == space.to_json(ops)
+    assert space_to_json(space, ops) == space_to_json(space, ops)
 
 
 @lru_cache(maxsize=None)
@@ -595,8 +590,11 @@ class _Columns:
 
     @classmethod
     def of(cls, op):
-        """A copy of an operator's lifted columns."""
-        return cls(op.space, op.columns, op.dropped_cols)
+        """An operator's lifted entries, as columns."""
+        columns = {}
+        for (row, col), v in op.entries.items():
+            columns.setdefault(col, {})[row] = v
+        return cls(op.space, columns, op.dropped_cols)
 
     @property
     def entries(self):
@@ -692,12 +690,10 @@ def _dropped_by_product(a, b):
 
 
 def _assert_canonical(op):
-    # no stored zeros, no empty columns, Fractions in exact mode
-    for column in op.columns.values():
-        assert column
-        for v in column.values():
-            assert v != 0
-            assert isinstance(v, Fraction) == op.space.exact
+    # no stored zeros, Fractions in exact mode
+    for v in op.entries.values():
+        assert v != 0
+        assert isinstance(v, Fraction) == op.space.exact
 
 
 def _mode(space, kind, n, bar):
@@ -738,8 +734,8 @@ def test_one_sided_products_match_dense_reference(l_max, exact, bar, kinds, m, n
     assert comm.dropped_cols == _dropped_by_product(a, b) | _dropped_by_product(b, a)
     # the column reference on the lifted operands gives the same entries bit for bit
     a_cols, b_cols = _Columns.of(a), _Columns.of(b)
-    assert prod.columns == _column_product(a_cols, b_cols).columns
-    assert comm.columns == _column_product(a_cols, b_cols, commute=True).columns
+    assert prod.entries == _column_product(a_cols, b_cols).entries
+    assert comm.entries == _column_product(a_cols, b_cols, commute=True).entries
 
 
 @given(
@@ -780,7 +776,7 @@ def test_unlifted_table_acts_like_its_columns(l_max, exact, kind, n, bar, coeffs
         b = _mode(space, factor[0], factor[1], bar)
         op = commutator(a, b) if factor[2] else a.compose(b)
     got = apply_mode(op, v)
-    assert op._lifted is None and op._columns is None
+    assert op._lifted is None
     if factor is None:
         ref = _Columns.of(a)
     else:
@@ -816,7 +812,6 @@ def test_products_of_products_match_the_column_path(data, l_max, exact, bar, kin
     ref = _column_product(_Columns.of(a), _Columns.of(b), commute)
     assert prod.entries == ref.entries
     assert prod.dropped_cols == ref.dropped_cols
-    assert prod.columns == ref.columns
     same, other = (_mode(space, kinds[2], modes[2], side) for side in (bar, not bar))
     operands = [same, other, prod]
     if data is not None:
@@ -850,13 +845,13 @@ def test_products_of_products_and_of_two_sides_raise():
 
 
 def test_each_operator_is_lifted_once(monkeypatch):
-    # entries, dropped_cols and columns, read in any order and twice each,
-    # share one lift
+    # entries and dropped_cols, read in either order and twice each, share
+    # one lift
     calls = []
     lift = fock._lift
     monkeypatch.setattr(fock, "_lift", lambda op: calls.append(op) or lift(op))
     space = build_space(5)
-    reads = [lambda op: op.entries, lambda op: op.dropped_cols, lambda op: op.columns]
+    reads = [lambda op: op.entries, lambda op: op.dropped_cols]
     for bar in (False, True):
         makers = [
             lambda: current_mode(space, -1, bar),
@@ -869,33 +864,3 @@ def test_each_operator_is_lifted_once(monkeypatch):
                 for read in order + order:
                     read(op)
                 assert calls == [op], (bar, order)
-
-
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
-@pytest.mark.parametrize("l_max", [0, 1, 5])
-def test_entries_agree_before_and_after_columns(l_max, exact):
-    # entries of an operator are read from its runs without building its
-    # columns; once its columns are built they agree with them
-    space = build_space(l_max, exact)
-    makers = []
-    for bar in (False, True):
-        for n in range(-3, 4):
-            makers += [
-                lambda n=n, bar=bar: current_mode(space, n, bar),
-                lambda n=n, bar=bar: build_virasoro(space, n, bar, shifted=n == 0),
-                lambda n=n, bar=bar: commutator(
-                    build_virasoro(space, n, bar), build_virasoro(space, -n - 1, bar)
-                ),
-                lambda n=n, bar=bar: current_mode(space, n, bar).compose(
-                    build_virasoro(space, 1 - n, bar)
-                ),
-            ]
-    for make in makers:
-        op = make()
-        before = op.entries
-        assert op._columns is None
-        op.columns
-        after = op.entries
-        assert before == after
-        assert after == {(r, c): v for c, col in op.columns.items() for r, v in col.items()}
-        assert [type(v) for v in before.values()] == [type(after[k]) for k in before]

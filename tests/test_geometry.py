@@ -1,6 +1,5 @@
 """Tests for surfaces, partition functions, gluing, and the cutting axiom."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -14,8 +13,6 @@ from fqft.geometry import (
     PartitionFunction,
     Surface,
     annulus_pf,
-    cylinder_pf,
-    disjoint_union_pf,
     disk_pf,
     glue,
     verify_cutting,
@@ -25,8 +22,6 @@ from fqft.scalars import PowerValue
 
 def test_surface_validation():
     with pytest.raises(GeometryError):
-        Surface("cylinder", H=0)
-    with pytest.raises(GeometryError):
         Surface("annulus", R=1, r=1)
     with pytest.raises(GeometryError):
         Surface("annulus", R=Fraction(1, 2), r=1)
@@ -34,32 +29,6 @@ def test_surface_validation():
         Surface("disk", R=-1)
     with pytest.raises(GeometryError):
         Surface("torus")
-
-
-def test_cylinder_entries():
-    space = build_space(3)
-    pf = cylinder_pf(space, 1)
-    assert len(pf.by_level) == space.l_max + 1
-    E0 = space.levels[space.find((), ())]
-    E1 = space.levels[space.find((1,), ())]
-    # shifted convention: vacuum energy 0, level gap 1 gives e^{-H}
-    assert pf.by_level[E0] == 1
-    assert pf.by_level[E1] == pf.by_level[E0] * PowerValue.from_exp(-1)
-
-
-def test_cylinder_semigroup():
-    space = build_space(3)
-    a = glue(cylinder_pf(space, Fraction(1, 3)), cylinder_pf(space, Fraction(2, 3)))
-    b = cylinder_pf(space, 1)
-    assert all(x == y for x, y in zip(a.by_level, b.by_level))
-    assert a.surface.kind == "cylinder" and a.surface.params["H"] == 1
-
-
-def test_cylinder_h_to_zero_limit():
-    space = build_space(2)
-    pf = cylinder_pf(space, Fraction(1, 10**6), shifted=True)
-    for d in pf.by_level:
-        assert abs(float(d) - 1.0) < 1e-5
 
 
 def test_annulus_entries_shifted():
@@ -71,7 +40,7 @@ def test_annulus_entries_shifted():
         (((2, 1), ()), Fraction(1, 8)),
     ]:
         v = space.state(*parts)
-        assert pf.by_level[v.levels_present()[0]] == value
+        assert pf.by_level[sum(map(sum, parts))] == value
         assert pf.apply(v) == v.scale(value)
 
 
@@ -175,20 +144,6 @@ def test_glue_associativity_on_random_state():
     assert lhs.state == rhs.state
 
 
-def test_product_axiom_disjoint_union():
-    space = build_space(2)
-    a = cylinder_pf(space, 1)
-    b = cylinder_pf(space, 2)
-    kron = disjoint_union_pf(a, b)
-    c3 = cylinder_pf(space, 3)
-    assert len(kron) == (space.l_max + 1) ** 2
-    # sanity: the (E,E) block diagonal multiplies energies additively
-    for E in range(space.l_max + 1):
-        assert kron[(E, E)] == c3.by_level[E] * PowerValue.from_exp(0)
-    # generic entry equals the scalar product of the factors
-    assert kron[(0, 1)] == a.by_level[0] * b.by_level[1]
-
-
 @given(st.integers(min_value=0, max_value=4))
 @settings(max_examples=5, deadline=None)
 def test_verify_cutting_exact(l_max):
@@ -258,18 +213,8 @@ def test_zero_power_value_is_canonical():
     # from sparse states like a plain zero
     z = PowerValue.from_pow(2, Fraction(1, 12)) * 0
     assert z == 0 and 0 == z
-    assert PowerValue.from_exp(-3) * 0 == z
+    assert PowerValue.from_pow(3, Fraction(-1, 3)) * 0 == z
     assert hash(z) == hash(PowerValue(0))
     space = build_space(1)
     assert BoundaryState(space, {0: z}).is_zero()
     assert space.vacuum().scale(z) == space.zero()
-
-
-def test_float_cylinder_matches_exact():
-    exact = build_space(3)
-    flt = build_space(3, exact=False)
-    pe = cylinder_pf(exact, Fraction(1, 2))
-    pf = cylinder_pf(flt, 0.5)
-    assert len(pe.by_level) == len(pf.by_level) == 4
-    for x, y in zip(pe.by_level, pf.by_level):
-        assert math.isclose(float(x), y, rel_tol=1e-13)

@@ -30,20 +30,11 @@ def test_rexp_pruning():
     assert e.coefficient(1) == 2
 
 
-def test_rexp_singular_terms_and_most_singular():
+def test_rexp_singular_terms():
     e = RExpansion({(-2, 0): 1, (-2, 1): 5, (0, 1): 3, (0, 0): 7, (1, 0): 9})
     sing = e.singular_terms()
     assert set(sing) == {(Fraction(-2), 0), (Fraction(-2), 1), (Fraction(0), 1)}
-    key, c = e.most_singular()
-    assert key == (Fraction(-2), 1) and c == 5
-
-
-def test_rexp_shift_and_mul():
-    e = RExpansion({(1, 0): Fraction(2)})
-    assert e.shift(-1).coefficient(0) == 2
-    prod = RExpansion({(-1, 0): 2, (0, 1): 3}) * RExpansion({(1, 0): 5})
-    assert prod.coefficient(0) == 10
-    assert prod.coefficient(1, 1) == 15
+    assert sing[(-2, 1)] == 5 and e.constant_term() == 7
 
 
 def test_rexp_log_power_validation():

@@ -4,150 +4,83 @@ from fractions import Fraction
 
 import pytest
 
-from fqft.errors import (
-    ExtractionError,
-    GoodnessError,
-    TruncationOverflowError,
-    ValidationError,
-)
+from fqft.errors import ValidationError
 from fqft.fock import L_MAX_HARD_CAP, build_space
 from fqft.geometry import annulus_pf
 from fqft.observables import (
+    LocalObservable,
     OpeTable,
     ZSeries,
-    canonical_family,
-    canonical_state,
     current_observable,
-    descendant_family,
     dilation,
     identity_observable,
-    insert_family,
-    limit_r0,
     marginal_observable,
-    one_point,
     ope_extract,
-    ope_resum,
-    scaling_dimension,
-    split_levels,
     two_point,
 )
 from fqft.rexp import RExpansion
 
 
-# ------------------------------------------------------- families & goodness
+def ope_resum(space, table: OpeTable, a_label, b_label) -> ZSeries:
+    """Rebuild the two-point series from extracted rows (round-trip check)."""
+    terms = {}
+    for row in table.rows:
+        if (row["a"], row["b"]) != (a_label, b_label):
+            continue
+        v = space.state(row["mu"], row["mubar"]).scale(row["coefficient"])
+        key = row["exponents"]
+        terms[key] = terms[key] + v if key in terms else v
+    return ZSeries(space, terms)
 
 
-def test_insert_current_family():
-    space = build_space(4)
-    fam = RExpansion.term(-1, 0, space.state((1,)))
-    out = insert_family(space, fam, Fraction(3))
-    const = out.constant_term()
-    assert const == space.state((1,)).scale(Fraction(1, 3))
-    assert not out.singular_terms()
-    assert limit_r0(out, space) == const
-
-
-def test_insert_constant_vacuum_family():
-    space = build_space(3)
-    out = insert_family(space, RExpansion.constant(space.vacuum()), Fraction(2))
-    assert limit_r0(out, space) == space.vacuum()  # the disk partition function
-
-
-def test_constant_current_family_is_null():
-    # r-independent j_{-1}|0> acquires r^{+1}: good, with zero limit
-    space = build_space(3)
-    out = insert_family(space, RExpansion.constant(space.state((1,))), 2)
-    assert out.coefficient(1) is not None
-    assert limit_r0(out, space).is_zero()
-
-
-def test_limit_r0_failures():
-    space = build_space(2)
-    bad = RExpansion({(-2, 0): space.vacuum(), (0, 0): space.state((1,))})
-    with pytest.raises(GoodnessError) as err:
-        limit_r0(bad, space)
-    assert err.value.power == -2
-    logbad = RExpansion({(0, 1): space.vacuum()})
-    with pytest.raises(GoodnessError) as err:
-        limit_r0(logbad, space)
-    assert err.value.log_power == 1
-
-
-def test_limit_r0_float_tolerance():
-    space = build_space(2, exact=False)
-    noise = space.vacuum().scale(1e-14)
-    e = RExpansion({(-1, 0): noise, (0, 0): space.vacuum()})
-    assert limit_r0(e, space) == space.vacuum()
-    loud = RExpansion({(-1, 0): space.vacuum().scale(1e-3), (0, 0): space.vacuum()})
-    with pytest.raises(GoodnessError):
-        limit_r0(loud, space)
-
-
-def test_canonical_family_roundtrip():
-    space = build_space(3)
-    w = space.state((1,)) + space.state((2, 1)).scale(Fraction(5))
-    fam = canonical_family(w)
-    assert fam.coefficient(-1) == space.state((1,))
-    assert fam.coefficient(-3) == space.state((2, 1)).scale(5)
-    assert canonical_state(space, fam) == w
-    # reinsertion: the one-point correlator on D_r, viewed as a family,
-    # reproduces the original limit
-    out = insert_family(space, fam, 1)
-    assert limit_r0(out, space) == w
-
-
-# --------------------------------------------------------------- one_point
+# ------------------------------------------------------------------ one-point
+#
+# <O(z)>_{D_R} is the two-point series <O(z) 1(0)>_{D_R}
 
 
 def test_one_point_current_origin():
+    # <j(0)>_{D_R} is the z^0 coefficient: j_{-1}|0> / R
     space = build_space(4)
-    j = current_observable(space)
-    assert one_point(space, j, 0, 1) == space.state((1,))
-    assert one_point(space, j, 0, Fraction(2)) == space.state((1,)).scale(
-        Fraction(1, 2)
-    )
+    j, one = current_observable(space), identity_observable(space)
+    for R in (1, Fraction(2)):
+        got = two_point(space, j, one, R=R).coefficient(0, 0)
+        assert got == space.state((1,)).scale(1 / Fraction(R))
 
 
 def test_one_point_identity_anywhere():
+    # the identity's one-point correlator is the vacuum at every z
     space = build_space(3)
     one = identity_observable(space)
-    assert one_point(space, one, Fraction(1, 3), 2) == space.vacuum()
+    assert two_point(space, one, one, R=2).terms == {(0, 0): space.vacuum()}
 
 
 def test_one_point_current_mode_coefficients():
     # <j(z)>_{D_R} = sum_n z^{n-1} R^{-n} j_{-n}|0>
     space = build_space(4)
     j = current_observable(space)
-    z, R = Fraction(1, 3), Fraction(2)
-    v = one_point(space, j, z, R)
+    R = Fraction(2)
+    series = two_point(space, j, identity_observable(space), R=R)
+    assert len(series.terms) == space.l_max
     for n in range(1, space.l_max + 1):
-        assert v[space.find((n,), ())] == z ** (n - 1) * R ** (-n)
-
-
-def test_one_point_outside_disk():
-    space = build_space(2)
-    with pytest.raises(ValidationError):
-        one_point(space, current_observable(space), 3, 2)
+        assert series.coefficient(n - 1) == space.state((n,)).scale(R ** (-n))
 
 
 def test_one_point_locality():
-    # <O(z)>_{D_R} = glue(annulus(R, Rp), <O(z)>_{D_Rp})
+    # <O(z)>_{D_R} = glue(annulus(R, Rp), <O(z)>_{D_Rp}), power by power in z
     space = build_space(4)
-    j = current_observable(space)
-    z, R, Rp = Fraction(1, 4), Fraction(3), Fraction(1)
-    direct = one_point(space, j, z, R)
-    inner = one_point(space, j, z, Rp)
-    glued = annulus_pf(space, R, Rp).apply(inner)
-    assert direct == glued
+    j, one = current_observable(space), identity_observable(space)
+    R, Rp = Fraction(3), Fraction(1)
+    direct = two_point(space, j, one, R=R)
+    inner = two_point(space, j, one, R=Rp)
+    assert direct == inner.map_coeffs(annulus_pf(space, R, Rp).apply)
 
 
 def test_one_point_unsupported_transport():
+    # an observable without a current word has no correlator at z != 0
     space = build_space(4)
-    desc = descendant_family(identity_observable(space), (2,))
+    desc = LocalObservable(space, "1;[2];[]", space.state((2,)), (2, 0))
     with pytest.raises(ValidationError):
-        one_point(space, desc, Fraction(1, 2), 1)
-    # at the origin it still works
-    assert one_point(space, desc, 0, 1) == space.state((2,))
+        two_point(space, desc, identity_observable(space))
 
 
 # --------------------------------------------------------------- two_point
@@ -178,7 +111,7 @@ def test_two_point_identity_insertion():
     one = identity_observable(space)
     jb = current_observable(space, bar=True)
     series = two_point(space, one, jb, R=Fraction(2))
-    assert series.coefficient(0, 0) == one_point(space, jb, 0, Fraction(2))
+    assert series.coefficient(0, 0) == dilation(2, jb.state)
     assert len(series.terms) == 1
 
 
@@ -236,27 +169,22 @@ def test_dilation_on_expansion():
 
 
 def test_scaling_dimensions():
+    # each representative is a dilation eigenvector with eigenvalue
+    # lambda^{-(h + hbar)}: 0 for the identity, 1 for the currents, 2 for j jbar
     space = build_space(4)
-    assert scaling_dimension(identity_observable(space)) == 0
-    assert scaling_dimension(current_observable(space)) == 1
-    assert scaling_dimension(marginal_observable(space)) == 2
-    desc = descendant_family(current_observable(space), (2,))
-    assert scaling_dimension(desc) == 3
-    mixed = identity_observable(space)
-    mixed.state = space.vacuum() + space.state((1,))
-    with pytest.raises(ValidationError):
-        scaling_dimension(mixed)
-
-
-def test_descendant_family():
-    space = build_space(4)
-    vac = identity_observable(space)
-    marg = descendant_family(vac, (1,), (1,))
-    assert marg.state == space.state((1,), (1,))
-    assert marg.dims == (1, 1)
-    assert descendant_family(vac) is vac
-    with pytest.raises(TruncationOverflowError):
-        descendant_family(current_observable(space), (4,))
+    lam = Fraction(5, 2)
+    observables = [
+        identity_observable(space),
+        current_observable(space),
+        current_observable(space, bar=True),
+        marginal_observable(space),
+    ]
+    assert [sum(o.dims) for o in observables] == [0, 1, 1, 2]
+    for obs in observables:
+        assert dilation(lam, obs.state) == obs.state.scale(lam ** -sum(obs.dims)), obs
+    # a state mixing levels 0 and 1 is no eigenvector: its parts scale apart
+    mixed = space.vacuum() + space.state((1,))
+    assert dilation(lam, mixed) == space.vacuum() + space.state((1,)).scale(1 / lam)
 
 
 # -------------------------------------------------------------------- OPE
@@ -299,30 +227,6 @@ def test_ope_roundtrip():
     resummed = ope_resum(space, table, "j", "j")
     series = two_point(space, j, j, R=1)
     assert (resummed - series).is_zero()
-
-
-def test_ope_extract_order_limit():
-    space = build_space(5)
-    j = current_observable(space)
-    with pytest.raises(ExtractionError):
-        ope_extract(space, j, j, max_order=2)
-
-
-def test_ope_table_json_roundtrip():
-    space = build_space(4)
-    j = current_observable(space)
-    table = ope_extract(space, j, j)
-    text = table.to_json()
-    back = OpeTable.from_json(text)
-    assert back.to_json() == text
-    assert back.coefficient("j", "j", "1", (), ()) == 1
-
-
-def test_ope_table_exponent_validation():
-    table = OpeTable(primaries=[("1", 0, 0), ("j", 1, 0)])
-    table.add_row("j", "j", "1", (), (), (-3, 0), Fraction(1))
-    with pytest.raises(ValidationError):
-        OpeTable.from_json(table.to_json())
 
 
 def test_marginal_ope_at_cap():

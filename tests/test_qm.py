@@ -10,21 +10,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fqft.errors import GeometryError, ValidationError
-from fqft.jets import Jet, jet_mul
+from fqft.jets import Jet, JetAlgebra, jet_mul
 from fqft.qm import (
     QmTheory,
+    SegmentPF,
     _block_row,
     _expm,
     _pade_choice,
-    evolve,
-    first_order_integral,
-    qm_correlator,
-    qm_deform,
     qm_double_deform,
-    second_order_ordered,
     taylor_series_oracle,
-    time_ordered,
-    time_ordered_integral,
 )
 
 
@@ -36,25 +30,32 @@ def random_obs(rng, dim):
     return rng.standard_normal((dim, dim))
 
 
+def _segment(theory, alpha, beta):
+    """The segment [alpha, beta] with its evolution exp(-(beta - alpha) H),
+    the first block of the segment's Van Loan row."""
+    (value,) = _block_row(theory, alpha, beta)
+    return SegmentPF(theory, alpha, beta, value)
+
+
 # ----------------------------------------------------------------- evolution
 
 
 def test_evolve_zero_length_identity():
     th = QmTheory(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert np.allclose(evolve(th, 1.0, 1.0).value, np.eye(2))
+    assert np.allclose(_segment(th, 1.0, 1.0).value, np.eye(2))
 
 
 def test_evolve_diagonal():
     th = QmTheory(np.diag([0.0, 1.0]))
-    seg = evolve(th, 0.0, 1.0)
+    seg = _segment(th, 0.0, 1.0)
     assert np.allclose(seg.value, np.diag([1.0, np.exp(-1.0)]))
 
 
 def test_evolve_semigroup():
     rng = np.random.default_rng(3)
     th = random_theory(rng, 4)
-    whole = evolve(th, 0.0, 2.0)
-    glued = evolve(th, 0.7, 2.0).glue(evolve(th, 0.0, 0.7))
+    whole = _segment(th, 0.0, 2.0)
+    glued = _segment(th, 0.7, 2.0).glue(_segment(th, 0.0, 0.7))
     assert np.max(np.abs(glued.value - whole.value)) < 1e-12 * np.max(
         np.abs(whole.value)
     )
@@ -64,65 +65,13 @@ def test_evolve_semigroup():
 def test_evolve_validation():
     th = QmTheory(np.eye(2))
     with pytest.raises(GeometryError):
-        evolve(th, 1.0, 0.0)
+        _block_row(th, 1.0, 0.0)
+    with pytest.raises(GeometryError):
+        SegmentPF(th, 1.0, 0.0, np.eye(2))
     with pytest.raises(ValidationError):
         QmTheory(np.array([[np.inf, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
         QmTheory(np.ones((2, 3)))
-
-
-# --------------------------------------------------------------- correlators
-
-
-def test_correlator_no_insertions_is_evolution():
-    th = QmTheory(np.diag([1.0, 2.0]))
-    assert np.allclose(qm_correlator(th, [], 0.0, 1.5), evolve(th, 0.0, 1.5).value)
-
-
-def test_correlator_identity_insertion():
-    th = QmTheory(np.diag([1.0, 2.0]))
-    got = qm_correlator(th, [(np.eye(2), 0.5)], 0.0, 1.0)
-    assert np.allclose(got, evolve(th, 0.0, 1.0).value)
-
-
-def test_correlator_trivial_hamiltonian():
-    rng = np.random.default_rng(5)
-    th = QmTheory(np.zeros((3, 3)))
-    A, B = random_obs(rng, 3), random_obs(rng, 3)
-    got = qm_correlator(th, [(A, 0.8), (B, 0.3)], 0.0, 1.0)
-    assert np.allclose(got, A @ B)
-
-
-def test_correlator_time_ordering_contract():
-    th = QmTheory(np.eye(2))
-    with pytest.raises(ValidationError):
-        qm_correlator(th, [(np.eye(2), 0.3), (np.eye(2), 0.7)], 0.0, 1.0)
-    with pytest.raises(ValidationError):
-        qm_correlator(th, [(np.eye(2), 1.5)], 0.0, 1.0)
-
-
-def test_correlator_continuous_at_coincidence():
-    # no short-distance singularity: tau2 -> tau1 is continuous
-    rng = np.random.default_rng(7)
-    th = random_theory(rng, 3)
-    A, B = random_obs(rng, 3), random_obs(rng, 3)
-    near = qm_correlator(th, [(A, 0.5 + 1e-9), (B, 0.5)], 0.0, 1.0)
-    at = qm_correlator(th, [(A @ B, 0.5)], 0.0, 1.0)
-    assert np.max(np.abs(near - at)) < 1e-7
-
-
-def test_time_ordered_symmetry_and_flag():
-    rng = np.random.default_rng(9)
-    th = random_theory(rng, 3)
-    A, B = random_obs(rng, 3), random_obs(rng, 3)
-    v1, flag1 = time_ordered(th, (A, 0.7), (B, 0.2), 0.0, 1.0)
-    v2, flag2 = time_ordered(th, (B, 0.2), (A, 0.7), 0.0, 1.0)
-    assert not flag1 and not flag2
-    assert np.allclose(v1, v2)
-    assert np.allclose(v1, qm_correlator(th, [(A, 0.7), (B, 0.2)], 0.0, 1.0))
-    sym, flag = time_ordered(th, (A, 0.5), (B, 0.5), 0.0, 1.0)
-    assert flag
-    assert np.allclose(sym, qm_correlator(th, [((A @ B + B @ A) / 2, 0.5)], 0.0, 1.0))
 
 
 # ----------------------------------------------------------------- integrals
@@ -132,7 +81,7 @@ def test_first_order_integral_against_quadrature():
     rng = np.random.default_rng(11)
     th = random_theory(rng, 4)
     O = random_obs(rng, 4)
-    closed = first_order_integral(th, O, 0.0, 1.3)
+    closed = _block_row(th, 0.0, 1.3, O)[1]
     taus, w = np.polynomial.legendre.leggauss(64)
     taus, w = (taus + 1) * 0.65, w * 0.65
     quad = sum(
@@ -146,7 +95,7 @@ def test_first_order_integral_degenerate_fallback():
     H = np.array([[1.0, 1.0], [0.0, 1.0]])
     th = QmTheory(H)
     O = np.array([[0.0, 1.0], [1.0, 0.0]])
-    got = first_order_integral(th, O, 0.0, 1.0)
+    got = _block_row(th, 0.0, 1.0, O)[1]
     oracle = -taylor_series_oracle(H, O, 1.0, order=1)[1]
     assert np.max(np.abs(got - oracle)) < 1e-10
 
@@ -155,19 +104,9 @@ def test_second_order_matches_oracle():
     rng = np.random.default_rng(13)
     th = random_theory(rng, 4)
     O = random_obs(rng, 4)
-    got = second_order_ordered(th, O, O, 0.0, 0.9)
+    got = _block_row(th, 0.0, 0.9, O, O)[2]
     oracle = taylor_series_oracle(th.H, O, 0.9, order=2)[2]
     assert np.max(np.abs(got - oracle)) < 1e-10
-
-
-def test_time_ordered_integral_symmetric():
-    rng = np.random.default_rng(15)
-    th = random_theory(rng, 3)
-    A, B = random_obs(rng, 3), random_obs(rng, 3)
-    assert np.allclose(
-        time_ordered_integral(th, A, B, 0.0, 1.0),
-        time_ordered_integral(th, B, A, 0.0, 1.0),
-    )
 
 
 # --------------------------------------------------------------- deformation
@@ -175,32 +114,10 @@ def test_time_ordered_integral_symmetric():
 
 def test_qm_deform_zero_coupling_is_evolve():
     th = QmTheory(np.diag([1.0, 2.0]))
-    seg = qm_deform(th, {}, 0.0, 1.0)
+    seg = qm_double_deform(th, {}, 0.0, 1.0)
     assert isinstance(seg.value, Jet)
     assert list(seg.value.terms) == [()]
-    assert np.allclose(seg.value.coefficient(()), evolve(th, 0.0, 1.0).value)
-
-
-def test_qm_deform_first_order_cutting():
-    rng = np.random.default_rng(17)
-    th = random_theory(rng, 4)
-    obs = {"o": random_obs(rng, 4)}
-    whole = qm_deform(th, obs, 0.0, 2.0)
-    glued = qm_deform(th, obs, 0.8, 2.0).glue(qm_deform(th, obs, 0.0, 0.8))
-    for mono, c in whole.value.terms.items():
-        assert np.max(np.abs(glued.value.coefficient(mono) - c)) < 1e-12 * max(
-            1.0, np.max(np.abs(c))
-        )
-
-
-def test_qm_deform_matches_first_order_oracle():
-    rng = np.random.default_rng(19)
-    th = random_theory(rng, 5)
-    O = random_obs(rng, 5)
-    seg = qm_deform(th, {"o": -O}, 0.0, 1.1)
-    oracle = taylor_series_oracle(th.H, O, 1.1, order=1)
-    assert np.max(np.abs(seg.value.coefficient(()) - oracle[0])) < 1e-10
-    assert np.max(np.abs(seg.value.coefficient(("g[o]",)) - oracle[1])) < 1e-10
+    assert np.allclose(seg.value.coefficient(()), _segment(th, 0.0, 1.0).value)
 
 
 def test_qm_double_deform_matches_oracle():
@@ -237,14 +154,17 @@ def test_qm_double_deform_cutting_every_order():
 
 def test_qm_double_deform_second_order_is_time_ordered_integral():
     # three labels: each unordered pair's coefficient is bit-equal to the
-    # time-ordered integral, and each diagonal one to half of it
+    # time-ordered integral, the sum of the ordered integrals of (a, b) and
+    # (b, a), and each diagonal one to half of it
     rng = np.random.default_rng(29)
     th = random_theory(rng, 3)
     obs = {l: random_obs(rng, 3) for l in ("a", "b", "c")}
     seg = qm_double_deform(th, obs, 0.2, 1.3)
     for a in obs:
         for b in obs:
-            S = time_ordered_integral(th, obs[a], obs[b], 0.2, 1.3)
+            S = _block_row(th, 0.2, 1.3, obs[a], obs[b])[2] + _block_row(
+                th, 0.2, 1.3, obs[b], obs[a]
+            )[2]
             mono = tuple(sorted((f"gc[{a}]", f"gc[{b}]")))
             want = S / 2 if a == b else S
             assert np.array_equal(seg.value.coefficient(mono), want)
@@ -416,17 +336,19 @@ def test_block_row_is_top_row_of_van_loan_exponential(n):
 
 
 def test_qm_glue_algebra_mismatch():
-    th = QmTheory(np.eye(2))
-    a = qm_deform(th, {"x": np.eye(2)}, 0.0, 1.0)
-    b = qm_deform(th, {"y": np.eye(2)}, 0.0, 1.0)
+    # first-order jets of two segments deformed by different labels
+    a, b = (
+        Jet(JetAlgebra({"g": ([f"g[{l}]"], 1)}), {(): np.eye(2), (f"g[{l}]",): np.eye(2)})
+        for l in ("x", "y")
+    )
     with pytest.raises(ValueError):
-        jet_mul(a.value, b.value)
+        jet_mul(a, b)
 
 
 def test_glue_endpoint_mismatch():
     th = QmTheory(np.eye(2))
     with pytest.raises(GeometryError):
-        evolve(th, 1.0, 2.0).glue(evolve(th, 0.0, 0.5))
+        _segment(th, 1.0, 2.0).glue(_segment(th, 0.0, 0.5))
 
 
 # ------------------------------------------------------------------- oracle
@@ -459,5 +381,5 @@ def test_double_deform_by_zero_keeps_only_the_constant():
     theory = QmTheory(H)
     seg = qm_double_deform(theory, {"o": np.zeros((2, 2))}, 0.0, 1.0)
     assert list(seg.value.terms) == [()]
-    want = evolve(theory, 0.0, 1.0).value
+    want = _segment(theory, 0.0, 1.0).value
     np.testing.assert_allclose(seg.value.coefficient(()), want, rtol=1e-14)

@@ -60,18 +60,6 @@ def test_arithmetic_matches_sympy(t1, t2, related):
         assert all(c != 0 for c in v.terms.values())
 
 
-@settings(max_examples=100, deadline=None)
-@given(term_dicts, keys, st.integers(-3, 3).filter(bool))
-def test_powers_match_sympy(terms, key, c):
-    x = LogPoly(terms)
-    assert same(x**3, to_sympy(terms) ** 3)
-    a, b, _, _ = key
-    m = LogPoly.monomial(c, R=a, lam=b)
-    M = c * R ** sympy.Rational(a) * LAM ** sympy.Rational(b)
-    assert same(m**-2, M**-2)
-    assert same(1 / m, 1 / M)
-
-
 def test_rational_equality():
     assert LogPoly() == 0 and 0 == LogPoly() and LogPoly().is_zero()
     assert LogPoly.monomial(Fraction(3, 2)) == Fraction(3, 2)
@@ -80,8 +68,9 @@ def test_rational_equality():
     assert list(LogPoly.monomial(R=Fraction(4, 2), lam=Fraction(1, 2)).terms) == [
         (2, Fraction(1, 2), 0, 0)
     ]
-    with pytest.raises(ValueError):
-        LogPoly.monomial(log_lam=1) ** -1
+    # a LogPoly divides by a rational only
+    with pytest.raises(TypeError):
+        LogPoly.monomial(1) / LogPoly.monomial(R=1)
 
 
 @pytest.mark.parametrize(
@@ -144,11 +133,11 @@ def test_monomial_product_matches_general_rule(terms, key, c2):
         assert x * mono is x and x * 1 == x
 
 
-def _general_power_value(coeff=1, prime_exps=None, e_exp=Fraction(0)):
+def _general_power_value(coeff=1, prime_exps=None):
     """PowerValue's fields by the general rule: sum each prime's exponent,
     fold its floor into the coefficient one power at a time, keep the
     fractional part."""
-    coeff, e_exp = Fraction(coeff), Fraction(e_exp)
+    coeff = Fraction(coeff)
     exps = {}
     for p, e in (prime_exps or {}).items():
         e = Fraction(e)
@@ -162,8 +151,8 @@ def _general_power_value(coeff=1, prime_exps=None, e_exp=Fraction(0)):
         if e - whole:
             kept[p] = e - whole
     if coeff == 0:
-        kept, e_exp = {}, Fraction(0)
-    return coeff, kept, e_exp
+        kept = {}
+    return coeff, kept
 
 
 def _general_from_pow(base, exponent):
@@ -177,32 +166,31 @@ def _general_from_pow(base, exponent):
 
 
 def _fields(x: PowerValue):
-    assert type(x.coeff) is Fraction and type(x.e_exp) is Fraction
+    assert type(x.coeff) is Fraction
     assert all(type(e) is Fraction and 0 < e < 1 for e in x.prime_exps.values())
-    return x.coeff, x.prime_exps, x.e_exp
+    return x.coeff, x.prime_exps
 
 
 # negative, integral, zero and canonical exponents; a zero coefficient
 exponents = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 12]))
 prime_dicts = st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]), exponents, max_size=4)
 coeffs = st.one_of(st.integers(-5, 5), rationals)
-power_values = st.builds(PowerValue, coeffs, prime_dicts, exponents)
+power_values = st.builds(PowerValue, coeffs, prime_dicts)
 
 
 @settings(max_examples=200, deadline=None)
 @given(coeffs, prime_dicts, exponents, st.integers(-3, 3), rationals)
-def test_power_value_constructor_matches_general_rule(coeff, exps, e_exp, k, q):
-    x = PowerValue(coeff, exps, e_exp)
-    assert _fields(x) == _general_power_value(coeff, exps, e_exp)
+def test_power_value_constructor_matches_general_rule(coeff, exps, t, k, q):
+    x = PowerValue(coeff, exps)
+    assert _fields(x) == _general_power_value(coeff, exps)
     assert _fields(PowerValue(coeff, {p: e.numerator for p, e in exps.items()})) == (
         _general_power_value(coeff, {p: e.numerator for p, e in exps.items()})
     )
-    want = _general_power_value(x.coeff * q, x.prime_exps, x.e_exp)
+    want = _general_power_value(x.coeff * q, x.prime_exps)
     assert _fields(x * q) == _fields(q * x) == want
-    assert _fields(x * k) == _general_power_value(x.coeff * k, x.prime_exps, x.e_exp)
-    assert _fields(PowerValue.from_exp(e_exp)) == _general_power_value(1, None, e_exp)
+    assert _fields(x * k) == _general_power_value(x.coeff * k, x.prime_exps)
     if q > 0:
-        assert _fields(PowerValue.from_pow(q, e_exp)) == _general_from_pow(q, e_exp)
+        assert _fields(PowerValue.from_pow(q, t)) == _general_from_pow(q, t)
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,7 +199,7 @@ def test_power_value_product_matches_general_rule(x, y):
     merged = dict(x.prime_exps)
     for p, e in y.prime_exps.items():
         merged[p] = merged.get(p, 0) + e
-    want = _general_power_value(x.coeff * y.coeff, merged, x.e_exp + y.e_exp)
+    want = _general_power_value(x.coeff * y.coeff, merged)
     assert _fields(x * y) == _fields(y * x) == want
     assert repr(x * y) == repr(PowerValue(*want))
 
@@ -222,7 +210,7 @@ def test_power_value_hash_agrees_with_equality(x, q):
     for value in (x, PowerValue(q), PowerValue.from_pow(4, Fraction(1, 2)) * q):
         if value == q:
             assert hash(value) == hash(q)
-    assert hash(x) == hash(PowerValue(x.coeff, x.prime_exps, x.e_exp))
+    assert hash(x) == hash(PowerValue(x.coeff, x.prime_exps))
 
 
 def test_power_value_equal_to_rational_is_found_by_it():
@@ -231,14 +219,14 @@ def test_power_value_equal_to_rational_is_found_by_it():
     assert {Fraction(3, 2): "y"}.get(PowerValue(Fraction(3, 2))) == "y"
     root = PowerValue.from_pow(9, Fraction(1, 2))
     assert root == 3 and hash(root) == hash(3)
-    assert PowerValue.from_exp(0) == 1 and hash(PowerValue.from_exp(0)) == hash(1)
+    assert PowerValue.from_pow(5, 0) == 1 and hash(PowerValue.from_pow(5, 0)) == hash(1)
     assert {PowerValue(0), 0, Fraction(0)} == {0}
 
 
 def _snapshot(x):
     if isinstance(x, LogPoly):
         return _typed(x.terms)
-    return (x.coeff, dict(x.prime_exps), x.e_exp)
+    return (x.coeff, dict(x.prime_exps))
 
 
 @settings(max_examples=100, deadline=None)
@@ -246,11 +234,11 @@ def _snapshot(x):
 def test_shared_values_are_never_mutated(t1, t2, key, u, v, q):
     x, y = LogPoly(t1), LogPoly(t2)
     shared = [x * LogPoly.monomial(1), x * 1, x * LogPoly.monomial(1, *key)]
-    shared += [u * q, q * u, u * PowerValue.from_exp(q), u * PowerValue(q)]
+    shared += [u * q, q * u, u * PowerValue.from_pow(2, q), u * PowerValue(q)]
     before = [_snapshot(s) for s in [x, u, *shared]]
     for s in shared:
         if isinstance(s, LogPoly):
-            _ = [s + y, y + s, s - y, s * y, y * s, s * 3, -s, s.scale_radius(), s**2]
+            _ = [s + y, y + s, s - y, s * y, y * s, s * 3, -s, s.scale_radius(), s * s]
         else:
             _ = [s * v, v * s, s * s, s * q, s * 0]
     assert [_snapshot(s) for s in [x, u, *shared]] == before
