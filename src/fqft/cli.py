@@ -79,9 +79,11 @@ def _parse_tolerances(command, arithmetic, pairs):
 # ----------------------------------------------------------------- commands
 
 
-def cmd_verify_cutting(args, tol):
+# the free-boson commands build their space, or read the one `all` shares
+
+def cmd_verify_cutting(args, tol, space=None):
     exact = args.arithmetic == "exact"
-    space = build_space(args.l_max, exact=exact)
+    space = space or build_space(args.l_max, exact=exact)
     radii = [Fraction(k) for k in (4, 3, 2, 1)] if exact else [4.0, 3.0, 2.0, 1.0]
     report = verify_cutting(space, radii)
     if exact:
@@ -93,8 +95,8 @@ def cmd_verify_cutting(args, tol):
     return report, passed
 
 
-def cmd_ope(args, tol):
-    space = build_space(args.l_max, exact=args.arithmetic == "exact")
+def cmd_ope(args, tol, space=None):
+    space = space or build_space(args.l_max, exact=args.arithmetic == "exact")
     j = current_observable(space)
     table = ope_extract(space, j, j)
     o = marginal_observable(space)
@@ -120,11 +122,11 @@ def cmd_ope(args, tol):
     return results, passed
 
 
-def cmd_beta(args, tol):
+def cmd_beta(args, tol, space=None):
     if args.backend == "formal":
         theory = args.formal_theory
-    else:
-        theory = fb_theory(build_space(args.l_max))
+    else:  # in exact arithmetic whatever the --arithmetic
+        theory = fb_theory(space or build_space(args.l_max))
     res = beta_fn(theory)
     results = {
         "marginals": sorted(theory.marginals),
@@ -178,17 +180,17 @@ def cmd_qm(args, tol):
 
 
 def cmd_all(args, tol):
-    results, passed = {}, True
-    for name, fn in [
-        ("verify-cutting", cmd_verify_cutting),
-        ("ope", cmd_ope),
-        ("beta", cmd_beta),
-        ("qm", cmd_qm),
-    ]:
-        sub, ok = fn(args, tol)
-        results[name] = {"results": sub, "passed": ok}
-        passed = passed and ok
-    return results, passed
+    # one space per arithmetic: free-boson beta reads an exact one, formal beta none
+    space = build_space(args.l_max, exact=args.arithmetic == "exact")
+    exact = space if space.exact or args.backend == "formal" else build_space(args.l_max)
+    runs = {
+        "verify-cutting": cmd_verify_cutting(args, tol, space),
+        "ope": cmd_ope(args, tol, space),
+        "beta": cmd_beta(args, tol, exact),
+        "qm": cmd_qm(args, tol),
+    }
+    results = {name: {"results": sub, "passed": ok} for name, (sub, ok) in runs.items()}
+    return results, all(ok for _, ok in runs.values())
 
 
 FLAGS = {

@@ -1,14 +1,15 @@
 """Level-truncated Fock module for the free boson.
 
-The basis is the list of key tuples (level, chiral, antichiral), the two
-partitions as non-increasing tuples, in graded-lexicographic order;
-`space.index` maps a key to its basis index.  Boundary states are sparse
-{basis index: nonzero coefficient} maps; `apply_current` applies a U(1)
-current mode to a state one nonzero at a time.  A mode operator is j_n,
-L_n or a bar, each a partition table {mu: {new: weight}} acting on one
-chiral side with a level shift, or the product or commutator of two modes
-on one side, whose tables multiply as integers over one denominator in
-exact arithmetic.  Per level its terms reduce to one rule, which
+A basis key is (level, chiral, antichiral), the two partitions as
+non-increasing tuples, and the columns run in graded-lexicographic key
+order.  No per-column key is stored: `space.key_of(i)` reads column i's key
+off the block map and `space.index_of(level, mu, nu)` is its inverse.
+Boundary states are sparse {basis index: nonzero coefficient} maps;
+`apply_current` applies a U(1) current mode to a state one nonzero at a
+time.  A mode operator is j_n, L_n or a bar, each a partition table {mu:
+{new: weight}} acting on one chiral side with a level shift, or the product
+or commutator of two modes on one side, whose tables multiply as integers
+over one denominator in exact arithmetic.  Per level its terms reduce to one rule, which
 `apply_mode` reads one nonzero at a time; the rule is lifted once, when
 first read, to block runs (one Fraction per distinct numerator), from which
 its entries {(row, col): nonzero scalar} and its dropped columns are read.
@@ -28,11 +29,11 @@ from .errors import ResourceLimitError, SpaceMismatchError
 # Hard cap on the truncation level.  dim grows like sum p(k)p(m) (7 567 at
 # 14, 17 345 at 16, 38 045 at 18).  Exact arithmetic, one process on a
 # 2-core Xeon, Python 3.11, median of 5: build_space, the tables of L_{+-2}
-# and L_0, lifting [L_2, L_{-2}] and L_0's columns take 0.004 + 0.004 + 0.001
-# + 0.014 + 0.004 s at 14 (peak RSS 22 MB, 14 MB of it imports) and 0.008 +
-# 0.008 + 0.002 + 0.033 + 0.011 s at 16 (31 MB); with the cap lifted, 0.026 +
-# 0.019 + 0.005 + 0.087 + 0.026 s and 50 MB at 18.  Per two levels time and
-# memory above imports grow 2-3x; the commutator's lift is the largest cost.
+# and L_0, lifting [L_2, L_{-2}] and L_0's columns take 0.002 + 0.006 +
+# 0.0004 + 0.015 + 0.005 s at 14 (peak RSS 20 MB, 15 MB of it imports) and
+# 0.004 + 0.010 + 0.001 + 0.034 + 0.010 s at 16 (28 MB); with the cap lifted,
+# 0.007 + 0.024 + 0.001 + 0.10 + 0.023 s and 48 MB at 18.  Per two levels time
+# and memory above imports grow 2-3x; the commutator's lift is the largest cost.
 L_MAX_HARD_CAP = 16
 
 
@@ -60,6 +61,12 @@ def partition_count(n: int) -> int:
     return len(partitions(n))
 
 
+@lru_cache(maxsize=None)
+def _rank(n: int) -> dict:
+    """{partition: its position in partitions(n)}."""
+    return {p: i for i, p in enumerate(partitions(n))}
+
+
 def _key(chiral, antichiral) -> tuple:
     """The basis key (level, chiral, antichiral) of j_{chiral} jbar_{antichiral}|0>;
     parts must be positive ints (not bools or floats) and non-increasing."""
@@ -73,7 +80,13 @@ def _key(chiral, antichiral) -> tuple:
 
 
 class TruncatedFockSpace:
-    """All basis states with total level <= l_max, graded-lexicographic order."""
+    """All basis states with total level <= l_max, graded-lexicographic order.
+
+    Columns are addressed through the block map: per level, mu runs over the
+    chiral partitions of size <= level, lexicographically, and nu over the
+    partitions of level - |mu|; the columns of one (level, mu) form a block,
+    blocks[level][mu] its first column.  Per column it keeps only its level
+    and a reference to its block's record."""
 
     def __init__(self, l_max: int, exact: bool = True):
         if l_max < 0:
@@ -84,19 +97,38 @@ class TruncatedFockSpace:
             )
         self.l_max = l_max
         self.exact = exact
-        # built in order: per level, mu runs over the chiral partitions of
-        # size <= level, lexicographically, and nu over the rest; the columns
-        # of one (level, mu) form a block, blocks[level][mu] its first column
-        chiral = sorted((mu, k) for k in range(l_max + 1) for mu in partitions(k))
-        self.basis, self.blocks = basis, blocks = [], []
-        for total in range(l_max + 1):
-            blocks.append({})
+        nus = [(p, len(p)) for p in map(partitions, range(l_max + 1))]
+        # per column its block's record (level, mu, |mu|, first column,
+        # partitions of nu) and its level, filled by list repeats
+        self.blocks, self._block_of, self.levels = [], [], []
+        blocks, block_of, levels = self.blocks, self._block_of, self.levels
+        chiral, start = [], 0
+        for level in range(l_max + 1):
+            # the chiral partitions of size <= level, lexicographically
+            chiral = sorted(chiral + [(mu, level) for mu in nus[level][0]])
+            starts, first = {}, start
             for mu, k in chiral:
-                if k <= total:
-                    blocks[total][mu] = len(basis)
-                    basis += [(total, mu, nu) for nu in partitions(total - k)]
-        self.index = dict(zip(basis, range(len(basis))))
-        self.dim, self.levels = len(basis), [key[0] for key in basis]
+                parts, size = nus[level - k]
+                starts[mu] = start
+                block_of += [(level, mu, k, start, parts)] * size
+                start += size
+            blocks.append(starts)
+            levels += [level] * (start - first)
+        self.dim = start
+        self._ranks = [_rank(k) for k in range(l_max + 1)]
+
+    def key_of(self, i: int) -> tuple:
+        """The key (level, chiral, antichiral) of column i."""
+        level, mu, _, start, nus = self._block_of[i]
+        return level, mu, nus[i - start]
+
+    def index_of(self, level: int, mu: tuple, nu: tuple):
+        """The column of the key (level, mu, nu), or None outside the space."""
+        if not 0 <= level <= self.l_max:
+            return None
+        start = self.blocks[level].get(mu)
+        rank = None if start is None else self._ranks[level - sum(mu)].get(nu)
+        return None if rank is None else start + rank
 
     def zero_scalar(self):
         return Fraction(0) if self.exact else 0.0
@@ -113,12 +145,13 @@ class TruncatedFockSpace:
     def state(self, chiral=(), antichiral=()) -> "BoundaryState":
         """Basis vector j_{chiral} jbar_{antichiral} |0>."""
         key = _key(chiral, antichiral)
-        if key not in self.index:
+        i = self.index_of(*key)
+        if i is None:
             raise ValueError(f"state {key} above truncation l_max={self.l_max}")
-        return BoundaryState(self, {self.index[key]: self.one_scalar()})
+        return BoundaryState(self, {i: self.one_scalar()})
 
     def find(self, chiral, antichiral):
-        return self.index.get(_key(chiral, antichiral))
+        return self.index_of(*_key(chiral, antichiral))
 
 
 class BoundaryState:
@@ -187,10 +220,10 @@ class BoundaryState:
         return sorted(self.coeffs.items())
 
     def __repr__(self):
-        basis = self.space.basis
-        terms = [
-            f"{c}*|{list(basis[i][1])};{list(basis[i][2])}>" for i, c in self.nonzero()[:6]
-        ]
+        terms = []
+        for i, c in self.nonzero()[:6]:
+            _, mu, nu = self.space.key_of(i)
+            terms.append(f"{c}*|{list(mu)};{list(nu)}>")
         return "BoundaryState(" + " + ".join(terms or ["0"]) + ")"
 
 
@@ -333,7 +366,7 @@ def _lift(op: ModeOperator):
                 continue
             if m not in sides:  # (position of nu, rank of new, value), dropped positions
                 nus = list(enumerate(partitions(level - m)))
-                rank = {p: i for i, p in enumerate(partitions(y - m))} if targets else _EMPTY
+                rank = _rank(y - m) if targets else _EMPTY
                 images = [
                     (j, rank[new], v) for j, nu in nus for new, v in table.get(nu, _EMPTY).items()
                 ]
@@ -346,7 +379,16 @@ def _lift(op: ModeOperator):
 
 
 def build_space(l_max: int, exact: bool = True) -> TruncatedFockSpace:
-    return TruncatedFockSpace(l_max, exact=exact)
+    space = TruncatedFockSpace(l_max, exact=exact)
+    # imported here, so that importing fock without building a space (as
+    # deformation's formal backend does) does not import logging
+    import logging
+
+    log = logging.getLogger("fqft")
+    if log.isEnabledFor(logging.DEBUG):
+        blocks = sum(map(len, space.blocks))
+        log.debug("fock space l_max=%d dim=%d blocks=%d", l_max, space.dim, blocks)
+    return space
 
 
 def _mode_on_partition(mu: tuple, n: int):
@@ -379,19 +421,23 @@ def apply_current(v: BoundaryState, n: int, bar: bool = False) -> BoundaryState:
     """j_n (or jbar_n) applied to v one nonzero at a time, without building
     the operator; equals apply_mode(current_mode(v.space, n, bar), v),
     truncation loss included."""
-    space = v.space
-    out = {}
-    loss = 0
+    space, out, loss = v.space, {}, 0
     for col, c in v.coeffs.items():
-        level, mu, nu = space.basis[col]
-        level -= n
-        if level > space.l_max:
+        level, mu, m, start, nus = space._block_of[col]
+        y = level - n
+        if y > space.l_max:
             loss += 1
             continue
-        image = _mode_on_partition(nu if bar else mu, n)
+        image = _mode_on_partition(nus[col - start] if bar else mu, n)
         if image is not None:
             new, weight = image
-            out[space.index[(level, mu, new) if bar else (level, new, nu)]] = weight * c
+            # a chiral image keeps its offset in the block; an antichiral one
+            # lands in the block (y, mu) at the rank of new
+            if bar:
+                row = space.blocks[y][mu] + space._ranks[y - m][new]
+            else:
+                row = space.blocks[y][new] + col - start
+            out[row] = weight * c
     return BoundaryState(space, out, v.truncation_loss + loss)
 
 
@@ -452,16 +498,18 @@ def apply_mode(op: ModeOperator, v: BoundaryState) -> BoundaryState:
     if op.space is not v.space:
         raise SpaceMismatchError("operator and state live in different spaces")
     space, out, loss = v.space, {}, 0
-    basis, index, rules, bar, n = space.basis, space.index, op._level_rules(), op.bar, op.n
+    rules, bar, n = op._level_rules(), op.bar, op.n
+    blocks, ranks, block_of = space.blocks, space._ranks, space._block_of
     for col, c in v.coeffs.items():
-        level, mu, nu = basis[col]
+        level, mu, m, start, nus = block_of[col]
         table, drop_all, drop = rules[level]
-        p = nu if bar else mu
+        p = nus[col - start] if bar else mu
         if drop_all or p in drop:
             loss += 1
+        y = level - n  # in 0..l_max wherever the rule maps p
         for new, w in table.get(p, _EMPTY).items():
-            row = index[(level - n, mu, new) if bar else (level - n, new, nu)]
-            out[row] = out[row] + w * c if row in out else w * c
+                row = blocks[y][mu] + ranks[y - m][new] if bar else blocks[y][new] + col - start
+                out[row] = out[row] + w * c if row in out else w * c
     return BoundaryState(space, out, v.truncation_loss + loss)
 
 

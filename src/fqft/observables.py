@@ -218,6 +218,6 @@ def ope_extract(space, a: LocalObservable, b: LocalObservable) -> OpeTable:
     # most singular first: ascending total exponent, then z-exponent
     for (m, mbar), v in sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0][0])):
         for i, coeff in v.nonzero():
-            _, mu, mubar = space.basis[i]
+            _, mu, mubar = space.key_of(i)
             table.add_row(a.label, b.label, "1", mu, mubar, (m, mbar), coeff)
     return table

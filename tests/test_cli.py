@@ -66,6 +66,22 @@ def test_beta_free_boson_fails_on_nonzero_beta(capsys, monkeypatch):
     assert code == 1 and report["results"]["beta"]["passed"] is False
 
 
+@pytest.mark.parametrize("arithmetic, built", [("exact", [True]), ("float64", [False, True])])
+def test_all_builds_one_space_per_arithmetic(capsys, monkeypatch, arithmetic, built):
+    # cutting and ope share the --arithmetic space; free-boson beta reads an
+    # exact one
+    made, build_space = [], fqft.cli.build_space
+
+    def counted(l_max, exact=True):
+        made.append(exact)
+        return build_space(l_max, exact)
+
+    monkeypatch.setattr(fqft.cli, "build_space", counted)
+    code, report = run_cli(capsys, ["all", "--lmax", "3", "--arithmetic", arithmetic])
+    assert code == 0 and report["passed"] is True
+    assert made == built
+
+
 def test_beta_formal_backend(capsys, tmp_path):
     path = tmp_path / "theory.json"
     path.write_text(theory_to_json(_nonzero_beta_theory()))

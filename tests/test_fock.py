@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import json
+import logging
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -57,29 +59,85 @@ def test_space_hard_cap():
         build_space(40)
 
 
+def _reference_basis(l_max):
+    """Every key (level, chiral, antichiral) with level <= l_max, sorted, and
+    the key -> column dict: the per-column construction the block map
+    replaces."""
+    basis = sorted(
+        (k + m, mu, nu)
+        for k in range(l_max + 1)
+        for m in range(l_max + 1 - k)
+        for mu in partitions(k)
+        for nu in partitions(m)
+    )
+    return basis, {key: i for i, key in enumerate(basis)}
+
+
 def test_basis_graded_lex_order():
     space = build_space(3)
-    levels = [level for level, _, _ in space.basis]
-    assert levels == sorted(levels)
-    assert space.basis[0] == (0, (), ())
+    assert space.levels == sorted(space.levels)
+    assert space.key_of(0) == (0, (), ())
 
 
 @pytest.mark.parametrize("l_max", range(17))
 def test_basis_is_built_in_order_with_its_blocks(l_max):
-    # the basis is generated sorted; blocks[level][mu] is the first column
-    # of the run of (level, mu, nu) over nu in partitions(level - |mu|)
+    # the columns run in sorted key order, key_of and index_of are inverse
+    # bijections between columns and keys; blocks[level][mu] is the first
+    # column of the run of (level, mu, nu) over nu in partitions(level - |mu|)
     space = build_space(l_max)
-    assert space.basis == sorted(space.basis)
-    assert space.index == {key: i for i, key in enumerate(space.basis)}
+    basis, index = _reference_basis(l_max)
+    assert space.dim == len(basis)
+    assert [space.key_of(i) for i in range(space.dim)] == basis
+    assert {key: space.index_of(*key) for key in basis} == index
+    assert space.levels == [level for level, _, _ in basis]
     assert len(space.blocks) == l_max + 1
     col = 0
     for level, starts in enumerate(space.blocks):
         for mu, start in starts.items():
             assert start == col
             for nu in partitions(level - sum(mu)):
-                assert space.basis[col] == (level, mu, nu)
+                assert space.key_of(col) == (level, mu, nu)
                 col += 1
     assert col == space.dim
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 4])
+def test_lookups_outside_the_space(l_max):
+    space = build_space(l_max)
+    # keys one level above the truncation
+    for mu, nu in [((l_max + 1,), ()), ((), (l_max + 1,)), ((1,), (1,) * l_max)]:
+        assert space.find(mu, nu) is None, (mu, nu)
+        with pytest.raises(ValueError, match="above truncation"):
+            space.state(mu, nu)
+        assert space.index_of(l_max + 1, mu, nu) is None, (mu, nu)
+    # keys whose level is not the size of their partitions
+    for level in range(-1, l_max + 2):
+        for mu, nu in [((), ()), ((1,), ()), ((), (2, 1)), ((1,), (1,))]:
+            if level != sum(mu) + sum(nu):
+                assert space.index_of(level, mu, nu) is None, (level, mu, nu)
+
+
+def test_build_space_retains_less_than_half_the_reference():
+    # the block map keeps no per-column tuple: build_space(16) retains less
+    # than half of what the sorted key list and its key -> column dict retain
+    build_space(16)
+    _reference_basis(16)  # partitions are cached before either is traced
+
+    def retained(build):
+        tracemalloc.start()
+        try:
+            kept = build()  # noqa: F841 (alive while measured)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert retained(lambda: build_space(16)) < retained(lambda: _reference_basis(16)) / 2
+
+
+def test_build_space_logs_its_size(caplog):
+    with caplog.at_level(logging.DEBUG, logger="fqft"):
+        build_space(16)
+    assert "l_max=16 dim=17345 blocks=" in caplog.text
 
 
 def test_state_lookup_roundtrip():
@@ -87,8 +145,8 @@ def test_state_lookup_roundtrip():
     v = space.state((2, 1), (1,))
     idx = [i for i in range(space.dim) if v[i] != 0]
     assert len(idx) == 1
-    _, mu, nu = space.basis[idx[0]]
-    assert mu == (2, 1) and nu == (1,)
+    assert space.key_of(idx[0]) == (4, (2, 1), (1,))
+    assert space.find((2, 1), (1,)) == idx[0]
 
 
 @pytest.mark.parametrize(
@@ -224,7 +282,8 @@ def _current_oracle(space, n, bar=False):
     its multiplicity, and a column whose level - n exceeds l_max is dropped."""
     one = space.one_scalar()
     columns, dropped = {}, set()
-    for col, (level, mu, nu) in enumerate(space.basis):
+    basis, index = _reference_basis(space.l_max)
+    for col, (level, mu, nu) in enumerate(basis):
         if level - n > space.l_max:
             dropped.add(col)
             continue
@@ -238,7 +297,7 @@ def _current_oracle(space, n, bar=False):
         else:
             continue
         new = tuple(sorted(parts, reverse=True))
-        row = space.index[(level - n, mu, new) if bar else (level - n, new, nu)]
+        row = index[(level - n, mu, new) if bar else (level - n, new, nu)]
         columns[col] = {row: weight * one}
     return _Columns(space, columns, dropped)
 
@@ -333,7 +392,7 @@ def test_commutator_keeps_columns_whose_inner_image_vanishes():
     for bar in (False, True):
         kept = {
             c
-            for c, (level, mu, nu) in enumerate(space.basis)
+            for c, (level, mu, nu) in enumerate(map(space.key_of, range(space.dim)))
             if level < 3 or (level == 3 and (nu if bar else mu) == ())
         }
         assert len(kept) == space.levels.index(3) + 3
@@ -347,7 +406,7 @@ def space_to_json(space, operators=None) -> str:
     """Dump {l_max, basis, operators:{name: sparse triplets}} for golden files."""
     doc = {
         "l_max": space.l_max,
-        "basis": [[list(mu), list(nu)] for _, mu, nu in space.basis],
+        "basis": [[list(mu), list(nu)] for _, mu, nu in map(space.key_of, range(space.dim))],
         "operators": {},
     }
     for name, op in (operators or {}).items():
@@ -503,7 +562,7 @@ def test_to_json_golden():
     assert names == {"j_-1", "L_0"}
     # L_0 is diagonal with the chiral level
     for i, j, val in doc["operators"]["L_0"]:
-        assert i == j and Fraction(val) == sum(space.basis[i][1])
+        assert i == j and Fraction(val) == sum(space.key_of(i)[1])
     # deterministic serialization
     assert space_to_json(space, ops) == space_to_json(space, ops)
 
