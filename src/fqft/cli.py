@@ -115,11 +115,7 @@ def cmd_ope(args, tol, space=None):
         and abs(consts["K"][("jjbar", "jjbar")] - 1) <= eps
         and all(abs(v) <= eps for v in consts["C"].values())
     )
-    results = {
-        "rows": [_jsonable(r) for r in table.rows],
-        "marginal_constants": _jsonable(consts),
-    }
-    return results, passed
+    return {"rows": table.rows, "marginal_constants": consts}, passed
 
 
 def cmd_beta(args, tol, space=None):
@@ -130,8 +126,8 @@ def cmd_beta(args, tol, space=None):
     res = beta_fn(theory)
     results = {
         "marginals": sorted(theory.marginals),
-        "beta": _jsonable(res.coefficients),
-        "running": _jsonable(res.running()),
+        "beta": res.coefficients,
+        "running": res.running(),
         "zero": res.is_zero(),
     }
     # the free boson's beta vanishes identically; the formal backend has no

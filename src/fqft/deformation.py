@@ -26,7 +26,7 @@ from math import comb
 
 from .errors import ValidationError
 from .fock import _key as _fock_key
-from .fock import apply_current
+from .fock import apply_current, scale_by_level
 from .jets import Jet, JetAlgebra, recombine
 from .rexp import RExpansion, Sparse
 from .scalars import LogPoly, canonical_exponent, decode_scalar
@@ -516,10 +516,9 @@ def fb_deformed_annulus(space, R, r, w: Jet) -> Jet:
     the diagonal modes, with moment c_n = ((R/r)^{2n} - 1) / (2n) per mode
     n; j_n jbar_n vanishes on the truncated space for |n| > l_max / 2.
     """
-    from .observables import scale_by_level
-
     ratio = Fraction(r) / Fraction(R)
-    terms = {mono: scale_by_level(v, lambda level: ratio**level) for mono, v in w.terms.items()}
+    by_level = [ratio**level for level in range(space.l_max + 1)]
+    terms = {mono: scale_by_level(v, by_level) for mono, v in w.terms.items()}
     base = terms.get(())
     if base is not None:
         g = terms.get(("g[jjbar]",), space.zero())

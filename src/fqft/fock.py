@@ -6,7 +6,8 @@ order.  No per-column key is stored: `space.key_of(i)` reads column i's key
 off the block map and `space.index_of(level, mu, nu)` is its inverse.
 Boundary states are sparse {basis index: nonzero coefficient} maps;
 `apply_current` applies a U(1) current mode to a state one nonzero at a
-time.  A mode operator is j_n, L_n or a bar, each a partition table {mu:
+time, and `scale_by_level` scales each level's part by one scalar.  A mode
+operator is j_n, L_n or a bar, each a partition table {mu:
 {new: weight}} acting on one chiral side with a level shift, or the product
 or commutator of two modes on one side, whose tables multiply as integers
 over one denominator in exact arithmetic.  Per level its terms reduce to one rule, which
@@ -169,6 +170,15 @@ class BoundaryState:
         self.coeffs = coeffs
         self.truncation_loss = truncation_loss
 
+    @classmethod
+    def _of(cls, space, coeffs, truncation_loss=0):
+        """Wrap a dict unchecked.  Only for a dict the constructor would keep
+        as it is: every index in 0..dim-1 and no zero coefficient; not for
+        sums or scalings, whose values can cancel or underflow."""
+        out = object.__new__(cls)
+        out.space, out.coeffs, out.truncation_loss = space, coeffs, truncation_loss
+        return out
+
     def __getitem__(self, i):
         """Coefficient of basis vector i; the zero scalar when absent."""
         return self.coeffs.get(i, self.space.zero_scalar())
@@ -225,6 +235,15 @@ class BoundaryState:
             _, mu, nu = self.space.key_of(i)
             terms.append(f"{c}*|{list(mu)};{list(nu)}>")
         return "BoundaryState(" + " + ".join(terms or ["0"]) + ")"
+
+
+def scale_by_level(v: BoundaryState, by_level) -> BoundaryState:
+    """v with its level-E part scaled by by_level[E], one scalar per level
+    0..l_max; a product that underflows to zero is dropped."""
+    levels = v.space.levels
+    return BoundaryState(
+        v.space, {i: by_level[levels[i]] * c for i, c in v.coeffs.items()}, v.truncation_loss
+    )
 
 
 def _check_space(a, b):
@@ -420,7 +439,8 @@ def current_mode(space: TruncatedFockSpace, n: int, bar: bool = False) -> ModeOp
 def apply_current(v: BoundaryState, n: int, bar: bool = False) -> BoundaryState:
     """j_n (or jbar_n) applied to v one nonzero at a time, without building
     the operator; equals apply_mode(current_mode(v.space, n, bar), v),
-    truncation loss included."""
+    truncation loss included.  Its images are nonzero (a weight is a
+    positive integer) and in range, so the state is wrapped unchecked."""
     space, out, loss = v.space, {}, 0
     for col, c in v.coeffs.items():
         level, mu, m, start, nus = space._block_of[col]
@@ -438,7 +458,7 @@ def apply_current(v: BoundaryState, n: int, bar: bool = False) -> BoundaryState:
             else:
                 row = space.blocks[y][new] + col - start
             out[row] = weight * c
-    return BoundaryState(space, out, v.truncation_loss + loss)
+    return BoundaryState._of(space, out, v.truncation_loss + loss)
 
 
 def _twice_virasoro(mu: tuple, n: int, creators) -> dict:

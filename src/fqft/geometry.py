@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import GeometryError, SpaceMismatchError
-from .fock import BoundaryState, TruncatedFockSpace
+from .fock import BoundaryState, TruncatedFockSpace, scale_by_level
 from .scalars import PowerValue
 
 
@@ -62,16 +62,6 @@ class PartitionFunction:
     @property
     def is_operator(self):
         return self.by_level is not None
-
-    def apply(self, v: BoundaryState) -> BoundaryState:
-        if self.space is not v.space:
-            raise SpaceMismatchError("partition function and state spaces differ")
-        levels, by_level = self.space.levels, self.by_level
-        return BoundaryState(
-            self.space,
-            {i: by_level[levels[i]] * c for i, c in v.coeffs.items()},
-            v.truncation_loss,
-        )
 
 
 def _level_energies(space, shifted):
@@ -145,7 +135,9 @@ def glue(outer: PartitionFunction, inner) -> PartitionFunction:
             raise GeometryError("outer piece of a gluing must be an operator")
         if outer.space is not inner.space:
             raise SpaceMismatchError("gluing across different truncated spaces")
-        return PartitionFunction(outer.surface, outer.space, state=outer.apply(inner))
+        return PartitionFunction(
+            outer.surface, outer.space, state=scale_by_level(inner, outer.by_level)
+        )
     if outer.space is not inner.space:
         raise SpaceMismatchError("gluing across different truncated spaces")
     surface = _glued_surface(outer.surface, inner.surface)
@@ -154,7 +146,9 @@ def glue(outer: PartitionFunction, inner) -> PartitionFunction:
     if inner.is_operator:
         by_level = [a * b for a, b in zip(outer.by_level, inner.by_level)]
         return PartitionFunction(surface, outer.space, by_level=by_level)
-    return PartitionFunction(surface, outer.space, state=outer.apply(inner.state))
+    return PartitionFunction(
+        surface, outer.space, state=scale_by_level(inner.state, outer.by_level)
+    )
 
 
 def _level_residual(values_a, values_b, exact):

@@ -8,9 +8,14 @@ lambda^{-E}.
 Correlators at z != 0 are computed by mode transport of the U(1) current:
 the insertion of a current-generated observable on an annulus is the mode
 sum  sum_n z^{-n-1} rho^{-(L0+L0bar)} j_n rho'^{L0+L0bar}  (and its
-antichiral twin), under which the inner radius cancels exactly.  The
-two-point correlator is kept as a finite bigraded series in (z, zbar), and
-the OPE rows are read off its coefficients, most singular first.
+antichiral twin), under which the inner radius cancels exactly.  Only the
+modes that act on a term are applied to it: an annihilator j_n (n > 0) acts
+where n is a part of some nonzero's partition on its side, and a creator
+j_{-n} where n <= l_max minus the term's lowest level; every other mode
+maps the term to zero.  The two-point correlator is kept as a finite
+bigraded series in (z, zbar), returned unscaled at R = 1 and otherwise with
+its level-E parts scaled by R^{-E}; the OPE rows are read off its
+coefficients at R = 1, most singular first.
 """
 
 from __future__ import annotations
@@ -18,17 +23,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ValidationError
-from .fock import BoundaryState, apply_current
+from .fock import BoundaryState, apply_current, scale_by_level
 from .rexp import RExpansion, Sparse
 
 
-def scale_by_level(v: BoundaryState, factor_of_level) -> BoundaryState:
-    levels = v.space.levels
-    return BoundaryState(
-        v.space,
-        {i: factor_of_level(levels[i]) * c for i, c in v.coeffs.items()},
-        v.truncation_loss,
-    )
+def _inverse_powers(space, lam) -> list:
+    """lam^{-E} per level E = 0..l_max, the int 1 at level 0."""
+    return [1] + [lam ** -E for E in range(1, space.l_max + 1)]
 
 
 # ----------------------------------------------------------------- observables
@@ -91,24 +92,41 @@ class ZSeries(Sparse):
         return self.terms.get((m, mbar), self.space.zero())
 
 
+def _acting(v: BoundaryState, bar: bool):
+    """(parts, room) of a state: the parts of its nonzeros' chiral
+    (antichiral) partitions, which the acting annihilators remove, and
+    l_max minus its lowest level, the largest creator that acts."""
+    space, parts, lowest = v.space, set(), v.space.l_max
+    for i in v.coeffs:
+        level, mu, nu = space.key_of(i)
+        parts.update(nu if bar else mu)
+        lowest = min(lowest, level)
+    return parts, space.l_max - lowest
+
+
 def _mode_sum_insert(series: ZSeries, kind: str) -> ZSeries:
-    """Insert sum_n z^{-n-1} j_n (or the antichiral twin) into a series."""
+    """Insert sum_n z^{-n-1} j_n (or the antichiral twin) into a series,
+    applying to each term only the modes that act on it.  The loop runs n
+    outside and terms inside, so each key's images are summed in a fixed
+    order."""
     space = series.space
     bar = kind == "jbar"
+    prepared = [(key, v, *_acting(v, bar)) for key, v in series.terms.items()]
     terms = {}
     for n in range(-space.l_max, space.l_max + 1):
         if n == 0:
             continue
-        for (m, mbar), v in series.terms.items():
-            w = apply_current(v, n, bar=bar)
-            if not w.is_zero():
+        for (m, mbar), v, parts, room in prepared:
+            if (n in parts) if n > 0 else (-n <= room):
+                w = apply_current(v, n, bar=bar)
                 key = (m, mbar - n - 1) if bar else (m - n - 1, mbar)
                 terms[key] = terms[key] + w if key in terms else w
     return ZSeries(space, terms)
 
 
 def two_point(space, a: LocalObservable, b: LocalObservable, R=1) -> ZSeries:
-    """<O_a(z) O_b(0)>_{D_R} as a bigraded series in (z, zbar)."""
+    """<O_a(z) O_b(0)>_{D_R} as a bigraded series in (z, zbar); at R = 1
+    the transported series itself, unscaled."""
     if a.word is None:
         raise ValidationError(
             f"observable {a.label} is not current-generated; transport to z != 0 "
@@ -117,14 +135,10 @@ def two_point(space, a: LocalObservable, b: LocalObservable, R=1) -> ZSeries:
     series = ZSeries(space, {(0, 0): b.state})
     for kind in reversed(a.word):
         series = _mode_sum_insert(series, kind)
-    R = Fraction(R) if space.exact else float(R)
-    return ZSeries(
-        space,
-        {
-            key: scale_by_level(v, lambda E: R ** -E if E else 1)
-            for key, v in series.terms.items()
-        },
-    )
+    if R == 1:
+        return series
+    by_level = _inverse_powers(space, Fraction(R) if space.exact else float(R))
+    return ZSeries(space, {key: scale_by_level(v, by_level) for key, v in series.terms.items()})
 
 
 # ------------------------------------------------------------------- dilation
@@ -138,7 +152,7 @@ def dilation(lam, x):
     """
     if isinstance(x, BoundaryState):
         lam = Fraction(lam) if x.space.exact and not isinstance(lam, float) else lam
-        return scale_by_level(x, lambda E: lam ** -E if E else 1)
+        return scale_by_level(x, _inverse_powers(x.space, lam))
     if isinstance(x, RExpansion):
         return x.map_coeffs(lambda v: dilation(lam, v))
     raise TypeError(f"cannot dilate {type(x).__name__}")

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and JSON reports."""
 
+import hashlib
 import json
 
 import pytest
@@ -144,6 +145,31 @@ def test_report_determinism(capsys):
     main(["ope", "--lmax", "3"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# SHA-256 of the reports as commit 78d3fec wrote them.  The `all` report is
+# hashed without its qm section, whose residuals are rounding-level floats
+# that depend on the BLAS numpy links; the rest is pure Python.
+REPORT_DIGESTS = {
+    "ope --lmax 12": "3b51abe0d0fdd07a8185db6c36d6d09006e30edc0bc00533eab580ae580c9ddd",
+    "ope --lmax 12 --arithmetic float64":
+        "189b9d55237629e11d73e8387fdc84de43a9d847ae9cccde0a644f7b48769de4",
+    "all --lmax 8 --arithmetic float64":
+        "22fe696cb6deda6729809ea6a59d703f853093db97dbd737550fbb0338f19469",
+    "beta --lmax 8": "1a38eb2527aae811de73448884c30c03daa10c77a0a0510eeaf5d92ca5752a0b",
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS))
+def test_report_matches_pinned_digest(capsys, argv):
+    # byte identity, float64 summation order included
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    if argv.startswith("all"):
+        report = json.loads(out)
+        del report["results"]["qm"]
+        out = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
 
 
 def test_out_flag(tmp_path, capsys):

@@ -606,6 +606,37 @@ def test_apply_current_matches_operator(data, l_max, exact, n, bar):
     assert got.truncation_loss == want.truncation_loss
 
 
+def test_public_constructor_drops_zeros_and_checks_range():
+    space = build_space(2)
+    v = BoundaryState(space, {0: Fraction(0), 1: Fraction(2), 2: 0.0, 3: -0.0})
+    assert v.coeffs == {1: Fraction(2)}
+    for bad in (-1, space.dim):
+        with pytest.raises(ValueError, match="outside the space"):
+            BoundaryState(space, {bad: Fraction(1)})
+
+
+@given(
+    data=st.data(),
+    l_max=st.integers(min_value=0, max_value=6),
+    exact=st.booleans(),
+    n=st.integers(min_value=-7, max_value=7),
+    bar=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_apply_current_stores_no_zero(data, l_max, exact, n, bar):
+    # apply_current skips the constructor's checks: its images must be
+    # nonzero and in range, for subnormal and huge floats too
+    space = _space(l_max, exact)
+    if exact:
+        values = st.fractions(max_denominator=10**6).filter(bool)
+    else:
+        values = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+    coeffs = data.draw(st.dictionaries(st.integers(0, space.dim - 1), values, max_size=8))
+    w = apply_current(BoundaryState(space, coeffs), n, bar=bar)
+    assert all(c != 0 for c in w.coeffs.values())
+    assert all(0 <= i < space.dim for i in w.coeffs)
+
+
 @given(
     data=st.data(),
     l_max=st.integers(min_value=0, max_value=6),

@@ -1,14 +1,16 @@
 """Tests for local observables, correlators, dilation, and OPE extraction."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from fqft.errors import ValidationError
-from fqft.fock import L_MAX_HARD_CAP, build_space
+from fqft.fock import L_MAX_HARD_CAP, BoundaryState, apply_current, build_space, scale_by_level
 from fqft.geometry import annulus_pf
 from fqft.observables import (
     LocalObservable,
+    _mode_sum_insert,
     OpeTable,
     ZSeries,
     current_observable,
@@ -31,6 +33,66 @@ def ope_resum(space, table: OpeTable, a_label, b_label) -> ZSeries:
         key = row["exponents"]
         terms[key] = terms[key] + v if key in terms else v
     return ZSeries(space, terms)
+
+
+# ------------------------------------------------------------- mode transport
+
+
+def _full_sweep_insert(series: ZSeries, kind: str) -> ZSeries:
+    """The mode sum by full sweep: every j_n, 0 < |n| <= l_max, applied to
+    every term, zero images discarded (with the loss they carry)."""
+    space, bar, terms = series.space, kind == "jbar", {}
+    for n in range(-space.l_max, space.l_max + 1):
+        if n == 0:
+            continue
+        for (m, mbar), v in series.terms.items():
+            w = apply_current(v, n, bar=bar)
+            if not w.is_zero():
+                key = (m, mbar - n - 1) if bar else (m - n - 1, mbar)
+                terms[key] = terms[key] + w if key in terms else w
+    return ZSeries(space, terms)
+
+
+def _sweep_states(space):
+    """The vacuum, j, jbar and j jbar where the space holds them, and a
+    seeded random sparse state."""
+    one = space.one_scalar()
+    states = [space.vacuum()]
+    for chiral, antichiral in (((1,), ()), ((), (1,)), ((1,), (1,))):
+        if len(chiral) + len(antichiral) <= space.l_max:
+            states.append(space.state(chiral, antichiral))
+    rng = random.Random(space.l_max)
+    picks = rng.sample(range(space.dim), min(8, space.dim))
+    states.append(
+        BoundaryState(space, {i: one * rng.randint(-9, 9) / rng.randint(1, 7) for i in picks})
+    )
+    return states
+
+
+def _assert_same_series(got: ZSeries, want: ZSeries):
+    assert got.terms.keys() == want.terms.keys()
+    for key, w in want.terms.items():
+        assert got.terms[key].coeffs == w.coeffs, key
+        assert got.terms[key].truncation_loss == w.truncation_loss, key
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@pytest.mark.parametrize("l_max", [0, 1, 2, 8, 16])
+def test_mode_sum_matches_full_sweep(l_max, exact):
+    # applying only the modes that act gives the full sweep's terms,
+    # coefficients (bit for bit in float64) and truncation losses, on a
+    # one-term series and on the many-term series a first insertion makes of
+    # it; after one of the same kind, several images sum into one key
+    space = build_space(l_max, exact=exact)
+    for state in _sweep_states(space):
+        series = ZSeries(space, {(0, 0): state})
+        for kind in ("j", "jbar"):
+            _assert_same_series(_mode_sum_insert(series, kind), _full_sweep_insert(series, kind))
+            for first in ("j", "jbar"):
+                inserted = _full_sweep_insert(series, first)
+                _assert_same_series(
+                    _mode_sum_insert(inserted, kind), _full_sweep_insert(inserted, kind)
+                )
 
 
 # ------------------------------------------------------------------ one-point
@@ -72,7 +134,8 @@ def test_one_point_locality():
     R, Rp = Fraction(3), Fraction(1)
     direct = two_point(space, j, one, R=R)
     inner = two_point(space, j, one, R=Rp)
-    assert direct == inner.map_coeffs(annulus_pf(space, R, Rp).apply)
+    by_level = annulus_pf(space, R, Rp).by_level
+    assert direct == inner.map_coeffs(lambda v: scale_by_level(v, by_level))
 
 
 def test_one_point_unsupported_transport():
