@@ -7,7 +7,13 @@ Two backends share the same pipeline.
   with dimensions, marginal-sector OPE rows, mixing matrix).  Vectors are
   formal combinations of correlator symbols <O_c^{mu,mubar}(0)>_{D_R} and
   integral atoms, with exact LogPoly coefficients (fqft.scalars): rational
-  multiples of powers of R and lam and of log(R) and log(lam).
+  multiples of powers of R and lam and of log(R) and log(lam).  The
+  structure constants are ints over the theory's denominators (the lcm of
+  its row values' denominators, and that of its mixing values'): each OPE
+  pair gets one record, made on first use in one pass over its rows, with
+  its C and K numerators and its power rows, and every builder reads it.
+  Values become Fractions only in the outputs, through one table per
+  theory, {(num, den): Fraction}, so a repeated value is a dict lookup.
 * The numeric free-boson backend deforms the truncated Fock-space partition
   functions by the marginal observable j jbar, with exact rational entries:
   the deformed annulus and disk act on jets of boundary states, through
@@ -22,12 +28,12 @@ leaves the scalar (r, log r) prefactors as the expansion grading.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
-from .errors import ValidationError
+from .errors import RecombinationError, ValidationError
 from .fock import _key as _fock_key
 from .fock import apply_current, scale_by_level
-from .jets import Jet, JetAlgebra, recombine
+from .jets import Jet, JetAlgebra
 from .rexp import RExpansion, Sparse
 from .scalars import LogPoly, canonical_exponent, decode_scalar
 
@@ -104,6 +110,14 @@ class FormalTheory:
     dims: label -> (h, hbar) as canonical exponents (ints when integral, as
     the LogPoly and RExpansion keys are), so exponent sums stay in ints; the
     primaries keep their Fractions.
+
+    The builders compute in ints over the theory's two denominators: `den`,
+    the lcm of the row values' denominators, and `mixing_den`, that of the
+    mixing values', folded into the constructor's loops.  Each pair
+    (alpha, beta) has one record (`_pair`), made on first use in one pass
+    over its rows.  Values leave the ints through one table per theory
+    (`_fraction`), so a repeated value costs a dict lookup, not a Fraction.
+    Both memos start empty, and no two theories share them.
     """
 
     def __init__(self, primaries, rows, mixing=None):
@@ -129,6 +143,7 @@ class FormalTheory:
         self._marginal_set = set(self.marginals)
         self.mixing = {}
         self._mixing_of = {}  # source a -> [(gamma, M_a^gamma)], in mixing order
+        mixing_den = 1
         for (a, gamma), val in (mixing or {}).items():
             if self.dims.get(a) != (0, 0):
                 raise ValidationError(f"mixing source {a} must have dimension (0,0)")
@@ -136,8 +151,10 @@ class FormalTheory:
                 raise ValidationError(f"mixing target {gamma} must be marginal")
             val = self.mixing[(a, gamma)] = Fraction(val)
             self._mixing_of.setdefault(a, []).append((gamma, val))
+            if mixing_den % val.denominator:
+                mixing_den = lcm(mixing_den, val.denominator)
         self.rows = {}
-        self._C, self._K = {}, {}  # memos of effective_C and K, filled on use
+        den = 1
         channels = set()  # (c, mu, mubar) already checked by this call
         for (alpha, beta, c, mu, mubar, value) in rows:
             if alpha not in self._marginal_set or beta not in self._marginal_set:
@@ -146,9 +163,14 @@ class FormalTheory:
             if (c, mu, mubar) not in channels:
                 self._check_channel(c, mu, mubar)
                 channels.add((c, mu, mubar))
-            value = Fraction(value)
-            if value != 0:
+            if type(value) is not Fraction:
+                value = Fraction(value)
+            if value:
                 self.rows.setdefault((alpha, beta), []).append((c, mu, mubar, value))
+                if den % value.denominator:
+                    den = lcm(den, value.denominator)
+        self.den, self.mixing_den = den, mixing_den
+        self._pairs, self._fractions = {}, {}  # filled on use
 
     def _check_channel(self, c, mu, mubar):
         """Reject a row target that is unknown, has descendant labels that are
@@ -179,38 +201,92 @@ class FormalTheory:
     def rows_for(self, alpha, beta):
         return list(self.rows.get((alpha, beta), []))
 
+    def _fraction(self, num, den):
+        """num / den as a Fraction, one per distinct (num, den) per theory."""
+        out = self._fractions.get((num, den))
+        if out is None:
+            out = self._fractions[num, den] = Fraction(num, den)
+        return out
+
+    def _pair(self, alpha, beta):
+        """The record of (alpha, beta), made in one pass over its rows:
+
+        C      {gamma: int}, C_{alpha beta}^gamma times den * mixing_den, the
+               marginal channel and the mixing channel of dimension-0
+               (1,1)-descendants together;
+        K      {a: int}, K_{alpha beta}^a times den, the dimension-0
+               identity-sector constants;
+        powers ((2(s - 1), c, mu, mubar, num, dd), ...), one per symbol of
+               the rows at s = sbar != 1, value / (2(s - 1)) = num / dd, the
+               exponent canonical (2(1/2 - 1) is the int -1);
+        denoms the exponents of `powers`, each once, in the order of their
+               first row (a symbol whose rows cancel counts too).
+
+        Each keeps the order of first occurrence, with repeated targets
+        summed as ints and no zero numerator: the builders read them as they
+        are, and no two of their entries meet.  A theory keeps its records,
+        so they are tuples and dicts of ints, not of Fractions.
+        """
+        record = self._pairs.get((alpha, beta))
+        if record is not None:
+            return record
+        den, mixing_den, dims = self.den, self.mixing_den, self.dims
+        C, K, sums, denoms = {}, {}, {}, {}
+        for (c, mu, mubar, value) in self.rows.get((alpha, beta), ()):
+            n = value.numerator * (den // value.denominator)
+            h, hbar = dims[c]
+            s = h + sum(mu)
+            if s != hbar + sum(mubar):
+                continue  # a spin row: it integrates to zero
+            if s == 1:  # the constructor let only the two channels through
+                if c in self._marginal_set:
+                    C[c] = C.get(c, 0) + n * mixing_den
+                    continue
+                for gamma, m in self._mixing_of.get(c, ()):
+                    C[gamma] = C.get(gamma, 0) + n * m.numerator * (mixing_den // m.denominator)
+                continue
+            if s == 0:
+                K[c] = K.get(c, 0) + n
+            symbol = (c, mu, mubar)
+            if symbol in sums:
+                sums[symbol][1] += n
+            else:
+                d = canonical_exponent(2 * (s - 1))
+                sums[symbol] = [d, n]
+                denoms.setdefault(d)
+        powers = tuple(
+            (d, *symbol, n * d.denominator, den * d.numerator)
+            for symbol, (d, n) in sums.items()
+            if n
+        )
+        kept = {row[0] for row in powers}
+        record = self._pairs[alpha, beta] = _Pair(
+            {g: n for g, n in C.items() if n},
+            {a: n for a, n in K.items() if n},
+            powers,
+            tuple(d for d in denoms if d in kept),
+        )
+        return record
+
     def effective_C(self, alpha, beta):
         """C_{alpha beta}^gamma combining the primary-marginal channel with
-        the mixing channel of dimension-0 (1,1)-descendants.  Memoised: the
-        returned dict is shared, so callers must not change it."""
-        if (alpha, beta) in self._C:
-            return self._C[alpha, beta]
-        out = {}
-        for (c, mu, mubar, value) in self.rows.get((alpha, beta), ()):
-            if c in self._marginal_set and mu == () and mubar == ():
-                _add(out, c, value)
-            elif self.dims[c] == (0, 0) and mu == (1,) and mubar == (1,):
-                for gamma, m in self._mixing_of.get(c, ()):
-                    _add(out, gamma, value * m)
-        out = self._C[alpha, beta] = {k: v for k, v in out.items() if v}
-        return out
+        the mixing channel of dimension-0 (1,1)-descendants, without zeros."""
+        den = self.den * self.mixing_den
+        return {g: self._fraction(n, den) for g, n in self._pair(alpha, beta).C.items()}
 
     def K(self, alpha, beta):
         """K_{alpha beta}^a: the dimension-0 identity-sector constants,
-        without zeros (memoised and shared, like effective_C)."""
-        if (alpha, beta) in self._K:
-            return self._K[alpha, beta]
-        out = {}
-        for (c, mu, mubar, value) in self.rows.get((alpha, beta), ()):
-            if self.dims[c] == (0, 0) and mu == () and mubar == ():
-                _add(out, c, value)
-        out = self._K[alpha, beta] = {k: v for k, v in out.items() if v}
-        return out
+        without zeros."""
+        return {a: self._fraction(n, self.den) for a, n in self._pair(alpha, beta).K.items()}
 
-    def corr_dimension(self, key):
-        _, c, mu, mubar = key
-        h, hbar = self.dims[c]
-        return h + hbar + sum(mu) + sum(mubar)
+
+class _Pair:
+    """One pair's structure constants in ints (see FormalTheory._pair)."""
+
+    __slots__ = ("C", "K", "powers", "denoms")
+
+    def __init__(self, C, K, powers, denoms):
+        self.C, self.K, self.powers, self.denoms = C, K, powers, denoms
 
 
 def theory_from_json(text: str) -> FormalTheory:
@@ -241,37 +317,19 @@ def theory_from_json(text: str) -> FormalTheory:
 # ------------------------------------------------------ correction (delta v)
 
 
-def _add(coeffs, key, value):
-    """coeffs[key] += value, adding only when the key repeats."""
-    coeffs[key] = coeffs[key] + value if key in coeffs else value
-
-
 def _expansion(terms) -> RExpansion:
-    """Wrap {(p, q): {key: LogPoly}} with the unchecked constructors, in one
-    pass.  The callers make every p canonical (an int when integral) and
-    every q an int, where they make it; their sums over a repeated key can
-    cancel, so zero LogPolys, and rows left empty, drop here."""
-    out = {}
-    for pq, vec in terms.items():
-        vec = {key: val for key, val in vec.items() if val}
-        if vec:
-            out[pq] = FormalVector._of(vec)
-    return RExpansion._of(out)
+    """Wrap {(p, q): {key: nonzero LogPoly}} with the unchecked constructors,
+    dropping rows left empty.  The callers make every p canonical (an int
+    when integral) and every q an int."""
+    return RExpansion._of({pq: FormalVector._of(vec) for pq, vec in terms.items() if vec})
 
 
-def _channel(C, key=(0, 0, 0, 0)):
-    """The marginal channel C^gamma <O_gamma> as vector terms, each value
-    times the monomial of the canonical LogPoly key (a, b, i, j)."""
-    return {("corr", gamma, (), ()): LogPoly._of({key: val}) for gamma, val in C.items()}
-
-
-def _power_rows(theory, alpha, beta):
-    """(2(s - 1), symbol, value) for each OPE row of (alpha, beta) with
-    s = sbar != 1, the exponent canonical: 2(1/2 - 1) is the int -1."""
-    for (c, mu, mubar, val) in theory.rows.get((alpha, beta), ()):
-        s, sbar = theory.exponent_pair(c, mu, mubar)
-        if s == sbar != 1:
-            yield canonical_exponent(2 * (s - 1)), ("corr", c, mu, mubar), val
+def _channel(theory, C, key=(0, 0, 0, 0), sign=1):
+    """The marginal channel sign * C^gamma <O_gamma> as vector terms, from a
+    record's C numerators, each value times the monomial of the canonical
+    LogPoly key (a, b, i, j)."""
+    den, frac = theory.den * theory.mixing_den, theory._fraction
+    return {("corr", g, (), ()): LogPoly._of({key: frac(sign * n, den)}) for g, n in C.items()}
 
 
 def compute_correction(theory: FormalTheory, alpha, beta) -> RExpansion:
@@ -280,22 +338,26 @@ def compute_correction(theory: FormalTheory, alpha, beta) -> RExpansion:
               + sum_{s = sbar != 1} value * r^{2(s-1)}/(2(s-1)) * <O_c^{..}>_{D_r}.
     The s = 0 term is the -K/(2 r^2) counterterm of the special marginal OPE.
     """
-    terms = {(0, 1): _channel(theory.effective_C(alpha, beta))}
-    for denom, key, val in _power_rows(theory, alpha, beta):
-        _add(terms.setdefault((denom, 0), {}), key, LogPoly._of({(0, 0, 0, 0): val / denom}))
+    record, frac = theory._pair(alpha, beta), theory._fraction
+    terms = {(0, 1): _channel(theory, record.C)}
+    terms.update(((d, 0), {}) for d in record.denoms)
+    for d, c, mu, mubar, num, dd in record.powers:
+        terms[d, 0][("corr", c, mu, mubar)] = LogPoly._of({(0, 0, 0, 0): frac(num, dd)})
     return _expansion(terms)
 
 
 def integrated_ope(theory: FormalTheory, alpha, beta) -> RExpansion:
     """int_{D_R \\ D_r} dmu <O_alpha(z) O_beta(0)>_{D_R}, termwise via the
     annulus moments; an RExpansion in r with symbolic R in the scalars."""
-    C = theory.effective_C(alpha, beta)
+    record, frac = theory._pair(alpha, beta), theory._fraction
     # log(R/r) * C * <O_gamma>_{D_R}
-    const = _channel(C, (0, 0, 1, 0))
-    terms = {(0, 0): const, (0, 1): {key: -val for key, val in _channel(C).items()}}
-    for denom, key, val in _power_rows(theory, alpha, beta):
-        _add(const, key, LogPoly._of({(denom, 0, 0, 0): val / denom}))
-        _add(terms.setdefault((denom, 0), {}), key, LogPoly._of({(0, 0, 0, 0): -val / denom}))
+    const = _channel(theory, record.C, (0, 0, 1, 0))
+    terms = {(0, 0): const, (0, 1): _channel(theory, record.C, sign=-1)}
+    terms.update(((d, 0), {}) for d in record.denoms)
+    for d, c, mu, mubar, num, dd in record.powers:
+        key = ("corr", c, mu, mubar)
+        const[key] = LogPoly._of({(d, 0, 0, 0): frac(num, dd)})
+        terms[d, 0][key] = LogPoly._of({(0, 0, 0, 0): frac(-num, dd)})
     return _expansion(terms)
 
 
@@ -352,13 +414,15 @@ def _dilate(theory, expansion, weight) -> RExpansion:
 
     Each monomial's exponents shift directly; a zero shift (so j = q and
     comb(q, j) = 1) is the value itself.  Shifted values stay zero-free, but
-    values from different q can meet at one (p, j) and cancel, which
-    _expansion drops."""
-    terms = {}
+    values from different q can meet at one (p, j) and cancel: only then are
+    the rows filtered."""
+    dims, terms, met = theory.dims, {}, False
     for (p, q), vec in expansion.terms.items():
         rows = [(terms.setdefault((p, j), {}), comb(q, j), q - j) for j in range(q + 1)]
         for key, val in vec.terms.items():
-            lam = canonical_exponent(weight + p - theory.corr_dimension(key))
+            _, label, mu, mubar = key
+            h, hbar = dims[label]
+            lam = canonical_exponent(weight + p - (h + hbar + sum(mu) + sum(mubar)))
             for row, n, dj in rows:
                 moved = val
                 if lam or dj:
@@ -368,7 +432,13 @@ def _dilate(theory, expansion, weight) -> RExpansion:
                             for (a, b, i, k), c in val.terms.items()
                         }
                     )
-                _add(row, key, moved)
+                if key in row:
+                    row[key] = row[key] + moved
+                    met = True
+                else:
+                    row[key] = moved
+    if met:
+        terms = {pq: {key: val for key, val in vec.items() if val} for pq, vec in terms.items()}
     return _expansion(terms)
 
 
@@ -386,10 +456,10 @@ def anomalous_dilation(theory: FormalTheory, beta):
         dv = compute_correction(theory, alpha, beta)
         if not dv.is_zero():
             tilde[mono] = rhs[mono] = dv
-        C = theory.effective_C(alpha, beta)
-        if C:  # effective_C stores no zeros, so the channel vector is nonzero
-            log_lam = RExpansion._of({(0, 0): FormalVector._of(_channel(C, (0, 0, 0, 1)))})
-            _add(rhs, mono, log_lam)
+        C = theory._pair(alpha, beta).C
+        if C:  # the record stores no zeros, so the channel vector is nonzero
+            log_lam = RExpansion._of({(0, 0): FormalVector._of(_channel(theory, C, (0, 0, 0, 1)))})
+            rhs[mono] = rhs[mono] + log_lam if mono in rhs else log_lam
     # monomials () and single symbols; nonzero values: dilation is invertible,
     # and dv and the log(lam) channel never share an (r, log r) key
     lhs = Jet._of(alg, {mono: _dilate(theory, e, 2) for mono, e in tilde.items()})
@@ -404,28 +474,46 @@ def double_deform(theory: FormalTheory) -> Jet:
 
     The (g~ g)-bilinear term integrates the deformed one-point correlator:
     its computable parts are log(R) C I_gamma and -K/2 A_a, with the
-    remaining R-independent regular part kept as an explicit atom; the
-    result is recombined into g_c (raises on an asymmetric bilinear part).
+    remaining R-independent regular part kept as an explicit atom.  The
+    result is written in g_c = g + g~ directly, as recombine would: the
+    linear terms pair up, g^alpha g~^beta and g^beta g~^alpha become
+    g_c^alpha g_c^beta, and g^alpha g~^alpha becomes half of
+    g_c^alpha g_c^alpha.  The two bilinear terms of a pair are equal exactly
+    when its two records agree (C, K, and whether it has rows); if they
+    differ, there is no g_c form and RecombinationError is raised.
     """
     labels = theory.marginals
-    alg = JetAlgebra.double_coupling(labels)
+    alg = JetAlgebra.combined_coupling(labels)
+    den, frac = theory.den, theory._fraction
+    names = {m: f"gc[{m}]" for m in labels}
     coeffs = {(): FormalVector.atom(("disk",))}
     for m in labels:
-        coeffs[(f"g[{m}]",)] = FormalVector.atom(("int", m))
-        coeffs[(f"gt[{m}]",)] = FormalVector.atom(("int", m))
-    for alpha in labels:
-        for beta in labels:
-            C, K = theory.effective_C(alpha, beta), theory.K(alpha, beta)
-            vec = {("int", g): LogPoly._of({(0, 0, 1, 0): val}) for g, val in C.items()}
+        coeffs[(names[m],)] = FormalVector.atom(("int", m))
+    # in recombine's order, and from its operand: the term g^lj g~^li
+    for i, li in enumerate(labels):
+        for lj in labels[i:]:
+            record, has_rows = theory._pair(lj, li), (lj, li) in theory.rows
+            if li == lj:
+                half, unit = 2, LogPoly._of({(0, 0, 0, 0): frac(1, 2)})
+            else:
+                twin = theory._pair(li, lj)
+                if (record.C, record.K, has_rows) != (twin.C, twin.K, (li, lj) in theory.rows):
+                    raise RecombinationError(f"bilinear part not symmetric in ({li}, {lj})")
+                half, unit = 1, LogPoly.monomial(1)
+            cden, kden = half * den * theory.mixing_den, -2 * half * den
+            vec = {
+                ("int", g): LogPoly._of({(0, 0, 1, 0): frac(n, cden)}) for g, n in record.C.items()
+            }
             vec.update(
-                (("int0", a), LogPoly._of({(0, 0, 0, 0): -val / 2})) for a, val in K.items()
+                (("int0", a), LogPoly._of({(0, 0, 0, 0): frac(n, kden)}))
+                for a, n in record.K.items()
             )
-            if (alpha, beta) in theory.rows:
-                vec[("reg",) + tuple(sorted((alpha, beta)))] = LogPoly.monomial(1)
+            if has_rows:
+                vec[("reg",) + tuple(sorted((li, lj)))] = unit
             if vec:  # C and K store no zeros, and the keys are distinct atoms
-                coeffs[tuple(sorted((f"gt[{beta}]", f"g[{alpha}]")))] = FormalVector._of(vec)
-    # sorted monomials of degree at most one per group, nonzero atom vectors
-    return recombine(Jet._of(alg, coeffs), labels=labels)
+                coeffs[tuple(sorted((names[li], names[lj])))] = FormalVector._of(vec)
+    # sorted monomials of degree at most two in gc, nonzero atom vectors
+    return Jet._of(alg, coeffs)
 
 
 def radius_scaled(theory: FormalTheory, pf: Jet) -> Jet:
@@ -451,7 +539,7 @@ class BetaResult:
         out = {}
         for gamma, b in self.coefficients.items():
             linear = Jet.symbol(self.algebra, f"gc[{gamma}]", Fraction(1))
-            out[gamma] = linear + b.map_coeffs(lambda c: c * LOG_LAM)
+            out[gamma] = linear + b.map_coeffs(lambda c: LogPoly._of({(0, 0, 0, 1): c}))
         return out
 
     def is_zero(self):
@@ -462,18 +550,20 @@ def beta(theory: FormalTheory) -> BetaResult:
     labels = theory.marginals
     alg = JetAlgebra.combined_coupling(labels)
     names = {label: f"gc[{label}]" for label in labels}
+    den, frac = theory.den * theory.mixing_den, theory._fraction
     structure = {}
     per_gamma = {gamma: {} for gamma in labels}
     for alpha in labels:
         for b_ in labels:
             mono = tuple(sorted((names[alpha], names[b_])))
-            for gamma, val in theory.effective_C(alpha, b_).items():
-                structure[(alpha, b_, gamma)] = val
-                _add(per_gamma[gamma], mono, val)
+            for gamma, n in theory._pair(alpha, b_).C.items():
+                structure[(alpha, b_, gamma)] = frac(n, den)
+                coeffs = per_gamma[gamma]
+                coeffs[mono] = coeffs.get(mono, 0) + n
     # the monomials are sorted quadratics in gc, each allowed; C_ab + C_ba
-    # can cancel, so only zeros are left to drop
+    # can cancel, and those zeros drop before any Fraction is made
     coefficients = {
-        gamma: Jet._of(alg, {mono: c / 2 for mono, c in coeffs.items() if c})
+        gamma: Jet._of(alg, {mono: frac(n, 2 * den) for mono, n in coeffs.items() if n})
         for gamma, coeffs in per_gamma.items()
     }
     return BetaResult(alg, coefficients, structure)

@@ -457,7 +457,8 @@ def apply_current(v: BoundaryState, n: int, bar: bool = False) -> BoundaryState:
                 row = space.blocks[y][mu] + space._ranks[y - m][new]
             else:
                 row = space.blocks[y][new] + col - start
-            out[row] = weight * c
+            # 1 * c would be a new Fraction; every OPE-pipeline weight is 1
+            out[row] = c if weight == 1 else weight * c
     return BoundaryState._of(space, out, v.truncation_loss + loss)
 
 

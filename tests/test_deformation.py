@@ -593,13 +593,19 @@ _HOSTILE_CHANNELS = [
 @st.composite
 def _hostile_theories(draw):
     """1-4 marginals; repeated rows in one pair, some cancelling to zero;
-    mixing, spin rows, Fraction dimensions and (2, 1) descendants.  Rows are
+    mixing, spin rows, Fraction dimensions and (2, 1) descendants.  Row and
+    mixing values have small, coprime (7) and large (2**61 - 1) denominators
+    or are decoded floats (2**k denominators), so the builders' common
+    denominators are rarely 1; mixing values may also be ints.  Rows are
     mirrored in (a, b) with sign +1 (symmetric), -1 (antisymmetric: beta's
     off-diagonal terms cancel) or not at all; double_deform raises on the
     last two unless their bilinear part happens to be symmetric."""
     labels = [f"m{i}" for i in range(draw(st.integers(1, 4)))]
     channels = [(m, (), ()) for m in labels] + _HOSTILE_CHANNELS
-    value = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+    value = st.one_of(
+        st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 7, 2**61 - 1])),
+        st.sampled_from([0.1, -0.3, 2.5, 1e-3]).map(Fraction),
+    )
     mirror = draw(st.sampled_from([1, -1, None]))
     rows = []
     for ia, a in enumerate(labels):
@@ -615,7 +621,7 @@ def _hostile_theories(draw):
             if mirror and a != b:
                 rows.extend((b, a, *row[2:5], mirror * row[5]) for row in new)
     mixing = {
-        (src, m): draw(st.integers(-2, 2))
+        (src, m): draw(st.one_of(st.integers(-2, 2), value))
         for src in ("1", "z")
         for m in labels
         if draw(st.booleans())
@@ -625,8 +631,9 @@ def _hostile_theories(draw):
 
 
 def _same(got, want):
+    # _typed: the repr, and how many exact scalars are ints and Fractions
     assert got == want
-    assert repr(got) == repr(want)
+    assert _typed(got) == _typed(want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -881,6 +888,25 @@ FORMAL_REPORT_DIGEST = "b3bc5b4c5507250dfeeac91cf0a84c2322c02709cd9a6efa94684535
 def test_formal_outputs_match_pinned_digests(n):
     th = FormalTheory(*_formal_rows(random.Random(n), n))
     assert _formal_digest(th) == FORMAL_DIGESTS[n]
+
+
+def test_memos_are_per_theory():
+    # the pair records and the Fraction table fill on use, per theory: a
+    # theory built after another from the same rows starts with neither,
+    # gets the same outputs, and holds none of the first theory's Fractions
+    data = _formal_rows(random.Random(5), 5)
+    first = FormalTheory(*data)
+    want = _formal_digest(first)
+    assert first._pairs and first._fractions
+    second = FormalTheory(*data)
+    assert second._pairs == {} and second._fractions == {}
+    assert _formal_digest(second) == want
+    assert second._pairs.keys() == first._pairs.keys()
+    outputs = [double_deform(second), beta(second).coefficients]
+    for b in second.marginals:
+        outputs += anomalous_dilation(second, b)
+    seen = {id(f) for f in first._fractions.values()}
+    assert not any(id(x) in seen for out in outputs for x in _walk(out))
 
 
 def test_formal_report_matches_pinned_digest(capsys, tmp_path):
