@@ -363,7 +363,7 @@ def integrated_ope(theory: FormalTheory, alpha, beta) -> RExpansion:
 
 def marginal_coupling_algebra(theory):
     """One first-order coupling g[m] per marginal m."""
-    return JetAlgebra({"g": ([f"g[{m}]" for m in theory.marginals], 1)})
+    return JetAlgebra([f"g[{m}]" for m in theory.marginals], 1)
 
 
 def insert_family_deformed(theory: FormalTheory, beta, correction=True) -> Jet:
@@ -475,12 +475,12 @@ def double_deform(theory: FormalTheory) -> Jet:
     The (g~ g)-bilinear term integrates the deformed one-point correlator:
     its computable parts are log(R) C I_gamma and -K/2 A_a, with the
     remaining R-independent regular part kept as an explicit atom.  The
-    result is written in g_c = g + g~ directly, as recombine would: the
-    linear terms pair up, g^alpha g~^beta and g^beta g~^alpha become
-    g_c^alpha g_c^beta, and g^alpha g~^alpha becomes half of
-    g_c^alpha g_c^alpha.  The two bilinear terms of a pair are equal exactly
-    when its two records agree (C, K, and whether it has rows); if they
-    differ, there is no g_c form and RecombinationError is raised.
+    result is written in g_c = g + g~ directly: the linear terms pair up,
+    g^alpha g~^beta and g^beta g~^alpha become g_c^alpha g_c^beta, and
+    g^alpha g~^alpha becomes half of g_c^alpha g_c^alpha.  The two bilinear
+    terms of a pair are equal exactly when its two records agree (C, K, and
+    whether it has rows); if they differ, there is no g_c form and
+    RecombinationError is raised.
     """
     labels = theory.marginals
     alg = JetAlgebra.combined_coupling(labels)
@@ -489,7 +489,7 @@ def double_deform(theory: FormalTheory) -> Jet:
     coeffs = {(): FormalVector.atom(("disk",))}
     for m in labels:
         coeffs[(names[m],)] = FormalVector.atom(("int", m))
-    # in recombine's order, and from its operand: the term g^lj g~^li
+    # each unordered pair once, li <= lj, from the term g^lj g~^li
     for i, li in enumerate(labels):
         for lj in labels[i:]:
             record, has_rows = theory._pair(lj, li), (lj, li) in theory.rows
@@ -625,7 +625,7 @@ def fb_deformed_disk(space, R=1) -> Jet:
 
     Radius-independent, as marginality requires.
     """
-    alg = JetAlgebra({"g": (["g[jjbar]"], 1)})
+    alg = JetAlgebra(["g[jjbar]"], 1)
     w = space.zero()
     for k in range(1, space.l_max // 2 + 1):
         state = apply_current(apply_current(space.vacuum(), -k), -k, bar=True)

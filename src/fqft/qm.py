@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import GeometryError, QuadratureError, ValidationError
-from .jets import Jet, JetAlgebra, jet_mul, recombine
+from .jets import Jet, JetAlgebra, jet_mul
 
 
 class QmTheory:
@@ -178,32 +178,33 @@ def _block_row(theory: QmTheory, alpha, beta, *blocks):
 
 
 def qm_double_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
-    """Deform twice by the same family and rewrite in the combined coupling:
+    """Deform twice by the same family, written in the combined coupling:
     pf + g_c^a int <O_a> + (1/2) g_c^a g_c^b int int T{<O_a O_b>}."""
+    n = theory.dim
+    for l, O in obs.items():
+        O = np.asarray(O)
+        if O.shape != (n, n) or not np.all(np.isfinite(O)):
+            raise ValidationError(f"observable {l!r} must be a finite {n}x{n} array")
     labels = sorted(obs)
-    alg = JetAlgebra.double_coupling(labels)
+    gc = {l: f"gc[{l}]" for l in labels}
     # one 3n x 3n exponential per label: its top block row is the evolution,
-    # the first order and the ordered second order of that label
+    # the first order and the ordered second order of that label, which is
+    # half the time-ordered integral
     rows = {l: _block_row(theory, alpha, beta, obs[l], obs[l]) for l in labels}
     coeffs = {(): rows[labels[0]][0] if labels else _block_row(theory, alpha, beta)[0]}
     for l in labels:
-        coeffs[(f"g[{l}]",)] = rows[l][1]
-        coeffs[(f"gt[{l}]",)] = rows[l][1]
-    # the time-ordered integral is symmetric, so each unordered pair is
-    # computed once and stored under both of its monomials
+        coeffs[(gc[l],)] = rows[l][1]
     for i, a in enumerate(labels):
-        for b in labels[i:]:
-            if a == b:
-                S = 2 * rows[a][2]
-            else:  # the ordered integrals of (a, b) and of (b, a)
-                S = (
-                    _block_row(theory, alpha, beta, obs[a], obs[b])[2]
-                    + _block_row(theory, alpha, beta, obs[b], obs[a])[2]
-                )
-            coeffs[tuple(sorted((f"gt[{a}]", f"g[{b}]")))] = S
-            coeffs[tuple(sorted((f"gt[{b}]", f"g[{a}]")))] = S
-    raw = Jet(alg, coeffs)
-    return SegmentPF(theory, alpha, beta, recombine(raw, labels))
+        coeffs[(gc[a], gc[a])] = rows[a][2]
+        # a pair a < b: the time-ordered integral is the sum of the ordered
+        # integrals of (a, b) and of (b, a)
+        for b in labels[i + 1 :]:
+            coeffs[tuple(sorted((gc[a], gc[b])))] = (
+                _block_row(theory, alpha, beta, obs[a], obs[b])[2]
+                + _block_row(theory, alpha, beta, obs[b], obs[a])[2]
+            )
+    jet = Jet(JetAlgebra.combined_coupling(labels), coeffs)
+    return SegmentPF(theory, alpha, beta, jet)
 
 
 # ------------------------------------------------------------------- oracle
@@ -223,7 +224,13 @@ def _poly_mat_mul(A, B, order):
     return out
 
 
-def taylor_series_oracle(H, O, T, order=2, tol=1e-16, max_terms=200):
+# the oracle's series stops at the first term below _ORACLE_TOL in every
+# order, and gives up after _ORACLE_MAX_TERMS terms
+_ORACLE_TOL = 1e-16
+_ORACLE_MAX_TERMS = 200
+
+
+def taylor_series_oracle(H, O, T, order=2):
     """Taylor coefficients in g of exp(-T (H + g O)), orders 0..order.
 
     Scaling-and-squaring on matrix-valued polynomials: the series for the
@@ -240,12 +247,12 @@ def taylor_series_oracle(H, O, T, order=2, tol=1e-16, max_terms=200):
     eye = np.eye(n, dtype=complex)
     acc = [eye] + [None] * order
     term = [eye] + [None] * order
-    for k in range(1, max_terms):
+    for k in range(1, _ORACLE_MAX_TERMS):
         term = [t / k if t is not None else None for t in _poly_mat_mul(term, M, order)]
         for i, t in enumerate(term):
             if t is not None:
                 acc[i] = t if acc[i] is None else acc[i] + t
-        if all(t is None or np.max(np.abs(t)) < tol for t in term):
+        if all(t is None or np.max(np.abs(t)) < _ORACLE_TOL for t in term):
             break
     else:  # pragma: no cover
         raise QuadratureError("oracle series did not converge")

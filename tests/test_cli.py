@@ -218,6 +218,8 @@ def test_bad_flags_exit_2():
     [
         ["qm", "--dim", "0"],
         ["qm", "--dim", "-3"],
+        ["qm", "--dim", str(fqft.cli.QM_DIM_HARD_CAP + 1)],
+        ["all", "--dim", str(fqft.cli.QM_DIM_HARD_CAP + 1)],
         ["qm", "--tolerance", "oracle=nan"],
         ["qm", "--tolerance", "bogus=1"],
         ["qm", "--seed", "-1"],
@@ -226,6 +228,8 @@ def test_bad_flags_exit_2():
     ids=[
         "dim-0",
         "dim-negative",
+        "dim-above-cap",
+        "all-dim-above-cap",
         "tolerance-nan",
         "tolerance-unknown-key",
         "seed-negative",

@@ -170,6 +170,18 @@ def test_qm_double_deform_second_order_is_time_ordered_integral():
             assert np.array_equal(seg.value.coefficient(mono), want)
 
 
+@pytest.mark.parametrize(
+    "O",
+    [2.0, np.ones((1, 1)), np.ones((3, 2)), np.ones((1, 3, 3)), np.diag([1.0, np.nan, 0.0])],
+    ids=["scalar", "1x1", "3x2", "batch", "nan"],
+)
+def test_qm_double_deform_rejects_observables_that_are_not_finite_square(O):
+    # numpy would broadcast a scalar or a 1x1 array into a constant 3x3 block
+    th = QmTheory(np.eye(3))
+    with pytest.raises(ValidationError, match="'o'"):
+        qm_double_deform(th, {"a": np.eye(3), "o": O}, 0.0, 1.0)
+
+
 def _similarity(rng, dim):
     # random non-orthogonal similarity with condition number 10: a worse one
     # inflates the evolution's own rounding past the tolerances on any method
@@ -338,7 +350,7 @@ def test_block_row_is_top_row_of_van_loan_exponential(n):
 def test_qm_glue_algebra_mismatch():
     # first-order jets of two segments deformed by different labels
     a, b = (
-        Jet(JetAlgebra({"g": ([f"g[{l}]"], 1)}), {(): np.eye(2), (f"g[{l}]",): np.eye(2)})
+        Jet(JetAlgebra([f"g[{l}]"], 1), {(): np.eye(2), (f"g[{l}]",): np.eye(2)})
         for l in ("x", "y")
     )
     with pytest.raises(ValueError):

@@ -15,13 +15,14 @@ from fqft.rexp import RExpansion, coeff_is_zero
 from fqft.scalars import LogPoly
 
 SPACE = build_space(2)
-ALG = JetAlgebra.double_coupling(["x", "y"])
+ALG = JetAlgebra.combined_coupling(["x", "y"])
 MATRIX = np.array([[1.0, -2.0], [0.5, 3.0]])
 STATE = SPACE.state((1,))
 (STATE_INDEX,) = STATE.coeffs
 R_POWER = LogPoly.monomial(R=-2)
 
-# (raw key, the key it normalises to); None drops (a nilpotent monomial).
+# (raw key, the key it normalises to); None drops (a monomial past the
+# algebra's order).
 # An integral Fraction exponent is == to its int, so the two cannot both be
 # keys of one input dict; jet monomials in another order can.
 REXP_KEYS = [
@@ -32,11 +33,11 @@ REXP_KEYS = [
 ]
 JET_KEYS = [
     ((), ()),
-    (("g[x]",), ("g[x]",)),
-    (("gt[y]", "g[x]"), ("g[x]", "gt[y]")),
-    (("g[x]", "gt[y]"), ("g[x]", "gt[y]")),
-    (("gt[x]", "g[y]"), ("g[y]", "gt[x]")),
-    (("g[x]", "g[y]"), None),
+    (("gc[x]",), ("gc[x]",)),
+    (("gc[y]", "gc[x]"), ("gc[x]", "gc[y]")),
+    (("gc[x]", "gc[y]"), ("gc[x]", "gc[y]")),
+    (("gc[y]", "gc[y]"), ("gc[y]", "gc[y]")),
+    (("gc[x]", "gc[y]", "gc[x]"), None),
 ]
 VECTOR_KEYS = [(k, k) for k in [("corr", "e", (), ()), ("disk",), ("int", "e"), ("int0", "1")]]
 SERIES_KEYS = [(k, k) for k in [(0, 0), (-1, 0), (0, -2), (-1, -1)]]
