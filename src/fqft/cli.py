@@ -255,8 +255,9 @@ def build_parser():
 
 
 def main(argv=None):
-    level = os.environ.get("FQFT_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # only int attributes are levels: logging.BASIC_FORMAT is a format string
+    level = getattr(logging, os.environ.get("FQFT_LOG", "warning").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = build_parser()
     args = parser.parse_args(argv)
     formal = getattr(args, "backend", None) == "formal"
@@ -282,8 +283,9 @@ def main(argv=None):
                 args.formal_theory = theory_from_json(fh.read())
         except OSError as err:
             parser.error(f"cannot read --theory {args.theory}: {err.strerror}")
-        except (ValueError, KeyError, TypeError, OverflowError) as err:
-            # OverflowError: Fraction of an infinite number (1e400, Infinity)
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as err:
+            # OverflowError: Fraction of an infinite number (1e400, Infinity);
+            # RecursionError: json.loads of deeply nested arrays or objects
             parser.error(f"invalid --theory {args.theory}: {err!r}")
     config = {key: getattr(args, key) for key in SETTINGS if key in args}
     tol = None

@@ -5,19 +5,18 @@ non-increasing tuples, and the columns run in graded-lexicographic key
 order.  No per-column key is stored: `space.key_of(i)` reads column i's key
 off the block map and `space.index_of(level, mu, nu)` is its inverse.
 Boundary states are sparse {basis index: nonzero coefficient} maps;
-`apply_current` applies a U(1) current mode to a state one nonzero at a
+`apply_current` applies a U(1) current mode j_n to a state one nonzero at a
 time, and `scale_by_level` scales each level's part by one scalar.  A mode
-operator is j_n, L_n or a bar, each a partition table {mu:
-{new: weight}} acting on one chiral side with a level shift, or the product
-or commutator of two modes on one side, whose tables multiply as integers
-over one denominator in exact arithmetic.  Per level its terms reduce to one rule, which
-`apply_mode` reads one nonzero at a time; the rule is lifted once, when
-first read, to block runs (one Fraction per distinct numerator), from which
-its entries {(row, col): nonzero scalar} and its dropped columns are read.
+operator is L_n or Lbar_n (`build_virasoro`), a partition table {mu: {new:
+weight}} acting on one chiral side with a level shift, or the `commutator`
+of two modes on one side, whose tables multiply as integers over one
+denominator in exact arithmetic.  Its `.entries`, {(row, col): nonzero
+scalar}, lift the tables onto the columns on each read, with one Fraction
+per distinct numerator.
 
 The zero mode j_0 acts as zero throughout (the zero-mode sector is out of
-scope), and components pushed above the truncation level are dropped with a
-queryable loss counter.
+scope).  `apply_current` drops components pushed above the truncation level
+and counts them as truncation loss; an operator keeps no entries there.
 """
 
 from __future__ import annotations
@@ -30,10 +29,10 @@ from .errors import ResourceLimitError, SpaceMismatchError
 # Hard cap on the truncation level.  dim grows like sum p(k)p(m) (7 567 at
 # 14, 17 345 at 16, 38 045 at 18).  Exact arithmetic, one process on a
 # 2-core Xeon, Python 3.11, median of 5: build_space, the tables of L_{+-2}
-# and L_0, lifting [L_2, L_{-2}] and L_0's columns take 0.002 + 0.006 +
-# 0.0004 + 0.015 + 0.005 s at 14 (peak RSS 20 MB, 15 MB of it imports) and
-# 0.004 + 0.010 + 0.001 + 0.034 + 0.010 s at 16 (28 MB); with the cap lifted,
-# 0.007 + 0.024 + 0.001 + 0.10 + 0.023 s and 48 MB at 18.  Per two levels time
+# and L_0, lifting [L_2, L_{-2}] and L_0's columns take 0.0014 + 0.005 +
+# 0.0002 + 0.017 + 0.004 s at 14 (peak RSS 21 MB, 15 MB of it imports) and
+# 0.003 + 0.012 + 0.0006 + 0.038 + 0.010 s at 16 (26 MB); with the cap lifted,
+# 0.007 + 0.022 + 0.001 + 0.10 + 0.021 s and 45 MB at 18.  Per two levels time
 # and memory above imports grow 2-3x; the commutator's lift is the largest cost.
 L_MAX_HARD_CAP = 16
 
@@ -255,48 +254,26 @@ _EMPTY: dict = {}  # the image of a partition a table does not map
 
 
 class ModeOperator:
-    """j_n, jbar_n, L_n or Lbar_n on a truncated space, or the product or
-    commutator of two of them on one side (`bar` False or True); it maps
-    level x to x - n.  It is held as its terms (partition table {p: {new:
-    weight}} with weights over `denominator`, integers in exact arithmetic
-    and floats over 1 in float64; sign; level shift of the factor acting
-    first; partitions that factor maps to nonzero).  A mode keeps its own
-    `table`, a product None.  Per level the terms reduce to one rule, which
-    apply_mode reads one nonzero at a time; the rules are lifted once, when
-    first read, to block runs, from which `.entries` and `.dropped_cols`
-    are read.  dropped_cols are the columns whose image has components
-    above l_max (dropped, and counted as truncation loss by apply_mode)."""
+    """L_n or Lbar_n on a truncated space, or the commutator of two of them
+    on one side (`bar` False or True); it maps level x to x - n.  It is
+    held as its terms (partition table {p: {new: weight}} with weights over
+    `denominator`, integers in exact arithmetic and floats over 1 in
+    float64; sign; level shift of the factor acting first).  A mode keeps
+    its own `table`, a commutator None.  `.entries` lifts the terms onto the
+    columns on each read; a column whose image, or whose first factor's
+    image, lies above l_max keeps no entries from that term."""
 
-    __slots__ = ("space", "bar", "n", "denominator", "terms", "table", "_rules", "_lifted")
+    __slots__ = ("space", "bar", "n", "denominator", "terms", "table")
 
     def __init__(self, space, bar, n, denominator, terms, table=None):
         self.space, self.bar, self.n, self.denominator = space, bar, n, denominator
         self.terms, self.table = terms, table
-        self._rules = self._lifted = None
-
-    def _level_rules(self) -> list:
-        """Per level x, (summed table {p: {new: nonzero scalar}}, drop_all,
-        drop).  A term reaches level x where x - first and x - n are at most
-        l_max.  Every column at x is dropped where some x - first exceeds
-        l_max (drop_all); else a column whose partition is in `drop`, where
-        x - n exceeds l_max and a first factor maps that partition to nonzero."""
-        if self._rules is None:
-            l_max, n, terms = self.space.l_max, self.n, self.terms
-            self._rules, tables = [], {}
-            for x in range(l_max + 1):
-                kept = tuple(t for t, term in enumerate(terms) if max(x - term[2], x - n) <= l_max)
-                if kept not in tables:
-                    tables[kept] = self._summed([terms[t] for t in kept])
-                drop_all = any(x - term[2] > l_max for term in terms)
-                drop = () if drop_all or x - n <= l_max else {p for term in terms for p in term[3]}
-                self._rules.append((tables[kept], drop_all, drop))
-        return self._rules
 
     def _summed(self, terms) -> dict:
         """The signed sum of the terms' tables, one scalar per distinct
         numerator; zeros are dropped."""
         summed = {}
-        for table, sign, _, _ in terms:
+        for table, sign, _ in terms:
             for p, image in table.items():
                 acc = summed.setdefault(p, {})
                 for new, w in image.items():
@@ -307,31 +284,48 @@ class ModeOperator:
         scalar = {s: Fraction(s, denominator) if exact else s for s in values}
         return {p: {new: scalar[s] for new, s in image.items() if s} for p, image in summed.items()}
 
-    def _runs(self) -> tuple:
-        if self._lifted is None:
-            self._lifted = _lift(self)
-        return self._lifted
-
-    @property
-    def dropped_cols(self) -> frozenset:
-        return self._runs()[1]
-
     @property
     def entries(self) -> dict:
-        """A fresh {(row, col): scalar} dict of the nonzero entries."""
-        out = {}
-        for row, col, size, v in self._runs()[0]:
-            if size == 1:  # most runs are single entries: skip the range
-                out[row, col] = v
+        """A fresh {(row, col): scalar} dict of the nonzero entries.  Per
+        level x with x - n in 0..l_max, the terms whose first factor keeps x
+        within l_max are summed (once per set of such terms).  A chiral
+        image new of mu maps the block (x, mu) onto (x - n, new) in order;
+        an antichiral image new of nu maps (x, mu, nu) into the block
+        (x - n, mu) at the rank of new."""
+        space, bar, n, terms = self.space, self.bar, self.n, self.terms
+        l_max, blocks = space.l_max, space.blocks
+        out, tables = {}, {}
+        counts = [partition_count(k) for k in range(l_max + 1)]
+        for level, starts in enumerate(blocks):
+            y = level - n
+            if not 0 <= y <= l_max:
                 continue
-            for i in range(size):
-                out[row + i, col + i] = v
+            kept = tuple(t for t, term in enumerate(terms) if level - term[2] <= l_max)
+            if kept not in tables:
+                tables[kept] = self._summed([terms[t] for t in kept])
+            table, targets, sides = tables[kept], blocks[y], {}  # antichiral images by |mu|
+            for mu, start in starts.items():
+                m = sum(mu)
+                if not bar:
+                    size = counts[level - m]
+                    for new, v in table.get(mu, _EMPTY).items():
+                        row = targets[new]
+                        for i in range(size):
+                            out[row + i, start + i] = v
+                    continue
+                if m not in sides:  # (position of nu, rank of new, value)
+                    rank = _rank(y - m)
+                    sides[m] = [
+                        (j, rank[new], v)
+                        for j, nu in enumerate(partitions(level - m))
+                        for new, v in table.get(nu, _EMPTY).items()
+                    ]
+                images = sides[m]
+                if images:  # the block (y, mu) exists where nu has an image
+                    row = targets[mu]
+                    for j, r, v in images:
+                        out[row + r, start + j] = v
         return out
-
-    def compose(self, other) -> "ModeOperator":
-        """Matrix product self @ other (other acts first) of two modes on
-        one side."""
-        return _product(self, other, commute=False)
 
 
 def _table_product(a: dict, b: dict) -> dict:
@@ -346,55 +340,6 @@ def _table_product(a: dict, b: dict) -> dict:
                 acc[new] = acc[new] + x if new in acc else x
         out[p] = acc
     return out
-
-
-def _product(a: ModeOperator, b: ModeOperator, commute: bool) -> ModeOperator:
-    """a @ b, or [a, b] when commute, of two modes on one side, lifted when
-    read.  A column keeps a product's entries when every level it passes is
-    at most l_max; a @ b drops it when b drops it, or when b's image of its
-    partition is nonzero and a drops that image."""
-    _check_space(a, b)
-    if a.table is None or b.table is None or a.bar != b.bar:
-        raise ValueError("only two modes on one side multiply")
-    terms = [(_table_product(a.table, b.table), 1, b.n, b.table)]
-    if commute:
-        terms.append((_table_product(b.table, a.table), -1, a.n, a.table))
-    return ModeOperator(a.space, a.bar, a.n + b.n, a.denominator * b.denominator, terms)
-
-
-def _lift(op: ModeOperator):
-    """(runs, dropped columns) of op's level rules; a run (row, col, size,
-    value) is the entries (row + i, col + i), i < size.  A chiral image new
-    of mu maps the block (x, mu) onto (x - n, new) in order, one run; an
-    antichiral image new of nu maps (x, mu, nu) into the block (x - n, mu)."""
-    space, bar, n, rules = op.space, op.bar, op.n, op._level_rules()
-    l_max, blocks = space.l_max, space.blocks
-    runs, dropped = [], []
-    counts = [partition_count(k) for k in range(l_max + 1)]
-    for level, starts in enumerate(blocks):
-        table, drop_all, drop = rules[level]
-        y, sides = level - n, {}  # the images' level; antichiral images by |mu|
-        targets = blocks[y] if 0 <= y <= l_max else None
-        for mu, start in starts.items():
-            m = sum(mu)
-            if drop_all or not bar and mu in drop:
-                dropped += range(start, start + counts[level - m])
-            if not bar:
-                for new, v in table.get(mu, _EMPTY).items():
-                    runs.append((targets[new], start, counts[level - m], v))
-                continue
-            if m not in sides:  # (position of nu, rank of new, value), dropped positions
-                nus = list(enumerate(partitions(level - m)))
-                rank = _rank(y - m) if targets else _EMPTY
-                images = [
-                    (j, rank[new], v) for j, nu in nus for new, v in table.get(nu, _EMPTY).items()
-                ]
-                sides[m] = images, [j for j, nu in nus if nu in drop]
-            images, lost = sides[m]
-            row = targets[mu] if images else None  # the block (y, mu) exists where nu has an image
-            dropped += [start + j for j in lost]
-            runs += [(row + r, start + j, 1, v) for j, r, v in images]
-    return runs, frozenset(dropped)
 
 
 def build_space(l_max: int, exact: bool = True) -> TruncatedFockSpace:
@@ -424,23 +369,12 @@ def _mode_on_partition(mu: tuple, n: int):
     return mu[:k] + mu[k + 1 :], n * count
 
 
-def current_mode(space: TruncatedFockSpace, n: int, bar: bool = False) -> ModeOperator:
-    """j_n (bar=False) or jbar_n as an operator on the truncated space."""
-    one = 1 if space.exact else 1.0
-    table = {}
-    for size in range(min(space.l_max, space.l_max + n) + 1):  # see build_virasoro
-        for mu in partitions(size):
-            image = _mode_on_partition(mu, n)
-            if image is not None:
-                table[mu] = {image[0]: image[1] * one}
-    return ModeOperator(space, bar, n, 1, [(table, 1, n, ())], table)
-
-
 def apply_current(v: BoundaryState, n: int, bar: bool = False) -> BoundaryState:
-    """j_n (or jbar_n) applied to v one nonzero at a time, without building
-    the operator; equals apply_mode(current_mode(v.space, n, bar), v),
-    truncation loss included.  Its images are nonzero (a weight is a
-    positive integer) and in range, so the state is wrapped unchecked."""
+    """j_n (or jbar_n) applied to v one nonzero at a time.  A nonzero whose
+    level - n exceeds l_max is dropped and counted as truncation loss; j_0,
+    and j_n with n > 0 on a partition without a part n, map to zero.  Its
+    images are nonzero (a weight is a positive integer) and in range, so the
+    state is wrapped unchecked."""
     space, out, loss = v.space, {}, 0
     for col, c in v.coeffs.items():
         level, mu, m, start, nus = space._block_of[col]
@@ -488,7 +422,7 @@ def build_virasoro(
     annihilator m2 > 0 is one of its parts, and, for n < 0, pairs of two
     creators.  L_n (Lbar_n) acts on the chiral (antichiral) partition of a
     column alone; a column whose level - n exceeds l_max maps wholly above
-    the truncation and is dropped.
+    the truncation and keeps no entries.
 
     With shifted=True, L_0 carries the -1/24 vacuum-energy offset.
     """
@@ -499,7 +433,7 @@ def build_virasoro(
     # leaves every column it reaches above the truncation
     creators = [(n - m2, m2) for m2 in range(-(-n // 2), min(0, n + space.l_max + 1))]
     table = {}
-    # a column whose partition on this side exceeds l_max + n is dropped
+    # a column whose partition on this side exceeds l_max + n maps above l_max
     for size in range(min(space.l_max, space.l_max + n) + 1):
         for mu in partitions(size):
             if n:
@@ -509,34 +443,16 @@ def build_virasoro(
             # pair weights are positive and L_0's diagonal |mu| - 1/24 never vanishes
             if image:
                 table[mu] = image
-    return ModeOperator(space, bar, n, denominator, [(table, 1, n, ())], table)
-
-
-def apply_mode(op: ModeOperator, v: BoundaryState) -> BoundaryState:
-    """Linear action of a mode operator, one nonzero at a time through its
-    level rules, as apply_current does; counts a nonzero in a dropped column
-    as truncation loss and leaves the operator unlifted."""
-    if op.space is not v.space:
-        raise SpaceMismatchError("operator and state live in different spaces")
-    space, out, loss = v.space, {}, 0
-    rules, bar, n = op._level_rules(), op.bar, op.n
-    blocks, ranks, block_of = space.blocks, space._ranks, space._block_of
-    for col, c in v.coeffs.items():
-        level, mu, m, start, nus = block_of[col]
-        table, drop_all, drop = rules[level]
-        p = nus[col - start] if bar else mu
-        if drop_all or p in drop:
-            loss += 1
-        y = level - n  # in 0..l_max wherever the rule maps p
-        for new, w in table.get(p, _EMPTY).items():
-                row = blocks[y][mu] + ranks[y - m][new] if bar else blocks[y][new] + col - start
-                out[row] = out[row] + w * c if row in out else w * c
-    return BoundaryState(space, out, v.truncation_loss + loss)
+    return ModeOperator(space, bar, n, denominator, [(table, 1, n)], table)
 
 
 def commutator(a: ModeOperator, b: ModeOperator) -> ModeOperator:
-    """[a, b] = a @ b - b @ a of two modes on one side, the two products
-    summed per level (as integers, in exact arithmetic, before any entry
-    becomes a Fraction); in float64 each entry is x + (-y), which equals
-    x - y bit for bit."""
-    return _product(a, b, commute=True)
+    """[a, b] = a @ b - b @ a of two modes on one side, the two table
+    products summed per level (as integers, in exact arithmetic, before any
+    entry becomes a Fraction); in float64 each entry is x + (-y), which
+    equals x - y bit for bit."""
+    _check_space(a, b)
+    if a.table is None or b.table is None or a.bar != b.bar:
+        raise ValueError("only two modes on one side commute")
+    terms = [(_table_product(a.table, b.table), 1, b.n), (_table_product(b.table, a.table), -1, a.n)]
+    return ModeOperator(a.space, a.bar, a.n + b.n, a.denominator * b.denominator, terms)

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -277,6 +280,7 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         ["beta", "--backend", "formal", "--theory", "{tmp}/h-inf.json"],
         ["beta", "--backend", "formal", "--theory", "{tmp}/float-part.json"],
         ["beta", "--backend", "formal", "--theory", "{tmp}/bool-part.json"],
+        ["beta", "--backend", "formal", "--theory", "{tmp}/deep.json"],
     ],
     ids=[
         "ope-lmax-0",
@@ -307,6 +311,7 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         "theory-h-infinity",
         "theory-float-part",
         "theory-bool-part",
+        "theory-deeply-nested",
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
@@ -326,6 +331,8 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
         (tmp_path / f"{name}.json").write_text(
             f'{{"primaries": {primaries}, "coefficients": [{bad}]}}'
         )
+    # nested past the parser's recursion limit
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
     with pytest.raises(SystemExit) as err:
         main([a.format(tmp=tmp_path) for a in argv])
     assert err.value.code == 2
@@ -333,6 +340,19 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.strip().splitlines()[-1].startswith("fqft: error: ")
+
+
+def test_log_name_that_is_not_a_level_falls_back_to_warning(monkeypatch):
+    # logging.BASIC_FORMAT is a format string, not a level.  Run in a fresh
+    # process: basicConfig reads the level only while the root logger has no
+    # handlers, and pytest's log capture installs some
+    monkeypatch.setenv("FQFT_LOG", "basic_format")
+    monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(fqft.__file__)))
+    argv = [sys.executable, "-m", "fqft.cli", "verify-cutting", "--lmax", "2"]
+    run = subprocess.run(argv, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["passed"] is True
+    assert run.stderr == ""
 
 
 def test_verify_cutting_at_low_lmax(capsys):

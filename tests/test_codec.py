@@ -12,7 +12,7 @@ import pytest
 import fqft
 from fqft.cli import _jsonable
 from fqft.deformation import fb_theory, theory_from_json
-from fqft.fock import build_space, build_virasoro, current_mode
+from fqft.fock import build_space, build_virasoro
 from fqft.observables import marginal_observable, ope_extract
 from fqft.scalars import decode_scalar, encode_scalar
 from theory_json import theory_to_json
@@ -28,7 +28,7 @@ def test_writers_share_one_codec(exact):
     # the CLI's _jsonable is the one writer: operator entries, OPE rows and a
     # theory read back through decode_scalar and theory_from_json
     space = build_space(4, exact=exact)
-    ops = {"j_-1": current_mode(space, -1), "L_0": build_virasoro(space, 0)}
+    ops = {"L_-1": build_virasoro(space, -1), "L_0": build_virasoro(space, 0)}
     doc = _written({name: sorted(op.entries.items()) for name, op in ops.items()})
     for name, op in ops.items():
         back = {(i, j): decode_scalar(v) for (i, j), v in doc[name]}

@@ -12,16 +12,13 @@ from hypothesis import strategies as st
 
 from functools import lru_cache
 
-from fqft import fock
 from fqft.fock import (
     BoundaryState,
     TruncatedFockSpace,
     apply_current,
-    apply_mode,
     build_space,
     build_virasoro,
     commutator,
-    current_mode,
     partition_count,
     partitions,
 )
@@ -178,21 +175,21 @@ def test_invalid_partition_raises(call):
 def test_current_mode_raising_and_lowering():
     space = build_space(4)
     vac = space.vacuum()
-    jm1 = current_mode(space, -1)
-    jp1 = current_mode(space, 1)
-    v = apply_mode(jm1, vac)
+    v = apply_current(vac, -1)
     assert v == space.state((1,))
     # j_1 j_{-1}|0> = [j_1, j_{-1}]|0> = |0>
-    assert apply_mode(jp1, v) == vac
+    assert apply_current(v, 1) == vac
     # j_1 (j_{-1})^2 |0> = 2 j_{-1}|0>
-    v2 = apply_mode(jm1, v)
-    assert apply_mode(jp1, v2) == space.state((1,)).scale(2)
+    v2 = apply_current(v, -1)
+    assert apply_current(v2, 1) == space.state((1,)).scale(2)
 
 
 def test_current_mode_zero_mode_vanishes():
     space = build_space(3)
-    j0 = current_mode(space, 0)
-    assert j0.entries == {}
+    for col in range(space.dim):
+        for bar in (False, True):
+            out = apply_current(BoundaryState(space, {col: Fraction(1)}), 0, bar=bar)
+            assert out.is_zero() and out.truncation_loss == 0, (col, bar)
 
 
 def test_antichiral_modes_commute_with_chiral():
@@ -200,15 +197,13 @@ def test_antichiral_modes_commute_with_chiral():
     # commute on every basis state with headroom for both creation modes
     space = build_space(4)
     for m, n in [(-1, -2), (-2, 1), (1, -1), (2, 1)]:
-        jm, jbn = current_mode(space, m), current_mode(space, n, bar=True)
         for col, level in enumerate(space.levels):
             if level + max(0, -m) + max(0, -n) <= space.l_max:
                 v = BoundaryState(space, {col: Fraction(1)})
-                a = apply_mode(jm, apply_mode(jbn, v))
-                b = apply_mode(jbn, apply_mode(jm, v))
+                a = apply_current(apply_current(v, n, bar=True), m)
+                b = apply_current(apply_current(v, m), n, bar=True)
                 assert a == b and a.truncation_loss == b.truncation_loss == 0, (m, n, col)
-    vac = space.vacuum()
-    a = apply_mode(current_mode(space, -1), apply_mode(current_mode(space, -2, bar=True), vac))
+    a = apply_current(apply_current(space.vacuum(), -2, bar=True), -1)
     assert a == space.state((1,), (2,))
 
 
@@ -218,14 +213,20 @@ def test_antichiral_modes_commute_with_chiral():
 )
 @settings(max_examples=40, deadline=None)
 def test_current_commutator_interior(m, n):
-    # [j_m, j_n] = m delta_{m+n,0} on columns with enough headroom
+    # [j_m, j_n] = m delta_{m+n,0} on every column with enough headroom
     space = build_space(6)
-    comm = commutator(current_mode(space, m), current_mode(space, n))
     headroom = max(0, -m) + max(0, -n)
-    for (i, j), val in comm.entries.items():
-        if space.levels[j] + headroom <= space.l_max:
-            expected = m * Fraction(1) if (m + n == 0 and i == j) else 0
-            assert val == expected, (m, n, i, j, val)
+    for col, level in enumerate(space.levels):
+        if level + headroom <= space.l_max:
+            v = BoundaryState(space, {col: Fraction(1)})
+            mn = apply_current(apply_current(v, n), m)
+            nm = apply_current(apply_current(v, m), n)
+            assert mn - nm == v.scale(m if m + n == 0 else 0), (m, n, col)
+
+
+def _act(op, v):
+    """A mode applied to v through its lifted entries."""
+    return _column_apply(_Columns.of(op), v)
 
 
 def test_virasoro_l0_counts_level():
@@ -233,24 +234,24 @@ def test_virasoro_l0_counts_level():
     L0 = build_virasoro(space, 0)
     Lb0 = build_virasoro(space, 0, bar=True)
     v = space.state((2, 1), (1,))
-    assert apply_mode(L0, v) == v.scale(3)
-    assert apply_mode(Lb0, v) == v.scale(1)
+    assert _act(L0, v) == v.scale(3)
+    assert _act(Lb0, v) == v.scale(1)
 
 
 def test_virasoro_l0_shifted():
     space = build_space(3)
     L0 = build_virasoro(space, 0, shifted=True)
     vac = space.vacuum()
-    assert apply_mode(L0, vac) == vac.scale(Fraction(-1, 24))
+    assert _act(L0, vac) == vac.scale(Fraction(-1, 24))
 
 
 def test_virasoro_on_vacuum():
     space = build_space(4)
-    # L_{-1}|0> = 0 for the j-vacuum? No: L_{-1}|0> = j_{-1} j_0 |0> = 0
-    v = apply_mode(build_virasoro(space, -1), space.vacuum())
+    # L_{-1}|0> = j_{-1} j_0 |0> = 0
+    v = _act(build_virasoro(space, -1), space.vacuum())
     assert v.is_zero()
     # L_{-2}|0> = (1/2) j_{-1} j_{-1} |0>
-    v = apply_mode(build_virasoro(space, -2), space.vacuum())
+    v = _act(build_virasoro(space, -2), space.vacuum())
     assert v == space.state((1, 1)).scale(Fraction(1, 2))
 
 
@@ -262,8 +263,8 @@ def test_virasoro_commutator_central_charge():
     comm = commutator(L2, Lm2)
     L0 = build_virasoro(space, 0)
     for v in [space.vacuum(), space.state((1,)), space.state((2,)), space.state((1, 1))]:
-        lhs = apply_mode(comm, v)
-        rhs = apply_mode(L0, v).scale(4) + v.scale(Fraction(1, 2))
+        lhs = _act(comm, v)
+        rhs = _act(L0, v).scale(4) + v.scale(Fraction(1, 2))
         assert lhs == rhs
 
 
@@ -273,7 +274,31 @@ def test_virasoro_commutator_31():
     comm = commutator(build_virasoro(space, 3), build_virasoro(space, -1))
     L2 = build_virasoro(space, 2)
     for v in [space.vacuum(), space.state((2, 1)), space.state((1,), (1,))]:
-        assert apply_mode(comm, v) == apply_mode(L2, v).scale(4)
+        assert _act(comm, v) == _act(L2, v).scale(4)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@pytest.mark.parametrize("l_max", [0, 1, 2, 8])
+def test_virasoro_algebra(l_max, exact):
+    # [L_m, L_n] = (m - n) L_{m+n} + (m^3 - m)/12 delta_{m+n,0} (c = 1) for
+    # |m|, |n| <= 3 on both sides, on every column where no factor leaves
+    # the truncation: level - min(0, m, n, m + n) <= l_max.  Every weight is
+    # a multiple of 1/2 and every central term is dyadic, so float64 is exact
+    space = _space(l_max, exact)
+    for bar in (False, True):
+        modes = {n: build_virasoro(space, n, bar=bar) for n in range(-6, 7)}
+        columns = {n: _by_column(op.entries) for n, op in modes.items()}
+        for m, n in itertools.product(range(-3, 4), repeat=2):
+            comm = _by_column(commutator(modes[m], modes[n]).entries)
+            central = Fraction(m**3 - m, 12) if exact else (m**3 - m) / 12
+            for col, level in enumerate(space.levels):
+                if level - min(0, m, n, m + n) > l_max:
+                    continue
+                want = {row: (m - n) * v for row, v in columns[m + n].get(col, {}).items()}
+                if m + n == 0:
+                    want[col] = want.get(col, 0) + central
+                want = {row: v for row, v in want.items() if v != 0}
+                assert comm.get(col, {}) == want, (bar, m, n, col)
 
 
 def _current_oracle(space, n, bar=False):
@@ -305,12 +330,17 @@ def _current_oracle(space, n, bar=False):
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
 @pytest.mark.parametrize("l_max", range(6))
 def test_current_mode_matches_oracle(l_max, exact):
+    # j_n applied to each basis vector gives the oracle's column, and a
+    # column the oracle drops counts as truncation loss
     space = _space(l_max, exact)
+    one = space.one_scalar()
     for n in range(-l_max - 2, l_max + 3):
         for bar in (False, True):
-            op, want = current_mode(space, n, bar=bar), _current_oracle(space, n, bar)
-            assert op.entries == want.entries, (n, bar)
-            assert op.dropped_cols == want.dropped_cols, (n, bar)
+            want = _current_oracle(space, n, bar)
+            for col in range(space.dim):
+                got = apply_current(BoundaryState(space, {col: one}), n, bar=bar)
+                assert got.coeffs == want.columns.get(col, {}), (n, bar, col)
+                assert got.truncation_loss == (col in want.dropped_cols), (n, bar, col)
 
 
 def _virasoro_oracle(space, n, bar=False, shifted=False):
@@ -353,7 +383,7 @@ def test_virasoro_commutator_at_cap():
     space = build_space(16)
     L0 = build_virasoro(space, 0)
     comm = commutator(build_virasoro(space, 2), build_virasoro(space, -2))
-    L0_columns, comm_columns = _Columns.of(L0).columns, _Columns.of(comm).columns
+    L0_columns, comm_columns = _by_column(L0.entries), _by_column(comm.entries)
     for col, level in enumerate(space.levels):
         if level + 2 <= space.l_max:
             want = {row: 4 * val for row, val in L0_columns.get(col, {}).items()}
@@ -361,29 +391,17 @@ def test_virasoro_commutator_at_cap():
             assert comm_columns.get(col, {}) == want, col
 
 
-def test_virasoro_dropped_columns():
-    # L_n drops exactly the columns it maps above l_max: level - n > l_max
-    for l_max in (0, 1, 4):
-        space = _space(l_max, True)
-        for n in range(-2 * l_max - 3, 2 * l_max + 4):
-            for bar in (False, True):
-                op = build_virasoro(space, n, bar=bar)
-                want = {c for c, lv in enumerate(space.levels) if lv - n > l_max}
-                assert op.dropped_cols == want, (l_max, n, bar)
-
-
 @pytest.mark.parametrize("n", [10**6, -(10**6)])
 def test_virasoro_far_mode_on_small_space(n):
-    # every column of l_max 2 is dropped by L_{-10^6} and kept, with a zero
-    # image, by L_{10^6}
+    # L_{-10^6} maps every column of l_max 2 above the truncation, and
+    # L_{10^6} every column to zero: neither keeps an entry
     space = build_space(2)
     for bar in (False, True):
-        op = build_virasoro(space, n, bar=bar)
-        assert not op.entries
-        assert op.dropped_cols == (set(range(space.dim)) if n < 0 else set())
+        assert not build_virasoro(space, n, bar=bar).entries
 
 
 def test_commutator_keeps_columns_whose_inner_image_vanishes():
+    # the column reference's rule, which the pinned digests read, on
     # [L_-1, L_-1] at l_max 4: L_-1 takes a level-3 column to level 4, where
     # the outer L_-1 drops.  The column is dropped only when the inner image
     # is nonzero, and L_-1 j_{-mu}|0> vanishes for mu = () alone, so the
@@ -397,8 +415,9 @@ def test_commutator_keeps_columns_whose_inner_image_vanishes():
         }
         assert len(kept) == space.levels.index(3) + 3
         Lm1 = build_virasoro(space, -1, bar=bar)
-        for op in (commutator(Lm1, Lm1), Lm1.compose(Lm1)):
-            assert op.dropped_cols == set(range(space.dim)) - kept, bar
+        for commute in (True, False):
+            ref = _column_product(_Columns.of(Lm1), _Columns.of(Lm1), commute)
+            assert ref.dropped_cols == set(range(space.dim)) - kept, bar
         assert not commutator(Lm1, Lm1).entries
 
 
@@ -421,27 +440,34 @@ def space_to_json(space, operators=None) -> str:
 def _virasoro_digest(space):
     """SHA-256 of space_to_json over build_virasoro(space, n, bar, shifted)
     for every n in -2 l_max - 1..2 l_max + 1 and over [L_m, L_n] for m, n in
-    -3..3 on both sides, then of each operator's sorted dropped_cols."""
-    ops = {}
+    -3..3 on both sides, then of each operator's sorted dropped columns: a
+    mode's are _mode_dropped, a commutator's come from its factors by
+    _dropped_by_product."""
+    ops, dropped = {}, {}
     for n in range(-2 * space.l_max - 1, 2 * space.l_max + 2):
         for bar in (False, True):
             for shifted in (False, True):
-                ops[f"L{n},{bar:d},{shifted:d}"] = build_virasoro(space, n, bar, shifted)
+                name = f"L{n},{bar:d},{shifted:d}"
+                ops[name], dropped[name] = build_virasoro(space, n, bar, shifted), _mode_dropped(space, n)
     for bar in (False, True):
         modes = {n: build_virasoro(space, n, bar=bar) for n in range(-3, 4)}
+        columns = {n: _Columns.of(op) for n, op in modes.items()}
         for m in range(-3, 4):
             for n in range(-3, 4):
-                ops[f"[L{m},L{n}],{bar:d}"] = commutator(modes[m], modes[n])
+                name = f"[L{m},L{n}],{bar:d}"
+                ops[name] = commutator(modes[m], modes[n])
+                a, b = columns[m], columns[n]
+                dropped[name] = _dropped_by_product(a, b) | _dropped_by_product(b, a)
     digest = hashlib.sha256(space_to_json(space, ops).encode())
     for name in sorted(ops):
-        digest.update(f"{name}:{sorted(ops[name].dropped_cols)}".encode())
+        digest.update(f"{name}:{sorted(dropped[name])}".encode())
     return digest.hexdigest()
 
 
 # _virasoro_digest as computed by the column-by-column assembly of commit
 # 4fe6f57 (l_max 0-8), and by the eagerly lifted table products of 857b781
 # (9-12, the levels the benchmark's virasoro checks reach): partition tables
-# and their lazy lifts must reproduce these operators byte for byte
+# and their lifts must reproduce these operators byte for byte
 VIRASORO_DIGESTS = {
     (0, True): "da7f9701c7442a3a5be029f779a3def9"
         "62b1a38337c8976d4a55f3f002811c07",
@@ -507,32 +533,16 @@ def test_virasoro_operators_match_pinned_digests(l_max, exact):
 
 
 def test_virasoro_truncation_loss():
+    # at the truncation edge of l_max 4, L_{-1} maps the column of
+    # j_{-2} j_{-1} jbar_{-1}|0> above l_max and keeps no entry there, while
+    # L_0 counts its chiral level 3 and L_1 maps it to 2 j_{-1} j_{-1}
+    # jbar_{-1}|0> (j_2 removes the part 2, j_{-1} adds a part 1)
     space = build_space(4)
-    edge = space.state((2, 1), (1,))  # level 4 = l_max
-    for v in (space.state((1,), (1,)), edge):
-        for n in (0, 1, 2):
-            out = apply_mode(build_virasoro(space, n), v)
-            assert out.truncation_loss == 0, n
-    out = apply_mode(build_virasoro(space, -1), edge)
-    assert out.is_zero() and out.truncation_loss == 1
-
-
-def test_compose_counts_intermediate_loss():
-    # j_{-1} j_{-1} pushes a level-3 state to level 5 > l_max through a
-    # level-4 intermediate that the outer j_{-1} drops
-    space = build_space(4)
-    jm1 = current_mode(space, -1)
-    out = apply_mode(jm1.compose(jm1), space.state((3,)))
-    assert out.is_zero() and out.truncation_loss == 1
-
-
-def test_apply_mode_counts_truncation_loss():
-    space = build_space(2)
-    v = space.state((1, 1))  # level 2, at the edge
-    jm1 = current_mode(space, -1)
-    out = apply_mode(jm1, v)
-    assert out.is_zero()
-    assert out.truncation_loss == 1
+    edge = space.index_of(4, (2, 1), (1,))
+    column = {n: _by_column(build_virasoro(space, n).entries).get(edge) for n in (-1, 0, 1)}
+    assert column[-1] is None
+    assert column[0] == {edge: 3}
+    assert column[1] == {space.index_of(3, (1, 1), (1,)): 2}
 
 
 def test_space_mismatch_raises():
@@ -541,19 +551,19 @@ def test_space_mismatch_raises():
     with pytest.raises(SpaceMismatchError):
         _ = a.vacuum() + b.vacuum()
     with pytest.raises(SpaceMismatchError):
-        apply_mode(current_mode(a, -1), b.vacuum())
+        commutator(build_virasoro(a, 1), build_virasoro(b, -1))
 
 
 def test_float_backend():
     space = build_space(3, exact=False)
-    v = apply_mode(build_virasoro(space, -2), space.vacuum())
+    entries = build_virasoro(space, -2).entries
     idx = space.find((1, 1), ())
-    assert abs(v[idx] - 0.5) < 1e-14
+    assert abs(entries[idx, 0] - 0.5) < 1e-14
 
 
 def test_to_json_golden():
     space = build_space(2)
-    ops = {"j_-1": current_mode(space, -1), "L_0": build_virasoro(space, 0)}
+    ops = {"j_-1": _current_oracle(space, -1), "L_0": build_virasoro(space, 0)}
     doc = json.loads(space_to_json(space, ops))
     assert doc["l_max"] == 2
     assert doc["basis"][0] == [[], []]
@@ -596,13 +606,15 @@ def _sparse_state(data, space, max_level):
 )
 @settings(max_examples=200, deadline=None)
 def test_apply_current_matches_operator(data, l_max, exact, n, bar):
-    # the per-nonzero action equals the assembled operator's, bit for bit,
-    # truncation losses included (states may sit at the truncation edge)
+    # the per-nonzero action equals the oracle's columns applied to the
+    # state, bit for bit and with the same scalar types, truncation losses
+    # included (states may sit at the truncation edge)
     space = _space(l_max, exact)
     v = _sparse_state(data, space, l_max)
     got = apply_current(v, n, bar=bar)
-    want = apply_mode(current_mode(space, n, bar=bar), v)
+    want = _column_apply(_current_oracle(space, n, bar), v)
     assert got == want
+    assert {i: type(c) for i, c in got.coeffs.items()} == {i: type(c) for i, c in want.coeffs.items()}
     assert got.truncation_loss == want.truncation_loss
 
 
@@ -679,16 +691,27 @@ class _Columns:
         self.dropped_cols = frozenset(dropped)
 
     @classmethod
-    def of(cls, op):
-        """An operator's lifted entries, as columns."""
-        columns = {}
-        for (row, col), v in op.entries.items():
-            columns.setdefault(col, {})[row] = v
-        return cls(op.space, columns, op.dropped_cols)
+    def of(cls, mode):
+        """A mode's lifted entries, as columns, with the columns it drops
+        (_mode_dropped)."""
+        return cls(mode.space, _by_column(mode.entries), _mode_dropped(mode.space, mode.n))
 
     @property
     def entries(self):
         return {(r, c): v for c, column in self.columns.items() for r, v in column.items()}
+
+
+def _by_column(entries):
+    """{(row, col): value} as {col: {row: value}}."""
+    columns = {}
+    for (row, col), v in entries.items():
+        columns.setdefault(col, {})[row] = v
+    return columns
+
+
+def _mode_dropped(space, n):
+    """The columns a mode of level shift n maps above l_max: level - n > l_max."""
+    return {c for c, level in enumerate(space.levels) if level - n > space.l_max}
 
 
 def _unreduced_product(a, b):
@@ -787,12 +810,10 @@ def _assert_canonical(op):
 
 
 def _mode(space, kind, n, bar):
-    if kind == "j":
-        return current_mode(space, n, bar=bar)
     return build_virasoro(space, n, bar=bar, shifted=kind == "L shifted")
 
 
-_KINDS = st.sampled_from(["j", "L", "L shifted"])
+_KINDS = st.sampled_from(["L", "L shifted"])
 _MODE = st.integers(min_value=-7, max_value=7)
 
 
@@ -804,7 +825,7 @@ _MODE = st.integers(min_value=-7, max_value=7)
     m=_MODE,
     n=_MODE,
 )
-@example(l_max=0, exact=True, bar=False, kinds=("L", "j"), m=-1, n=1)
+@example(l_max=0, exact=True, bar=False, kinds=("L", "L"), m=-1, n=1)
 @example(l_max=1, exact=False, bar=True, kinds=("L shifted", "L"), m=0, n=-1)
 @settings(max_examples=100, deadline=None)
 def test_one_sided_products_match_dense_reference(l_max, exact, bar, kinds, m, n):
@@ -815,17 +836,11 @@ def test_one_sided_products_match_dense_reference(l_max, exact, bar, kinds, m, n
     a, b = _mode(space, kinds[0], m, bar), _mode(space, kinds[1], n, bar)
     A, B = _dense(a), _dense(b)
     ab, ba = _dense_product(A, B), _dense_product(B, A)
-    prod, comm = a.compose(b), commutator(a, b)
-    _assert_canonical(prod)
+    comm = commutator(a, b)
     _assert_canonical(comm)
-    assert _dense(prod) == ab
-    assert prod.dropped_cols == _dropped_by_product(a, b)
     assert _dense(comm) == [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
-    assert comm.dropped_cols == _dropped_by_product(a, b) | _dropped_by_product(b, a)
     # the column reference on the lifted operands gives the same entries bit for bit
-    a_cols, b_cols = _Columns.of(a), _Columns.of(b)
-    assert prod.entries == _column_product(a_cols, b_cols).entries
-    assert comm.entries == _column_product(a_cols, b_cols, commute=True).entries
+    assert comm.entries == _column_product(_Columns.of(a), _Columns.of(b), commute=True).entries
 
 
 @given(
@@ -839,43 +854,38 @@ def test_one_sided_products_match_dense_reference(l_max, exact, bar, kinds, m, n
         st.tuples(st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=7)),
         max_size=8,
     ),
-    loss=st.integers(min_value=0, max_value=3),
-    factor=st.none() | st.tuples(_KINDS, _MODE, st.booleans()),
+    factor=st.none() | st.tuples(_KINDS, _MODE),
 )
-@example(l_max=0, exact=True, kind="L shifted", n=0, bar=False, coeffs={0: (1, 1)}, loss=0, factor=None)
-@example(l_max=0, exact=False, kind="j", n=-1, bar=True, coeffs={0: (2, 3)}, loss=1, factor=None)
-@example(l_max=1, exact=True, kind="L", n=-1, bar=True, coeffs={1: (3, 2), 2: (-1, 7)}, loss=0, factor=None)
-@example(l_max=1, exact=False, kind="j", n=1, bar=False, coeffs={1: (5, 1), 2: (1, 3)}, loss=2, factor=None)
-# products and commutators at l_max 0 and 1, in both arithmetics
-@example(l_max=0, exact=True, kind="L shifted", n=0, bar=True, coeffs={0: (1, 2)}, loss=0, factor=("L", 0, False))
-@example(l_max=0, exact=False, kind="L", n=1, bar=False, coeffs={0: (3, 1)}, loss=1, factor=("L", -1, True))
-@example(l_max=1, exact=True, kind="j", n=1, bar=False, coeffs={0: (1, 1), 1: (2, 3), 2: (-4, 5)}, loss=0, factor=("j", -1, True))
-@example(l_max=1, exact=False, kind="L shifted", n=0, bar=True, coeffs={1: (1, 3), 2: (5, 7)}, loss=2, factor=("j", -1, False))
+@example(l_max=0, exact=True, kind="L shifted", n=0, bar=False, coeffs={0: (1, 1)}, factor=None)
+@example(l_max=0, exact=False, kind="L", n=-1, bar=True, coeffs={0: (2, 3)}, factor=None)
+@example(l_max=1, exact=True, kind="L", n=-1, bar=True, coeffs={1: (3, 2), 2: (-1, 7)}, factor=None)
+@example(l_max=1, exact=False, kind="L", n=1, bar=False, coeffs={1: (5, 1), 2: (1, 3)}, factor=None)
+# commutators at l_max 0 and 1, in both arithmetics
+@example(l_max=0, exact=True, kind="L shifted", n=0, bar=True, coeffs={0: (1, 2)}, factor=("L", 0))
+@example(l_max=0, exact=False, kind="L", n=1, bar=False, coeffs={0: (3, 1)}, factor=("L", -1))
+@example(l_max=1, exact=True, kind="L", n=1, bar=False, coeffs={0: (1, 1), 1: (2, 3), 2: (-4, 5)}, factor=("L", -1))
+@example(l_max=1, exact=False, kind="L shifted", n=0, bar=True, coeffs={1: (1, 3), 2: (5, 7)}, factor=("L", -1))
 @settings(max_examples=200, deadline=None)
-def test_unlifted_table_acts_like_its_columns(l_max, exact, kind, n, bar, coeffs, loss, factor):
-    # a mode, or the product (commutator when factor[2]) of a mode with a
-    # second mode on its side, acts on a sparse state one nonzero at a time
-    # and stays unlifted; the column reference of its factors' lifted
-    # columns gives the same state bit for bit, with the same scalar types
-    # and truncation loss
+def test_unlifted_table_acts_like_its_columns(l_max, exact, kind, n, bar, coeffs, factor):
+    # a mode's table, or a commutator's two table products, lifted through
+    # .entries and applied to a sparse state column by column, gives the
+    # column reference's state for its factors bit for bit, with the same
+    # scalar types
     space = _space(l_max, exact)
     values = {i % space.dim: Fraction(k, d) if exact else k / d for i, (k, d) in coeffs.items()}
-    v = BoundaryState(space, values, loss)
+    v = BoundaryState(space, values)
     op = a = _mode(space, kind, n, bar)
-    if factor is not None:
-        b = _mode(space, factor[0], factor[1], bar)
-        op = commutator(a, b) if factor[2] else a.compose(b)
-    got = apply_mode(op, v)
-    assert op._lifted is None
     if factor is None:
         ref = _Columns.of(a)
     else:
-        ref = _column_product(_Columns.of(a), _Columns.of(b), commute=factor[2])
+        b = _mode(space, factor[0], factor[1], bar)
+        op = commutator(a, b)
+        ref = _column_product(_Columns.of(a), _Columns.of(b), commute=True)
+    got = _column_apply(_Columns(space, _by_column(op.entries), ()), v)
     want = _column_apply(ref, v)
-    assert got == want
+    assert got.coeffs == want.coeffs
     types = [{i: type(c) for i, c in w.coeffs.items()} for w in (got, want)]
     assert types[0] == types[1]
-    assert got.truncation_loss == want.truncation_loss
 
 
 @given(
@@ -885,34 +895,32 @@ def test_unlifted_table_acts_like_its_columns(l_max, exact, kind, n, bar, coeffs
     bar=st.booleans(),
     kinds=st.tuples(_KINDS, _KINDS, _KINDS),
     modes=st.tuples(_MODE, _MODE, _MODE),
-    commute=st.booleans(),
 )
-@example(data=None, l_max=0, exact=True, bar=False, kinds=("L", "L", "L"), modes=(1, -1, 1), commute=True)
-@example(data=None, l_max=1, exact=False, bar=True, kinds=("j", "L", "j"), modes=(1, -1, -1), commute=False)
-@example(data=None, l_max=4, exact=True, bar=False, kinds=("L", "L", "L"), modes=(2, -2, 1), commute=True)
+@example(data=None, l_max=0, exact=True, bar=False, kinds=("L", "L", "L"), modes=(1, -1, 1))
+@example(data=None, l_max=1, exact=False, bar=True, kinds=("L shifted", "L", "L"), modes=(1, -1, -1))
+@example(data=None, l_max=4, exact=True, bar=False, kinds=("L", "L", "L"), modes=(2, -2, 1))
 @settings(max_examples=80, deadline=None)
-def test_products_of_products_match_the_column_path(data, l_max, exact, bar, kinds, modes, commute):
-    # a product of two modes on one side lifts to the column reference's
-    # product of its factors, bit for bit, dropped columns included.  A
-    # product of products is not an operator; applied one factor at a time
-    # it acts on a state as the column reference's product of products
+def test_products_of_products_match_the_column_path(data, l_max, exact, bar, kinds, modes):
+    # a commutator of two modes on one side lifts to the column reference's
+    # commutator of its factors, bit for bit.  A product of a commutator and
+    # a third operator is not an operator; applied one factor at a time it
+    # acts on a state as the column reference's product
     space = _space(l_max, exact)
     a, b = (_mode(space, kind, n, bar) for kind, n in zip(kinds[:2], modes))
-    prod = commutator(a, b) if commute else a.compose(b)
-    ref = _column_product(_Columns.of(a), _Columns.of(b), commute)
-    assert prod.entries == ref.entries
-    assert prod.dropped_cols == ref.dropped_cols
+    comm = commutator(a, b)
+    ref = _column_product(_Columns.of(a), _Columns.of(b), commute=True)
+    assert comm.entries == ref.entries
+    comm_cols = _Columns(space, _by_column(comm.entries), ref.dropped_cols)
     same, other = (_mode(space, kinds[2], modes[2], side) for side in (bar, not bar))
-    operands = [same, other, prod]
+    operands = [_Columns.of(same), _Columns.of(other), ref]
     if data is not None:
         operands.append(_random_operator(data, space))
     one = space.one_scalar()
     v = BoundaryState(space, {i: (i + 1) * one for i in range(0, space.dim, 2)}, 1)
-    for c in operands:
-        c_ref = c if isinstance(c, _Columns) else _Columns.of(c)
-        pairs = [  # (prod after c, c after prod) on v, then their references
-            (apply_mode(prod, _column_apply(c_ref, v)), _column_product(ref, c_ref)),
-            (_column_apply(c_ref, apply_mode(prod, v)), _column_product(c_ref, ref)),
+    for c_ref in operands:
+        pairs = [  # (comm after c, c after comm) on v, then their references
+            (_column_apply(comm_cols, _column_apply(c_ref, v)), _column_product(ref, c_ref)),
+            (_column_apply(c_ref, _column_apply(comm_cols, v)), _column_product(c_ref, ref)),
         ]
         for got, want in pairs:
             want = _column_apply(want, v)
@@ -925,32 +933,8 @@ def test_products_of_products_match_the_column_path(data, l_max, exact, bar, kin
 def test_products_of_products_and_of_two_sides_raise():
     space = build_space(3)
     L1, Lm1 = build_virasoro(space, 1), build_virasoro(space, -1)
-    Lbar1, jm1 = build_virasoro(space, 1, bar=True), current_mode(space, -1)
-    prod, comm = L1.compose(Lm1), commutator(L1, Lm1)
-    for a, b in [(prod, L1), (L1, comm), (prod, comm), (L1, Lbar1), (Lbar1, jm1)]:
-        with pytest.raises(ValueError):
-            a.compose(b)
+    Lbar1, Lbarm1 = build_virasoro(space, 1, bar=True), build_virasoro(space, -1, bar=True)
+    comm = commutator(L1, Lm1)
+    for a, b in [(comm, L1), (L1, comm), (comm, comm), (L1, Lbar1), (Lbarm1, Lm1)]:
         with pytest.raises(ValueError):
             commutator(a, b)
-
-
-def test_each_operator_is_lifted_once(monkeypatch):
-    # entries and dropped_cols, read in either order and twice each, share
-    # one lift
-    calls = []
-    lift = fock._lift
-    monkeypatch.setattr(fock, "_lift", lambda op: calls.append(op) or lift(op))
-    space = build_space(5)
-    reads = [lambda op: op.entries, lambda op: op.dropped_cols]
-    for bar in (False, True):
-        makers = [
-            lambda: current_mode(space, -1, bar),
-            lambda: build_virasoro(space, 2, bar),
-            lambda: commutator(build_virasoro(space, 2, bar), build_virasoro(space, -2, bar)),
-        ]
-        for make in makers:
-            for order in itertools.permutations(reads):
-                op, calls[:] = make(), []
-                for read in order + order:
-                    read(op)
-                assert calls == [op], (bar, order)
