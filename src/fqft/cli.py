@@ -32,8 +32,8 @@ log = logging.getLogger("fqft")
 
 # Hard cap on `qm --dim`.  One process and one BLAS thread on a 2-core Xeon,
 # Python 3.11, numpy 2.4 (OpenBLAS), `fqft qm` reports a wall time of
-# 0.26-0.31 s at dim 128 (peak RSS 54 MB), 1.3 s at 256 (101 MB) and
-# 7.4-9.9 s at 512 (294 MB): per doubling, 5-7x the time and 2-3x the memory.
+# 0.24-0.30 s at dim 128 (peak RSS 53 MB), 1.2-1.3 s at 256 (100 MB) and
+# 8.6-8.7 s at 512 (267 MB): per doubling, 4-7x the time and 2-3x the memory.
 QM_DIM_HARD_CAP = 512
 
 

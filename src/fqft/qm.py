@@ -3,7 +3,11 @@
 Partition functions on segments are Euclidean evolution operators
 exp(-length * H); the cutting axiom is the semigroup law.  Deforming twice
 by constant endomorphism families reproduces second-order perturbation
-theory, which we check against a matrix-exponential oracle.
+theory.  Each segment's orders come from one Van Loan block exponential, and
+a Taylor-series oracle, summed on the stacked orders of exp(-T (H + g O)),
+checks them.  At the sizes the checks run (n up to a few dozen) the cost is
+mostly the number of numpy calls, so both keep their work in few, stacked
+calls.
 """
 
 from __future__ import annotations
@@ -23,10 +27,16 @@ class QmTheory:
         H = np.atleast_2d(np.asarray(H))
         if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 1:
             raise ValidationError("Hamiltonian must be a square matrix")
-        if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):
+        if not np.isfinite(H).all():
             raise ValidationError("Hamiltonian entries must be finite")
         self.H = H.astype(np.result_type(H.dtype, np.float64))
         self.dim = H.shape[0]
+
+
+def _check_endpoints(alpha, beta):
+    # NaN fails every comparison, so it fails this one too
+    if not -math.inf < alpha <= beta < math.inf:
+        raise GeometryError("segment endpoints must be finite and satisfy beta >= alpha")
 
 
 class SegmentPF:
@@ -34,8 +44,7 @@ class SegmentPF:
     matrices for deformed theories."""
 
     def __init__(self, theory, alpha, beta, value):
-        if not beta >= alpha:
-            raise GeometryError("segment endpoints must satisfy beta >= alpha")
+        _check_endpoints(alpha, beta)
         self.theory = theory
         self.alpha = float(alpha)
         self.beta = float(beta)
@@ -72,7 +81,10 @@ class SegmentPF:
 # method for the matrix exponential revisited", SIMAX 26(4), 2005), of degree
 # and scaling chosen from ||A^k||_1^(1/k) as in A. H. Al-Mohy and
 # N. J. Higham, "A new scaling and squaring algorithm for the matrix
-# exponential", SIMAX 31(3), 2009.
+# exponential", SIMAX 31(3), 2009.  The even powers are formed once, in one
+# stack; one product combines them into the approximant's sums, and one
+# chain of vector products with abs(A) bounds the backward error of every
+# degree tested.
 
 # largest ||A||_1 at which the degree-m approximant's backward error stays
 # below the double-precision unit roundoff (Al-Mohy & Higham 2009, Table 3.1;
@@ -92,65 +104,88 @@ _PADE = {
     ]
     for m in _THETA
 }
+# log2 |c_{2m+1}|, the leading coefficient of the degree-m approximant's
+# error series
+_LOG2_C = {
+    m: math.log2(math.factorial(m) ** 2 / (math.factorial(2 * m) * math.factorial(2 * m + 1)))
+    for m in _THETA
+}
+# which b_j multiplies which even power in the Pade sums, as an index matrix
+# over the powers [I, A^2, A^4, ...]: degree m < 13 forms U / A and V in one
+# product; degree 13 forms the inner sums that A^6 multiplies (their b_0 is
+# zeroed: they have no identity term), then the outer ones
+_PADE_INDEX = {m: np.array([range(1, m + 1, 2), range(0, m, 2)]) for m in (3, 5, 7, 9)}
+_PADE_INDEX[13] = np.array([[0, 9, 11, 13], [0, 8, 10, 12], [1, 3, 5, 7], [0, 2, 4, 6]])
+_PADE_MATRIX = {m: np.array(_PADE[m])[J] for m, J in _PADE_INDEX.items()}
+_PADE_MATRIX[13][:2, 0] = 0.0
 
 
-def _onenorm(A):
-    return float(np.abs(A).sum(axis=0).max())
-
-
-def _ell(A, m):
-    """Squarings to add so that the degree-m backward error of A, bounded
-    through ||abs(A)^(2m+1)||_1, stays below unit roundoff (Al-Mohy & Higham
-    2009, eq. (5.1) and Algorithm 5.1)."""
-    norm = _onenorm(A)
-    if norm == 0:
-        return 0
-    B = np.abs(A) / norm  # ||B||_1 = 1, so its powers cannot overflow
-    v = np.ones(len(A))
-    for _ in range(2 * m + 1):
-        v = v @ B
-    top = float(v.max())  # ||abs(A)^(2m+1)||_1 / norm^(2m+1)
-    if top == 0:
-        return 0
-    # |c_{2m+1}|, the leading coefficient of the approximant's error series
-    c = math.factorial(m) ** 2 / (math.factorial(2 * m) * math.factorial(2 * m + 1))
-    log2_alpha = math.log2(top) + 2 * m * math.log2(norm) + math.log2(c)
-    return max(0, math.ceil((log2_alpha + 53) / (2 * m)))
-
-
-def _pade_choice(A, A4, A6):
+def _pade_choice(A, A46):
     """(degree, squarings) for exp(A): Al-Mohy & Higham 2009, Algorithm 5.1,
-    with the exact 1-norms of the formed powers A^4 and A^6, and the bounds
-    ||A^8|| <= ||A^4||^2 and ||A^10|| <= ||A^4|| ||A^6|| for those not formed."""
-    d4, d6 = _onenorm(A4) ** (1 / 4), _onenorm(A6) ** (1 / 6)
+    with the exact 1-norms of the formed powers A^4 and A^6 (stacked in A46),
+    and the bounds ||A^8|| <= ||A^4||^2 and ||A^10|| <= ||A^4|| ||A^6|| for
+    those not formed.
+
+    Each degree m tested adds the squarings that keep its backward error,
+    bounded through ||abs(A)^(2m+1)||_1, below unit roundoff (their eq. (5.1)).
+    Since abs(A / 2^s) / ||A / 2^s||_1 = abs(A) / ||A||_1 = B for every s, one
+    chain of vectors 1^T B^k, in steps of B^2, serves every degree and
+    scaling; it runs only as far as the highest degree tested."""
+    B = np.abs(A)
+    colsums = B.sum(axis=0)
+    norm = float(colsums.max())
+    if norm == 0:
+        return 3, 0
+    d4, d6 = np.abs(A46).sum(axis=1).max(axis=1) ** [1 / 4, 1 / 6]
+    B /= norm  # ||B||_1 = 1, so its powers cannot overflow
+    B2 = B @ B
+    v, k = colsums / norm, 1  # v = 1^T B^k
+
+    def ell(m, s):
+        """Squarings to add to s at degree m."""
+        nonlocal v, k
+        for _ in range(k, 2 * m + 1, 2):
+            v = v @ B2
+        k = 2 * m + 1
+        top = float(v.max())  # ||abs(A)^(2m+1)||_1 / norm^(2m+1)
+        if top == 0:
+            return 0
+        # log2 of c ||abs(A / 2^s)^(2m+1)||_1 / ||A / 2^s||_1
+        log2_alpha = math.log2(top) + 2 * m * (math.log2(norm) - s) + _LOG2_C[m]
+        return max(0, math.ceil((log2_alpha + 53) / (2 * m)))
+
     eta = max(d4, d6)
     for m in (3, 5, 7, 9):
-        if eta < _THETA[m] and _ell(A, m) == 0:
+        if eta < _THETA[m] and ell(m, 0) == 0:
             return m, 0
     eta = max(d4, d4**0.4 * d6**0.6)
     s = max(0, math.ceil(math.log2(eta / _THETA[13]))) if eta > 0 else 0
-    return 13, s + _ell(A / 2**s, 13)
+    return 13, s + ell(13, s)
 
 
 def _expm(A):
     """exp(A) for a square numpy array, by scaling and squaring."""
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    m, s = _pade_choice(A, A4, A6)
-    # the scaling A -> A / 2^s goes into the coefficients: b_j (A / 2^s)^j
-    # is (b_j / 2^(s j)) A^j, exactly, since 2^s is a power of two
-    b = [math.ldexp(bj, -s * j) for j, bj in enumerate(_PADE[m])]
-    if m < 13:
-        powers = [A2, A4, A6, A4 @ A4] if m == 9 else [A2, A4, A6][: m // 2]
-        U = sum(b[2 * k + 3] * P for k, P in enumerate(powers))
-        V = sum(b[2 * k + 2] * P for k, P in enumerate(powers))
-    else:
-        U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
-        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
-    U.flat[:: len(A) + 1] += b[1]
-    U = A @ U
-    V.flat[:: len(A) + 1] += b[0]
+    N = len(A)
+    # the even powers A^2, A^4, A^6 and, for degree 9, A^8
+    P = np.empty((3, N, N), dtype=A.dtype)
+    np.matmul(A, A, out=P[0])
+    np.matmul(P[0], P[0], out=P[1])
+    np.matmul(P[1], P[0], out=P[2])
+    m, s = _pade_choice(A, P[1:])
+    if m == 9:
+        P = np.concatenate((P, [P[1] @ P[1]]))
+    # b_j (A / 2^s)^j is (b_j / 2^(s j)) A^j, exactly, since 2^s is a power
+    # of two; the column of b_0 and b_1 goes onto the diagonals, the others
+    # combine the powers in one product
+    b = np.ldexp(_PADE_MATRIX[m], -s * _PADE_INDEX[m])
+    k = b.shape[1] - 1
+    W = b[:, 1:] @ P[:k].reshape(k, -1)
+    W[:, :: N + 1] += b[:, :1]
+    W = W.reshape(len(b), N, N)
+    if m == 13:
+        W[2:] += P[2] @ W[:2]
+    del P  # free the powers before the solve makes its own copies
+    U, V = A @ W[-2], W[-1]
     X = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         X = X @ X
@@ -160,18 +195,16 @@ def _expm(A):
 def _block_row(theory: QmTheory, alpha, beta, *blocks):
     """Top block row of expm((beta - alpha) * M) for the Van Loan block
     matrix M: exp(-(beta - alpha) H), then one integral per inserted block."""
-    if beta < alpha:
-        raise GeometryError("segment endpoints must satisfy beta >= alpha")
-    blocks = [np.asarray(B) for B in blocks]
+    _check_endpoints(alpha, beta)
     n, k, T = theory.dim, len(blocks) + 1, beta - alpha
-    M = np.zeros((k * n, k * n), dtype=np.result_type(theory.H, *blocks))
-    diagonal = -T * theory.H
-    for i in range(k):
-        M[i * n : (i + 1) * n, i * n : (i + 1) * n] = diagonal
-    for i, B in enumerate(blocks):
-        M[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = T * B
-    E = _expm(M)
-    return [E[:n, i * n : (i + 1) * n].copy() for i in range(k)]
+    M = np.zeros((k, n, k, n), dtype=np.result_type(theory.H, *blocks))
+    i = np.arange(k)
+    M[i, :, i] = -T * theory.H
+    if blocks:
+        M[i[:-1], :, i[1:]] = np.multiply(T, blocks)
+    E = _expm(M.reshape(k * n, k * n))
+    # one copy of the top row, so that E is not kept alive by its blocks
+    return list(E[:n].reshape(n, k, n).swapaxes(0, 1).copy())
 
 
 # ------------------------------------------------------------- deformations
@@ -181,9 +214,9 @@ def qm_double_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
     """Deform twice by the same family, written in the combined coupling:
     pf + g_c^a int <O_a> + (1/2) g_c^a g_c^b int int T{<O_a O_b>}."""
     n = theory.dim
+    obs = {l: np.asarray(O) for l, O in obs.items()}
     for l, O in obs.items():
-        O = np.asarray(O)
-        if O.shape != (n, n) or not np.all(np.isfinite(O)):
+        if O.shape != (n, n) or not np.isfinite(O).all():
             raise ValidationError(f"observable {l!r} must be a finite {n}x{n} array")
     labels = sorted(obs)
     gc = {l: f"gc[{l}]" for l in labels}
@@ -203,25 +236,13 @@ def qm_double_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
                 _block_row(theory, alpha, beta, obs[a], obs[b])[2]
                 + _block_row(theory, alpha, beta, obs[b], obs[a])[2]
             )
-    jet = Jet(JetAlgebra.combined_coupling(labels), coeffs)
+    # the monomials are sorted and allowed already; only zeros are left to drop
+    coeffs = {mono: c for mono, c in coeffs.items() if c.any()}
+    jet = Jet._of(JetAlgebra.combined_coupling(labels), coeffs)
     return SegmentPF(theory, alpha, beta, jet)
 
 
 # ------------------------------------------------------------------- oracle
-
-
-def _poly_mat_mul(A, B, order):
-    """Product of matrix-valued polynomials in g, truncated past g^order."""
-    out = [None] * (order + 1)
-    for i, a in enumerate(A):
-        if a is None:
-            continue
-        for j, b in enumerate(B):
-            if b is None or i + j > order:
-                continue
-            term = a @ b
-            out[i + j] = term if out[i + j] is None else out[i + j] + term
-    return out
 
 
 # the oracle's series stops at the first term below _ORACLE_TOL in every
@@ -231,35 +252,39 @@ _ORACLE_MAX_TERMS = 200
 
 
 def taylor_series_oracle(H, O, T, order=2):
-    """Taylor coefficients in g of exp(-T (H + g O)), orders 0..order.
+    """Taylor coefficients in g of exp(-T (H + g O)), orders 0..order, as one
+    (order + 1, n, n) array.
 
-    Scaling-and-squaring on matrix-valued polynomials: the series for the
-    scaled exponent is summed term by term, then squared back up.  Entirely
-    independent of the Van Loan block-exponential integrals.
+    Scaling-and-squaring on matrix-valued polynomials, held as stacks of
+    their coefficients: the series for the scaled exponent is summed term by
+    term, then squared back up.  Entirely independent of the Van Loan
+    block-exponential integrals.
     """
-    real_inputs = not (np.iscomplexobj(H) or np.iscomplexobj(O))
-    H, O = np.asarray(H, dtype=complex), np.asarray(O, dtype=complex)
-    n = H.shape[0]
-    norm = max(float(np.max(np.abs(T * H))), float(np.max(np.abs(T * O))), 1e-30)
-    s = max(0, int(np.ceil(np.log2(norm))) + 1)
-    scale = T / 2**s
-    M = [-scale * H, -scale * O] + [None] * (order - 1)
-    eye = np.eye(n, dtype=complex)
-    acc = [eye] + [None] * order
-    term = [eye] + [None] * order
+    # real inputs keep real arithmetic: the series and its squares stay real
+    dtype = complex if np.iscomplexobj(H) or np.iscomplexobj(O) else float
+    H, O = np.asarray(H, dtype=dtype), np.asarray(O, dtype=dtype)
+    norm = max(abs(T) * max(np.abs(H).max(), np.abs(O).max()), 1e-30)
+    s = max(0, math.ceil(math.log2(norm)) + 1)
+    M0, M1 = -(T / 2**s) * H, -(T / 2**s) * O
+    # the k-th term of the series is term_{k-1} (M0 + g M1) / k, truncated
+    # past g^order
+    term = np.zeros((order + 1,) + H.shape, dtype=dtype)
+    term[0] = np.eye(len(H))
+    acc = term.copy()
     for k in range(1, _ORACLE_MAX_TERMS):
-        term = [t / k if t is not None else None for t in _poly_mat_mul(term, M, order)]
-        for i, t in enumerate(term):
-            if t is not None:
-                acc[i] = t if acc[i] is None else acc[i] + t
-        if all(t is None or np.max(np.abs(t)) < _ORACLE_TOL for t in term):
+        nxt = term @ M0
+        nxt[1:] += term[:-1] @ M1
+        nxt /= k
+        term = nxt
+        acc += term
+        if np.abs(term).max() < _ORACLE_TOL:
             break
     else:  # pragma: no cover
         raise QuadratureError("oracle series did not converge")
-    acc = [a if a is not None else np.zeros((n, n), dtype=complex) for a in acc]
+    # squaring: order j of acc^2 is the sum over i of acc_i acc_{j-i}
     for _ in range(s):
-        acc = _poly_mat_mul(acc, acc, order)
-        acc = [a if a is not None else np.zeros((n, n), dtype=complex) for a in acc]
-    if real_inputs:
-        acc = [a.real for a in acc]
+        sq = acc[0] @ acc
+        for i in range(1, order + 1):
+            sq[i:] += acc[i] @ acc[: order + 1 - i]
+        acc = sq
     return acc

@@ -4,6 +4,7 @@ import math
 
 import mpmath
 import numpy as np
+import oracle_ref
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -67,7 +68,11 @@ def test_evolve_validation():
     with pytest.raises(GeometryError):
         _block_row(th, 1.0, 0.0)
     with pytest.raises(GeometryError):
+        _block_row(th, 0.0, math.nan)
+    with pytest.raises(GeometryError):
         SegmentPF(th, 1.0, 0.0, np.eye(2))
+    with pytest.raises(GeometryError):
+        SegmentPF(th, 0.0, math.inf, np.eye(2))
     with pytest.raises(ValidationError):
         QmTheory(np.array([[np.inf, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
@@ -182,6 +187,27 @@ def test_qm_double_deform_rejects_observables_that_are_not_finite_square(O):
         qm_double_deform(th, {"a": np.eye(3), "o": O}, 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        (0.0, math.nan),
+        (math.nan, 1.0),
+        (0.0, math.inf),
+        (-math.inf, 1.0),
+        (-math.inf, math.inf),
+        (math.inf, math.inf),
+        (-math.inf, -math.inf),
+    ],
+)
+@pytest.mark.parametrize("obs", [{}, {"o": np.ones((2, 2))}], ids=["evolution", "deformed"])
+def test_qm_double_deform_rejects_non_finite_endpoints(alpha, beta, obs):
+    # NaN passes a plain beta < alpha test, and an infinite length reaches
+    # the exponential's scaling as an infinite norm
+    th = QmTheory(np.eye(2))
+    with pytest.raises(GeometryError, match="finite"):
+        qm_double_deform(th, obs, alpha, beta)
+
+
 def _similarity(rng, dim):
     # random non-orthogonal similarity with condition number 10: a worse one
     # inflates the evolution's own rounding past the tolerances on any method
@@ -222,6 +248,7 @@ def test_qm_double_deform_hostile_spectra(kind, dim, gap, seed):
     seg = qm_double_deform(th, obs, 0.0, 1.0)
     glued = qm_double_deform(th, obs, 0.4, 1.0).glue(qm_double_deform(th, obs, 0.0, 0.4))
     oracle = taylor_series_oracle(H, O, 1.0, order=2)
+    _assert_oracle_matches_reference(oracle, H, O, 1.0, order=2)
     scale = max(max(np.max(np.abs(o)) for o in oracle), 1.0)
     for mono, o in zip([(), ("gc[o]",), ("gc[o]", "gc[o]")], oracle):
         got = seg.value.coefficient(mono)
@@ -292,14 +319,86 @@ def test_expm_zero_matrix_is_identity():
             assert E.dtype == dtype and np.array_equal(E, np.eye(n))
 
 
+def _ell_ref(A, m):
+    """Squarings to add at degree m, from a chain of 2m + 1 products with
+    abs(A) / ||A||_1 made for this degree alone."""
+    norm = float(np.abs(A).sum(axis=0).max())
+    if norm == 0:
+        return 0
+    B = np.abs(A) / norm
+    v = np.ones(len(A))
+    for _ in range(2 * m + 1):
+        v = v @ B
+    top = float(v.max())
+    if top == 0:
+        return 0
+    c = math.factorial(m) ** 2 / (math.factorial(2 * m) * math.factorial(2 * m + 1))
+    log2_alpha = math.log2(top) + 2 * m * math.log2(norm) + math.log2(c)
+    return max(0, math.ceil((log2_alpha + 53) / (2 * m)))
+
+
+def _pade_choice_ref(A):
+    """Al-Mohy & Higham 2009, Algorithm 5.1, with one `_ell_ref` chain per
+    degree tested, and the last one on the scaled matrix."""
+    theta = {
+        3: 1.495585217958292e-2,
+        5: 2.539398330063230e-1,
+        7: 9.504178996162932e-1,
+        9: 2.097847961257068,
+        13: 4.25,
+    }
+    A4 = np.linalg.matrix_power(A, 4)
+    A6 = A4 @ A @ A
+    d4 = float(np.abs(A4).sum(axis=0).max()) ** (1 / 4)
+    d6 = float(np.abs(A6).sum(axis=0).max()) ** (1 / 6)
+    eta = max(d4, d6)
+    for m in (3, 5, 7, 9):
+        if eta < theta[m] and _ell_ref(A, m) == 0:
+            return m, 0
+    eta = max(d4, d4**0.4 * d6**0.6)
+    s = max(0, math.ceil(math.log2(eta / theta[13]))) if eta > 0 else 0
+    return 13, s + _ell_ref(A / 2**s, 13)
+
+
+def _pade_choice_of(A):
+    A4 = np.linalg.matrix_power(A, 4)
+    return _pade_choice(A, np.stack([A4, A4 @ A @ A]))
+
+
+def _pade_inputs():
+    # the norm sweep of test_expm_every_degree_and_squaring
+    rng = np.random.default_rng(31)
+    for norm in 10.0 ** np.arange(-3, 3.25, 0.25):
+        yield _expm_input(rng, "gaussian", 6, norm)
+    rng = np.random.default_rng(37)
+    for kind in ("gaussian", "clustered", "jordan", "jordan-similar", "complex", "van-loan"):
+        for dim in (2, 4, 8):
+            for norm in 10.0 ** np.arange(-3, 3.25, 0.5):
+                yield _expm_input(rng, kind, dim // 2 if kind == "van-loan" else dim, norm)
+    for dtype in (float, complex):
+        yield np.zeros((4, 4), dtype=dtype)
+        for x in (0.0, 1e-3, 0.5, -3.0, 40.0, 2e3):
+            yield np.full((1, 1), x, dtype=dtype)
+
+
+def test_pade_choice_matches_one_chain_per_degree():
+    # one chain of abs(A) / ||A||_1 powers, in B^2 steps, picks the same
+    # degree and squarings as a chain per degree
+    degrees = set()
+    for A in _pade_inputs():
+        m, s = _pade_choice_of(A)
+        assert (m, s) == _pade_choice_ref(A)
+        degrees.add(m)
+    assert degrees == {3, 5, 7, 9, 13}
+
+
 def test_expm_every_degree_and_squaring():
     # norms 1e-3 ... 1e3 run each Pade degree and up to 8 squarings
     rng = np.random.default_rng(31)
     choices = set()
     for norm in 10.0 ** np.arange(-3, 3.25, 0.25):
         A = _expm_input(rng, "gaussian", 6, norm)
-        A4 = np.linalg.matrix_power(A, 4)
-        choices.add(_pade_choice(A, A4, A4 @ A @ A))
+        choices.add(_pade_choice_of(A))
         _check_expm(A, norm)
     assert {m for m, _ in choices} == {3, 5, 7, 9, 13}
     assert max(s for _, s in choices) >= 8
@@ -364,6 +463,28 @@ def test_glue_endpoint_mismatch():
 
 
 # ------------------------------------------------------------------- oracle
+
+
+def _assert_oracle_matches_reference(got, H, O, T, order):
+    want = oracle_ref.taylor_series_oracle(H, O, T, order=order)
+    assert got.shape == (order + 1,) + np.shape(H) and got.dtype == want[0].dtype
+    scale = max(np.max(np.abs(w)) for w in want)
+    assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("T", [0.0, 0.4, 1.0, 3.0])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_oracle_matches_coefficient_list_reference(order, field, T):
+    # the stacked orders against the pairwise products of coefficient lists;
+    # real inputs run in real arithmetic there, complex in the reference
+    rng = np.random.default_rng(41 + order)
+    for dim in (1, 3, 8, 16):
+        H, O = rng.standard_normal((2, dim, dim))
+        if field == "complex":
+            H = H + 1j * rng.standard_normal((dim, dim))
+        got = taylor_series_oracle(H, O, T, order=order)
+        _assert_oracle_matches_reference(got, H, O, T, order)
 
 
 def test_oracle_reduces_to_expm():
