@@ -12,8 +12,13 @@ Two backends share the same pipeline.
   its row values' denominators, and that of its mixing values'): each OPE
   pair gets one record, made on first use in one pass over its rows, with
   its C and K numerators and its power rows, and every builder reads it.
-  Values become Fractions only in the outputs, through one table per
-  theory, {(num, den): Fraction}, so a repeated value is a dict lookup.
+  The constructor's row check keeps each channel's exponent (spin, s = 1,
+  or 2(s - 1)), so a record reads it instead of recomputing it per row.
+  Each builder value is built once per theory: one table maps (num, den,
+  LogPoly key) to its LogPoly, over one table of Fractions, and since
+  LogPoly is immutable every output may hold the same object.  Dilation
+  computes each symbol's dimension once per theory, and a row whose
+  symbols all have a zero lam shift keeps the input's own vector.
 * The numeric free-boson backend deforms the truncated Fock-space partition
   functions by the marginal observable j jbar, with exact rational entries:
   the deformed annulus and disk act on jets of boundary states, through
@@ -41,6 +46,7 @@ R_SYM = LogPoly.monomial(R=1)
 LAM_SYM = LogPoly.monomial(lam=1)
 LOG_R = LogPoly.monomial(log_R=1)
 LOG_LAM = LogPoly.monomial(log_lam=1)
+_ONE = LogPoly.monomial(1)  # the int 1, as FormalVector.corr and .atom store it
 
 
 # ------------------------------------------------------------ formal vectors
@@ -113,11 +119,17 @@ class FormalTheory:
 
     The builders compute in ints over the theory's two denominators: `den`,
     the lcm of the row values' denominators, and `mixing_den`, that of the
-    mixing values', folded into the constructor's loops.  Each pair
-    (alpha, beta) has one record (`_pair`), made on first use in one pass
-    over its rows.  Values leave the ints through one table per theory
-    (`_fraction`), so a repeated value costs a dict lookup, not a Fraction.
-    Both memos start empty, and no two theories share them.
+    mixing values', folded into the constructor's loops.  The constructor
+    checks each distinct row target (c, mu, mubar) once and keeps its
+    exponent in `_channels`: None for a spin row, else 2(s - 1), which is 0
+    exactly at s = 1 and -2 exactly at s = 0.  Each pair (alpha, beta) has
+    one record (`_pair`), made on first use in one pass over its rows, that
+    reads those exponents.  Values leave the ints through two tables:
+    `_fraction` makes one Fraction per (num, den), and `_value` one LogPoly
+    per (num, den, monomial key) on top of it, shared by every output that
+    holds that value.  `_dilate` fills a fourth table, each correlator
+    symbol's dimension.  All four start empty, fill on use, and no two
+    theories share them.
     """
 
     def __init__(self, primaries, rows, mixing=None):
@@ -155,14 +167,13 @@ class FormalTheory:
                 mixing_den = lcm(mixing_den, val.denominator)
         self.rows = {}
         den = 1
-        channels = set()  # (c, mu, mubar) already checked by this call
+        self._channels = channels = {}  # (c, mu, mubar) -> its exponent, see _check_channel
         for (alpha, beta, c, mu, mubar, value) in rows:
             if alpha not in self._marginal_set or beta not in self._marginal_set:
                 raise ValidationError("OPE rows must pair marginal observables")
             mu, mubar = tuple(mu), tuple(mubar)
             if (c, mu, mubar) not in channels:
-                self._check_channel(c, mu, mubar)
-                channels.add((c, mu, mubar))
+                channels[c, mu, mubar] = self._check_channel(c, mu, mubar)
             if type(value) is not Fraction:
                 value = Fraction(value)
             if value:
@@ -170,12 +181,17 @@ class FormalTheory:
                 if den % value.denominator:
                     den = lcm(den, value.denominator)
         self.den, self.mixing_den = den, mixing_den
-        self._pairs, self._fractions = {}, {}  # filled on use
+        # filled on use: pair records, Fractions, LogPoly values, symbol dimensions
+        self._pairs, self._fractions, self._values, self._dimensions = {}, {}, {}, {}
 
     def _check_channel(self, c, mu, mubar):
         """Reject a row target that is unknown, has descendant labels that are
         not partitions, or sits at h + |mu| = hbar + |mubar| = 1 without being
-        a marginal channel; zero-valued rows are checked too."""
+        a marginal channel; zero-valued rows are checked too.
+
+        Returns the channel's exponent: None for a spin row (s != sbar),
+        else 2(s - 1), canonical.  It is 0 exactly at s = 1, the marginal
+        and mixing channels, and -2 exactly at s = 0, the K channels."""
         if c not in self.dims:
             raise ValidationError(f"unknown OPE target {c}")
         try:
@@ -188,6 +204,7 @@ class FormalTheory:
                 f"degenerate row ({c}, {mu}, {mubar}) with h+|mu|=1 is "
                 "neither a marginal primary nor a mixing channel"
             )
+        return canonical_exponent(2 * (s - 1)) if s == sbar else None
 
     def exponent_pair(self, c, mu, mubar):
         h, hbar = self.dims[c]
@@ -198,14 +215,20 @@ class FormalTheory:
             return True
         return self.dims[c] == (0, 0) and mu == (1,) and mubar == (1,)
 
-    def rows_for(self, alpha, beta):
-        return list(self.rows.get((alpha, beta), []))
-
     def _fraction(self, num, den):
         """num / den as a Fraction, one per distinct (num, den) per theory."""
         out = self._fractions.get((num, den))
         if out is None:
             out = self._fractions[num, den] = Fraction(num, den)
+        return out
+
+    def _value(self, num, den, key=(0, 0, 0, 0)):
+        """num / den times the monomial of the canonical LogPoly key, one
+        LogPoly per distinct (num, den, key) per theory; num is nonzero.
+        LogPoly is immutable, so every output may hold the same object."""
+        out = self._values.get((num, den, key))
+        if out is None:
+            out = self._values[num, den, key] = LogPoly._of({key: self._fraction(num, den)})
         return out
 
     def _pair(self, alpha, beta):
@@ -230,28 +253,26 @@ class FormalTheory:
         record = self._pairs.get((alpha, beta))
         if record is not None:
             return record
-        den, mixing_den, dims = self.den, self.mixing_den, self.dims
+        den, mixing_den, channels = self.den, self.mixing_den, self._channels
         C, K, sums, denoms = {}, {}, {}, {}
         for (c, mu, mubar, value) in self.rows.get((alpha, beta), ()):
-            n = value.numerator * (den // value.denominator)
-            h, hbar = dims[c]
-            s = h + sum(mu)
-            if s != hbar + sum(mubar):
+            d = channels[c, mu, mubar]
+            if d is None:
                 continue  # a spin row: it integrates to zero
-            if s == 1:  # the constructor let only the two channels through
+            n = value.numerator * (den // value.denominator)
+            if d == 0:  # s = 1: the constructor let only the two channels through
                 if c in self._marginal_set:
                     C[c] = C.get(c, 0) + n * mixing_den
                     continue
                 for gamma, m in self._mixing_of.get(c, ()):
                     C[gamma] = C.get(gamma, 0) + n * m.numerator * (mixing_den // m.denominator)
                 continue
-            if s == 0:
+            if d == -2:  # s = 0
                 K[c] = K.get(c, 0) + n
             symbol = (c, mu, mubar)
             if symbol in sums:
                 sums[symbol][1] += n
             else:
-                d = canonical_exponent(2 * (s - 1))
                 sums[symbol] = [d, n]
                 denoms.setdefault(d)
         powers = tuple(
@@ -267,18 +288,6 @@ class FormalTheory:
             tuple(d for d in denoms if d in kept),
         )
         return record
-
-    def effective_C(self, alpha, beta):
-        """C_{alpha beta}^gamma combining the primary-marginal channel with
-        the mixing channel of dimension-0 (1,1)-descendants, without zeros."""
-        den = self.den * self.mixing_den
-        return {g: self._fraction(n, den) for g, n in self._pair(alpha, beta).C.items()}
-
-    def K(self, alpha, beta):
-        """K_{alpha beta}^a: the dimension-0 identity-sector constants,
-        without zeros."""
-        return {a: self._fraction(n, self.den) for a, n in self._pair(alpha, beta).K.items()}
-
 
 class _Pair:
     """One pair's structure constants in ints (see FormalTheory._pair)."""
@@ -328,8 +337,8 @@ def _channel(theory, C, key=(0, 0, 0, 0), sign=1):
     """The marginal channel sign * C^gamma <O_gamma> as vector terms, from a
     record's C numerators, each value times the monomial of the canonical
     LogPoly key (a, b, i, j)."""
-    den, frac = theory.den * theory.mixing_den, theory._fraction
-    return {("corr", g, (), ()): LogPoly._of({key: frac(sign * n, den)}) for g, n in C.items()}
+    den, value = theory.den * theory.mixing_den, theory._value
+    return {("corr", g, (), ()): value(sign * n, den, key) for g, n in C.items()}
 
 
 def compute_correction(theory: FormalTheory, alpha, beta) -> RExpansion:
@@ -338,26 +347,26 @@ def compute_correction(theory: FormalTheory, alpha, beta) -> RExpansion:
               + sum_{s = sbar != 1} value * r^{2(s-1)}/(2(s-1)) * <O_c^{..}>_{D_r}.
     The s = 0 term is the -K/(2 r^2) counterterm of the special marginal OPE.
     """
-    record, frac = theory._pair(alpha, beta), theory._fraction
+    record, value = theory._pair(alpha, beta), theory._value
     terms = {(0, 1): _channel(theory, record.C)}
     terms.update(((d, 0), {}) for d in record.denoms)
     for d, c, mu, mubar, num, dd in record.powers:
-        terms[d, 0][("corr", c, mu, mubar)] = LogPoly._of({(0, 0, 0, 0): frac(num, dd)})
+        terms[d, 0][("corr", c, mu, mubar)] = value(num, dd)
     return _expansion(terms)
 
 
 def integrated_ope(theory: FormalTheory, alpha, beta) -> RExpansion:
     """int_{D_R \\ D_r} dmu <O_alpha(z) O_beta(0)>_{D_R}, termwise via the
     annulus moments; an RExpansion in r with symbolic R in the scalars."""
-    record, frac = theory._pair(alpha, beta), theory._fraction
+    record, value = theory._pair(alpha, beta), theory._value
     # log(R/r) * C * <O_gamma>_{D_R}
     const = _channel(theory, record.C, (0, 0, 1, 0))
     terms = {(0, 0): const, (0, 1): _channel(theory, record.C, sign=-1)}
     terms.update(((d, 0), {}) for d in record.denoms)
     for d, c, mu, mubar, num, dd in record.powers:
         key = ("corr", c, mu, mubar)
-        const[key] = LogPoly._of({(d, 0, 0, 0): frac(num, dd)})
-        terms[d, 0][key] = LogPoly._of({(0, 0, 0, 0): frac(-num, dd)})
+        const[key] = value(num, dd, (d, 0, 0, 0))
+        terms[d, 0][key] = value(-num, dd)
     return _expansion(terms)
 
 
@@ -412,34 +421,50 @@ def _dilate(theory, expansion, weight) -> RExpansion:
     of a symbol of dimension D contributes comb(q, j) lam^{weight + p - D}
     (log lam)^{q - j} times itself at r^p (log r)^j, for j = 0..q.
 
-    Each monomial's exponents shift directly; a zero shift (so j = q and
-    comb(q, j) = 1) is the value itself.  Shifted values stay zero-free, but
-    values from different q can meet at one (p, j) and cancel: only then are
-    the rows filtered."""
-    dims, terms, met = theory.dims, {}, False
+    Each symbol's dimension is computed once per theory, and every symbol's
+    lam shift weight + p - D from it.  Each monomial's exponents shift
+    directly; a zero shift (so j = q and comb(q, j) = 1) is the value
+    itself, and the row at j = q of a (p, q) whose every symbol has a zero
+    shift is the input's own FormalVector (as lam^2 Dil leaves every row of
+    a correction).  Shifted values stay zero-free, but rows from different
+    q can meet at one (p, j): those are summed by FormalVector addition,
+    which drops what cancels and changes no operand."""
+    dims, out = theory._dimensions, {}
     for (p, q), vec in expansion.terms.items():
-        rows = [(terms.setdefault((p, j), {}), comb(q, j), q - j) for j in range(q + 1)]
-        for key, val in vec.terms.items():
-            _, label, mu, mubar = key
-            h, hbar = dims[label]
-            lam = canonical_exponent(weight + p - (h + hbar + sum(mu) + sum(mubar)))
-            for row, n, dj in rows:
-                moved = val
-                if lam or dj:
-                    moved = LogPoly._of(
-                        {
-                            (a, canonical_exponent(b + lam), i, k + dj): c * n if n != 1 else c
-                            for (a, b, i, k), c in val.terms.items()
-                        }
-                    )
-                if key in row:
-                    row[key] = row[key] + moved
-                    met = True
-                else:
-                    row[key] = moved
-    if met:
-        terms = {pq: {key: val for key, val in vec.items() if val} for pq, vec in terms.items()}
-    return _expansion(terms)
+        shifts, unshifted = {}, True
+        for key in vec.terms:
+            D = dims.get(key)
+            if D is None:
+                _, label, mu, mubar = key
+                h, hbar = theory.dims[label]
+                D = dims[key] = canonical_exponent(h + hbar + sum(mu) + sum(mubar))
+            lam = shifts[key] = canonical_exponent(weight + p - D)
+            unshifted = unshifted and not lam
+        for j in range(q + 1):
+            if unshifted and j == q:
+                moved = vec
+            else:
+                dj, n = q - j, comb(q, j)
+                moved = FormalVector._of(
+                    {key: _shift(val, shifts[key], dj, n) for key, val in vec.terms.items()}
+                )
+            row = out.get((p, j))
+            out[p, j] = moved if row is None else row + moved
+    return RExpansion._of({pq: vec for pq, vec in out.items() if vec.terms})
+
+
+def _shift(val, lam, dj, n):
+    """n lam^lam (log lam)^dj times the LogPoly val: each monomial's exponents
+    move, and the coefficients are reused where n is 1; val itself when
+    nothing moves (then n is comb(q, q) = 1)."""
+    if not (lam or dj):
+        return val
+    return LogPoly._of(
+        {
+            (a, canonical_exponent(b + lam), i, k + dj): c * n if n != 1 else c
+            for (a, b, i, k), c in val.terms.items()
+        }
+    )
 
 
 def anomalous_dilation(theory: FormalTheory, beta):
@@ -449,19 +474,27 @@ def anomalous_dilation(theory: FormalTheory, beta):
     Returns (lhs, rhs) as jets over the couplings.
     """
     alg = marginal_coupling_algebra(theory)
-    tilde = {(): RExpansion.constant(FormalVector.corr(beta))}
+    tilde = {(): RExpansion._of({(0, 0): FormalVector._of({("corr", beta, (), ()): _ONE})})}
     rhs = dict(tilde)
     for alpha in theory.marginals:
         mono = (f"g[{alpha}]",)
         dv = compute_correction(theory, alpha, beta)
-        if not dv.is_zero():
+        if dv.terms:
             tilde[mono] = rhs[mono] = dv
         C = theory._pair(alpha, beta).C
         if C:  # the record stores no zeros, so the channel vector is nonzero
-            log_lam = RExpansion._of({(0, 0): FormalVector._of(_channel(theory, C, (0, 0, 0, 1)))})
-            rhs[mono] = rhs[mono] + log_lam if mono in rhs else log_lam
-    # monomials () and single symbols; nonzero values: dilation is invertible,
-    # and dv and the log(lam) channel never share an (r, log r) key
+            # dv's rows plus the log(lam) channel at (0, 0), added where they meet
+            log_lam = FormalVector._of(_channel(theory, C, (0, 0, 0, 1)))
+            terms = dict(dv.terms)
+            const = terms.pop((0, 0), None)
+            const = log_lam if const is None else const + log_lam
+            if const.terms:
+                terms[0, 0] = const
+            if terms:
+                rhs[mono] = RExpansion._of(terms)
+            else:
+                rhs.pop(mono, None)
+    # monomials () and single symbols; nonzero values: dilation is invertible
     lhs = Jet._of(alg, {mono: _dilate(theory, e, 2) for mono, e in tilde.items()})
     return lhs, Jet._of(alg, rhs)
 
@@ -484,30 +517,25 @@ def double_deform(theory: FormalTheory) -> Jet:
     """
     labels = theory.marginals
     alg = JetAlgebra.combined_coupling(labels)
-    den, frac = theory.den, theory._fraction
+    den, value = theory.den, theory._value
     names = {m: f"gc[{m}]" for m in labels}
-    coeffs = {(): FormalVector.atom(("disk",))}
+    coeffs = {(): FormalVector._of({("disk",): _ONE})}
     for m in labels:
-        coeffs[(names[m],)] = FormalVector.atom(("int", m))
+        coeffs[(names[m],)] = FormalVector._of({("int", m): _ONE})
     # each unordered pair once, li <= lj, from the term g^lj g~^li
     for i, li in enumerate(labels):
         for lj in labels[i:]:
             record, has_rows = theory._pair(lj, li), (lj, li) in theory.rows
             if li == lj:
-                half, unit = 2, LogPoly._of({(0, 0, 0, 0): frac(1, 2)})
+                half, unit = 2, value(1, 2)
             else:
                 twin = theory._pair(li, lj)
                 if (record.C, record.K, has_rows) != (twin.C, twin.K, (li, lj) in theory.rows):
                     raise RecombinationError(f"bilinear part not symmetric in ({li}, {lj})")
-                half, unit = 1, LogPoly.monomial(1)
+                half, unit = 1, _ONE
             cden, kden = half * den * theory.mixing_den, -2 * half * den
-            vec = {
-                ("int", g): LogPoly._of({(0, 0, 1, 0): frac(n, cden)}) for g, n in record.C.items()
-            }
-            vec.update(
-                (("int0", a), LogPoly._of({(0, 0, 0, 0): frac(n, kden)}))
-                for a, n in record.K.items()
-            )
+            vec = {("int", g): value(n, cden, (0, 0, 1, 0)) for g, n in record.C.items()}
+            vec.update((("int0", a), value(n, kden)) for a, n in record.K.items())
             if has_rows:
                 vec[("reg",) + tuple(sorted((li, lj)))] = unit
             if vec:  # C and K store no zeros, and the keys are distinct atoms

@@ -80,13 +80,15 @@ class Jet(Sparse):
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Truncated commutative product; nilpotent monomials drop out."""
     a._check(b)
-    alg = a.algebra
+    order = a.algebra.order
     coeffs = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
-            mono = tuple(sorted(ma + mb))
-            if not alg.monomial_ok(mono):
+            # both factors' monomials are allowed in the one algebra, so
+            # their symbols are known: only the degree can rule a pair out
+            if len(ma) + len(mb) > order:
                 continue
+            mono = tuple(sorted(ma + mb))
             prod = _coeff_mul(ca, cb)
             if mono in coeffs:
                 coeffs[mono] = coeffs[mono] + prod

@@ -32,6 +32,7 @@ from fqft.observables import (
 )
 from fqft.qm import QmTheory, qm_double_deform, taylor_series_oracle
 from fqft.rexp import RExpansion
+from formal_ref import ref_effective_C, rows_for
 
 
 def _report(number, name, ok):
@@ -128,11 +129,11 @@ def test_acceptance_4_correction_formula():
                 # independent structural reconstruction of the correction:
                 # log(r) C_{ab}^g <O_g> + sum_{s=sbar!=1} v r^{2(s-1)}/(2(s-1))
                 expected = RExpansion()
-                for g, val in th.effective_C(a, b).items():
+                for g, val in ref_effective_C(th, a, b).items():
                     expected = expected + RExpansion.term(
                         0, 1, FormalVector.corr(g, value=val)
                     )
-                for (c, mu, mubar, val) in th.rows_for(a, b):
+                for (c, mu, mubar, val) in rows_for(th, a, b):
                     s = th.dims[c][0] + sum(mu)
                     sbar = th.dims[c][1] + sum(mubar)
                     if s != sbar or s == 1:
@@ -177,7 +178,7 @@ def test_acceptance_6_beta_function():
         expect = {}
         for a in th.marginals:
             for b in th.marginals:
-                for g, val in th.effective_C(a, b).items():
+                for g, val in ref_effective_C(th, a, b).items():
                     mono = tuple(sorted((f"gc[{a}]", f"gc[{b}]")))
                     vec = FormalVector.atom(("int", g), val * LOG_LAM / 2)
                     expect[mono] = expect.get(mono, FormalVector()) + vec
@@ -188,11 +189,11 @@ def test_acceptance_6_beta_function():
             for a in th.marginals:
                 for b in th.marginals:
                     want = (
-                        th.effective_C(a, b).get(g, Fraction(0))
-                        + th.effective_C(b, a).get(g, Fraction(0))
+                        ref_effective_C(th, a, b).get(g, Fraction(0))
+                        + ref_effective_C(th, b, a).get(g, Fraction(0))
                     ) / 2
                     if a == b:
-                        want = th.effective_C(a, a).get(g, Fraction(0)) / 2
+                        want = ref_effective_C(th, a, a).get(g, Fraction(0)) / 2
                     mono = tuple(sorted((f"gc[{a}]", f"gc[{b}]")))
                     got = res.coefficients[g].coefficient(mono)
                     ok = ok and (got or 0) == want

@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fqft.deformation
@@ -41,6 +41,7 @@ from fqft.fock import BoundaryState, build_space
 from fqft.jets import Jet, JetAlgebra
 from fqft.rexp import RExpansion
 from fqft.scalars import LogPoly, canonical_exponent
+from formal_ref import ref_dims, ref_effective_C, ref_K, rows_for
 from recombine_ref import recombine
 from theory_json import theory_to_json
 
@@ -120,7 +121,11 @@ def test_effective_c_with_mixing():
         [("e", "e", "e", (), (), Fraction(2)), ("e", "e", "1", (1,), (1,), Fraction(3))],
         mixing={("1", "e"): Fraction(1, 2)},
     )
-    assert th.effective_C("e", "e") == {"e": Fraction(2) + Fraction(3, 2)}
+    assert ref_effective_C(th, "e", "e") == {"e": Fraction(2) + Fraction(3, 2)}
+    # the library's C is the log(r) channel of the correction
+    assert compute_correction(th, "e", "e") == RExpansion.term(
+        0, 1, FormalVector.corr("e", value=Fraction(7, 2))
+    )
 
 
 def test_theory_json_roundtrip():
@@ -128,7 +133,10 @@ def test_theory_json_roundtrip():
     text = theory_to_json(th)
     back = theory_from_json(text)
     assert theory_to_json(back) == text
-    assert back.K("e", "e") == {"1": 5}
+    assert ref_K(back, "e", "e") == {"1": 5}
+    assert compute_correction(back, "e", "e").coefficient(-2, 0) == FormalVector.corr(
+        "1", value=Fraction(-5, 2)
+    )
 
 
 # ------------------------------------------------------------------- moments
@@ -161,7 +169,7 @@ def test_integrated_ope_matches_annulus_moments():
         for alpha in th.marginals:
             for beta_ in th.marginals:
                 want = {}
-                for c, mu, mubar, val in th.rows_for(alpha, beta_):
+                for c, mu, mubar, val in rows_for(th, alpha, beta_):
                     s, sbar = th.exponent_pair(c, mu, mubar)
                     moment = sympy.Rational(val) * annulus_moment(s - 2, sbar - 2, SYM_R, r)
                     if (s, sbar) != (1, 1):
@@ -381,8 +389,11 @@ def test_beta_zero():
 def test_fb_theory_constants():
     space = build_space(4)
     th = fb_theory(space)
-    assert th.K("jjbar", "jjbar") == {"1": 1}
-    assert th.effective_C("jjbar", "jjbar") == {}
+    assert ref_K(th, "jjbar", "jjbar") == {"1": 1}
+    assert ref_effective_C(th, "jjbar", "jjbar") == {}
+    dv = compute_correction(th, "jjbar", "jjbar")
+    assert dv.coefficient(0, 1) is None
+    assert dv.coefficient(-2, 0) == FormalVector.corr("1", value=Fraction(-1, 2))
     assert beta(th).is_zero()
 
 
@@ -439,40 +450,16 @@ def test_fb_deformed_annulus_g_zero_is_undeformed():
 # mixing matrix, and the dimensions are the primaries' Fractions.
 
 
-def _ref_dims(th):
-    return {p.label: (p.h, p.hbar) for p in th.primaries}
-
-
 def _ref_exponents(th, c, mu, mubar):
-    h, hbar = _ref_dims(th)[c]
+    h, hbar = ref_dims(th)[c]
     return h + sum(mu), hbar + sum(mubar)
-
-
-def _ref_effective_C(th, alpha, beta_):
-    dims, out = _ref_dims(th), {}
-    for (c, mu, mubar, value) in th.rows_for(alpha, beta_):
-        if c in th.marginals and mu == () and mubar == ():
-            out[c] = out.get(c, Fraction(0)) + value
-        elif dims[c] == (0, 0) and mu == (1,) and mubar == (1,):
-            for (a, gamma), m in th.mixing.items():
-                if a == c:
-                    out[gamma] = out.get(gamma, Fraction(0)) + value * m
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _ref_K(th, alpha, beta_):
-    dims, out = _ref_dims(th), {}
-    for (c, mu, mubar, value) in th.rows_for(alpha, beta_):
-        if dims[c] == (0, 0) and mu == () and mubar == ():
-            out[c] = out.get(c, Fraction(0)) + value
-    return out
 
 
 def _ref_correction(th, alpha, beta_):
     exp = RExpansion()
-    for gamma, val in _ref_effective_C(th, alpha, beta_).items():
+    for gamma, val in ref_effective_C(th, alpha, beta_).items():
         exp = exp + RExpansion.term(0, 1, FormalVector.corr(gamma, value=val))
-    for (c, mu, mubar, val) in th.rows_for(alpha, beta_):
+    for (c, mu, mubar, val) in rows_for(th, alpha, beta_):
         s, sbar = _ref_exponents(th, c, mu, mubar)
         if s != sbar or s == 1:
             continue
@@ -483,10 +470,10 @@ def _ref_correction(th, alpha, beta_):
 
 def _ref_integrated_ope(th, alpha, beta_):
     exp = RExpansion()
-    for gamma, val in _ref_effective_C(th, alpha, beta_).items():
+    for gamma, val in ref_effective_C(th, alpha, beta_).items():
         exp = exp + RExpansion.term(0, 0, FormalVector.corr(gamma, value=val * LOG_R))
         exp = exp + RExpansion.term(0, 1, FormalVector.corr(gamma, value=-val))
-    for (c, mu, mubar, val) in th.rows_for(alpha, beta_):
+    for (c, mu, mubar, val) in rows_for(th, alpha, beta_):
         s, sbar = _ref_exponents(th, c, mu, mubar)
         if s != sbar or s == 1:
             continue
@@ -498,7 +485,7 @@ def _ref_integrated_ope(th, alpha, beta_):
 
 
 def _ref_dilate(th, expansion):
-    dims, out = _ref_dims(th), RExpansion()
+    dims, out = ref_dims(th), RExpansion()
     for (p, q), vec in expansion.terms.items():
         scaled = FormalVector(
             {
@@ -522,7 +509,7 @@ def _ref_anomalous_dilation(th, beta_):
     lhs = tilde.map_coeffs(lambda e: _ref_dilate(th, e).scale(LogPoly.monomial(lam=2)))
     rhs = tilde
     for alpha in th.marginals:
-        for gamma, val in _ref_effective_C(th, alpha, beta_).items():
+        for gamma, val in ref_effective_C(th, alpha, beta_).items():
             extra = RExpansion.constant(FormalVector.corr(gamma, value=val * LOG_LAM))
             rhs = rhs + Jet(alg, {(f"g[{alpha}]",): extra})
     return lhs, rhs
@@ -537,11 +524,11 @@ def _ref_double_deform(th):
     for alpha in labels:
         for beta_ in labels:
             vec = FormalVector()
-            for gamma, val in _ref_effective_C(th, alpha, beta_).items():
+            for gamma, val in ref_effective_C(th, alpha, beta_).items():
                 vec = vec + FormalVector.atom(("int", gamma), val * LOG_R)
-            for a, val in _ref_K(th, alpha, beta_).items():
+            for a, val in ref_K(th, alpha, beta_).items():
                 vec = vec + FormalVector.atom(("int0", a), -Fraction(val) / 2)
-            if th.rows_for(alpha, beta_):
+            if rows_for(th, alpha, beta_):
                 vec = vec + FormalVector.atom(("reg",) + tuple(sorted((alpha, beta_))))
             if not vec.is_zero():
                 coeffs[tuple(sorted((f"gt[{beta_}]", f"g[{alpha}]")))] = vec
@@ -555,7 +542,7 @@ def _ref_beta(th):
     per_gamma = {gamma: Jet(alg, {}) for gamma in labels}
     for alpha in labels:
         for b_ in labels:
-            for gamma, val in _ref_effective_C(th, alpha, b_).items():
+            for gamma, val in ref_effective_C(th, alpha, b_).items():
                 structure[(alpha, b_, gamma)] = val
                 mono = tuple(sorted((f"gc[{alpha}]", f"gc[{b_}]")))
                 per_gamma[gamma] = per_gamma[gamma] + Jet(alg, {mono: Fraction(val) / 2})
@@ -667,7 +654,7 @@ def test_single_pass_builders_match_reference(th):
 def _general_dilate(th, expansion):
     """Dil_lambda by the general rule, term by term: every coefficient times
     comb(q, j), every key shifted by lam^{p - D} (log lam)^{q - j}."""
-    dims, terms = _ref_dims(th), {}
+    dims, terms = ref_dims(th), {}
     for (p, q), vec in expansion.terms.items():
         for key, val in vec.terms.items():
             lam = p - (sum(dims[key[1]]) + sum(key[2]) + sum(key[3]))
@@ -702,9 +689,19 @@ def _general_dilate(th, expansion):
         max_size=4,
     )
 )
+@example(  # r^0 <1> stays put and meets the log(lam) part of the log(r) row
+    {(0, 0): {("1", (), ()): {(0, 0, 0, 1): Fraction(-1)}}, (0, 1): {("1", (), ()): {(0, 0, 0, 0): 1}}}
+)
+@example(  # a reused row met by a log(r)^2 row that brings a shifted symbol along
+    {
+        (0, 0): {("1", (), ()): {(0, 0, 0, 0): 2}},
+        (0, 2): {("1", (), ()): {(0, 0, 0, 0): 3}, ("half", (), ()): {(0, -2, 0, 1): 1}},
+    }
+)
 def test_dilation_with_log_powers_matches_general_rule(raw):
     # (log r)^q up to 4, so comb(q, j) > 1 multiplies coefficients; the rest
-    # of the terms are pure exponent shifts
+    # of the terms are pure exponent shifts.  A row at j = q that nothing
+    # shifts is passed through, so the input must come out as it went in
     th = FormalTheory(_HOSTILE_PRIMARIES + [("m0", 1, 1)], [])
     expansion = RExpansion(
         {
@@ -712,7 +709,27 @@ def test_dilation_with_log_powers_matches_general_rule(raw):
             for pq, vec in raw.items()
         }
     )
+    before = _typed(expansion)
     _same(_dilate(th, expansion, 0), _general_dilate(th, expansion))
+    assert _typed(expansion) == before
+
+
+def test_dilate_reuses_unshifted_rows_and_sums_where_they_meet():
+    # at weight 0, r^0 <1>_{D_r} does not move: its row is the input's own
+    # vector.  The log(lam) <1> part of a log(r) row meets it at (0, 0):
+    # the sum is a new vector, and where it cancels the row drops
+    th = FormalTheory(_HOSTILE_PRIMARIES + [("m0", 1, 1)], [])
+    one = ("corr", "1", (), ())
+    still = FormalVector({one: -LOG_LAM})
+    assert _dilate(th, RExpansion.constant(still), 0).terms[0, 0] is still
+    for c, want in ((1, None), (2, FormalVector({one: LOG_LAM}))):
+        log_row = FormalVector({one: c})
+        expansion = RExpansion({(0, 0): still, (0, 1): log_row})
+        got = _dilate(th, expansion, 0)
+        assert got.coefficient(0, 0) == want
+        assert got.coefficient(0, 1) is log_row
+        assert still == FormalVector({one: -LOG_LAM}) and log_row == FormalVector({one: c})
+        _same(got, _general_dilate(th, expansion))
 
 
 def _walk(x):
@@ -752,6 +769,44 @@ def test_trusted_constructors_store_no_zeros(th):
             assert all(_canonical(a) and _canonical(b) for a, b, _, _ in x.terms), x
         if isinstance(x, Jet):
             assert all(m == tuple(sorted(m)) and x.algebra.monomial_ok(m) for m in x.terms), x
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hostile_theories())
+def test_shared_values_are_never_mutated(th):
+    # the builders hand out one LogPoly per value per theory, and _dilate
+    # passes unshifted rows through: whatever runs after them on the same
+    # theory, or computes with their outputs, must leave those outputs as
+    # they were
+    outputs = []
+    with contextlib.suppress(RecombinationError):
+        outputs.append(double_deform(th))
+    for b in th.marginals:
+        outputs += anomalous_dilation(th, b)
+    res = beta(th)
+    outputs += [res.coefficients, res.running()]
+    before = _typed(outputs)
+    derived = []
+    for a in th.marginals:
+        for b in th.marginals:
+            dv, io = compute_correction(th, a, b), integrated_ope(th, a, b)
+            sums = [dv + io, dv - io, io.scale(LOG_R), dv.map_coeffs(lambda v: -v)]
+            derived += [_dilate(th, x, 2) for x in sums] + [_dilate(th, io, 0)]
+        derived += [insert_family_deformed(th, a, correction=False)]
+        derived += [deformed_one_point(th, a).scale(Fraction(-3, 7))]
+    for x in outputs[:-2]:
+        if x.algebra.order == 2:  # the double deformation
+            derived.append(radius_scaled(th, x) - x)
+        derived += [x + x, x - x, x.scale(LOG_LAM), x.scale(Fraction(2, 3))]
+        derived.append(x.map_coeffs(lambda e: e.map_coeffs(lambda v: LOG_R * v)))
+        for e in x.terms.values():
+            if isinstance(e, RExpansion):
+                derived += [_dilate(th, e, 0), e.scale(LOG_LAM), e + e]
+    for jets in outputs[-2:]:
+        for jet in jets.values():
+            derived += [jet * jet, jet + jet, jet - jet, jet.scale(Fraction(5, 2))]
+            derived.append(jet.map_coeffs(lambda c: c * LOG_LAM))
+    assert _typed(outputs) == before
 
 
 def _with_correction(monkeypatch, change):
@@ -891,22 +946,27 @@ def test_formal_outputs_match_pinned_digests(n):
 
 
 def test_memos_are_per_theory():
-    # the pair records and the Fraction table fill on use, per theory: a
-    # theory built after another from the same rows starts with neither,
-    # gets the same outputs, and holds none of the first theory's Fractions
+    # the pair records, the Fraction and LogPoly value tables and the symbol
+    # dimensions fill on use, per theory: a theory built after another from
+    # the same rows starts with none of them, gets the same outputs, and
+    # holds none of the first theory's Fractions or LogPolys
     data = _formal_rows(random.Random(5), 5)
     first = FormalTheory(*data)
     want = _formal_digest(first)
-    assert first._pairs and first._fractions
+    assert first._pairs and first._fractions and first._values and first._dimensions
     second = FormalTheory(*data)
-    assert second._pairs == {} and second._fractions == {}
+    assert second._pairs == second._fractions == second._values == second._dimensions == {}
     assert _formal_digest(second) == want
     assert second._pairs.keys() == first._pairs.keys()
+    assert second._values.keys() == first._values.keys()
     outputs = [double_deform(second), beta(second).coefficients]
     for b in second.marginals:
         outputs += anomalous_dilation(second, b)
     seen = {id(f) for f in first._fractions.values()}
+    seen |= {id(v) for v in first._values.values()}
     assert not any(id(x) in seen for out in outputs for x in _walk(out))
+    held = [x for out in outputs for x in _walk(out) if isinstance(x, LogPoly)]
+    assert any(id(x) in {id(v) for v in second._values.values()} for x in held)
 
 
 def test_formal_report_matches_pinned_digest(capsys, tmp_path):
