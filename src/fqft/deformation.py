@@ -12,6 +12,10 @@ Two backends share the same pipeline.
   its row values' denominators, and that of its mixing values'): each OPE
   pair gets one record, made on first use in one pass over its rows, with
   its C and K numerators and its power rows, and every builder reads it.
+  A pair whose (beta, alpha) rows equal its (alpha, beta) rows, as the
+  commuting marginals' C_{alpha beta} = C_{beta alpha} give, shares one
+  record with its twin, and anomalous_dilation hands the sides it builds
+  for one of the two reads to the other.
   The constructor's row check keeps each channel's exponent (spin, s = 1,
   or 2(s - 1)), so a record reads it instead of recomputing it per row.
   Each builder value is built once per theory: one table maps (num, den,
@@ -124,12 +128,14 @@ class FormalTheory:
     exponent in `_channels`: None for a spin row, else 2(s - 1), which is 0
     exactly at s = 1 and -2 exactly at s = 0.  Each pair (alpha, beta) has
     one record (`_pair`), made on first use in one pass over its rows, that
-    reads those exponents.  Values leave the ints through two tables:
-    `_fraction` makes one Fraction per (num, den), and `_value` one LogPoly
-    per (num, den, monomial key) on top of it, shared by every output that
-    holds that value.  `_dilate` fills a fourth table, each correlator
-    symbol's dimension.  All four start empty, fill on use, and no two
-    theories share them.
+    reads those exponents; a mirrored pair, whose two row lists are equal,
+    has one record for both orders, which holds anomalous_dilation's sides
+    only between the twins' two reads.  Values leave the ints through two
+    tables: `_fraction` makes one Fraction per (num, den), and `_value` one
+    LogPoly per (num, den, monomial key) on top of it, shared by every
+    output that holds that value.  `_dilate` fills a fourth table, each
+    correlator symbol's dimension.  All four start empty, fill on use, and
+    no two theories share them.
     """
 
     def __init__(self, primaries, rows, mixing=None):
@@ -249,13 +255,19 @@ class FormalTheory:
         summed as ints and no zero numerator: the builders read them as they
         are, and no two of their entries meet.  A theory keeps its records,
         so they are tuples and dicts of ints, not of Fractions.
+
+        When the rows of (beta, alpha) equal those of (alpha, beta), in the
+        same order, the record is stored under both: equal rows make equal
+        records, so the twin's walk is skipped.  Rows that differ, if only
+        in order, keep one record each.
         """
         record = self._pairs.get((alpha, beta))
         if record is not None:
             return record
         den, mixing_den, channels = self.den, self.mixing_den, self._channels
         C, K, sums, denoms = {}, {}, {}, {}
-        for (c, mu, mubar, value) in self.rows.get((alpha, beta), ()):
+        rows = self.rows.get((alpha, beta), ())
+        for (c, mu, mubar, value) in rows:
             d = channels[c, mu, mubar]
             if d is None:
                 continue  # a spin row: it integrates to zero
@@ -287,15 +299,20 @@ class FormalTheory:
             powers,
             tuple(d for d in denoms if d in kept),
         )
+        if rows == self.rows.get((beta, alpha), ()):
+            self._pairs[beta, alpha] = record  # a mirrored pair: its twin's record
         return record
 
 class _Pair:
-    """One pair's structure constants in ints (see FormalTheory._pair)."""
+    """One pair's structure constants in ints (see FormalTheory._pair), and
+    `sides`: None, or the (beta, dv, lhs, rhs) that anomalous_dilation keeps
+    on a twin record between its two reads."""
 
-    __slots__ = ("C", "K", "powers", "denoms")
+    __slots__ = ("C", "K", "powers", "denoms", "sides")
 
     def __init__(self, C, K, powers, denoms):
         self.C, self.K, self.powers, self.denoms = C, K, powers, denoms
+        self.sides = None
 
 
 def theory_from_json(text: str) -> FormalTheory:
@@ -472,31 +489,55 @@ def anomalous_dilation(theory: FormalTheory, beta):
     lam^2 Dil_lam v~_beta = v~_beta + log(lam) g^alpha C_{alpha beta}^gamma v_gamma.
 
     Returns (lhs, rhs) as jets over the couplings.
+
+    A mirrored pair's two reads, here for beta and for alpha, share one
+    record (see FormalTheory._pair) and meet equal corrections.  The first
+    read keeps its beta, its correction and both its sides on the record;
+    the twin's read takes the sides when its own correction equals the kept
+    one, and clears the slot either way, so the sides live only until that
+    read.  A second read for the same beta is not the twin's: it computes
+    its sides and leaves them kept.
     """
     alg = marginal_coupling_algebra(theory)
-    tilde = {(): RExpansion._of({(0, 0): FormalVector._of({("corr", beta, (), ()): _ONE})})}
-    rhs = dict(tilde)
+    v = RExpansion._of({(0, 0): FormalVector._of({("corr", beta, (), ()): _ONE})})
+    lhs, rhs = {(): _dilate(theory, v, 2)}, {(): v}
     for alpha in theory.marginals:
-        mono = (f"g[{alpha}]",)
         dv = compute_correction(theory, alpha, beta)
-        if dv.terms:
-            tilde[mono] = rhs[mono] = dv
-        C = theory._pair(alpha, beta).C
-        if C:  # the record stores no zeros, so the channel vector is nonzero
-            # dv's rows plus the log(lam) channel at (0, 0), added where they meet
-            log_lam = FormalVector._of(_channel(theory, C, (0, 0, 0, 1)))
-            terms = dict(dv.terms)
-            const = terms.pop((0, 0), None)
-            const = log_lam if const is None else const + log_lam
-            if const.terms:
-                terms[0, 0] = const
-            if terms:
-                rhs[mono] = RExpansion._of(terms)
-            else:
-                rhs.pop(mono, None)
+        record = theory._pair(alpha, beta)
+        kept = record.sides
+        twin_read = kept is not None and kept[0] == alpha  # kept by the read for alpha
+        if twin_read and kept[1] == dv:
+            left, right = kept[2:]
+        else:
+            left, right = _dilation_sides(theory, dv, record.C)
+        if twin_read:
+            record.sides = None
+        elif alpha != beta and theory._pairs.get((beta, alpha)) is record:
+            record.sides = (beta, dv, left, right)
+        mono = (f"g[{alpha}]",)
+        if left is not None:
+            lhs[mono] = left
+        if right is not None:
+            rhs[mono] = right
     # monomials () and single symbols; nonzero values: dilation is invertible
-    lhs = Jet._of(alg, {mono: _dilate(theory, e, 2) for mono, e in tilde.items()})
-    return lhs, Jet._of(alg, rhs)
+    return Jet._of(alg, lhs), Jet._of(alg, rhs)
+
+
+def _dilation_sides(theory, dv, C):
+    """One correction's coefficients in the dilation identity: lam^2 Dil_lam
+    dv, and dv plus the log(lam) channel of the record's C at (0, 0), added
+    where they meet; None for a side with no terms."""
+    left = _dilate(theory, dv, 2) if dv.terms else None
+    if not C:
+        return left, dv if dv.terms else None
+    # the record stores no zeros, so the channel vector is nonzero
+    log_lam = FormalVector._of(_channel(theory, C, (0, 0, 0, 1)))
+    terms = dict(dv.terms)
+    const = terms.pop((0, 0), None)
+    const = log_lam if const is None else const + log_lam
+    if const.terms:
+        terms[0, 0] = const
+    return left, RExpansion._of(terms) if terms else None
 
 
 # ------------------------------------------------------- double deformation

@@ -349,6 +349,55 @@ def test_double_deform_asymmetric_fails():
         double_deform(th)
 
 
+def _one_row_theory():
+    """Two marginals and one row, (m, n -> m): C_mn^m = 1, C_nm = 0."""
+    return FormalTheory(
+        [("1", 0, 0), ("m", 1, 1), ("n", 1, 1)], [("m", "n", "m", (), (), Fraction(1))]
+    )
+
+
+def _reordered_theory():
+    """A mirrored two-marginal theory whose (f, e) rows are the (e, f) rows
+    in reverse order: equal C and K, unequal row lists."""
+    new = [("e", "f", "e", (), (), 3), ("e", "f", "1", (), (), 5), ("e", "f", "f", (), (), -2)]
+    rows = new + [("f", "e", *row[2:]) for row in reversed(new)]
+    return FormalTheory([("1", 0, 0), ("e", 1, 1), ("f", 1, 1)], rows)
+
+
+def _assert_records_match_reference(th):
+    for a in th.marginals:
+        for b in th.marginals:
+            record = th._pair(a, b)
+            C = {g: Fraction(n, th.den * th.mixing_den) for g, n in record.C.items()}
+            assert C == ref_effective_C(th, a, b)
+            assert {c: Fraction(n, th.den) for c, n in record.K.items()} == ref_K(th, a, b)
+
+
+def test_mirrored_pairs_share_one_record():
+    th = FormalTheory(*_formal_rows(random.Random(6), 6))
+    for a in th.marginals:
+        for b in th.marginals:
+            if a != b:
+                assert th._pair(a, b) is th._pair(b, a)
+    _assert_records_match_reference(th)
+    # equal records, so double_deform meets its symmetry check on one object
+    double_deform(th)
+
+
+def test_unequal_row_lists_keep_two_records():
+    one_row, reordered = _one_row_theory(), _reordered_theory()
+    assert one_row._pair("m", "n") is not one_row._pair("n", "m")
+    assert reordered._pair("e", "f") is not reordered._pair("f", "e")
+    for th in (one_row, reordered):
+        _assert_records_match_reference(th)
+        _assert_sides_handed_over(th)
+    # the reordered twins agree in C and K, so they still have a g_c form
+    assert reordered._pair("e", "f").C == reordered._pair("f", "e").C
+    double_deform(reordered)
+    with pytest.raises(RecombinationError, match=r"bilinear part not symmetric in \(m, n\)"):
+        double_deform(one_row)
+
+
 def test_radius_scaling_anomaly():
     # pf(lam R) - pf(R) = log(lam) (1/2) gc gc C I_gamma
     th = simple_theory(C0=Fraction(3), K0=Fraction(5))
@@ -809,12 +858,51 @@ def test_shared_values_are_never_mutated(th):
     assert _typed(outputs) == before
 
 
-def _with_correction(monkeypatch, change):
-    """Let anomalous_dilation read compute_correction's output through change."""
+def _rebuilt(th):
+    """A new theory from th's primaries, rows and mixing: no record read."""
+    rows = [(a, b, *row) for (a, b), pair_rows in th.rows.items() for row in pair_rows]
+    return FormalTheory(th.primaries, rows, th.mixing)
+
+
+def _assert_sides_handed_over(th):
+    # one fresh theory per marginal: no record there ever keeps sides
+    fresh = {b: _typed(anomalous_dilation(_rebuilt(th), b)) for b in th.marginals}
+    # a repeated read for one beta is not its twin's, and leaves the sides kept
+    for order in (th.marginals, th.marginals[::-1], th.marginals[:1] + th.marginals):
+        shared = _rebuilt(th)
+        for b in order:
+            assert _typed(anomalous_dilation(shared, b)) == fresh[b]
+        assert all(record.sides is None for record in shared._pairs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hostile_theories())
+def test_dilation_sides_handed_to_the_twin_match_fresh_theories(th):
+    _assert_sides_handed_over(th)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_dilation_sides_handed_over_on_mirrored_theories(n):
+    th = FormalTheory(*_formal_rows(random.Random(n), n))
+    _assert_sides_handed_over(th)
+    # the first read of a twin record keeps its sides until the twin's read
+    anomalous_dilation(th, "m0")
+    held = {key for key, record in th._pairs.items() if record.sides is not None}
+    assert held == {key for a in th.marginals[1:] for key in ((a, "m0"), ("m0", a))}
+    anomalous_dilation(th, "m1")
+    assert ("m0", "m1") not in {k for k, r in th._pairs.items() if r.sides is not None}
+
+
+def _with_correction(monkeypatch, change, pair=None):
+    """Let anomalous_dilation read compute_correction's output through change,
+    for every pair or for the one pair given."""
     original = fqft.deformation.compute_correction
-    monkeypatch.setattr(
-        fqft.deformation, "compute_correction", lambda th, a, b: change(original(th, a, b))
-    )
+
+    def patched(th, a, b):
+        dv = original(th, a, b)
+        return change(dv) if pair in (None, (a, b)) else dv
+
+    monkeypatch.setattr(fqft.deformation, "compute_correction", patched)
 
 
 @pytest.mark.parametrize("p", [-2, 2])  # the K counterterm (s = 0) and phi (s = 2)
@@ -846,6 +934,22 @@ def test_dilation_identity_bites_on_a_wrong_correction(monkeypatch, p):
         lhs, rhs = anomalous_dilation(th, "e")
         assert (lhs == rhs) == holds, change.__name__
         monkeypatch.undo()
+    # a mirrored pair shares one record, and the first of its two reads keeps
+    # its sides for the other: with the change on (e, f) alone, the read of
+    # (f, e), in either order, must refuse them unless the corrections agree
+    new = [("e", "f", "e", (), (), 3), ("e", "f", "1", (), (), 5), ("e", "f", "phi", (), (), 7)]
+    rows = new + [("f", "e", *row[2:]) for row in new]
+    for change, holds in ((unchanged, True), (doubled, True), (moved, False), (no_log, False)):
+        for order in (("e", "f"), ("f", "e")):
+            th = FormalTheory([("1", 0, 0), ("e", 1, 1), ("f", 1, 1), ("phi", 2, 2)], rows)
+            assert th._pair("e", "f") is th._pair("f", "e")
+            _with_correction(monkeypatch, change, pair=("e", "f"))
+            # anomalous_dilation(th, "f") reads (e, f), and "e" reads (f, e)
+            got = {b: anomalous_dilation(th, b) for b in order}
+            assert (got["f"][0] == got["f"][1]) == holds, (change.__name__, order)
+            assert got["e"][0] == got["e"][1], (change.__name__, order)
+            assert th._pair("e", "f").sides is None
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("key", [None, (-2, 0), (0, 1)], ids=["all", "K", "log"])
@@ -967,6 +1071,21 @@ def test_memos_are_per_theory():
     assert not any(id(x) in seen for out in outputs for x in _walk(out))
     held = [x for out in outputs for x in _walk(out) if isinstance(x, LogPoly)]
     assert any(id(x) in {id(v) for v in second._values.values()} for x in held)
+    # the sides a twin record keeps between its two reads are per record: a
+    # third theory's first read keeps them on its own records alone, and
+    # after every marginal's read no record of any theory holds them
+    third = FormalTheory(*data)
+    anomalous_dilation(third, "m0")
+    records = [r for th in (first, second, third) for r in th._pairs.values()]
+    assert {id(r) for r in third._pairs.values()}.isdisjoint(
+        id(r) for th in (first, second) for r in th._pairs.values()
+    )
+    assert [r for r in records if r.sides is not None] == [
+        r for r in third._pairs.values() if r.sides is not None
+    ] != []
+    for b in third.marginals[1:]:
+        anomalous_dilation(third, b)
+    assert all(r.sides is None for r in records)
 
 
 def test_formal_report_matches_pinned_digest(capsys, tmp_path):
