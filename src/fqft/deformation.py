@@ -622,13 +622,23 @@ def beta(theory: FormalTheory) -> BetaResult:
     den, frac = theory.den * theory.mixing_den, theory._fraction
     structure = {}
     per_gamma = {gamma: {} for gamma in labels}
-    for alpha in labels:
-        for b_ in labels:
+    # each unordered pair once: a mirrored pair's one record counts for both
+    # orders, an asymmetric pair reads both of its records
+    for i, alpha in enumerate(labels):
+        for b_ in labels[i:]:
             mono = tuple(sorted((names[alpha], names[b_])))
-            for gamma, n in theory._pair(alpha, b_).C.items():
-                structure[(alpha, b_, gamma)] = frac(n, den)
-                coeffs = per_gamma[gamma]
-                coeffs[mono] = coeffs.get(mono, 0) + n
+            ab, ba = theory._pair(alpha, b_), theory._pair(b_, alpha)
+            if ab is ba:  # a diagonal pair, or a mirrored one
+                walks = ((ab, 1 if alpha == b_ else 2, ((alpha, b_), (b_, alpha))),)
+            else:
+                walks = ((ab, 1, ((alpha, b_),)), (ba, 1, ((b_, alpha),)))
+            for record, weight, orders in walks:
+                for gamma, n in record.C.items():
+                    c = frac(n, den)
+                    for x, y in orders:
+                        structure[(x, y, gamma)] = c
+                    coeffs = per_gamma[gamma]
+                    coeffs[mono] = coeffs.get(mono, 0) + weight * n
     # the monomials are sorted quadratics in gc, each allowed; C_ab + C_ba
     # can cancel, and those zeros drop before any Fraction is made
     coefficients = {

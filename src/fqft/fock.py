@@ -180,7 +180,8 @@ class BoundaryState:
 
     def __getitem__(self, i):
         """Coefficient of basis vector i; the zero scalar when absent."""
-        return self.coeffs.get(i, self.space.zero_scalar())
+        c = self.coeffs.get(i)
+        return self.space.zero_scalar() if c is None else c
 
     def __add__(self, other):
         _check_space(self, other)

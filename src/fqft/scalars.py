@@ -15,7 +15,8 @@ moves every key and reuses the coefficients, and a zero shift returns the
 operand; dilation is such a shift in lam and log(lam).  A PowerValue times
 a rational keeps the operand's prime exponents and multiplies only the
 coefficient, so (r/R)^(E + 1/12) is (r/R)^(1/12), factorised once, times
-the rational (r/R)^E.
+the rational (r/R)^E.  `products` multiplies two lists of such values
+level by level, summing each pair of exponent maps once.
 
 Also holds the JSON scalar codec that every report and golden file uses.
 """
@@ -87,20 +88,34 @@ class PowerValue:
 
     @classmethod
     def from_pow(cls, base, exponent) -> "PowerValue":
-        base = Fraction(base)
+        """base ** exponent for a positive rational base, written in canonical
+        form: each prime's exponent k * a / b is split by divmod(k * a, b)
+        into a whole power, folded into the coefficient, and one fractional
+        part Fraction(rest, b)."""
+        base = _rational(base)
         if base <= 0:
             raise ValueError("base must be positive")
-        exponent = Fraction(exponent)
-        exps = {p: k * exponent for p, k in _factorint(base.numerator).items()}
-        exps.update((p, -k * exponent) for p, k in _factorint(base.denominator).items())
-        return cls(1, exps)
+        exponent = _rational(exponent)
+        a, b = exponent.numerator, exponent.denominator
+        exps = {}
+        num = den = 1
+        for n, sign in ((base.numerator, 1), (base.denominator, -1)):
+            for p, k in _factorint(n).items():
+                whole, rest = divmod(sign * k * a, b)
+                if whole > 0:
+                    num *= p**whole
+                elif whole < 0:
+                    den *= p**-whole
+                if rest:
+                    exps[p] = Fraction(rest, b)
+        return cls._of(Fraction(num, den), exps)
 
     def __mul__(self, other):
         if isinstance(other, PowerValue):
-            exps = dict(self.prime_exps)
-            for p, e in other.prime_exps.items():
-                exps[p] = exps[p] + e if p in exps else e
-            return PowerValue(self.coeff * other.coeff, exps)
+            unit = _exponent_sum(self.prime_exps, other.prime_exps)
+            return PowerValue._of(
+                _coeff_product(self.coeff, other.coeff, unit.coeff), unit.prime_exps
+            )
         if isinstance(other, (int, Fraction)):
             # a rational factor moves no exponent: share them
             return PowerValue._of(self.coeff * other, self.prime_exps)
@@ -109,11 +124,11 @@ class PowerValue:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        if isinstance(other, PowerValue):
+            return self.coeff == other.coeff and self.prime_exps == other.prime_exps
         if isinstance(other, (int, Fraction)):
             return not self.prime_exps and self.coeff == other
-        if not isinstance(other, PowerValue):
-            return NotImplemented
-        return self.coeff == other.coeff and self.prime_exps == other.prime_exps
+        return NotImplemented
 
     def __hash__(self):
         if not self.prime_exps:
@@ -134,6 +149,45 @@ class PowerValue:
         parts = [str(self.coeff)]
         parts += [f"{p}^({e})" for p, e in sorted(self.prime_exps.items())]
         return "*".join(parts)
+
+
+def _exponent_sum(ex, ey) -> PowerValue:
+    """prod p^(ex_p + ey_p) in canonical form: the whole parts of the summed
+    exponents folded into its coefficient, the fractional parts kept."""
+    summed = dict(ex)
+    for p, e in ey.items():
+        summed[p] = summed[p] + e if p in summed else e
+    return PowerValue(1, summed)
+
+
+def _coeff_product(x: Fraction, y: Fraction, z: Fraction) -> Fraction:
+    """x * y * z, normalised once."""
+    return Fraction(
+        x.numerator * y.numerator * z.numerator,
+        x.denominator * y.denominator * z.denominator,
+    )
+
+
+def products(xs, ys) -> list:
+    """[x * y for x, y in zip(xs, ys)], value for value and field for field.
+
+    Two PowerValues multiply their rational coefficients only: the exponent
+    maps of a pair are summed once, and the sum, with the rational its whole
+    parts fold into, serves every following pair that holds the same two
+    maps (level scalars of one annulus share one map).  Any other pair of
+    scalars multiplies as x * y.
+    """
+    out = []
+    maps = unit = None
+    for x, y in zip(xs, ys):
+        if type(x) is not PowerValue or type(y) is not PowerValue:
+            out.append(x * y)
+            continue
+        if maps is None or x.prime_exps is not maps[0] or y.prime_exps is not maps[1]:
+            maps = x.prime_exps, y.prime_exps
+            unit = _exponent_sum(*maps)
+        out.append(PowerValue._of(_coeff_product(x.coeff, y.coeff, unit.coeff), unit.prime_exps))
+    return out
 
 
 def canonical_exponent(x):

@@ -31,6 +31,19 @@ def test_surface_validation():
         Surface("torus")
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_partition_functions_reject_bad_radii(exact):
+    # Surface makes the radius checks, with the same messages, for both
+    space = build_space(2, exact=exact)
+    for R, r in [(1, 1), (1, 2), (Fraction(1, 2), Fraction(2, 3)), (2.0, 0.0), (1, -1)]:
+        with pytest.raises(GeometryError, match="annulus radii must satisfy R > r > 0"):
+            annulus_pf(space, R, r)
+    for R in [0, -1, Fraction(-1, 3), 0.0]:
+        for shifted in (True, False):
+            with pytest.raises(GeometryError, match="disk radius must be positive"):
+                disk_pf(space, R, shifted=shifted)
+
+
 def test_annulus_entries_shifted():
     space = build_space(3)
     pf = annulus_pf(space, 2, 1)
@@ -76,6 +89,110 @@ def test_annulus_unshifted_matches_from_pow(l_max, a, b):
     assert pf.by_level == want
     assert repr(pf.by_level) == repr(want)
     assert [hash(x) for x in pf.by_level] == [hash(x) for x in want]
+
+
+def _ref_product(x, y):
+    """x * y of two level scalars by the general rule: PowerValues multiply
+    their coefficients and sum their exponent maps, and the constructor
+    makes the sum canonical; anything else multiplies as it is."""
+    if isinstance(x, PowerValue) and isinstance(y, PowerValue):
+        exps = dict(x.prime_exps)
+        for p, e in y.prime_exps.items():
+            exps[p] = exps.get(p, 0) + e
+        return PowerValue(x.coeff * y.coeff, exps)
+    return x * y
+
+
+def _same_levels(got, want):
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert repr(got) == repr(want)
+    assert [hash(x) for x in got] == [hash(x) for x in want]
+
+
+# ints, and Fractions whose coprime parts are large primes and ints up to 10**5
+_BIG = [8191, 65537, 131071, 1000003]
+exact_radii = st.one_of(
+    st.integers(1, 10**4),
+    st.builds(Fraction, st.sampled_from(_BIG), st.integers(1, 10**5)),
+    st.builds(Fraction, st.integers(1, 10**5), st.sampled_from(_BIG)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(exact_radii, min_size=2, max_size=6, unique=True),
+    st.integers(0, 8),
+    st.booleans(),
+    st.data(),
+)
+def test_cutting_chain_matches_per_level_reference(radii, l_max, shifted, data):
+    # every annulus the chain cuts is (r/R)^E, or (r/R)^(E + 1/12) by its own
+    # factorisation, at each level; each glued level is the product of its
+    # two factors' levels; the check is exact, and a corrupted level is named
+    radii.sort(reverse=True)
+    space = build_space(l_max)
+    R0, Rn = radii[0], radii[-1]
+
+    def checked_annulus(R, r):
+        pf = annulus_pf(space, R, r, shifted=shifted)
+        ratio = Fraction(r) / Fraction(R)
+        if shifted:
+            want = [ratio**E for E in range(l_max + 1)]
+        else:
+            want = [PowerValue.from_pow(ratio, E + Fraction(1, 12)) for E in range(l_max + 1)]
+        _same_levels(pf.by_level, want)
+        return pf
+
+    direct = checked_annulus(R0, Rn)
+    for m in range(1, len(radii) - 1):
+        outer, inner = checked_annulus(R0, radii[m]), checked_annulus(radii[m], Rn)
+        glued = glue(outer, inner).by_level
+        _same_levels(glued, [_ref_product(a, b) for a, b in zip(outer.by_level, inner.by_level)])
+        assert glued == direct.by_level
+    report = verify_cutting(space, radii, shifted=shifted)
+    assert report["exact_zero"], report
+    assert report["cuts_checked"] == len(radii) - 2
+    if len(radii) > 2:
+        E = data.draw(st.integers(0, l_max))
+        report = verify_cutting(space, radii, shifted=shifted, corrupt=E)
+        assert report["offending_level"] == E and not report["exact_zero"]
+
+
+_powers = st.builds(
+    PowerValue.from_pow,
+    st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 12])),
+)
+
+
+@st.composite
+def _levels(draw, count):
+    """Level scalars of four kinds: a rational multiple of one shared
+    PowerValue (its exponent map shared), a PowerValue of its own, a
+    Fraction, and a zero PowerValue."""
+    shared = draw(_powers)
+    kinds = {
+        "shared": st.builds(lambda q: shared * q, st.integers(1, 3)),
+        "own": _powers,
+        "rational": st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)),
+        "zero": _powers.map(lambda x: x * 0),
+    }
+    return [draw(kinds[draw(st.sampled_from(sorted(kinds)))]) for _ in range(count)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda l: st.tuples(st.just(l), _levels(l + 1), _levels(l + 1))))
+def test_glue_levels_with_their_own_exponent_maps(drawn):
+    # levels that share no exponent map, or only on one side, against runs of
+    # levels that share one on both: a merged pair of maps serves only the
+    # levels that hold both of its maps
+    l_max, outer_levels, inner_levels = drawn
+    space = build_space(l_max)
+    outer = PartitionFunction(Surface("annulus", R=4, r=2), space, by_level=outer_levels)
+    inner = PartitionFunction(Surface("annulus", R=2, r=1), space, by_level=inner_levels)
+    want = [_ref_product(a, b) for a, b in zip(outer_levels, inner_levels)]
+    _same_levels(glue(outer, inner).by_level, want)
 
 
 def test_annulus_composition():

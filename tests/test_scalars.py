@@ -193,6 +193,33 @@ def test_power_value_constructor_matches_general_rule(coeff, exps, t, k, q):
         assert _fields(PowerValue.from_pow(q, t)) == _general_from_pow(q, t)
 
 
+# positive bases with six-digit parts; negative, zero, integral and
+# larger-than-1 exponents, as ints and as Fractions
+bases = st.one_of(
+    st.integers(1, 10**6), st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+)
+pow_exponents = st.one_of(
+    st.integers(-5, 5), st.builds(Fraction, st.integers(-40, 40), st.integers(1, 24))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases, pow_exponents)
+@example(1, Fraction(5, 12))
+@example(Fraction(1, 4096), Fraction(1, 12))  # a twelfth power: no exponent left
+@example(Fraction(9, 2), 0)
+@example(Fraction(8, 27), Fraction(-7, 3))
+def test_from_pow_fields_match_constructor(base, t):
+    # from_pow writes the canonical fields itself; they are those the
+    # constructor makes from the prime exponents +-k * t
+    q = Fraction(base)
+    exps = {p: k * Fraction(t) for p, k in _factorint(q.numerator).items()}
+    exps.update((p, -k * Fraction(t)) for p, k in _factorint(q.denominator).items())
+    x, want = PowerValue.from_pow(base, t), PowerValue(1, exps)
+    assert _fields(x) == (want.coeff, want.prime_exps)
+    assert repr(x) == repr(want) and hash(x) == hash(want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(power_values, power_values)
 def test_power_value_product_matches_general_rule(x, y):
