@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .deformation import beta as beta_fn
 from .deformation import fb_theory, theory_from_json
+from .errors import RecombinationError
 from .fock import L_MAX_HARD_CAP, build_space
 from .geometry import verify_cutting
 from .jets import Jet
@@ -137,7 +138,7 @@ def cmd_beta(args, tol, space=None):
         "zero": res.is_zero(),
     }
     # the free boson's beta vanishes identically; the formal backend has no
-    # cheap identity to check yet
+    # cheap identity to check yet (a theory with no g_c form raised above)
     return results, args.backend == "formal" or res.is_zero()
 
 
@@ -304,7 +305,11 @@ def main(argv=None):
     with out as sink:
         log.info("running %s", args.command)
         start = time.perf_counter()
-        results, passed = COMMANDS[args.command][0](args, tol)
+        try:
+            results, passed = COMMANDS[args.command][0](args, tol)
+        except RecombinationError as err:
+            # formal beta on a theory whose OPE orders disagree: no g_c form
+            parser.error(f"invalid --theory {args.theory}: {err}")
         elapsed = time.perf_counter() - start
         log.info("%s finished in %.3fs (passed=%s)", args.command, elapsed, passed)
         report = {

@@ -15,7 +15,9 @@ Two backends share the same pipeline.
   A pair whose (beta, alpha) rows equal its (alpha, beta) rows, as the
   commuting marginals' C_{alpha beta} = C_{beta alpha} give, shares one
   record with its twin, and anomalous_dilation hands the sides it builds
-  for one of the two reads to the other.
+  for one of the two reads to the other.  double_deform and beta, written
+  in the combined coupling g_c = g + g~, share one walk over unordered
+  pairs, which raises RecombinationError where a pair's two orders differ.
   The constructor's row check keeps each channel's exponent (spin, s = 1,
   or 2(s - 1)), so a record reads it instead of recomputing it per row.
   Each builder value is built once per theory: one table maps (num, den,
@@ -247,9 +249,7 @@ class FormalTheory:
                identity-sector constants;
         powers ((2(s - 1), c, mu, mubar, num, dd), ...), one per symbol of
                the rows at s = sbar != 1, value / (2(s - 1)) = num / dd, the
-               exponent canonical (2(1/2 - 1) is the int -1);
-        denoms the exponents of `powers`, each once, in the order of their
-               first row (a symbol whose rows cancel counts too).
+               exponent canonical (2(1/2 - 1) is the int -1).
 
         Each keeps the order of first occurrence, with repeated targets
         summed as ints and no zero numerator: the builders read them as they
@@ -265,7 +265,7 @@ class FormalTheory:
         if record is not None:
             return record
         den, mixing_den, channels = self.den, self.mixing_den, self._channels
-        C, K, sums, denoms = {}, {}, {}, {}
+        C, K, sums = {}, {}, {}
         rows = self.rows.get((alpha, beta), ())
         for (c, mu, mubar, value) in rows:
             d = channels[c, mu, mubar]
@@ -286,32 +286,29 @@ class FormalTheory:
                 sums[symbol][1] += n
             else:
                 sums[symbol] = [d, n]
-                denoms.setdefault(d)
-        powers = tuple(
-            (d, *symbol, n * d.denominator, den * d.numerator)
-            for symbol, (d, n) in sums.items()
-            if n
-        )
-        kept = {row[0] for row in powers}
         record = self._pairs[alpha, beta] = _Pair(
             {g: n for g, n in C.items() if n},
             {a: n for a, n in K.items() if n},
-            powers,
-            tuple(d for d in denoms if d in kept),
+            tuple(
+                (d, *symbol, n * d.denominator, den * d.numerator)
+                for symbol, (d, n) in sums.items()
+                if n
+            ),
         )
         if rows == self.rows.get((beta, alpha), ()):
             self._pairs[beta, alpha] = record  # a mirrored pair: its twin's record
         return record
+
 
 class _Pair:
     """One pair's structure constants in ints (see FormalTheory._pair), and
     `sides`: None, or the (beta, dv, lhs, rhs) that anomalous_dilation keeps
     on a twin record between its two reads."""
 
-    __slots__ = ("C", "K", "powers", "denoms", "sides")
+    __slots__ = ("C", "K", "powers", "sides")
 
-    def __init__(self, C, K, powers, denoms):
-        self.C, self.K, self.powers, self.denoms = C, K, powers, denoms
+    def __init__(self, C, K, powers):
+        self.C, self.K, self.powers = C, K, powers
         self.sides = None
 
 
@@ -366,9 +363,8 @@ def compute_correction(theory: FormalTheory, alpha, beta) -> RExpansion:
     """
     record, value = theory._pair(alpha, beta), theory._value
     terms = {(0, 1): _channel(theory, record.C)}
-    terms.update(((d, 0), {}) for d in record.denoms)
     for d, c, mu, mubar, num, dd in record.powers:
-        terms[d, 0][("corr", c, mu, mubar)] = value(num, dd)
+        terms.setdefault((d, 0), {})[("corr", c, mu, mubar)] = value(num, dd)
     return _expansion(terms)
 
 
@@ -379,11 +375,10 @@ def integrated_ope(theory: FormalTheory, alpha, beta) -> RExpansion:
     # log(R/r) * C * <O_gamma>_{D_R}
     const = _channel(theory, record.C, (0, 0, 1, 0))
     terms = {(0, 0): const, (0, 1): _channel(theory, record.C, sign=-1)}
-    terms.update(((d, 0), {}) for d in record.denoms)
     for d, c, mu, mubar, num, dd in record.powers:
         key = ("corr", c, mu, mubar)
         const[key] = value(num, dd, (d, 0, 0, 0))
-        terms[d, 0][key] = value(-num, dd)
+        terms.setdefault((d, 0), {})[key] = value(-num, dd)
     return _expansion(terms)
 
 
@@ -543,6 +538,22 @@ def _dilation_sides(theory, dv, C):
 # ------------------------------------------------------- double deformation
 
 
+def _unordered_pairs(theory):
+    """(li, lj, record of (lj, li)) once per unordered pair of marginals, li
+    not after lj in marginal order.  The g_c form needs a pair's two records
+    to agree in C, in K and in having rows, else RecombinationError; twins
+    that share one record (FormalTheory._pair) pass on an identity test."""
+    labels, rows = theory.marginals, theory.rows
+    for i, li in enumerate(labels):
+        for lj in labels[i:]:
+            record, twin = theory._pair(lj, li), theory._pair(li, lj)
+            if record is not twin and (record.C, record.K, (lj, li) in rows) != (
+                twin.C, twin.K, (li, lj) in rows
+            ):
+                raise RecombinationError(f"bilinear part not symmetric in ({li}, {lj})")
+            yield li, lj, record
+
+
 def double_deform(theory: FormalTheory) -> Jet:
     """Second-order partition function on D_R in the combined coupling g_c.
 
@@ -551,10 +562,9 @@ def double_deform(theory: FormalTheory) -> Jet:
     remaining R-independent regular part kept as an explicit atom.  The
     result is written in g_c = g + g~ directly: the linear terms pair up,
     g^alpha g~^beta and g^beta g~^alpha become g_c^alpha g_c^beta, and
-    g^alpha g~^alpha becomes half of g_c^alpha g_c^alpha.  The two bilinear
-    terms of a pair are equal exactly when its two records agree (C, K, and
-    whether it has rows); if they differ, there is no g_c form and
-    RecombinationError is raised.
+    g^alpha g~^alpha becomes half of g_c^alpha g_c^alpha.  That needs the
+    two bilinear terms of each pair to be equal; a theory whose terms
+    differ has no g_c form, and _unordered_pairs raises RecombinationError.
     """
     labels = theory.marginals
     alg = JetAlgebra.combined_coupling(labels)
@@ -563,24 +573,16 @@ def double_deform(theory: FormalTheory) -> Jet:
     coeffs = {(): FormalVector._of({("disk",): _ONE})}
     for m in labels:
         coeffs[(names[m],)] = FormalVector._of({("int", m): _ONE})
-    # each unordered pair once, li <= lj, from the term g^lj g~^li
-    for i, li in enumerate(labels):
-        for lj in labels[i:]:
-            record, has_rows = theory._pair(lj, li), (lj, li) in theory.rows
-            if li == lj:
-                half, unit = 2, value(1, 2)
-            else:
-                twin = theory._pair(li, lj)
-                if (record.C, record.K, has_rows) != (twin.C, twin.K, (li, lj) in theory.rows):
-                    raise RecombinationError(f"bilinear part not symmetric in ({li}, {lj})")
-                half, unit = 1, _ONE
-            cden, kden = half * den * theory.mixing_den, -2 * half * den
-            vec = {("int", g): value(n, cden, (0, 0, 1, 0)) for g, n in record.C.items()}
-            vec.update((("int0", a), value(n, kden)) for a, n in record.K.items())
-            if has_rows:
-                vec[("reg",) + tuple(sorted((li, lj)))] = unit
-            if vec:  # C and K store no zeros, and the keys are distinct atoms
-                coeffs[tuple(sorted((names[li], names[lj])))] = FormalVector._of(vec)
+    # each unordered pair once, from the term g^lj g~^li
+    for li, lj, record in _unordered_pairs(theory):
+        half, unit = (2, value(1, 2)) if li == lj else (1, _ONE)
+        cden, kden = half * den * theory.mixing_den, -2 * half * den
+        vec = {("int", g): value(n, cden, (0, 0, 1, 0)) for g, n in record.C.items()}
+        vec.update((("int0", a), value(n, kden)) for a, n in record.K.items())
+        if (lj, li) in theory.rows:
+            vec[("reg",) + tuple(sorted((li, lj)))] = unit
+        if vec:  # C and K store no zeros, and the keys are distinct atoms
+            coeffs[tuple(sorted((names[li], names[lj])))] = FormalVector._of(vec)
     # sorted monomials of degree at most two in gc, nonzero atom vectors
     return Jet._of(alg, coeffs)
 
@@ -616,33 +618,24 @@ class BetaResult:
 
 
 def beta(theory: FormalTheory) -> BetaResult:
+    """beta^gamma in g_c; RecombinationError where double_deform raises it."""
     labels = theory.marginals
     alg = JetAlgebra.combined_coupling(labels)
     names = {label: f"gc[{label}]" for label in labels}
     den, frac = theory.den * theory.mixing_den, theory._fraction
     structure = {}
     per_gamma = {gamma: {} for gamma in labels}
-    # each unordered pair once: a mirrored pair's one record counts for both
-    # orders, an asymmetric pair reads both of its records
-    for i, alpha in enumerate(labels):
-        for b_ in labels[i:]:
-            mono = tuple(sorted((names[alpha], names[b_])))
-            ab, ba = theory._pair(alpha, b_), theory._pair(b_, alpha)
-            if ab is ba:  # a diagonal pair, or a mirrored one
-                walks = ((ab, 1 if alpha == b_ else 2, ((alpha, b_), (b_, alpha))),)
-            else:
-                walks = ((ab, 1, ((alpha, b_),)), (ba, 1, ((b_, alpha),)))
-            for record, weight, orders in walks:
-                for gamma, n in record.C.items():
-                    c = frac(n, den)
-                    for x, y in orders:
-                        structure[(x, y, gamma)] = c
-                    coeffs = per_gamma[gamma]
-                    coeffs[mono] = coeffs.get(mono, 0) + weight * n
-    # the monomials are sorted quadratics in gc, each allowed; C_ab + C_ba
-    # can cancel, and those zeros drop before any Fraction is made
+    # one record per unordered pair, symmetric in C: the off-diagonal pair
+    # stands for both orders, so its monomial gets twice its C
+    for alpha, b_, record in _unordered_pairs(theory):
+        mono = tuple(sorted((names[alpha], names[b_])))
+        weight = 1 if alpha == b_ else 2
+        for gamma, n in record.C.items():
+            structure[alpha, b_, gamma] = structure[b_, alpha, gamma] = frac(n, den)
+            per_gamma[gamma][mono] = weight * n
+    # the monomials are sorted quadratics in gc, each allowed, and C stores no zeros
     coefficients = {
-        gamma: Jet._of(alg, {mono: frac(n, 2 * den) for mono, n in coeffs.items() if n})
+        gamma: Jet._of(alg, {mono: frac(n, 2 * den) for mono, n in coeffs.items()})
         for gamma, coeffs in per_gamma.items()
     }
     return BetaResult(alg, coefficients, structure)

@@ -50,10 +50,6 @@ class SegmentPF:
         self.beta = float(beta)
         self.value = value
 
-    @property
-    def length(self):
-        return self.beta - self.alpha
-
     def glue(self, inner: "SegmentPF") -> "SegmentPF":
         """Compose with the earlier segment: self on [gamma, beta], inner on
         [alpha, gamma]."""

@@ -281,6 +281,8 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         ["beta", "--backend", "formal", "--theory", "{tmp}/float-part.json"],
         ["beta", "--backend", "formal", "--theory", "{tmp}/bool-part.json"],
         ["beta", "--backend", "formal", "--theory", "{tmp}/deep.json"],
+        ["beta", "--backend", "formal", "--theory", "{tmp}/one-row.json"],
+        ["all", "--backend", "formal", "--theory", "{tmp}/one-row.json"],
     ],
     ids=[
         "ope-lmax-0",
@@ -312,6 +314,8 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         "theory-float-part",
         "theory-bool-part",
         "theory-deeply-nested",
+        "beta-theory-without-gc-form",
+        "all-theory-without-gc-form",
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
@@ -333,6 +337,14 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
         )
     # nested past the parser's recursion limit
     (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    # C_mn^m = 1 but C_nm = 0: the OPE orders disagree, so there is no g_c form
+    (tmp_path / "one-row.json").write_text(
+        theory_to_json(
+            FormalTheory(
+                [("1", 0, 0), ("m", 1, 1), ("n", 1, 1)], [("m", "n", "m", (), (), 1)]
+            )
+        )
+    )
     with pytest.raises(SystemExit) as err:
         main([a.format(tmp=tmp_path) for a in argv])
     assert err.value.code == 2

@@ -394,8 +394,28 @@ def test_unequal_row_lists_keep_two_records():
     # the reordered twins agree in C and K, so they still have a g_c form
     assert reordered._pair("e", "f").C == reordered._pair("f", "e").C
     double_deform(reordered)
-    with pytest.raises(RecombinationError, match=r"bilinear part not symmetric in \(m, n\)"):
-        double_deform(one_row)
+    got, want = beta(reordered), _ref_beta(reordered)
+    _same(got.coefficients, want.coefficients)
+    assert got.structure == want.structure
+    for builder in (double_deform, beta):
+        with pytest.raises(RecombinationError, match=r"bilinear part not symmetric in \(m, n\)"):
+            builder(one_row)
+
+
+@pytest.mark.parametrize("builder", [double_deform, beta])
+def test_index_valued_rows_have_no_gc_form(builder):
+    # each (a, b) writes 0.1 (i + 1) into marginals[i:] by the index i of a,
+    # so C_{m0 m1} != C_{m1 m0}: neither builder may return
+    marginals = ["m0", "m1", "m2"]
+    rows = [
+        (a, b, c, (), (), 0.1 * (i + 1))
+        for i, a in enumerate(marginals)
+        for b in marginals
+        for c in marginals[i:]
+    ]
+    th = FormalTheory([("1", 0, 0)] + [(m, 1, 1) for m in marginals], rows)
+    with pytest.raises(RecombinationError, match=r"bilinear part not symmetric in \(m0, m1\)"):
+        builder(th)
 
 
 def test_radius_scaling_anomaly():
@@ -633,9 +653,9 @@ def _hostile_theories(draw):
     mixing values have small, coprime (7) and large (2**61 - 1) denominators
     or are decoded floats (2**k denominators), so the builders' common
     denominators are rarely 1; mixing values may also be ints.  Rows are
-    mirrored in (a, b) with sign +1 (symmetric), -1 (antisymmetric: beta's
-    off-diagonal terms cancel) or not at all; double_deform raises on the
-    last two unless their bilinear part happens to be symmetric."""
+    mirrored in (a, b) with sign +1 (symmetric), -1 (antisymmetric) or not
+    at all; double_deform and beta raise on the last two unless their
+    bilinear part happens to be symmetric."""
     labels = [f"m{i}" for i in range(draw(st.integers(1, 4)))]
     channels = [(m, (), ()) for m in labels] + _HOSTILE_CHANNELS
     value = st.one_of(
@@ -672,6 +692,23 @@ def _same(got, want):
     assert _typed(got) == _typed(want)
 
 
+def _checked_beta(th):
+    """beta(th) checked against the references: it raises exactly where the
+    reference double deformation finds no g_c form (then None is returned),
+    and otherwise equals the reference beta."""
+    try:
+        _ref_double_deform(th)
+    except RecombinationError:
+        with pytest.raises(RecombinationError):
+            beta(th)
+        return None
+    got, want = beta(th), _ref_beta(th)
+    _same(got.coefficients, want.coefficients)
+    assert got.structure == want.structure
+    _same(got.running(), want.running())
+    return got
+
+
 @settings(max_examples=100, deadline=None)
 @given(_hostile_theories())
 def test_single_pass_builders_match_reference(th):
@@ -694,10 +731,7 @@ def test_single_pass_builders_match_reference(th):
             double_deform(th)
     else:
         _same(double_deform(th), want)
-    got, want = beta(th), _ref_beta(th)
-    _same(got.coefficients, want.coefficients)
-    assert got.structure == want.structure
-    _same(got.running(), want.running())
+    _checked_beta(th)
 
 
 def _general_dilate(th, expansion):
@@ -806,8 +840,9 @@ def test_trusted_constructors_store_no_zeros(th):
         outputs += anomalous_dilation(th, a)
     with contextlib.suppress(RecombinationError):
         outputs.append(double_deform(th))
-    res = beta(th)
-    outputs += [res.coefficients, res.running()]
+    res = _checked_beta(th)
+    if res is not None:
+        outputs += [res.coefficients, res.running()]
     for x in (x for out in outputs for x in _walk(out)):
         if isinstance(x, (Jet, RExpansion, FormalVector, LogPoly)):
             for v in x.terms.values():
@@ -832,9 +867,9 @@ def test_shared_values_are_never_mutated(th):
         outputs.append(double_deform(th))
     for b in th.marginals:
         outputs += anomalous_dilation(th, b)
-    res = beta(th)
-    outputs += [res.coefficients, res.running()]
-    before = _typed(outputs)
+    res = _checked_beta(th)
+    betas = [] if res is None else [res.coefficients, res.running()]
+    before = _typed(outputs + betas)
     derived = []
     for a in th.marginals:
         for b in th.marginals:
@@ -843,7 +878,7 @@ def test_shared_values_are_never_mutated(th):
             derived += [_dilate(th, x, 2) for x in sums] + [_dilate(th, io, 0)]
         derived += [insert_family_deformed(th, a, correction=False)]
         derived += [deformed_one_point(th, a).scale(Fraction(-3, 7))]
-    for x in outputs[:-2]:
+    for x in outputs:
         if x.algebra.order == 2:  # the double deformation
             derived.append(radius_scaled(th, x) - x)
         derived += [x + x, x - x, x.scale(LOG_LAM), x.scale(Fraction(2, 3))]
@@ -851,11 +886,11 @@ def test_shared_values_are_never_mutated(th):
         for e in x.terms.values():
             if isinstance(e, RExpansion):
                 derived += [_dilate(th, e, 0), e.scale(LOG_LAM), e + e]
-    for jets in outputs[-2:]:
+    for jets in betas:
         for jet in jets.values():
             derived += [jet * jet, jet + jet, jet - jet, jet.scale(Fraction(5, 2))]
             derived.append(jet.map_coeffs(lambda c: c * LOG_LAM))
-    assert _typed(outputs) == before
+    assert _typed(outputs + betas) == before
 
 
 def _rebuilt(th):
