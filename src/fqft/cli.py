@@ -11,9 +11,8 @@ import sys
 import time
 from fractions import Fraction
 
+from .deformation import _unordered_pairs, fb_theory, theory_from_json
 from .deformation import beta as beta_fn
-from .deformation import fb_theory, theory_from_json
-from .errors import RecombinationError
 from .fock import L_MAX_HARD_CAP, build_space
 from .geometry import verify_cutting
 from .jets import Jet
@@ -138,7 +137,7 @@ def cmd_beta(args, tol, space=None):
         "zero": res.is_zero(),
     }
     # the free boson's beta vanishes identically; the formal backend has no
-    # cheap identity to check yet (a theory with no g_c form raised above)
+    # cheap identity to check yet (a theory with no g_c form fails at load)
     return results, args.backend == "formal" or res.is_zero()
 
 
@@ -282,11 +281,16 @@ def main(argv=None):
         try:
             with open(args.theory) as fh:
                 args.formal_theory = theory_from_json(fh.read())
+            # the walk beta and double_deform share: it builds each pair's
+            # record and rejects a theory with no g_c form before any work
+            for _ in _unordered_pairs(args.formal_theory):
+                pass
         except OSError as err:
             parser.error(f"cannot read --theory {args.theory}: {err.strerror}")
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as err:
             # OverflowError: Fraction of an infinite number (1e400, Infinity);
-            # RecursionError: json.loads of deeply nested arrays or objects
+            # RecursionError: json.loads of deeply nested arrays or objects;
+            # RecombinationError, a ValueError: a pair whose OPE orders disagree
             parser.error(f"invalid --theory {args.theory}: {err!r}")
     config = {key: getattr(args, key) for key in SETTINGS if key in args}
     tol = None
@@ -305,11 +309,7 @@ def main(argv=None):
     with out as sink:
         log.info("running %s", args.command)
         start = time.perf_counter()
-        try:
-            results, passed = COMMANDS[args.command][0](args, tol)
-        except RecombinationError as err:
-            # formal beta on a theory whose OPE orders disagree: no g_c form
-            parser.error(f"invalid --theory {args.theory}: {err}")
+        results, passed = COMMANDS[args.command][0](args, tol)
         elapsed = time.perf_counter() - start
         log.info("%s finished in %.3fs (passed=%s)", args.command, elapsed, passed)
         report = {

@@ -2,9 +2,10 @@
 
 Partition functions on segments are Euclidean evolution operators
 exp(-length * H); the cutting axiom is the semigroup law.  Deforming twice
-by constant endomorphism families reproduces second-order perturbation
-theory.  Each segment's orders come from one Van Loan block exponential, and
-a Taylor-series oracle, summed on the stacked orders of exp(-T (H + g O)),
+by one observable, a constant endomorphism family O, reproduces
+second-order perturbation theory.  Each segment's three orders come from
+one Van Loan block exponential, of a block-Toeplitz matrix, and a
+Taylor-series oracle, summed on the stacked orders of exp(-T (H + g O)),
 checks them.  At the sizes the checks run (n up to a few dozen) the cost is
 mostly the number of numpy calls, so both keep their work in few, stacked
 calls.
@@ -40,8 +41,8 @@ def _check_endpoints(alpha, beta):
 
 
 class SegmentPF:
-    """Partition function on [alpha, beta]; value is a matrix, or a jet of
-    matrices for deformed theories."""
+    """Partition function on [alpha, beta] of a theory deformed by one
+    observable; value is its jet of matrices in the combined coupling."""
 
     def __init__(self, theory, alpha, beta, value):
         _check_endpoints(alpha, beta)
@@ -55,27 +56,26 @@ class SegmentPF:
         [alpha, gamma]."""
         if self.theory is not inner.theory:
             raise GeometryError("segments belong to different theories")
+        if self.value.algebra != inner.value.algebra:
+            raise GeometryError("segments are deformed by different observables")
         if self.alpha != inner.beta:
             raise GeometryError("segments do not share an endpoint")
-        if isinstance(self.value, Jet):
-            value = jet_mul(self.value, inner.value)
-        else:
-            value = self.value @ inner.value
-        return SegmentPF(self.theory, inner.alpha, self.beta, value)
+        return SegmentPF(self.theory, inner.alpha, self.beta, jet_mul(self.value, inner.value))
 
 
 # ---------------------------------------------------------- segment integrals
 #
 # Van Loan block exponential (C. F. Van Loan, "Computing integrals involving
-# the matrix exponential", IEEE TAC 23(3), 1978): with -H on the block
-# diagonal and X, Y, ... on the superdiagonal, the top block row of
-# expm(T * M) holds exp(-T H) and then the ordered simplex integrals of the
-# alternating products e^{-s H} X e^{-s' H} ..., one insertion more per block.
-# No eigenbasis is needed, so clustered, defective and complex spectra take
-# the same path.  The exponential itself is numpy-only scaling and squaring
-# with a diagonal Pade approximant (N. J. Higham, "The scaling and squaring
-# method for the matrix exponential revisited", SIMAX 26(4), 2005), of degree
-# and scaling chosen from ||A^k||_1^(1/k) as in A. H. Al-Mohy and
+# the matrix exponential", IEEE TAC 23(3), 1978): with -H on the three
+# diagonal blocks and the observable O on both superdiagonal blocks, M is
+# block-Toeplitz, and the top block row of expm(T * M) holds exp(-T H), the
+# integral of e^{-(T - s) H} O e^{-s H} over [0, T], and the ordered double
+# integral with O inserted at s < s'.  No eigenbasis is needed, so
+# clustered, defective and complex spectra take the same path.  The
+# exponential itself is numpy-only scaling and squaring with a diagonal Pade
+# approximant (N. J. Higham, "The scaling and squaring method for the matrix
+# exponential revisited", SIMAX 26(4), 2005), of degree and scaling chosen
+# from ||A^k||_1^(1/k) as in A. H. Al-Mohy and
 # N. J. Higham, "A new scaling and squaring algorithm for the matrix
 # exponential", SIMAX 31(3), 2009.  The even powers are formed once, in one
 # stack; one product combines them into the approximant's sums, and one
@@ -188,53 +188,43 @@ def _expm(A):
     return X
 
 
-def _block_row(theory: QmTheory, alpha, beta, *blocks):
-    """Top block row of expm((beta - alpha) * M) for the Van Loan block
-    matrix M: exp(-(beta - alpha) H), then one integral per inserted block."""
+def _block_row(theory: QmTheory, alpha, beta, O):
+    """Top block row of expm((beta - alpha) * M) for the block-Toeplitz Van
+    Loan matrix M of one observable, [[-H, O, 0], [0, -H, O], [0, 0, -H]]:
+    exp(-(beta - alpha) H), the first-order integral of O and the ordered
+    second-order one."""
     _check_endpoints(alpha, beta)
-    n, k, T = theory.dim, len(blocks) + 1, beta - alpha
-    M = np.zeros((k, n, k, n), dtype=np.result_type(theory.H, *blocks))
-    i = np.arange(k)
+    n, T = theory.dim, beta - alpha
+    M = np.zeros((3, n, 3, n), dtype=np.result_type(theory.H, O))
+    i = np.arange(3)
     M[i, :, i] = -T * theory.H
-    if blocks:
-        M[i[:-1], :, i[1:]] = np.multiply(T, blocks)
-    E = _expm(M.reshape(k * n, k * n))
+    M[i[:-1], :, i[1:]] = T * O
+    E = _expm(M.reshape(3 * n, 3 * n))
     # one copy of the top row, so that E is not kept alive by its blocks
-    return list(E[:n].reshape(n, k, n).swapaxes(0, 1).copy())
+    return list(E[:n].reshape(n, 3, n).swapaxes(0, 1).copy())
 
 
 # ------------------------------------------------------------- deformations
 
 
 def qm_double_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
-    """Deform twice by the same family, written in the combined coupling:
-    pf + g_c^a int <O_a> + (1/2) g_c^a g_c^b int int T{<O_a O_b>}."""
-    n = theory.dim
-    obs = {l: np.asarray(O) for l, O in obs.items()}
-    for l, O in obs.items():
-        if O.shape != (n, n) or not np.isfinite(O).all():
-            raise ValidationError(f"observable {l!r} must be a finite {n}x{n} array")
-    labels = sorted(obs)
-    gc = {l: f"gc[{l}]" for l in labels}
-    # one 3n x 3n exponential per label: its top block row is the evolution,
-    # the first order and the ordered second order of that label, which is
-    # half the time-ordered integral
-    rows = {l: _block_row(theory, alpha, beta, obs[l], obs[l]) for l in labels}
-    coeffs = {(): rows[labels[0]][0] if labels else _block_row(theory, alpha, beta)[0]}
-    for l in labels:
-        coeffs[(gc[l],)] = rows[l][1]
-    for i, a in enumerate(labels):
-        coeffs[(gc[a], gc[a])] = rows[a][2]
-        # a pair a < b: the time-ordered integral is the sum of the ordered
-        # integrals of (a, b) and of (b, a)
-        for b in labels[i + 1 :]:
-            coeffs[tuple(sorted((gc[a], gc[b])))] = (
-                _block_row(theory, alpha, beta, obs[a], obs[b])[2]
-                + _block_row(theory, alpha, beta, obs[b], obs[a])[2]
-            )
+    """Deform twice by one observable O, written in its combined coupling:
+    pf + g_c int <O> + (1/2) g_c^2 int int T{<O O>}.  `obs` is a one-entry
+    mapping from the observable's label to O, an n x n array."""
+    if len(obs) != 1:
+        raise ValidationError(f"qm_double_deform takes exactly one observable, got {len(obs)}")
+    ((label, O),) = obs.items()
+    n, O = theory.dim, np.asarray(O)
+    if O.shape != (n, n) or not np.isfinite(O).all():
+        raise ValidationError(f"observable {label!r} must be a finite {n}x{n} array")
+    gc = f"gc[{label}]"
+    # one block-Toeplitz exponential: its top block row is the evolution, the
+    # first order and the ordered second order, which is half the
+    # time-ordered integral
+    rows = _block_row(theory, alpha, beta, O)
     # the monomials are sorted and allowed already; only zeros are left to drop
-    coeffs = {mono: c for mono, c in coeffs.items() if c.any()}
-    jet = Jet._of(JetAlgebra.combined_coupling(labels), coeffs)
+    coeffs = {mono: c for mono, c in zip([(), (gc,), (gc, gc)], rows) if c.any()}
+    jet = Jet._of(JetAlgebra.combined_coupling([label]), coeffs)
     return SegmentPF(theory, alpha, beta, jet)
 
 

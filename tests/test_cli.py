@@ -337,14 +337,7 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
         )
     # nested past the parser's recursion limit
     (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
-    # C_mn^m = 1 but C_nm = 0: the OPE orders disagree, so there is no g_c form
-    (tmp_path / "one-row.json").write_text(
-        theory_to_json(
-            FormalTheory(
-                [("1", 0, 0), ("m", 1, 1), ("n", 1, 1)], [("m", "n", "m", (), (), 1)]
-            )
-        )
-    )
+    (tmp_path / "one-row.json").write_text(theory_to_json(_one_row_theory()))
     with pytest.raises(SystemExit) as err:
         main([a.format(tmp=tmp_path) for a in argv])
     assert err.value.code == 2
@@ -352,6 +345,33 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.strip().splitlines()[-1].startswith("fqft: error: ")
+
+
+def _one_row_theory():
+    """C_mn^m = 1 but C_nm = 0: the OPE orders disagree, so there is no g_c form."""
+    return FormalTheory([("1", 0, 0), ("m", 1, 1), ("n", 1, 1)], [("m", "n", "m", (), (), 1)])
+
+
+@pytest.mark.parametrize("command", ["beta", "all"])
+def test_theory_without_gc_form_fails_at_load(capsys, tmp_path, monkeypatch, command):
+    # the theory is rejected as it loads: before --out is opened, and before
+    # `all` runs its cutting and OPE checks
+    def no_run(*args):
+        raise AssertionError("the cutting check ran")
+
+    monkeypatch.setattr(fqft.cli, "verify_cutting", no_run)
+    theory, out = tmp_path / "one-row.json", tmp_path / "report.json"
+    theory.write_text(theory_to_json(_one_row_theory()))
+    with pytest.raises(SystemExit) as err:
+        main([command, "--backend", "formal", "--theory", str(theory), "--out", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = [ln for ln in captured.err.splitlines() if ln.startswith("fqft: error: ")]
+    assert line.startswith(f"fqft: error: invalid --theory {theory}: ")
+    assert "not symmetric in (m, n)" in line
+    assert "Traceback" not in captured.err
 
 
 def test_log_name_that_is_not_a_level_falls_back_to_warning(monkeypatch):
