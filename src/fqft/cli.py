@@ -153,24 +153,19 @@ def cmd_qm(args, tol):
     H = rng.standard_normal((dim, dim))
     O = rng.standard_normal((dim, dim))
     theory = QmTheory(H)
-    # deforming by -O matches exp(-T (H + g O)) order by order
-    seg = qm_double_deform(theory, {"o": -O}, 0.0, T)
+    # deforming by -O matches exp(-T (H + g O)) order by order; one mapping,
+    # so the glued segments share their observable
+    obs = {"o": -O}
+    seg = qm_double_deform(theory, obs, 0.0, T)
     oracle = taylor_series_oracle(H, O, T, order=args.orders)
-    monos = [(), ("gc[o]",), ("gc[o]", "gc[o]")][: args.orders + 1]
     scale = max(max(float(np.max(np.abs(o))) for o in oracle), 1.0)
-    diffs = [
-        float(np.max(np.abs(seg.value.coefficient(m) - o))) / scale
-        for m, o in zip(monos, oracle)
-    ]
+    diffs = [float(np.max(np.abs(seg.orders[k] - o))) / scale for k, o in enumerate(oracle)]
     split = 0.4 * T
-    glued = qm_double_deform(theory, {"o": -O}, split, T).glue(
-        qm_double_deform(theory, {"o": -O}, 0.0, split)
+    glued = qm_double_deform(theory, obs, split, T).glue(
+        qm_double_deform(theory, obs, 0.0, split)
     )
-    cut_res = max(
-        float(np.max(np.abs(glued.value.coefficient(m) - seg.value.coefficient(m))))
-        / scale
-        for m in monos
-    )
+    k = len(oracle)
+    cut_res = float(np.max(np.abs(glued.orders[:k] - seg.orders[:k]))) / scale
     results = {
         "dim": dim,
         "orders": args.orders,

@@ -692,10 +692,10 @@ def fb_deformed_annulus(space, R, r, w: Jet) -> Jet:
     return Jet(w.algebra, terms)
 
 
-def fb_deformed_disk(space, R=1) -> Jet:
+def fb_deformed_disk(space) -> Jet:
     """First-order deformed disk: vacuum + g sum_k j_{-k} jbar_{-k}|0>/(2k).
 
-    Radius-independent, as marginality requires.
+    It takes no radius: marginality makes it radius-independent.
     """
     alg = JetAlgebra(["g[jjbar]"], 1)
     w = space.zero()

@@ -183,7 +183,7 @@ def _level_residual(values_a, values_b, exact):
     return worst, arg
 
 
-def verify_cutting(space, cut_points, shifted=True, corrupt=None):
+def verify_cutting(space, cut_points, shifted=True):
     """Check the cutting axiom on an annulus chain.
 
     cut_points is a decreasing list of radii [R_0 > R_1 > ... > R_n]; for
@@ -191,16 +191,11 @@ def verify_cutting(space, cut_points, shifted=True, corrupt=None):
         annulus(R_0, R_m) o annulus(R_m, R_n) = annulus(R_0, R_n)
     is checked level by level, plus the disk closure
         annulus(R_0, R_n) |disk(R_n)> = |disk(R_0)>.
-    `corrupt` optionally scales the scalar of one level of a glued factor
-    by 101/100 (1.01 in float64), for fault-injection tests; a factor works
-    on rationals, PowerValues and floats alike.  Returns a residual report
-    dict.
+    Returns a residual report dict.
     """
     radii = list(cut_points)
     if len(radii) < 2 or any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
         raise GeometryError("cut points must be strictly decreasing radii")
-    if corrupt is not None and not 0 <= corrupt <= space.l_max:
-        raise ValueError(f"corrupt level {corrupt} outside 0..{space.l_max}")
     R0, Rn = radii[0], radii[-1]
     direct = annulus_pf(space, R0, Rn, shifted=shifted)
 
@@ -209,10 +204,6 @@ def verify_cutting(space, cut_points, shifted=True, corrupt=None):
     for m in cuts:
         outer = annulus_pf(space, R0, radii[m], shifted=shifted)
         inner = annulus_pf(space, radii[m], Rn, shifted=shifted)
-        if corrupt is not None:
-            bad = list(inner.by_level)
-            bad[corrupt] = bad[corrupt] * (Fraction(101, 100) if space.exact else 1.01)
-            inner = PartitionFunction(inner.surface, space, by_level=bad)
         glued = glue(outer, inner)
         res, level = _level_residual(glued.by_level, direct.by_level, space.exact)
         if level is not None and (arg is None or res > worst):

@@ -5,6 +5,10 @@ a set of symbols and an order: monomials of higher total degree vanish.  A
 single deformation's couplings g have order one, so all products
 g^alpha g^beta vanish; the combined coupling g_c = g + g~ of a double
 deformation has order two.
+
+Coefficients are exact values: Fractions, fqft.scalars values, boundary
+states, formal vectors and r-expansions of them, never arrays.  Quantum
+mechanics multiplies its matrix orders itself (fqft.qm).
 """
 
 from __future__ import annotations
@@ -99,11 +103,8 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 
 
 def _coeff_mul(a, b):
-    """Product of jet coefficients: matrix product of 2-D arrays, scalar
-    action on vector-like values."""
-    # duck-typed, so the exact pipelines never import numpy through jets
-    if getattr(a, "ndim", 0) == 2 and getattr(b, "ndim", 0) == 2:
-        return a @ b
+    """Product of jet coefficients: scalar times scalar, or the scalar
+    action on a vector-like value."""
     try:
         return a * b
     except TypeError:

@@ -195,23 +195,34 @@ class OpeTable:
                 return row["coefficient"]
         return None
 
-    def marginal_constants(self, marginal_labels=("jjbar",)):
+    def marginal_constants(self):
         """K (identity channel, |z|^{-4}) and C (marginal channel, |z|^{-2})
-        for each ordered pair of marginal observables."""
+        of the marginal j jbar with itself."""
         K, C = {}, {}
         for row in self.rows:
             pair = (row["a"], row["b"])
-            if row["a"] not in marginal_labels or row["b"] not in marginal_labels:
+            if pair != ("jjbar", "jjbar"):
                 continue
-            if row["exponents"] == (-2, -2) and row["c"] == "1" and not row["mu"] and not row["mubar"]:
+            target = (row["c"], row["mu"], row["mubar"])
+            if row["exponents"] == (-2, -2) and target == ("1", (), ()):
                 K[pair] = row["coefficient"]
-            if row["exponents"] == (-1, -1):
-                if (row["c"], row["mu"], row["mubar"]) in [
-                    (lbl, (), ()) for lbl in marginal_labels
-                ] or (row["c"] == "1" and row["mu"] == (1,) and row["mubar"] == (1,)):
-                    key = pair + (row["c"],)
-                    C[key] = C.get(key, 0) + row["coefficient"]
+            if row["exponents"] == (-1, -1) and target in _MARGINAL_TARGETS:
+                key = pair + (row["c"],)
+                C[key] = C.get(key, 0) + row["coefficient"]
         return {"K": K, "C": C}
+
+
+# the |z|^{-2} targets of the marginal channel: j jbar as a primary, and as
+# the descendant j_{-1} jbar_{-1} of the identity
+_MARGINAL_TARGETS = (("jjbar", (), ()), ("1", (1,), (1,)))
+# (label, h, hbar) of the identity, the currents j and jbar, and j jbar: the
+# primaries of every OPE table
+_PRIMARIES = (
+    ("1", Fraction(0), Fraction(0)),
+    ("j", Fraction(1), Fraction(0)),
+    ("jbar", Fraction(0), Fraction(1)),
+    ("jjbar", Fraction(1), Fraction(1)),
+)
 
 
 def ope_extract(space, a: LocalObservable, b: LocalObservable) -> OpeTable:
@@ -223,12 +234,7 @@ def ope_extract(space, a: LocalObservable, b: LocalObservable) -> OpeTable:
     is one row.
     """
     series = two_point(space, a, b, R=1)
-    table = OpeTable(
-        primaries=[("1", Fraction(0), Fraction(0))]
-        + [(o.label, Fraction(o.dims[0]), Fraction(o.dims[1]))
-           for o in (current_observable(space), current_observable(space, True),
-                     marginal_observable(space))],
-    )
+    table = OpeTable(_PRIMARIES)
     # most singular first: ascending total exponent, then z-exponent
     for (m, mbar), v in sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0][0])):
         for i, coeff in v.nonzero():

@@ -3,12 +3,16 @@
 Partition functions on segments are Euclidean evolution operators
 exp(-length * H); the cutting axiom is the semigroup law.  Deforming twice
 by one observable, a constant endomorphism family O, reproduces
-second-order perturbation theory.  Each segment's three orders come from
-one Van Loan block exponential, of a block-Toeplitz matrix, and a
-Taylor-series oracle, summed on the stacked orders of exp(-T (H + g O)),
-checks them.  At the sizes the checks run (n up to a few dozen) the cost is
-mostly the number of numpy calls, so both keep their work in few, stacked
-calls.
+second-order perturbation theory.  A deformed segment is its stacked
+orders in the combined coupling g_c, one (3, n, n) array: the top block
+row of one Van Loan block exponential, of a block-Toeplitz matrix.  Gluing
+two segments is one truncated product of those polynomials in g_c.  Each
+segment also carries `value`, the same orders as a jet of views into the
+stack, which the benchmark's deform workload reads until its next change.
+A Taylor-series oracle, summed on the stacked orders of
+exp(-T (H + g O)), checks the orders.  At the sizes the checks run (n up
+to a few dozen) the cost is mostly the number of numpy calls, so all of
+this keeps its work in few, stacked calls.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import GeometryError, QuadratureError, ValidationError
-from .jets import Jet, JetAlgebra, jet_mul
+from .jets import Jet, JetAlgebra
 
 
 class QmTheory:
@@ -42,25 +46,47 @@ def _check_endpoints(alpha, beta):
 
 class SegmentPF:
     """Partition function on [alpha, beta] of a theory deformed by one
-    observable; value is its jet of matrices in the combined coupling."""
+    observable O, labelled `label`: its stacked orders in the combined
+    coupling g_c, a (3, n, n) array of the evolution, the first and the
+    second order.  `value` is the same polynomial as a jet of views into
+    `orders`, its zero orders dropped."""
 
-    def __init__(self, theory, alpha, beta, value):
+    def __init__(self, theory, alpha, beta, label, O, orders):
         _check_endpoints(alpha, beta)
         self.theory = theory
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self.value = value
+        self.label, self.O, self.orders = label, O, orders
+        gc = f"gc[{label}]"
+        monos = [(), (gc,), (gc, gc)]
+        # the monomials are sorted and allowed already; only zeros are left to drop
+        nonzero = orders.any(axis=(1, 2))
+        coeffs = {mono: c for mono, c, keep in zip(monos, orders, nonzero) if keep}
+        self.value = Jet._of(JetAlgebra.combined_coupling([label]), coeffs)
 
     def glue(self, inner: "SegmentPF") -> "SegmentPF":
         """Compose with the earlier segment: self on [gamma, beta], inner on
-        [alpha, gamma]."""
+        [alpha, gamma].  The orders multiply as polynomials in g_c truncated
+        past g_c^2: order k sums self's order i times inner's order k - i."""
         if self.theory is not inner.theory:
             raise GeometryError("segments belong to different theories")
-        if self.value.algebra != inner.value.algebra:
+        if self.label != inner.label or not (
+            self.O is inner.O or np.array_equal(self.O, inner.O)
+        ):
             raise GeometryError("segments are deformed by different observables")
         if self.alpha != inner.beta:
             raise GeometryError("segments do not share an endpoint")
-        return SegmentPF(self.theory, inner.alpha, self.beta, jet_mul(self.value, inner.value))
+        # the six products in one batched matmul; each order sums its
+        # products left to right, in ascending order of self's index (an
+        # np.add.reduceat would add the last two of order 2 first)
+        p = self.orders.take(_OUTER, axis=0) @ inner.orders.take(_INNER, axis=0)
+        orders = np.stack((p[0], p[1] + p[2], p[3] + p[4] + p[5]))
+        return SegmentPF(self.theory, inner.alpha, self.beta, self.label, self.O, orders)
+
+
+# the index pairs (i, k - i) of the truncated product, grouped by order k
+_OUTER = np.array([0, 0, 1, 0, 1, 2])
+_INNER = np.array([0, 1, 0, 2, 1, 0])
 
 
 # ---------------------------------------------------------- segment integrals
@@ -192,7 +218,7 @@ def _block_row(theory: QmTheory, alpha, beta, O):
     """Top block row of expm((beta - alpha) * M) for the block-Toeplitz Van
     Loan matrix M of one observable, [[-H, O, 0], [0, -H, O], [0, 0, -H]]:
     exp(-(beta - alpha) H), the first-order integral of O and the ordered
-    second-order one."""
+    second-order one, stacked in one (3, n, n) array."""
     _check_endpoints(alpha, beta)
     n, T = theory.dim, beta - alpha
     M = np.zeros((3, n, 3, n), dtype=np.result_type(theory.H, O))
@@ -201,7 +227,7 @@ def _block_row(theory: QmTheory, alpha, beta, O):
     M[i[:-1], :, i[1:]] = T * O
     E = _expm(M.reshape(3 * n, 3 * n))
     # one copy of the top row, so that E is not kept alive by its blocks
-    return list(E[:n].reshape(n, 3, n).swapaxes(0, 1).copy())
+    return E[:n].reshape(n, 3, n).swapaxes(0, 1).copy()
 
 
 # ------------------------------------------------------------- deformations
@@ -217,15 +243,10 @@ def qm_double_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
     n, O = theory.dim, np.asarray(O)
     if O.shape != (n, n) or not np.isfinite(O).all():
         raise ValidationError(f"observable {label!r} must be a finite {n}x{n} array")
-    gc = f"gc[{label}]"
     # one block-Toeplitz exponential: its top block row is the evolution, the
     # first order and the ordered second order, which is half the
     # time-ordered integral
-    rows = _block_row(theory, alpha, beta, O)
-    # the monomials are sorted and allowed already; only zeros are left to drop
-    coeffs = {mono: c for mono, c in zip([(), (gc,), (gc, gc)], rows) if c.any()}
-    jet = Jet._of(JetAlgebra.combined_coupling([label]), coeffs)
-    return SegmentPF(theory, alpha, beta, jet)
+    return SegmentPF(theory, alpha, beta, label, O, _block_row(theory, alpha, beta, O))
 
 
 # ------------------------------------------------------------------- oracle

@@ -8,8 +8,9 @@ An RExpansion maps (p, q) -> coefficient, representing
     sum_{p,q} coeff_{p,q} * r^p * (log r)^q
 with rational exponents p (ints when integral) and non-negative integer log
 powers q.
-Coefficients are anything with linear arithmetic: boundary states, formal
-vectors, or plain scalars (Fractions, floats, fqft.scalars values).
+Coefficients are exact values with linear arithmetic, never arrays:
+boundary states, formal vectors, or plain scalars (Fractions, floats,
+fqft.scalars values).
 """
 
 from __future__ import annotations
@@ -19,25 +20,12 @@ from .scalars import canonical_exponent
 
 def coeff_is_zero(c) -> bool:
     """Zero test across the coefficient types of expansions and jets, each
-    type's own: is_zero() of the fqft values, any() of a numpy array, == 0
-    of a number; None is zero."""
+    type's own: is_zero() of the fqft values, == 0 of a number; None is
+    zero."""
     if c is None:
         return True
     is_zero = getattr(c, "is_zero", None)
-    if is_zero is not None:
-        return is_zero()
-    return not c.any() if hasattr(c, "shape") else c == 0
-
-
-def coeff_eq(a, b) -> bool:
-    """Value equality of two coefficients, None being zero.  The exact
-    coefficient types store no zeros, so their == is structural; numpy
-    arrays compare elementwise, via their difference."""
-    if a is None or b is None:
-        return coeff_is_zero(a) and coeff_is_zero(b)
-    if hasattr(a, "shape") or hasattr(b, "shape"):
-        return coeff_is_zero(a - b)
-    return a == b
+    return is_zero() if is_zero is not None else c == 0
 
 
 class Sparse:
@@ -140,14 +128,7 @@ class Sparse:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if not self._same_context(other):
-            return False
-        try:
-            return self.terms == other.terms
-        except ValueError:  # numpy arrays: == is elementwise, with no truth value
-            return self.terms.keys() == other.terms.keys() and all(
-                coeff_eq(c, other.terms[key]) for key, c in self.terms.items()
-            )
+        return self._same_context(other) and self.terms == other.terms
 
 
 def _key(pq):

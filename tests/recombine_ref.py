@@ -6,7 +6,15 @@ from fractions import Fraction
 
 from fqft.errors import RecombinationError
 from fqft.jets import Jet, JetAlgebra
-from fqft.rexp import coeff_eq, coeff_is_zero
+from fqft.rexp import coeff_is_zero
+
+
+def coeff_eq(a, b) -> bool:
+    """Value equality of two exact coefficients, None being zero.  They
+    store no zeros, so their == is structural."""
+    if a is None or b is None:
+        return coeff_is_zero(a) and coeff_is_zero(b)
+    return a == b
 
 
 def recombine(coeffs, labels=None):
@@ -40,8 +48,7 @@ def recombine(coeffs, labels=None):
             s_ij = rest.pop((g[lj], gt[li]), None)
             if li == lj:
                 if s_ij is not None:
-                    half = s_ij / 2 if hasattr(s_ij, "shape") else Fraction(1, 2) * s_ij
-                    out[(gc[li], gc[li])] = half
+                    out[(gc[li], gc[li])] = Fraction(1, 2) * s_ij
                 continue
             s_ji = rest.pop((g[li], gt[lj]), None)
             if not coeff_eq(s_ij, s_ji):

@@ -492,14 +492,14 @@ def test_fb_deformed_annulus_cutting():
 def test_fb_deformed_disk_closure():
     space = build_space(4)
     for R, r in [(3, 1), (4, 2), (Fraction(7, 2), Fraction(5, 3))]:
-        glued = fb_deformed_annulus(space, R, r, fb_deformed_disk(space, r))
-        assert glued == fb_deformed_disk(space, R), (R, r)
+        glued = fb_deformed_annulus(space, R, r, fb_deformed_disk(space))
+        assert glued == fb_deformed_disk(space), (R, r)
 
 
 def test_fb_deformed_disk_radius_independent():
+    # the disk takes no radius; its g term is sum_k j_{-k} jbar_{-k}|0>/(2k)
     space = build_space(6)
-    assert fb_deformed_disk(space, 1) == fb_deformed_disk(space, Fraction(7, 2))
-    w = fb_deformed_disk(space, 1).coefficient(("g[jjbar]",))
+    w = fb_deformed_disk(space).coefficient(("g[jjbar]",))
     for k in (1, 2, 3):
         assert w[space.find((k,), (k,))] == Fraction(1, 2 * k)
 

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fqft import geometry
 from fqft.errors import GeometryError, SpaceMismatchError
 from fqft.fock import L_MAX_HARD_CAP, BoundaryState, build_space, scale_by_level
 from fqft.geometry import (
@@ -18,6 +20,23 @@ from fqft.geometry import (
     verify_cutting,
 )
 from fqft.scalars import PowerValue
+
+
+def _verify_cutting_with_fault(space, radii, shifted, level):
+    """verify_cutting with geometry.glue patched to scale `level` of every
+    annulus o annulus glue by 101/100 (1.01 in float64); the disk closure's
+    glue is left alone."""
+
+    def faulty_glue(outer, inner):
+        out = glue(outer, inner)
+        if not inner.is_operator:
+            return out
+        by_level = list(out.by_level)
+        by_level[level] = by_level[level] * (Fraction(101, 100) if space.exact else 1.01)
+        return PartitionFunction(out.surface, space, by_level=by_level)
+
+    with mock.patch.object(geometry, "glue", faulty_glue):
+        return verify_cutting(space, radii, shifted=shifted)
 
 
 def test_surface_validation():
@@ -155,7 +174,7 @@ def test_cutting_chain_matches_per_level_reference(radii, l_max, shifted, data):
     assert report["cuts_checked"] == len(radii) - 2
     if len(radii) > 2:
         E = data.draw(st.integers(0, l_max))
-        report = verify_cutting(space, radii, shifted=shifted, corrupt=E)
+        report = _verify_cutting_with_fault(space, radii, shifted, E)
         assert report["offending_level"] == E and not report["exact_zero"]
 
 
@@ -300,8 +319,8 @@ _FAULT_CASES = [(level, s, e) for level in range(4) for s in (True, False) for e
 )
 def test_verify_cutting_fault_injection(level, shifted, exact):
     space = build_space(3, exact=exact)
-    report = verify_cutting(
-        space, [Fraction(4), Fraction(2), Fraction(1)], shifted=shifted, corrupt=level
+    report = _verify_cutting_with_fault(
+        space, [Fraction(4), Fraction(2), Fraction(1)], shifted, level
     )
     assert report["max_residual"] > 0
     assert report["offending_level"] == level

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fqft.errors import RecombinationError
 from fqft.jets import Jet, JetAlgebra, jet_mul
-from fqft.rexp import RExpansion, coeff_eq
-from recombine_ref import recombine
+from fqft.rexp import RExpansion
+from recombine_ref import coeff_eq, recombine
 
 
 # ---------------------------------------------------------------- RExpansion

@@ -63,11 +63,11 @@ def test_evolve_validation():
         _block_row(th, 1.0, 0.0, O)
     with pytest.raises(GeometryError):
         _block_row(th, 0.0, math.nan, O)
-    value = qm_double_deform(th, {"o": O}, 0.0, 1.0).value
+    orders = _block_row(th, 0.0, 1.0, O)
     with pytest.raises(GeometryError):
-        SegmentPF(th, 1.0, 0.0, value)
+        SegmentPF(th, 1.0, 0.0, "o", O, orders)
     with pytest.raises(GeometryError):
-        SegmentPF(th, 0.0, math.inf, value)
+        SegmentPF(th, 0.0, math.inf, "o", O, orders)
     with pytest.raises(ValidationError):
         QmTheory(np.array([[np.inf, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
@@ -443,6 +443,62 @@ def test_qm_glue_algebra_mismatch():
         late.glue(qm_double_deform(th, {"y": O}, 0.0, 0.5))
     with pytest.raises(GeometryError, match="different theories"):
         late.glue(qm_double_deform(QmTheory(np.eye(2)), {"x": O}, 0.0, 0.5))
+
+
+def test_qm_glue_rejects_a_different_matrix_under_one_label():
+    # one label does not make one observable: the matrices must match too
+    th = QmTheory(np.eye(2))
+    late = qm_double_deform(th, {"o": np.ones((2, 2))}, 0.5, 1.0)
+    with pytest.raises(GeometryError, match="different observables"):
+        late.glue(qm_double_deform(th, {"o": np.zeros((2, 2))}, 0.0, 0.5))
+    # equal matrices, passed as different objects, glue
+    glued = late.glue(qm_double_deform(th, {"o": np.ones((2, 2))}, 0.0, 0.5))
+    whole = qm_double_deform(th, {"o": np.ones((2, 2))}, 0.0, 1.0)
+    assert np.max(np.abs(glued.orders - whole.orders)) < 1e-14
+
+
+def _glue_reference(outer, inner):
+    """The truncated product of two stacked orders, one pair of orders at a
+    time: order k is the sum over i = 0..k of outer_i inner_{k-i}, in that
+    order."""
+    out = []
+    for k in range(3):
+        acc = outer[0] @ inner[k]
+        for i in range(1, k + 1):
+            acc = acc + outer[i] @ inner[k - i]
+        out.append(acc)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+@pytest.mark.parametrize("field", ["real", "complex", "zero-observable"])
+def test_qm_glue_is_the_truncated_product(dim, field):
+    # the batched product equals the pair-by-pair one bit for bit, and a
+    # segment's value, deformed or glued, is a jet of views into its orders
+    rng = np.random.default_rng(dim)
+    H, O = rng.standard_normal((2, dim, dim))
+    if field == "complex":
+        H = H + 1j * rng.standard_normal((dim, dim))
+        O = O + 1j * rng.standard_normal((dim, dim))
+    elif field == "zero-observable":
+        O = np.zeros((dim, dim))
+    th = QmTheory(H)
+    obs = {"o": O}
+    late, early = qm_double_deform(th, obs, 0.3, 1.0), qm_double_deform(th, obs, 0.0, 0.3)
+    glued = late.glue(early)
+    assert glued.orders.shape == (3, dim, dim)
+    assert np.array_equal(glued.orders, _glue_reference(late.orders, early.orders))
+    assert (glued.alpha, glued.beta, glued.label) == (0.0, 1.0, "o") and glued.O is O
+    monos = [(), ("gc[o]",), ("gc[o]", "gc[o]")]
+    for seg in (late, glued):
+        if field == "zero-observable":
+            assert list(seg.value.terms) == [()]
+        else:
+            assert list(seg.value.terms) == monos
+        for k, mono in enumerate(monos):
+            c = seg.value.coefficient(mono)
+            if c is not None:
+                assert np.shares_memory(c, seg.orders) and np.array_equal(c, seg.orders[k])
 
 
 def test_glue_endpoint_mismatch():

@@ -3,7 +3,6 @@ plain-dict reference on each of its container types."""
 
 from fractions import Fraction
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +15,6 @@ from fqft.scalars import LogPoly
 
 SPACE = build_space(2)
 ALG = JetAlgebra.combined_coupling(["x", "y"])
-MATRIX = np.array([[1.0, -2.0], [0.5, 3.0]])
 STATE = SPACE.state((1,))
 (STATE_INDEX,) = STATE.coeffs
 R_POWER = LogPoly.monomial(R=-2)
@@ -47,9 +45,9 @@ class Kind:
     """A container type, its keys, and how a Fraction becomes one of its
     coefficients (`lift`) and back (`value`)."""
 
-    def __init__(self, name, make, keys, lift, value, scalar=lambda s: s):
+    def __init__(self, name, make, keys, lift, value):
         self.name, self.make, self.keys = name, make, keys
-        self.lift, self.value, self.scalar = lift, value, scalar
+        self.lift, self.value = lift, value
 
     def __repr__(self):
         return self.name
@@ -76,14 +74,6 @@ class Kind:
 KINDS = [
     Kind("RExpansion", RExpansion, REXP_KEYS, lambda c: c, lambda c: c),
     Kind("Jet", lambda t: Jet(ALG, t), JET_KEYS, lambda c: c, lambda c: c),
-    Kind(
-        "Jet[matrix]",
-        lambda t: Jet(ALG, t),
-        JET_KEYS,
-        lambda c: float(c) * MATRIX,  # dyadic Fractions, so the floats are exact
-        lambda m: Fraction(m[0, 0]),
-        scalar=float,
-    ),
     Kind(
         "FormalVector",
         FormalVector,
@@ -130,7 +120,7 @@ def test_sparse_algebra_matches_dict_reference(kind, data):
     assert kind.read(a + b) == _add(ref_a, ref_b)
     assert kind.read(a - b) == _add(ref_a, ref_b, -1)
     assert kind.read(-a) == {k: -c for k, c in ref_a.items()}
-    assert kind.read(kind.scalar(s) * a) == {k: s * c for k, c in ref_a.items() if s * c}
+    assert kind.read(s * a) == {k: s * c for k, c in ref_a.items() if s * c}
     # a map that sends the negative coefficients to zero
     positive = a.map_coeffs(lambda c: kind.lift(max(kind.value(c), 0)))
     assert kind.read(positive) == {k: c for k, c in ref_a.items() if c > 0}
