@@ -282,8 +282,9 @@ def main(argv=None):
                 pass
         except OSError as err:
             parser.error(f"cannot read --theory {args.theory}: {err.strerror}")
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as err:
-            # OverflowError: Fraction of an infinite number (1e400, Infinity);
+        except (ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as err:
+            # ArithmeticError: Fraction of an infinite number (1e400, Infinity)
+            # or of a zero denominator ("1/0");
             # RecursionError: json.loads of deeply nested arrays or objects;
             # RecombinationError, a ValueError: a pair whose OPE orders disagree
             parser.error(f"invalid --theory {args.theory}: {err!r}")

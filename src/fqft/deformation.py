@@ -313,6 +313,16 @@ class _Pair:
 
 
 def theory_from_json(text: str) -> FormalTheory:
+    """The FormalTheory of a JSON document {"primaries": [{"label", "h",
+    "hbar"}], "coefficients": [{"a", "b", "c", "mu", "mubar", "value"}],
+    "mixing": [{"a", "gamma", "value"}]}, the last two optional.
+
+    A label is a JSON string.  A dimension or value is a JSON number or a
+    string Fraction reads ("3/4", "-2", "1.5e-3"); a JSON bool is not a
+    number and raises ValueError, as does a string past
+    scalars.SCALAR_MAX_DIGITS.  Partition parts are positive JSON ints,
+    bools excluded.  Malformed documents raise ValueError, KeyError,
+    TypeError or ArithmeticError (a zero denominator, an infinite float)."""
     import json
 
     doc = json.loads(text)
@@ -320,6 +330,9 @@ def theory_from_json(text: str) -> FormalTheory:
         (p["label"], decode_scalar(p["h"]), decode_scalar(p["hbar"]))
         for p in doc["primaries"]
     ]
+    for label, _, _ in primaries:
+        if type(label) is not str:
+            raise ValueError(f"primary label {label!r} is not a string")
     rows = [
         (
             c["a"],

@@ -4,7 +4,8 @@ A basis key is (level, chiral, antichiral), the two partitions as
 non-increasing tuples, and the columns run in graded-lexicographic key
 order.  No per-column key is stored: `space.key_of(i)` reads column i's key
 off the block map and `space.index_of(level, mu, nu)` is its inverse.
-Boundary states are sparse {basis index: nonzero coefficient} maps;
+Boundary states are the sparse algebra of fqft.rexp.Sparse over a space,
+{basis index: nonzero coefficient}, with a truncation-loss count;
 `apply_current` applies a U(1) current mode j_n to a state one nonzero at a
 time, and `scale_by_level` scales each level's part by one scalar.  A mode
 operator is L_n or Lbar_n (`build_virasoro`), a partition table {mu: {new:
@@ -25,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ResourceLimitError, SpaceMismatchError
+from .rexp import Sparse
 
 # Hard cap on the truncation level.  dim grows like sum p(k)p(m) (7 567 at
 # 14, 17 345 at 16, 38 045 at 18).  Exact arithmetic, one process on a
@@ -154,80 +156,47 @@ class TruncatedFockSpace:
         return self.index_of(*_key(chiral, antichiral))
 
 
-class BoundaryState:
-    """Sparse coefficient map {basis index: scalar} over a truncated basis;
-    element of a boundary space.  Zero coefficients are never stored, so
-    every operation costs O(number of nonzeros)."""
+class BoundaryState(Sparse):
+    """Sparse coefficient map {basis index: nonzero scalar} over a truncated
+    basis; element of a boundary space.  The Sparse algebra over `space`:
+    an index outside 0..dim-1 raises ValueError, and operands over two
+    spaces raise SpaceMismatchError.  `truncation_loss` counts the nonzeros
+    apply_current pushed above l_max; + and - sum it, and scaling keeps it.
+    Every operation costs O(number of nonzeros)."""
 
-    __slots__ = ("space", "coeffs", "truncation_loss")
+    __slots__ = ("space", "truncation_loss")
+    _context = "space"
+    _mismatch = SpaceMismatchError
 
-    def __init__(self, space, coeffs, truncation_loss=0):
-        coeffs = {i: c for i, c in coeffs.items() if c != 0}
-        if coeffs and not (0 <= min(coeffs) and max(coeffs) < space.dim):
-            raise ValueError("basis index outside the space")
-        self.space = space
-        self.coeffs = coeffs
-        self.truncation_loss = truncation_loss
+    def __init__(self, space, terms=None, truncation_loss=0):
+        self.space, self.truncation_loss = space, truncation_loss
+        super().__init__(terms)
+
+    def _norm(self, i):
+        if 0 <= i < self.space.dim:
+            return i
+        raise ValueError("basis index outside the space")
 
     @classmethod
-    def _of(cls, space, coeffs, truncation_loss=0):
-        """Wrap a dict unchecked.  Only for a dict the constructor would keep
-        as it is: every index in 0..dim-1 and no zero coefficient; not for
-        sums or scalings, whose values can cancel or underflow."""
+    def _of(cls, space, terms, truncation_loss=0):
+        """Wrap a dict unchecked, as Sparse._of does: every index in
+        0..dim-1 and no zero coefficient."""
         out = object.__new__(cls)
-        out.space, out.coeffs, out.truncation_loss = space, coeffs, truncation_loss
+        out.space, out.terms, out.truncation_loss = space, terms, truncation_loss
         return out
+
+    def _like(self, terms, other=None):
+        loss = self.truncation_loss
+        return self._of(self.space, terms, loss if other is None else loss + other.truncation_loss)
 
     def __getitem__(self, i):
         """Coefficient of basis vector i; the zero scalar when absent."""
-        c = self.coeffs.get(i)
+        c = self.terms.get(i)
         return self.space.zero_scalar() if c is None else c
-
-    def __add__(self, other):
-        _check_space(self, other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out[i] + c if i in out else c
-        return BoundaryState(
-            self.space, out, self.truncation_loss + other.truncation_loss
-        )
-
-    def __sub__(self, other):
-        _check_space(self, other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out[i] - c if i in out else -c
-        return BoundaryState(
-            self.space, out, self.truncation_loss + other.truncation_loss
-        )
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c) -> "BoundaryState":
-        return BoundaryState(
-            self.space, {i: c * a for i, a in self.coeffs.items()}, self.truncation_loss
-        )
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BoundaryState)
-            and self.space is other.space
-            and self.coeffs == other.coeffs
-        )
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def norm_inf(self) -> float:
-        return max((abs(float(c)) for c in self.coeffs.values()), default=0.0)
 
     def nonzero(self):
         """(index, coefficient) pairs in basis order."""
-        return sorted(self.coeffs.items())
+        return sorted(self.terms.items())
 
     def __repr__(self):
         terms = []
@@ -240,15 +209,8 @@ class BoundaryState:
 def scale_by_level(v: BoundaryState, by_level) -> BoundaryState:
     """v with its level-E part scaled by by_level[E], one scalar per level
     0..l_max; a product that underflows to zero is dropped."""
-    levels = v.space.levels
-    return BoundaryState(
-        v.space, {i: by_level[levels[i]] * c for i, c in v.coeffs.items()}, v.truncation_loss
-    )
-
-
-def _check_space(a, b):
-    if a.space is not b.space:
-        raise SpaceMismatchError("operands live in different truncated spaces")
+    levels, zero = v.space.levels, v._zero
+    return v._like({i: s for i, c in v.terms.items() if not zero(s := by_level[levels[i]] * c)})
 
 
 _EMPTY: dict = {}  # the image of a partition a table does not map
@@ -377,7 +339,7 @@ def apply_current(v: BoundaryState, n: int, bar: bool = False) -> BoundaryState:
     images are nonzero (a weight is a positive integer) and in range, so the
     state is wrapped unchecked."""
     space, out, loss = v.space, {}, 0
-    for col, c in v.coeffs.items():
+    for col, c in v.terms.items():
         level, mu, m, start, nus = space._block_of[col]
         y = level - n
         if y > space.l_max:
@@ -452,7 +414,8 @@ def commutator(a: ModeOperator, b: ModeOperator) -> ModeOperator:
     products summed per level (as integers, in exact arithmetic, before any
     entry becomes a Fraction); in float64 each entry is x + (-y), which
     equals x - y bit for bit."""
-    _check_space(a, b)
+    if a.space is not b.space:
+        raise SpaceMismatchError("operands live in different truncated spaces")
     if a.table is None or b.table is None or a.bar != b.bar:
         raise ValueError("only two modes on one side commute")
     terms = [(_table_product(a.table, b.table), 1, b.n), (_table_product(b.table, a.table), -1, a.n)]

@@ -212,7 +212,7 @@ def verify_cutting(space, cut_points, shifted=True):
     # disk closure, over the union of both states' nonzeros
     closed = glue(direct, disk_pf(space, Rn, shifted=shifted)).state
     disk_direct = disk_pf(space, R0, shifted=shifted).state
-    support = closed.coeffs.keys() | disk_direct.coeffs.keys()
+    support = closed.terms.keys() | disk_direct.terms.keys()
     if space.exact and all(closed[i] == disk_direct[i] for i in support):
         disk_res = 0.0
     else:

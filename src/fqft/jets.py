@@ -6,14 +6,18 @@ single deformation's couplings g have order one, so all products
 g^alpha g^beta vanish; the combined coupling g_c = g + g~ of a double
 deformation has order two.
 
-Coefficients are exact values: Fractions, fqft.scalars values, boundary
-states, formal vectors and r-expansions of them, never arrays.  Quantum
-mechanics multiplies its matrix orders itself (fqft.qm).
+A jet is the container alone: the Sparse linear algebra over a jet
+algebra, its monomials sorted and those past the order dropped.  No library
+code multiplies two jets: the formal builders write their jets whole
+(fqft.deformation), and quantum mechanics multiplies its matrix orders
+itself (fqft.qm).  Coefficients are exact values: Fractions, fqft.scalars
+values, boundary states, formal vectors and r-expansions of them; a QM
+segment's `value` wraps views of its orders unchecked and is only read.
 """
 
 from __future__ import annotations
 
-from .rexp import Sparse, coeff_is_zero
+from .rexp import Sparse
 
 
 class JetAlgebra:
@@ -58,20 +62,11 @@ class Jet(Sparse):
         return mono if self.algebra.monomial_ok(mono) else None
 
     @classmethod
-    def const(cls, algebra, value):
-        return cls(algebra, {(): value})
-
-    @classmethod
     def symbol(cls, algebra, name, coeff=1):
         return cls(algebra, {(name,): coeff})
 
     def coefficient(self, mono=()):
         return self.terms.get(tuple(sorted(mono)))
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return self.scale(other)
-        return jet_mul(self, other)
 
     def __repr__(self):
         bits = []
@@ -79,33 +74,3 @@ class Jet(Sparse):
             label = "*".join(mono) if mono else "1"
             bits.append(f"{label}: {self.terms[mono]!r}")
         return "Jet{" + ", ".join(bits) + "}"
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Truncated commutative product; nilpotent monomials drop out."""
-    a._check(b)
-    order = a.algebra.order
-    coeffs = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            # both factors' monomials are allowed in the one algebra, so
-            # their symbols are known: only the degree can rule a pair out
-            if len(ma) + len(mb) > order:
-                continue
-            mono = tuple(sorted(ma + mb))
-            prod = _coeff_mul(ca, cb)
-            if mono in coeffs:
-                coeffs[mono] = coeffs[mono] + prod
-            else:
-                coeffs[mono] = prod
-    # the monomials are sorted and allowed already; only zeros are left to drop
-    return a._like({m: c for m, c in coeffs.items() if not coeff_is_zero(c)})
-
-
-def _coeff_mul(a, b):
-    """Product of jet coefficients: scalar times scalar, or the scalar
-    action on a vector-like value."""
-    try:
-        return a * b
-    except TypeError:
-        return b.scale(a) if hasattr(b, "scale") else a.scale(b)

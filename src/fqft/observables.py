@@ -97,7 +97,7 @@ def _acting(v: BoundaryState, bar: bool):
     (antichiral) partitions, which the acting annihilators remove, and
     l_max minus its lowest level, the largest creator that acts."""
     space, parts, lowest = v.space, set(), v.space.l_max
-    for i in v.coeffs:
+    for i in v.terms:
         level, mu, nu = space.key_of(i)
         parts.update(nu if bar else mu)
         lowest = min(lowest, level)
@@ -197,7 +197,8 @@ class OpeTable:
 
     def marginal_constants(self):
         """K (identity channel, |z|^{-4}) and C (marginal channel, |z|^{-2})
-        of the marginal j jbar with itself."""
+        of the marginal j jbar with itself; C sums the rows of both its
+        targets."""
         K, C = {}, {}
         for row in self.rows:
             pair = (row["a"], row["b"])
@@ -207,13 +208,13 @@ class OpeTable:
             if row["exponents"] == (-2, -2) and target == ("1", (), ()):
                 K[pair] = row["coefficient"]
             if row["exponents"] == (-1, -1) and target in _MARGINAL_TARGETS:
-                key = pair + (row["c"],)
+                key = pair + ("jjbar",)
                 C[key] = C.get(key, 0) + row["coefficient"]
         return {"K": K, "C": C}
 
 
 # the |z|^{-2} targets of the marginal channel: j jbar as a primary, and as
-# the descendant j_{-1} jbar_{-1} of the identity
+# the descendant j_{-1} jbar_{-1} of the identity, which is the same state
 _MARGINAL_TARGETS = (("jjbar", (), ()), ("1", (1,), (1,)))
 # (label, h, hbar) of the identity, the currents j and jbar, and j jbar: the
 # primaries of every OPE table

@@ -1,8 +1,8 @@
 """Sparse linear combinations, and finite expansions in the cut radius r
 with log terms.
 
-Sparse is the immutable {key: nonzero coefficient} algebra that RExpansion,
-jets, formal vectors and (z, zbar) series share.
+Sparse is the immutable {key: nonzero coefficient} algebra that boundary
+states, RExpansion, jets, formal vectors and (z, zbar) series share.
 
 An RExpansion maps (p, q) -> coefficient, representing
     sum_{p,q} coeff_{p,q} * r^p * (log r)^q
@@ -30,19 +30,22 @@ def coeff_is_zero(c) -> bool:
 
 class Sparse:
     """Immutable finite sum {key: nonzero coefficient}: the linear algebra
-    shared by RExpansion, Jet, FormalVector and ZSeries.
+    shared by BoundaryState, RExpansion, Jet, FormalVector and ZSeries.
 
     A subclass sets how keys normalise (`_norm`, None to take them as given;
-    a key normalising to None drops), how coefficients test zero (`_zero`),
-    and the name of the attribute operands must share (`_context`, e.g. a
-    jet's "algebra").  Zero coefficients are never stored, so `terms` is
-    compared with ==, and results may share coefficients with operands.
+    a key normalising to None drops, and a key it rejects raises), how
+    coefficients test zero (`_zero`), the name of the attribute operands
+    must share (`_context`, e.g. a jet's "algebra") and the error raised
+    when they do not (`_mismatch`).  Zero coefficients are never stored, so
+    `terms` is compared with ==, and results may share coefficients with
+    operands.
     """
 
     __slots__ = ("terms",)
     _norm = None
     _zero = staticmethod(coeff_is_zero)
     _context = None
+    _mismatch = ValueError
 
     def __init__(self, terms=None):
         """Normalise each key, sum entries whose keys normalise equal, drop
@@ -74,8 +77,9 @@ class Sparse:
         out.terms = args[-1]
         return out
 
-    def _like(self, terms):
-        """_of over self's context."""
+    def _like(self, terms, other=None):
+        """_of over self's context; `other` is the second operand of a sum,
+        for a subclass whose extra slots sum."""
         name = self._context
         return self._of(getattr(self, name), terms) if name else self._of(terms)
 
@@ -88,7 +92,7 @@ class Sparse:
 
     def _check(self, other):
         if self._context and not self._same_context(other):
-            raise ValueError(f"{type(self).__name__}s over different {self._context}s")
+            raise self._mismatch(f"{type(self).__name__}s over different {self._context}s")
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -102,7 +106,7 @@ class Sparse:
                     del terms[key]
                     continue
             terms[key] = c
-        return self._like(terms)
+        return self._like(terms, other)
 
     def __sub__(self, other):
         return self + -other

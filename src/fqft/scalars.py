@@ -383,7 +383,24 @@ def encode_scalar(x):
     return str(x)
 
 
+# Bound on a decoded string, checked before Fraction expands it: at most
+# this many characters, and a decimal exponent of at most this magnitude.
+# Fraction("1e999999999") would build a billion-digit integer; within the
+# bound a value has at most 2 000 digits.  (JSON ints come parsed already.)
+SCALAR_MAX_DIGITS = 1000
+
+
 def decode_scalar(x):
     """Inverse of encode_scalar on exact values: str and int become
-    Fractions, floats are left alone."""
+    Fractions, floats are left alone.  A bool is not a number and raises
+    ValueError, as does a string past SCALAR_MAX_DIGITS; a zero denominator
+    raises ZeroDivisionError."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is a bool, not a number")
+    if isinstance(x, str):
+        if len(x) > SCALAR_MAX_DIGITS:
+            raise ValueError(f"a scalar string of more than {SCALAR_MAX_DIGITS} characters")
+        _, e, exponent = x.lower().partition("e")
+        if e and abs(int(exponent)) > SCALAR_MAX_DIGITS:
+            raise ValueError(f"{x!r} has a decimal exponent beyond {SCALAR_MAX_DIGITS}")
     return Fraction(x) if isinstance(x, (str, int)) else x

@@ -1,12 +1,17 @@
 """Tests for the command-line interface and JSON reports."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fqft.cli
 from fqft.cli import main
@@ -372,6 +377,104 @@ def test_theory_without_gc_form_fails_at_load(capsys, tmp_path, monkeypatch, com
     assert line.startswith(f"fqft: error: invalid --theory {theory}: ")
     assert "not symmetric in (m, n)" in line
     assert "Traceback" not in captured.err
+
+
+def _theory_skeleton():
+    """A valid theory document: two marginals whose off-diagonal rows are
+    symmetric, a mixing channel and an identity row."""
+    return {
+        "primaries": [
+            {"label": "1", "h": 0, "hbar": 0},
+            {"label": "e", "h": 1, "hbar": 1},
+            {"label": "f", "h": "1", "hbar": "1"},
+        ],
+        "coefficients": [
+            {"a": "e", "b": "f", "c": "e", "mu": [], "mubar": [], "value": "1/2"},
+            {"a": "f", "b": "e", "c": "e", "mu": [], "mubar": [], "value": "1/2"},
+            {"a": "e", "b": "e", "c": "1", "mu": [1], "mubar": [1], "value": 3},
+            {"a": "e", "b": "e", "c": "1", "mu": [2, 1], "mubar": [3], "value": -0.25},
+            {"a": "f", "b": "f", "c": "1", "mu": [], "mubar": [], "value": "-7/3"},
+        ],
+        "mixing": [{"a": "1", "gamma": "e", "value": "2/3"}],
+    }
+
+
+# leaves a theory file may hold: zero denominators, bools, floats, NaN and
+# infinities, containers, unknown labels, bad and large (bounded) partition
+# parts, and strings the scalar bound rejects before Fraction parses them
+HOSTILE = st.sampled_from(
+    [
+        "1/0", "0/0", "-3/0", True, False, None, 0.5, -1e300, 1e400,
+        float("nan"), float("inf"), "NaN", "Infinity", "-inf", "1e999999999", "9" * 1001,
+        [], {}, [[1]], {"a": 1}, [1, 2], [True], [0], [-1], [1.5], [10**6], [3, 3, 1],
+        "x", "", "1", "e", -1, 0, 2, 10**6, 10**30, "1e-3",
+    ]
+).map(copy.deepcopy)  # a fresh container per draw: later edits may change it
+
+
+def _nodes(doc):
+    """(container, key) for every value below the root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value)
+
+
+@st.composite
+def _hostile_theory_documents(draw):
+    """The skeleton with one to three edits: a value replaced, a key or an
+    item removed, an extra key, or an item duplicated."""
+    doc = _theory_skeleton()
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        if not nodes:
+            break
+        parent, key = draw(st.sampled_from(nodes))
+        edit = draw(st.sampled_from(["replace", "remove", "extra", "duplicate"]))
+        if edit == "replace":
+            parent[key] = draw(HOSTILE)
+        elif edit == "remove":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent["extra" if edit == "extra" else key] = draw(HOSTILE)
+        else:
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return doc
+
+
+def _edited(path, key, value):
+    """The skeleton with doc[path...][key] set to value."""
+    doc = node = _theory_skeleton()
+    for step in path:
+        node = node[step]
+    node[key] = value
+    return doc
+
+
+@given(_hostile_theory_documents())
+@example(_theory_skeleton())
+@example(_edited(["coefficients", 0], "value", "1/0"))
+@example(_edited(["primaries", 1], "h", "1/0"))
+@example(_edited(["mixing", 0], "value", "2/0"))
+@example(_edited(["primaries", 2], "label", True))
+@settings(max_examples=150, deadline=None)
+def test_theory_file_surface_has_no_traceback(tmp_path_factory, doc):
+    # whatever a theory file holds, formal beta and all end in a report
+    # (exit 0 or 1) or in one "fqft: error:" line and exit 2
+    path = tmp_path_factory.mktemp("theory") / "theory.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["beta"], ["all", "--lmax", "2"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--backend", "formal", "--theory", str(path)])
+            except SystemExit as exit_:
+                code = exit_.code
+                lines = [ln for ln in err.getvalue().splitlines() if ln.startswith("fqft: error:")]
+                assert code == 2 and len(lines) == 1, err.getvalue()
+            else:
+                assert code in (0, 1)
 
 
 def test_log_name_that_is_not_a_level_falls_back_to_warning(monkeypatch):

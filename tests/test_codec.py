@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import fqft
+import fqft.scalars
 from fqft.cli import _jsonable
 from fqft.deformation import fb_theory, theory_from_json
 from fqft.fock import build_space, build_virasoro
 from fqft.observables import marginal_observable, ope_extract
-from fqft.scalars import decode_scalar, encode_scalar
+from fqft.scalars import SCALAR_MAX_DIGITS, decode_scalar, encode_scalar
 from theory_json import theory_to_json
 
 
@@ -75,6 +76,30 @@ def test_writers_share_one_codec(exact):
         "a,b": ["3", "-1/2", 0.5, 2, True, None]
     }
     assert encode_scalar(Fraction(3)) == "3" and decode_scalar("3") == Fraction(3)
+
+
+def test_decode_scalar_rejects_bools_and_values_past_its_bound(monkeypatch):
+    # a JSON bool is not a number, and a value past the bound is rejected
+    # before Fraction sees it: Fraction("1e999999999") would build a
+    # billion-digit integer, so here Fraction must not be called at all
+    def no_parse(*args):
+        raise AssertionError(f"Fraction{args!r} was called")
+
+    monkeypatch.setattr(fqft.scalars, "Fraction", no_parse)
+    cap = SCALAR_MAX_DIGITS
+    for bad, reason in [
+        (True, "bool"),
+        (False, "bool"),
+        ("1e999999999", "exponent"),
+        (f"1E-{cap + 1}", "exponent"),
+        ("9" * (cap + 1), "characters"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            decode_scalar(bad)
+    monkeypatch.undo()
+    assert decode_scalar(f"1e{cap}") == 10**cap and decode_scalar("9" * cap) == int("9" * cap)
+    with pytest.raises(ZeroDivisionError):
+        decode_scalar("1/0")
 
 
 def test_numpy_values_become_python_numbers():

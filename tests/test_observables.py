@@ -72,7 +72,7 @@ def _sweep_states(space):
 def _assert_same_series(got: ZSeries, want: ZSeries):
     assert got.terms.keys() == want.terms.keys()
     for key, w in want.terms.items():
-        assert got.terms[key].coeffs == w.coeffs, key
+        assert got.terms[key].terms == w.terms, key
         assert got.terms[key].truncation_loss == w.truncation_loss, key
 
 
@@ -218,9 +218,9 @@ def test_dilation_int_lambda_is_exact():
     space = build_space(4)
     d = dilation(2, space.state((1,)))
     assert d == space.state((1,)).scale(Fraction(1, 2))
-    assert all(type(c) is Fraction for c in d.coeffs.values())
+    assert all(type(c) is Fraction for c in d.terms.values())
     e = dilation(3, RExpansion({(-2, 0): space.state((1,), (1,))}))
-    assert all(type(c) is Fraction for c in e.coefficient(-2).coeffs.values())
+    assert all(type(c) is Fraction for c in e.coefficient(-2).terms.values())
 
 
 def test_dilation_on_expansion():
@@ -281,6 +281,28 @@ def test_ope_extract_marginal_constants():
     consts = table.marginal_constants()
     assert consts["K"][("jjbar", "jjbar")] == 1
     assert all(v == 0 for v in consts["C"].values())  # C_{alpha beta}^gamma = 0
+
+
+def test_marginal_constants_pick_their_rows():
+    # the free boson has no |z|^{-2} row, so a hand-built table: the two C
+    # targets of the j jbar pair at (-1, -1) add into one C, the (-2, -2)
+    # identity row is K, and another pair, target or exponent is ignored
+    table = OpeTable([])
+    jj = ("jjbar", "jjbar")
+    table.add_row(*jj, "jjbar", (), (), (-1, -1), Fraction(2))
+    table.add_row(*jj, "1", (1,), (1,), (-1, -1), Fraction(3, 4))
+    table.add_row(*jj, "1", (), (), (-2, -2), Fraction(5))
+    table.add_row("j", "jjbar", "jjbar", (), (), (-1, -1), Fraction(7))
+    table.add_row("jjbar", "j", "1", (), (), (-2, -2), Fraction(7))
+    table.add_row(*jj, "1", (2,), (), (-1, -1), Fraction(7))
+    table.add_row(*jj, "1", (1,), (), (-1, -1), Fraction(7))
+    table.add_row(*jj, "jjbar", (), (), (-1, 0), Fraction(7))
+    table.add_row(*jj, "1", (1,), (1,), (-2, -2), Fraction(7))
+    table.add_row(*jj, "1", (), (), (-2, 0), Fraction(7))
+    assert table.marginal_constants() == {
+        "K": {jj: Fraction(5)},
+        "C": {jj + ("jjbar",): Fraction(11, 4)},
+    }
 
 
 def test_ope_roundtrip():

@@ -3,11 +3,13 @@ plain-dict reference on each of its container types."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqft.deformation import FormalVector
-from fqft.fock import build_space
+from fqft.errors import SpaceMismatchError
+from fqft.fock import BoundaryState, apply_current, build_space
 from fqft.jets import Jet, JetAlgebra
 from fqft.observables import ZSeries
 from fqft.rexp import RExpansion, coeff_is_zero
@@ -16,7 +18,7 @@ from fqft.scalars import LogPoly
 SPACE = build_space(2)
 ALG = JetAlgebra.combined_coupling(["x", "y"])
 STATE = SPACE.state((1,))
-(STATE_INDEX,) = STATE.coeffs
+(STATE_INDEX,) = STATE.terms
 R_POWER = LogPoly.monomial(R=-2)
 
 # (raw key, the key it normalises to); None drops (a monomial past the
@@ -39,6 +41,7 @@ JET_KEYS = [
 ]
 VECTOR_KEYS = [(k, k) for k in [("corr", "e", (), ()), ("disk",), ("int", "e"), ("int0", "1")]]
 SERIES_KEYS = [(k, k) for k in [(0, 0), (-1, 0), (0, -2), (-1, -1)]]
+STATE_KEYS = [(i, i) for i in (0, 2, 5, SPACE.dim - 1)]
 
 
 class Kind:
@@ -86,8 +89,9 @@ KINDS = [
         lambda t: ZSeries(SPACE, t),
         SERIES_KEYS,
         lambda c: STATE.scale(c),
-        lambda v: v.coeffs[STATE_INDEX],
+        lambda v: v.terms[STATE_INDEX],
     ),
+    Kind("BoundaryState", lambda t: BoundaryState(SPACE, t), STATE_KEYS, lambda c: c, lambda c: c),
 ]
 
 VALUES = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 4]))
@@ -134,3 +138,36 @@ def test_sparse_algebra_matches_dict_reference(kind, data):
         assert x.terms.keys() == terms.keys()
         assert all(x.terms[k] is c for k, c in terms.items())
         assert kind.read(x) == ref
+
+
+def test_boundary_state_index_rule():
+    # an index outside the space raises, and is never dropped, even with a
+    # zero coefficient
+    for bad in (-1, SPACE.dim):
+        for c in (Fraction(1), Fraction(0)):
+            with pytest.raises(ValueError, match="outside the space"):
+                BoundaryState(SPACE, {bad: c})
+
+
+def test_boundary_states_over_two_spaces_do_not_mix():
+    other = build_space(2)
+    a, b = SPACE.vacuum(), other.vacuum()
+    for op in (lambda: a + b, lambda: a - b, lambda: b + a):
+        with pytest.raises(SpaceMismatchError):
+            op()
+    assert a != b and a == SPACE.vacuum()
+
+
+def test_truncation_loss_is_summed_and_kept():
+    # + and - sum the losses, scaling and negation keep them, equality
+    # ignores them; j_{-1} on the top level of SPACE loses its nonzero
+    top = BoundaryState(SPACE, {SPACE.dim - 1: Fraction(2)})
+    lost = apply_current(top, -1)
+    assert lost.is_zero() and lost.truncation_loss == 1
+    a = BoundaryState(SPACE, {0: Fraction(1)}, truncation_loss=2)
+    assert (a + lost).truncation_loss == (a - lost).truncation_loss == 3
+    assert (a + a).truncation_loss == 4 and (a - a).truncation_loss == 4
+    assert a.scale(Fraction(3)).truncation_loss == (-a).truncation_loss == 2
+    assert (Fraction(1, 2) * a).truncation_loss == 2
+    assert a.map_coeffs(lambda c: 0 * c).truncation_loss == 2
+    assert a + lost == a
