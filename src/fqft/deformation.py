@@ -48,8 +48,6 @@ from .jets import Jet, JetAlgebra
 from .rexp import RExpansion, Sparse
 from .scalars import LogPoly, canonical_exponent, decode_scalar
 
-R_SYM = LogPoly.monomial(R=1)
-LAM_SYM = LogPoly.monomial(lam=1)
 LOG_R = LogPoly.monomial(log_R=1)
 LOG_LAM = LogPoly.monomial(log_lam=1)
 _ONE = LogPoly.monomial(1)  # the int 1, as FormalVector.corr and .atom store it

@@ -5,19 +5,18 @@ are stored as one scalar per total level 0..l_max; the disk
 partition function is the vacuum state.  Gluing multiplies level scalars or
 applies them to the nonzeros of a boundary state, and verify_cutting checks
 the cutting identities over chains of nested annuli level by level, in
-O(l_max) per cut.
-
-What does not depend on the level is done once per annulus or glue: an
-exact annulus forms r/R once and its levels c * (r/R)^E as running integer
-products, one normalised Fraction each; an unshifted one factorises r/R
-once, and its levels share that one exponent map.  Gluing two annuli sums
-each pair of exponent maps once (scalars.products) and multiplies only
-rational coefficients per level.  Every glued level is still compared with
-the direct annulus's level.
+O(l_max) per cut.  An exact annulus forms r/R once and its levels (r/R)^E
+as running integer products, one normalised Fraction each.
 
 The shifted convention L_0 -> L_0 - 1/24 is the default, so annulus entries
-are (r/R)^{total level} and the disk is radius-independent; shifted=False
-restores the explicit 1/12 in the annulus exponent for cross-checks.
+are (r/R)^{total level} and the disk is radius-independent.  shifted=False
+restores the conformal anomaly (c = 1) for cross-checks: one factor per
+surface, (r/R)^{1/12} on an annulus and R^{-1/12} on a disk, whatever the
+level.  A partition function holds it as the rational q of q^{1/12} (its
+`anomaly`: r/R, 1/R, or 1 when shifted), and gluing multiplies anomalies.
+As q -> q^{1/12} is one-to-one and multiplicative on the positive
+rationals, comparing the anomalies exactly checks the factors exactly, and
+every exact scalar stays a rational.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from fractions import Fraction
 
 from .errors import GeometryError, SpaceMismatchError
 from .fock import BoundaryState, TruncatedFockSpace, scale_by_level
-from .scalars import PowerValue, _rational, products
+from .scalars import _rational
 
 
 class Surface:
@@ -53,11 +52,13 @@ class Surface:
 
 
 class PartitionFunction:
-    """Level-graded operator (annulus) or boundary state (disk)."""
+    """Level-graded operator (annulus) or boundary state (disk), times the
+    conformal anomaly q^{1/12} of its surface, held as the positive
+    rational (float in float64) q: 1 in the shifted convention."""
 
-    __slots__ = ("surface", "space", "by_level", "state")
+    __slots__ = ("surface", "space", "by_level", "state", "anomaly")
 
-    def __init__(self, surface, space, by_level=None, state=None):
+    def __init__(self, surface, space, by_level=None, state=None, anomaly=1):
         if (by_level is None) == (state is None):
             raise ValueError("exactly one of by_level/state must be given")
         if by_level is not None and len(by_level) != space.l_max + 1:
@@ -66,17 +67,17 @@ class PartitionFunction:
         self.space = space
         self.by_level = by_level  # scalar on the level-E subspace, E = 0..l_max
         self.state = state  # BoundaryState
+        self.anomaly = anomaly  # q, standing for the factor q^{1/12}
 
     @property
     def is_operator(self):
         return self.by_level is not None
 
 
-def _scaled_powers(c, ratio: Fraction, count: int) -> list:
-    """[c * ratio**E for E in 0..count-1], c rational: running integer
-    products of the numerators and of the denominators, normalised into one
-    Fraction each."""
-    num, den = c.numerator, c.denominator
+def _powers(ratio: Fraction, count: int) -> list:
+    """[ratio**E for E in 0..count-1]: running integer products of the
+    numerator and of the denominator, normalised into one Fraction each."""
+    num = den = 1
     a, b = ratio.numerator, ratio.denominator
     out = []
     for _ in range(count):
@@ -89,43 +90,33 @@ def _scaled_powers(c, ratio: Fraction, count: int) -> list:
 def annulus_pf(
     space: TruncatedFockSpace, R, r, shifted: bool = True
 ) -> PartitionFunction:
-    """(r/R)^{L_0 + Lbar_0} on the annulus r <= |z| <= R."""
+    """(r/R)^{L_0 + Lbar_0} on the annulus r <= |z| <= R; unshifted, times
+    the anomaly (r/R)^{1/12}."""
     surface = Surface("annulus", R=R, r=r)
     if space.exact:
         R, r = _rational(R), _rational(r)  # ints and Fractions as they are
         ratio = Fraction(r.numerator * R.denominator, r.denominator * R.numerator)
-        if shifted:
-            by_level = _scaled_powers(1, ratio, space.l_max + 1)
-        else:
-            # (r/R)^(E + 1/12): factorise r/R once; every level scales its
-            # coefficient by the rational (r/R)^E and shares its exponents
-            base = PowerValue.from_pow(ratio, Fraction(1, 12))
-            exps = base.prime_exps
-            by_level = [
-                PowerValue._of(c, exps)
-                for c in _scaled_powers(base.coeff, ratio, space.l_max + 1)
-            ]
+        by_level = _powers(ratio, space.l_max + 1)
     else:
         ratio = float(r) / float(R)
-        offset = 0.0 if shifted else 1.0 / 12.0
-        by_level = [ratio ** (E + offset) for E in range(space.l_max + 1)]
-    return PartitionFunction(surface, space, by_level=by_level)
+        by_level = [ratio**E for E in range(space.l_max + 1)]
+    return PartitionFunction(
+        surface, space, by_level=by_level, anomaly=1 if shifted else ratio
+    )
 
 
 def disk_pf(space: TruncatedFockSpace, R, shifted: bool = True) -> PartitionFunction:
     """Vacuum boundary state on the disk of radius R.
 
     In the shifted convention the result is R-independent; unshifted it
-    carries the conformal-anomaly factor R^{-1/12}.
+    carries the conformal-anomaly factor R^{-1/12}, as the anomaly 1/R.
     """
     surface = Surface("disk", R=R)
-    vac = space.vacuum()
-    if not shifted:
-        if space.exact:
-            vac = vac.scale(PowerValue.from_pow(R, Fraction(-1, 12)))
-        else:
-            vac = vac.scale(float(R) ** (-1.0 / 12.0))
-    return PartitionFunction(surface, space, state=vac)
+    if shifted:
+        anomaly = 1
+    else:
+        anomaly = Fraction(1, _rational(R)) if space.exact else 1.0 / float(R)
+    return PartitionFunction(surface, space, state=space.vacuum(), anomaly=anomaly)
 
 
 def _glued_surface(outer: Surface, inner: Surface) -> Surface:
@@ -143,43 +134,56 @@ def _glued_surface(outer: Surface, inner: Surface) -> Surface:
 
 
 def glue(outer: PartitionFunction, inner) -> PartitionFunction:
-    """Sew the inner boundary of `outer` to the outer boundary of `inner`."""
+    """Sew the inner boundary of `outer` to the outer boundary of `inner`:
+    levels multiply pairwise, or scale the inner state, and anomalies
+    multiply (a bare BoundaryState carries none)."""
     if isinstance(inner, BoundaryState):
         if not outer.is_operator:
             raise GeometryError("outer piece of a gluing must be an operator")
         if outer.space is not inner.space:
             raise SpaceMismatchError("gluing across different truncated spaces")
         return PartitionFunction(
-            outer.surface, outer.space, state=scale_by_level(inner, outer.by_level)
+            outer.surface,
+            outer.space,
+            state=scale_by_level(inner, outer.by_level),
+            anomaly=outer.anomaly,
         )
     if outer.space is not inner.space:
         raise SpaceMismatchError("gluing across different truncated spaces")
     surface = _glued_surface(outer.surface, inner.surface)
     if not outer.is_operator:
         raise GeometryError("outer piece of a gluing must be an operator")
+    anomaly = outer.anomaly * inner.anomaly
     if inner.is_operator:
-        by_level = products(outer.by_level, inner.by_level)
-        return PartitionFunction(surface, outer.space, by_level=by_level)
+        by_level = [x * y for x, y in zip(outer.by_level, inner.by_level)]
+        return PartitionFunction(surface, outer.space, by_level=by_level, anomaly=anomaly)
     return PartitionFunction(
-        surface, outer.space, state=scale_by_level(inner.state, outer.by_level)
+        surface,
+        outer.space,
+        state=scale_by_level(inner.state, outer.by_level),
+        anomaly=anomaly,
     )
 
 
-def _level_residual(values_a, values_b, exact):
-    """Max-abs residual between level scalars; level of the worst one."""
-    if exact and values_a == values_b:
+def _residual(got, want, got_anomaly, want_anomaly, exact):
+    """Max-abs residual between the values got[k] * got_anomaly^{1/12} and
+    want[k] * want_anomaly^{1/12}, and the k of the worst one (None when
+    they agree).  Exact values agree when the anomalies and the scalars are
+    equal as stored; an exact mismatch is never 0.0: one whose float
+    difference rounds to 0 reads inf."""
+    same_anomaly = got_anomaly == want_anomaly
+    if exact and same_anomaly and got == want:
         return 0.0, None
+    fg, fw = float(got_anomaly) ** (1 / 12), float(want_anomaly) ** (1 / 12)
     worst, arg = 0.0, None
-    for E, (x, y) in enumerate(zip(values_a, values_b)):
-        if exact:
-            if x != y:
-                d = abs(float(x) - float(y)) or float("inf")
-                if d > worst or arg is None:
-                    worst, arg = d, E
-        else:
-            d = abs(float(x) - float(y))
-            if d > worst:
-                worst, arg = d, E
+    for k, (x, y) in enumerate(zip(got, want)):
+        if exact and same_anomaly and x == y:
+            continue
+        d = abs(fg * float(x) - fw * float(y))
+        if exact and not d:
+            d = float("inf")  # unequal, though no float tells them apart
+        if d > worst:
+            worst, arg = d, k
     return worst, arg
 
 
@@ -190,7 +194,8 @@ def verify_cutting(space, cut_points, shifted=True):
     every intermediate cut m the identity
         annulus(R_0, R_m) o annulus(R_m, R_n) = annulus(R_0, R_n)
     is checked level by level, plus the disk closure
-        annulus(R_0, R_n) |disk(R_n)> = |disk(R_0)>.
+        annulus(R_0, R_n) |disk(R_n)> = |disk(R_0)>;
+    each side's anomaly is compared with the other's alongside.
     Returns a residual report dict.
     """
     radii = list(cut_points)
@@ -205,21 +210,23 @@ def verify_cutting(space, cut_points, shifted=True):
         outer = annulus_pf(space, R0, radii[m], shifted=shifted)
         inner = annulus_pf(space, radii[m], Rn, shifted=shifted)
         glued = glue(outer, inner)
-        res, level = _level_residual(glued.by_level, direct.by_level, space.exact)
+        res, level = _residual(
+            glued.by_level, direct.by_level, glued.anomaly, direct.anomaly, space.exact
+        )
         if level is not None and (arg is None or res > worst):
             worst, arg, worst_cut = res, level, m
 
     # disk closure, over the union of both states' nonzeros
-    closed = glue(direct, disk_pf(space, Rn, shifted=shifted)).state
-    disk_direct = disk_pf(space, R0, shifted=shifted).state
-    support = closed.terms.keys() | disk_direct.terms.keys()
-    if space.exact and all(closed[i] == disk_direct[i] for i in support):
-        disk_res = 0.0
-    else:
-        disk_res = max(
-            (abs(float(closed[i]) - float(disk_direct[i])) for i in support),
-            default=0.0,
-        )
+    closed = glue(direct, disk_pf(space, Rn, shifted=shifted))
+    disk_direct = disk_pf(space, R0, shifted=shifted)
+    support = closed.state.terms.keys() | disk_direct.state.terms.keys()
+    disk_res, _ = _residual(
+        [closed.state[i] for i in support],
+        [disk_direct.state[i] for i in support],
+        closed.anomaly,
+        disk_direct.anomaly,
+        space.exact,
+    )
 
     return {
         "l_max": space.l_max,

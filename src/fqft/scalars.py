@@ -1,22 +1,14 @@
 """Exact scalar values with structural equality.
 
-PowerValue, c * prod_p p^{e_p}, keeps the geometry module's non-integer
-powers exact: annulus entries (r/R)^(E + 1/12) and the disk's R^(-1/12) in
-the unshifted convention.  Rational bases are reduced to prime
-factorizations so equality is structural, never heuristic.
-
 LogPoly, a finite sum of c * R^a * lam^b * (log R)^i * (log lam)^j, is the
-scalar of the formal perturbation backend in fqft.deformation.
+scalar of the formal perturbation backend in fqft.deformation.  (The free
+boson's exact scalars are ints and Fractions.)
 
-Both are immutable: no operation changes an operand, so a result may share
-an operand's dict, or be the operand itself.  That makes the common products
+It is immutable: no operation changes an operand, so a result may share an
+operand's dict, or be the operand itself.  That makes the common products
 exponent shifts.  A LogPoly times a monomial with coefficient 1 (the int 1)
 moves every key and reuses the coefficients, and a zero shift returns the
-operand; dilation is such a shift in lam and log(lam).  A PowerValue times
-a rational keeps the operand's prime exponents and multiplies only the
-coefficient, so (r/R)^(E + 1/12) is (r/R)^(1/12), factorised once, times
-the rational (r/R)^E.  `products` multiplies two lists of such values
-level by level, summing each pair of exponent maps once.
+operand; dilation is such a shift in lam and log(lam).
 
 Also holds the JSON scalar codec that every report and golden file uses.
 """
@@ -25,169 +17,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-def _factorint(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs are small radii ratios)."""
-    if n <= 0:
-        raise ValueError("factorization requires a positive integer")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-class PowerValue:
-    """Canonical product  coeff * prod p^{e_p}.
-
-    Integer parts of the prime exponents are folded into the rational
-    coefficient, and zero carries no exponents, so two values are equal iff
-    their fields are equal; a value equal to a rational hashes as that
-    rational.  Immutable: no operation changes a value's fields, so products
-    may share the `prime_exps` dict of an operand.
-    """
-
-    __slots__ = ("coeff", "prime_exps")
-
-    def __init__(self, coeff=1, prime_exps=None):
-        coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
-        exps = {}
-        num = den = 1  # prime powers folded into coeff
-        for p, e in (prime_exps or {}).items():
-            if type(e) is not Fraction:
-                e = Fraction(e)
-            n, d = e.numerator, e.denominator
-            if 0 < n < d:  # already canonical: a fractional part in (0, 1)
-                exps[p] = e
-                continue
-            whole, rest = divmod(n, d)  # floor, and a fractional part in [0, 1)
-            if whole > 0:
-                num *= p**whole
-            elif whole < 0:
-                den *= p**-whole
-            if rest:
-                exps[p] = Fraction(rest, d)
-        if num != 1 or den != 1:
-            coeff = Fraction(coeff.numerator * num, coeff.denominator * den)
-        self.coeff = coeff
-        self.prime_exps = exps if coeff else {}
-
-    @classmethod
-    def _of(cls, coeff, prime_exps):
-        """Wrap canonical fields, unchecked; a zero coeff clears the exponents."""
-        out = cls.__new__(cls)
-        out.coeff = coeff
-        out.prime_exps = prime_exps if coeff else {}
-        return out
-
-    @classmethod
-    def from_pow(cls, base, exponent) -> "PowerValue":
-        """base ** exponent for a positive rational base, written in canonical
-        form: each prime's exponent k * a / b is split by divmod(k * a, b)
-        into a whole power, folded into the coefficient, and one fractional
-        part Fraction(rest, b)."""
-        base = _rational(base)
-        if base <= 0:
-            raise ValueError("base must be positive")
-        exponent = _rational(exponent)
-        a, b = exponent.numerator, exponent.denominator
-        exps = {}
-        num = den = 1
-        for n, sign in ((base.numerator, 1), (base.denominator, -1)):
-            for p, k in _factorint(n).items():
-                whole, rest = divmod(sign * k * a, b)
-                if whole > 0:
-                    num *= p**whole
-                elif whole < 0:
-                    den *= p**-whole
-                if rest:
-                    exps[p] = Fraction(rest, b)
-        return cls._of(Fraction(num, den), exps)
-
-    def __mul__(self, other):
-        if isinstance(other, PowerValue):
-            unit = _exponent_sum(self.prime_exps, other.prime_exps)
-            return PowerValue._of(
-                _coeff_product(self.coeff, other.coeff, unit.coeff), unit.prime_exps
-            )
-        if isinstance(other, (int, Fraction)):
-            # a rational factor moves no exponent: share them
-            return PowerValue._of(self.coeff * other, self.prime_exps)
-        return PowerValue(self.coeff * Fraction(other), self.prime_exps)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, PowerValue):
-            return self.coeff == other.coeff and self.prime_exps == other.prime_exps
-        if isinstance(other, (int, Fraction)):
-            return not self.prime_exps and self.coeff == other
-        return NotImplemented
-
-    def __hash__(self):
-        if not self.prime_exps:
-            return hash(self.coeff)  # equal to a rational: hash as it does
-        return hash((self.coeff, tuple(sorted(self.prime_exps.items()))))
-
-    def __float__(self):
-        val = float(self.coeff)
-        # in prime order, so the rounding does not depend on the dict's order
-        for p, e in sorted(self.prime_exps.items()):
-            val *= p ** float(e)
-        return val
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def __repr__(self):
-        parts = [str(self.coeff)]
-        parts += [f"{p}^({e})" for p, e in sorted(self.prime_exps.items())]
-        return "*".join(parts)
-
-
-def _exponent_sum(ex, ey) -> PowerValue:
-    """prod p^(ex_p + ey_p) in canonical form: the whole parts of the summed
-    exponents folded into its coefficient, the fractional parts kept."""
-    summed = dict(ex)
-    for p, e in ey.items():
-        summed[p] = summed[p] + e if p in summed else e
-    return PowerValue(1, summed)
-
-
-def _coeff_product(x: Fraction, y: Fraction, z: Fraction) -> Fraction:
-    """x * y * z, normalised once."""
-    return Fraction(
-        x.numerator * y.numerator * z.numerator,
-        x.denominator * y.denominator * z.denominator,
-    )
-
-
-def products(xs, ys) -> list:
-    """[x * y for x, y in zip(xs, ys)], value for value and field for field.
-
-    Two PowerValues multiply their rational coefficients only: the exponent
-    maps of a pair are summed once, and the sum, with the rational its whole
-    parts fold into, serves every following pair that holds the same two
-    maps (level scalars of one annulus share one map).  Any other pair of
-    scalars multiplies as x * y.
-    """
-    out = []
-    maps = unit = None
-    for x, y in zip(xs, ys):
-        if type(x) is not PowerValue or type(y) is not PowerValue:
-            out.append(x * y)
-            continue
-        if maps is None or x.prime_exps is not maps[0] or y.prime_exps is not maps[1]:
-            maps = x.prime_exps, y.prime_exps
-            unit = _exponent_sum(*maps)
-        out.append(PowerValue._of(_coeff_product(x.coeff, y.coeff, unit.coeff), unit.prime_exps))
-    return out
 
 
 def canonical_exponent(x):
@@ -373,7 +202,7 @@ def _monomial_str(c, key):
 def encode_scalar(x):
     """The one JSON form of a scalar: a Fraction is its str ("p/q", "3" when
     integral), numpy values become Python numbers, bool/int/float/str/None
-    pass through, and anything else (LogPoly, PowerValue) is its str."""
+    pass through, and anything else (a LogPoly) is its str."""
     if isinstance(x, Fraction):
         return str(x)
     if hasattr(x, "tolist"):  # numpy scalar or array, duck-typed so numpy stays unimported

@@ -1,6 +1,7 @@
 """Tests for surfaces, partition functions, gluing, and the cutting axiom."""
 
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -19,13 +20,12 @@ from fqft.geometry import (
     glue,
     verify_cutting,
 )
-from fqft.scalars import PowerValue
 
 
 def _verify_cutting_with_fault(space, radii, shifted, level):
     """verify_cutting with geometry.glue patched to scale `level` of every
-    annulus o annulus glue by 101/100 (1.01 in float64); the disk closure's
-    glue is left alone."""
+    annulus o annulus glue by 101/100 (1.01 in float64), its anomaly kept;
+    the disk closure's glue is left alone."""
 
     def faulty_glue(outer, inner):
         out = glue(outer, inner)
@@ -33,7 +33,7 @@ def _verify_cutting_with_fault(space, radii, shifted, level):
             return out
         by_level = list(out.by_level)
         by_level[level] = by_level[level] * (Fraction(101, 100) if space.exact else 1.01)
-        return PartitionFunction(out.surface, space, by_level=by_level)
+        return PartitionFunction(out.surface, space, by_level=by_level, anomaly=out.anomaly)
 
     with mock.patch.object(geometry, "glue", faulty_glue):
         return verify_cutting(space, radii, shifted=shifted)
@@ -83,13 +83,20 @@ def test_annulus_ratio_dependence_only():
     assert a.by_level == b.by_level
 
 
+def _twelfth_powers(pf):
+    """The twelfth power of each level's value, anomaly * level**12: a
+    rational, by the ring operations alone."""
+    return [pf.anomaly * x**12 for x in pf.by_level]
+
+
 def test_annulus_unshifted_exponent():
+    # the vacuum's value is (1/2)^(1/12) and level 2's (1/2)^(25/12)
     space = build_space(2)
     pf = annulus_pf(space, 2, 1, shifted=False)
-    vac = pf.by_level[space.levels[space.find((), ())]]
-    assert vac == PowerValue.from_pow(Fraction(1, 2), Fraction(1, 12))
-    lvl2 = pf.by_level[space.levels[space.find((1, 1), ())]]
-    assert lvl2 == PowerValue.from_pow(Fraction(1, 2), Fraction(25, 12))
+    twelfth = _twelfth_powers(pf)
+    assert twelfth[space.levels[space.find((), ())]] == Fraction(1, 2)
+    assert twelfth[space.levels[space.find((1, 1), ())]] == Fraction(1, 2) ** 25
+    assert pf.anomaly == Fraction(1, 2) and type(pf.anomaly) is Fraction
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,30 +106,20 @@ def test_annulus_unshifted_exponent():
     st.builds(Fraction, st.integers(1, 200), st.integers(1, 30)),
 )
 def test_annulus_unshifted_matches_from_pow(l_max, a, b):
-    # r/R is factorised once and scaled per level; each level equals its own
-    # factorisation (r/R)^(E + 1/12) by value, repr and hash
+    # each level's value is (r/R)^(E + 1/12): its twelfth power is
+    # (r/R)^(12 E + 1), and the levels are the shifted convention's, by
+    # value, type, repr and hash
     assume(a != b)
     R, r = max(a, b), min(a, b)
-    pf = annulus_pf(build_space(l_max), R, r, shifted=False)
-    want = [PowerValue.from_pow(r / R, E + Fraction(1, 12)) for E in range(l_max + 1)]
-    assert pf.by_level == want
-    assert repr(pf.by_level) == repr(want)
-    assert [hash(x) for x in pf.by_level] == [hash(x) for x in want]
-
-
-def _ref_product(x, y):
-    """x * y of two level scalars by the general rule: PowerValues multiply
-    their coefficients and sum their exponent maps, and the constructor
-    makes the sum canonical; anything else multiplies as it is."""
-    if isinstance(x, PowerValue) and isinstance(y, PowerValue):
-        exps = dict(x.prime_exps)
-        for p, e in y.prime_exps.items():
-            exps[p] = exps.get(p, 0) + e
-        return PowerValue(x.coeff * y.coeff, exps)
-    return x * y
+    space = build_space(l_max)
+    pf = annulus_pf(space, R, r, shifted=False)
+    assert _twelfth_powers(pf) == [(r / R) ** (12 * E + 1) for E in range(l_max + 1)]
+    assert pf.anomaly == r / R and type(pf.anomaly) is Fraction
+    _same_levels(pf.by_level, annulus_pf(space, R, r).by_level)
 
 
 def _same_levels(got, want):
+    """got == want by value, by each value's type, by repr and by hash."""
     assert got == want
     assert [type(x) for x in got] == [type(x) for x in want]
     assert repr(got) == repr(want)
@@ -146,9 +143,10 @@ exact_radii = st.one_of(
     st.data(),
 )
 def test_cutting_chain_matches_per_level_reference(radii, l_max, shifted, data):
-    # every annulus the chain cuts is (r/R)^E, or (r/R)^(E + 1/12) by its own
-    # factorisation, at each level; each glued level is the product of its
-    # two factors' levels; the check is exact, and a corrupted level is named
+    # every annulus the chain cuts is (r/R)^E at each level, with the anomaly
+    # r/R when unshifted; each glued level is the product of its two
+    # factors' levels, and each glued anomaly the product of theirs; the
+    # check is exact, and a corrupted level is named
     radii.sort(reverse=True)
     space = build_space(l_max)
     R0, Rn = radii[0], radii[-1]
@@ -156,19 +154,19 @@ def test_cutting_chain_matches_per_level_reference(radii, l_max, shifted, data):
     def checked_annulus(R, r):
         pf = annulus_pf(space, R, r, shifted=shifted)
         ratio = Fraction(r) / Fraction(R)
-        if shifted:
-            want = [ratio**E for E in range(l_max + 1)]
-        else:
-            want = [PowerValue.from_pow(ratio, E + Fraction(1, 12)) for E in range(l_max + 1)]
-        _same_levels(pf.by_level, want)
+        _same_levels(pf.by_level, [ratio**E for E in range(l_max + 1)])
+        _same_levels([pf.anomaly], [1 if shifted else ratio])
+        if not shifted:
+            assert _twelfth_powers(pf) == [ratio ** (12 * E + 1) for E in range(l_max + 1)]
         return pf
 
     direct = checked_annulus(R0, Rn)
     for m in range(1, len(radii) - 1):
         outer, inner = checked_annulus(R0, radii[m]), checked_annulus(radii[m], Rn)
-        glued = glue(outer, inner).by_level
-        _same_levels(glued, [_ref_product(a, b) for a, b in zip(outer.by_level, inner.by_level)])
-        assert glued == direct.by_level
+        glued = glue(outer, inner)
+        _same_levels(glued.by_level, [a * b for a, b in zip(outer.by_level, inner.by_level)])
+        _same_levels([glued.anomaly], [outer.anomaly * inner.anomaly])
+        assert glued.by_level == direct.by_level and glued.anomaly == direct.anomaly
     report = verify_cutting(space, radii, shifted=shifted)
     assert report["exact_zero"], report
     assert report["cuts_checked"] == len(radii) - 2
@@ -176,42 +174,6 @@ def test_cutting_chain_matches_per_level_reference(radii, l_max, shifted, data):
         E = data.draw(st.integers(0, l_max))
         report = _verify_cutting_with_fault(space, radii, shifted, E)
         assert report["offending_level"] == E and not report["exact_zero"]
-
-
-_powers = st.builds(
-    PowerValue.from_pow,
-    st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
-    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 12])),
-)
-
-
-@st.composite
-def _levels(draw, count):
-    """Level scalars of four kinds: a rational multiple of one shared
-    PowerValue (its exponent map shared), a PowerValue of its own, a
-    Fraction, and a zero PowerValue."""
-    shared = draw(_powers)
-    kinds = {
-        "shared": st.builds(lambda q: shared * q, st.integers(1, 3)),
-        "own": _powers,
-        "rational": st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)),
-        "zero": _powers.map(lambda x: x * 0),
-    }
-    return [draw(kinds[draw(st.sampled_from(sorted(kinds)))]) for _ in range(count)]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 6).flatmap(lambda l: st.tuples(st.just(l), _levels(l + 1), _levels(l + 1))))
-def test_glue_levels_with_their_own_exponent_maps(drawn):
-    # levels that share no exponent map, or only on one side, against runs of
-    # levels that share one on both: a merged pair of maps serves only the
-    # levels that hold both of its maps
-    l_max, outer_levels, inner_levels = drawn
-    space = build_space(l_max)
-    outer = PartitionFunction(Surface("annulus", R=4, r=2), space, by_level=outer_levels)
-    inner = PartitionFunction(Surface("annulus", R=2, r=1), space, by_level=inner_levels)
-    want = [_ref_product(a, b) for a, b in zip(outer_levels, inner_levels)]
-    _same_levels(glue(outer, inner).by_level, want)
 
 
 def test_annulus_composition():
@@ -228,7 +190,8 @@ def test_annulus_composition_unshifted():
         annulus_pf(space, 4, 2, shifted=False), annulus_pf(space, 2, 1, shifted=False)
     )
     direct = annulus_pf(space, 4, 1, shifted=False)
-    assert all(x == y for x, y in zip(glued.by_level, direct.by_level))
+    assert glued.by_level == direct.by_level
+    assert glued.anomaly == direct.anomaly == Fraction(1, 4)
 
 
 def test_geometric_mismatch():
@@ -256,16 +219,18 @@ def test_disk_vacuum_and_cutting_closure():
 
 
 def test_disk_unshifted_radius_dependence():
+    # the vacuum times 2^(-1/12): the anomaly 1/2
     space = build_space(2)
     pf = disk_pf(space, 2, shifted=False)
-    i0 = space.find((), ())
-    assert pf.state[i0] == PowerValue.from_pow(2, Fraction(-1, 12))
+    assert pf.state == space.vacuum()
+    assert pf.anomaly == Fraction(1, 2) and type(pf.anomaly) is Fraction
     # cutting still holds unshifted: annulus(R,r) |D_r> = |D_R>
     closed = glue(annulus_pf(space, 2, 1, shifted=False), disk_pf(space, 1, shifted=False))
     direct = disk_pf(space, 2, shifted=False)
     assert all(
         closed.state[i] == direct.state[i] for i in range(space.dim)
     )
+    assert closed.anomaly == direct.anomaly
 
 
 def test_glue_associativity_on_random_state():
@@ -336,21 +301,121 @@ def test_cutting_unshifted_convention():
     assert report["exact_zero"]
 
 
+def test_disk_closure_mismatch_below_float_resolution():
+    # a closed disk state off by one part in 10**30 is unequal exactly,
+    # though its float difference rounds to 0.0: it reads inf, never 0.0
+    def faulty_glue(outer, inner):
+        out = glue(outer, inner)
+        if inner.is_operator:
+            return out
+        state = out.state.scale(1 + Fraction(1, 10**30))
+        return PartitionFunction(out.surface, out.space, state=state, anomaly=out.anomaly)
+
+    space = build_space(2)
+    for shifted in (True, False):
+        with mock.patch.object(geometry, "glue", faulty_glue):
+            report = verify_cutting(space, [4, 2, 1], shifted=shifted)
+        assert report["disk_residual"] == float("inf"), report
+        assert report["offending_level"] is None and not report["exact_zero"]
+
+
+def _inverted_anomaly(make):
+    """`make` (annulus_pf or disk_pf) with the anomaly's base turned over:
+    R/r for an annulus, R for a disk."""
+
+    def wrong(*args, **kwargs):
+        pf = make(*args, **kwargs)
+        pf.anomaly = 1 / pf.anomaly
+        return pf
+
+    return wrong
+
+
+def _glue_with_anomaly(rule):
+    """glue with its anomaly replaced by rule(outer, inner)."""
+
+    def wrong(outer, inner):
+        out = glue(outer, inner)
+        out.anomaly = rule(outer, inner)
+        return out
+
+    return wrong
+
+
+_ANOMALY_MUTANTS = {
+    "annulus-R-over-r": ("annulus_pf", _inverted_anomaly(annulus_pf)),
+    "disk-R": ("disk_pf", _inverted_anomaly(disk_pf)),
+    "glue-drops-anomalies": ("glue", _glue_with_anomaly(lambda outer, inner: 1)),
+    "glue-keeps-outer-anomaly": ("glue", _glue_with_anomaly(lambda outer, inner: outer.anomaly)),
+}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@pytest.mark.parametrize("mutant", sorted(_ANOMALY_MUTANTS))
+def test_unshifted_cutting_sees_a_wrong_anomaly(mutant, exact):
+    # annulus o annulus cannot see an annulus anomaly turned over (both
+    # sides turn); the disk closure can, and sees each of the others
+    name, wrong = _ANOMALY_MUTANTS[mutant]
+    space = build_space(3, exact=exact)
+    radii = [Fraction(4), Fraction(2), Fraction(1)] if exact else [4.0, 2.0, 1.0]
+    assert verify_cutting(space, radii, shifted=False)["disk_residual"] < 1e-12
+    with mock.patch.object(geometry, name, wrong):
+        report = verify_cutting(space, radii, shifted=False)
+    assert not report["exact_zero"]
+    assert report["offending_level"] is not None or report["disk_residual"] > 0
+    assert max(report["max_residual"], report["disk_residual"]) > 1e-3, report
+
+
+@pytest.mark.parametrize("R, r", [(2.0, 1.0), (7.0, 3.0), (1e6, 1.0), (1.5, 1.25)])
+def test_float_unshifted_values_match_powers(R, r):
+    # anomaly^(1/12) times each level is (r/R)^(E + 1/12), and the disk's
+    # anomaly^(1/12) is R^(-1/12)
+    space = build_space(6, exact=False)
+    pf = annulus_pf(space, R, r, shifted=False)
+    for E, x in enumerate(pf.by_level):
+        assert pf.anomaly ** (1 / 12) * x == pytest.approx((r / R) ** (E + 1 / 12), rel=1e-14)
+    disk = disk_pf(space, R, shifted=False)
+    assert disk.anomaly ** (1 / 12) == pytest.approx(R ** (-1 / 12), rel=1e-14)
+    assert disk.state == space.vacuum()
+
+
+def test_exact_disk_anomaly_is_the_inverse_radius():
+    # the disk's value R^(-1/12) has twelfth power 1/R
+    space = build_space(2)
+    for R in (1, 2, Fraction(7, 3), Fraction(1, 5)):
+        assert disk_pf(space, R, shifted=False).anomaly * R == 1
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_exact_scalars_are_rationals(shifted):
+    # every level, anomaly and state coefficient of the exact pipeline is an
+    # int or a Fraction, glued ones included
+    space = build_space(4)
+    outer, inner = annulus_pf(space, 6, 3, shifted=shifted), annulus_pf(space, 3, 2, shifted=shifted)
+    disk = disk_pf(space, 2, shifted=shifted)
+    annuli = [outer, inner, glue(outer, inner)]
+    disks = [disk, glue(inner, disk), glue(glue(outer, inner), disk)]
+    values = [x for pf in annuli for x in pf.by_level]
+    values += [c for pf in disks for c in pf.state.terms.values()]
+    values += [pf.anomaly for pf in annuli + disks]
+    assert {type(x) for x in values} <= {int, Fraction}
+
+
+def test_unshifted_cutting_with_a_large_prime_radius():
+    # 2**61 - 1 is prime; the check takes no factorisation, so the radius
+    # costs no more than a small one
+    space = build_space(4)
+    p = 2**61 - 1
+    start = time.perf_counter()
+    for radii in ([p, 3, 1], [Fraction(p), Fraction(2), Fraction(1, p)]):
+        report = verify_cutting(space, radii, shifted=False)
+        assert report["exact_zero"], report
+    assert time.perf_counter() - start < 1.0
+
+
 def test_bad_cut_points():
     space = build_space(2)
     with pytest.raises(GeometryError):
         verify_cutting(space, [1, 2, 3])
     with pytest.raises(GeometryError):
         verify_cutting(space, [2])
-
-
-def test_zero_power_value_is_canonical():
-    # zero carries no exponents, so it equals every other zero and is dropped
-    # from sparse states like a plain zero
-    z = PowerValue.from_pow(2, Fraction(1, 12)) * 0
-    assert z == 0 and 0 == z
-    assert PowerValue.from_pow(3, Fraction(-1, 3)) * 0 == z
-    assert hash(z) == hash(PowerValue(0))
-    space = build_space(1)
-    assert BoundaryState(space, {0: z}).is_zero()
-    assert space.vacuum().scale(z) == space.zero()
