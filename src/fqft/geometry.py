@@ -133,21 +133,17 @@ def _glued_surface(outer: Surface, inner: Surface) -> Surface:
     raise GeometryError(f"cannot glue {outer.kind} onto {inner.kind}")
 
 
-def glue(outer: PartitionFunction, inner) -> PartitionFunction:
+def glue(outer: PartitionFunction, inner) -> PartitionFunction | BoundaryState:
     """Sew the inner boundary of `outer` to the outer boundary of `inner`:
     levels multiply pairwise, or scale the inner state, and anomalies
-    multiply (a bare BoundaryState carries none)."""
+    multiply.  A bare BoundaryState carries no surface and no anomaly, so
+    gluing onto one returns the scaled bare BoundaryState."""
     if isinstance(inner, BoundaryState):
         if not outer.is_operator:
             raise GeometryError("outer piece of a gluing must be an operator")
         if outer.space is not inner.space:
             raise SpaceMismatchError("gluing across different truncated spaces")
-        return PartitionFunction(
-            outer.surface,
-            outer.space,
-            state=scale_by_level(inner, outer.by_level),
-            anomaly=outer.anomaly,
-        )
+        return scale_by_level(inner, outer.by_level)
     if outer.space is not inner.space:
         raise SpaceMismatchError("gluing across different truncated spaces")
     surface = _glued_surface(outer.surface, inner.surface)

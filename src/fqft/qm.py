@@ -98,116 +98,82 @@ _INNER = np.array([0, 1, 0, 2, 1, 0])
 # integral of e^{-(T - s) H} O e^{-s H} over [0, T], and the ordered double
 # integral with O inserted at s < s'.  No eigenbasis is needed, so
 # clustered, defective and complex spectra take the same path.  The
-# exponential itself is numpy-only scaling and squaring with a diagonal Pade
-# approximant (N. J. Higham, "The scaling and squaring method for the matrix
-# exponential revisited", SIMAX 26(4), 2005), of degree and scaling chosen
-# from ||A^k||_1^(1/k) as in A. H. Al-Mohy and
-# N. J. Higham, "A new scaling and squaring algorithm for the matrix
-# exponential", SIMAX 31(3), 2009.  The even powers are formed once, in one
-# stack; one product combines them into the approximant's sums, and one
-# chain of vector products with abs(A) bounds the backward error of every
-# degree tested.
+# exponential itself is numpy-only scaling and squaring with the degree-13
+# diagonal Pade approximant (N. J. Higham, "The scaling and squaring method
+# for the matrix exponential revisited", SIMAX 26(4), 2005), its squarings
+# chosen from ||A^k||_1^(1/k) as in the degree-13 branch of Algorithm 5.1 of
+# A. H. Al-Mohy and N. J. Higham, "A new scaling and squaring algorithm for
+# the matrix exponential", SIMAX 31(3), 2009.  The even powers are formed
+# once, in one stack; one product combines them into the approximant's sums,
+# and one chain of vector products with abs(A) bounds its backward error.
 
-# largest ||A||_1 at which the degree-m approximant's backward error stays
-# below the double-precision unit roundoff (Al-Mohy & Higham 2009, Table 3.1;
-# 4.25 for degree 13 as in their Algorithm 5.1)
-_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068,
-    13: 4.25,
-}
-# Pade numerator coefficients b_j = (2m-j)! / (j! (m-j)!), scaled so b_m = 1
-_PADE = {
-    m: [
-        math.factorial(2 * m - j) / (math.factorial(j) * math.factorial(m - j))
-        for j in range(m + 1)
-    ]
-    for m in _THETA
-}
-# log2 |c_{2m+1}|, the leading coefficient of the degree-m approximant's
-# error series
-_LOG2_C = {
-    m: math.log2(math.factorial(m) ** 2 / (math.factorial(2 * m) * math.factorial(2 * m + 1)))
-    for m in _THETA
-}
-# which b_j multiplies which even power in the Pade sums, as an index matrix
-# over the powers [I, A^2, A^4, ...]: degree m < 13 forms U / A and V in one
-# product; degree 13 forms the inner sums that A^6 multiplies (their b_0 is
-# zeroed: they have no identity term), then the outer ones
-_PADE_INDEX = {m: np.array([range(1, m + 1, 2), range(0, m, 2)]) for m in (3, 5, 7, 9)}
-_PADE_INDEX[13] = np.array([[0, 9, 11, 13], [0, 8, 10, 12], [1, 3, 5, 7], [0, 2, 4, 6]])
-_PADE_MATRIX = {m: np.array(_PADE[m])[J] for m, J in _PADE_INDEX.items()}
-_PADE_MATRIX[13][:2, 0] = 0.0
+# largest ||A||_1 at which the approximant's backward error stays below the
+# double-precision unit roundoff (Al-Mohy & Higham 2009, Algorithm 5.1)
+_THETA = 4.25
+# log2 |c_27|, the leading coefficient of the approximant's error series
+_LOG2_C = math.log2(math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27)))
+# which Pade numerator coefficient b_j = (26-j)! / (j! (13-j)!) multiplies
+# which even power [I, A^2, A^4, A^6], as an index matrix: the inner sums
+# that A^6 multiplies (their b_0 is zeroed: they have no identity term),
+# then the outer ones
+_PADE_INDEX = np.array([[0, 9, 11, 13], [0, 8, 10, 12], [1, 3, 5, 7], [0, 2, 4, 6]])
+_PADE_MATRIX = np.array(
+    [math.factorial(26 - j) / (math.factorial(j) * math.factorial(13 - j)) for j in range(14)]
+)[_PADE_INDEX]
+_PADE_MATRIX[:2, 0] = 0.0
 
 
-def _pade_choice(A, A46):
-    """(degree, squarings) for exp(A): Al-Mohy & Higham 2009, Algorithm 5.1,
-    with the exact 1-norms of the formed powers A^4 and A^6 (stacked in A46),
-    and the bounds ||A^8|| <= ||A^4||^2 and ||A^10|| <= ||A^4|| ||A^6|| for
-    those not formed.
-
-    Each degree m tested adds the squarings that keep its backward error,
-    bounded through ||abs(A)^(2m+1)||_1, below unit roundoff (their eq. (5.1)).
-    Since abs(A / 2^s) / ||A / 2^s||_1 = abs(A) / ||A||_1 = B for every s, one
-    chain of vectors 1^T B^k, in steps of B^2, serves every degree and
-    scaling; it runs only as far as the highest degree tested."""
+def _squarings(A, A46) -> int:
+    """Squarings s for exp(A) at degree 13: Al-Mohy & Higham 2009, Algorithm
+    5.1, with the exact 1-norms of the formed powers A^4 and A^6 (stacked in
+    A46), plus the squarings that keep the backward error, bounded through
+    ||abs(A)^27||_1, below unit roundoff (their eq. (5.1)).  Since
+    abs(A / 2^s) / ||A / 2^s||_1 = abs(A) / ||A||_1 = B for every s, one
+    chain of vectors 1^T B^k, in steps of B^2, serves the scaled matrix."""
     B = np.abs(A)
     colsums = B.sum(axis=0)
     norm = float(colsums.max())
     if norm == 0:
-        return 3, 0
+        return 0
     d4, d6 = np.abs(A46).sum(axis=1).max(axis=1) ** [1 / 4, 1 / 6]
+    eta = max(d4, d4**0.4 * d6**0.6)
+    s = max(0, math.ceil(math.log2(eta / _THETA))) if eta > 0 else 0
     B /= norm  # ||B||_1 = 1, so its powers cannot overflow
     B2 = B @ B
-    v, k = colsums / norm, 1  # v = 1^T B^k
-
-    def ell(m, s):
-        """Squarings to add to s at degree m."""
-        nonlocal v, k
-        for _ in range(k, 2 * m + 1, 2):
-            v = v @ B2
-        k = 2 * m + 1
-        top = float(v.max())  # ||abs(A)^(2m+1)||_1 / norm^(2m+1)
-        if top == 0:
-            return 0
-        # log2 of c ||abs(A / 2^s)^(2m+1)||_1 / ||A / 2^s||_1
-        log2_alpha = math.log2(top) + 2 * m * (math.log2(norm) - s) + _LOG2_C[m]
-        return max(0, math.ceil((log2_alpha + 53) / (2 * m)))
-
-    eta = max(d4, d6)
-    for m in (3, 5, 7, 9):
-        if eta < _THETA[m] and ell(m, 0) == 0:
-            return m, 0
-    eta = max(d4, d4**0.4 * d6**0.6)
-    s = max(0, math.ceil(math.log2(eta / _THETA[13]))) if eta > 0 else 0
-    return 13, s + ell(13, s)
+    v = colsums / norm
+    for _ in range(13):
+        v = v @ B2  # v = 1^T B^27 at the end
+    top = float(v.max())  # ||abs(A)^27||_1 / norm^27
+    if top == 0:
+        return s
+    # log2 of c ||abs(A / 2^s)^27||_1 / ||A / 2^s||_1
+    log2_alpha = math.log2(top) + 26 * (math.log2(norm) - s) + _LOG2_C
+    return s + max(0, math.ceil((log2_alpha + 53) / 26))
 
 
 def _expm(A):
     """exp(A) for a square numpy array, by scaling and squaring."""
     N = len(A)
-    # the even powers A^2, A^4, A^6 and, for degree 9, A^8
+    if not A.any():
+        # exactly the identity, which the Pade solve of b_0 I is not
+        return np.eye(N, dtype=A.dtype)
+    # the even powers A^2, A^4, A^6
     P = np.empty((3, N, N), dtype=A.dtype)
     np.matmul(A, A, out=P[0])
     np.matmul(P[0], P[0], out=P[1])
     np.matmul(P[1], P[0], out=P[2])
-    m, s = _pade_choice(A, P[1:])
-    if m == 9:
-        P = np.concatenate((P, [P[1] @ P[1]]))
+    s = _squarings(A, P[1:])
     # b_j (A / 2^s)^j is (b_j / 2^(s j)) A^j, exactly, since 2^s is a power
     # of two; the column of b_0 and b_1 goes onto the diagonals, the others
-    # combine the powers in one product
-    b = np.ldexp(_PADE_MATRIX[m], -s * _PADE_INDEX[m])
-    k = b.shape[1] - 1
-    W = b[:, 1:] @ P[:k].reshape(k, -1)
+    # combine the powers in one product, and A^6 times the inner sums
+    # completes the outer ones
+    b = np.ldexp(_PADE_MATRIX, -s * _PADE_INDEX)
+    W = b[:, 1:] @ P.reshape(3, -1)
     W[:, :: N + 1] += b[:, :1]
-    W = W.reshape(len(b), N, N)
-    if m == 13:
-        W[2:] += P[2] @ W[:2]
+    W = W.reshape(4, N, N)
+    W[2:] += P[2] @ W[:2]
     del P  # free the powers before the solve makes its own copies
-    U, V = A @ W[-2], W[-1]
+    U, V = A @ W[2], W[3]
     X = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         X = X @ X

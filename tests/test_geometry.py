@@ -240,9 +240,19 @@ def test_glue_associativity_on_random_state():
         space,
         {i: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for i in range(space.dim)},
     )
-    lhs = glue(annulus_pf(space, 4, 2), glue(annulus_pf(space, 2, 1), v).state)
+    lhs = glue(annulus_pf(space, 4, 2), glue(annulus_pf(space, 2, 1), v))
     rhs = glue(annulus_pf(space, 4, 1), v)
-    assert lhs.state == rhs.state
+    assert lhs == rhs
+
+
+def test_glue_onto_bare_state_is_a_bare_state():
+    # a bare BoundaryState has no surface and no anomaly, and neither has an
+    # annulus glued onto it: no "annulus" holding a state comes back
+    space = build_space(2)
+    chain = glue(annulus_pf(space, 8, 4), glue(annulus_pf(space, 4, 2), space.vacuum()))
+    assert isinstance(chain, BoundaryState)
+    assert chain == glue(annulus_pf(space, 8, 2), space.vacuum())
+    assert chain == glue(annulus_pf(space, 8, 2), disk_pf(space, 2)).state
 
 
 @given(st.integers(min_value=0, max_value=4))
