@@ -43,7 +43,8 @@ from math import comb, lcm
 
 from .errors import RecombinationError, ValidationError
 from .fock import _key as _fock_key
-from .fock import apply_current, scale_by_level
+from .fock import apply_current
+from .geometry import annulus_pf, glue
 from .jets import Jet, JetAlgebra
 from .rexp import RExpansion, Sparse
 from .scalars import LogPoly, canonical_exponent, decode_scalar
@@ -531,19 +532,16 @@ def anomalous_dilation(theory: FormalTheory, beta):
 
 def _dilation_sides(theory, dv, C):
     """One correction's coefficients in the dilation identity: lam^2 Dil_lam
-    dv, and dv plus the log(lam) channel of the record's C at (0, 0), added
-    where they meet; None for a side with no terms."""
+    dv, and dv's rows plus the log(lam) channel of the record's C at (0, 0);
+    None for a side with no terms.  compute_correction writes rows (0, 1)
+    and (2(s - 1), 0) with s != 1 only, so no (0, 0) row is there to merge;
+    were one there, it would be on the left side only, and lhs != rhs."""
     left = _dilate(theory, dv, 2) if dv.terms else None
     if not C:
         return left, dv if dv.terms else None
     # the record stores no zeros, so the channel vector is nonzero
     log_lam = FormalVector._of(_channel(theory, C, (0, 0, 0, 1)))
-    terms = dict(dv.terms)
-    const = terms.pop((0, 0), None)
-    const = log_lam if const is None else const + log_lam
-    if const.terms:
-        terms[0, 0] = const
-    return left, RExpansion._of(terms) if terms else None
+    return left, RExpansion._of({**dv.terms, (0, 0): log_lam})
 
 
 # ------------------------------------------------------- double deformation
@@ -609,12 +607,11 @@ def radius_scaled(theory: FormalTheory, pf: Jet) -> Jet:
 class BetaResult:
     """beta^gamma(g_c) = (1/2) g_c^alpha g_c^beta C_{alpha beta}^gamma."""
 
-    __slots__ = ("algebra", "coefficients", "structure")
+    __slots__ = ("algebra", "coefficients")
 
-    def __init__(self, algebra, coefficients, structure):
+    def __init__(self, algebra, coefficients):
         self.algebra = algebra
         self.coefficients = coefficients  # {gamma: Jet in g_c}
-        self.structure = structure  # {(alpha, beta, gamma): C}
 
     def running(self):
         """g_c^gamma(lam) = g_c^gamma + log(lam) * beta^gamma."""
@@ -634,7 +631,6 @@ def beta(theory: FormalTheory) -> BetaResult:
     alg = JetAlgebra.combined_coupling(labels)
     names = {label: f"gc[{label}]" for label in labels}
     den, frac = theory.den * theory.mixing_den, theory._fraction
-    structure = {}
     per_gamma = {gamma: {} for gamma in labels}
     # one record per unordered pair, symmetric in C: the off-diagonal pair
     # stands for both orders, so its monomial gets twice its C
@@ -642,14 +638,13 @@ def beta(theory: FormalTheory) -> BetaResult:
         mono = tuple(sorted((names[alpha], names[b_])))
         weight = 1 if alpha == b_ else 2
         for gamma, n in record.C.items():
-            structure[alpha, b_, gamma] = structure[b_, alpha, gamma] = frac(n, den)
             per_gamma[gamma][mono] = weight * n
     # the monomials are sorted quadratics in gc, each allowed, and C stores no zeros
     coefficients = {
         gamma: Jet._of(alg, {mono: frac(n, 2 * den) for mono, n in coeffs.items()})
         for gamma, coeffs in per_gamma.items()
     }
-    return BetaResult(alg, coefficients, structure)
+    return BetaResult(alg, coefficients)
 
 
 # ------------------------------------------------- numeric free-boson route
@@ -685,15 +680,18 @@ def fb_deformed_annulus(space, R, r, w: Jet) -> Jet:
     g, glued onto a jet w of boundary states on its inner circle:
     (1 + g sum_{n != 0} c_n j_n jbar_n) (r/R)^{L0+L0bar} w.
 
+    The undeformed factor is geometry's annulus, applied by glue, so radii
+    that break R > r > 0 raise its GeometryError.
+
     Termwise integration of the transported insertion mode sums leaves only
     the diagonal modes, with moment c_n = ((R/r)^{2n} - 1) / (2n) per mode
     n; j_n jbar_n vanishes on the truncated space for |n| > l_max / 2.
     """
-    ratio = Fraction(r) / Fraction(R)
-    by_level = [ratio**level for level in range(space.l_max + 1)]
-    terms = {mono: scale_by_level(v, by_level) for mono, v in w.terms.items()}
+    annulus = annulus_pf(space, R, r)
+    terms = {mono: glue(annulus, v) for mono, v in w.terms.items()}
     base = terms.get(())
     if base is not None:
+        ratio = Fraction(r) / Fraction(R)
         g = terms.get(("g[jjbar]",), space.zero())
         for n in range(-(space.l_max // 2), space.l_max // 2 + 1):
             if n:

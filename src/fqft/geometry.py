@@ -1,10 +1,13 @@
 """Surfaces, their partition functions, and the cutting axiom.
 
-Annulus partition functions are functions of L_0 + Lbar_0 alone, so they
-are stored as one scalar per total level 0..l_max; the disk
-partition function is the vacuum state.  Gluing multiplies level scalars or
-applies them to the nonzeros of a boundary state, and verify_cutting checks
-the cutting identities over chains of nested annuli level by level, in
+A surface's kind is its type.  An Annulus depends on L_0 + Lbar_0 alone,
+so it is stored as one scalar per total level 0..l_max; a Disk is a
+boundary state, the vacuum.  Each checks its own radii.  glue takes an
+Annulus as its outer piece and dispatches on the inner one: annulus o
+annulus multiplies level scalars into an Annulus, annulus o disk applies
+them to the nonzeros of the disk's state and gives a Disk, and a bare
+BoundaryState comes back scaled and bare.  verify_cutting checks the
+cutting identities over chains of nested annuli level by level, in
 O(l_max) per cut.  An exact annulus forms r/R once and its levels (r/R)^E
 as running integer products, one normalised Fraction each.
 
@@ -28,50 +31,44 @@ from .fock import BoundaryState, TruncatedFockSpace, scale_by_level
 from .scalars import _rational
 
 
-class Surface:
-    """One of annulus(R, r), disk(R)."""
+class Annulus:
+    """The annulus r <= |z| <= R: one scalar per total level 0..l_max (the
+    level-E subspace's eigenvalue) times the conformal anomaly q^{1/12},
+    held as the positive rational (float in float64) q: 1 in the shifted
+    convention."""
 
-    __slots__ = ("kind", "params")
+    __slots__ = ("space", "R", "r", "by_level", "anomaly")
 
-    def __init__(self, kind, **params):
-        if kind == "annulus":
-            R, r = params.get("R", 0), params.get("r", 0)
-            if not R > r > 0:
-                raise GeometryError("annulus radii must satisfy R > r > 0")
-        elif kind == "disk":
-            if params.get("R", 0) <= 0:
-                raise GeometryError("disk radius must be positive")
-        else:
-            raise GeometryError(f"unknown surface kind {kind!r}")
-        self.kind = kind
-        self.params = dict(params)
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"Surface({self.kind}, {args})"
-
-
-class PartitionFunction:
-    """Level-graded operator (annulus) or boundary state (disk), times the
-    conformal anomaly q^{1/12} of its surface, held as the positive
-    rational (float in float64) q: 1 in the shifted convention."""
-
-    __slots__ = ("surface", "space", "by_level", "state", "anomaly")
-
-    def __init__(self, surface, space, by_level=None, state=None, anomaly=1):
-        if (by_level is None) == (state is None):
-            raise ValueError("exactly one of by_level/state must be given")
-        if by_level is not None and len(by_level) != space.l_max + 1:
+    def __init__(self, space, R, r, by_level, anomaly):
+        _check_annulus(R, r)
+        if len(by_level) != space.l_max + 1:
             raise ValueError("need one scalar per level 0..l_max")
-        self.surface = surface
-        self.space = space
-        self.by_level = by_level  # scalar on the level-E subspace, E = 0..l_max
-        self.state = state  # BoundaryState
-        self.anomaly = anomaly  # q, standing for the factor q^{1/12}
+        self.space, self.R, self.r = space, R, r
+        self.by_level = by_level
+        self.anomaly = anomaly
 
-    @property
-    def is_operator(self):
-        return self.by_level is not None
+
+class Disk:
+    """The disk |z| <= R: a boundary state times the conformal anomaly
+    q^{1/12}, held as q as on an Annulus."""
+
+    __slots__ = ("space", "R", "state", "anomaly")
+
+    def __init__(self, space, R, state, anomaly):
+        _check_disk(R)
+        self.space, self.R = space, R
+        self.state = state  # BoundaryState
+        self.anomaly = anomaly
+
+
+def _check_annulus(R, r):
+    if not R > r > 0:
+        raise GeometryError("annulus radii must satisfy R > r > 0")
+
+
+def _check_disk(R):
+    if not R > 0:  # NaN too
+        raise GeometryError("disk radius must be positive")
 
 
 def _powers(ratio: Fraction, count: int) -> list:
@@ -87,78 +84,53 @@ def _powers(ratio: Fraction, count: int) -> list:
     return out
 
 
-def annulus_pf(
-    space: TruncatedFockSpace, R, r, shifted: bool = True
-) -> PartitionFunction:
+def annulus_pf(space: TruncatedFockSpace, R, r, shifted: bool = True) -> Annulus:
     """(r/R)^{L_0 + Lbar_0} on the annulus r <= |z| <= R; unshifted, times
     the anomaly (r/R)^{1/12}."""
-    surface = Surface("annulus", R=R, r=r)
+    _check_annulus(R, r)  # before r/R is formed
     if space.exact:
-        R, r = _rational(R), _rational(r)  # ints and Fractions as they are
-        ratio = Fraction(r.numerator * R.denominator, r.denominator * R.numerator)
+        Rq, rq = _rational(R), _rational(r)  # ints and Fractions as they are
+        ratio = Fraction(rq.numerator * Rq.denominator, rq.denominator * Rq.numerator)
         by_level = _powers(ratio, space.l_max + 1)
     else:
         ratio = float(r) / float(R)
         by_level = [ratio**E for E in range(space.l_max + 1)]
-    return PartitionFunction(
-        surface, space, by_level=by_level, anomaly=1 if shifted else ratio
-    )
+    return Annulus(space, R, r, by_level, 1 if shifted else ratio)
 
 
-def disk_pf(space: TruncatedFockSpace, R, shifted: bool = True) -> PartitionFunction:
+def disk_pf(space: TruncatedFockSpace, R, shifted: bool = True) -> Disk:
     """Vacuum boundary state on the disk of radius R.
 
     In the shifted convention the result is R-independent; unshifted it
     carries the conformal-anomaly factor R^{-1/12}, as the anomaly 1/R.
     """
-    surface = Surface("disk", R=R)
+    _check_disk(R)  # before 1/R is formed
     if shifted:
         anomaly = 1
     else:
         anomaly = Fraction(1, _rational(R)) if space.exact else 1.0 / float(R)
-    return PartitionFunction(surface, space, state=space.vacuum(), anomaly=anomaly)
+    return Disk(space, R, space.vacuum(), anomaly)
 
 
-def _glued_surface(outer: Surface, inner: Surface) -> Surface:
-    if outer.kind == "annulus" and inner.kind == "annulus":
-        if outer.params["r"] != inner.params["R"]:
-            raise GeometryError(
-                "annulus gluing needs inner radius of outer = outer radius of inner"
-            )
-        return Surface("annulus", R=outer.params["R"], r=inner.params["r"])
-    if outer.kind == "annulus" and inner.kind == "disk":
-        if outer.params["r"] != inner.params["R"]:
-            raise GeometryError("disk radius must match the annulus inner radius")
-        return Surface("disk", R=outer.params["R"])
-    raise GeometryError(f"cannot glue {outer.kind} onto {inner.kind}")
-
-
-def glue(outer: PartitionFunction, inner) -> PartitionFunction | BoundaryState:
-    """Sew the inner boundary of `outer` to the outer boundary of `inner`:
-    levels multiply pairwise, or scale the inner state, and anomalies
-    multiply.  A bare BoundaryState carries no surface and no anomaly, so
-    gluing onto one returns the scaled bare BoundaryState."""
-    if isinstance(inner, BoundaryState):
-        if not outer.is_operator:
-            raise GeometryError("outer piece of a gluing must be an operator")
-        if outer.space is not inner.space:
-            raise SpaceMismatchError("gluing across different truncated spaces")
-        return scale_by_level(inner, outer.by_level)
+def glue(outer: Annulus, inner) -> Annulus | Disk | BoundaryState:
+    """Sew the inner boundary of the annulus `outer` to the outer boundary
+    of `inner`: levels multiply pairwise (annulus), or scale the inner
+    state (disk), and anomalies multiply.  A bare BoundaryState carries no
+    radius and no anomaly, so gluing onto one returns the scaled bare
+    BoundaryState."""
+    if not isinstance(outer, Annulus):
+        raise GeometryError("outer piece of a gluing must be an annulus")
     if outer.space is not inner.space:
         raise SpaceMismatchError("gluing across different truncated spaces")
-    surface = _glued_surface(outer.surface, inner.surface)
-    if not outer.is_operator:
-        raise GeometryError("outer piece of a gluing must be an operator")
+    if isinstance(inner, BoundaryState):
+        return scale_by_level(inner, outer.by_level)
+    if outer.r != inner.R:
+        raise GeometryError("the annulus's inner radius must equal the inner piece's outer radius")
     anomaly = outer.anomaly * inner.anomaly
-    if inner.is_operator:
+    if isinstance(inner, Annulus):
         by_level = [x * y for x, y in zip(outer.by_level, inner.by_level)]
-        return PartitionFunction(surface, outer.space, by_level=by_level, anomaly=anomaly)
-    return PartitionFunction(
-        surface,
-        outer.space,
-        state=scale_by_level(inner.state, outer.by_level),
-        anomaly=anomaly,
-    )
+        return Annulus(outer.space, outer.R, inner.r, by_level, anomaly)
+    return Disk(outer.space, outer.R, scale_by_level(inner.state, outer.by_level), anomaly)
 
 
 def _residual(got, want, got_anomaly, want_anomaly, exact):

@@ -7,8 +7,9 @@ second-order perturbation theory.  A deformed segment is its stacked
 orders in the combined coupling g_c, one (3, n, n) array: the top block
 row of one Van Loan block exponential, of a block-Toeplitz matrix.  Gluing
 two segments is one truncated product of those polynomials in g_c.  Each
-segment also carries `value`, the same orders as a jet of views into the
-stack, which the benchmark's deform workload reads until its next change.
+segment also offers `value`, the same orders as a jet of views into the
+stack, built on first read, which the benchmark's deform workload reads
+until its next change.
 A Taylor-series oracle, summed on the stacked orders of
 exp(-T (H + g O)), checks the orders.  At the sizes the checks run (n up
 to a few dozen) the cost is mostly the number of numpy calls, so all of
@@ -18,6 +19,7 @@ this keeps its work in few, stacked calls.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +51,8 @@ class SegmentPF:
     observable O, labelled `label`: its stacked orders in the combined
     coupling g_c, a (3, n, n) array of the evolution, the first and the
     second order.  `value` is the same polynomial as a jet of views into
-    `orders`, its zero orders dropped."""
+    `orders`, its zero orders dropped, built on first read: glue and
+    `fqft qm` read `orders` alone."""
 
     def __init__(self, theory, alpha, beta, label, O, orders):
         _check_endpoints(alpha, beta)
@@ -57,12 +60,16 @@ class SegmentPF:
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.label, self.O, self.orders = label, O, orders
-        gc = f"gc[{label}]"
+
+    @cached_property
+    def value(self) -> Jet:
+        """The orders as a jet in g_c, built on first read."""
+        gc = f"gc[{self.label}]"
         monos = [(), (gc,), (gc, gc)]
         # the monomials are sorted and allowed already; only zeros are left to drop
-        nonzero = orders.any(axis=(1, 2))
-        coeffs = {mono: c for mono, c, keep in zip(monos, orders, nonzero) if keep}
-        self.value = Jet._of(JetAlgebra.combined_coupling([label]), coeffs)
+        nonzero = self.orders.any(axis=(1, 2))
+        coeffs = {mono: c for mono, c, keep in zip(monos, self.orders, nonzero) if keep}
+        return Jet._of(JetAlgebra.combined_coupling([self.label]), coeffs)
 
     def glue(self, inner: "SegmentPF") -> "SegmentPF":
         """Compose with the earlier segment: self on [gamma, beta], inner on

@@ -36,7 +36,7 @@ from fqft.deformation import (
     radius_scaled,
     theory_from_json,
 )
-from fqft.errors import RecombinationError, ValidationError
+from fqft.errors import GeometryError, RecombinationError, ValidationError
 from fqft.fock import BoundaryState, build_space
 from fqft.jets import Jet, JetAlgebra
 from fqft.rexp import RExpansion
@@ -397,7 +397,6 @@ def test_unequal_row_lists_keep_two_records():
     double_deform(reordered)
     got, want = beta(reordered), _ref_beta(reordered)
     _same(got.coefficients, want.coefficients)
-    assert got.structure == want.structure
     for builder in (double_deform, beta):
         with pytest.raises(RecombinationError, match=r"bilinear part not symmetric in \(m, n\)"):
             builder(one_row)
@@ -505,6 +504,15 @@ def test_fb_deformed_disk_radius_independent():
         assert w[space.find((k,), (k,))] == Fraction(1, 2 * k)
 
 
+def test_fb_deformed_annulus_rejects_bad_radii():
+    # the annulus's own radius check, made before r/R is formed
+    space = build_space(2)
+    w = fb_deformed_disk(space)
+    for R, r in [(1, 2), (2, 2), (-1, -2), (1, 0), (0, 0), (Fraction(1, 2), Fraction(2, 3))]:
+        with pytest.raises(GeometryError, match="annulus radii must satisfy R > r > 0"):
+            fb_deformed_annulus(space, R, r, w)
+
+
 def test_fb_deformed_annulus_g_zero_is_undeformed():
     # at g = 0 the annulus scales a state by (r/R)^level
     space = build_space(4)
@@ -608,15 +616,13 @@ def _ref_double_deform(th):
 def _ref_beta(th):
     labels = th.marginals
     alg = JetAlgebra.combined_coupling(labels)
-    structure = {}
     per_gamma = {gamma: Jet(alg, {}) for gamma in labels}
     for alpha in labels:
         for b_ in labels:
             for gamma, val in ref_effective_C(th, alpha, b_).items():
-                structure[(alpha, b_, gamma)] = val
                 mono = tuple(sorted((f"gc[{alpha}]", f"gc[{b_}]")))
                 per_gamma[gamma] = per_gamma[gamma] + Jet(alg, {mono: Fraction(val) / 2})
-    return BetaResult(alg, per_gamma, structure)
+    return BetaResult(alg, per_gamma)
 
 
 _HOSTILE_PRIMARIES = [
@@ -705,7 +711,6 @@ def _checked_beta(th):
         return None
     got, want = beta(th), _ref_beta(th)
     _same(got.coefficients, want.coefficients)
-    assert got.structure == want.structure
     _same(got.running(), want.running())
     return got
 
@@ -963,9 +968,14 @@ def test_dilation_identity_bites_on_a_wrong_correction(monkeypatch, p):
     def no_log(dv):
         return dv - RExpansion.term(0, 1, dv.coefficient(0, 1))
 
+    def constant(dv):  # a (0, 0) row, which compute_correction never writes
+        return dv + RExpansion.term(0, 0, dv.coefficient(0, 1))
+
     # lam^2 Dil_lam scales r^{2(s-1)} <O>_{D_r} by lam^{2 + 2(s-1) - 2s} = 1,
     # so the identity holds whatever that term's coefficient
-    for change, holds in ((unchanged, True), (doubled, True), (moved, False), (no_log, False)):
+    for change, holds in (
+        (unchanged, True), (doubled, True), (moved, False), (no_log, False), (constant, False)
+    ):
         _with_correction(monkeypatch, change)
         lhs, rhs = anomalous_dilation(th, "e")
         assert (lhs == rhs) == holds, change.__name__
@@ -975,7 +985,9 @@ def test_dilation_identity_bites_on_a_wrong_correction(monkeypatch, p):
     # (f, e), in either order, must refuse them unless the corrections agree
     new = [("e", "f", "e", (), (), 3), ("e", "f", "1", (), (), 5), ("e", "f", "phi", (), (), 7)]
     rows = new + [("f", "e", *row[2:]) for row in new]
-    for change, holds in ((unchanged, True), (doubled, True), (moved, False), (no_log, False)):
+    for change, holds in (
+        (unchanged, True), (doubled, True), (moved, False), (no_log, False), (constant, False)
+    ):
         for order in (("e", "f"), ("f", "e")):
             th = FormalTheory([("1", 0, 0), ("e", 1, 1), ("f", 1, 1), ("phi", 2, 2)], rows)
             assert th._pair("e", "f") is th._pair("f", "e")

@@ -13,8 +13,8 @@ from fqft import geometry
 from fqft.errors import GeometryError, SpaceMismatchError
 from fqft.fock import L_MAX_HARD_CAP, BoundaryState, build_space, scale_by_level
 from fqft.geometry import (
-    PartitionFunction,
-    Surface,
+    Annulus,
+    Disk,
     annulus_pf,
     disk_pf,
     glue,
@@ -29,35 +29,38 @@ def _verify_cutting_with_fault(space, radii, shifted, level):
 
     def faulty_glue(outer, inner):
         out = glue(outer, inner)
-        if not inner.is_operator:
+        if not isinstance(inner, Annulus):
             return out
         by_level = list(out.by_level)
         by_level[level] = by_level[level] * (Fraction(101, 100) if space.exact else 1.01)
-        return PartitionFunction(out.surface, space, by_level=by_level, anomaly=out.anomaly)
+        return Annulus(space, out.R, out.r, by_level, out.anomaly)
 
     with mock.patch.object(geometry, "glue", faulty_glue):
         return verify_cutting(space, radii, shifted=shifted)
 
 
 def test_surface_validation():
-    with pytest.raises(GeometryError):
-        Surface("annulus", R=1, r=1)
-    with pytest.raises(GeometryError):
-        Surface("annulus", R=Fraction(1, 2), r=1)
-    with pytest.raises(GeometryError):
-        Surface("disk", R=-1)
-    with pytest.raises(GeometryError):
-        Surface("torus")
+    # each surface type checks its own radii, with the factories' messages
+    space = build_space(2)
+    levels = [1] * (space.l_max + 1)
+    with pytest.raises(GeometryError, match="annulus radii must satisfy R > r > 0"):
+        Annulus(space, 1, 1, levels, 1)
+    with pytest.raises(GeometryError, match="annulus radii must satisfy R > r > 0"):
+        Annulus(space, Fraction(1, 2), 1, levels, 1)
+    with pytest.raises(GeometryError, match="disk radius must be positive"):
+        Disk(space, -1, space.vacuum(), 1)
+    with pytest.raises(ValueError, match="one scalar per level"):
+        Annulus(space, 2, 1, levels[1:], 1)
 
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_partition_functions_reject_bad_radii(exact):
-    # Surface makes the radius checks, with the same messages, for both
+    # the factories check the radii before forming r/R or 1/R, for both
     space = build_space(2, exact=exact)
     for R, r in [(1, 1), (1, 2), (Fraction(1, 2), Fraction(2, 3)), (2.0, 0.0), (1, -1)]:
         with pytest.raises(GeometryError, match="annulus radii must satisfy R > r > 0"):
             annulus_pf(space, R, r)
-    for R in [0, -1, Fraction(-1, 3), 0.0]:
+    for R in [0, -1, Fraction(-1, 3), 0.0, float("nan")]:
         for shifted in (True, False):
             with pytest.raises(GeometryError, match="disk radius must be positive"):
                 disk_pf(space, R, shifted=shifted)
@@ -181,7 +184,7 @@ def test_annulus_composition():
     glued = glue(annulus_pf(space, 4, 2), annulus_pf(space, 2, 1))
     direct = annulus_pf(space, 4, 1)
     assert glued.by_level == direct.by_level
-    assert glued.surface.params == {"R": 4, "r": 1}
+    assert isinstance(glued, Annulus) and (glued.R, glued.r) == (4, 1)
 
 
 def test_annulus_composition_unshifted():
@@ -200,6 +203,9 @@ def test_geometric_mismatch():
         glue(annulus_pf(space, 4, 2), annulus_pf(space, 3, 1))
     with pytest.raises(GeometryError):
         glue(annulus_pf(space, 4, 2), disk_pf(space, 1))
+    # only an annulus has an inner boundary to sew
+    with pytest.raises(GeometryError, match="outer piece of a gluing must be an annulus"):
+        glue(disk_pf(space, 2), annulus_pf(space, 2, 1))
 
 
 def test_space_mismatch():
@@ -215,7 +221,7 @@ def test_disk_vacuum_and_cutting_closure():
         assert pf.state == space.vacuum()
     closed = glue(annulus_pf(space, 3, 1), disk_pf(space, 1))
     assert closed.state == space.vacuum()
-    assert closed.surface.kind == "disk" and closed.surface.params["R"] == 3
+    assert isinstance(closed, Disk) and closed.R == 3
 
 
 def test_disk_unshifted_radius_dependence():
@@ -316,10 +322,10 @@ def test_disk_closure_mismatch_below_float_resolution():
     # though its float difference rounds to 0.0: it reads inf, never 0.0
     def faulty_glue(outer, inner):
         out = glue(outer, inner)
-        if inner.is_operator:
+        if not isinstance(inner, Disk):
             return out
         state = out.state.scale(1 + Fraction(1, 10**30))
-        return PartitionFunction(out.surface, out.space, state=state, anomaly=out.anomaly)
+        return Disk(out.space, out.R, state, out.anomaly)
 
     space = build_space(2)
     for shifted in (True, False):

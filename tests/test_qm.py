@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from jet_ref import jet_mul
 from scipy.linalg import expm
 
+from fqft.cli import main
 from fqft.errors import GeometryError, ValidationError
 from fqft.qm import (
     QmTheory,
@@ -483,6 +484,24 @@ def test_glue_endpoint_mismatch():
     obs = {"o": np.ones((2, 2))}
     with pytest.raises(GeometryError, match="endpoint"):
         qm_double_deform(th, obs, 1.0, 2.0).glue(qm_double_deform(th, obs, 0.0, 0.5))
+
+
+def test_fqft_qm_glue_does_not_build_the_value(tmp_path, monkeypatch):
+    # `fqft qm` reads the orders alone: the glued segment it checks has not
+    # built its value jet, and a first read builds it from the orders
+    glued, glue = [], SegmentPF.glue
+
+    def recording_glue(late, early):
+        glued.append(glue(late, early))
+        return glued[-1]
+
+    monkeypatch.setattr(SegmentPF, "glue", recording_glue)
+    assert main(["qm", "--dim", "4", "--out", str(tmp_path / "qm.json")]) == 0
+    (seg,) = glued
+    assert "value" not in vars(seg)
+    monos = [(), ("gc[o]",), ("gc[o]", "gc[o]")]
+    assert list(seg.value.terms) == monos and "value" in vars(seg)
+    assert all(np.array_equal(seg.value.coefficient(m), seg.orders[k]) for k, m in enumerate(monos))
 
 
 # ------------------------------------------------------------------- oracle
