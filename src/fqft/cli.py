@@ -31,9 +31,10 @@ DEFAULT_TOLERANCES = {
 log = logging.getLogger("fqft")
 
 # Hard cap on `qm --dim`.  One process and one BLAS thread on a 2-core Xeon,
-# Python 3.11, numpy 2.4 (OpenBLAS), `fqft qm` reports a wall time of
-# 0.24-0.30 s at dim 128 (peak RSS 53 MB), 1.2-1.3 s at 256 (100 MB) and
-# 8.6-8.7 s at 512 (267 MB): per doubling, 4-7x the time and 2-3x the memory.
+# Python 3.11, numpy 2.4 (OpenBLAS), `fqft qm --seed 1` reports a wall time
+# of 0.18 s at dim 128 (peak RSS 49 MB), 0.57-0.58 s at 256 (83 MB) and
+# 3.2-3.6 s at 512 (218 MB), two runs each: per doubling, 3-6x the time and
+# 2-3x the memory.
 QM_DIM_HARD_CAP = 512
 
 

@@ -11,9 +11,11 @@ segment also offers `value`, the same orders as a jet of views into the
 stack, built on first read, which the benchmark's deform workload reads
 until its next change.
 A Taylor-series oracle, summed on the stacked orders of
-exp(-T (H + g O)), checks the orders.  At the sizes the checks run (n up
-to a few dozen) the cost is mostly the number of numpy calls, so all of
-this keeps its work in few, stacked calls.
+exp(-T (H + g O)), checks the orders.  Segments of one Hamiltonian and
+observable share what their exponentials read of the Van Loan matrix
+alone, and each segment's own work runs on n x 3n top block rows.  At the
+sizes the checks run (n up to a few dozen) the cost is mostly the number of
+numpy calls, so all of this keeps its work in few, stacked calls.
 """
 
 from __future__ import annotations
@@ -34,10 +36,16 @@ class QmTheory:
         H = np.atleast_2d(np.asarray(H))
         if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 1:
             raise ValidationError("Hamiltonian must be a square matrix")
-        if not np.isfinite(H).all():
-            raise ValidationError("Hamiltonian entries must be finite")
+        if not _finite_numbers(H):
+            raise ValidationError("Hamiltonian entries must be finite numbers")
         self.H = H.astype(np.result_type(H.dtype, np.float64))
         self.dim = H.shape[0]
+
+
+def _finite_numbers(a) -> bool:
+    # bool, integer, float or complex entries, all finite; isfinite raises a
+    # TypeError on object and string arrays
+    return a.dtype.kind in "biufc" and bool(np.isfinite(a).all())
 
 
 def _check_endpoints(alpha, beta):
@@ -110,9 +118,16 @@ _INNER = np.array([0, 1, 0, 2, 1, 0])
 # for the matrix exponential revisited", SIMAX 26(4), 2005), its squarings
 # chosen from ||A^k||_1^(1/k) as in the degree-13 branch of Algorithm 5.1 of
 # A. H. Al-Mohy and N. J. Higham, "A new scaling and squaring algorithm for
-# the matrix exponential", SIMAX 31(3), 2009.  The even powers are formed
-# once, in one stack; one product combines them into the approximant's sums,
-# and one chain of vector products with abs(A) bounds its backward error.
+# the matrix exponential", SIMAX 31(3), 2009.
+#
+# Every matrix that evaluation forms is a polynomial in M, so it is
+# block-Toeplitz too and fixed by its top block row, an n x 3n array; the
+# top row of a product F G is F's top row times G.  Nothing that depends on
+# M alone depends on T, since (T M)^k = T^k M^k: `_Generator` forms the even
+# powers, their norms and the backward-error bound once per (H, O), and
+# each segment scales the Pade coefficients by T^j, sums, solves and squares
+# on top rows alone.  The solve needs one LU, of the n x n diagonal block.
+# A plain n x n matrix is the one-block case of the same code.
 
 # largest ||A||_1 at which the approximant's backward error stays below the
 # double-precision unit roundoff (Al-Mohy & Higham 2009, Algorithm 5.1)
@@ -130,77 +145,136 @@ _PADE_MATRIX = np.array(
 _PADE_MATRIX[:2, 0] = 0.0
 
 
-def _squarings(A, A46) -> int:
-    """Squarings s for exp(A) at degree 13: Al-Mohy & Higham 2009, Algorithm
-    5.1, with the exact 1-norms of the formed powers A^4 and A^6 (stacked in
-    A46), plus the squarings that keep the backward error, bounded through
-    ||abs(A)^27||_1, below unit roundoff (their eq. (5.1)).  Since
-    abs(A / 2^s) / ||A / 2^s||_1 = abs(A) / ||A||_1 = B for every s, one
-    chain of vectors 1^T B^k, in steps of B^2, serves the scaled matrix."""
-    B = np.abs(A)
-    colsums = B.sum(axis=0)
-    norm = float(colsums.max())
-    if norm == 0:
-        return 0
-    d4, d6 = np.abs(A46).sum(axis=1).max(axis=1) ** [1 / 4, 1 / 6]
-    eta = max(d4, d4**0.4 * d6**0.6)
-    s = max(0, math.ceil(math.log2(eta / _THETA))) if eta > 0 else 0
-    B /= norm  # ||B||_1 = 1, so its powers cannot overflow
-    B2 = B @ B
-    v = colsums / norm
-    for _ in range(13):
-        v = v @ B2  # v = 1^T B^27 at the end
-    top = float(v.max())  # ||abs(A)^27||_1 / norm^27
-    if top == 0:
-        return s
-    # log2 of c ||abs(A / 2^s)^27||_1 / ||A / 2^s||_1
-    log2_alpha = math.log2(top) + 26 * (math.log2(norm) - s) + _LOG2_C
-    return s + max(0, math.ceil((log2_alpha + 53) / 26))
+def _toeplitz(row):
+    """The block upper-triangular Toeplitz matrix whose top block row is
+    `row` (n x k n): block (i, j) is block j - i of the row, zero below the
+    diagonal.  One block is the row itself."""
+    n, kn = row.shape
+    if kn == n:
+        return row
+    full = np.zeros((kn, kn), dtype=row.dtype)
+    for i in range(0, kn, n):
+        full[i : i + n, i:] = row[:, : kn - i]
+    return full
 
 
-def _expm(A):
-    """exp(A) for a square numpy array, by scaling and squaring."""
-    N = len(A)
-    if not A.any():
-        # exactly the identity, which the Pade solve of b_0 I is not
-        return np.eye(N, dtype=A.dtype)
-    # the even powers A^2, A^4, A^6
-    P = np.empty((3, N, N), dtype=A.dtype)
-    np.matmul(A, A, out=P[0])
-    np.matmul(P[0], P[0], out=P[1])
-    np.matmul(P[1], P[0], out=P[2])
-    s = _squarings(A, P[1:])
-    # b_j (A / 2^s)^j is (b_j / 2^(s j)) A^j, exactly, since 2^s is a power
-    # of two; the column of b_0 and b_1 goes onto the diagonals, the others
-    # combine the powers in one product, and A^6 times the inner sums
-    # completes the outer ones
-    b = np.ldexp(_PADE_MATRIX, -s * _PADE_INDEX)
-    W = b[:, 1:] @ P.reshape(3, -1)
-    W[:, :: N + 1] += b[:, :1]
-    W = W.reshape(4, N, N)
-    W[2:] += P[2] @ W[:2]
-    del P  # free the powers before the solve makes its own copies
-    U, V = A @ W[2], W[3]
-    X = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        X = X @ X
-    return X
+def _norm1(row):
+    """||toeplitz(row)||_1: its last block column holds every block."""
+    n = len(row)
+    return float(np.abs(row).sum(axis=0).reshape(-1, n).sum(axis=0).max())
 
 
-def _block_row(theory: QmTheory, alpha, beta, O):
-    """Top block row of expm((beta - alpha) * M) for the block-Toeplitz Van
-    Loan matrix M of one observable, [[-H, O, 0], [0, -H, O], [0, 0, -H]]:
-    exp(-(beta - alpha) H), the first-order integral of O and the ordered
-    second-order one, stacked in one (3, n, n) array."""
-    _check_endpoints(alpha, beta)
-    n, T = theory.dim, beta - alpha
-    M = np.zeros((3, n, 3, n), dtype=np.result_type(theory.H, O))
-    i = np.arange(3)
-    M[i, :, i] = -T * theory.H
-    M[i[:-1], :, i[1:]] = T * O
-    E = _expm(M.reshape(3 * n, 3 * n))
-    # one copy of the top row, so that E is not kept alive by its blocks
-    return E[:n].reshape(n, 3, n).swapaxes(0, 1).copy()
+class _Generator:
+    """exp(T M) for any length T, by degree-13 Pade scaling and squaring, of
+    the block-Toeplitz M given by its top block row (n x k n).  Everything
+    that depends on M alone is formed here once: M and M^6 in full, the top
+    rows of M^2, M^4 and M^6, and what the squarings read of their norms."""
+
+    def __init__(self, row):
+        n, kn = row.shape
+        self.n = n
+        self.M = _toeplitz(row)
+        # the top rows of the even powers M^2, M^4, M^6
+        P = np.empty((3, n, kn), dtype=row.dtype)
+        np.matmul(row, self.M, out=P[0])
+        M2 = _toeplitz(P[0])
+        np.matmul(P[0], M2, out=P[1])
+        np.matmul(P[1], M2, out=P[2])
+        del M2
+        self.M6 = _toeplitz(P[2])
+        self.powers = P.reshape(3, -1)
+        # Al-Mohy & Higham 2009, Algorithm 5.1, with the exact 1-norms of
+        # the formed powers: eta of T M is T times eta of M
+        self.norm = _norm1(row)
+        d4, d6 = _norm1(P[1]) ** (1 / 4), _norm1(P[2]) ** (1 / 6)
+        self.eta = max(d4, d4**0.4 * d6**0.6)
+        # ||abs(M)^27||_1 / ||M||_1^27, the same for T M at every T: one
+        # chain of vectors 1^T B^k, in steps of B^2, with B = abs(M) / ||M||_1
+        # (||B||_1 = 1, so its powers cannot overflow)
+        self.top = 0.0
+        if self.norm > 0:
+            B = np.abs(self.M) / self.norm
+            B2 = _toeplitz(B[:n] @ B)
+            v = B.sum(axis=0)
+            for _ in range(13):
+                v = v @ B2  # v = 1^T B^27 at the end
+            self.top = float(v.max())
+
+    def squarings(self, T) -> int:
+        """Squarings s for exp(T M) at degree 13: the eta rule of Algorithm
+        5.1, plus the squarings that keep the backward error, bounded
+        through ||abs(T M)^27||_1, below unit roundoff (their eq. (5.1))."""
+        norm, eta = T * self.norm, T * self.eta
+        if norm == 0:
+            return 0
+        s = max(0, math.ceil(math.log2(eta / _THETA))) if eta > 0 else 0
+        if self.top == 0:
+            return s
+        # log2 of c ||abs(T M / 2^s)^27||_1 / ||T M / 2^s||_1
+        log2_alpha = math.log2(self.top) + 26 * (math.log2(norm) - s) + _LOG2_C
+        return s + max(0, math.ceil((log2_alpha + 53) / 26))
+
+    def exp_row(self, T):
+        """Top block row of exp(T M), an n x k n array."""
+        n, kn = self.n, self.M.shape[1]
+        if T == 0 or self.norm == 0:
+            # exactly the identity, which the Pade solve of b_0 I is not
+            X = np.zeros((n, kn), dtype=self.M.dtype)
+            X[:, :n] = np.eye(n)
+            return X
+        s = self.squarings(T)
+        # b_j (T M / 2^s)^j is b_j t^j M^j with t = T / 2^s, scaled exactly;
+        # one product combines the powers' rows into the approximant's sums,
+        # the column of b_0 and b_1 goes onto the identity block after them
+        # (summed first, inside the product, it costs accuracy on
+        # ill-conditioned inputs), and times M^6 the inner sums complete the
+        # outer ones
+        b = _PADE_MATRIX * math.ldexp(T, -s) ** _PADE_INDEX
+        W = b[:, 1:] @ self.powers
+        W[:, :: kn + 1] += b[:, :1]
+        W = W.reshape(4 * n, kn)
+        W[2 * n :] += W[: 2 * n] @ self.M6
+        U, V = W[2 * n : 3 * n] @ self.M, W[3 * n :]
+        # the Pade quotient X of D = V - U and N = V + U solves D X = N; on
+        # top rows block j reads D_0 X_j + sum_{i>0} D_i X_{j-i} = N_j, so
+        # one solve with D_0 gives N's and D's blocks over D_0, and block
+        # back-substitution the rest
+        D, N = V - U, V + U
+        Y = np.linalg.solve(D[:, :n], np.concatenate((N, D[:, n:]), axis=1))
+        k = kn // n
+        blocks = Y.reshape(n, 2 * k - 1, n).swapaxes(0, 1)
+        X, E = blocks[:k], blocks[k - 1 :]  # E[i] = D_0^-1 D_i for i > 0
+        for j in range(1, k):
+            for i in range(1, j + 1):
+                X[j] -= E[i] @ X[j - i]
+        X = Y[:, :kn]
+        for _ in range(s):
+            X = X @ _toeplitz(X)
+        return X
+
+
+# the generator of the last (H, O) pair: the segments of one `fqft qm` run or
+# of one deform op share it.  One slot, not one per theory or observable,
+# so that what it holds stays bounded in a process that makes many theories
+_last = None
+
+
+def _generator(H, O) -> _Generator:
+    """The generator of the Van Loan matrix [[-H, O, 0], [0, -H, O], [0, 0,
+    -H]], reused when H and O are, byte for byte and in dtype, those of the
+    last call."""
+    global _last
+    key = (H.dtype, H.shape, H.tobytes(), O.dtype, O.shape, O.tobytes())
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1]
+    n = len(H)
+    row = np.zeros((n, 3 * n), dtype=np.result_type(H, O))
+    row[:, :n] = -H
+    row[:, n : 2 * n] = O
+    gen = _Generator(row)
+    _last = (key, gen)
+    return gen
 
 
 # ------------------------------------------------------------- deformations
@@ -214,12 +288,15 @@ def qm_double_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
         raise ValidationError(f"qm_double_deform takes exactly one observable, got {len(obs)}")
     ((label, O),) = obs.items()
     n, O = theory.dim, np.asarray(O)
-    if O.shape != (n, n) or not np.isfinite(O).all():
+    if O.shape != (n, n) or not _finite_numbers(O):
         raise ValidationError(f"observable {label!r} must be a finite {n}x{n} array")
-    # one block-Toeplitz exponential: its top block row is the evolution, the
+    _check_endpoints(alpha, beta)
+    # the top block row of one block-Toeplitz exponential: the evolution, the
     # first order and the ordered second order, which is half the
     # time-ordered integral
-    return SegmentPF(theory, alpha, beta, label, O, _block_row(theory, alpha, beta, O))
+    row = _generator(theory.H, O).exp_row(beta - alpha)
+    orders = row.reshape(n, 3, n).swapaxes(0, 1).copy()
+    return SegmentPF(theory, alpha, beta, label, O, orders)
 
 
 # ------------------------------------------------------------------- oracle

@@ -1,6 +1,7 @@
 """Tests for the one-dimensional (quantum mechanics) backend."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,17 +12,10 @@ from hypothesis import strategies as st
 from jet_ref import jet_mul
 from scipy.linalg import expm
 
+from fqft import qm
 from fqft.cli import main
 from fqft.errors import GeometryError, ValidationError
-from fqft.qm import (
-    QmTheory,
-    SegmentPF,
-    _block_row,
-    _expm,
-    _squarings,
-    qm_double_deform,
-    taylor_series_oracle,
-)
+from fqft.qm import QmTheory, SegmentPF, _Generator, qm_double_deform, taylor_series_oracle
 
 
 def random_theory(rng, dim):
@@ -30,6 +24,17 @@ def random_theory(rng, dim):
 
 def random_obs(rng, dim):
     return rng.standard_normal((dim, dim))
+
+
+def _expm(A):
+    """exp(A) for a plain matrix: the one-block case of the segments'
+    exponential."""
+    return _Generator(A).exp_row(1.0)
+
+
+def _orders(th, alpha, beta, O):
+    """A segment's orders, the top block row of its Van Loan exponential."""
+    return qm_double_deform(th, {"o": O}, alpha, beta).orders
 
 
 # ----------------------------------------------------------------- evolution
@@ -62,10 +67,10 @@ def test_evolve_validation():
     th = QmTheory(np.eye(2))
     O = np.ones((2, 2))
     with pytest.raises(GeometryError):
-        _block_row(th, 1.0, 0.0, O)
+        _orders(th, 1.0, 0.0, O)
     with pytest.raises(GeometryError):
-        _block_row(th, 0.0, math.nan, O)
-    orders = _block_row(th, 0.0, 1.0, O)
+        _orders(th, 0.0, math.nan, O)
+    orders = _orders(th, 0.0, 1.0, O)
     with pytest.raises(GeometryError):
         SegmentPF(th, 1.0, 0.0, "o", O, orders)
     with pytest.raises(GeometryError):
@@ -74,6 +79,10 @@ def test_evolve_validation():
         QmTheory(np.array([[np.inf, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
         QmTheory(np.ones((2, 3)))
+    # entries that are not numbers, which np.isfinite does not take
+    for H in ([[Fraction(1)]], [["a"]], None, [[None, 1.0], [0.0, 1.0]]):
+        with pytest.raises(ValidationError, match="finite numbers"):
+            QmTheory(H)
 
 
 # ----------------------------------------------------------------- integrals
@@ -83,7 +92,7 @@ def test_first_order_integral_against_quadrature():
     rng = np.random.default_rng(11)
     th = random_theory(rng, 4)
     O = random_obs(rng, 4)
-    closed = _block_row(th, 0.0, 1.3, O)[1]
+    closed = _orders(th, 0.0, 1.3, O)[1]
     taus, w = np.polynomial.legendre.leggauss(64)
     taus, w = (taus + 1) * 0.65, w * 0.65
     quad = sum(
@@ -97,7 +106,7 @@ def test_first_order_integral_degenerate_fallback():
     H = np.array([[1.0, 1.0], [0.0, 1.0]])
     th = QmTheory(H)
     O = np.array([[0.0, 1.0], [1.0, 0.0]])
-    got = _block_row(th, 0.0, 1.0, O)[1]
+    got = _orders(th, 0.0, 1.0, O)[1]
     oracle = -taylor_series_oracle(H, O, 1.0, order=1)[1]
     assert np.max(np.abs(got - oracle)) < 1e-10
 
@@ -106,7 +115,7 @@ def test_second_order_matches_oracle():
     rng = np.random.default_rng(13)
     th = random_theory(rng, 4)
     O = random_obs(rng, 4)
-    got = _block_row(th, 0.0, 0.9, O)[2]
+    got = _orders(th, 0.0, 0.9, O)[2]
     oracle = taylor_series_oracle(th.H, O, 0.9, order=2)[2]
     assert np.max(np.abs(got - oracle)) < 1e-10
 
@@ -150,8 +159,18 @@ def test_qm_double_deform_cutting_every_order():
 
 @pytest.mark.parametrize(
     "O",
-    [2.0, np.ones((1, 1)), np.ones((3, 2)), np.ones((1, 3, 3)), np.diag([1.0, np.nan, 0.0])],
-    ids=["scalar", "1x1", "3x2", "batch", "nan"],
+    [
+        2.0,
+        np.ones((1, 1)),
+        np.ones((3, 2)),
+        np.ones((1, 3, 3)),
+        np.diag([1.0, np.nan, 0.0]),
+        [[Fraction(1)] * 3] * 3,
+        [["a"] * 3] * 3,
+        [[None] * 3] * 3,
+        None,
+    ],
+    ids=["scalar", "1x1", "3x2", "batch", "nan", "fraction", "string", "none-3x3", "none"],
 )
 def test_qm_double_deform_rejects_observables_that_are_not_finite_square(O):
     # numpy would broadcast a scalar or a 1x1 array into a constant 3x3 block
@@ -290,15 +309,17 @@ def _expm_input(rng, kind, dim, norm):
     return A - np.max(np.linalg.eigvals(A).real) * np.eye(len(A))
 
 
-def _check_expm(A, norm):
-    # relative to the largest entry; exp's condition number grows with the norm
-    got, ref = _expm(A), expm(A)
+def _check_expm(A, norm, blocks=1):
+    # relative to the largest entry; exp's condition number grows with the
+    # norm.  A block-Toeplitz A also runs as `blocks` blocks, on its top row
+    n = len(A) // blocks
+    got, ref = _Generator(A[:n]).exp_row(1.0), expm(A)
     assert got.dtype == ref.dtype
     scale, tol = np.max(np.abs(ref)), 1e-14 * max(norm, 1.0)
-    if np.max(np.abs(got - ref)) > tol * scale:
+    if np.max(np.abs(got - ref[:n])) > tol * scale:
         # scipy may be the one that is off: judge both against 30 digits
         exact = _mp_expm(A)
-        assert np.max(np.abs(got - exact)) <= tol * scale
+        assert np.max(np.abs(got - exact[:n])) <= tol * scale
 
 
 def test_expm_zero_matrix_is_identity():
@@ -339,8 +360,7 @@ def _squarings_ref(A):
 
 
 def _squarings_of(A):
-    A4 = np.linalg.matrix_power(A, 4)
-    return _squarings(A, np.stack([A4, A4 @ A @ A]))
+    return _Generator(A).squarings(1.0)
 
 
 def _pade_inputs():
@@ -365,6 +385,16 @@ def test_squarings_match_reference():
     for A in _pade_inputs():
         s = _squarings_of(A)
         assert type(s) is int and s == _squarings_ref(A)
+
+
+def test_squarings_on_top_rows_match_the_full_matrix():
+    # a Van Loan matrix's generator reads its norms and its backward-error
+    # chain off top rows, and picks the squarings of the full matrix
+    rng = np.random.default_rng(37)
+    for dim in (1, 2, 4):
+        for norm in 10.0 ** np.arange(-3, 3.25, 0.5):
+            A = _expm_input(rng, "van-loan", dim, norm)
+            assert _Generator(A[:dim]).squarings(1.0) == _squarings_ref(A)
 
 
 def test_expm_every_degree_and_squaring():
@@ -403,21 +433,120 @@ def test_expm_real_jordan_block():
 def test_expm_matches_scipy(kind, dim, log_norm, seed):
     dim = dim // 2 if kind == "van-loan" else dim
     norm = 10.0**log_norm
-    _check_expm(_expm_input(np.random.default_rng(seed), kind, dim, norm), norm)
+    A = _expm_input(np.random.default_rng(seed), kind, dim, norm)
+    _check_expm(A, norm)
+    if kind == "van-loan":
+        # the same matrix as the three-block generator a segment runs
+        _check_expm(A, norm, blocks=3)
 
 
-@pytest.mark.parametrize("n", [4, 16, 32])
+@pytest.mark.parametrize("n", [1, 4, 16, 32])
 def test_block_row_is_top_row_of_van_loan_exponential(n):
-    # the segment sizes `fqft qm` runs: each block against scipy's exponential
+    # the segment sizes `fqft qm` runs, and its floor: each block against
+    # scipy's exponential
     rng = np.random.default_rng(n)
+    cases = []
     for H in (rng.standard_normal((n, n)), _hostile_hamiltonian(rng, "clustered", n, 1e-7)):
-        O = rng.standard_normal((n, n))
+        cases.append((H, rng.standard_normal((n, n)), (0.4, 1.0)))
+    zero = np.zeros((n, n))
+    complex_H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    complex_O = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    # a symmetric H with spectrum in [0, 2]: exp(-T H) stays in range over
+    # a length that needs 8 squarings or more, and its bound grows with the
+    # norm, as in `_check_expm`
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    symmetric = Q @ np.diag(np.linspace(2.0, 0.0, n)) @ Q.T
+    cases += [
+        (cases[0][0], cases[0][1], (0.0,)),
+        (complex_H, complex_O, (0.4, 1.0)),
+        (cases[0][0], zero, (1.0,)),
+        (zero, zero, (0.0, 1.0)),
+        (symmetric, rng.standard_normal((n, n)) / n, (300.0,)),
+    ]
+    for H, O, lengths in cases:
         th = QmTheory(H)
-        for T in (0.4, 1.0):
-            ref = expm(T * _van_loan(H, O))
+        for T in lengths:
+            M = _van_loan(H, O)
+            tol = 1e-13
+            if T == 300.0:
+                assert _Generator(M[:n]).squarings(T) >= 8
+                tol = 1e-14 * np.abs(T * M).sum(axis=0).max()
+            ref = expm(T * M)
             scale = np.max(np.abs(ref[:n]))
-            for i, block in enumerate(_block_row(th, 1.0 - T, 1.0, O)):
-                assert np.max(np.abs(block - ref[:n, i * n : (i + 1) * n])) < 1e-13 * scale
+            got = _orders(th, 1.0 - T, 1.0, O)
+            assert got.dtype == ref.dtype
+            for i, block in enumerate(got):
+                assert np.max(np.abs(block - ref[:n, i * n : (i + 1) * n])) < tol * scale
+            if T == 0.0 or not M.any():
+                assert np.array_equal(got, np.stack([np.eye(n), zero, zero]))
+
+
+def test_segment_solves_with_its_diagonal_block(monkeypatch):
+    # a segment's Pade quotient takes one n x n solve, with the other blocks
+    # stacked as right-hand sides, not a 3n x 3n one
+    shapes, solve = [], np.linalg.solve
+
+    def recording_solve(a, b):
+        shapes.append((a.shape, b.shape))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    th = QmTheory(np.random.default_rng(2).standard_normal((8, 8)))
+    qm_double_deform(th, {"o": np.eye(8)}, 0.0, 1.0)
+    assert shapes == [((8, 8), (8, 40))]
+
+
+def test_generator_reuse_is_bit_for_bit_a_cold_computation(tmp_path, monkeypatch):
+    # segments of one (H, O) share one generator; any other H or O, the same
+    # array mutated in place, or equal values in another dtype builds its
+    # own, so every segment is byte for byte what an empty slot gives
+    built = []
+
+    class Counting(_Generator):
+        def __init__(self, row):
+            built.append(row.dtype)
+            super().__init__(row)
+
+    def cold(th, O, alpha, beta):
+        monkeypatch.setattr(qm, "_last", None)
+        return qm_double_deform(th, {"o": O}, alpha, beta).orders
+
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    rng = np.random.default_rng(5)
+    H, O1, O2 = rng.standard_normal((3, 4, 4))
+    th = QmTheory(H)
+    want = {T: cold(th, O1, 0.0, T) for T in (0.4, 1.0)}
+    want2 = cold(th, O2, 0.0, 1.0)
+    monkeypatch.setattr(qm, "_Generator", Counting)
+    # the segments of one `fqft qm` run share one generator
+    assert main(["qm", "--dim", "4", "--out", str(tmp_path / "qm.json")]) == 0
+    assert len(built) == 1
+    built.clear()
+    assert same(qm_double_deform(th, {"o": O1}, 0.0, 1.0).orders, want[1.0])
+    assert same(qm_double_deform(th, {"o": O1}, 0.6, 1.0).orders, cold(th, O1, 0.6, 1.0))
+    assert same(qm_double_deform(th, {"o": O1}, 0.0, 0.4).orders, want[0.4])
+    assert len(built) == 2  # the first call, and the one after the cold one
+    # a second observable under the same label
+    assert same(qm_double_deform(th, {"o": O2}, 0.0, 1.0).orders, want2)
+    # the observable mutated in place between calls
+    O = O1.copy()
+    assert same(qm_double_deform(th, {"o": O}, 0.0, 1.0).orders, want[1.0])
+    O[0, 0] += 1.0
+    got = qm_double_deform(th, {"o": O}, 0.0, 1.0).orders
+    assert not same(got, want[1.0]) and same(got, cold(th, O, 0.0, 1.0))
+    # an equal-valued complex observable after a real one
+    qm_double_deform(th, {"o": O1}, 0.0, 1.0)
+    got = qm_double_deform(th, {"o": O1.astype(complex)}, 0.0, 1.0).orders
+    assert got.dtype == complex and same(got, cold(th, O1.astype(complex), 0.0, 1.0))
+    # the same bytes read as another dtype are another observable
+    qm_double_deform(th, {"o": O1}, 0.0, 1.0)
+    got = qm_double_deform(th, {"o": O1.view(np.int64)}, 0.0, 1.0).orders
+    assert not same(got, want[1.0]) and same(got, cold(th, O1.view(np.int64), 0.0, 1.0))
+    # a new theory with an equal Hamiltonian
+    qm_double_deform(th, {"o": O1}, 0.0, 1.0)
+    assert same(qm_double_deform(QmTheory(H.copy()), {"o": O1}, 0.0, 1.0).orders, want[1.0])
 
 
 def test_qm_glue_algebra_mismatch():
