@@ -6,7 +6,7 @@ Two backends share the same pipeline.
 * The formal backend works over abstract conformal theory data (primaries
   with dimensions, marginal-sector OPE rows, mixing matrix).  Vectors are
   formal combinations of correlator symbols <O_c^{mu,mubar}(0)>_{D_R} and
-  integral atoms, with exact LogPoly coefficients (fqft.scalars): rational
+  integral atoms, with exact LogPoly coefficients (fqft.rexp): rational
   multiples of powers of R and lam and of log(R) and log(lam).  The
   structure constants are ints over the theory's denominators (the lcm of
   its row values' denominators, and that of its mixing values'): each OPE
@@ -46,8 +46,8 @@ from .fock import _key as _fock_key
 from .fock import apply_current
 from .geometry import annulus_pf, glue
 from .jets import Jet, JetAlgebra
-from .rexp import RExpansion, Sparse
-from .scalars import LogPoly, canonical_exponent, decode_scalar
+from .rexp import LogPoly, RExpansion, Sparse
+from .scalars import canonical_exponent, decode_scalar
 
 LOG_R = LogPoly.monomial(log_R=1)
 LOG_LAM = LogPoly.monomial(log_lam=1)
@@ -70,7 +70,7 @@ class FormalVector(Sparse):
     """
 
     __slots__ = ()
-    _zero = staticmethod(LogPoly.is_zero)
+    _zero = staticmethod(Sparse.is_zero)
 
     def __init__(self, terms=None):
         super().__init__(

@@ -24,6 +24,7 @@ every exact scalar stays a rational.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import GeometryError, SpaceMismatchError
@@ -62,13 +63,15 @@ class Disk:
 
 
 def _check_annulus(R, r):
-    if not R > r > 0:
-        raise GeometryError("annulus radii must satisfy R > r > 0")
+    # compared with math.inf, never passed through float(), which overflows
+    # on a finite exact radius such as Fraction(10**400)
+    if not (R > r > 0 and R != math.inf):
+        raise GeometryError("annulus radii must satisfy R > r > 0 and be finite")
 
 
 def _check_disk(R):
-    if not R > 0:  # NaN too
-        raise GeometryError("disk radius must be positive")
+    if not (R > 0 and R != math.inf):  # NaN fails R > 0
+        raise GeometryError("disk radius must be positive and finite")
 
 
 def _powers(ratio: Fraction, count: int) -> list:
@@ -120,6 +123,10 @@ def glue(outer: Annulus, inner) -> Annulus | Disk | BoundaryState:
     BoundaryState."""
     if not isinstance(outer, Annulus):
         raise GeometryError("outer piece of a gluing must be an annulus")
+    if not isinstance(inner, (Annulus, Disk, BoundaryState)):
+        raise GeometryError(
+            "inner piece of a gluing must be an annulus, a disk or a boundary state"
+        )
     if outer.space is not inner.space:
         raise SpaceMismatchError("gluing across different truncated spaces")
     if isinstance(inner, BoundaryState):

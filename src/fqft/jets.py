@@ -10,8 +10,8 @@ A jet is the container alone: the Sparse linear algebra over a jet
 algebra, its monomials sorted and those past the order dropped.  No library
 code multiplies two jets: the formal builders write their jets whole
 (fqft.deformation), and quantum mechanics multiplies its matrix orders
-itself (fqft.qm).  Coefficients are exact values: Fractions, fqft.scalars
-values, boundary states, formal vectors and r-expansions of them; a QM
+itself (fqft.qm).  Coefficients are exact values: Fractions, LogPolys
+(fqft.rexp), boundary states, formal vectors and r-expansions of them; a QM
 segment's `value` wraps views of its orders unchecked and is only read.
 """
 

@@ -81,7 +81,7 @@ class ZSeries(Sparse):
     """Finite bigraded series sum z^m zbar^mbar w_{m,mbar} with state coefficients."""
 
     __slots__ = ("space",)
-    _zero = staticmethod(BoundaryState.is_zero)
+    _zero = staticmethod(Sparse.is_zero)
     _context = "space"
 
     def __init__(self, space, terms=None):

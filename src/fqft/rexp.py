@@ -1,21 +1,31 @@
-"""Sparse linear combinations, and finite expansions in the cut radius r
-with log terms.
+"""Sparse linear combinations, and the finite Laurent-log expansions built
+on them.
 
 Sparse is the immutable {key: nonzero coefficient} algebra that boundary
-states, RExpansion, jets, formal vectors and (z, zbar) series share.
+states, RExpansion, LogPoly, jets, formal vectors and (z, zbar) series share.
+
+RExpansion and LogPoly are Laurent-log expansions, and their keys follow one
+rule (`_key`): the first half are rational exponents (ints when integral),
+the second half non-negative integer log powers.
 
 An RExpansion maps (p, q) -> coefficient, representing
     sum_{p,q} coeff_{p,q} * r^p * (log r)^q
-with rational exponents p (ints when integral) and non-negative integer log
-powers q.
-Coefficients are exact values with linear arithmetic, never arrays:
-boundary states, formal vectors, or plain scalars (Fractions, floats,
-fqft.scalars values).
+in the cut radius r.  Coefficients are exact values with linear arithmetic,
+never arrays: boundary states, formal vectors, or plain scalars
+(Fractions, floats, LogPolys).
+
+A LogPoly, a finite sum of c * R^a * lam^b * (log R)^i * (log lam)^j with
+rational c, is the scalar of the formal perturbation backend in
+fqft.deformation.  (The free boson's exact scalars are ints and
+Fractions.)
 """
 
 from __future__ import annotations
 
-from .scalars import canonical_exponent
+import math
+from fractions import Fraction
+
+from .scalars import _rational, canonical_exponent
 
 
 def coeff_is_zero(c) -> bool:
@@ -30,7 +40,8 @@ def coeff_is_zero(c) -> bool:
 
 class Sparse:
     """Immutable finite sum {key: nonzero coefficient}: the linear algebra
-    shared by BoundaryState, RExpansion, Jet, FormalVector and ZSeries.
+    shared by BoundaryState, RExpansion, LogPoly, Jet, FormalVector and
+    ZSeries.
 
     A subclass sets how keys normalise (`_norm`, None to take them as given;
     a key normalising to None drops, and a key it rejects raises), how
@@ -129,19 +140,23 @@ class Sparse:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        """False exactly for zero."""
+        return bool(self.terms)
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return self._same_context(other) and self.terms == other.terms
 
 
-def _key(pq):
-    p, q = pq
-    p = canonical_exponent(p)
-    q = int(q)
-    if q < 0:
-        raise ValueError("log power must be non-negative")
-    return (p, q)
+def _key(key):
+    """A Laurent-log key, canonical: its first half rational exponents, ints
+    when integral; its second half log powers, non-negative ints."""
+    half = len(key) // 2
+    if any(q < 0 for q in key[half:]):
+        raise ValueError("log powers must be non-negative")
+    return (*map(canonical_exponent, key[:half]), *map(int, key[half:]))
 
 
 class RExpansion(Sparse):
@@ -178,3 +193,118 @@ class RExpansion(Sparse):
             label = "1" if (p, q) == (0, 0) else f"r^{p}" + (f"*log^{q}" if q else "")
             bits.append(f"{label}: {c!r}")
         return "RExpansion{" + ", ".join(bits) + "}"
+
+
+class LogPoly(Sparse):
+    """Exact finite sum  sum_k c_k * R^a * lam^b * (log R)^i * (log lam)^j.
+
+    The scalars of the formal perturbation backend.  `terms` maps
+    (a, b, i, j) to a nonzero rational c (int or Fraction), with rational
+    powers a, b (ints when integral) and log powers i, j >= 0.  The
+    constructor, Sparse's, stores the coefficients as given and coerces
+    none; `monomial` is the coercing builder (through `_rational`).  Zero
+    stores no terms, so equality and the zero test are structural.  Sums and
+    negation are Sparse's; products, division by a rational and the radius
+    substitution R -> lam R (`scale_radius`) are its own, and a rational
+    equals its constant LogPoly.
+
+    Immutable: `terms` is never changed after construction, and results may
+    share it.  Multiplying by a monomial whose coefficient is the int 1 is an
+    exponent shift that reuses the coefficients (dilation is such a shift in
+    lam and log(lam)); the zero shift returns self.
+    """
+
+    __slots__ = ()
+    _norm = staticmethod(_key)
+
+    @classmethod
+    def monomial(cls, coeff=1, R=0, lam=0, log_R=0, log_lam=0) -> "LogPoly":
+        """coeff * R^R * lam^lam * (log R)^log_R * (log lam)^log_lam."""
+        coeff = _rational(coeff)
+        return cls._of({_key((R, lam, log_R, log_lam)): coeff} if coeff else {})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return LogPoly._of({})
+            return LogPoly._of({key: c * other for key, c in self.terms.items()})
+        if not isinstance(other, LogPoly):
+            return NotImplemented
+        if len(self.terms) == 1 < len(other.terms):
+            self, other = other, self
+        if len(other.terms) != 1:
+            out = LogPoly._of({})
+            for key, c in other.terms.items():
+                out = out + self * LogPoly._of({key: c})
+            return out
+        ((a2, b2, i2, j2), c2), = other.terms.items()
+        unit = type(c2) is int and c2 == 1  # a unit monomial only shifts exponents
+        if unit and not (a2 or b2 or i2 or j2):
+            return self
+        return LogPoly._of(
+            {
+                (canonical_exponent(a + a2), canonical_exponent(b + b2), i + i2, j + j2): (
+                    c if unit else c * c2
+                )
+                for (a, b, i, j), c in self.terms.items()
+            }
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
+
+    def scale_radius(self) -> "LogPoly":
+        """The substitution R -> lam R: R^a -> lam^a R^a and
+        (log R)^i -> (log R + log lam)^i, expanded binomially."""
+        terms = {}
+        for (a, b, i, j), c in self.terms.items():
+            b = canonical_exponent(a + b)
+            for k in range(i + 1):
+                key = (a, b, k, j + i - k)
+                terms[key] = terms.get(key, 0) + c * math.comb(i, k)
+        return LogPoly._of({key: c for key, c in terms.items() if c})
+
+    def __eq__(self, other):
+        # the type test first: Fraction's isinstance goes through an ABC check
+        if type(other) is LogPoly:
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({(0, 0, 0, 0): other} if other else {})
+        return NotImplemented
+
+    def __str__(self):
+        """One term prints as sympy prints it ("-7*log(lam)/2", "-5/(2*R**2)"),
+        except that a lone inverse power reads "1/lam**2"; several terms are
+        joined in a fixed order."""
+        out = ""
+        for key in sorted(self.terms, reverse=True):
+            term = _monomial_str(self.terms[key], key)
+            if not out:
+                out = term
+            elif term.startswith("-"):
+                out += " - " + term[1:]
+            else:
+                out += " + " + term
+        return out or "0"
+
+    __repr__ = __str__
+
+
+def _monomial_str(c, key):
+    num, den = [], []
+    for name, e in zip(("R", "lam", "log(R)", "log(lam)"), key):
+        if e:
+            power = "" if abs(e) == 1 else f"**{abs(e)}" if type(e) is int else f"**({abs(e)})"
+            (num if e > 0 else den).append(name + power)
+    if abs(c.numerator) != 1 or not num:
+        num.insert(0, str(abs(c.numerator)))
+    if c.denominator != 1:
+        den.insert(0, str(c.denominator))
+    text = "*".join(num)
+    if den:
+        text += "/" + (den[0] if len(den) == 1 else "(" + "*".join(den) + ")")
+    return "-" + text if c < 0 else text

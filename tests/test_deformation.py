@@ -39,8 +39,8 @@ from fqft.deformation import (
 from fqft.errors import GeometryError, RecombinationError, ValidationError
 from fqft.fock import BoundaryState, build_space
 from fqft.jets import Jet, JetAlgebra
-from fqft.rexp import RExpansion
-from fqft.scalars import LogPoly, canonical_exponent
+from fqft.rexp import LogPoly, RExpansion
+from fqft.scalars import canonical_exponent
 from formal_ref import ref_dims, ref_effective_C, ref_K, rows_for
 from jet_ref import const, jet_mul
 from recombine_ref import recombine

@@ -1,5 +1,6 @@
 """Tests for surfaces, partition functions, gluing, and the cutting axiom."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fqft import geometry
+from fqft.deformation import fb_deformed_annulus
 from fqft.errors import GeometryError, SpaceMismatchError
 from fqft.fock import L_MAX_HARD_CAP, BoundaryState, build_space, scale_by_level
 from fqft.geometry import (
@@ -20,6 +22,7 @@ from fqft.geometry import (
     glue,
     verify_cutting,
 )
+from fqft.jets import Jet, JetAlgebra
 
 
 def _verify_cutting_with_fault(space, radii, shifted, level):
@@ -64,6 +67,33 @@ def test_partition_functions_reject_bad_radii(exact):
         for shifted in (True, False):
             with pytest.raises(GeometryError, match="disk radius must be positive"):
                 disk_pf(space, R, shifted=shifted)
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+@pytest.mark.parametrize("exact", [True, False])
+def test_infinite_radii_and_foreign_pieces_are_rejected(exact, shifted):
+    # no ratio r/R or 1/R exists at R = inf: exact arithmetic once raised
+    # OverflowError converting it, and float64 took the ratio as 0
+    space = build_space(2, exact=exact)
+    one = 1 if exact else 1.0
+    with pytest.raises(GeometryError, match="finite"):
+        annulus_pf(space, math.inf, one, shifted=shifted)
+    with pytest.raises(GeometryError, match="finite"):
+        disk_pf(space, math.inf, shifted=shifted)
+    with pytest.raises(GeometryError, match="finite"):
+        verify_cutting(space, [math.inf, 2 * one, one], shifted=shifted)
+    w = Jet(JetAlgebra(["g[jjbar]"], 1), {(): space.vacuum()})
+    with pytest.raises(GeometryError, match="finite"):
+        fb_deformed_annulus(space, math.inf, one, w)
+    if exact:
+        # an exact radius beyond the float range is finite, and valid
+        report = verify_cutting(space, [Fraction(10**400), 2, 1], shifted=shifted)
+        assert report["exact_zero"], report
+    # gluing takes an annulus, a disk or a boundary state as its inner piece
+    annulus = annulus_pf(space, 2 * one, one, shifted=shifted)
+    for inner in (None, space, w, 1):
+        with pytest.raises(GeometryError, match="inner piece"):
+            glue(annulus, inner)
 
 
 def test_annulus_entries_shifted():

@@ -264,6 +264,95 @@ def test_qm_double_deform_hostile_spectra(kind, dim, gap, complex_obs, seed):
         assert np.max(np.abs(glued.value.coefficient(mono) - got)) < 1e-12 * scale
 
 
+# ------------------------------------------------ Daleckii-Krein oracle
+#
+# For a normal H = Q diag(lam) Q^T the orders are entrywise products in the
+# eigenbasis (Daleckii-Krein; Higham, "Functions of Matrices", 2008, §3.2):
+# the first is (Q^T O Q)_ij T E1(T lam_i, T lam_j), the second
+# sum_j (Q^T O Q)_ij (Q^T O Q)_jk T^2 E2(T lam_i, T lam_j, T lam_k), with E1
+# and E2 the segment and simplex averages of e^{-x}, the divided differences
+# of e^{-x} up to sign.  Neither needs a matrix exponential.
+
+
+def _e1(x, y):
+    """int_0^1 e^{-((1 - t) x + t y)} dt, elementwise, from expm1, so that it
+    stays accurate as y -> x; e^{-x} at y = x."""
+    low, d = np.minimum(x, y), np.abs(x - y)
+    return np.exp(-low) * np.where(d > 0, -np.expm1(-d) / np.where(d > 0, d, 1.0), 1.0)
+
+
+def _e2(x, y, z, terms=30):
+    """The average of e^{-(t0 x + t1 y + t2 z)} over the simplex t0 + t1 + t2
+    = 1, times its area 1/2, elementwise.  On sorted points a <= b <= c it is
+    (E1(a, b) - E1(b, c)) / (c - a) where c - a > 1, and otherwise the series
+    e^{-a} sum_{n >= 2} (-1)^n h_{n-2}(b - a, c - a) / n!, with h_k the
+    complete homogeneous symmetric polynomial, which holds at coincident
+    points; past n = 31 its terms are below 1e-30."""
+    a, b, c = np.sort(np.stack(np.broadcast_arrays(x, y, z)), axis=0)
+    spread = c - a
+    far = (_e1(a, b) - _e1(b, c)) / np.where(spread > 1, spread, 1.0)
+    u, v = b - a, c - a
+    h, u_power, series, factorial = np.ones_like(u), np.ones_like(u), 0.5, 2.0
+    for n in range(3, terms + 2):
+        u_power = u_power * u
+        h = v * h + u_power  # h_k(u, v) = v h_{k-1}(u, v) + u^k
+        factorial *= n
+        series = series + (-1) ** n * h / factorial
+    return np.where(spread > 1, far, np.exp(-a) * series)
+
+
+def _daleckii_krein(lam, Q, O, T):
+    """exp(-T H) and its first and second order under O, for H = Q diag(lam) Q^T."""
+    x = T * lam
+    Ot = Q.T @ O @ Q
+    evolution = (Q * np.exp(-x)) @ Q.T
+    first = Q @ (Ot * (T * _e1(x[:, None], x[None, :]))) @ Q.T
+    E2 = T**2 * _e2(x[:, None, None], x[None, :, None], x[None, None, :])
+    second = Q @ np.einsum("ij,jk,ijk->ik", Ot, Ot, E2) @ Q.T
+    return evolution, first, second
+
+
+def test_divided_differences_against_mpmath():
+    # the simplex average by 30-digit quadrature, at coincident, clustered
+    # and spread points, on both sides of the series' cut-off
+    def simplex(x, y, z):
+        with mpmath.workdps(30):
+            f = lambda s, t: mpmath.exp(-((1 - s - t) * x + s * y + t * z))  # noqa: E731
+            return float(mpmath.quad(lambda s: mpmath.quad(lambda t: f(s, t), [0, 1 - s]), [0, 1]))
+
+    for x, y, z in [(0.3, 0.3, 0.3), (0.1, 0.1 + 1e-9, 0.1 + 3e-9), (-1.2, 0.5, 0.9),
+                    (-2.0, 2.0, 0.0), (1.0, 1.0, 2.5), (0.0, 0.5, 1.0)]:
+        want = simplex(x, y, z)
+        assert abs(float(_e2(np.float64(x), np.float64(y), np.float64(z))) - want) < 1e-15 * want
+    for x, y in [(0.7, 0.7), (0.7, 0.7 + 1e-12), (-1.5, 2.0)]:
+        want = float(mpmath.quad(lambda t: mpmath.exp(-((1 - t) * x + t * y)), [0, 1]))
+        assert abs(float(_e1(np.float64(x), np.float64(y))) - want) < 1e-15 * want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 32),
+    gap=st.sampled_from([10.0**-k for k in range(3, 16)] + [0.0]),
+    T=st.sampled_from([0.25, 1.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=32, gap=0.0, T=1.0, seed=0)
+def test_orders_match_daleckii_krein(dim, gap, T, seed):
+    # a cluster of three eigenvalues split by `gap`, down to coincident; the
+    # orders meet the `fqft qm` scale rule at 1e-12
+    rng = np.random.default_rng(seed)
+    lam = rng.standard_normal(dim)
+    cluster = min(dim, 3)
+    lam[:cluster] = lam[0] + gap * np.arange(cluster)
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    O = rng.standard_normal((dim, dim))
+    seg = qm_double_deform(QmTheory(Q @ np.diag(lam) @ Q.T), {"o": O}, 0.0, T)
+    want = _daleckii_krein(lam, Q, O, T)
+    scale = max(max(np.max(np.abs(w)) for w in want), 1.0)
+    for got, w in zip(seg.orders, want):
+        assert np.max(np.abs(got - w)) < 1e-12 * scale
+
+
 # ------------------------------------------------------- matrix exponential
 
 

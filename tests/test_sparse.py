@@ -12,8 +12,7 @@ from fqft.errors import SpaceMismatchError
 from fqft.fock import BoundaryState, apply_current, build_space
 from fqft.jets import Jet, JetAlgebra
 from fqft.observables import ZSeries
-from fqft.rexp import RExpansion, coeff_is_zero
-from fqft.scalars import LogPoly
+from fqft.rexp import LogPoly, RExpansion, coeff_is_zero
 
 SPACE = build_space(2)
 ALG = JetAlgebra.combined_coupling(["x", "y"])
@@ -42,6 +41,12 @@ JET_KEYS = [
 VECTOR_KEYS = [(k, k) for k in [("corr", "e", (), ()), ("disk",), ("int", "e"), ("int0", "1")]]
 SERIES_KEYS = [(k, k) for k in [(0, 0), (-1, 0), (0, -2), (-1, -1)]]
 STATE_KEYS = [(i, i) for i in (0, 2, 5, SPACE.dim - 1)]
+LOGPOLY_KEYS = [
+    ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ((Fraction(4, 2), Fraction(1, 2), 1, 0), (2, Fraction(1, 2), 1, 0)),
+    ((-1, 0, 0, 2), (-1, 0, 0, 2)),
+    ((Fraction(-1, 3), -2, 3, 1), (Fraction(-1, 3), -2, 3, 1)),
+]
 
 
 class Kind:
@@ -92,9 +97,19 @@ KINDS = [
         lambda v: v.terms[STATE_INDEX],
     ),
     Kind("BoundaryState", lambda t: BoundaryState(SPACE, t), STATE_KEYS, lambda c: c, lambda c: c),
+    Kind("LogPoly", LogPoly, LOGPOLY_KEYS, lambda c: c, lambda c: c),
 ]
 
 VALUES = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 4]))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=repr)
+def test_truth_is_nonzero(kind):
+    # bool(x) is False exactly for zero, where is_zero() holds
+    zero, one = kind.make({}), kind.build({0: Fraction(1)})
+    assert not zero and zero.is_zero()
+    assert one and not one.is_zero()
+    assert not (one - one) and bool(one + one)
 
 
 def _add(x, y, sign=1):
