@@ -15,9 +15,10 @@ Two backends share the same pipeline.
   A pair whose (beta, alpha) rows equal its (alpha, beta) rows, as the
   commuting marginals' C_{alpha beta} = C_{beta alpha} give, shares one
   record with its twin, and anomalous_dilation hands the sides it builds
-  for one of the two reads to the other.  double_deform and beta, written
-  in the combined coupling g_c = g + g~, share one walk over unordered
-  pairs, which raises RecombinationError where a pair's two orders differ.
+  for one read to the other, which computes no correction and compares
+  none, as both reads' sides are functions of that record.  double_deform
+  and beta, in the combined coupling g_c = g + g~, share one walk over
+  unordered pairs, raising RecombinationError where a pair's orders differ.
   The constructor's row check keeps each channel's exponent (spin, s = 1,
   or 2(s - 1)), so a record reads it instead of recomputing it per row.
   Each builder value is built once per theory: one table maps (num, den,
@@ -130,13 +131,13 @@ class FormalTheory:
     exactly at s = 1 and -2 exactly at s = 0.  Each pair (alpha, beta) has
     one record (`_pair`), made on first use in one pass over its rows, that
     reads those exponents; a mirrored pair, whose two row lists are equal,
-    has one record for both orders, which holds anomalous_dilation's sides
-    only between the twins' two reads.  Values leave the ints through two
-    tables: `_fraction` makes one Fraction per (num, den), and `_value` one
-    LogPoly per (num, den, monomial key) on top of it, shared by every
-    output that holds that value.  `_dilate` fills a fourth table, each
-    correlator symbol's dimension.  All four start empty, fill on use, and
-    no two theories share them.
+    has one record for both orders, which holds anomalous_dilation's sides,
+    never a correction, only between the twins' two reads.  Values leave the
+    ints through two tables: `_fraction` makes one Fraction per (num, den),
+    and `_value` one LogPoly per (num, den, monomial key) on top of it,
+    shared by every output that holds that value.  `_dilate` fills a fourth
+    table, each correlator symbol's dimension.  All four start empty, fill
+    on use, and no two theories share them.
     """
 
     def __init__(self, primaries, rows, mixing=None):
@@ -301,8 +302,8 @@ class FormalTheory:
 
 class _Pair:
     """One pair's structure constants in ints (see FormalTheory._pair), and
-    `sides`: None, or the (beta, dv, lhs, rhs) that anomalous_dilation keeps
-    on a twin record between its two reads."""
+    `sides`: None, or the (beta, lhs, rhs) that anomalous_dilation keeps on
+    a twin record between its two reads."""
 
     __slots__ = ("C", "K", "powers", "sides")
 
@@ -497,30 +498,26 @@ def anomalous_dilation(theory: FormalTheory, beta):
 
     Returns (lhs, rhs) as jets over the couplings.
 
-    A mirrored pair's two reads, here for beta and for alpha, share one
-    record (see FormalTheory._pair) and meet equal corrections.  The first
-    read keeps its beta, its correction and both its sides on the record;
-    the twin's read takes the sides when its own correction equals the kept
-    one, and clears the slot either way, so the sides live only until that
-    read.  A second read for the same beta is not the twin's: it computes
-    its sides and leaves them kept.
+    A mirrored pair's two reads, for beta and for alpha, share one record
+    (FormalTheory._pair), and a correction and its sides are functions of
+    the record alone.  So the first read keeps its beta and sides there, and
+    the twin's read takes them and clears the slot, with nothing to compare.
+    A repeated read for one beta is not the twin's: it keeps its own sides.
     """
     alg = marginal_coupling_algebra(theory)
     v = RExpansion._of({(0, 0): FormalVector._of({("corr", beta, (), ()): _ONE})})
     lhs, rhs = {(): _dilate(theory, v, 2)}, {(): v}
     for alpha in theory.marginals:
-        dv = compute_correction(theory, alpha, beta)
         record = theory._pair(alpha, beta)
         kept = record.sides
-        twin_read = kept is not None and kept[0] == alpha  # kept by the read for alpha
-        if twin_read and kept[1] == dv:
-            left, right = kept[2:]
-        else:
-            left, right = _dilation_sides(theory, dv, record.C)
-        if twin_read:
+        if kept is not None and kept[0] == alpha:  # kept by the read for alpha
+            _, left, right = kept
             record.sides = None
-        elif alpha != beta and theory._pairs.get((beta, alpha)) is record:
-            record.sides = (beta, dv, left, right)
+        else:
+            dv = compute_correction(theory, alpha, beta)
+            left, right = _dilation_sides(theory, dv, record.C)
+            if alpha != beta and theory._pairs.get((beta, alpha)) is record:
+                record.sides = (beta, left, right)
         mono = (f"g[{alpha}]",)
         if left is not None:
             lhs[mono] = left

@@ -74,6 +74,13 @@ def _check_disk(R):
         raise GeometryError("disk radius must be positive and finite")
 
 
+def _float(radius) -> float:  # a float64 space's radius, as a float
+    try:
+        return float(radius)
+    except OverflowError:  # a finite exact radius, such as 10**400
+        raise GeometryError("a float64 radius must lie within the float range") from None
+
+
 def _powers(ratio: Fraction, count: int) -> list:
     """[ratio**E for E in 0..count-1]: running integer products of the
     numerator and of the denominator, normalised into one Fraction each."""
@@ -96,7 +103,7 @@ def annulus_pf(space: TruncatedFockSpace, R, r, shifted: bool = True) -> Annulus
         ratio = Fraction(rq.numerator * Rq.denominator, rq.denominator * Rq.numerator)
         by_level = _powers(ratio, space.l_max + 1)
     else:
-        ratio = float(r) / float(R)
+        ratio = _float(r) / _float(R)
         by_level = [ratio**E for E in range(space.l_max + 1)]
     return Annulus(space, R, r, by_level, 1 if shifted else ratio)
 
@@ -111,7 +118,7 @@ def disk_pf(space: TruncatedFockSpace, R, shifted: bool = True) -> Disk:
     if shifted:
         anomaly = 1
     else:
-        anomaly = Fraction(1, _rational(R)) if space.exact else 1.0 / float(R)
+        anomaly = Fraction(1, _rational(R)) if space.exact else 1.0 / _float(R)
     return Disk(space, R, space.vacuum(), anomaly)
 
 

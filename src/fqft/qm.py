@@ -49,9 +49,9 @@ def _finite_numbers(a) -> bool:
 
 
 def _check_endpoints(alpha, beta):
-    # NaN fails every comparison, so it fails this one too
-    if not -math.inf < alpha <= beta < math.inf:
-        raise GeometryError("segment endpoints must be finite and satisfy beta >= alpha")
+    # NaN fails every comparison; finite endpoints can lie an infinite length apart
+    if not (-math.inf < alpha <= beta and beta - alpha < math.inf):
+        raise GeometryError("segment endpoints and length must be finite, with beta >= alpha")
 
 
 class SegmentPF:

@@ -934,14 +934,13 @@ def test_dilation_sides_handed_over_on_mirrored_theories(n):
     assert ("m0", "m1") not in {k for k, r in th._pairs.items() if r.sides is not None}
 
 
-def _with_correction(monkeypatch, change, pair=None):
+def _with_correction(monkeypatch, change):
     """Let anomalous_dilation read compute_correction's output through change,
-    for every pair or for the one pair given."""
+    for every pair."""
     original = fqft.deformation.compute_correction
 
     def patched(th, a, b):
-        dv = original(th, a, b)
-        return change(dv) if pair in (None, (a, b)) else dv
+        return change(original(th, a, b))
 
     monkeypatch.setattr(fqft.deformation, "compute_correction", patched)
 
@@ -980,9 +979,9 @@ def test_dilation_identity_bites_on_a_wrong_correction(monkeypatch, p):
         lhs, rhs = anomalous_dilation(th, "e")
         assert (lhs == rhs) == holds, change.__name__
         monkeypatch.undo()
-    # a mirrored pair shares one record, and the first of its two reads keeps
-    # its sides for the other: with the change on (e, f) alone, the read of
-    # (f, e), in either order, must refuse them unless the corrections agree
+    # a mirrored pair shares one record, and the first of its two reads hands
+    # its sides to the other: a fault in the shared record's correction, on
+    # both orders, must break the identity on both reads, in either order
     new = [("e", "f", "e", (), (), 3), ("e", "f", "1", (), (), 5), ("e", "f", "phi", (), (), 7)]
     rows = new + [("f", "e", *row[2:]) for row in new]
     for change, holds in (
@@ -991,13 +990,35 @@ def test_dilation_identity_bites_on_a_wrong_correction(monkeypatch, p):
         for order in (("e", "f"), ("f", "e")):
             th = FormalTheory([("1", 0, 0), ("e", 1, 1), ("f", 1, 1), ("phi", 2, 2)], rows)
             assert th._pair("e", "f") is th._pair("f", "e")
-            _with_correction(monkeypatch, change, pair=("e", "f"))
+            _with_correction(monkeypatch, change)
             # anomalous_dilation(th, "f") reads (e, f), and "e" reads (f, e)
             got = {b: anomalous_dilation(th, b) for b in order}
-            assert (got["f"][0] == got["f"][1]) == holds, (change.__name__, order)
-            assert got["e"][0] == got["e"][1], (change.__name__, order)
+            for b in order:
+                assert (got[b][0] == got[b][1]) == holds, (change.__name__, order, b)
             assert th._pair("e", "f").sides is None
             monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [2, 5, 11])
+def test_dilation_sweep_computes_one_correction_per_record(monkeypatch, n):
+    # on a mirrored theory every off-diagonal pair shares its twin's record,
+    # and the twin's read takes the sides: a sweep over every marginal
+    # computes n diagonal corrections and one per unordered pair
+    th = FormalTheory(*_formal_rows(random.Random(n), n))
+    original, calls = fqft.deformation.compute_correction, []
+
+    def counted(th, a, b):
+        calls.append((a, b))
+        return original(th, a, b)
+
+    monkeypatch.setattr(fqft.deformation, "compute_correction", counted)
+    for b in th.marginals:
+        anomalous_dilation(th, b)
+    assert len(calls) == n * (n + 1) // 2
+    assert {frozenset(pair) for pair in calls} == {
+        frozenset((a, b)) for a in th.marginals for b in th.marginals
+    }
+    assert all(record.sides is None for record in th._pairs.values())
 
 
 @pytest.mark.parametrize("key", [None, (-2, 0), (0, 1)], ids=["all", "K", "log"])

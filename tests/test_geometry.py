@@ -96,6 +96,25 @@ def test_infinite_radii_and_foreign_pieces_are_rejected(exact, shifted):
             glue(annulus, inner)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda space: annulus_pf(space, Fraction(10**400), 1),
+        lambda space: annulus_pf(space, 10**400, 1),
+        lambda space: disk_pf(space, Fraction(10**400), shifted=False),
+        lambda space: verify_cutting(space, [Fraction(10**400), 2, 1]),
+    ],
+    ids=["annulus-fraction", "annulus-int", "disk-unshifted", "verify-cutting"],
+)
+def test_float64_radius_beyond_the_float_range(make):
+    # a finite exact radius past the float range has no float64 value: the
+    # float64 space refuses it where the float is formed, and the exact
+    # space computes with it
+    with pytest.raises(GeometryError, match="float range"):
+        make(build_space(2, exact=False))
+    make(build_space(2))
+
+
 def test_annulus_entries_shifted():
     space = build_space(3)
     pf = annulus_pf(space, 2, 1)

@@ -197,6 +197,7 @@ def test_qm_double_deform_takes_one_observable(obs):
         (-math.inf, math.inf),
         (math.inf, math.inf),
         (-math.inf, -math.inf),
+        (-1e308, 1e308),
     ],
 )
 @pytest.mark.parametrize(
@@ -695,6 +696,19 @@ def test_qm_glue_is_the_truncated_product(dim, field):
             c = seg.value.coefficient(mono)
             if c is not None:
                 assert np.shares_memory(c, seg.orders) and np.array_equal(c, seg.orders[k])
+
+
+def test_segments_an_infinite_length_apart_are_rejected():
+    # -1e308 and 1e308 are finite, but their distance overflows to inf: a
+    # segment between them, made directly or by gluing, is refused
+    th, O = QmTheory(np.zeros((2, 2))), np.zeros((2, 2))
+    obs = {"o": O}
+    orders = _orders(th, 0.0, 1.0, O)
+    with pytest.raises(GeometryError, match="finite"):
+        SegmentPF(th, -1e308, 1e308, "o", O, orders)
+    lower, upper = qm_double_deform(th, obs, -1e308, 0.0), qm_double_deform(th, obs, 0.0, 1e308)
+    with pytest.raises(GeometryError, match="finite"):
+        upper.glue(lower)
 
 
 def test_glue_endpoint_mismatch():
