@@ -5,7 +5,6 @@ import contextlib
 import functools
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -21,12 +20,18 @@ from .scalars import encode_scalar
 
 SCHEMA_VERSION = 5
 
-DEFAULT_TOLERANCES = {
+# the float checks' fixed tolerances: the QM ones relative to the oracle's
+# size, max(max|oracle|, 1); a report's config.tolerances records those its
+# run read
+TOLERANCES = {
     "cutting": 1e-12,
     "ope": 1e-10,
     "oracle": 1e-10,
     "qm_cutting": 1e-12,
 }
+# tolerances of the free-boson checks, which exact arithmetic replaces by
+# exact equality
+FLOAT_ONLY_TOLERANCES = {"cutting", "ope"}
 
 log = logging.getLogger("fqft")
 
@@ -53,42 +58,12 @@ def _jsonable(x):
     return encode_scalar(x)
 
 
-# tolerances of the free-boson checks, which exact arithmetic replaces by
-# exact equality
-FLOAT_ONLY_TOLERANCES = {"cutting", "ope"}
-
-
-def _parse_tolerances(command, arithmetic, pairs):
-    """The tolerances `command` reads in `arithmetic` (None when it takes no
-    --arithmetic): defaults, overridden by KEY=VAL pairs."""
-    tol = {
-        key: DEFAULT_TOLERANCES[key]
-        for key in COMMANDS[command][2]
-        if arithmetic != "exact" or key not in FLOAT_ONLY_TOLERANCES
-    }
-    for item in pairs or []:
-        key, sep, val = item.partition("=")
-        if not sep:
-            raise argparse.ArgumentTypeError(f"expected KEY=VAL, got {item!r}")
-        if key not in tol:
-            known = ", ".join(tol) or "none"
-            where = f" with --arithmetic {arithmetic}" if arithmetic else ""
-            raise argparse.ArgumentTypeError(
-                f"{command} reads no tolerance {key!r}{where} (it reads: {known})"
-            )
-        val = float(val)
-        if not (math.isfinite(val) and val > 0):
-            raise argparse.ArgumentTypeError(f"tolerance {key} must be positive and finite")
-        tol[key] = val
-    return tol
-
-
 # ----------------------------------------------------------------- commands
 
 
 # the free-boson commands build their space, or read the one `all` shares
 
-def cmd_verify_cutting(args, tol, space=None):
+def cmd_verify_cutting(args, space=None):
     exact = args.arithmetic == "exact"
     space = space or build_space(args.l_max, exact=exact)
     radii = [Fraction(k) for k in (4, 3, 2, 1)] if exact else [4.0, 3.0, 2.0, 1.0]
@@ -97,12 +72,12 @@ def cmd_verify_cutting(args, tol, space=None):
         passed = report["exact_zero"]
     else:
         passed = (
-            max(report["max_residual"], report["disk_residual"]) < tol["cutting"]
+            max(report["max_residual"], report["disk_residual"]) < TOLERANCES["cutting"]
         )
     return report, passed
 
 
-def cmd_ope(args, tol, space=None):
+def cmd_ope(args, space=None):
     space = space or build_space(args.l_max, exact=args.arithmetic == "exact")
     j = current_observable(space)
     table = ope_extract(space, j, j)
@@ -113,7 +88,7 @@ def cmd_ope(args, tol, space=None):
         for r in table.rows
         if r["coefficient"] != 0 and (r["exponents"][0] < 0 or r["exponents"][1] < 0)
     ]
-    eps = 0 if space.exact else tol["ope"]
+    eps = 0 if space.exact else TOLERANCES["ope"]
     passed = (
         len(singular) == 1
         and singular[0]["c"] == "1"
@@ -125,7 +100,7 @@ def cmd_ope(args, tol, space=None):
     return {"rows": table.rows, "marginal_constants": consts}, passed
 
 
-def cmd_beta(args, tol, space=None):
+def cmd_beta(args, space=None):
     if args.backend == "formal":
         theory = args.formal_theory
     else:  # in exact arithmetic whatever the --arithmetic
@@ -142,7 +117,7 @@ def cmd_beta(args, tol, space=None):
     return results, args.backend == "formal" or res.is_zero()
 
 
-def cmd_qm(args, tol):
+def cmd_qm(args):
     # numpy loads here only, so the exact subcommands never pay for it
     import numpy as np
 
@@ -173,19 +148,21 @@ def cmd_qm(args, tol):
         "oracle_diffs": diffs,
         "cutting_residual": cut_res,
     }
-    passed = all(d < tol["oracle"] for d in diffs) and cut_res < tol["qm_cutting"]
+    passed = (
+        all(d < TOLERANCES["oracle"] for d in diffs) and cut_res < TOLERANCES["qm_cutting"]
+    )
     return results, passed
 
 
-def cmd_all(args, tol):
+def cmd_all(args):
     # one space per arithmetic: free-boson beta reads an exact one, formal beta none
     space = build_space(args.l_max, exact=args.arithmetic == "exact")
     exact = space if space.exact or args.backend == "formal" else build_space(args.l_max)
     runs = {
-        "verify-cutting": cmd_verify_cutting(args, tol, space),
-        "ope": cmd_ope(args, tol, space),
-        "beta": cmd_beta(args, tol, exact),
-        "qm": cmd_qm(args, tol),
+        "verify-cutting": cmd_verify_cutting(args, space),
+        "ope": cmd_ope(args, space),
+        "beta": cmd_beta(args, exact),
+        "qm": cmd_qm(args),
     }
     results = {name: {"results": sub, "passed": ok} for name, (sub, ok) in runs.items()}
     return results, all(ok for _, ok in runs.values())
@@ -201,9 +178,8 @@ FLAGS = {
     "--orders": dict(type=int, default=2, choices=[0, 1, 2]),
 }
 
-# each subcommand: its command, the flags it reads and the tolerance keys its
-# checks read in float64; it also takes --out and --timing, and --tolerance
-# when it reads a tolerance
+# each subcommand: its command, the flags it reads and the TOLERANCES keys
+# its checks read in float64; it also takes --out and --timing
 COMMANDS = {
     "verify-cutting": (cmd_verify_cutting, ["--lmax", "--arithmetic"], ["cutting"]),
     "ope": (cmd_ope, ["--lmax", "--arithmetic"], ["ope"]),
@@ -229,22 +205,11 @@ def build_parser():
         "OPE extraction, beta functions, and the quantum-mechanics oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags, tolerances) in COMMANDS.items():
+    for name, (_, flags, _) in COMMANDS.items():
         # errors propagate to the top parser, so every usage error reads "fqft: error: ..."
         p = sub.add_parser(name, exit_on_error=False)
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
-        if tolerances:
-            p.add_argument(
-                "--tolerance",
-                action="append",
-                metavar="KEY=VAL",
-                help="override a tolerance: "
-                + ", ".join(
-                    f"{key} (float64 only)" if key in FLOAT_ONLY_TOLERANCES else key
-                    for key in tolerances
-                ),
-            )
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--timing", action="store_true", help="include wall time")
     return parser
@@ -290,14 +255,13 @@ def main(argv=None):
             # RecombinationError, a ValueError: a pair whose OPE orders disagree
             parser.error(f"invalid --theory {args.theory}: {err!r}")
     config = {key: getattr(args, key) for key in SETTINGS if key in args}
-    tol = None
-    if "tolerance" in args:
-        try:
-            tol = _parse_tolerances(args.command, config.get("arithmetic"), args.tolerance)
-        except (argparse.ArgumentTypeError, ValueError) as err:
-            parser.error(str(err))
-        if tol:
-            config["tolerances"] = tol
+    tolerances = {
+        key: TOLERANCES[key]
+        for key in COMMANDS[args.command][2]
+        if config.get("arithmetic") != "exact" or key not in FLOAT_ONLY_TOLERANCES
+    }
+    if tolerances:
+        config["tolerances"] = tolerances
     # opened before the run, so an unwritable path fails at once
     try:
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
@@ -306,7 +270,7 @@ def main(argv=None):
     with out as sink:
         log.info("running %s", args.command)
         start = time.perf_counter()
-        results, passed = COMMANDS[args.command][0](args, tol)
+        results, passed = COMMANDS[args.command][0](args)
         elapsed = time.perf_counter() - start
         log.info("%s finished in %.3fs (passed=%s)", args.command, elapsed, passed)
         report = {

@@ -170,8 +170,7 @@ class OpeTable:
     (Delta = h_c + |mu| - h_a - h_b per chirality).
     """
 
-    def __init__(self, primaries, rows=None):
-        self.primaries = list(primaries)  # (label, h, hbar)
+    def __init__(self, rows=None):
         self.rows = list(rows or [])
 
     def add_row(self, a, b, c, mu, mubar, exponents, coefficient):
@@ -216,14 +215,6 @@ class OpeTable:
 # the |z|^{-2} targets of the marginal channel: j jbar as a primary, and as
 # the descendant j_{-1} jbar_{-1} of the identity, which is the same state
 _MARGINAL_TARGETS = (("jjbar", (), ()), ("1", (1,), (1,)))
-# (label, h, hbar) of the identity, the currents j and jbar, and j jbar: the
-# primaries of every OPE table
-_PRIMARIES = (
-    ("1", Fraction(0), Fraction(0)),
-    ("j", Fraction(1), Fraction(0)),
-    ("jbar", Fraction(0), Fraction(1)),
-    ("jjbar", Fraction(1), Fraction(1)),
-)
 
 
 def ope_extract(space, a: LocalObservable, b: LocalObservable) -> OpeTable:
@@ -235,7 +226,7 @@ def ope_extract(space, a: LocalObservable, b: LocalObservable) -> OpeTable:
     is one row.
     """
     series = two_point(space, a, b, R=1)
-    table = OpeTable(_PRIMARIES)
+    table = OpeTable()
     # most singular first: ascending total exponent, then z-exponent
     for (m, mbar), v in sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0][0])):
         for i, coeff in v.nonzero():

@@ -49,8 +49,14 @@ def _finite_numbers(a) -> bool:
 
 
 def _check_endpoints(alpha, beta):
-    # NaN fails every comparison; finite endpoints can lie an infinite length apart
-    if not (-math.inf < alpha <= beta and beta - alpha < math.inf):
+    # NaN fails every comparison; finite endpoints can lie an infinite length
+    # apart, and an int beyond the float range compares finite with inf but
+    # overflows float(), as in geometry._float
+    try:
+        finite = all(abs(float(x)) < math.inf for x in (alpha, beta, beta - alpha))
+    except OverflowError:
+        finite = False
+    if not (finite and alpha <= beta):
         raise GeometryError("segment endpoints and length must be finite, with beta >= alpha")
 
 
@@ -291,10 +297,14 @@ def qm_double_deform(theory: QmTheory, obs, alpha, beta) -> SegmentPF:
     if O.shape != (n, n) or not _finite_numbers(O):
         raise ValidationError(f"observable {label!r} must be a finite {n}x{n} array")
     _check_endpoints(alpha, beta)
+    gen = _generator(theory.H, O)
+    # a finite length can still scale a nonzero generator past the float range
+    if not (beta - alpha) * gen.norm < math.inf:
+        raise GeometryError("segment length times the generator's 1-norm must be finite")
     # the top block row of one block-Toeplitz exponential: the evolution, the
     # first order and the ordered second order, which is half the
     # time-ordered integral
-    row = _generator(theory.H, O).exp_row(beta - alpha)
+    row = gen.exp_row(beta - alpha)
     orders = row.reshape(n, 3, n).swapaxes(0, 1).copy()
     return SegmentPF(theory, alpha, beta, label, O, orders)
 

@@ -189,21 +189,43 @@ def test_out_flag(tmp_path, capsys):
     assert report["command"] == "verify-cutting"
 
 
-def test_tolerance_override(capsys):
-    # absurdly tight cutting tolerance in float mode fails the check -> exit 1
-    code = main(
-        [
-            "verify-cutting",
-            "--lmax",
-            "3",
-            "--arithmetic",
-            "float64",
-            "--tolerance",
-            "cutting=1e-300",
-        ]
-    )
-    capsys.readouterr()
-    assert code == 1
+@pytest.mark.parametrize(
+    "argv, key",
+    [(["verify-cutting", "--lmax", "3", "--arithmetic", "float64"], "cutting"), (["qm"], "oracle")],
+    ids=["verify-cutting", "qm"],
+)
+def test_failed_float_check_exits_1(capsys, monkeypatch, argv, key):
+    # an absurdly tight tolerance fails the float check: exit 1, passed false
+    monkeypatch.setitem(fqft.cli.TOLERANCES, key, 1e-300)
+    code, report = run_cli(capsys, argv)
+    assert code == 1 and report["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, tolerances",
+    [
+        (["ope", "--lmax", "2", "--arithmetic", "float64"], {"ope": 1e-10}),
+        (["qm"], {"oracle": 1e-10, "qm_cutting": 1e-12}),
+    ],
+    ids=["ope", "qm"],
+)
+def test_reports_record_the_fixed_tolerances(capsys, argv, tolerances):
+    # the tolerances are constants, not options: a loosened one shows here,
+    # as test_verify_cutting_float pins `cutting`
+    code, report = run_cli(capsys, argv)
+    assert code == 0 and report["config"]["tolerances"] == tolerances
+
+
+@pytest.mark.parametrize("command", list(fqft.cli.COMMANDS))
+def test_tolerance_is_not_an_option(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--tolerance", "oracle=1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("fqft: error: ")] == [
+        "fqft: error: unrecognized arguments: --tolerance oracle=1"
+    ]
 
 
 def test_bad_flags_exit_2():

@@ -45,10 +45,10 @@ def test_writers_share_one_codec(exact):
     assert [(r["mu"], r["mubar"], r["exponents"]) for r in rows] == [
         (list(r["mu"]), list(r["mubar"]), list(r["exponents"])) for r in table.rows
     ]
-    dims = _written([(h, hbar) for _, h, hbar in table.primaries])
-    assert dims == [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]
 
     theory = fb_theory(space)
+    dims = _written([(p.h, p.hbar) for p in theory.primaries])
+    assert dims == [["0", "0"], ["1", "1"]]
     doc = _written(
         {
             "primaries": [{"label": p.label, "h": p.h, "hbar": p.hbar} for p in theory.primaries],

@@ -198,6 +198,7 @@ def test_qm_double_deform_takes_one_observable(obs):
         (math.inf, math.inf),
         (-math.inf, -math.inf),
         (-1e308, 1e308),
+        (0, 10**400),  # an int length with no float
     ],
 )
 @pytest.mark.parametrize(
@@ -709,6 +710,16 @@ def test_segments_an_infinite_length_apart_are_rejected():
     lower, upper = qm_double_deform(th, obs, -1e308, 0.0), qm_double_deform(th, obs, 0.0, 1e308)
     with pytest.raises(GeometryError, match="finite"):
         upper.glue(lower)
+
+
+@pytest.mark.parametrize("alpha, beta", [(-1e308, 0.0), (0.0, 1e308)])
+def test_a_length_that_scales_the_generator_past_the_float_range_is_rejected(alpha, beta):
+    # a finite length times the generator's 1-norm overflows: refused before
+    # the exponential, whose scaling would read an infinite norm; on a zero
+    # generator these lengths still build
+    # (test_segments_an_infinite_length_apart_are_rejected)
+    with pytest.raises(GeometryError, match="finite"):
+        qm_double_deform(QmTheory(np.eye(2)), {"o": np.eye(2)}, alpha, beta)
 
 
 def test_glue_endpoint_mismatch():

@@ -16,10 +16,10 @@ An equivalent mutant computes what the original does, so no check can
 kill it without comparing bits; it stays in the list with its reason, and
 is never dropped.  A non-equivalent mutant that survives tier-1 is a
 missing test.  The results go to MUT_<label>.json at the root.  Standard
-library only; a full run of 20 mutants takes about 10 minutes on a 2-core
+library only; a full run of 22 mutants takes about 10 minutes on a 2-core
 Xeon, so it is not a CI step:
 
-    python tools/mutate.py --label 38
+    python tools/mutate.py --label 39
 """
 
 from __future__ import annotations
@@ -130,6 +130,12 @@ MUTANTS = [
            "if alpha != beta and theory._pairs.get((beta, alpha)) is record:",
            "if alpha != beta:",
            "only a twin record keeps dilation sides: an unshared record has no twin read"),
+    Mutant("oracle-tolerance-loose", "src/fqft/cli.py",
+           '"oracle": 1e-10', '"oracle": 1e-2',
+           "the QM orders match the Taylor oracle of exp(-T(H + g O)) to 1e-10"),
+    Mutant("qm-cutting-tolerance-loose", "src/fqft/cli.py",
+           '"qm_cutting": 1e-12', '"qm_cutting": 1e-2',
+           "QM cutting: glued segments match the whole segment to 1e-12"),
 ]
 
 
