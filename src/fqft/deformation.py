@@ -52,7 +52,7 @@ from .scalars import canonical_exponent, decode_scalar
 
 LOG_R = LogPoly.monomial(log_R=1)
 LOG_LAM = LogPoly.monomial(log_lam=1)
-_ONE = LogPoly.monomial(1)  # the int 1, as FormalVector.corr and .atom store it
+_ONE = LogPoly.monomial(1)  # the int 1, as FormalVector.corr stores it
 
 
 # ------------------------------------------------------------ formal vectors
@@ -84,13 +84,6 @@ class FormalVector(Sparse):
     @classmethod
     def corr(cls, c, mu=(), mubar=(), value=1):
         return cls({("corr", c, tuple(mu), tuple(mubar)): value})
-
-    @classmethod
-    def atom(cls, key, value=1):
-        return cls({tuple(key): value})
-
-    def coefficient(self, key):
-        return self.terms.get(tuple(key), LogPoly())
 
     def __repr__(self):
         bits = [f"{v}*{k}" for k, v in sorted(self.terms.items(), key=lambda kv: str(kv[0]))]
@@ -408,7 +401,7 @@ def insert_family_deformed(theory: FormalTheory, beta, correction=True) -> Jet:
     singular part, and the r -> 0 limit is the deformed one-point correlator.
     """
     alg = marginal_coupling_algebra(theory)
-    coeffs = {(): RExpansion.constant(FormalVector.corr(beta))}
+    coeffs = {(): RExpansion({(0, 0): FormalVector.corr(beta)})}
     for alpha in theory.marginals:
         term = integrated_ope(theory, alpha, beta)
         if correction:
@@ -430,7 +423,7 @@ def deformed_one_point(theory: FormalTheory, beta) -> Jet:
         sing = e.singular_terms()
         if any(not v.is_zero() for v in sing.values()):
             raise ValidationError("deformed family is not good; correction missing")
-        const = e.constant_term()
+        const = e.terms.get((0, 0))
         return const if const is not None else FormalVector()
 
     return jet.map_coeffs(take_limit)

@@ -152,9 +152,6 @@ class TruncatedFockSpace:
             raise ValueError(f"state {key} above truncation l_max={self.l_max}")
         return BoundaryState(self, {i: self.one_scalar()})
 
-    def find(self, chiral, antichiral):
-        return self.index_of(*_key(chiral, antichiral))
-
 
 class BoundaryState(Sparse):
     """Sparse coefficient map {basis index: nonzero scalar} over a truncated

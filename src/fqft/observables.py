@@ -20,10 +20,12 @@ coefficients at R = 1, most singular first.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import GeometryError, ValidationError
 from .fock import BoundaryState, apply_current, scale_by_level
+from .geometry import _check_disk, _float
 from .rexp import RExpansion, Sparse
 
 
@@ -88,9 +90,6 @@ class ZSeries(Sparse):
         self.space = space
         super().__init__(terms)
 
-    def coefficient(self, m, mbar=0) -> BoundaryState:
-        return self.terms.get((m, mbar), self.space.zero())
-
 
 def _acting(v: BoundaryState, bar: bool):
     """(parts, room) of a state: the parts of its nonzeros' chiral
@@ -126,7 +125,9 @@ def _mode_sum_insert(series: ZSeries, kind: str) -> ZSeries:
 
 def two_point(space, a: LocalObservable, b: LocalObservable, R=1) -> ZSeries:
     """<O_a(z) O_b(0)>_{D_R} as a bigraded series in (z, zbar); at R = 1
-    the transported series itself, unscaled."""
+    the transported series itself, unscaled.  R follows geometry's rule for
+    a disk radius."""
+    _check_disk(R)
     if a.word is None:
         raise ValidationError(
             f"observable {a.label} is not current-generated; transport to z != 0 "
@@ -137,7 +138,7 @@ def two_point(space, a: LocalObservable, b: LocalObservable, R=1) -> ZSeries:
         series = _mode_sum_insert(series, kind)
     if R == 1:
         return series
-    by_level = _inverse_powers(space, Fraction(R) if space.exact else float(R))
+    by_level = _inverse_powers(space, Fraction(R) if space.exact else _float(R))
     return ZSeries(space, {key: scale_by_level(v, by_level) for key, v in series.terms.items()})
 
 
@@ -145,13 +146,13 @@ def two_point(space, a: LocalObservable, b: LocalObservable, R=1) -> ZSeries:
 
 
 def dilation(lam, x):
-    """Dil_lambda: a level-E homogeneous part scales by lambda^{-E}.
-
-    Acts on boundary states and on RExpansions of them (families).  On an
-    exact space a non-float lambda is taken as a Fraction.
-    """
+    """Dil_lambda, lambda positive and finite: a level-E homogeneous part
+    scales by lambda^{-E}, on boundary states and RExpansions of them.  On an
+    exact space a non-float lambda is a Fraction; on a float64 one, a float."""
+    if not (lam > 0 and lam != math.inf):  # geometry's rule for a radius; NaN fails lam > 0
+        raise GeometryError("dilation scale must be positive and finite")
     if isinstance(x, BoundaryState):
-        lam = Fraction(lam) if x.space.exact and not isinstance(lam, float) else lam
+        lam = (lam if isinstance(lam, float) else Fraction(lam)) if x.space.exact else _float(lam)
         return scale_by_level(x, _inverse_powers(x.space, lam))
     if isinstance(x, RExpansion):
         return x.map_coeffs(lambda v: dilation(lam, v))
@@ -185,14 +186,6 @@ class OpeTable:
                 "coefficient": coefficient,
             }
         )
-
-    def coefficient(self, a, b, c, mu=(), mubar=()):
-        for row in self.rows:
-            if (row["a"], row["b"], row["c"]) == (a, b, c) and row["mu"] == tuple(
-                mu
-            ) and row["mubar"] == tuple(mubar):
-                return row["coefficient"]
-        return None
 
     def marginal_constants(self):
         """K (identity channel, |z|^{-4}) and C (marginal channel, |z|^{-2})

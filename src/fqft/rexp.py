@@ -152,10 +152,12 @@ class Sparse:
 
 def _key(key):
     """A Laurent-log key, canonical: its first half rational exponents, ints
-    when integral; its second half log powers, non-negative ints."""
+    when integral; its second half log powers, non-negative ints.  A log
+    power that is not a finite non-negative integral value (0.5, inf, nan)
+    raises ValueError; 1.0 is 1."""
     half = len(key) // 2
-    if any(q < 0 for q in key[half:]):
-        raise ValueError("log powers must be non-negative")
+    if not all(q >= 0 and q % 1 == 0 for q in key[half:]):
+        raise ValueError("log powers must be non-negative integers")
     return (*map(canonical_exponent, key[:half]), *map(int, key[half:]))
 
 
@@ -164,20 +166,6 @@ class RExpansion(Sparse):
 
     __slots__ = ()
     _norm = staticmethod(_key)
-
-    @classmethod
-    def constant(cls, coeff) -> "RExpansion":
-        return cls({(0, 0): coeff})
-
-    @classmethod
-    def term(cls, p, q, coeff) -> "RExpansion":
-        return cls({(p, q): coeff})
-
-    def coefficient(self, p, q=0):
-        return self.terms.get(_key((p, q)))
-
-    def constant_term(self):
-        return self.terms.get((0, 0))
 
     def singular_terms(self) -> dict:
         """Terms that obstruct the r -> 0 limit: p < 0, or p = 0 with a log."""
@@ -203,15 +191,14 @@ class LogPoly(Sparse):
     powers a, b (ints when integral) and log powers i, j >= 0.  The
     constructor, Sparse's, stores the coefficients as given and coerces
     none; `monomial` is the coercing builder (through `_rational`).  Zero
-    stores no terms, so equality and the zero test are structural.  Sums and
-    negation are Sparse's; products, division by a rational and the radius
-    substitution R -> lam R (`scale_radius`) are its own, and a rational
-    equals its constant LogPoly.
+    stores no terms, so equality and the zero test are structural.  Sums,
+    differences, negation and scaling by a rational (`q * p`) are Sparse's;
+    the radius substitution R -> lam R (`scale_radius`) is its own, and a
+    rational equals its constant LogPoly.  Two LogPolys never multiply:
+    dilation shifts exponents (fqft.deformation._shift).
 
     Immutable: `terms` is never changed after construction, and results may
-    share it.  Multiplying by a monomial whose coefficient is the int 1 is an
-    exponent shift that reuses the coefficients (dilation is such a shift in
-    lam and log(lam)); the zero shift returns self.
+    share it.
     """
 
     __slots__ = ()
@@ -222,40 +209,6 @@ class LogPoly(Sparse):
         """coeff * R^R * lam^lam * (log R)^log_R * (log lam)^log_lam."""
         coeff = _rational(coeff)
         return cls._of({_key((R, lam, log_R, log_lam)): coeff} if coeff else {})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return LogPoly._of({})
-            return LogPoly._of({key: c * other for key, c in self.terms.items()})
-        if not isinstance(other, LogPoly):
-            return NotImplemented
-        if len(self.terms) == 1 < len(other.terms):
-            self, other = other, self
-        if len(other.terms) != 1:
-            out = LogPoly._of({})
-            for key, c in other.terms.items():
-                out = out + self * LogPoly._of({key: c})
-            return out
-        ((a2, b2, i2, j2), c2), = other.terms.items()
-        unit = type(c2) is int and c2 == 1  # a unit monomial only shifts exponents
-        if unit and not (a2 or b2 or i2 or j2):
-            return self
-        return LogPoly._of(
-            {
-                (canonical_exponent(a + a2), canonical_exponent(b + b2), i + i2, j + j2): (
-                    c if unit else c * c2
-                )
-                for (a, b, i, j), c in self.terms.items()
-            }
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return NotImplemented
 
     def scale_radius(self) -> "LogPoly":
         """The substitution R -> lam R: R^a -> lam^a R^a and

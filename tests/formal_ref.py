@@ -1,8 +1,23 @@
-"""Test-side references for the formal backend's structure constants: C and
-K of a pair of marginals, computed from the theory's rows as they were
-given, independently of `FormalTheory`'s int records."""
+"""Test-side references for the formal backend: C and K of a pair of
+marginals, computed from the theory's rows as they were given, independently
+of `FormalTheory`'s int records; and the product of two LogPolys, which the
+library never forms (its dilation shifts exponents)."""
 
 from fractions import Fraction
+
+from fqft.rexp import LogPoly
+from fqft.scalars import canonical_exponent
+
+
+def logpoly_product(x, y):
+    """x * y by the general rule: every pair of terms multiplies its
+    coefficients and adds its exponents, and the sums collect by key."""
+    terms = {}
+    for (a, b, i, j), c in x.terms.items():
+        for (a2, b2, i2, j2), c2 in y.terms.items():
+            key = (canonical_exponent(a + a2), canonical_exponent(b + b2), i + i2, j + j2)
+            terms[key] = terms.get(key, 0) + c * c2
+    return LogPoly(terms)
 
 
 def rows_for(th, alpha, beta_):

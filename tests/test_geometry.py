@@ -146,8 +146,8 @@ def test_annulus_unshifted_exponent():
     space = build_space(2)
     pf = annulus_pf(space, 2, 1, shifted=False)
     twelfth = _twelfth_powers(pf)
-    assert twelfth[space.levels[space.find((), ())]] == Fraction(1, 2)
-    assert twelfth[space.levels[space.find((1, 1), ())]] == Fraction(1, 2) ** 25
+    assert twelfth[space.levels[space.index_of(0, (), ())]] == Fraction(1, 2)
+    assert twelfth[space.levels[space.index_of(2, (1, 1), ())]] == Fraction(1, 2) ** 25
     assert pf.anomaly == Fraction(1, 2) and type(pf.anomaly) is Fraction
 
 

@@ -1,11 +1,12 @@
 """Tests for local observables, correlators, dilation, and OPE extraction."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fqft.errors import ValidationError
+from fqft.errors import GeometryError, ValidationError
 from fqft.fock import L_MAX_HARD_CAP, BoundaryState, apply_current, build_space, scale_by_level
 from fqft.geometry import annulus_pf
 from fqft.observables import (
@@ -21,6 +22,15 @@ from fqft.observables import (
     two_point,
 )
 from fqft.rexp import RExpansion
+
+
+def by_exponents(table: OpeTable) -> dict:
+    """{(exponents, mu, mubar): coefficient} of the rows of one ordered pair,
+    all targeting the identity's descendants."""
+    assert len({(r["a"], r["b"], r["c"]) for r in table.rows}) <= 1
+    rows = {(r["exponents"], r["mu"], r["mubar"]): r["coefficient"] for r in table.rows}
+    assert len(rows) == len(table.rows)
+    return rows
 
 
 def ope_resum(space, table: OpeTable, a_label, b_label) -> ZSeries:
@@ -105,7 +115,7 @@ def test_one_point_current_origin():
     space = build_space(4)
     j, one = current_observable(space), identity_observable(space)
     for R in (1, Fraction(2)):
-        got = two_point(space, j, one, R=R).coefficient(0, 0)
+        got = two_point(space, j, one, R=R).terms[0, 0]
         assert got == space.state((1,)).scale(1 / Fraction(R))
 
 
@@ -124,7 +134,7 @@ def test_one_point_current_mode_coefficients():
     series = two_point(space, j, identity_observable(space), R=R)
     assert len(series.terms) == space.l_max
     for n in range(1, space.l_max + 1):
-        assert series.coefficient(n - 1) == space.state((n,)).scale(R ** (-n))
+        assert series.terms[n - 1, 0] == space.state((n,)).scale(R ** (-n))
 
 
 def test_one_point_locality():
@@ -153,9 +163,9 @@ def test_two_point_jj_singular_term():
     space = build_space(4)
     j = current_observable(space)
     series = two_point(space, j, j, R=1)
-    assert series.coefficient(-2, 0) == space.vacuum()
-    assert series.coefficient(-1, 0).is_zero()
-    assert series.coefficient(-3, 0).is_zero()
+    assert series.terms[-2, 0] == space.vacuum()
+    # a ZSeries stores no zero state
+    assert (-1, 0) not in series.terms and (-3, 0) not in series.terms
 
 
 def test_two_point_jj_regular_rows_are_descendants():
@@ -164,7 +174,7 @@ def test_two_point_jj_regular_rows_are_descendants():
     j = current_observable(space)
     series = two_point(space, j, j, R=1)
     for m in range(1, space.l_max):
-        assert series.coefficient(m - 1, 0) == space.state(
+        assert series.terms[m - 1, 0] == space.state(
             tuple(sorted((m, 1), reverse=True))
         )
 
@@ -174,7 +184,7 @@ def test_two_point_identity_insertion():
     one = identity_observable(space)
     jb = current_observable(space, bar=True)
     series = two_point(space, one, jb, R=Fraction(2))
-    assert series.coefficient(0, 0) == dilation(2, jb.state)
+    assert series.terms[0, 0] == dilation(2, jb.state)
     assert len(series.terms) == 1
 
 
@@ -184,7 +194,7 @@ def test_two_point_radius_scaling():
     s1 = two_point(space, j, j, R=1)
     s2 = two_point(space, j, j, R=Fraction(2))
     for (m, mbar), v in s1.terms.items():
-        w = s2.coefficient(m, mbar)
+        w = s2.terms[m, mbar]
         for i, c in v.nonzero():
             E = space.levels[i]
             assert w[i] == c * Fraction(2) ** (-E)
@@ -194,14 +204,54 @@ def test_two_point_marginal_pair():
     space = build_space(4)
     o = marginal_observable(space)
     series = two_point(space, o, o, R=1)
-    assert series.coefficient(-2, -2) == space.vacuum()
+    assert series.terms[-2, -2] == space.vacuum()
     # no |z|^{-2} marginal channel: chiral factorization forbids it
-    assert series.coefficient(-1, -1).is_zero()
+    assert (-1, -1) not in series.terms
     # mixed singular-regular terms
-    assert series.coefficient(-2, 0) == space.state((), (1, 1))
+    assert series.terms[-2, 0] == space.state((), (1, 1))
+
+
+NOT_POSITIVE_AND_FINITE = [-1, 0, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@pytest.mark.parametrize("R", NOT_POSITIVE_AND_FINITE)
+def test_two_point_rejects_a_radius_geometry_rejects(R, exact):
+    # geometry's rule for a disk radius, not a series for a disk of radius -1
+    # or an arithmetic error from the scaling
+    space = build_space(3, exact=exact)
+    j = current_observable(space)
+    with pytest.raises(GeometryError, match="disk radius must be positive and finite"):
+        two_point(space, j, j, R=R)
+
+
+def test_two_point_radius_beyond_the_float_range():
+    # exact on an exact space; on a float64 space geometry's float rule
+    j = current_observable(build_space(3))
+    series = two_point(j.space, j, identity_observable(j.space), R=10**400)
+    assert series.terms[0, 0] == j.state.scale(Fraction(1, 10**400))
+    space = build_space(3, exact=False)
+    j = current_observable(space)
+    with pytest.raises(GeometryError, match="float range"):
+        two_point(space, j, j, R=10**400)
 
 
 # ---------------------------------------------------------------- dilation
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@pytest.mark.parametrize("lam", NOT_POSITIVE_AND_FINITE)
+def test_dilation_rejects_a_scale_geometry_rejects(lam, exact):
+    space = build_space(3, exact=exact)
+    for x in (space.state((1,)), RExpansion({(-2, 0): space.state((1,), (1,))})):
+        with pytest.raises(GeometryError, match="dilation scale must be positive and finite"):
+            dilation(lam, x)
+
+
+def test_dilation_float64_scale_beyond_the_float_range():
+    space = build_space(3, exact=False)
+    with pytest.raises(GeometryError, match="float range"):
+        dilation(10**400, space.state((1,)))
 
 
 def test_dilation_eigenvalues():
@@ -220,15 +270,14 @@ def test_dilation_int_lambda_is_exact():
     assert d == space.state((1,)).scale(Fraction(1, 2))
     assert all(type(c) is Fraction for c in d.terms.values())
     e = dilation(3, RExpansion({(-2, 0): space.state((1,), (1,))}))
-    assert all(type(c) is Fraction for c in e.coefficient(-2).terms.values())
+    assert all(type(c) is Fraction for c in e.terms[-2, 0].terms.values())
 
 
 def test_dilation_on_expansion():
     space = build_space(3)
     e = RExpansion({(-1, 0): space.state((1,)), (0, 0): space.vacuum()})
     d = dilation(Fraction(2), e)
-    assert d.coefficient(-1) == space.state((1,)).scale(Fraction(1, 2))
-    assert d.coefficient(0) == space.vacuum()
+    assert d.terms == {(-1, 0): space.state((1,)).scale(Fraction(1, 2)), (0, 0): space.vacuum()}
 
 
 def test_scaling_dimensions():
@@ -257,12 +306,13 @@ def test_ope_extract_jj():
     space = build_space(5)
     j = current_observable(space)
     table = ope_extract(space, j, j)
-    assert table.coefficient("j", "j", "1", (), ()) == 1  # z^{-2} identity row
+    rows = by_exponents(table)
+    assert rows[(-2, 0), (), ()] == 1  # z^{-2} identity row
     for row in table.rows:
         if row["c"] == "1" and not row["mu"] and not row["mubar"]:
             assert row["exponents"] == (-2, 0)
-    assert table.coefficient("j", "j", "1", (1, 1), ()) == 1
-    assert table.coefficient("j", "j", "1", (2, 1), ()) == 1
+    assert rows[(0, 0), (1, 1), ()] == 1
+    assert rows[(1, 0), (2, 1), ()] == 1
 
 
 def test_ope_extract_identity_pair():
@@ -270,7 +320,7 @@ def test_ope_extract_identity_pair():
     one = identity_observable(space)
     b = current_observable(space, bar=True)
     table = ope_extract(space, one, b)
-    assert table.coefficient("1", "jbar", "1", (), (1,)) == 1
+    assert by_exponents(table)[(0, 0), (), (1,)] == 1
     assert len([r for r in table.rows if r["coefficient"] != 0]) == 1
 
 
@@ -322,4 +372,4 @@ def test_marginal_ope_at_cap():
     consts = table.marginal_constants()
     assert consts["K"] == {("jjbar", "jjbar"): 1}
     assert all(v == 0 for v in consts["C"].values())
-    assert table.coefficient("jjbar", "jjbar", "1") == 1
+    assert by_exponents(table)[(-2, -2), (), ()] == 1

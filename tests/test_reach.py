@@ -35,8 +35,6 @@ NEVER_ENTERED = {
     "rexp.LogPoly.scale_radius": ITEM_2 + "the radius scaling, through radius_scaled",
     "rexp.LogPoly.__eq__": ITEM_2 + "the identities compare LogPolys; and test_rational_equality",
     "rexp.Sparse.__eq__": ITEM_2 + "the identities compare their sides",
-    "rexp.RExpansion.constant": ITEM_2 + "insert_family_deformed's order-0 term",
-    "rexp.RExpansion.constant_term": ITEM_2 + "deformed_one_point's r -> 0 limit",
     "rexp.RExpansion.singular_terms": ITEM_2 + "deformed_one_point's goodness test",
     "deformation.FormalVector.__init__": ITEM_2 + "deformed_one_point's zero vector; tests",
     "deformation.FormalVector.corr": ITEM_2 + "insert_family_deformed's insertion; tests",
@@ -55,25 +53,18 @@ NEVER_ENTERED = {
     "fock.ModeOperator._summed": ITEM_3 + "the mode operators' lift",
     "fock.ModeOperator.entries": ITEM_3 + "the mode operators' lift",
     "fock.partition_count": ITEM_3 + "the block counts of the lift; and test_partition_counts",
-    # test oracles and test-side readers
-    "rexp.LogPoly.__mul__": "test oracle: _ref_dilate of test_single_pass_builders_match_reference",
-    "rexp.LogPoly.__truediv__": "test oracle: test_arithmetic_matches_sympy divides by a rational",
-    "rexp.Sparse.__bool__": "truth is nonzero: test_truth_is_nonzero",
-    "rexp.Sparse.__neg__": "the tests' differences: test_sparse_algebra_matches_dict_reference",
-    "rexp.Sparse.__sub__": "the tests' differences: test_sparse_algebra_matches_dict_reference",
-    "rexp.RExpansion.term": "the tests' expansions: test_deformation",
-    "rexp.RExpansion.coefficient": "the tests' reads of an expansion: test_deformation",
-    "deformation.FormalVector.atom": "the tests' integral atoms: test_deformation",
-    "deformation.FormalVector.coefficient": "the tests' reads of a vector: test_deformation",
-    "jets.Jet.coefficient": "the tests' reads of a jet, and the deform workload's of a QM segment",
-    "jets.JetAlgebra.__eq__": "equal algebras built apart: test_jets",
-    "jets.JetAlgebra.__hash__": "equal algebras built apart: test_jets",
+    # value semantics of the sparse values and jet algebras
+    "rexp.Sparse.__bool__": "value semantics: truth is nonzero",
+    "rexp.Sparse.__neg__": "value semantics: negation, through scale(-1)",
+    "rexp.Sparse.__sub__": "value semantics: differences",
+    "jets.JetAlgebra.__eq__": "value semantics: equal algebras built apart",
+    "jets.JetAlgebra.__hash__": "value semantics: equal algebras built apart",
+    # read by the benchmark's workloads (perfbench/workloads.py)
+    "jets.Jet.coefficient": "the deform workload reads a QM segment's orders",
     "qm.SegmentPF.value": "the deform workload reads it until ROADMAP item 1 (second half)",
-    "fock.TruncatedFockSpace.find": "the tests' basis lookups: test_fock",
-    "fock.TruncatedFockSpace.zero_scalar": "a missing coefficient of a state: test_fock",
-    "observables.identity_observable": "the identity's OPE rows: test_observables",
-    "observables.OpeTable.coefficient": "the tests' reads of an OPE row: test_observables",
-    "observables.ZSeries.coefficient": "the tests' reads of a two-point series: test_observables",
+    # library readers that no command reaches
+    "fock.TruncatedFockSpace.zero_scalar": "BoundaryState.__getitem__'s missing coefficient",
+    "observables.identity_observable": "the paper's identity observable, beside j and j jbar",
     # debugging aids
     "deformation.FormalVector.__repr__": "__repr__",
     "deformation.Primary.__repr__": "__repr__",

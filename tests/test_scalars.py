@@ -1,16 +1,18 @@
 """LogPoly, the formal backend's exact scalar, against sympy as an oracle;
-its exponent-shift fast path against a reference copy of the general rule."""
+the values dilation's exponent shift shares are never mutated."""
 
 import math
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqft.rexp import LogPoly
+from fqft.deformation import _shift
+from fqft.rexp import LogPoly, RExpansion
 from fqft.scalars import canonical_exponent
+from formal_ref import logpoly_product
 
 R, LAM = sympy.symbols("R lam", positive=True)
 
@@ -48,15 +50,18 @@ def test_arithmetic_matches_sympy(t1, t2, related):
     assert same(x, X) and same(y, Y)
     assert same(x + y, X + Y)
     assert same(x - y, X - Y)
-    assert same(x * y, X * Y)
-    assert same(3 * x - LogPoly.monomial(Fraction(1, 2)) + y / 7, 3 * X - sympy.Rational(1, 2) + Y / 7)
+    assert same(logpoly_product(x, y), X * Y)  # the tests' reference product
+    assert same(
+        3 * x - LogPoly.monomial(Fraction(1, 2)) + Fraction(1, 7) * y,
+        3 * X - sympy.Rational(1, 2) + Y / 7,
+    )
     scaled = sympy.expand_log(X.subs(R, LAM * R), force=True)
     assert same(x.scale_radius(), scaled)
     assert x.is_zero() == (sympy.expand(X) == 0)
     assert (x == y) == (sympy.expand(X - Y) == 0)
     assert (x - y).is_zero() == (x == y)
     # zero is canonical: no term is ever stored with coefficient 0
-    for v in (x, y, x + y, x - y, x * y, x.scale_radius()):
+    for v in (x, y, x + y, x - y, 0 * x, x.scale_radius()):
         assert all(c != 0 for c in v.terms.values())
 
 
@@ -68,9 +73,38 @@ def test_rational_equality():
     assert list(LogPoly.monomial(R=Fraction(4, 2), lam=Fraction(1, 2)).terms) == [
         (2, Fraction(1, 2), 0, 0)
     ]
-    # a LogPoly divides by a rational only
-    with pytest.raises(TypeError):
-        LogPoly.monomial(1) / LogPoly.monomial(R=1)
+    # a rational scales a LogPoly from the left, as any Sparse value; two
+    # LogPolys neither multiply nor divide, and a LogPoly does not divide
+    x, y = LogPoly.monomial(3, R=1), LogPoly.monomial(lam=1)
+    assert Fraction(1, 2) * x == LogPoly.monomial(Fraction(3, 2), R=1) and 0 * x == 0
+    for op in (lambda: x * y, lambda: x / y, lambda: x / 2, lambda: x * 2):
+        with pytest.raises(TypeError):
+            op()
+
+
+# a log power set through each constructor, read back from its one key
+LOG_POWER_BUILDERS = {
+    "LogPoly-log_R": (lambda q: LogPoly.monomial(2, log_R=q), 2),
+    "LogPoly-log_lam": (lambda q: LogPoly.monomial(2, log_lam=q), 3),
+    "RExpansion": (lambda q: RExpansion({(0, q): Fraction(2)}), 1),
+}
+
+
+@pytest.mark.parametrize("power", [0.5, Fraction(1, 2), 1.5, math.inf, math.nan, -1, -0.5])
+@pytest.mark.parametrize("builder", LOG_POWER_BUILDERS)
+def test_a_log_power_is_a_non_negative_integer(builder, power):
+    # a fractional power is rejected, never truncated to the int below it
+    build, _ = LOG_POWER_BUILDERS[builder]
+    with pytest.raises(ValueError, match="log powers must be non-negative integers"):
+        build(power)
+
+
+@pytest.mark.parametrize("power", [1, 1.0, Fraction(2, 2), True])
+@pytest.mark.parametrize("builder", LOG_POWER_BUILDERS)
+def test_an_integral_log_power_is_stored_as_an_int(builder, power):
+    build, slot = LOG_POWER_BUILDERS[builder]
+    (key,) = build(power).terms
+    assert key[slot] == 1 and type(key[slot]) is int
 
 
 @pytest.mark.parametrize(
@@ -89,7 +123,7 @@ def test_log_lam_multiples_print_as_sympy(value, text):
     assert str(x) == text == str(sympy.Rational(value) * sympy.log(LAM))
 
 
-# ------------------------------------------- fast paths against the general rules
+# ------------------------------------------------------------- shared values
 
 
 def _typed(terms):
@@ -97,48 +131,16 @@ def _typed(terms):
     return sorted(((repr(k), type(c).__name__, c) for k, c in terms.items()))
 
 
-def _general_monomial_product(x, key, c2):
-    """x * c2 R^a lam^b (log R)^i (log lam)^j by the general rule: shift every
-    key and multiply every coefficient, unit or not."""
-    a2, b2, i2, j2 = key
-    return LogPoly._of(
-        {
-            (canonical_exponent(a + a2), canonical_exponent(b + b2), i + i2, j + j2): c * c2
-            for (a, b, i, j), c in x.terms.items()
-        }
-    )
-
-
-# the unit, dilation's comb(q, j) > 1, and rationals (Fraction(1) among them)
-monomial_coeffs = st.one_of(
-    st.sampled_from([1, math.comb(2, 1), math.comb(3, 1), math.comb(4, 2)]),
-    rationals.filter(bool),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(term_dicts, keys, monomial_coeffs)
-@example(terms={}, key=(Fraction(0), Fraction(0), 0, 0), c2=Fraction(1))
-def test_monomial_product_matches_general_rule(terms, key, c2):
-    x = LogPoly(terms)
-    mono = LogPoly.monomial(c2, *key)
-    (mono_key, mono_coeff), = mono.terms.items()
-    want = _general_monomial_product(x, mono_key, mono_coeff)
-    for got in (x * mono, mono * x):
-        assert got == want and repr(got) == repr(want)
-        assert _typed(got.terms) == _typed(want.terms)
-    # only the int unit returns the operand itself; Fraction(1) builds a new
-    # value, checked above for its terms and coefficient types
-    if mono == 1 and type(mono_coeff) is int:
-        assert x * mono is x and x * 1 == x
-
-
 @settings(max_examples=100, deadline=None)
 @given(term_dicts, term_dicts, keys)
 def test_shared_values_are_never_mutated(t1, t2, key):
+    # dilation's exponent shift (deformation._shift) returns its operand when
+    # nothing moves and otherwise reuses its coefficients
     x, y = LogPoly(t1), LogPoly(t2)
-    shared = [x * LogPoly.monomial(1), x * 1, x * LogPoly.monomial(1, *key)]
+    _, lam, _, dj = key
+    shared = [_shift(x, 0, 0, 1), 1 * x, _shift(x, canonical_exponent(lam), dj, 1)]
+    assert shared[0] is x
     before = [_typed(s.terms) for s in [x, *shared]]
     for s in shared:
-        _ = [s + y, y + s, s - y, s * y, y * s, s * 3, -s, s.scale_radius(), s * s]
+        _ = [s + y, y + s, s - y, 3 * s, -s, s.scale_radius(), s - s]
     assert [_typed(s.terms) for s in [x, *shared]] == before

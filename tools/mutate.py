@@ -16,10 +16,10 @@ An equivalent mutant computes what the original does, so no check can
 kill it without comparing bits; it stays in the list with its reason, and
 is never dropped.  A non-equivalent mutant that survives tier-1 is a
 missing test.  The results go to MUT_<label>.json at the root.  Standard
-library only; a full run of 22 mutants takes about 10 minutes on a 2-core
+library only; a full run of 28 mutants takes about 14 minutes on a 2-core
 Xeon, so it is not a CI step:
 
-    python tools/mutate.py --label 39
+    python tools/mutate.py --label 40
 """
 
 from __future__ import annotations
@@ -136,6 +136,24 @@ MUTANTS = [
     Mutant("qm-cutting-tolerance-loose", "src/fqft/cli.py",
            '"qm_cutting": 1e-12', '"qm_cutting": 1e-2',
            "QM cutting: glued segments match the whole segment to 1e-12"),
+    Mutant("dilate-shift-without-p", "src/fqft/deformation.py",
+           "canonical_exponent(weight + p - D)", "canonical_exponent(weight - D)",
+           "Dil_lambda sends r^p to lam^p r^p: a symbol's lam shift is weight + p - D"),
+    Mutant("qm-endpoints-reversed", "src/fqft/qm.py",
+           "if not (finite and alpha <= beta):", "if not finite:",
+           "a segment runs forward: beta >= alpha"),
+    Mutant("qm-endpoints-zero-length", "src/fqft/qm.py",
+           "if not (finite and alpha <= beta):", "if not (finite and alpha < beta):",
+           "a zero-length segment is a segment, whose value is the identity"),
+    Mutant("two-point-radius-unchecked", "src/fqft/observables.py",
+           "    _check_disk(R)\n    if a.word is None:", "    if a.word is None:",
+           "<O_a(z) O_b(0)>_{D_R} is defined for a positive finite radius R alone"),
+    Mutant("dilation-scale-inf", "src/fqft/observables.py",
+           "if not (lam > 0 and lam != math.inf):", "if not lam > 0:",
+           "Dil_lambda is defined for a positive finite scale lambda alone"),
+    Mutant("log-power-truncated", "src/fqft/rexp.py",
+           "q >= 0 and q % 1 == 0", "q >= 0",
+           "a Laurent-log key's log powers are non-negative integers: 0.5 is not 0"),
 ]
 
 
