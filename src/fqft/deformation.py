@@ -393,19 +393,18 @@ def marginal_coupling_algebra(theory):
     return JetAlgebra([f"g[{m}]" for m in theory.marginals], 1)
 
 
-def insert_family_deformed(theory: FormalTheory, beta, correction=True) -> Jet:
+def insert_family_deformed(theory: FormalTheory, beta) -> Jet:
     """Insert v_beta + g^alpha delta v_{alpha beta} into the deformed annulus.
 
     Returns a jet over the couplings g[alpha] whose coefficients are
-    RExpansions in r; with the correction included the order-g terms have no
-    singular part, and the r -> 0 limit is the deformed one-point correlator.
+    RExpansions in r: the integrated OPE (the uncorrected family) plus the
+    correction, so the order-g terms have no singular part, and the r -> 0
+    limit is the deformed one-point correlator.
     """
     alg = marginal_coupling_algebra(theory)
     coeffs = {(): RExpansion({(0, 0): FormalVector.corr(beta)})}
     for alpha in theory.marginals:
-        term = integrated_ope(theory, alpha, beta)
-        if correction:
-            term = term + compute_correction(theory, alpha, beta)
+        term = integrated_ope(theory, alpha, beta) + compute_correction(theory, alpha, beta)
         if not term.is_zero():
             coeffs[(f"g[{alpha}]",)] = term
     return Jet(alg, coeffs)
@@ -417,7 +416,7 @@ def deformed_one_point(theory: FormalTheory, beta) -> Jet:
     The coefficients are assembled at the origin of the cut disk:
     counterterm plus the annulus integral centered at the insertion point.
     """
-    jet = insert_family_deformed(theory, beta, correction=True)
+    jet = insert_family_deformed(theory, beta)
 
     def take_limit(e: RExpansion) -> FormalVector:
         sing = e.singular_terms()

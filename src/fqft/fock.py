@@ -6,14 +6,14 @@ order.  No per-column key is stored: `space.key_of(i)` reads column i's key
 off the block map and `space.index_of(level, mu, nu)` is its inverse.
 Boundary states are the sparse algebra of fqft.rexp.Sparse over a space,
 {basis index: nonzero coefficient}, with a truncation-loss count;
-`apply_current` applies a U(1) current mode j_n to a state one nonzero at a
-time, and `scale_by_level` scales each level's part by one scalar.  A mode
-operator is L_n or Lbar_n (`build_virasoro`), a partition table {mu: {new:
-weight}} acting on one chiral side with a level shift, or the `commutator`
-of two modes on one side, whose tables multiply as integers over one
+`apply_current` applies a U(1) current mode j_n (or jbar_n) to a state one
+nonzero at a time, and `scale_by_level` scales each level's part by one
+scalar.  A mode operator is L_n (`build_virasoro`), a partition table {mu:
+{new: weight}} acting on the chiral partition with a level shift, or the
+`commutator` of two modes, whose tables multiply as integers over one
 denominator in exact arithmetic.  Its `.entries`, {(row, col): nonzero
 scalar}, lift the tables onto the columns on each read, with one Fraction
-per distinct numerator.
+per distinct numerator.  The antichiral side is a spectator of every mode.
 
 The zero mode j_0 acts as zero throughout (the zero-mode sector is out of
 scope).  `apply_current` drops components pushed above the truncation level
@@ -214,19 +214,19 @@ _EMPTY: dict = {}  # the image of a partition a table does not map
 
 
 class ModeOperator:
-    """L_n or Lbar_n on a truncated space, or the commutator of two of them
-    on one side (`bar` False or True); it maps level x to x - n.  It is
-    held as its terms (partition table {p: {new: weight}} with weights over
-    `denominator`, integers in exact arithmetic and floats over 1 in
-    float64; sign; level shift of the factor acting first).  A mode keeps
-    its own `table`, a commutator None.  `.entries` lifts the terms onto the
-    columns on each read; a column whose image, or whose first factor's
-    image, lies above l_max keeps no entries from that term."""
+    """L_n on a truncated space, or the commutator of two of them; it maps
+    level x to x - n.  It is held as its terms (partition table {p: {new:
+    weight}} with weights over `denominator`, integers in exact arithmetic
+    and floats over 1 in float64; sign; level shift of the factor acting
+    first).  A mode keeps its own `table`, a commutator None.  `.entries`
+    lifts the terms onto the columns on each read; a column whose image, or
+    whose first factor's image, lies above l_max keeps no entries from that
+    term."""
 
-    __slots__ = ("space", "bar", "n", "denominator", "terms", "table")
+    __slots__ = ("space", "n", "denominator", "terms", "table")
 
-    def __init__(self, space, bar, n, denominator, terms, table=None):
-        self.space, self.bar, self.n, self.denominator = space, bar, n, denominator
+    def __init__(self, space, n, denominator, terms, table=None):
+        self.space, self.n, self.denominator = space, n, denominator
         self.terms, self.table = terms, table
 
     def _summed(self, terms) -> dict:
@@ -248,11 +248,9 @@ class ModeOperator:
     def entries(self) -> dict:
         """A fresh {(row, col): scalar} dict of the nonzero entries.  Per
         level x with x - n in 0..l_max, the terms whose first factor keeps x
-        within l_max are summed (once per set of such terms).  A chiral
-        image new of mu maps the block (x, mu) onto (x - n, new) in order;
-        an antichiral image new of nu maps (x, mu, nu) into the block
-        (x - n, mu) at the rank of new."""
-        space, bar, n, terms = self.space, self.bar, self.n, self.terms
+        within l_max are summed (once per set of such terms).  An image new
+        of mu maps the block (x, mu) onto (x - n, new) in order."""
+        space, n, terms = self.space, self.n, self.terms
         l_max, blocks = space.l_max, space.blocks
         out, tables = {}, {}
         counts = [partition_count(k) for k in range(l_max + 1)]
@@ -263,28 +261,13 @@ class ModeOperator:
             kept = tuple(t for t, term in enumerate(terms) if level - term[2] <= l_max)
             if kept not in tables:
                 tables[kept] = self._summed([terms[t] for t in kept])
-            table, targets, sides = tables[kept], blocks[y], {}  # antichiral images by |mu|
+            table, targets = tables[kept], blocks[y]
             for mu, start in starts.items():
-                m = sum(mu)
-                if not bar:
-                    size = counts[level - m]
-                    for new, v in table.get(mu, _EMPTY).items():
-                        row = targets[new]
-                        for i in range(size):
-                            out[row + i, start + i] = v
-                    continue
-                if m not in sides:  # (position of nu, rank of new, value)
-                    rank = _rank(y - m)
-                    sides[m] = [
-                        (j, rank[new], v)
-                        for j, nu in enumerate(partitions(level - m))
-                        for new, v in table.get(nu, _EMPTY).items()
-                    ]
-                images = sides[m]
-                if images:  # the block (y, mu) exists where nu has an image
-                    row = targets[mu]
-                    for j, r, v in images:
-                        out[row + r, start + j] = v
+                size = counts[level - sum(mu)]
+                for new, v in table.get(mu, _EMPTY).items():
+                    row = targets[new]
+                    for i in range(size):
+                        out[row + i, start + i] = v
         return out
 
 
@@ -371,49 +354,44 @@ def _twice_virasoro(mu: tuple, n: int, creators) -> dict:
     return twice
 
 
-def build_virasoro(
-    space: TruncatedFockSpace, n: int, bar: bool = False, shifted: bool = False
-) -> ModeOperator:
+def build_virasoro(space: TruncatedFockSpace, n: int) -> ModeOperator:
     """L_n = (1/2) sum_k :j_{-k} j_{k+n}:, as a partition table.
 
     Normal ordering puts the larger mode on the right, so L_n is the sum of
     j_{m1} j_{m2} over m1 <= m2, m1 + m2 = n, with weight 1/2 when m1 == m2
     and 1 otherwise.  On a partition only two kinds of pair act: those whose
     annihilator m2 > 0 is one of its parts, and, for n < 0, pairs of two
-    creators.  L_n (Lbar_n) acts on the chiral (antichiral) partition of a
-    column alone; a column whose level - n exceeds l_max maps wholly above
-    the truncation and keeps no entries.
-
-    With shifted=True, L_0 carries the -1/24 vacuum-energy offset.
+    creators.  L_n acts on the chiral partition of a column alone; a column
+    whose level - n exceeds l_max maps wholly above the truncation and
+    keeps no entries.  L_0 is unshifted: it counts the chiral level.
     """
-    # exact weights are integers over 24: a pair's w/2 is 12 w, the shift -1
-    denominator, half, shift = (24, 12, -1) if space.exact else (1, 0.5, -1.0 / 24.0)
-    shift = shift if shifted and n == 0 else 0
+    # exact weights are integers over 24: a pair's w/2 is 12 w
+    denominator, half = (24, 12) if space.exact else (1, 0.5)
     # both creators: m2 runs over ceil(n/2)..-1, and j_{m1} with -m1 > l_max
     # leaves every column it reaches above the truncation
     creators = [(n - m2, m2) for m2 in range(-(-n // 2), min(0, n + space.l_max + 1))]
     table = {}
-    # a column whose partition on this side exceeds l_max + n maps above l_max
+    # a column whose chiral partition exceeds l_max + n maps above l_max
     for size in range(min(space.l_max, space.l_max + n) + 1):
         for mu in partitions(size):
             if n:
                 image = {new: half * w for new, w in _twice_virasoro(mu, n, creators).items()}
             else:  # each part k of mu, m times, pairs to 2 k m: 2 L_0 is 2 |mu|
-                image = {mu: half * (2 * size) + shift} if size or shift else {}
-            # pair weights are positive and L_0's diagonal |mu| - 1/24 never vanishes
+                image = {mu: half * (2 * size)} if size else {}
+            # pair weights are positive and L_0's diagonal |mu| vanishes on () alone
             if image:
                 table[mu] = image
-    return ModeOperator(space, bar, n, denominator, [(table, 1, n)], table)
+    return ModeOperator(space, n, denominator, [(table, 1, n)], table)
 
 
 def commutator(a: ModeOperator, b: ModeOperator) -> ModeOperator:
-    """[a, b] = a @ b - b @ a of two modes on one side, the two table
+    """[a, b] = a @ b - b @ a of two modes, the two table
     products summed per level (as integers, in exact arithmetic, before any
     entry becomes a Fraction); in float64 each entry is x + (-y), which
     equals x - y bit for bit."""
     if a.space is not b.space:
         raise SpaceMismatchError("operands live in different truncated spaces")
-    if a.table is None or b.table is None or a.bar != b.bar:
-        raise ValueError("only two modes on one side commute")
+    if a.table is None or b.table is None:
+        raise ValueError("only two modes commute")
     terms = [(_table_product(a.table, b.table), 1, b.n), (_table_product(b.table, a.table), -1, a.n)]
-    return ModeOperator(a.space, a.bar, a.n + b.n, a.denominator * b.denominator, terms)
+    return ModeOperator(a.space, a.n + b.n, a.denominator * b.denominator, terms)

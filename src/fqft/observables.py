@@ -13,9 +13,9 @@ modes that act on a term are applied to it: an annihilator j_n (n > 0) acts
 where n is a part of some nonzero's partition on its side, and a creator
 j_{-n} where n <= l_max minus the term's lowest level; every other mode
 maps the term to zero.  The two-point correlator is kept as a finite
-bigraded series in (z, zbar), returned unscaled at R = 1 and otherwise with
-its level-E parts scaled by R^{-E}; the OPE rows are read off its
-coefficients at R = 1, most singular first.
+bigraded series in (z, zbar) on the unit disk; on D_R each coefficient is
+its dilation by R, which scales its level-E part by R^{-E}.  The OPE rows
+are read off its coefficients, most singular first.
 """
 
 from __future__ import annotations
@@ -25,13 +25,8 @@ from fractions import Fraction
 
 from .errors import GeometryError, ValidationError
 from .fock import BoundaryState, apply_current, scale_by_level
-from .geometry import _check_disk, _float
+from .geometry import _float
 from .rexp import RExpansion, Sparse
-
-
-def _inverse_powers(space, lam) -> list:
-    """lam^{-E} per level E = 0..l_max, the int 1 at level 0."""
-    return [1] + [lam ** -E for E in range(1, space.l_max + 1)]
 
 
 # ----------------------------------------------------------------- observables
@@ -123,11 +118,9 @@ def _mode_sum_insert(series: ZSeries, kind: str) -> ZSeries:
     return ZSeries(space, terms)
 
 
-def two_point(space, a: LocalObservable, b: LocalObservable, R=1) -> ZSeries:
-    """<O_a(z) O_b(0)>_{D_R} as a bigraded series in (z, zbar); at R = 1
-    the transported series itself, unscaled.  R follows geometry's rule for
-    a disk radius."""
-    _check_disk(R)
+def two_point(space, a: LocalObservable, b: LocalObservable) -> ZSeries:
+    """<O_a(z) O_b(0)>_{D_1} as a bigraded series in (z, zbar), the
+    transported series itself; on D_R each coefficient is dilation(R, .)."""
     if a.word is None:
         raise ValidationError(
             f"observable {a.label} is not current-generated; transport to z != 0 "
@@ -136,10 +129,7 @@ def two_point(space, a: LocalObservable, b: LocalObservable, R=1) -> ZSeries:
     series = ZSeries(space, {(0, 0): b.state})
     for kind in reversed(a.word):
         series = _mode_sum_insert(series, kind)
-    if R == 1:
-        return series
-    by_level = _inverse_powers(space, Fraction(R) if space.exact else _float(R))
-    return ZSeries(space, {key: scale_by_level(v, by_level) for key, v in series.terms.items()})
+    return series
 
 
 # ------------------------------------------------------------------- dilation
@@ -148,12 +138,14 @@ def two_point(space, a: LocalObservable, b: LocalObservable, R=1) -> ZSeries:
 def dilation(lam, x):
     """Dil_lambda, lambda positive and finite: a level-E homogeneous part
     scales by lambda^{-E}, on boundary states and RExpansions of them.  On an
-    exact space a non-float lambda is a Fraction; on a float64 one, a float."""
+    exact space lambda is taken as a Fraction, a float one exactly; on a
+    float64 one, as a float."""
     if not (lam > 0 and lam != math.inf):  # geometry's rule for a radius; NaN fails lam > 0
         raise GeometryError("dilation scale must be positive and finite")
     if isinstance(x, BoundaryState):
-        lam = (lam if isinstance(lam, float) else Fraction(lam)) if x.space.exact else _float(lam)
-        return scale_by_level(x, _inverse_powers(x.space, lam))
+        lam = Fraction(lam) if x.space.exact else _float(lam)
+        # lam^{-E} per level E, the int 1 at level 0
+        return scale_by_level(x, [1] + [lam ** -E for E in range(1, x.space.l_max + 1)])
     if isinstance(x, RExpansion):
         return x.map_coeffs(lambda v: dilation(lam, v))
     raise TypeError(f"cannot dilate {type(x).__name__}")
@@ -213,12 +205,12 @@ _MARGINAL_TARGETS = (("jjbar", (), ()), ("1", (1,), (1,)))
 def ope_extract(space, a: LocalObservable, b: LocalObservable) -> OpeTable:
     """Extract OPE rows of O_a(z) O_b(0) by coordinate read-off.
 
-    At R=1 the coefficient of z^m zbar^mbar is the one-point correlator of
+    On D_1 the coefficient of z^m zbar^mbar is the one-point correlator of
     the target combination, i.e. a vector in the truncated Fock module whose
     basis components are descendants of the identity; each nonzero component
     is one row.
     """
-    series = two_point(space, a, b, R=1)
+    series = two_point(space, a, b)
     table = OpeTable()
     # most singular first: ascending total exponent, then z-exponent
     for (m, mbar), v in sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0][0])):

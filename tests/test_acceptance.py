@@ -145,7 +145,7 @@ def test_acceptance_4_correction_formula():
                 ok = ok and got == expected
             # corrected insertion is good: no r^{p<0} and no log(r) terms,
             # as an exact polynomial identity in the (r, R, log) atoms
-            jet = insert_family_deformed(th, b, correction=True)
+            jet = insert_family_deformed(th, b)
             for e in jet.terms.values():
                 ok = ok and all(v.is_zero() for v in e.singular_terms().values())
     _report(4, "correction delta-v and goodness of the corrected insertion", ok)

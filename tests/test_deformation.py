@@ -230,17 +230,20 @@ def test_correction_skips_spin_rows():
 
 def test_insertion_is_good_with_correction():
     th = simple_theory()
-    jet = insert_family_deformed(th, "e", correction=True)
+    jet = insert_family_deformed(th, "e")
     for mono, e in jet.terms.items():
         assert not any(not v.is_zero() for v in e.singular_terms().values()), mono
 
 
 def test_insertion_without_correction_reintroduces_singularities():
+    # the uncorrected family is the integrated OPE: the correction is what
+    # cancels its log(r) and r^-2 terms in the deformed insertion
     th = simple_theory(C0=Fraction(3), K0=Fraction(5))
-    jet = insert_family_deformed(th, "e", correction=False)
-    e = jet.coefficient(("g[e]",))
+    e = integrated_ope(th, "e", "e")
     assert e.terms.get((0, 1)) == FormalVector.corr("e", value=-3)
     assert e.terms.get((-2, 0)) == FormalVector.corr("1", value=Fraction(5, 2))
+    corrected = insert_family_deformed(th, "e").coefficient(("g[e]",))
+    assert corrected == e + compute_correction(th, "e", "e")
 
 
 def test_deformed_one_point_structure():
@@ -894,7 +897,7 @@ def test_shared_values_are_never_mutated(th):
             dv, io = compute_correction(th, a, b), integrated_ope(th, a, b)
             sums = [dv + io, dv - io, _times(LOG_R, io), dv.map_coeffs(lambda v: -v)]
             derived += [_dilate(th, x, 2) for x in sums] + [_dilate(th, io, 0)]
-        derived += [insert_family_deformed(th, a, correction=False)]
+        derived += [insert_family_deformed(th, a)]
         derived += [deformed_one_point(th, a).scale(Fraction(-3, 7))]
     for x in outputs:
         if x.algebra.order == 2:  # the double deformation

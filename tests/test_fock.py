@@ -229,19 +229,12 @@ def _act(op, v):
 
 
 def test_virasoro_l0_counts_level():
+    # L_0 counts the chiral level alone, with no vacuum-energy shift
     space = build_space(5)
     L0 = build_virasoro(space, 0)
-    Lb0 = build_virasoro(space, 0, bar=True)
     v = space.state((2, 1), (1,))
     assert _act(L0, v) == v.scale(3)
-    assert _act(Lb0, v) == v.scale(1)
-
-
-def test_virasoro_l0_shifted():
-    space = build_space(3)
-    L0 = build_virasoro(space, 0, shifted=True)
-    vac = space.vacuum()
-    assert _act(L0, vac) == vac.scale(Fraction(-1, 24))
+    assert _act(L0, space.vacuum()).is_zero()
 
 
 def test_virasoro_on_vacuum():
@@ -280,24 +273,23 @@ def test_virasoro_commutator_31():
 @pytest.mark.parametrize("l_max", [0, 1, 2, 8])
 def test_virasoro_algebra(l_max, exact):
     # [L_m, L_n] = (m - n) L_{m+n} + (m^3 - m)/12 delta_{m+n,0} (c = 1) for
-    # |m|, |n| <= 3 on both sides, on every column where no factor leaves
-    # the truncation: level - min(0, m, n, m + n) <= l_max.  Every weight is
-    # a multiple of 1/2 and every central term is dyadic, so float64 is exact
+    # |m|, |n| <= 3, on every column where no factor leaves the truncation:
+    # level - min(0, m, n, m + n) <= l_max.  Every weight is a multiple of
+    # 1/2 and every central term is dyadic, so float64 is exact
     space = _space(l_max, exact)
-    for bar in (False, True):
-        modes = {n: build_virasoro(space, n, bar=bar) for n in range(-6, 7)}
-        columns = {n: _by_column(op.entries) for n, op in modes.items()}
-        for m, n in itertools.product(range(-3, 4), repeat=2):
-            comm = _by_column(commutator(modes[m], modes[n]).entries)
-            central = Fraction(m**3 - m, 12) if exact else (m**3 - m) / 12
-            for col, level in enumerate(space.levels):
-                if level - min(0, m, n, m + n) > l_max:
-                    continue
-                want = {row: (m - n) * v for row, v in columns[m + n].get(col, {}).items()}
-                if m + n == 0:
-                    want[col] = want.get(col, 0) + central
-                want = {row: v for row, v in want.items() if v != 0}
-                assert comm.get(col, {}) == want, (bar, m, n, col)
+    modes = {n: build_virasoro(space, n) for n in range(-6, 7)}
+    columns = {n: _by_column(op.entries) for n, op in modes.items()}
+    for m, n in itertools.product(range(-3, 4), repeat=2):
+        comm = _by_column(commutator(modes[m], modes[n]).entries)
+        central = Fraction(m**3 - m, 12) if exact else (m**3 - m) / 12
+        for col, level in enumerate(space.levels):
+            if level - min(0, m, n, m + n) > l_max:
+                continue
+            want = {row: (m - n) * v for row, v in columns[m + n].get(col, {}).items()}
+            if m + n == 0:
+                want[col] = want.get(col, 0) + central
+            want = {row: v for row, v in want.items() if v != 0}
+            assert comm.get(col, {}) == want, (m, n, col)
 
 
 def _current_oracle(space, n, bar=False):
@@ -342,10 +334,10 @@ def test_current_mode_matches_oracle(l_max, exact):
                 assert got.truncation_loss == (col in want.dropped_cols), (n, bar, col)
 
 
-def _virasoro_oracle(space, n, bar=False, shifted=False):
-    """L_n summed over k from composed current-mode oracles: each unordered
-    normal-ordered pair j_{m1} j_{m2} (m1 <= m2, m1 + m2 = n) once, with
-    weight 1/2 when m1 == m2 and 1 otherwise, plus -1/24 on L_0 if shifted."""
+def _virasoro_oracle(space, n, bar=False):
+    """L_n (or Lbar_n) summed over k from composed current-mode oracles:
+    each unordered normal-ordered pair j_{m1} j_{m2} (m1 <= m2, m1 + m2 = n)
+    once, with weight 1/2 when m1 == m2 and 1 otherwise."""
     half = Fraction(1, 2) if space.exact else 0.5
     total = {}
     kmax = space.l_max + abs(n)
@@ -357,10 +349,6 @@ def _virasoro_oracle(space, n, bar=False, shifted=False):
         prod = _column_product(_current_oracle(space, m1, bar), _current_oracle(space, m2, bar))
         for key, val in prod.entries.items():
             total[key] = total.get(key, 0) + weight * val
-    if shifted and n == 0:
-        shift = Fraction(-1, 24) if space.exact else -1.0 / 24.0
-        for i in range(space.dim):
-            total[(i, i)] = total.get((i, i), 0) + shift
     return {key: val for key, val in total.items() if val != 0}
 
 
@@ -371,10 +359,7 @@ def test_virasoro_matches_oracle(l_max, exact):
     # every n up to l_max 8; at 10, the modes the commutator checks use
     ns = range(-2 * l_max - 1, 2 * l_max + 2) if l_max <= 8 else (-2, 0, 2)
     for n in ns:
-        for bar in (False, True):
-            for shifted in (False, True):
-                got = build_virasoro(space, n, bar=bar, shifted=shifted).entries
-                assert got == _virasoro_oracle(space, n, bar, shifted), (n, bar, shifted)
+        assert build_virasoro(space, n).entries == _virasoro_oracle(space, n), n
 
 
 def test_virasoro_commutator_at_cap():
@@ -395,8 +380,7 @@ def test_virasoro_far_mode_on_small_space(n):
     # L_{-10^6} maps every column of l_max 2 above the truncation, and
     # L_{10^6} every column to zero: neither keeps an entry
     space = build_space(2)
-    for bar in (False, True):
-        assert not build_virasoro(space, n, bar=bar).entries
+    assert not build_virasoro(space, n).entries
 
 
 def test_commutator_keeps_columns_whose_inner_image_vanishes():
@@ -404,20 +388,19 @@ def test_commutator_keeps_columns_whose_inner_image_vanishes():
     # [L_-1, L_-1] at l_max 4: L_-1 takes a level-3 column to level 4, where
     # the outer L_-1 drops.  The column is dropped only when the inner image
     # is nonzero, and L_-1 j_{-mu}|0> vanishes for mu = () alone, so the
-    # columns (3, (), nu) (or (3, mu, ()) on the antichiral side) are kept.
+    # columns (3, (), nu) are kept.
     space = build_space(4)
-    for bar in (False, True):
-        kept = {
-            c
-            for c, (level, mu, nu) in enumerate(map(space.key_of, range(space.dim)))
-            if level < 3 or (level == 3 and (nu if bar else mu) == ())
-        }
-        assert len(kept) == space.levels.index(3) + 3
-        Lm1 = build_virasoro(space, -1, bar=bar)
-        for commute in (True, False):
-            ref = _column_product(_Columns.of(Lm1), _Columns.of(Lm1), commute)
-            assert ref.dropped_cols == set(range(space.dim)) - kept, bar
-        assert not commutator(Lm1, Lm1).entries
+    kept = {
+        c
+        for c, (level, mu, nu) in enumerate(map(space.key_of, range(space.dim)))
+        if level < 3 or (level == 3 and mu == ())
+    }
+    assert len(kept) == space.levels.index(3) + 3
+    Lm1 = build_virasoro(space, -1)
+    for commute in (True, False):
+        ref = _column_product(_Columns.of(Lm1), _Columns.of(Lm1), commute)
+        assert ref.dropped_cols == set(range(space.dim)) - kept, commute
+    assert not commutator(Lm1, Lm1).entries
 
 
 def space_to_json(space, operators=None) -> str:
@@ -437,89 +420,87 @@ def space_to_json(space, operators=None) -> str:
 
 
 def _virasoro_digest(space):
-    """SHA-256 of space_to_json over build_virasoro(space, n, bar, shifted)
-    for every n in -2 l_max - 1..2 l_max + 1 and over [L_m, L_n] for m, n in
-    -3..3 on both sides, then of each operator's sorted dropped columns: a
-    mode's are _mode_dropped, a commutator's come from its factors by
-    _dropped_by_product."""
+    """SHA-256 of space_to_json over build_virasoro(space, n) for every n in
+    -2 l_max - 1..2 l_max + 1 and over [L_m, L_n] for m, n in -3..3, then of
+    each operator's sorted dropped columns: a mode's are _mode_dropped, a
+    commutator's come from its factors by _dropped_by_product."""
     ops, dropped = {}, {}
     for n in range(-2 * space.l_max - 1, 2 * space.l_max + 2):
-        for bar in (False, True):
-            for shifted in (False, True):
-                name = f"L{n},{bar:d},{shifted:d}"
-                ops[name], dropped[name] = build_virasoro(space, n, bar, shifted), _mode_dropped(space, n)
-    for bar in (False, True):
-        modes = {n: build_virasoro(space, n, bar=bar) for n in range(-3, 4)}
-        columns = {n: _Columns.of(op) for n, op in modes.items()}
-        for m in range(-3, 4):
-            for n in range(-3, 4):
-                name = f"[L{m},L{n}],{bar:d}"
-                ops[name] = commutator(modes[m], modes[n])
-                a, b = columns[m], columns[n]
-                dropped[name] = _dropped_by_product(a, b) | _dropped_by_product(b, a)
+        ops[f"L{n}"], dropped[f"L{n}"] = build_virasoro(space, n), _mode_dropped(space, n)
+    modes = {n: build_virasoro(space, n) for n in range(-3, 4)}
+    columns = {n: _Columns.of(op) for n, op in modes.items()}
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            name = f"[L{m},L{n}]"
+            ops[name] = commutator(modes[m], modes[n])
+            a, b = columns[m], columns[n]
+            dropped[name] = _dropped_by_product(a, b) | _dropped_by_product(b, a)
     digest = hashlib.sha256(space_to_json(space, ops).encode())
     for name in sorted(ops):
         digest.update(f"{name}:{sorted(dropped[name])}".encode())
     return digest.hexdigest()
 
 
-# _virasoro_digest as computed by the column-by-column assembly of commit
-# 4fe6f57 (l_max 0-8), and by the eagerly lifted table products of 857b781
-# (9-12, the levels the benchmark's virasoro checks reach): partition tables
-# and their lifts must reproduce these operators byte for byte
+# _virasoro_digest over the chiral, unshifted modes and their commutators,
+# computed with the library of commit d5915b2, the last to build Lbar_n and
+# the shifted L_0 beside them.  Its chiral operators matched the digests
+# pinned then, which the column-by-column assembly of 4fe6f57 (l_max 0-8)
+# and the eagerly lifted table products of 857b781 (9-12, the levels the
+# benchmark's virasoro checks reach) computed: partition tables and their
+# lifts must reproduce these operators byte for byte
 VIRASORO_DIGESTS = {
-    (0, True): "da7f9701c7442a3a5be029f779a3def9"
-        "62b1a38337c8976d4a55f3f002811c07",
-    (0, False): "6424b2374d04be58b4e68e5bde54be91"
-        "14ab9fb318d6ecdfc0f742f189c5380c",
-    (1, True): "e2d845ade7944129011752bd35e110cd"
-        "3606f514be61a98bcc840e4083b450da",
-    (1, False): "5c0ebbd22ee3158dd8b74e7dbe5a05e6"
-        "946084d0ec42577ae250f272b96f006d",
-    (2, True): "391660042868df4d37bbf7ff542fd969"
-        "85c949bf4da1fbf3387a595e2424923b",
-    (2, False): "a1e82c36ad07eeaaeec131b0f54c110d"
-        "310650527b0a7c759a23f76b8ca78e8f",
-    (3, True): "9231b148c0b5b805f6e4739ab4173083"
-        "f5439329996dd52f6b96d470f87fb53a",
-    (3, False): "95ec7f9b2dac7138df13afd9c2b4e7dc"
-        "4e883342af0e5c86874f3bf2b4bc6471",
-    (4, True): "de7e1660681554de5b9a68152c1dd0c4"
-        "00b807b74dfcc438db09d18a60538416",
-    (4, False): "654ad437f0f74810841af4530ea33bca"
-        "2466483a68ee1d5db420548d36f34e55",
-    (5, True): "cdc4987a31c54686d744f00ce4f15193"
-        "631ea38be1ac45ac5e8f384d60632870",
-    (5, False): "c283e064c917a7445e06a1c78282a9f3"
-        "57e949153c522270d48950e66e8cab18",
-    (6, True): "033df0aff509ac66e9011aa376c5f4ee"
-        "8b521daec5b56409779babff87422722",
-    (6, False): "1bba1bdd8438309cc4bff04d288556b1"
-        "84f9ffcf750c78a9a582edb131e2b4a9",
-    (7, True): "e9699f922c287bc59df01183271ce5a6"
-        "eee07cd2e311b2a332424a24f44858a5",
-    (7, False): "22c832310a0e543e31b5e164f04f62c4"
-        "7d833f823bf4e55062f99a38e4a468a9",
-    (8, True): "f4f9f7498469e2d72503525e0acb34e0"
-        "f8c1ad5097350cd51c9ee86229d7a8eb",
-    (8, False): "a0ab2e1e62e8f57604279e18bcdb0440"
-        "215e52bfa84d67cc702d5cc0c53cd040",
-    (9, True): "f6e7e50a7153c5e2a464cd20c0340ffb"
-        "78fc318ef93a40c7e6dfae5eba54dd95",
-    (9, False): "0de5df1c05a511110ff792a485c44c04"
-        "19dd02070190547a291f25d71a83897e",
-    (10, True): "d9bba78275d07766ed460d14b900428d"
-        "8b40951c78acd46d9ad5b97bcd471859",
-    (10, False): "3e79c09c9c4688b80033f444c50816d9"
-        "65d4b0a67bfdedd7c37279e1e1ffea69",
-    (11, True): "10436f820f93d6b63b21e9e76606db81"
-        "5a0ba7856dc59f0f83757ad56cf2d112",
-    (11, False): "ba18933ec6140df99ca0357b3b9e7f19"
-        "4cef30d2f5f988cfc2217e11b519fb03",
-    (12, True): "ffe1fa3864f12fafc5415f6e45bee337"
-        "2bb3180532a40f7860750a6382046784",
-    (12, False): "2c457a455799aedcd4d46c431727f5cc"
-        "a9a0afbc48dc99c262d1c8196f21dae3",
+    (0, True): "5825efe593ad2bea78840389c2018663"
+        "f2adc9755ebdf7529fa6d9c6d98fa16a",
+    (0, False): "5825efe593ad2bea78840389c2018663"
+        "f2adc9755ebdf7529fa6d9c6d98fa16a",
+    (1, True): "34b741c57997c93521851d1b0d171cc3"
+        "e71438cb6c0df5b3b45cbc2968f2be03",
+    (1, False): "1dedd31f222aa2a81dc090dd00416c70"
+        "78ac66b53d8882613696a568f4982395",
+    (2, True): "4fbc3f2df184566cd9930d7f23a1b099"
+        "b4167761d3b60867b474ad1bedb800d9",
+    (2, False): "55902c0117a6a7702f7c1b1077a469c9"
+        "44b538b4a31a6e70a06a5dfa720e39f6",
+    (3, True): "5399b5d09954e998b16b817b298a668e"
+        "8e135564193a1c94119a92fc55acdc80",
+    (3, False): "d28c06127d34562d9b60fa3236e78ee4"
+        "0e2643550904443f2f04e89ec76fe172",
+    (4, True): "01665cf7fab32d7593872d91336d6c97"
+        "04ea738f25134d5f504af29b21673f12",
+    (4, False): "7f58a10495d670f69871ebca6023c169"
+        "d9e20f6b0ea92348ed9713293d55dba7",
+    (5, True): "f3546d76f5924fa8f7267bb83623db3a"
+        "c19b8438ca2267ecda423bb04a18f51a",
+    (5, False): "e34de2d4d2d5d3c5d9573e195ff3fc70"
+        "e9751a842de0be64a51f2653e18d0c5e",
+    (6, True): "8b3b44a29dc5c34426968d3db9606813"
+        "7bed8f8ac4da407bf1acc698e25db49e",
+    (6, False): "922f67c353dbc50ff900a36c00f4e081"
+        "76b444d8ba5a1e563e87688867b29134",
+    (7, True): "a4bb7fcdb3826ee321b70dc6e898e4f2"
+        "3dfe894743d78fb44a312f2876e2dc72",
+    (7, False): "cb900e67eff1478c68351f43f3ea8c1b"
+        "6fe220c89ba26648941b5223e09a5f54",
+    (8, True): "00319acb5cd000b67b4751a44bb92cda"
+        "7a8b63255b33881ca981ffca0f12896a",
+    (8, False): "23f3df48e2ae8765acc5665dbffbf618"
+        "4e79776055d2cef88de44a99f0ac0c9f",
+    (9, True): "2455f103f9e547926cec1eab45251887"
+        "e01ee81c8afe43e72486b06025f351e8",
+    (9, False): "b0df787c5f437c653598658d46ba8eb0"
+        "bf3eaa52436cfeef6d8263a947a99bc1",
+    (10, True): "2cd84732ec9118e7f5b3c1164f8108c1"
+        "4120b0d197cfd6d047eefb9dd0d5cec4",
+    (10, False): "b489a965c1ab3d4b885e9011f551c5dd"
+        "5e05f0d2b885cf7f524505f2cc44e7f4",
+    (11, True): "6b657ea56ba908e92722eb1fb252eb8b"
+        "1bfb5c2ab50391c5d318592929e5b814",
+    (11, False): "e51a1aa5af583fa12d5e1aafe11b1c4c"
+        "d84611fd8033b030a656e741bc4815dd",
+    (12, True): "c5a6f473d83e3e29de164725611ddc60"
+        "8bcbfb94d226433b6d88d702058c703c",
+    (12, False): "35b3f7cb78318bdcad25d3469b107a9b"
+        "44bbc05e685e37e086bd111d395eb12c",
 }
 
 
@@ -813,31 +794,22 @@ def _assert_canonical(op):
         assert isinstance(v, Fraction) == op.space.exact
 
 
-def _mode(space, kind, n, bar):
-    return build_virasoro(space, n, bar=bar, shifted=kind == "L shifted")
-
-
-_KINDS = st.sampled_from(["L", "L shifted"])
 _MODE = st.integers(min_value=-7, max_value=7)
 
 
 @given(
     l_max=st.integers(min_value=0, max_value=6),
     exact=st.booleans(),
-    bar=st.booleans(),
-    kinds=st.tuples(_KINDS, _KINDS),
     m=_MODE,
     n=_MODE,
 )
-@example(l_max=0, exact=True, bar=False, kinds=("L", "L"), m=-1, n=1)
-@example(l_max=1, exact=False, bar=True, kinds=("L shifted", "L"), m=0, n=-1)
+@example(l_max=0, exact=True, m=-1, n=1)
+@example(l_max=1, exact=False, m=0, n=-1)
 @settings(max_examples=100, deadline=None)
-def test_one_sided_products_match_dense_reference(l_max, exact, bar, kinds, m, n):
-    # float64 is exact here too: the entries are multiples of 1/2, and the
-    # one non-dyadic value, the -1/24 of a shifted L_0, sits on a diagonal,
-    # so every product entry it enters is a single product
+def test_one_sided_products_match_dense_reference(l_max, exact, m, n):
+    # float64 is exact here too: the entries are multiples of 1/2
     space = _space(l_max, exact)
-    a, b = _mode(space, kinds[0], m, bar), _mode(space, kinds[1], n, bar)
+    a, b = build_virasoro(space, m), build_virasoro(space, n)
     A, B = _dense(a), _dense(b)
     ab, ba = _dense_product(A, B), _dense_product(B, A)
     comm = commutator(a, b)
@@ -850,27 +822,25 @@ def test_one_sided_products_match_dense_reference(l_max, exact, bar, kinds, m, n
 @given(
     l_max=st.integers(min_value=0, max_value=6),
     exact=st.booleans(),
-    kind=_KINDS,
     n=_MODE,
-    bar=st.booleans(),
     coeffs=st.dictionaries(
         st.integers(min_value=0, max_value=400),
         st.tuples(st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=7)),
         max_size=8,
     ),
-    factor=st.none() | st.tuples(_KINDS, _MODE),
+    factor=st.none() | _MODE,
 )
-@example(l_max=0, exact=True, kind="L shifted", n=0, bar=False, coeffs={0: (1, 1)}, factor=None)
-@example(l_max=0, exact=False, kind="L", n=-1, bar=True, coeffs={0: (2, 3)}, factor=None)
-@example(l_max=1, exact=True, kind="L", n=-1, bar=True, coeffs={1: (3, 2), 2: (-1, 7)}, factor=None)
-@example(l_max=1, exact=False, kind="L", n=1, bar=False, coeffs={1: (5, 1), 2: (1, 3)}, factor=None)
+@example(l_max=0, exact=True, n=0, coeffs={0: (1, 1)}, factor=None)
+@example(l_max=0, exact=False, n=-1, coeffs={0: (2, 3)}, factor=None)
+@example(l_max=1, exact=True, n=-1, coeffs={1: (3, 2), 2: (-1, 7)}, factor=None)
+@example(l_max=1, exact=False, n=1, coeffs={1: (5, 1), 2: (1, 3)}, factor=None)
 # commutators at l_max 0 and 1, in both arithmetics
-@example(l_max=0, exact=True, kind="L shifted", n=0, bar=True, coeffs={0: (1, 2)}, factor=("L", 0))
-@example(l_max=0, exact=False, kind="L", n=1, bar=False, coeffs={0: (3, 1)}, factor=("L", -1))
-@example(l_max=1, exact=True, kind="L", n=1, bar=False, coeffs={0: (1, 1), 1: (2, 3), 2: (-4, 5)}, factor=("L", -1))
-@example(l_max=1, exact=False, kind="L shifted", n=0, bar=True, coeffs={1: (1, 3), 2: (5, 7)}, factor=("L", -1))
+@example(l_max=0, exact=True, n=0, coeffs={0: (1, 2)}, factor=0)
+@example(l_max=0, exact=False, n=1, coeffs={0: (3, 1)}, factor=-1)
+@example(l_max=1, exact=True, n=1, coeffs={0: (1, 1), 1: (2, 3), 2: (-4, 5)}, factor=-1)
+@example(l_max=1, exact=False, n=0, coeffs={1: (1, 3), 2: (5, 7)}, factor=-1)
 @settings(max_examples=200, deadline=None)
-def test_unlifted_table_acts_like_its_columns(l_max, exact, kind, n, bar, coeffs, factor):
+def test_unlifted_table_acts_like_its_columns(l_max, exact, n, coeffs, factor):
     # a mode's table, or a commutator's two table products, lifted through
     # .entries and applied to a sparse state column by column, gives the
     # column reference's state for its factors bit for bit, with the same
@@ -878,11 +848,11 @@ def test_unlifted_table_acts_like_its_columns(l_max, exact, kind, n, bar, coeffs
     space = _space(l_max, exact)
     values = {i % space.dim: Fraction(k, d) if exact else k / d for i, (k, d) in coeffs.items()}
     v = BoundaryState(space, values)
-    op = a = _mode(space, kind, n, bar)
+    op = a = build_virasoro(space, n)
     if factor is None:
         ref = _Columns.of(a)
     else:
-        b = _mode(space, factor[0], factor[1], bar)
+        b = build_virasoro(space, factor)
         op = commutator(a, b)
         ref = _column_product(_Columns.of(a), _Columns.of(b), commute=True)
     got = _column_apply(_Columns(space, _by_column(op.entries), ()), v)
@@ -896,27 +866,28 @@ def test_unlifted_table_acts_like_its_columns(l_max, exact, kind, n, bar, coeffs
     data=st.data(),
     l_max=st.integers(min_value=0, max_value=6),
     exact=st.booleans(),
-    bar=st.booleans(),
-    kinds=st.tuples(_KINDS, _KINDS, _KINDS),
     modes=st.tuples(_MODE, _MODE, _MODE),
 )
-@example(data=None, l_max=0, exact=True, bar=False, kinds=("L", "L", "L"), modes=(1, -1, 1))
-@example(data=None, l_max=1, exact=False, bar=True, kinds=("L shifted", "L", "L"), modes=(1, -1, -1))
-@example(data=None, l_max=4, exact=True, bar=False, kinds=("L", "L", "L"), modes=(2, -2, 1))
+@example(data=None, l_max=0, exact=True, modes=(1, -1, 1))
+@example(data=None, l_max=1, exact=False, modes=(1, -1, -1))
+@example(data=None, l_max=4, exact=True, modes=(2, -2, 1))
 @settings(max_examples=80, deadline=None)
-def test_products_of_products_match_the_column_path(data, l_max, exact, bar, kinds, modes):
-    # a commutator of two modes on one side lifts to the column reference's
-    # commutator of its factors, bit for bit.  A product of a commutator and
-    # a third operator is not an operator; applied one factor at a time it
-    # acts on a state as the column reference's product
+def test_products_of_products_match_the_column_path(data, l_max, exact, modes):
+    # a commutator of two modes lifts to the column reference's commutator
+    # of its factors, bit for bit.  A product of a commutator and a third
+    # operator is not an operator; applied one factor at a time it acts on a
+    # state as the column reference's product.  The third operator is a
+    # mode, Lbar_n from the oracle (a spectator of the chiral side), the
+    # commutator itself, or random
     space = _space(l_max, exact)
-    a, b = (_mode(space, kind, n, bar) for kind, n in zip(kinds[:2], modes))
+    a, b = (build_virasoro(space, n) for n in modes[:2])
     comm = commutator(a, b)
     ref = _column_product(_Columns.of(a), _Columns.of(b), commute=True)
     assert comm.entries == ref.entries
     comm_cols = _Columns(space, _by_column(comm.entries), ref.dropped_cols)
-    same, other = (_mode(space, kinds[2], modes[2], side) for side in (bar, not bar))
-    operands = [_Columns.of(same), _Columns.of(other), ref]
+    n = modes[2]
+    other = _Columns(space, _by_column(_virasoro_oracle(space, n, bar=True)), _mode_dropped(space, n))
+    operands = [_Columns.of(build_virasoro(space, n)), other, ref]
     if data is not None:
         operands.append(_random_operator(data, space))
     one = space.one_scalar()
@@ -934,11 +905,10 @@ def test_products_of_products_match_the_column_path(data, l_max, exact, bar, kin
                 assert _norm_inf(got - want) <= 1e-12 * max(1.0, _norm_inf(want))
 
 
-def test_products_of_products_and_of_two_sides_raise():
+def test_products_of_products_raise():
     space = build_space(3)
     L1, Lm1 = build_virasoro(space, 1), build_virasoro(space, -1)
-    Lbar1, Lbarm1 = build_virasoro(space, 1, bar=True), build_virasoro(space, -1, bar=True)
     comm = commutator(L1, Lm1)
-    for a, b in [(comm, L1), (L1, comm), (comm, comm), (L1, Lbar1), (Lbarm1, Lm1)]:
+    for a, b in [(comm, L1), (L1, comm), (comm, comm)]:
         with pytest.raises(ValueError):
             commutator(a, b)

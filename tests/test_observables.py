@@ -107,15 +107,22 @@ def test_mode_sum_matches_full_sweep(l_max, exact):
 
 # ------------------------------------------------------------------ one-point
 #
-# <O(z)>_{D_R} is the two-point series <O(z) 1(0)>_{D_R}
+# <O(z)>_{D_R} is the two-point series <O(z) 1(0)>_{D_R}: two_point gives it
+# on D_1, and on D_R each coefficient is its dilation by R
+
+
+def _on_disk(series: ZSeries, R) -> ZSeries:
+    """The series on D_R: each coefficient dilated by R."""
+    return series.map_coeffs(lambda v: dilation(R, v))
 
 
 def test_one_point_current_origin():
     # <j(0)>_{D_R} is the z^0 coefficient: j_{-1}|0> / R
     space = build_space(4)
     j, one = current_observable(space), identity_observable(space)
+    assert two_point(space, j, one).terms[0, 0] == space.state((1,))
     for R in (1, Fraction(2)):
-        got = two_point(space, j, one, R=R).terms[0, 0]
+        got = _on_disk(two_point(space, j, one), R).terms[0, 0]
         assert got == space.state((1,)).scale(1 / Fraction(R))
 
 
@@ -123,7 +130,7 @@ def test_one_point_identity_anywhere():
     # the identity's one-point correlator is the vacuum at every z
     space = build_space(3)
     one = identity_observable(space)
-    assert two_point(space, one, one, R=2).terms == {(0, 0): space.vacuum()}
+    assert _on_disk(two_point(space, one, one), 2).terms == {(0, 0): space.vacuum()}
 
 
 def test_one_point_current_mode_coefficients():
@@ -131,7 +138,7 @@ def test_one_point_current_mode_coefficients():
     space = build_space(4)
     j = current_observable(space)
     R = Fraction(2)
-    series = two_point(space, j, identity_observable(space), R=R)
+    series = _on_disk(two_point(space, j, identity_observable(space)), R)
     assert len(series.terms) == space.l_max
     for n in range(1, space.l_max + 1):
         assert series.terms[n - 1, 0] == space.state((n,)).scale(R ** (-n))
@@ -141,9 +148,9 @@ def test_one_point_locality():
     # <O(z)>_{D_R} = glue(annulus(R, Rp), <O(z)>_{D_Rp}), power by power in z
     space = build_space(4)
     j, one = current_observable(space), identity_observable(space)
-    R, Rp = Fraction(3), Fraction(1)
-    direct = two_point(space, j, one, R=R)
-    inner = two_point(space, j, one, R=Rp)
+    R, Rp = Fraction(3), Fraction(2)
+    series = two_point(space, j, one)
+    direct, inner = _on_disk(series, R), _on_disk(series, Rp)
     by_level = annulus_pf(space, R, Rp).by_level
     assert direct == inner.map_coeffs(lambda v: scale_by_level(v, by_level))
 
@@ -162,17 +169,17 @@ def test_one_point_unsupported_transport():
 def test_two_point_jj_singular_term():
     space = build_space(4)
     j = current_observable(space)
-    series = two_point(space, j, j, R=1)
+    series = two_point(space, j, j)
     assert series.terms[-2, 0] == space.vacuum()
     # a ZSeries stores no zero state
     assert (-1, 0) not in series.terms and (-3, 0) not in series.terms
 
 
 def test_two_point_jj_regular_rows_are_descendants():
-    # coefficient of z^{m-1} is j_{-m} j_{-1}|0> at R=1
+    # coefficient of z^{m-1} is j_{-m} j_{-1}|0> on D_1
     space = build_space(5)
     j = current_observable(space)
-    series = two_point(space, j, j, R=1)
+    series = two_point(space, j, j)
     for m in range(1, space.l_max):
         assert series.terms[m - 1, 0] == space.state(
             tuple(sorted((m, 1), reverse=True))
@@ -183,27 +190,33 @@ def test_two_point_identity_insertion():
     space = build_space(3)
     one = identity_observable(space)
     jb = current_observable(space, bar=True)
-    series = two_point(space, one, jb, R=Fraction(2))
-    assert series.terms[0, 0] == dilation(2, jb.state)
-    assert len(series.terms) == 1
+    series = two_point(space, one, jb)
+    assert series.terms == {(0, 0): jb.state}
+    assert _on_disk(series, Fraction(2)).terms == {(0, 0): dilation(2, jb.state)}
 
 
 def test_two_point_radius_scaling():
-    space = build_space(4)
-    j = current_observable(space)
-    s1 = two_point(space, j, j, R=1)
-    s2 = two_point(space, j, j, R=Fraction(2))
-    for (m, mbar), v in s1.terms.items():
-        w = s2.terms[m, mbar]
-        for i, c in v.nonzero():
-            E = space.levels[i]
-            assert w[i] == c * Fraction(2) ** (-E)
+    # the series on D_R is each coefficient's dilation by R, which scales its
+    # level-E part by R^{-E}: the same keys, each value times R^{-E}, in the
+    # space's arithmetic
+    for exact in (True, False):
+        space = build_space(4, exact=exact)
+        j, o = current_observable(space), marginal_observable(space)
+        for a, b in ((j, j), (o, o), (j, identity_observable(space))):
+            s1 = two_point(space, a, b)
+            for R in (2, Fraction(3, 2), 0.5):
+                s2 = _on_disk(s1, R)
+                scale = Fraction(R) if exact else float(R)
+                assert s2.terms.keys() == s1.terms.keys()
+                for key, v in s1.terms.items():
+                    want = {i: c * scale ** -space.levels[i] for i, c in v.terms.items()}
+                    assert s2.terms[key].terms == want, (exact, a, b, R, key)
 
 
 def test_two_point_marginal_pair():
     space = build_space(4)
     o = marginal_observable(space)
-    series = two_point(space, o, o, R=1)
+    series = two_point(space, o, o)
     assert series.terms[-2, -2] == space.vacuum()
     # no |z|^{-2} marginal channel: chiral factorization forbids it
     assert (-1, -1) not in series.terms
@@ -217,23 +230,23 @@ NOT_POSITIVE_AND_FINITE = [-1, 0, math.inf, math.nan]
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
 @pytest.mark.parametrize("R", NOT_POSITIVE_AND_FINITE)
 def test_two_point_rejects_a_radius_geometry_rejects(R, exact):
-    # geometry's rule for a disk radius, not a series for a disk of radius -1
-    # or an arithmetic error from the scaling
+    # carrying the series to D_R follows geometry's rule for a radius: no
+    # series for a disk of radius -1, and no arithmetic error from the scaling
     space = build_space(3, exact=exact)
     j = current_observable(space)
-    with pytest.raises(GeometryError, match="disk radius must be positive and finite"):
-        two_point(space, j, j, R=R)
+    with pytest.raises(GeometryError, match="dilation scale must be positive and finite"):
+        _on_disk(two_point(space, j, j), R)
 
 
 def test_two_point_radius_beyond_the_float_range():
     # exact on an exact space; on a float64 space geometry's float rule
     j = current_observable(build_space(3))
-    series = two_point(j.space, j, identity_observable(j.space), R=10**400)
+    series = _on_disk(two_point(j.space, j, identity_observable(j.space)), 10**400)
     assert series.terms[0, 0] == j.state.scale(Fraction(1, 10**400))
     space = build_space(3, exact=False)
     j = current_observable(space)
     with pytest.raises(GeometryError, match="float range"):
-        two_point(space, j, j, R=10**400)
+        _on_disk(two_point(space, j, j), 10**400)
 
 
 # ---------------------------------------------------------------- dilation
@@ -261,6 +274,21 @@ def test_dilation_eigenvalues():
     v = space.state((1,), (1,))
     assert dilation(lam, v) == v.scale(Fraction(1, 9))
     assert dilation(1, v) == v
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+def test_dilation_scale_types(exact):
+    # an int, Fraction or float scale is taken as Fraction(lam) on an exact
+    # space, a float exactly, and as float(lam) on a float64 one: the
+    # scalars stay of the space's arithmetic
+    space = build_space(3, exact=exact)
+    v = space.vacuum() + space.state((1,)) + space.state((1,), (1,)).scale(3)
+    for lam in (2, 3, Fraction(2, 3), 0.5, 0.1):
+        scale = Fraction(lam) if exact else float(lam)
+        want = {i: c * scale ** -space.levels[i] for i, c in v.terms.items()}
+        for got in (dilation(lam, v), dilation(lam, RExpansion({(-2, 0): v})).terms[-2, 0]):
+            assert got.terms == want, lam
+            assert {type(c) for c in got.terms.values()} == {Fraction if exact else float}
 
 
 def test_dilation_int_lambda_is_exact():
@@ -360,7 +388,7 @@ def test_ope_roundtrip():
     j = current_observable(space)
     table = ope_extract(space, j, j)
     resummed = ope_resum(space, table, "j", "j")
-    series = two_point(space, j, j, R=1)
+    series = two_point(space, j, j)
     assert (resummed - series).is_zero()
 
 

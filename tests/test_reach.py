@@ -43,9 +43,8 @@ NEVER_ENTERED = {
     "fock.TruncatedFockSpace.zero": ITEM_2 + "the deformed free boson's zero state",
     "rexp.Sparse.scale": ITEM_2 + "fb_deformed_annulus's moments; and test_sparse",
     "observables.dilation": ITEM_2 + "the dilation of an observable (test_observables)",
-    "observables._inverse_powers": ITEM_2 + "the dilation of an observable (test_observables)",
     # the Virasoro modes: the fb-session workload's virasoro op runs them
-    "fock.build_virasoro": ITEM_3 + "L_n and Lbar_n",
+    "fock.build_virasoro": ITEM_3 + "the modes L_n",
     "fock._twice_virasoro": ITEM_3 + "the Sugawara tables of L_n",
     "fock._table_product": ITEM_3 + "the commutator on tables",
     "fock.commutator": ITEM_3 + "[L_m, L_n]",

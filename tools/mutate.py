@@ -19,7 +19,7 @@ missing test.  The results go to MUT_<label>.json at the root.  Standard
 library only; a full run of 28 mutants takes about 14 minutes on a 2-core
 Xeon, so it is not a CI step:
 
-    python tools/mutate.py --label 40
+    python tools/mutate.py --label 41
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ MUTANTS = [
     Mutant("glue-anomaly", "src/fqft/geometry.py",
            "anomaly = outer.anomaly * inner.anomaly", "anomaly = outer.anomaly",
            "cutting: the anomalies of glued surfaces multiply"),
-    Mutant("l0-shift", "src/fqft/fock.py",
-           "(24, 12, -1) if space.exact", "(24, 12, -2) if space.exact",
-           "L_0 carries the vacuum energy -c/24 with c = 1"),
+    Mutant("sugawara-half", "src/fqft/fock.py",
+           "(24, 12) if space.exact", "(24, 24) if space.exact",
+           "L_n = (1/2) sum_k :j_{-k} j_{k+n}:, the Sugawara weight 1/2 on exact spaces"),
     Mutant("pade-theta", "src/fqft/qm.py",
            "_THETA = 4.25", "_THETA = 8.5",
            "the degree-13 Pade step needs ||2^-s A|| below its backward-error bound"),
@@ -145,9 +145,9 @@ MUTANTS = [
     Mutant("qm-endpoints-zero-length", "src/fqft/qm.py",
            "if not (finite and alpha <= beta):", "if not (finite and alpha < beta):",
            "a zero-length segment is a segment, whose value is the identity"),
-    Mutant("two-point-radius-unchecked", "src/fqft/observables.py",
-           "    _check_disk(R)\n    if a.word is None:", "    if a.word is None:",
-           "<O_a(z) O_b(0)>_{D_R} is defined for a positive finite radius R alone"),
+    Mutant("dilation-exact-coercion", "src/fqft/observables.py",
+           "Fraction(lam) if x.space.exact", "lam if x.space.exact",
+           "an exact space keeps exact scalars: Dil_lambda takes lambda as Fraction(lambda)"),
     Mutant("dilation-scale-inf", "src/fqft/observables.py",
            "if not (lam > 0 and lam != math.inf):", "if not lam > 0:",
            "Dil_lambda is defined for a positive finite scale lambda alone"),
