@@ -20,18 +20,13 @@ from .scalars import encode_scalar
 
 SCHEMA_VERSION = 5
 
-# the float checks' fixed tolerances: the QM ones relative to the oracle's
-# size, max(max|oracle|, 1); a report's config.tolerances records those its
-# run read
+# the QM checks' fixed tolerances, relative to the oracle's size,
+# max(max|oracle|, 1); a report's config.tolerances records those its run
+# read.  The free-boson checks are exact equalities and read none.
 TOLERANCES = {
-    "cutting": 1e-12,
-    "ope": 1e-10,
     "oracle": 1e-10,
     "qm_cutting": 1e-12,
 }
-# tolerances of the free-boson checks, which exact arithmetic replaces by
-# exact equality
-FLOAT_ONLY_TOLERANCES = {"cutting", "ope"}
 
 log = logging.getLogger("fqft")
 
@@ -64,21 +59,13 @@ def _jsonable(x):
 # the free-boson commands build their space, or read the one `all` shares
 
 def cmd_verify_cutting(args, space=None):
-    exact = args.arithmetic == "exact"
-    space = space or build_space(args.l_max, exact=exact)
-    radii = [Fraction(k) for k in (4, 3, 2, 1)] if exact else [4.0, 3.0, 2.0, 1.0]
-    report = verify_cutting(space, radii)
-    if exact:
-        passed = report["exact_zero"]
-    else:
-        passed = (
-            max(report["max_residual"], report["disk_residual"]) < TOLERANCES["cutting"]
-        )
-    return report, passed
+    space = space or build_space(args.l_max)
+    report = verify_cutting(space, [Fraction(k) for k in (4, 3, 2, 1)])
+    return report, report["exact_zero"]
 
 
 def cmd_ope(args, space=None):
-    space = space or build_space(args.l_max, exact=args.arithmetic == "exact")
+    space = space or build_space(args.l_max)
     j = current_observable(space)
     table = ope_extract(space, j, j)
     o = marginal_observable(space)
@@ -88,14 +75,13 @@ def cmd_ope(args, space=None):
         for r in table.rows
         if r["coefficient"] != 0 and (r["exponents"][0] < 0 or r["exponents"][1] < 0)
     ]
-    eps = 0 if space.exact else TOLERANCES["ope"]
     passed = (
         len(singular) == 1
         and singular[0]["c"] == "1"
         and singular[0]["exponents"] == (-2, 0)
-        and abs(singular[0]["coefficient"] - 1) <= eps
-        and abs(consts["K"][("jjbar", "jjbar")] - 1) <= eps
-        and all(abs(v) <= eps for v in consts["C"].values())
+        and singular[0]["coefficient"] == 1
+        and consts["K"][("jjbar", "jjbar")] == 1
+        and all(v == 0 for v in consts["C"].values())
     )
     return {"rows": table.rows, "marginal_constants": consts}, passed
 
@@ -103,7 +89,7 @@ def cmd_ope(args, space=None):
 def cmd_beta(args, space=None):
     if args.backend == "formal":
         theory = args.formal_theory
-    else:  # in exact arithmetic whatever the --arithmetic
+    else:
         theory = fb_theory(space or build_space(args.l_max))
     res = beta_fn(theory)
     results = {
@@ -155,13 +141,12 @@ def cmd_qm(args):
 
 
 def cmd_all(args):
-    # one space per arithmetic: free-boson beta reads an exact one, formal beta none
-    space = build_space(args.l_max, exact=args.arithmetic == "exact")
-    exact = space if space.exact or args.backend == "formal" else build_space(args.l_max)
+    # one space, which cutting, ope and free-boson beta share; formal beta reads none
+    space = build_space(args.l_max)
     runs = {
         "verify-cutting": cmd_verify_cutting(args, space),
         "ope": cmd_ope(args, space),
-        "beta": cmd_beta(args, exact),
+        "beta": cmd_beta(args, space),
         "qm": cmd_qm(args),
     }
     results = {name: {"results": sub, "passed": ok} for name, (sub, ok) in runs.items()}
@@ -170,7 +155,11 @@ def cmd_all(args):
 
 FLAGS = {
     "--lmax": dict(dest="l_max", type=int, default=4),
-    "--arithmetic": dict(choices=["exact", "float64"], default="exact"),
+    "--arithmetic": dict(
+        choices=["exact", "float64"],
+        default="exact",
+        help="recorded in the report only: the free boson computes in exact rationals",
+    ),
     "--backend": dict(choices=["free-boson", "formal"], default="free-boson"),
     "--theory": dict(help="formal theory JSON file"),
     "--dim": dict(type=int, default=4, help=f"qm Hilbert dimension, 1..{QM_DIM_HARD_CAP}"),
@@ -179,10 +168,10 @@ FLAGS = {
 }
 
 # each subcommand: its command, the flags it reads and the TOLERANCES keys
-# its checks read in float64; it also takes --out and --timing
+# its checks read; it also takes --out and --timing
 COMMANDS = {
-    "verify-cutting": (cmd_verify_cutting, ["--lmax", "--arithmetic"], ["cutting"]),
-    "ope": (cmd_ope, ["--lmax", "--arithmetic"], ["ope"]),
+    "verify-cutting": (cmd_verify_cutting, ["--lmax", "--arithmetic"], []),
+    "ope": (cmd_ope, ["--lmax", "--arithmetic"], []),
     "beta": (cmd_beta, ["--lmax", "--backend", "--theory"], []),
     "qm": (cmd_qm, ["--dim", "--seed", "--orders"], ["oracle", "qm_cutting"]),
 }
@@ -255,11 +244,7 @@ def main(argv=None):
             # RecombinationError, a ValueError: a pair whose OPE orders disagree
             parser.error(f"invalid --theory {args.theory}: {err!r}")
     config = {key: getattr(args, key) for key in SETTINGS if key in args}
-    tolerances = {
-        key: TOLERANCES[key]
-        for key in COMMANDS[args.command][2]
-        if config.get("arithmetic") != "exact" or key not in FLOAT_ONLY_TOLERANCES
-    }
+    tolerances = {key: TOLERANCES[key] for key in COMMANDS[args.command][2]}
     if tolerances:
         config["tolerances"] = tolerances
     # opened before the run, so an unwritable path fails at once

@@ -11,9 +11,10 @@ nonzero at a time, and `scale_by_level` scales each level's part by one
 scalar.  A mode operator is L_n (`build_virasoro`), a partition table {mu:
 {new: weight}} acting on the chiral partition with a level shift, or the
 `commutator` of two modes, whose tables multiply as integers over one
-denominator in exact arithmetic.  Its `.entries`, {(row, col): nonzero
-scalar}, lift the tables onto the columns on each read, with one Fraction
-per distinct numerator.  The antichiral side is a spectator of every mode.
+denominator.  Its `.entries`, {(row, col): nonzero Fraction}, lift the
+tables onto the columns on each read, with one Fraction per distinct
+numerator.  The antichiral side is a spectator of every mode.  Every
+scalar is an exact rational (an int or a Fraction).
 
 The zero mode j_0 acts as zero throughout (the zero-mode sector is out of
 scope).  `apply_current` drops components pushed above the truncation level
@@ -90,7 +91,7 @@ class TruncatedFockSpace:
     blocks[level][mu] its first column.  Per column it keeps only its level
     and a reference to its block's record."""
 
-    def __init__(self, l_max: int, exact: bool = True):
+    def __init__(self, l_max: int):
         if l_max < 0:
             raise ValueError("l_max must be >= 0")
         if l_max > L_MAX_HARD_CAP:
@@ -98,7 +99,6 @@ class TruncatedFockSpace:
                 f"l_max={l_max} exceeds hard cap {L_MAX_HARD_CAP}"
             )
         self.l_max = l_max
-        self.exact = exact
         nus = [(p, len(p)) for p in map(partitions, range(l_max + 1))]
         # per column its block's record (level, mu, |mu|, first column,
         # partitions of nu) and its level, filled by list repeats
@@ -132,17 +132,11 @@ class TruncatedFockSpace:
         rank = None if start is None else self._ranks[level - sum(mu)].get(nu)
         return None if rank is None else start + rank
 
-    def zero_scalar(self):
-        return Fraction(0) if self.exact else 0.0
-
-    def one_scalar(self):
-        return Fraction(1) if self.exact else 1.0
-
     def zero(self) -> "BoundaryState":
         return BoundaryState(self, {})
 
     def vacuum(self) -> "BoundaryState":
-        return BoundaryState(self, {0: self.one_scalar()})
+        return BoundaryState(self, {0: Fraction(1)})
 
     def state(self, chiral=(), antichiral=()) -> "BoundaryState":
         """Basis vector j_{chiral} jbar_{antichiral} |0>."""
@@ -150,7 +144,7 @@ class TruncatedFockSpace:
         i = self.index_of(*key)
         if i is None:
             raise ValueError(f"state {key} above truncation l_max={self.l_max}")
-        return BoundaryState(self, {i: self.one_scalar()})
+        return BoundaryState(self, {i: Fraction(1)})
 
 
 class BoundaryState(Sparse):
@@ -187,9 +181,9 @@ class BoundaryState(Sparse):
         return self._of(self.space, terms, loss if other is None else loss + other.truncation_loss)
 
     def __getitem__(self, i):
-        """Coefficient of basis vector i; the zero scalar when absent."""
+        """Coefficient of basis vector i; Fraction(0) when absent."""
         c = self.terms.get(i)
-        return self.space.zero_scalar() if c is None else c
+        return Fraction(0) if c is None else c
 
     def nonzero(self):
         """(index, coefficient) pairs in basis order."""
@@ -204,10 +198,11 @@ class BoundaryState(Sparse):
 
 
 def scale_by_level(v: BoundaryState, by_level) -> BoundaryState:
-    """v with its level-E part scaled by by_level[E], one scalar per level
-    0..l_max; a product that underflows to zero is dropped."""
-    levels, zero = v.space.levels, v._zero
-    return v._like({i: s for i, c in v.terms.items() if not zero(s := by_level[levels[i]] * c)})
+    """v with its level-E part scaled by by_level[E], one nonzero rational
+    per level 0..l_max; a product of two nonzero rationals is nonzero, so no
+    zero is stored."""
+    levels = v.space.levels
+    return v._like({i: by_level[levels[i]] * c for i, c in v.terms.items()})
 
 
 _EMPTY: dict = {}  # the image of a partition a table does not map
@@ -216,12 +211,11 @@ _EMPTY: dict = {}  # the image of a partition a table does not map
 class ModeOperator:
     """L_n on a truncated space, or the commutator of two of them; it maps
     level x to x - n.  It is held as its terms (partition table {p: {new:
-    weight}} with weights over `denominator`, integers in exact arithmetic
-    and floats over 1 in float64; sign; level shift of the factor acting
-    first).  A mode keeps its own `table`, a commutator None.  `.entries`
-    lifts the terms onto the columns on each read; a column whose image, or
-    whose first factor's image, lies above l_max keeps no entries from that
-    term."""
+    weight}} with integer weights over `denominator`; sign; level shift of
+    the factor acting first).  A mode keeps its own `table`, a commutator
+    None.  `.entries` lifts the terms onto the columns on each read; a column
+    whose image, or whose first factor's image, lies above l_max keeps no
+    entries from that term."""
 
     __slots__ = ("space", "n", "denominator", "terms", "table")
 
@@ -230,23 +224,22 @@ class ModeOperator:
         self.terms, self.table = terms, table
 
     def _summed(self, terms) -> dict:
-        """The signed sum of the terms' tables, one scalar per distinct
+        """The signed sum of the terms' tables, one Fraction per distinct
         numerator; zeros are dropped."""
         summed = {}
         for table, sign, _ in terms:
             for p, image in table.items():
                 acc = summed.setdefault(p, {})
                 for new, w in image.items():
-                    w = w if sign == 1 else -w  # negation is exact
+                    w = w if sign == 1 else -w
                     acc[new] = acc[new] + w if new in acc else w
         values = {s for image in summed.values() for s in image.values()}
-        exact, denominator = self.space.exact, self.denominator
-        scalar = {s: Fraction(s, denominator) if exact else s for s in values}
+        scalar = {s: Fraction(s, self.denominator) for s in values}
         return {p: {new: scalar[s] for new, s in image.items() if s} for p, image in summed.items()}
 
     @property
     def entries(self) -> dict:
-        """A fresh {(row, col): scalar} dict of the nonzero entries.  Per
+        """A fresh {(row, col): Fraction} dict of the nonzero entries.  Per
         level x with x - n in 0..l_max, the terms whose first factor keeps x
         within l_max are summed (once per set of such terms).  An image new
         of mu maps the block (x, mu) onto (x - n, new) in order."""
@@ -285,8 +278,8 @@ def _table_product(a: dict, b: dict) -> dict:
     return out
 
 
-def build_space(l_max: int, exact: bool = True) -> TruncatedFockSpace:
-    space = TruncatedFockSpace(l_max, exact=exact)
+def build_space(l_max: int) -> TruncatedFockSpace:
+    space = TruncatedFockSpace(l_max)
     # imported here, so that importing fock without building a space (as
     # deformation's formal backend does) does not import logging
     import logging
@@ -365,8 +358,8 @@ def build_virasoro(space: TruncatedFockSpace, n: int) -> ModeOperator:
     whose level - n exceeds l_max maps wholly above the truncation and
     keeps no entries.  L_0 is unshifted: it counts the chiral level.
     """
-    # exact weights are integers over 24: a pair's w/2 is 12 w
-    denominator, half = (24, 12) if space.exact else (1, 0.5)
+    # weights are integers over 24: a pair's w/2 is 12 w
+    denominator, half = 24, 12
     # both creators: m2 runs over ceil(n/2)..-1, and j_{m1} with -m1 > l_max
     # leaves every column it reaches above the truncation
     creators = [(n - m2, m2) for m2 in range(-(-n // 2), min(0, n + space.l_max + 1))]
@@ -386,9 +379,8 @@ def build_virasoro(space: TruncatedFockSpace, n: int) -> ModeOperator:
 
 def commutator(a: ModeOperator, b: ModeOperator) -> ModeOperator:
     """[a, b] = a @ b - b @ a of two modes, the two table
-    products summed per level (as integers, in exact arithmetic, before any
-    entry becomes a Fraction); in float64 each entry is x + (-y), which
-    equals x - y bit for bit."""
+    products summed per level as integers before any entry becomes a
+    Fraction."""
     if a.space is not b.space:
         raise SpaceMismatchError("operands live in different truncated spaces")
     if a.table is None or b.table is None:

@@ -8,8 +8,9 @@ annulus multiplies level scalars into an Annulus, annulus o disk applies
 them to the nonzeros of the disk's state and gives a Disk, and a bare
 BoundaryState comes back scaled and bare.  verify_cutting checks the
 cutting identities over chains of nested annuli level by level, in
-O(l_max) per cut.  An exact annulus forms r/R once and its levels (r/R)^E
-as running integer products, one normalised Fraction each.
+O(l_max) per cut.  Every scalar is an exact rational: an annulus forms
+r/R once and its levels (r/R)^E as running integer products, one
+normalised Fraction each.
 
 The shifted convention L_0 -> L_0 - 1/24 is the default, so annulus entries
 are (r/R)^{total level} and the disk is radius-independent.  shifted=False
@@ -19,7 +20,7 @@ level.  A partition function holds it as the rational q of q^{1/12} (its
 `anomaly`: r/R, 1/R, or 1 when shifted), and gluing multiplies anomalies.
 As q -> q^{1/12} is one-to-one and multiplicative on the positive
 rationals, comparing the anomalies exactly checks the factors exactly, and
-every exact scalar stays a rational.
+every scalar stays a rational.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .scalars import _rational
 class Annulus:
     """The annulus r <= |z| <= R: one scalar per total level 0..l_max (the
     level-E subspace's eigenvalue) times the conformal anomaly q^{1/12},
-    held as the positive rational (float in float64) q: 1 in the shifted
-    convention."""
+    held as the positive rational q: 1 in the shifted convention."""
 
     __slots__ = ("space", "R", "r", "by_level", "anomaly")
 
@@ -74,13 +74,6 @@ def _check_disk(R):
         raise GeometryError("disk radius must be positive and finite")
 
 
-def _float(radius) -> float:  # a float64 space's radius, as a float
-    try:
-        return float(radius)
-    except OverflowError:  # a finite exact radius, such as 10**400
-        raise GeometryError("a float64 radius must lie within the float range") from None
-
-
 def _powers(ratio: Fraction, count: int) -> list:
     """[ratio**E for E in 0..count-1]: running integer products of the
     numerator and of the denominator, normalised into one Fraction each."""
@@ -98,13 +91,9 @@ def annulus_pf(space: TruncatedFockSpace, R, r, shifted: bool = True) -> Annulus
     """(r/R)^{L_0 + Lbar_0} on the annulus r <= |z| <= R; unshifted, times
     the anomaly (r/R)^{1/12}."""
     _check_annulus(R, r)  # before r/R is formed
-    if space.exact:
-        Rq, rq = _rational(R), _rational(r)  # ints and Fractions as they are
-        ratio = Fraction(rq.numerator * Rq.denominator, rq.denominator * Rq.numerator)
-        by_level = _powers(ratio, space.l_max + 1)
-    else:
-        ratio = _float(r) / _float(R)
-        by_level = [ratio**E for E in range(space.l_max + 1)]
+    Rq, rq = _rational(R), _rational(r)  # ints and Fractions as they are
+    ratio = Fraction(rq.numerator * Rq.denominator, rq.denominator * Rq.numerator)
+    by_level = _powers(ratio, space.l_max + 1)
     return Annulus(space, R, r, by_level, 1 if shifted else ratio)
 
 
@@ -115,10 +104,7 @@ def disk_pf(space: TruncatedFockSpace, R, shifted: bool = True) -> Disk:
     carries the conformal-anomaly factor R^{-1/12}, as the anomaly 1/R.
     """
     _check_disk(R)  # before 1/R is formed
-    if shifted:
-        anomaly = 1
-    else:
-        anomaly = Fraction(1, _rational(R)) if space.exact else 1.0 / _float(R)
+    anomaly = 1 if shifted else Fraction(1, _rational(R))
     return Disk(space, R, space.vacuum(), anomaly)
 
 
@@ -147,22 +133,22 @@ def glue(outer: Annulus, inner) -> Annulus | Disk | BoundaryState:
     return Disk(outer.space, outer.R, scale_by_level(inner.state, outer.by_level), anomaly)
 
 
-def _residual(got, want, got_anomaly, want_anomaly, exact):
+def _residual(got, want, got_anomaly, want_anomaly):
     """Max-abs residual between the values got[k] * got_anomaly^{1/12} and
     want[k] * want_anomaly^{1/12}, and the k of the worst one (None when
-    they agree).  Exact values agree when the anomalies and the scalars are
-    equal as stored; an exact mismatch is never 0.0: one whose float
-    difference rounds to 0 reads inf."""
+    they agree).  The values agree when the anomalies and the scalars are
+    equal as stored; a mismatch is never 0.0: one whose float difference
+    rounds to 0 reads inf."""
     same_anomaly = got_anomaly == want_anomaly
-    if exact and same_anomaly and got == want:
+    if same_anomaly and got == want:
         return 0.0, None
     fg, fw = float(got_anomaly) ** (1 / 12), float(want_anomaly) ** (1 / 12)
     worst, arg = 0.0, None
     for k, (x, y) in enumerate(zip(got, want)):
-        if exact and same_anomaly and x == y:
+        if same_anomaly and x == y:
             continue
         d = abs(fg * float(x) - fw * float(y))
-        if exact and not d:
+        if not d:
             d = float("inf")  # unequal, though no float tells them apart
         if d > worst:
             worst, arg = d, k
@@ -192,9 +178,7 @@ def verify_cutting(space, cut_points, shifted=True):
         outer = annulus_pf(space, R0, radii[m], shifted=shifted)
         inner = annulus_pf(space, radii[m], Rn, shifted=shifted)
         glued = glue(outer, inner)
-        res, level = _residual(
-            glued.by_level, direct.by_level, glued.anomaly, direct.anomaly, space.exact
-        )
+        res, level = _residual(glued.by_level, direct.by_level, glued.anomaly, direct.anomaly)
         if level is not None and (arg is None or res > worst):
             worst, arg, worst_cut = res, level, m
 
@@ -207,17 +191,16 @@ def verify_cutting(space, cut_points, shifted=True):
         [disk_direct.state[i] for i in support],
         closed.anomaly,
         disk_direct.anomaly,
-        space.exact,
     )
 
     return {
         "l_max": space.l_max,
-        "mode": "exact" if space.exact else "f64",
+        "mode": "exact",  # the one arithmetic; the key keeps reports byte-identical
         "shifted": shifted,
         "cuts_checked": len(cuts),
         "max_residual": worst,
         "offending_level": arg,
         "offending_cut": worst_cut,
         "disk_residual": disk_res,
-        "exact_zero": space.exact and arg is None and disk_res == 0.0,
+        "exact_zero": arg is None and disk_res == 0.0,
     }

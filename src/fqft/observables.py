@@ -3,7 +3,8 @@
 An observable is an equivalence class of good boundary-state families v_r;
 we keep one canonical representative, the r -> 0 one-point correlator on
 the unit disk, as a boundary state.  Dilation scales its level-E part by
-lambda^{-E}.
+lambda^{-E}, with lambda taken as a Fraction, so every coefficient stays an
+exact rational, as in fqft.fock.
 
 Correlators at z != 0 are computed by mode transport of the U(1) current:
 the insertion of a current-generated observable on an annulus is the mode
@@ -25,7 +26,6 @@ from fractions import Fraction
 
 from .errors import GeometryError, ValidationError
 from .fock import BoundaryState, apply_current, scale_by_level
-from .geometry import _float
 from .rexp import RExpansion, Sparse
 
 
@@ -137,13 +137,13 @@ def two_point(space, a: LocalObservable, b: LocalObservable) -> ZSeries:
 
 def dilation(lam, x):
     """Dil_lambda, lambda positive and finite: a level-E homogeneous part
-    scales by lambda^{-E}, on boundary states and RExpansions of them.  On an
-    exact space lambda is taken as a Fraction, a float one exactly; on a
-    float64 one, as a float."""
+    scales by lambda^{-E}, on boundary states and RExpansions of them.
+    lambda is taken as a Fraction, a float one exactly, so every scalar
+    stays rational."""
     if not (lam > 0 and lam != math.inf):  # geometry's rule for a radius; NaN fails lam > 0
         raise GeometryError("dilation scale must be positive and finite")
     if isinstance(x, BoundaryState):
-        lam = Fraction(lam) if x.space.exact else _float(lam)
+        lam = Fraction(lam)
         # lam^{-E} per level E, the int 1 at level 0
         return scale_by_level(x, [1] + [lam ** -E for E in range(1, x.space.l_max + 1)])
     if isinstance(x, RExpansion):

@@ -45,36 +45,28 @@ def test_acceptance_1_cutting_axiom():
     ok = True
     start = time.perf_counter()
     for l_max in (2, 4, 6):
-        exact = verify_cutting(build_space(l_max), radii)
-        ok = ok and exact["exact_zero"]
-        flt = verify_cutting(build_space(l_max, exact=False), [4.0, 3.0, 2.0, 1.0])
-        ok = ok and max(flt["max_residual"], flt["disk_residual"]) < 1e-12
+        ok = ok and verify_cutting(build_space(l_max), radii)["exact_zero"]
     ok = ok and (time.perf_counter() - start) < 10.0
-    _report(1, "cutting axiom, exact and float64, l_max in {2,4,6}", ok)
+    _report(1, "cutting axiom, exact, l_max in {2,4,6}", ok)
 
 
 def test_acceptance_2_current_current_ope():
-    ok = True
-    for exact in (True, False):
-        space = build_space(5, exact=exact)
-        j = current_observable(space)
-        table = ope_extract(space, j, j)
-        eps = 0 if exact else 1e-10
-        singular = [
-            r
-            for r in table.rows
-            if (r["exponents"][0] < 0 or r["exponents"][1] < 0)
-            and abs(r["coefficient"]) > eps
-        ]
-        ok = ok and len(singular) == 1
-        ok = ok and singular[0]["c"] == "1" and singular[0]["exponents"] == (-2, 0)
-        ok = ok and abs(singular[0]["coefficient"] - 1) <= eps
-        # regular rows: z^{n} row is the descendant j_{-n-1} j_{-1} |0>
-        rows = {(r["exponents"], r["mu"], r["mubar"]): r["coefficient"] for r in table.rows}
-        for n in range(0, space.l_max - 2):
-            mu = tuple(sorted((n + 1, 1), reverse=True))
-            c = rows[(n, 0), mu, ()]
-            ok = ok and abs(c - 1) <= eps
+    space = build_space(5)
+    j = current_observable(space)
+    table = ope_extract(space, j, j)
+    singular = [
+        r
+        for r in table.rows
+        if (r["exponents"][0] < 0 or r["exponents"][1] < 0) and r["coefficient"] != 0
+    ]
+    ok = len(singular) == 1
+    ok = ok and singular[0]["c"] == "1" and singular[0]["exponents"] == (-2, 0)
+    ok = ok and singular[0]["coefficient"] == 1
+    # regular rows: z^{n} row is the descendant j_{-n-1} j_{-1} |0>
+    rows = {(r["exponents"], r["mu"], r["mubar"]): r["coefficient"] for r in table.rows}
+    for n in range(0, space.l_max - 2):
+        mu = tuple(sorted((n + 1, 1), reverse=True))
+        ok = ok and rows[(n, 0), mu, ()] == 1
     _report(2, "current-current OPE rows", ok)
 
 

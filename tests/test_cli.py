@@ -8,12 +8,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fqft.cli
+import fqft.geometry
 from fqft.cli import main
 from fqft.deformation import FormalTheory
 from theory_json import theory_to_json
@@ -37,12 +39,15 @@ def test_verify_cutting_exact(capsys):
 
 
 def test_verify_cutting_float(capsys):
+    # --arithmetic float64 cuts in exact rationals: zero residuals, and no
+    # tolerance is read or recorded
     code, report = run_cli(
         capsys, ["verify-cutting", "--lmax", "3", "--arithmetic", "float64"]
     )
-    assert code == 0
-    assert report["results"]["max_residual"] < 1e-12
-    assert report["config"]["tolerances"] == {"cutting": 1e-12}
+    assert code == 0 and report["passed"] is True
+    assert report["results"]["exact_zero"] is True
+    assert report["results"]["max_residual"] == 0.0
+    assert report["config"] == {"arithmetic": "float64", "l_max": 3}
 
 
 def test_ope_report(capsys):
@@ -75,15 +80,14 @@ def test_beta_free_boson_fails_on_nonzero_beta(capsys, monkeypatch):
     assert code == 1 and report["results"]["beta"]["passed"] is False
 
 
-@pytest.mark.parametrize("arithmetic, built", [("exact", [True]), ("float64", [False, True])])
+@pytest.mark.parametrize("arithmetic, built", [("exact", [3]), ("float64", [3])])
 def test_all_builds_one_space_per_arithmetic(capsys, monkeypatch, arithmetic, built):
-    # cutting and ope share the --arithmetic space; free-boson beta reads an
-    # exact one
+    # cutting, ope and free-boson beta share one space, whatever --arithmetic
     made, build_space = [], fqft.cli.build_space
 
-    def counted(l_max, exact=True):
-        made.append(exact)
-        return build_space(l_max, exact)
+    def counted(l_max):
+        made.append(l_max)
+        return build_space(l_max)
 
     monkeypatch.setattr(fqft.cli, "build_space", counted)
     code, report = run_cli(capsys, ["all", "--lmax", "3", "--arithmetic", arithmetic])
@@ -155,22 +159,21 @@ def test_report_determinism(capsys):
     assert first == second
 
 
-# SHA-256 of the reports as commit 78d3fec wrote them.  The `all` report is
-# hashed without its qm section, whose residuals are rounding-level floats
-# that depend on the BLAS numpy links; the rest is pure Python.
+# SHA-256 of the reports as commit 78d3fec wrote them, and of `all --lmax 8`
+# as commit 13fcb2d wrote it, the last to carry a float64 free boson.  The
+# `all` report is hashed without its qm section, whose residuals are
+# rounding-level floats that depend on the BLAS numpy links; the rest is
+# pure Python.  Its config.tolerances pins the QM tolerances.
 REPORT_DIGESTS = {
     "ope --lmax 12": "3b51abe0d0fdd07a8185db6c36d6d09006e30edc0bc00533eab580ae580c9ddd",
-    "ope --lmax 12 --arithmetic float64":
-        "189b9d55237629e11d73e8387fdc84de43a9d847ae9cccde0a644f7b48769de4",
-    "all --lmax 8 --arithmetic float64":
-        "22fe696cb6deda6729809ea6a59d703f853093db97dbd737550fbb0338f19469",
+    "all --lmax 8": "f4774dd4021f8a3e1cb47a5821b51d3cf7a79975810f14f97f2c5fe8e0cc40c3",
     "beta --lmax 8": "1a38eb2527aae811de73448884c30c03daa10c77a0a0510eeaf5d92ca5752a0b",
 }
 
 
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS))
 def test_report_matches_pinned_digest(capsys, argv):
-    # byte identity, float64 summation order included
+    # byte identity
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     if argv.startswith("all"):
@@ -189,11 +192,24 @@ def test_out_flag(tmp_path, capsys):
     assert report["command"] == "verify-cutting"
 
 
-@pytest.mark.parametrize(
-    "argv, key",
-    [(["verify-cutting", "--lmax", "3", "--arithmetic", "float64"], "cutting"), (["qm"], "oracle")],
-    ids=["verify-cutting", "qm"],
-)
+def test_failed_cutting_check_exits_1(capsys, monkeypatch):
+    # a glued annulus off at one level fails the exact cutting check: exit 1,
+    # passed false, and the report names the level
+    glue = fqft.geometry.glue
+
+    def faulty_glue(outer, inner):
+        out = glue(outer, inner)
+        if isinstance(inner, fqft.geometry.Annulus):
+            out.by_level[1] *= Fraction(101, 100)
+        return out
+
+    monkeypatch.setattr(fqft.geometry, "glue", faulty_glue)
+    code, report = run_cli(capsys, ["verify-cutting", "--lmax", "2"])
+    assert code == 1 and report["passed"] is False
+    assert report["results"]["offending_level"] == 1
+
+
+@pytest.mark.parametrize("argv, key", [(["qm"], "oracle")], ids=["qm"])
 def test_failed_float_check_exits_1(capsys, monkeypatch, argv, key):
     # an absurdly tight tolerance fails the float check: exit 1, passed false
     monkeypatch.setitem(fqft.cli.TOLERANCES, key, 1e-300)
@@ -204,16 +220,33 @@ def test_failed_float_check_exits_1(capsys, monkeypatch, argv, key):
 @pytest.mark.parametrize(
     "argv, tolerances",
     [
-        (["ope", "--lmax", "2", "--arithmetic", "float64"], {"ope": 1e-10}),
+        (["ope", "--lmax", "2", "--arithmetic", "float64"], None),
         (["qm"], {"oracle": 1e-10, "qm_cutting": 1e-12}),
     ],
     ids=["ope", "qm"],
 )
 def test_reports_record_the_fixed_tolerances(capsys, argv, tolerances):
-    # the tolerances are constants, not options: a loosened one shows here,
-    # as test_verify_cutting_float pins `cutting`
+    # the tolerances are constants, not options: a loosened one shows here.
+    # The free-boson checks are exact equalities and read none, whatever
+    # --arithmetic says
     code, report = run_cli(capsys, argv)
-    assert code == 0 and report["config"]["tolerances"] == tolerances
+    assert code == 0 and report["config"].get("tolerances") == tolerances
+
+
+@pytest.mark.parametrize("command", ["verify-cutting", "ope", "all"])
+def test_float64_run_is_the_exact_run(capsys, command):
+    # --arithmetic is accepted and recorded, and selects nothing: a float64
+    # run computes in exact rationals and reports what the exact run does
+    runs = {
+        arithmetic: run_cli(capsys, [command, "--lmax", "3", "--arithmetic", arithmetic])
+        for arithmetic in ("exact", "float64")
+    }
+    assert [code for code, _ in runs.values()] == [0, 0]
+    (_, exact), (_, float64) = runs.values()
+    assert float64["passed"] is True
+    assert float64["config"].pop("arithmetic") == "float64"
+    assert exact["config"].pop("arithmetic") == "exact"
+    assert float64 == exact
 
 
 @pytest.mark.parametrize("command", list(fqft.cli.COMMANDS))

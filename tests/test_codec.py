@@ -24,17 +24,16 @@ def _written(x):
     return json.loads(json.dumps(_jsonable(x)))
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
-def test_writers_share_one_codec(exact):
+def test_writers_share_one_codec():
     # the CLI's _jsonable is the one writer: operator entries, OPE rows and a
     # theory read back through decode_scalar and theory_from_json
-    space = build_space(4, exact=exact)
+    space = build_space(4)
     ops = {"L_-1": build_virasoro(space, -1), "L_0": build_virasoro(space, 0)}
     doc = _written({name: sorted(op.entries.items()) for name, op in ops.items()})
     for name, op in ops.items():
         back = {(i, j): decode_scalar(v) for (i, j), v in doc[name]}
         assert back == op.entries
-        assert all(type(v) is (str if exact else float) for _, v in doc[name])
+        assert all(type(v) is str for _, v in doc[name])
 
     o = marginal_observable(space)
     table = ope_extract(space, o, o)

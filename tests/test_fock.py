@@ -27,6 +27,16 @@ from fqft.scalars import encode_scalar
 
 import pytest
 
+# A parametrized case keeps the "-exact" in its id that it carried while
+# float64 cases ran beside it, so each case keeps its name.
+EXACT_IDS = "{}-exact".format
+
+# Every Virasoro entry is a multiple of 1/2 and every central term of
+# [L_m, L_n], |m|, |n| <= 3, is dyadic, so float() reads the exact operators
+# without rounding: read in float64 they must equal a float64 oracle and the
+# bytes the float64 Fock pipeline built before it left the library
+READ_AS = pytest.mark.parametrize("scalar", [Fraction, float], ids=["exact", "float64"])
+
 
 def test_partition_counts():
     # p(0..8) = 1,1,2,3,5,7,11,15,22
@@ -269,19 +279,17 @@ def test_virasoro_commutator_31():
         assert _act(comm, v) == _act(L2, v).scale(4)
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
-@pytest.mark.parametrize("l_max", [0, 1, 2, 8])
-def test_virasoro_algebra(l_max, exact):
+@pytest.mark.parametrize("l_max", [0, 1, 2, 8], ids=EXACT_IDS)
+def test_virasoro_algebra(l_max):
     # [L_m, L_n] = (m - n) L_{m+n} + (m^3 - m)/12 delta_{m+n,0} (c = 1) for
     # |m|, |n| <= 3, on every column where no factor leaves the truncation:
-    # level - min(0, m, n, m + n) <= l_max.  Every weight is a multiple of
-    # 1/2 and every central term is dyadic, so float64 is exact
-    space = _space(l_max, exact)
+    # level - min(0, m, n, m + n) <= l_max
+    space = _space(l_max)
     modes = {n: build_virasoro(space, n) for n in range(-6, 7)}
     columns = {n: _by_column(op.entries) for n, op in modes.items()}
     for m, n in itertools.product(range(-3, 4), repeat=2):
         comm = _by_column(commutator(modes[m], modes[n]).entries)
-        central = Fraction(m**3 - m, 12) if exact else (m**3 - m) / 12
+        central = Fraction(m**3 - m, 12)
         for col, level in enumerate(space.levels):
             if level - min(0, m, n, m + n) > l_max:
                 continue
@@ -292,11 +300,11 @@ def test_virasoro_algebra(l_max, exact):
             assert comm.get(col, {}) == want, (m, n, col)
 
 
-def _current_oracle(space, n, bar=False):
+def _current_oracle(space, n, bar=False, scalar=Fraction):
     """j_n (or jbar_n) as a column operator read off the basis keys: j_{-k}
     adds a part k with weight 1, j_k removes one part k with weight k times
-    its multiplicity, and a column whose level - n exceeds l_max is dropped."""
-    one = space.one_scalar()
+    its multiplicity, and a column whose level - n exceeds l_max is dropped.
+    The weights are of type scalar."""
     columns, dropped = {}, set()
     basis, index = _reference_basis(space.l_max)
     for col, (level, mu, nu) in enumerate(basis):
@@ -314,17 +322,16 @@ def _current_oracle(space, n, bar=False):
             continue
         new = tuple(sorted(parts, reverse=True))
         row = index[(level - n, mu, new) if bar else (level - n, new, nu)]
-        columns[col] = {row: weight * one}
+        columns[col] = {row: scalar(weight)}
     return _Columns(space, columns, dropped)
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
-@pytest.mark.parametrize("l_max", range(6))
-def test_current_mode_matches_oracle(l_max, exact):
+@pytest.mark.parametrize("l_max", range(6), ids=EXACT_IDS)
+def test_current_mode_matches_oracle(l_max):
     # j_n applied to each basis vector gives the oracle's column, and a
     # column the oracle drops counts as truncation loss
-    space = _space(l_max, exact)
-    one = space.one_scalar()
+    space = _space(l_max)
+    one = Fraction(1)
     for n in range(-l_max - 2, l_max + 3):
         for bar in (False, True):
             want = _current_oracle(space, n, bar)
@@ -334,11 +341,12 @@ def test_current_mode_matches_oracle(l_max, exact):
                 assert got.truncation_loss == (col in want.dropped_cols), (n, bar, col)
 
 
-def _virasoro_oracle(space, n, bar=False):
+def _virasoro_oracle(space, n, bar=False, scalar=Fraction):
     """L_n (or Lbar_n) summed over k from composed current-mode oracles:
     each unordered normal-ordered pair j_{m1} j_{m2} (m1 <= m2, m1 + m2 = n)
-    once, with weight 1/2 when m1 == m2 and 1 otherwise."""
-    half = Fraction(1, 2) if space.exact else 0.5
+    once, with weight 1/2 when m1 == m2 and 1 otherwise, in the arithmetic
+    of scalar."""
+    half = scalar(1) / 2
     total = {}
     kmax = space.l_max + abs(n)
     for k in range(-kmax, kmax + 1):
@@ -346,20 +354,25 @@ def _virasoro_oracle(space, n, bar=False):
         if m1 > m2 or m1 == 0 or m2 == 0:
             continue
         weight = half if m1 == m2 else 2 * half
-        prod = _column_product(_current_oracle(space, m1, bar), _current_oracle(space, m2, bar))
+        prod = _column_product(
+            _current_oracle(space, m1, bar, scalar), _current_oracle(space, m2, bar, scalar)
+        )
         for key, val in prod.entries.items():
             total[key] = total.get(key, 0) + weight * val
     return {key: val for key, val in total.items() if val != 0}
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@READ_AS
 @pytest.mark.parametrize("l_max", [*range(9), 10])
-def test_virasoro_matches_oracle(l_max, exact):
-    space = _space(l_max, exact)
+def test_virasoro_matches_oracle(l_max, scalar):
+    space = _space(l_max)
     # every n up to l_max 8; at 10, the modes the commutator checks use
     ns = range(-2 * l_max - 1, 2 * l_max + 2) if l_max <= 8 else (-2, 0, 2)
     for n in ns:
-        assert build_virasoro(space, n).entries == _virasoro_oracle(space, n), n
+        got = {key: scalar(val) for key, val in build_virasoro(space, n).entries.items()}
+        want = _virasoro_oracle(space, n, scalar=scalar)
+        assert got == want, n
+        assert all(type(val) is scalar for val in want.values())
 
 
 def test_virasoro_commutator_at_cap():
@@ -403,8 +416,9 @@ def test_commutator_keeps_columns_whose_inner_image_vanishes():
     assert not commutator(Lm1, Lm1).entries
 
 
-def space_to_json(space, operators=None) -> str:
-    """Dump {l_max, basis, operators:{name: sparse triplets}} for golden files."""
+def space_to_json(space, operators=None, scalar=Fraction) -> str:
+    """Dump {l_max, basis, operators:{name: sparse triplets}} for golden files,
+    each entry read as scalar."""
     doc = {
         "l_max": space.l_max,
         "basis": [[list(mu), list(nu)] for _, mu, nu in map(space.key_of, range(space.dim))],
@@ -412,16 +426,17 @@ def space_to_json(space, operators=None) -> str:
     }
     for name, op in (operators or {}).items():
         triplets = [
-            [i, j, encode_scalar(val)]
+            [i, j, encode_scalar(scalar(val))]
             for (i, j), val in sorted(op.entries.items())
         ]
         doc["operators"][name] = triplets
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _virasoro_digest(space):
-    """SHA-256 of space_to_json over build_virasoro(space, n) for every n in
-    -2 l_max - 1..2 l_max + 1 and over [L_m, L_n] for m, n in -3..3, then of
+def _virasoro_digest(space, scalar=Fraction):
+    """SHA-256 of space_to_json, entries read as scalar, over
+    build_virasoro(space, n) for every n in -2 l_max - 1..2 l_max + 1 and
+    over [L_m, L_n] for m, n in -3..3, then of
     each operator's sorted dropped columns: a mode's are _mode_dropped, a
     commutator's come from its factors by _dropped_by_product."""
     ops, dropped = {}, {}
@@ -435,7 +450,7 @@ def _virasoro_digest(space):
             ops[name] = commutator(modes[m], modes[n])
             a, b = columns[m], columns[n]
             dropped[name] = _dropped_by_product(a, b) | _dropped_by_product(b, a)
-    digest = hashlib.sha256(space_to_json(space, ops).encode())
+    digest = hashlib.sha256(space_to_json(space, ops, scalar).encode())
     for name in sorted(ops):
         digest.update(f"{name}:{sorted(dropped[name])}".encode())
     return digest.hexdigest()
@@ -449,67 +464,73 @@ def _virasoro_digest(space):
 # benchmark's virasoro checks reach) computed: partition tables and their
 # lifts must reproduce these operators byte for byte
 VIRASORO_DIGESTS = {
-    (0, True): "5825efe593ad2bea78840389c2018663"
+    0: "5825efe593ad2bea78840389c2018663"
         "f2adc9755ebdf7529fa6d9c6d98fa16a",
-    (0, False): "5825efe593ad2bea78840389c2018663"
-        "f2adc9755ebdf7529fa6d9c6d98fa16a",
-    (1, True): "34b741c57997c93521851d1b0d171cc3"
+    1: "34b741c57997c93521851d1b0d171cc3"
         "e71438cb6c0df5b3b45cbc2968f2be03",
-    (1, False): "1dedd31f222aa2a81dc090dd00416c70"
-        "78ac66b53d8882613696a568f4982395",
-    (2, True): "4fbc3f2df184566cd9930d7f23a1b099"
+    2: "4fbc3f2df184566cd9930d7f23a1b099"
         "b4167761d3b60867b474ad1bedb800d9",
-    (2, False): "55902c0117a6a7702f7c1b1077a469c9"
-        "44b538b4a31a6e70a06a5dfa720e39f6",
-    (3, True): "5399b5d09954e998b16b817b298a668e"
+    3: "5399b5d09954e998b16b817b298a668e"
         "8e135564193a1c94119a92fc55acdc80",
-    (3, False): "d28c06127d34562d9b60fa3236e78ee4"
-        "0e2643550904443f2f04e89ec76fe172",
-    (4, True): "01665cf7fab32d7593872d91336d6c97"
+    4: "01665cf7fab32d7593872d91336d6c97"
         "04ea738f25134d5f504af29b21673f12",
-    (4, False): "7f58a10495d670f69871ebca6023c169"
-        "d9e20f6b0ea92348ed9713293d55dba7",
-    (5, True): "f3546d76f5924fa8f7267bb83623db3a"
+    5: "f3546d76f5924fa8f7267bb83623db3a"
         "c19b8438ca2267ecda423bb04a18f51a",
-    (5, False): "e34de2d4d2d5d3c5d9573e195ff3fc70"
-        "e9751a842de0be64a51f2653e18d0c5e",
-    (6, True): "8b3b44a29dc5c34426968d3db9606813"
+    6: "8b3b44a29dc5c34426968d3db9606813"
         "7bed8f8ac4da407bf1acc698e25db49e",
-    (6, False): "922f67c353dbc50ff900a36c00f4e081"
-        "76b444d8ba5a1e563e87688867b29134",
-    (7, True): "a4bb7fcdb3826ee321b70dc6e898e4f2"
+    7: "a4bb7fcdb3826ee321b70dc6e898e4f2"
         "3dfe894743d78fb44a312f2876e2dc72",
-    (7, False): "cb900e67eff1478c68351f43f3ea8c1b"
-        "6fe220c89ba26648941b5223e09a5f54",
-    (8, True): "00319acb5cd000b67b4751a44bb92cda"
+    8: "00319acb5cd000b67b4751a44bb92cda"
         "7a8b63255b33881ca981ffca0f12896a",
-    (8, False): "23f3df48e2ae8765acc5665dbffbf618"
-        "4e79776055d2cef88de44a99f0ac0c9f",
-    (9, True): "2455f103f9e547926cec1eab45251887"
+    9: "2455f103f9e547926cec1eab45251887"
         "e01ee81c8afe43e72486b06025f351e8",
-    (9, False): "b0df787c5f437c653598658d46ba8eb0"
-        "bf3eaa52436cfeef6d8263a947a99bc1",
-    (10, True): "2cd84732ec9118e7f5b3c1164f8108c1"
+    10: "2cd84732ec9118e7f5b3c1164f8108c1"
         "4120b0d197cfd6d047eefb9dd0d5cec4",
-    (10, False): "b489a965c1ab3d4b885e9011f551c5dd"
-        "5e05f0d2b885cf7f524505f2cc44e7f4",
-    (11, True): "6b657ea56ba908e92722eb1fb252eb8b"
+    11: "6b657ea56ba908e92722eb1fb252eb8b"
         "1bfb5c2ab50391c5d318592929e5b814",
-    (11, False): "e51a1aa5af583fa12d5e1aafe11b1c4c"
-        "d84611fd8033b030a656e741bc4815dd",
-    (12, True): "c5a6f473d83e3e29de164725611ddc60"
+    12: "c5a6f473d83e3e29de164725611ddc60"
         "8bcbfb94d226433b6d88d702058c703c",
-    (12, False): "35b3f7cb78318bdcad25d3469b107a9b"
+}
+
+# The same digest over the float64 operators of commit 13fcb2d, the last to
+# build a float64 Fock space: the exact operators read in float64 give them
+VIRASORO_FLOAT64_DIGESTS = {
+    0: "5825efe593ad2bea78840389c2018663"
+        "f2adc9755ebdf7529fa6d9c6d98fa16a",
+    1: "1dedd31f222aa2a81dc090dd00416c70"
+        "78ac66b53d8882613696a568f4982395",
+    2: "55902c0117a6a7702f7c1b1077a469c9"
+        "44b538b4a31a6e70a06a5dfa720e39f6",
+    3: "d28c06127d34562d9b60fa3236e78ee4"
+        "0e2643550904443f2f04e89ec76fe172",
+    4: "7f58a10495d670f69871ebca6023c169"
+        "d9e20f6b0ea92348ed9713293d55dba7",
+    5: "e34de2d4d2d5d3c5d9573e195ff3fc70"
+        "e9751a842de0be64a51f2653e18d0c5e",
+    6: "922f67c353dbc50ff900a36c00f4e081"
+        "76b444d8ba5a1e563e87688867b29134",
+    7: "cb900e67eff1478c68351f43f3ea8c1b"
+        "6fe220c89ba26648941b5223e09a5f54",
+    8: "23f3df48e2ae8765acc5665dbffbf618"
+        "4e79776055d2cef88de44a99f0ac0c9f",
+    9: "b0df787c5f437c653598658d46ba8eb0"
+        "bf3eaa52436cfeef6d8263a947a99bc1",
+    10: "b489a965c1ab3d4b885e9011f551c5dd"
+        "5e05f0d2b885cf7f524505f2cc44e7f4",
+    11: "e51a1aa5af583fa12d5e1aafe11b1c4c"
+        "d84611fd8033b030a656e741bc4815dd",
+    12: "35b3f7cb78318bdcad25d3469b107a9b"
         "44bbc05e685e37e086bd111d395eb12c",
 }
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@READ_AS
 @pytest.mark.parametrize("l_max", range(13))
-def test_virasoro_operators_match_pinned_digests(l_max, exact):
+def test_virasoro_operators_match_pinned_digests(l_max, scalar):
     # built on a fresh space: the cached ones of _space stay small
-    space = _space(l_max, exact) if l_max <= 8 else build_space(l_max, exact)
-    assert _virasoro_digest(space) == VIRASORO_DIGESTS[l_max, exact]
+    space = _space(l_max) if l_max <= 8 else build_space(l_max)
+    pins = VIRASORO_DIGESTS if scalar is Fraction else VIRASORO_FLOAT64_DIGESTS
+    assert _virasoro_digest(space, scalar) == pins[l_max]
 
 
 def test_virasoro_truncation_loss():
@@ -534,13 +555,6 @@ def test_space_mismatch_raises():
         commutator(build_virasoro(a, 1), build_virasoro(b, -1))
 
 
-def test_float_backend():
-    space = build_space(3, exact=False)
-    entries = build_virasoro(space, -2).entries
-    idx = space.index_of(2, (1, 1), ())
-    assert abs(entries[idx, 0] - 0.5) < 1e-14
-
-
 def test_to_json_golden():
     space = build_space(2)
     ops = {"j_-1": _current_oracle(space, -1), "L_0": build_virasoro(space, 0)}
@@ -558,8 +572,8 @@ def test_to_json_golden():
 
 
 @lru_cache(maxsize=None)
-def _space(l_max, exact):
-    return build_space(l_max, exact=exact)
+def _space(l_max):
+    return build_space(l_max)
 
 
 def _sparse_state(data, space, max_level):
@@ -567,34 +581,25 @@ def _sparse_state(data, space, max_level):
     indices = [i for i, lv in enumerate(space.levels) if lv <= max_level]
     if not indices:
         return space.zero()
-    if space.exact:
-        values = st.fractions(min_value=-9, max_value=9, max_denominator=7)
-    else:
-        values = st.floats(min_value=-9, max_value=9, allow_nan=False)
+    values = st.fractions(min_value=-9, max_value=9, max_denominator=7)
     coeffs = data.draw(
         st.dictionaries(st.sampled_from(indices), values, max_size=8)
     )
     return BoundaryState(space, coeffs)
 
 
-def _norm_inf(v):
-    """The largest absolute coefficient of a state, as a float; 0 when zero."""
-    return max((abs(float(c)) for c in v.terms.values()), default=0.0)
-
-
 @given(
     data=st.data(),
     l_max=st.integers(min_value=0, max_value=6),
-    exact=st.booleans(),
     n=st.integers(min_value=-7, max_value=7),
     bar=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_apply_current_matches_operator(data, l_max, exact, n, bar):
+def test_apply_current_matches_operator(data, l_max, n, bar):
     # the per-nonzero action equals the oracle's columns applied to the
     # state, bit for bit and with the same scalar types, truncation losses
     # included (states may sit at the truncation edge)
-    space = _space(l_max, exact)
+    space = _space(l_max)
     v = _sparse_state(data, space, l_max)
     got = apply_current(v, n, bar=bar)
     want = _column_apply(_current_oracle(space, n, bar), v)
@@ -615,19 +620,15 @@ def test_public_constructor_drops_zeros_and_checks_range():
 @given(
     data=st.data(),
     l_max=st.integers(min_value=0, max_value=6),
-    exact=st.booleans(),
     n=st.integers(min_value=-7, max_value=7),
     bar=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_apply_current_stores_no_zero(data, l_max, exact, n, bar):
+def test_apply_current_stores_no_zero(data, l_max, n, bar):
     # apply_current skips the constructor's checks: its images must be
-    # nonzero and in range, for subnormal and huge floats too
-    space = _space(l_max, exact)
-    if exact:
-        values = st.fractions(max_denominator=10**6).filter(bool)
-    else:
-        values = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+    # nonzero and in range
+    space = _space(l_max)
+    values = st.fractions(max_denominator=10**6).filter(bool)
     coeffs = data.draw(st.dictionaries(st.integers(0, space.dim - 1), values, max_size=8))
     w = apply_current(BoundaryState(space, coeffs), n, bar=bar)
     assert all(c != 0 for c in w.terms.values())
@@ -637,16 +638,15 @@ def test_apply_current_stores_no_zero(data, l_max, exact, n, bar):
 @given(
     data=st.data(),
     l_max=st.integers(min_value=0, max_value=6),
-    exact=st.booleans(),
     m=st.integers(min_value=-6, max_value=6),
     n=st.integers(min_value=-6, max_value=6),
     bars=st.tuples(st.booleans(), st.booleans()),
 )
 @settings(max_examples=200, deadline=None)
-def test_apply_current_commutator(data, l_max, exact, m, n, bars):
+def test_apply_current_commutator(data, l_max, m, n, bars):
     # [j_m, j_n] = m delta_{m+n,0} (and chiral/antichiral modes commute) on
     # states with headroom for both creation modes
-    space = _space(l_max, exact)
+    space = _space(l_max)
     headroom = max(0, -m) + max(0, -n)
     v = _sparse_state(data, space, l_max - headroom)
     bm, bn = bars
@@ -654,12 +654,7 @@ def test_apply_current_commutator(data, l_max, exact, m, n, bars):
     nm = apply_current(apply_current(v, m, bar=bm), n, bar=bn)
     assert mn.truncation_loss == nm.truncation_loss == 0
     expected = v.scale(m) if (m + n == 0 and bm == bn) else space.zero()
-    residual = (mn - nm) - expected
-    if exact:
-        assert residual.is_zero()
-    else:
-        # each coefficient is a difference of two products of size <= 36 * 9
-        assert _norm_inf(residual) <= 1e-12
+    assert ((mn - nm) - expected).is_zero()
 
 
 class _Columns:
@@ -742,16 +737,13 @@ def _column_apply(op, v):
 
 def _random_operator(data, space):
     """A random sparse column operator with mixed denominators (halves,
-    thirds and powers of 2 and 3) and random dropped columns; floats in
-    float64."""
+    thirds and powers of 2 and 3) and random dropped columns."""
     value = st.builds(
         lambda k, i, j: Fraction(k, 2**i * 3**j),
         st.integers(min_value=-9, max_value=9),
         st.integers(min_value=0, max_value=4),
         st.integers(min_value=0, max_value=3),
     )
-    if not space.exact:
-        value = value.map(float)
     index = st.integers(min_value=0, max_value=space.dim - 1)
     columns = data.draw(
         st.dictionaries(index, st.dictionaries(index, value, max_size=6), max_size=10)
@@ -788,10 +780,10 @@ def _dropped_by_product(a, b):
 
 
 def _assert_canonical(op):
-    # no stored zeros, Fractions in exact mode
+    # no stored zeros, Fractions only
     for v in op.entries.values():
         assert v != 0
-        assert isinstance(v, Fraction) == op.space.exact
+        assert isinstance(v, Fraction)
 
 
 _MODE = st.integers(min_value=-7, max_value=7)
@@ -799,16 +791,14 @@ _MODE = st.integers(min_value=-7, max_value=7)
 
 @given(
     l_max=st.integers(min_value=0, max_value=6),
-    exact=st.booleans(),
     m=_MODE,
     n=_MODE,
 )
-@example(l_max=0, exact=True, m=-1, n=1)
-@example(l_max=1, exact=False, m=0, n=-1)
+@example(l_max=0, m=-1, n=1)
+@example(l_max=1, m=0, n=-1)
 @settings(max_examples=100, deadline=None)
-def test_one_sided_products_match_dense_reference(l_max, exact, m, n):
-    # float64 is exact here too: the entries are multiples of 1/2
-    space = _space(l_max, exact)
+def test_one_sided_products_match_dense_reference(l_max, m, n):
+    space = _space(l_max)
     a, b = build_virasoro(space, m), build_virasoro(space, n)
     A, B = _dense(a), _dense(b)
     ab, ba = _dense_product(A, B), _dense_product(B, A)
@@ -821,7 +811,6 @@ def test_one_sided_products_match_dense_reference(l_max, exact, m, n):
 
 @given(
     l_max=st.integers(min_value=0, max_value=6),
-    exact=st.booleans(),
     n=_MODE,
     coeffs=st.dictionaries(
         st.integers(min_value=0, max_value=400),
@@ -830,23 +819,23 @@ def test_one_sided_products_match_dense_reference(l_max, exact, m, n):
     ),
     factor=st.none() | _MODE,
 )
-@example(l_max=0, exact=True, n=0, coeffs={0: (1, 1)}, factor=None)
-@example(l_max=0, exact=False, n=-1, coeffs={0: (2, 3)}, factor=None)
-@example(l_max=1, exact=True, n=-1, coeffs={1: (3, 2), 2: (-1, 7)}, factor=None)
-@example(l_max=1, exact=False, n=1, coeffs={1: (5, 1), 2: (1, 3)}, factor=None)
-# commutators at l_max 0 and 1, in both arithmetics
-@example(l_max=0, exact=True, n=0, coeffs={0: (1, 2)}, factor=0)
-@example(l_max=0, exact=False, n=1, coeffs={0: (3, 1)}, factor=-1)
-@example(l_max=1, exact=True, n=1, coeffs={0: (1, 1), 1: (2, 3), 2: (-4, 5)}, factor=-1)
-@example(l_max=1, exact=False, n=0, coeffs={1: (1, 3), 2: (5, 7)}, factor=-1)
+@example(l_max=0, n=0, coeffs={0: (1, 1)}, factor=None)
+@example(l_max=0, n=-1, coeffs={0: (2, 3)}, factor=None)
+@example(l_max=1, n=-1, coeffs={1: (3, 2), 2: (-1, 7)}, factor=None)
+@example(l_max=1, n=1, coeffs={1: (5, 1), 2: (1, 3)}, factor=None)
+# commutators at l_max 0 and 1
+@example(l_max=0, n=0, coeffs={0: (1, 2)}, factor=0)
+@example(l_max=0, n=1, coeffs={0: (3, 1)}, factor=-1)
+@example(l_max=1, n=1, coeffs={0: (1, 1), 1: (2, 3), 2: (-4, 5)}, factor=-1)
+@example(l_max=1, n=0, coeffs={1: (1, 3), 2: (5, 7)}, factor=-1)
 @settings(max_examples=200, deadline=None)
-def test_unlifted_table_acts_like_its_columns(l_max, exact, n, coeffs, factor):
+def test_unlifted_table_acts_like_its_columns(l_max, n, coeffs, factor):
     # a mode's table, or a commutator's two table products, lifted through
     # .entries and applied to a sparse state column by column, gives the
     # column reference's state for its factors bit for bit, with the same
     # scalar types
-    space = _space(l_max, exact)
-    values = {i % space.dim: Fraction(k, d) if exact else k / d for i, (k, d) in coeffs.items()}
+    space = _space(l_max)
+    values = {i % space.dim: Fraction(k, d) for i, (k, d) in coeffs.items()}
     v = BoundaryState(space, values)
     op = a = build_virasoro(space, n)
     if factor is None:
@@ -865,21 +854,20 @@ def test_unlifted_table_acts_like_its_columns(l_max, exact, n, coeffs, factor):
 @given(
     data=st.data(),
     l_max=st.integers(min_value=0, max_value=6),
-    exact=st.booleans(),
     modes=st.tuples(_MODE, _MODE, _MODE),
 )
-@example(data=None, l_max=0, exact=True, modes=(1, -1, 1))
-@example(data=None, l_max=1, exact=False, modes=(1, -1, -1))
-@example(data=None, l_max=4, exact=True, modes=(2, -2, 1))
+@example(data=None, l_max=0, modes=(1, -1, 1))
+@example(data=None, l_max=1, modes=(1, -1, -1))
+@example(data=None, l_max=4, modes=(2, -2, 1))
 @settings(max_examples=80, deadline=None)
-def test_products_of_products_match_the_column_path(data, l_max, exact, modes):
+def test_products_of_products_match_the_column_path(data, l_max, modes):
     # a commutator of two modes lifts to the column reference's commutator
     # of its factors, bit for bit.  A product of a commutator and a third
     # operator is not an operator; applied one factor at a time it acts on a
     # state as the column reference's product.  The third operator is a
     # mode, Lbar_n from the oracle (a spectator of the chiral side), the
     # commutator itself, or random
-    space = _space(l_max, exact)
+    space = _space(l_max)
     a, b = (build_virasoro(space, n) for n in modes[:2])
     comm = commutator(a, b)
     ref = _column_product(_Columns.of(a), _Columns.of(b), commute=True)
@@ -890,19 +878,14 @@ def test_products_of_products_match_the_column_path(data, l_max, exact, modes):
     operands = [_Columns.of(build_virasoro(space, n)), other, ref]
     if data is not None:
         operands.append(_random_operator(data, space))
-    one = space.one_scalar()
-    v = BoundaryState(space, {i: (i + 1) * one for i in range(0, space.dim, 2)}, 1)
+    v = BoundaryState(space, {i: Fraction(i + 1) for i in range(0, space.dim, 2)}, 1)
     for c_ref in operands:
         pairs = [  # (comm after c, c after comm) on v, then their references
             (_column_apply(comm_cols, _column_apply(c_ref, v)), _column_product(ref, c_ref)),
             (_column_apply(c_ref, _column_apply(comm_cols, v)), _column_product(c_ref, ref)),
         ]
         for got, want in pairs:
-            want = _column_apply(want, v)
-            if exact:
-                assert got == want
-            else:  # the factors' sums are taken in another order
-                assert _norm_inf(got - want) <= 1e-12 * max(1.0, _norm_inf(want))
+            assert got == _column_apply(want, v)
 
 
 def test_products_of_products_raise():

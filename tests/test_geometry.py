@@ -27,7 +27,7 @@ from fqft.jets import Jet, JetAlgebra
 
 def _verify_cutting_with_fault(space, radii, shifted, level):
     """verify_cutting with geometry.glue patched to scale `level` of every
-    annulus o annulus glue by 101/100 (1.01 in float64), its anomaly kept;
+    annulus o annulus glue by 101/100, its anomaly kept;
     the disk closure's glue is left alone."""
 
     def faulty_glue(outer, inner):
@@ -35,7 +35,7 @@ def _verify_cutting_with_fault(space, radii, shifted, level):
         if not isinstance(inner, Annulus):
             return out
         by_level = list(out.by_level)
-        by_level[level] = by_level[level] * (Fraction(101, 100) if space.exact else 1.01)
+        by_level[level] = by_level[level] * Fraction(101, 100)
         return Annulus(space, out.R, out.r, by_level, out.anomaly)
 
     with mock.patch.object(geometry, "glue", faulty_glue):
@@ -56,26 +56,26 @@ def test_surface_validation():
         Annulus(space, 2, 1, levels[1:], 1)
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_partition_functions_reject_bad_radii(exact):
-    # the factories check the radii before forming r/R or 1/R, for both
-    space = build_space(2, exact=exact)
+@pytest.mark.parametrize("shifted", [True, False])
+def test_partition_functions_reject_bad_radii(shifted):
+    # the factories check the radii before forming r/R or 1/R
+    space = build_space(2)
     for R, r in [(1, 1), (1, 2), (Fraction(1, 2), Fraction(2, 3)), (2.0, 0.0), (1, -1)]:
         with pytest.raises(GeometryError, match="annulus radii must satisfy R > r > 0"):
-            annulus_pf(space, R, r)
+            annulus_pf(space, R, r, shifted=shifted)
     for R in [0, -1, Fraction(-1, 3), 0.0, float("nan")]:
-        for shifted in (True, False):
-            with pytest.raises(GeometryError, match="disk radius must be positive"):
-                disk_pf(space, R, shifted=shifted)
+        with pytest.raises(GeometryError, match="disk radius must be positive"):
+            disk_pf(space, R, shifted=shifted)
 
 
 @pytest.mark.parametrize("shifted", [True, False])
-@pytest.mark.parametrize("exact", [True, False])
-def test_infinite_radii_and_foreign_pieces_are_rejected(exact, shifted):
+@pytest.mark.parametrize("integral", [True, False])
+def test_infinite_radii_and_foreign_pieces_are_rejected(integral, shifted):
     # no ratio r/R or 1/R exists at R = inf: exact arithmetic once raised
-    # OverflowError converting it, and float64 took the ratio as 0
-    space = build_space(2, exact=exact)
-    one = 1 if exact else 1.0
+    # OverflowError converting it.  The finite radii beside it are ints, or
+    # floats when not integral
+    space = build_space(2)
+    one = 1 if integral else 1.0
     with pytest.raises(GeometryError, match="finite"):
         annulus_pf(space, math.inf, one, shifted=shifted)
     with pytest.raises(GeometryError, match="finite"):
@@ -85,34 +85,15 @@ def test_infinite_radii_and_foreign_pieces_are_rejected(exact, shifted):
     w = Jet(JetAlgebra(["g[jjbar]"], 1), {(): space.vacuum()})
     with pytest.raises(GeometryError, match="finite"):
         fb_deformed_annulus(space, math.inf, one, w)
-    if exact:
-        # an exact radius beyond the float range is finite, and valid
-        report = verify_cutting(space, [Fraction(10**400), 2, 1], shifted=shifted)
+    # a radius beyond the float range is finite, and valid
+    for big in (Fraction(10**400), 10**400):
+        report = verify_cutting(space, [big, 2, 1], shifted=shifted)
         assert report["exact_zero"], report
     # gluing takes an annulus, a disk or a boundary state as its inner piece
     annulus = annulus_pf(space, 2 * one, one, shifted=shifted)
     for inner in (None, space, w, 1):
         with pytest.raises(GeometryError, match="inner piece"):
             glue(annulus, inner)
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda space: annulus_pf(space, Fraction(10**400), 1),
-        lambda space: annulus_pf(space, 10**400, 1),
-        lambda space: disk_pf(space, Fraction(10**400), shifted=False),
-        lambda space: verify_cutting(space, [Fraction(10**400), 2, 1]),
-    ],
-    ids=["annulus-fraction", "annulus-int", "disk-unshifted", "verify-cutting"],
-)
-def test_float64_radius_beyond_the_float_range(make):
-    # a finite exact radius past the float range has no float64 value: the
-    # float64 space refuses it where the float is formed, and the exact
-    # space computes with it
-    with pytest.raises(GeometryError, match="float range"):
-        make(build_space(2, exact=False))
-    make(build_space(2))
 
 
 def test_annulus_entries_shifted():
@@ -332,23 +313,24 @@ def test_verify_cutting_exact_edges(l_max):
 
 
 def test_verify_cutting_float():
-    space = build_space(6, exact=False)
+    # float radii are read as the Fractions they are, and cut exactly
+    space = build_space(6)
     report = verify_cutting(space, [4.0, 3.0, 2.5, 2.0, 1.0])
-    assert report["max_residual"] < 1e-12
-    assert report["disk_residual"] < 1e-12
+    assert report["exact_zero"], report
+    assert report["max_residual"] == 0.0 and report["disk_residual"] == 0.0
 
 
-_FAULT_CASES = [(level, s, e) for level in range(4) for s in (True, False) for e in (True, False)]
+_FAULT_CASES = [(level, s) for level in range(4) for s in (True, False)]
 
 
-# ids name only what differs from the default (shifted, exact): "2", "2-unshifted-float64"
+# ids name only what differs from the default (shifted): "2", "2-unshifted"
 @pytest.mark.parametrize(
-    "level, shifted, exact",
+    "level, shifted",
     _FAULT_CASES,
-    ids=[f"{l}{'' if s else '-unshifted'}{'' if e else '-float64'}" for l, s, e in _FAULT_CASES],
+    ids=[f"{l}{'' if s else '-unshifted'}" for l, s in _FAULT_CASES],
 )
-def test_verify_cutting_fault_injection(level, shifted, exact):
-    space = build_space(3, exact=exact)
+def test_verify_cutting_fault_injection(level, shifted):
+    space = build_space(3)
     report = _verify_cutting_with_fault(
         space, [Fraction(4), Fraction(2), Fraction(1)], shifted, level
     )
@@ -415,15 +397,16 @@ _ANOMALY_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
-@pytest.mark.parametrize("mutant", sorted(_ANOMALY_MUTANTS))
-def test_unshifted_cutting_sees_a_wrong_anomaly(mutant, exact):
+# a case keeps the "-exact" in its id that it carried while float64 cases
+# ran beside it, so each case keeps its name
+@pytest.mark.parametrize("mutant", sorted(_ANOMALY_MUTANTS), ids="{}-exact".format)
+def test_unshifted_cutting_sees_a_wrong_anomaly(mutant):
     # annulus o annulus cannot see an annulus anomaly turned over (both
     # sides turn); the disk closure can, and sees each of the others
     name, wrong = _ANOMALY_MUTANTS[mutant]
-    space = build_space(3, exact=exact)
-    radii = [Fraction(4), Fraction(2), Fraction(1)] if exact else [4.0, 2.0, 1.0]
-    assert verify_cutting(space, radii, shifted=False)["disk_residual"] < 1e-12
+    space = build_space(3)
+    radii = [Fraction(4), Fraction(2), Fraction(1)]
+    assert verify_cutting(space, radii, shifted=False)["exact_zero"]
     with mock.patch.object(geometry, name, wrong):
         report = verify_cutting(space, radii, shifted=False)
     assert not report["exact_zero"]
@@ -433,14 +416,15 @@ def test_unshifted_cutting_sees_a_wrong_anomaly(mutant, exact):
 
 @pytest.mark.parametrize("R, r", [(2.0, 1.0), (7.0, 3.0), (1e6, 1.0), (1.5, 1.25)])
 def test_float_unshifted_values_match_powers(R, r):
-    # anomaly^(1/12) times each level is (r/R)^(E + 1/12), and the disk's
-    # anomaly^(1/12) is R^(-1/12)
-    space = build_space(6, exact=False)
+    # read in float64, anomaly^(1/12) times each level is (r/R)^(E + 1/12),
+    # and the disk's anomaly^(1/12) is R^(-1/12)
+    space = build_space(6)
     pf = annulus_pf(space, R, r, shifted=False)
     for E, x in enumerate(pf.by_level):
-        assert pf.anomaly ** (1 / 12) * x == pytest.approx((r / R) ** (E + 1 / 12), rel=1e-14)
+        value = float(pf.anomaly) ** (1 / 12) * float(x)
+        assert value == pytest.approx((r / R) ** (E + 1 / 12), rel=1e-14)
     disk = disk_pf(space, R, shifted=False)
-    assert disk.anomaly ** (1 / 12) == pytest.approx(R ** (-1 / 12), rel=1e-14)
+    assert float(disk.anomaly) ** (1 / 12) == pytest.approx(R ** (-1 / 12), rel=1e-14)
     assert disk.state == space.vacuum()
 
 
@@ -453,8 +437,8 @@ def test_exact_disk_anomaly_is_the_inverse_radius():
 
 @pytest.mark.parametrize("shifted", [True, False])
 def test_exact_scalars_are_rationals(shifted):
-    # every level, anomaly and state coefficient of the exact pipeline is an
-    # int or a Fraction, glued ones included
+    # every level, anomaly and state coefficient is an int or a Fraction,
+    # glued ones included
     space = build_space(4)
     outer, inner = annulus_pf(space, 6, 3, shifted=shifted), annulus_pf(space, 3, 2, shifted=shifted)
     disk = disk_pf(space, 2, shifted=shifted)

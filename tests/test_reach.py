@@ -62,7 +62,6 @@ NEVER_ENTERED = {
     "jets.Jet.coefficient": "the deform workload reads a QM segment's orders",
     "qm.SegmentPF.value": "the deform workload reads it until ROADMAP item 1 (second half)",
     # library readers that no command reaches
-    "fock.TruncatedFockSpace.zero_scalar": "BoundaryState.__getitem__'s missing coefficient",
     "observables.identity_observable": "the paper's identity observable, beside j and j jbar",
     # debugging aids
     "deformation.FormalVector.__repr__": "__repr__",

@@ -19,7 +19,7 @@ missing test.  The results go to MUT_<label>.json at the root.  Standard
 library only; a full run of 28 mutants takes about 14 minutes on a 2-core
 Xeon, so it is not a CI step:
 
-    python tools/mutate.py --label 41
+    python tools/mutate.py --label 42
 """
 
 from __future__ import annotations
@@ -69,14 +69,15 @@ MUTANTS = [
            "1 if shifted else ratio)", "1 if shifted else 1 / ratio)",
            "the unshifted annulus carries (r/R)^{c/12}, not (R/r)^{c/12}"),
     Mutant("disk-anomaly", "src/fqft/geometry.py",
-           "Fraction(1, _rational(R)) if space.exact", "_rational(R) if space.exact",
+           "anomaly = 1 if shifted else Fraction(1, _rational(R))",
+           "anomaly = 1 if shifted else _rational(R)",
            "the unshifted disk carries R^{-c/12}, not R^{c/12}"),
     Mutant("glue-anomaly", "src/fqft/geometry.py",
            "anomaly = outer.anomaly * inner.anomaly", "anomaly = outer.anomaly",
            "cutting: the anomalies of glued surfaces multiply"),
     Mutant("sugawara-half", "src/fqft/fock.py",
-           "(24, 12) if space.exact", "(24, 24) if space.exact",
-           "L_n = (1/2) sum_k :j_{-k} j_{k+n}:, the Sugawara weight 1/2 on exact spaces"),
+           "denominator, half = 24, 12", "denominator, half = 24, 24",
+           "L_n = (1/2) sum_k :j_{-k} j_{k+n}:, the Sugawara weight 1/2"),
     Mutant("pade-theta", "src/fqft/qm.py",
            "_THETA = 4.25", "_THETA = 8.5",
            "the degree-13 Pade step needs ||2^-s A|| below its backward-error bound"),
@@ -146,8 +147,8 @@ MUTANTS = [
            "if not (finite and alpha <= beta):", "if not (finite and alpha < beta):",
            "a zero-length segment is a segment, whose value is the identity"),
     Mutant("dilation-exact-coercion", "src/fqft/observables.py",
-           "Fraction(lam) if x.space.exact", "lam if x.space.exact",
-           "an exact space keeps exact scalars: Dil_lambda takes lambda as Fraction(lambda)"),
+           "lam = Fraction(lam)", "lam = lam",
+           "the free boson keeps exact scalars: Dil_lambda takes lambda as Fraction(lambda)"),
     Mutant("dilation-scale-inf", "src/fqft/observables.py",
            "if not (lam > 0 and lam != math.inf):", "if not lam > 0:",
            "Dil_lambda is defined for a positive finite scale lambda alone"),

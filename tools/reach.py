@@ -39,14 +39,10 @@ FREE_BOSON = [
     ["ope", "--lmax", "6"],
     ["all", "--lmax", "6"],
     ["beta", "--lmax", "6"],
-    ["verify-cutting", "--lmax", "6", "--arithmetic", "float64"],
-    ["ope", "--lmax", "6", "--arithmetic", "float64"],
     ["ope", "--lmax", "2"],
     ["all", "--lmax", "2", "--arithmetic", "float64"],
     ["verify-cutting", "--lmax", "0"],
     ["verify-cutting", "--lmax", "1"],
-    ["verify-cutting", "--lmax", "0", "--arithmetic", "float64"],
-    ["verify-cutting", "--lmax", "1", "--arithmetic", "float64"],
 ]
 QM = [
     ["qm", "--dim", "8", "--seed", "1"],
