@@ -12,9 +12,12 @@ scalar.  A mode operator is L_n (`build_virasoro`), a partition table {mu:
 {new: weight}} acting on the chiral partition with a level shift, or the
 `commutator` of two modes, whose tables multiply as integers over one
 denominator.  Its `.entries`, {(row, col): nonzero Fraction}, lift the
-tables onto the columns on each read, with one Fraction per distinct
-numerator.  The antichiral side is a spectator of every mode.  Every
-scalar is an exact rational (an int or a Fraction).
+tables onto the columns on each read: the levels fall into runs that keep
+the same tables, each run's tables are summed once over the partitions
+its levels place, with one Fraction per distinct numerator, and each
+level of the run places the summed partitions it holds.  The antichiral
+side is a spectator of every mode.  Every scalar is an exact rational (an
+int or a Fraction).
 
 The zero mode j_0 acts as zero throughout (the zero-mode sector is out of
 scope).  `apply_current` drops components pushed above the truncation level
@@ -32,11 +35,12 @@ from .rexp import Sparse
 # Hard cap on the truncation level.  dim grows like sum p(k)p(m) (7 567 at
 # 14, 17 345 at 16, 38 045 at 18).  Exact arithmetic, one process on a
 # 2-core Xeon, Python 3.11, median of 5: build_space, the tables of L_{+-2}
-# and L_0, lifting [L_2, L_{-2}] and L_0's columns take 0.0014 + 0.005 +
-# 0.0002 + 0.017 + 0.004 s at 14 (peak RSS 21 MB, 15 MB of it imports) and
-# 0.003 + 0.012 + 0.0006 + 0.038 + 0.010 s at 16 (26 MB); with the cap lifted,
-# 0.007 + 0.022 + 0.001 + 0.10 + 0.021 s and 45 MB at 18.  Per two levels time
-# and memory above imports grow 2-3x; the commutator's lift is the largest cost.
+# and L_0, [L_2, L_{-2}] with its lift, and L_0's lift take 0.0016 + 0.005
+# + 0.0002 + 0.014 + 0.004 s at 14 (peak RSS 19 MB, 15 MB of it imports)
+# and 0.004 + 0.010 + 0.0006 + 0.036 + 0.009 s at 16 (25 MB); with the cap
+# lifted, 0.007 + 0.019 + 0.0007 + 0.10 + 0.020 s and 43 MB at 18.  Per two
+# levels time and memory above imports grow 2-3x; the commutator's lift is
+# the largest cost, most of it the dict inserts of its entries.
 L_MAX_HARD_CAP = 16
 
 
@@ -215,7 +219,12 @@ class ModeOperator:
     the factor acting first).  A mode keeps its own `table`, a commutator
     None.  `.entries` lifts the terms onto the columns on each read; a column
     whose image, or whose first factor's image, lies above l_max keeps no
-    entries from that term."""
+    entries from that term.  The levels x with x - n in 0..l_max fall into
+    runs that keep the same terms: one for a mode, at most two for a
+    commutator, since a term stops at a level threshold.  The lift sums a
+    run's tables once, over the partitions of size <= its last level (a
+    lone term is only signed), and places them at each level of the run;
+    nothing is kept between reads."""
 
     __slots__ = ("space", "n", "denominator", "terms", "table")
 
@@ -223,44 +232,60 @@ class ModeOperator:
         self.space, self.n, self.denominator = space, n, denominator
         self.terms, self.table = terms, table
 
-    def _summed(self, terms) -> dict:
-        """The signed sum of the terms' tables, one Fraction per distinct
-        numerator; zeros are dropped."""
-        summed = {}
-        for table, sign, _ in terms:
-            for p, image in table.items():
-                acc = summed.setdefault(p, {})
-                for new, w in image.items():
-                    w = w if sign == 1 else -w
-                    acc[new] = acc[new] + w if new in acc else w
-        values = {s for image in summed.values() for s in image.values()}
-        scalar = {s: Fraction(s, self.denominator) for s in values}
-        return {p: {new: scalar[s] for new, s in image.items() if s} for p, image in summed.items()}
+    def _summed(self, terms, top) -> list:
+        """The signed sum of the terms' tables over the partitions of size
+        <= top, in size order, as (mu, |mu|, [(new, Fraction)]) with one
+        Fraction per distinct numerator; zeros are dropped.  A lone term is
+        only signed."""
+        numerators, sign = [], 1
+        if len(terms) == 1:
+            [(table, sign, _)] = terms
+            for size in range(top + 1):
+                for mu in partitions(size):
+                    image = table.get(mu)
+                    if image:
+                        numerators.append((mu, size, image))
+        else:
+            for size in range(top + 1):
+                for mu in partitions(size):
+                    acc = {}
+                    for table, term_sign, _ in terms:
+                        for new, w in table.get(mu, _EMPTY).items():
+                            acc[new] = acc.get(new, 0) + term_sign * w
+                    if acc:
+                        numerators.append((mu, size, acc))
+        values = {s for _, _, image in numerators for s in image.values()}
+        scalar = {s: Fraction(sign * s, self.denominator) for s in values}
+        return [
+            (mu, size, [(new, scalar[s]) for new, s in image.items() if s])
+            for mu, size, image in numerators
+        ]
 
     @property
     def entries(self) -> dict:
-        """A fresh {(row, col): Fraction} dict of the nonzero entries.  Per
-        level x with x - n in 0..l_max, the terms whose first factor keeps x
-        within l_max are summed (once per set of such terms).  An image new
-        of mu maps the block (x, mu) onto (x - n, new) in order."""
+        """A fresh {(row, col): Fraction} dict of the nonzero entries, run
+        by run: at a level x of a run, an image new of a summed mu of size
+        <= x maps the block (x, mu) onto (x - n, new) in order."""
         space, n, terms = self.space, self.n, self.terms
         l_max, blocks = space.l_max, space.blocks
-        out, tables = {}, {}
-        counts = [partition_count(k) for k in range(l_max + 1)]
-        for level, starts in enumerate(blocks):
-            y = level - n
-            if not 0 <= y <= l_max:
-                continue
-            kept = tuple(t for t, term in enumerate(terms) if level - term[2] <= l_max)
-            if kept not in tables:
-                tables[kept] = self._summed([terms[t] for t in kept])
-            table, targets = tables[kept], blocks[y]
-            for mu, start in starts.items():
-                size = counts[level - sum(mu)]
-                for new, v in table.get(mu, _EMPTY).items():
-                    row = targets[new]
-                    for i in range(size):
-                        out[row + i, start + i] = v
+        offsets = [range(partition_count(k)) for k in range(l_max + 1)]
+        out = {}
+        x, top = max(0, n), min(l_max, l_max + n)
+        while x <= top:
+            kept = [term for term in terms if x - term[2] <= l_max]
+            last = min([top] + [l_max + term[2] for term in kept])
+            summed = self._summed(kept, last)
+            for level in range(x, last + 1):
+                starts, targets = blocks[level], blocks[level - n]
+                for mu, size, image in summed:
+                    if size > level:
+                        break
+                    start, block = starts[mu], offsets[level - size]
+                    for new, v in image:
+                        row = targets[new]
+                        for i in block:
+                            out[row + i, start + i] = v
+            x = last + 1
         return out
 
 
@@ -334,16 +359,33 @@ def apply_current(v: BoundaryState, n: int, bar: bool = False) -> BoundaryState:
 
 def _twice_virasoro(mu: tuple, n: int, creators) -> dict:
     """2 L_n on the chiral state j_{-mu}|0> as {new partition: integer
-    weight}; `creators` are the pairs of two creation modes in L_n."""
-    pairs = [(n - m2, m2) for m2 in set(mu) if 2 * m2 >= n and m2 != n]
+    weight}.  A pair (m1, m2) whose annihilator m2 is a part of mu removes
+    one m2 by index (weight m2 times its multiplicity), then inserts the
+    part -m1 (m1 < 0, weight 1) or removes one m1 (weight m1 times the
+    multiplicity left); an off-diagonal pair counts twice.  `creators` are
+    the pairs of two creation modes in L_n, as (the two parts they insert,
+    weight)."""
     twice = {}
-    for m1, m2 in pairs + creators:
-        mid, w2 = _mode_on_partition(mu, m2)
-        image = _mode_on_partition(mid, m1)
-        if image is not None:
-            new, w1 = image
-            w = w1 * w2 if m1 == m2 else 2 * w1 * w2
-            twice[new] = twice.get(new, 0) + w
+    for m2 in set(mu):
+        m1 = n - m2
+        # normal order puts m1 <= m2, and j_0 acts as zero
+        if m1 > m2 or not m1:
+            continue
+        k = mu.index(m2)
+        w = (m2 if m1 == m2 else 2 * m2) * mu.count(m2)
+        mid = mu[:k] + mu[k + 1 :]
+        if m1 < 0:
+            new = tuple(sorted(mid + (-m1,), reverse=True))
+        else:
+            count = mid.count(m1)
+            if not count:
+                continue
+            k = mid.index(m1)
+            new, w = mid[:k] + mid[k + 1 :], w * m1 * count
+        twice[new] = twice.get(new, 0) + w
+    for parts, w in creators:
+        new = tuple(sorted(mu + parts, reverse=True))
+        twice[new] = twice.get(new, 0) + w
     return twice
 
 
@@ -362,7 +404,10 @@ def build_virasoro(space: TruncatedFockSpace, n: int) -> ModeOperator:
     denominator, half = 24, 12
     # both creators: m2 runs over ceil(n/2)..-1, and j_{m1} with -m1 > l_max
     # leaves every column it reaches above the truncation
-    creators = [(n - m2, m2) for m2 in range(-(-n // 2), min(0, n + space.l_max + 1))]
+    creators = [
+        ((m2 - n, -m2), 1 if 2 * m2 == n else 2)
+        for m2 in range(-(-n // 2), min(0, n + space.l_max + 1))
+    ]
     table = {}
     # a column whose chiral partition exceeds l_max + n maps above l_max
     for size in range(min(space.l_max, space.l_max + n) + 1):

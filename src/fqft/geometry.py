@@ -2,15 +2,17 @@
 
 A surface's kind is its type.  An Annulus depends on L_0 + Lbar_0 alone,
 so it is stored as one scalar per total level 0..l_max; a Disk is a
-boundary state, the vacuum.  Each checks its own radii.  glue takes an
-Annulus as its outer piece and dispatches on the inner one: annulus o
-annulus multiplies level scalars into an Annulus, annulus o disk applies
-them to the nonzeros of the disk's state and gives a Disk, and a bare
-BoundaryState comes back scaled and bare.  verify_cutting checks the
-cutting identities over chains of nested annuli level by level, in
-O(l_max) per cut.  Every scalar is an exact rational: an annulus forms
-r/R once and its levels (r/R)^E as running integer products, one
-normalised Fraction each.
+boundary state, the vacuum.  Annulus(...) and Disk(...) check their
+radii.  annulus_pf and disk_pf check theirs once, before any ratio is
+formed, and build unchecked (`_of`), as glue does, whose radii are its
+pieces'.  glue takes an Annulus as its outer piece and dispatches on the
+inner one: annulus o annulus multiplies level scalars into an Annulus,
+annulus o disk applies them to the nonzeros of the disk's state and gives
+a Disk, and a bare BoundaryState comes back scaled and bare.
+verify_cutting checks the cutting identities over chains of nested annuli
+level by level, in O(l_max) per cut.  Every scalar is an exact rational:
+an annulus forms r/R once and its levels (r/R)^E as running integer
+products, one normalised Fraction each.
 
 The shifted convention L_0 -> L_0 - 1/24 is the default, so annulus entries
 are (r/R)^{total level} and the disk is radius-independent.  shifted=False
@@ -48,6 +50,14 @@ class Annulus:
         self.by_level = by_level
         self.anomaly = anomaly
 
+    @classmethod
+    def _of(cls, space, R, r, by_level, anomaly):
+        """Build unchecked, as BoundaryState._of does: R > r > 0, both
+        finite, and one scalar per level 0..l_max."""
+        out = object.__new__(cls)
+        out.space, out.R, out.r, out.by_level, out.anomaly = space, R, r, by_level, anomaly
+        return out
+
 
 class Disk:
     """The disk |z| <= R: a boundary state times the conformal anomaly
@@ -60,6 +70,13 @@ class Disk:
         self.space, self.R = space, R
         self.state = state  # BoundaryState
         self.anomaly = anomaly
+
+    @classmethod
+    def _of(cls, space, R, state, anomaly):
+        """Build unchecked, as BoundaryState._of does: R > 0 and finite."""
+        out = object.__new__(cls)
+        out.space, out.R, out.state, out.anomaly = space, R, state, anomaly
+        return out
 
 
 def _check_annulus(R, r):
@@ -94,7 +111,7 @@ def annulus_pf(space: TruncatedFockSpace, R, r, shifted: bool = True) -> Annulus
     Rq, rq = _rational(R), _rational(r)  # ints and Fractions as they are
     ratio = Fraction(rq.numerator * Rq.denominator, rq.denominator * Rq.numerator)
     by_level = _powers(ratio, space.l_max + 1)
-    return Annulus(space, R, r, by_level, 1 if shifted else ratio)
+    return Annulus._of(space, R, r, by_level, 1 if shifted else ratio)
 
 
 def disk_pf(space: TruncatedFockSpace, R, shifted: bool = True) -> Disk:
@@ -105,7 +122,7 @@ def disk_pf(space: TruncatedFockSpace, R, shifted: bool = True) -> Disk:
     """
     _check_disk(R)  # before 1/R is formed
     anomaly = 1 if shifted else Fraction(1, _rational(R))
-    return Disk(space, R, space.vacuum(), anomaly)
+    return Disk._of(space, R, space.vacuum(), anomaly)
 
 
 def glue(outer: Annulus, inner) -> Annulus | Disk | BoundaryState:
@@ -126,11 +143,12 @@ def glue(outer: Annulus, inner) -> Annulus | Disk | BoundaryState:
         return scale_by_level(inner, outer.by_level)
     if outer.r != inner.R:
         raise GeometryError("the annulus's inner radius must equal the inner piece's outer radius")
+    # the result's radii are its pieces', checked when they were built
     anomaly = outer.anomaly * inner.anomaly
     if isinstance(inner, Annulus):
         by_level = [x * y for x, y in zip(outer.by_level, inner.by_level)]
-        return Annulus(outer.space, outer.R, inner.r, by_level, anomaly)
-    return Disk(outer.space, outer.R, scale_by_level(inner.state, outer.by_level), anomaly)
+        return Annulus._of(outer.space, outer.R, inner.r, by_level, anomaly)
+    return Disk._of(outer.space, outer.R, scale_by_level(inner.state, outer.by_level), anomaly)
 
 
 def _residual(got, want, got_anomaly, want_anomaly):

@@ -416,6 +416,66 @@ def test_commutator_keeps_columns_whose_inner_image_vanishes():
     assert not commutator(Lm1, Lm1).entries
 
 
+@pytest.mark.parametrize("kind", ["mode", "commutator"])
+def test_entries_is_a_fresh_dict_on_every_read(kind):
+    # no memo: a read mutated by its caller leaves the next read unchanged
+    space = build_space(5)
+    L2, Lm2 = build_virasoro(space, 2), build_virasoro(space, -2)
+    op = L2 if kind == "mode" else commutator(L2, Lm2)
+    first = op.entries
+    want = dict(first)
+    assert want
+    key = next(iter(first))
+    first[key] += 1
+    first[(-1, -1)] = Fraction(7)
+    second = op.entries
+    assert second is not first
+    assert second == want
+    assert op.entries == second
+
+
+def _probed_lift(op):
+    """The lift block by block, the reference of `.entries`: per level x
+    with x - n in 0..l_max, the terms whose first factor keeps x within
+    l_max are summed over every partition they map, and every block (x, mu)
+    of the space looks mu up in that sum."""
+    space, n = op.space, op.n
+    out = {}
+    for level, starts in enumerate(space.blocks):
+        y = level - n
+        if not 0 <= y <= space.l_max:
+            continue
+        summed = {}
+        for table, sign, shift in op.terms:
+            if level - shift <= space.l_max:
+                for mu, image in table.items():
+                    acc = summed.setdefault(mu, {})
+                    for new, w in image.items():
+                        acc[new] = acc.get(new, 0) + sign * w
+        for mu, start in starts.items():
+            for new, w in summed.get(mu, {}).items():
+                if w:
+                    row = space.blocks[y][new]
+                    for i in range(partition_count(level - sum(mu))):
+                        out[row + i, start + i] = Fraction(w, op.denominator)
+    return out
+
+
+_LIFT_PAIRS = [(2, -2), (-2, 2), (1, -3), (3, -1), (-1, -2), (0, 2), (2, 2), (-3, 0)]
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 2, 4, 13, 16])
+def test_entries_match_the_block_by_block_lift(l_max):
+    # runs of levels summed once and walked per level place what probing
+    # every block places, for modes and for commutators whose terms stop at
+    # different levels, up to the cap the pinned digests (l_max <= 12) miss
+    space = build_space(l_max)
+    modes = {n: build_virasoro(space, n) for n in range(-3, 4)}
+    ops = list(modes.values()) + [commutator(modes[a], modes[b]) for a, b in _LIFT_PAIRS]
+    for op in ops:
+        assert op.entries == _probed_lift(op), op.n
+
+
 def space_to_json(space, operators=None, scalar=Fraction) -> str:
     """Dump {l_max, basis, operators:{name: sparse triplets}} for golden files,
     each entry read as scalar."""

@@ -96,6 +96,72 @@ def test_infinite_radii_and_foreign_pieces_are_rejected(integral, shifted):
             glue(annulus, inner)
 
 
+_ANNULUS_RADII = "annulus radii must satisfy R > r > 0 and be finite"
+_DISK_RADIUS = "disk radius must be positive and finite"
+_DECREASING = "cut points must be strictly decreasing radii"
+_GLUE_RADIUS = "the annulus's inner radius must equal the inner piece's outer radius"
+_NAN, _INF = float("nan"), math.inf
+
+# each bad input with the whole GeometryError message it raises
+_BAD_RADII = {
+    "cutting-nan-inside": ("verify_cutting", ([4, _NAN, 2, 1],), _ANNULUS_RADII),
+    "cutting-nan-first": ("verify_cutting", ([_NAN, 3, 2, 1],), _ANNULUS_RADII),
+    "cutting-nan-last": ("verify_cutting", ([4, 3, 2, _NAN],), _ANNULUS_RADII),
+    "cutting-zero-last": ("verify_cutting", ([4, 3, 2, 0],), _ANNULUS_RADII),
+    "cutting-negative-last": ("verify_cutting", ([4, 3, 2, -1],), _ANNULUS_RADII),
+    "cutting-inf-first": ("verify_cutting", ([_INF, 3, 2, 1],), _ANNULUS_RADII),
+    "cutting-equal-neighbours": ("verify_cutting", ([4, 3, 3, 1],), _DECREASING),
+    "cutting-increasing": ("verify_cutting", ([1, 2],), _DECREASING),
+    "cutting-one-radius": ("verify_cutting", ([4],), _DECREASING),
+    "annulus-equal": ("annulus_pf", (1, 1), _ANNULUS_RADII),
+    "annulus-inverted": ("annulus_pf", (1, 2), _ANNULUS_RADII),
+    "annulus-zero-inner": ("annulus_pf", (2, 0), _ANNULUS_RADII),
+    "annulus-negative-inner": ("annulus_pf", (2, -1), _ANNULUS_RADII),
+    "annulus-inf-outer": ("annulus_pf", (_INF, 1), _ANNULUS_RADII),
+    "annulus-nan-outer": ("annulus_pf", (_NAN, 1), _ANNULUS_RADII),
+    "annulus-nan-inner": ("annulus_pf", (2, _NAN), _ANNULUS_RADII),
+    "disk-zero": ("disk_pf", (0,), _DISK_RADIUS),
+    "disk-negative": ("disk_pf", (Fraction(-1, 3),), _DISK_RADIUS),
+    "disk-inf": ("disk_pf", (_INF,), _DISK_RADIUS),
+    "disk-nan": ("disk_pf", (_NAN,), _DISK_RADIUS),
+}
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+@pytest.mark.parametrize("case", sorted(_BAD_RADII))
+def test_bad_radii_raise_their_messages(case, shifted):
+    # the whole message, so that checking radii once changes no error
+    name, args, message = _BAD_RADII[case]
+    space = build_space(2)
+    with pytest.raises(GeometryError) as raised:
+        getattr(geometry, name)(space, *args, shifted=shifted)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_glue_radius_mismatch_and_huge_radius(shifted):
+    space = build_space(2)
+    outer = annulus_pf(space, 4, 2, shifted=shifted)
+    for inner in (annulus_pf(space, 3, 1, shifted=shifted), disk_pf(space, 1, shifted=shifted)):
+        with pytest.raises(GeometryError) as raised:
+            glue(outer, inner)
+        assert str(raised.value) == _GLUE_RADIUS
+    # a radius beyond the float range is finite, and valid
+    report = verify_cutting(space, [Fraction(10**400), 3, 2, 1], shifted=shifted)
+    assert report["exact_zero"], report
+
+
+def test_cutting_checks_each_piece_once():
+    # 4 radii: annulus_pf checks the direct annulus and the two of each of
+    # the 2 cuts, disk_pf its 2 disks; glue's results are not checked again
+    space = build_space(2)
+    with mock.patch.object(
+        geometry, "_check_annulus", wraps=geometry._check_annulus
+    ) as annulus, mock.patch.object(geometry, "_check_disk", wraps=geometry._check_disk) as disk:
+        assert verify_cutting(space, [4, 3, 2, 1])["exact_zero"]
+    assert (annulus.call_count, disk.call_count) == (5, 2)
+
+
 def test_annulus_entries_shifted():
     space = build_space(3)
     pf = annulus_pf(space, 2, 1)

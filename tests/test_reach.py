@@ -52,6 +52,9 @@ NEVER_ENTERED = {
     "fock.ModeOperator._summed": ITEM_3 + "the mode operators' lift",
     "fock.ModeOperator.entries": ITEM_3 + "the mode operators' lift",
     "fock.partition_count": ITEM_3 + "the block counts of the lift; and test_partition_counts",
+    # the checked constructors: annulus_pf, disk_pf and glue build through _of
+    "geometry.Annulus.__init__": "the checked constructor of a hand-built annulus (test_surface_validation)",
+    "geometry.Disk.__init__": "the checked constructor of a hand-built disk (test_surface_validation)",
     # value semantics of the sparse values and jet algebras
     "rexp.Sparse.__bool__": "value semantics: truth is nonzero",
     "rexp.Sparse.__neg__": "value semantics: negation, through scale(-1)",
