@@ -48,7 +48,7 @@ from .fock import apply_current
 from .geometry import annulus_pf, glue
 from .jets import Jet, JetAlgebra
 from .rexp import LogPoly, RExpansion, Sparse
-from .scalars import canonical_exponent, decode_scalar
+from .scalars import canonical_rational, decode_scalar
 
 LOG_R = LogPoly.monomial(log_R=1)
 LOG_LAM = LogPoly.monomial(log_lam=1)
@@ -138,7 +138,7 @@ class FormalTheory:
             p if isinstance(p, Primary) else Primary(*p) for p in primaries
         ]
         self.dims = {
-            p.label: (canonical_exponent(p.h), canonical_exponent(p.hbar))
+            p.label: (canonical_rational(p.h), canonical_rational(p.hbar))
             for p in self.primaries
         }
         if len(self.dims) != len(self.primaries):
@@ -205,7 +205,7 @@ class FormalTheory:
                 f"degenerate row ({c}, {mu}, {mubar}) with h+|mu|=1 is "
                 "neither a marginal primary nor a mixing channel"
             )
-        return canonical_exponent(2 * (s - 1)) if s == sbar else None
+        return canonical_rational(2 * (s - 1)) if s == sbar else None
 
     def exponent_pair(self, c, mu, mubar):
         h, hbar = self.dims[c]
@@ -454,8 +454,8 @@ def _dilate(theory, expansion, weight) -> RExpansion:
             if D is None:
                 _, label, mu, mubar = key
                 h, hbar = theory.dims[label]
-                D = dims[key] = canonical_exponent(h + hbar + sum(mu) + sum(mubar))
-            lam = shifts[key] = canonical_exponent(weight + p - D)
+                D = dims[key] = canonical_rational(h + hbar + sum(mu) + sum(mubar))
+            lam = shifts[key] = canonical_rational(weight + p - D)
             unshifted = unshifted and not lam
         for j in range(q + 1):
             if unshifted and j == q:
@@ -478,7 +478,7 @@ def _shift(val, lam, dj, n):
         return val
     return LogPoly._of(
         {
-            (a, canonical_exponent(b + lam), i, k + dj): c * n if n != 1 else c
+            (a, canonical_rational(b + lam), i, k + dj): c * n if n != 1 else c
             for (a, b, i, k), c in val.terms.items()
         }
     )

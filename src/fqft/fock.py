@@ -11,13 +11,13 @@ nonzero at a time, and `scale_by_level` scales each level's part by one
 scalar.  A mode operator is L_n (`build_virasoro`), a partition table {mu:
 {new: weight}} acting on the chiral partition with a level shift, or the
 `commutator` of two modes, whose tables multiply as integers over one
-denominator.  Its `.entries`, {(row, col): nonzero Fraction}, lift the
+denominator.  Its `.entries`, {(row, col): nonzero scalar}, lift the
 tables onto the columns on each read: the levels fall into runs that keep
 the same tables, each run's tables are summed once over the partitions
-its levels place, with one Fraction per distinct numerator, and each
-level of the run places the summed partitions it holds.  The antichiral
-side is a spectator of every mode.  Every scalar is an exact rational (an
-int or a Fraction).
+its levels place, with one scalar per distinct numerator, an int when
+integral and a Fraction otherwise, and each level of the run places the
+summed partitions it holds.  The antichiral side is a spectator of every
+mode.  Every scalar is an exact rational (an int or a Fraction).
 
 The zero mode j_0 acts as zero throughout (the zero-mode sector is out of
 scope).  `apply_current` drops components pushed above the truncation level
@@ -31,16 +31,17 @@ from functools import lru_cache
 
 from .errors import ResourceLimitError, SpaceMismatchError
 from .rexp import Sparse
+from .scalars import canonical_rational
 
 # Hard cap on the truncation level.  dim grows like sum p(k)p(m) (7 567 at
 # 14, 17 345 at 16, 38 045 at 18).  Exact arithmetic, one process on a
 # 2-core Xeon, Python 3.11, median of 5: build_space, the tables of L_{+-2}
-# and L_0, [L_2, L_{-2}] with its lift, and L_0's lift take 0.0016 + 0.005
-# + 0.0002 + 0.014 + 0.004 s at 14 (peak RSS 19 MB, 15 MB of it imports)
-# and 0.004 + 0.010 + 0.0006 + 0.036 + 0.009 s at 16 (25 MB); with the cap
-# lifted, 0.007 + 0.019 + 0.0007 + 0.10 + 0.020 s and 43 MB at 18.  Per two
-# levels time and memory above imports grow 2-3x; the commutator's lift is
-# the largest cost, most of it the dict inserts of its entries.
+# and L_0, [L_2, L_{-2}] with its lift, and L_0's lift take 0.001 + 0.0026
+# + 0.0002 + 0.0068 + 0.0018 s at 14 (peak RSS 20 MB, 15 MB of it imports)
+# and 0.0019 + 0.0051 + 0.0004 + 0.018 + 0.0042 s at 16 (27 MB); with the
+# cap lifted, 0.0035 + 0.0099 + 0.0008 + 0.048 + 0.0092 s and 46 MB at 18.
+# Per two levels time and memory above imports grow 2-3x; the commutator's
+# lift is the largest cost, most of it the dict inserts of its entries.
 L_MAX_HARD_CAP = 16
 
 
@@ -224,7 +225,8 @@ class ModeOperator:
     commutator, since a term stops at a level threshold.  The lift sums a
     run's tables once, over the partitions of size <= its last level (a
     lone term is only signed), and places them at each level of the run;
-    nothing is kept between reads."""
+    an entry is an int when integral and a Fraction otherwise.  Nothing is
+    kept between reads."""
 
     __slots__ = ("space", "n", "denominator", "terms", "table")
 
@@ -234,9 +236,10 @@ class ModeOperator:
 
     def _summed(self, terms, top) -> list:
         """The signed sum of the terms' tables over the partitions of size
-        <= top, in size order, as (mu, |mu|, [(new, Fraction)]) with one
-        Fraction per distinct numerator; zeros are dropped.  A lone term is
-        only signed."""
+        <= top, in size order, as (mu, |mu|, [(new, scalar)]) with one
+        scalar per distinct numerator, canonical (an int when integral, a
+        Fraction otherwise).  Zeros are dropped; a lone term is only
+        signed."""
         numerators, sign = [], 1
         if len(terms) == 1:
             [(table, sign, _)] = terms
@@ -255,7 +258,8 @@ class ModeOperator:
                     if acc:
                         numerators.append((mu, size, acc))
         values = {s for _, _, image in numerators for s in image.values()}
-        scalar = {s: Fraction(sign * s, self.denominator) for s in values}
+        den = self.denominator
+        scalar = {s: canonical_rational(Fraction(sign * s, den)) for s in values}
         return [
             (mu, size, [(new, scalar[s]) for new, s in image.items() if s])
             for mu, size, image in numerators
@@ -263,9 +267,9 @@ class ModeOperator:
 
     @property
     def entries(self) -> dict:
-        """A fresh {(row, col): Fraction} dict of the nonzero entries, run
-        by run: at a level x of a run, an image new of a summed mu of size
-        <= x maps the block (x, mu) onto (x - n, new) in order."""
+        """A fresh {(row, col): int or Fraction} dict of the nonzero
+        entries, run by run: at a level x of a run, an image new of a summed
+        mu of size <= x maps the block (x, mu) onto (x - n, new) in order."""
         space, n, terms = self.space, self.n, self.terms
         l_max, blocks = space.l_max, space.blocks
         offsets = [range(partition_count(k)) for k in range(l_max + 1)]
@@ -289,11 +293,13 @@ class ModeOperator:
         return out
 
 
-def _table_product(a: dict, b: dict) -> dict:
+def _table_product(a: dict, b: dict, top: int) -> dict:
     """The partition table of a @ b (b acts first), unreduced: every
-    partition b maps keeps an image, possibly empty."""
+    partition b maps of size <= top keeps an image, possibly empty."""
     out = {}
     for p, image in b.items():
+        if sum(p) > top:
+            continue
         acc = {}
         for mid, w in image.items():
             for new, w2 in a.get(mid, _EMPTY).items():
@@ -425,10 +431,16 @@ def build_virasoro(space: TruncatedFockSpace, n: int) -> ModeOperator:
 def commutator(a: ModeOperator, b: ModeOperator) -> ModeOperator:
     """[a, b] = a @ b - b @ a of two modes, the two table
     products summed per level as integers before any entry becomes a
-    Fraction."""
+    scalar.  Each product covers the partitions of size <= l_max + min(n,
+    0) alone, since the lift places none above that level."""
     if a.space is not b.space:
         raise SpaceMismatchError("operands live in different truncated spaces")
     if a.table is None or b.table is None:
         raise ValueError("only two modes commute")
-    terms = [(_table_product(a.table, b.table), 1, b.n), (_table_product(b.table, a.table), -1, a.n)]
-    return ModeOperator(a.space, a.n + b.n, a.denominator * b.denominator, terms)
+    n = a.n + b.n
+    top = a.space.l_max + min(n, 0)
+    terms = [
+        (_table_product(a.table, b.table, top), 1, b.n),
+        (_table_product(b.table, a.table, top), -1, a.n),
+    ]
+    return ModeOperator(a.space, n, a.denominator * b.denominator, terms)

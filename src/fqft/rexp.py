@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import _rational, canonical_exponent
+from .scalars import _rational, canonical_rational
 
 
 def coeff_is_zero(c) -> bool:
@@ -158,7 +158,7 @@ def _key(key):
     half = len(key) // 2
     if not all(q >= 0 and q % 1 == 0 for q in key[half:]):
         raise ValueError("log powers must be non-negative integers")
-    return (*map(canonical_exponent, key[:half]), *map(int, key[half:]))
+    return (*map(canonical_rational, key[:half]), *map(int, key[half:]))
 
 
 class RExpansion(Sparse):
@@ -215,7 +215,7 @@ class LogPoly(Sparse):
         (log R)^i -> (log R + log lam)^i, expanded binomially."""
         terms = {}
         for (a, b, i, j), c in self.terms.items():
-            b = canonical_exponent(a + b)
+            b = canonical_rational(a + b)
             for k in range(i + 1):
                 key = (a, b, k, j + i - k)
                 terms[key] = terms.get(key, 0) + c * math.comb(i, k)

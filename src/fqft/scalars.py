@@ -1,8 +1,9 @@
 """Exact scalar rules and the JSON scalar codec.
 
-canonical_exponent is the exponent rule of every Laurent-log key
-(fqft.rexp's RExpansion and LogPoly), and _rational the coercion of an
-exact coefficient.  The JSON scalar codec is the one every report and
+canonical_rational is the one form of an exact rational: the exponent
+rule of every Laurent-log key (fqft.rexp's RExpansion and LogPoly) and
+of every mode-operator entry (fqft.fock), and _rational the coercion of
+an exact coefficient.  The JSON scalar codec is the one every report and
 golden file uses.
 """
 
@@ -11,12 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def canonical_exponent(x):
-    """A rational exponent, as an int when integral: keys holding it then
-    hash as fast as tuples of ints (hashing a Fraction is slow)."""
+def canonical_rational(x):
+    """A rational, as an int when integral: keys holding it then hash as
+    fast as tuples of ints (hashing a Fraction is slow), and arithmetic on
+    it skips Fraction."""
     if type(x) is int:
         return x
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 

@@ -6,7 +6,7 @@ library never forms (its dilation shifts exponents)."""
 from fractions import Fraction
 
 from fqft.rexp import LogPoly
-from fqft.scalars import canonical_exponent
+from fqft.scalars import canonical_rational
 
 
 def logpoly_product(x, y):
@@ -15,7 +15,7 @@ def logpoly_product(x, y):
     terms = {}
     for (a, b, i, j), c in x.terms.items():
         for (a2, b2, i2, j2), c2 in y.terms.items():
-            key = (canonical_exponent(a + a2), canonical_exponent(b + b2), i + i2, j + j2)
+            key = (canonical_rational(a + a2), canonical_rational(b + b2), i + i2, j + j2)
             terms[key] = terms.get(key, 0) + c * c2
     return LogPoly(terms)
 

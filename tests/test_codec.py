@@ -28,12 +28,19 @@ def test_writers_share_one_codec():
     # the CLI's _jsonable is the one writer: operator entries, OPE rows and a
     # theory read back through decode_scalar and theory_from_json
     space = build_space(4)
-    ops = {"L_-1": build_virasoro(space, -1), "L_0": build_virasoro(space, 0)}
-    doc = _written({name: sorted(op.entries.items()) for name, op in ops.items()})
-    for name, op in ops.items():
-        back = {(i, j): decode_scalar(v) for (i, j), v in doc[name]}
-        assert back == op.entries
-        assert all(type(v) is str for _, v in doc[name])
+    ops = {n: build_virasoro(space, n) for n in (-2, -1, 0)}
+    doc = _written({f"L_{n}": sorted(op.entries.items()) for n, op in ops.items()})
+    forms = set()
+    for n, op in ops.items():
+        entries = op.entries
+        back = {(i, j): decode_scalar(v) for (i, j), v in doc[f"L_{n}"]}
+        assert back == entries
+        # an integral entry is written as a JSON int, any other as "p/q"
+        for (i, j), v in doc[f"L_{n}"]:
+            want = int if type(entries[i, j]) is int else str
+            assert type(v) is want and (want is int or "/" in v), (n, v)
+            forms.add(want)
+    assert forms == {int, str}
 
     o = marginal_observable(space)
     table = ope_extract(space, o, o)

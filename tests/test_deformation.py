@@ -40,7 +40,7 @@ from fqft.errors import GeometryError, RecombinationError, ValidationError
 from fqft.fock import BoundaryState, build_space
 from fqft.jets import Jet, JetAlgebra
 from fqft.rexp import LogPoly, RExpansion
-from fqft.scalars import canonical_exponent
+from fqft.scalars import canonical_rational
 from formal_ref import logpoly_product, ref_dims, ref_effective_C, ref_K, rows_for
 from jet_ref import const, jet_mul
 from recombine_ref import recombine
@@ -765,7 +765,7 @@ def _general_dilate(th, expansion):
             for j in range(q + 1):
                 out = terms.setdefault((p, j), {}).setdefault(key, {})
                 for (a, b, i, k), c in val.terms.items():
-                    key2 = (a, canonical_exponent(b + lam), i, k + q - j)
+                    key2 = (a, canonical_rational(b + lam), i, k + q - j)
                     out[key2] = out.get(key2, 0) + c * comb(q, j)
     return RExpansion(
         {pq: FormalVector({k: LogPoly(t) for k, t in vec.items()}) for pq, vec in terms.items()}

@@ -461,6 +461,13 @@ def _probed_lift(op):
     return out
 
 
+def _assert_canonical(entries):
+    # no stored zeros; an integral value is an int, any other a Fraction
+    for v in entries.values():
+        assert v != 0
+        assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), v
+
+
 _LIFT_PAIRS = [(2, -2), (-2, 2), (1, -3), (3, -1), (-1, -2), (0, 2), (2, 2), (-3, 0)]
 
 
@@ -468,12 +475,15 @@ _LIFT_PAIRS = [(2, -2), (-2, 2), (1, -3), (3, -1), (-1, -2), (0, 2), (2, 2), (-3
 def test_entries_match_the_block_by_block_lift(l_max):
     # runs of levels summed once and walked per level place what probing
     # every block places, for modes and for commutators whose terms stop at
-    # different levels, up to the cap the pinned digests (l_max <= 12) miss
+    # different levels, up to the cap the pinned digests (l_max <= 12) miss;
+    # the digests read entries through scalar(), so the types are checked here
     space = build_space(l_max)
     modes = {n: build_virasoro(space, n) for n in range(-3, 4)}
     ops = list(modes.values()) + [commutator(modes[a], modes[b]) for a, b in _LIFT_PAIRS]
     for op in ops:
-        assert op.entries == _probed_lift(op), op.n
+        entries = op.entries
+        assert entries == _probed_lift(op), op.n
+        _assert_canonical(entries)
 
 
 def space_to_json(space, operators=None, scalar=Fraction) -> str:
@@ -839,13 +849,6 @@ def _dropped_by_product(a, b):
     }
 
 
-def _assert_canonical(op):
-    # no stored zeros, Fractions only
-    for v in op.entries.values():
-        assert v != 0
-        assert isinstance(v, Fraction)
-
-
 _MODE = st.integers(min_value=-7, max_value=7)
 
 
@@ -863,7 +866,7 @@ def test_one_sided_products_match_dense_reference(l_max, m, n):
     A, B = _dense(a), _dense(b)
     ab, ba = _dense_product(A, B), _dense_product(B, A)
     comm = commutator(a, b)
-    _assert_canonical(comm)
+    _assert_canonical(comm.entries)
     assert _dense(comm) == [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
     # the column reference on the lifted operands gives the same entries bit for bit
     assert comm.entries == _column_product(_Columns.of(a), _Columns.of(b), commute=True).entries

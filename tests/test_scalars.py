@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fqft.deformation import _shift
 from fqft.rexp import LogPoly, RExpansion
-from fqft.scalars import canonical_exponent
+from fqft.scalars import canonical_rational
 from formal_ref import logpoly_product
 
 R, LAM = sympy.symbols("R lam", positive=True)
@@ -138,7 +138,7 @@ def test_shared_values_are_never_mutated(t1, t2, key):
     # nothing moves and otherwise reuses its coefficients
     x, y = LogPoly(t1), LogPoly(t2)
     _, lam, _, dj = key
-    shared = [_shift(x, 0, 0, 1), 1 * x, _shift(x, canonical_exponent(lam), dj, 1)]
+    shared = [_shift(x, 0, 0, 1), 1 * x, _shift(x, canonical_rational(lam), dj, 1)]
     assert shared[0] is x
     before = [_typed(s.terms) for s in [x, *shared]]
     for s in shared:

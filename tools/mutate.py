@@ -16,7 +16,7 @@ An equivalent mutant computes what the original does, so no check can
 kill it without comparing bits; it stays in the list with its reason, and
 is never dropped.  A non-equivalent mutant that survives tier-1 is a
 missing test.  The results go to MUT_<label>.json at the root.  Standard
-library only; a full run of 28 mutants takes about 14 minutes on a 2-core
+library only; a full run of 29 mutants takes about 10 minutes on a 2-core
 Xeon, so it is not a CI step:
 
     python tools/mutate.py --label 42
@@ -78,6 +78,9 @@ MUTANTS = [
     Mutant("sugawara-half", "src/fqft/fock.py",
            "denominator, half = 24, 12", "denominator, half = 24, 24",
            "L_n = (1/2) sum_k :j_{-k} j_{k+n}:, the Sugawara weight 1/2"),
+    Mutant("lift-canonical", "src/fqft/fock.py",
+           "canonical_rational(Fraction(sign * s, den))", "Fraction(sign * s, den)",
+           "an integral mode-operator entry is an int, so consumers' arithmetic skips Fraction"),
     Mutant("pade-theta", "src/fqft/qm.py",
            "_THETA = 4.25", "_THETA = 8.5",
            "the degree-13 Pade step needs ||2^-s A|| below its backward-error bound"),
@@ -138,7 +141,7 @@ MUTANTS = [
            '"qm_cutting": 1e-12', '"qm_cutting": 1e-2',
            "QM cutting: glued segments match the whole segment to 1e-12"),
     Mutant("dilate-shift-without-p", "src/fqft/deformation.py",
-           "canonical_exponent(weight + p - D)", "canonical_exponent(weight - D)",
+           "canonical_rational(weight + p - D)", "canonical_rational(weight - D)",
            "Dil_lambda sends r^p to lam^p r^p: a symbol's lam shift is weight + p - D"),
     Mutant("qm-endpoints-reversed", "src/fqft/qm.py",
            "if not (finite and alpha <= beta):", "if not finite:",

@@ -7,9 +7,9 @@ above).  The formal theories are the ones CI reads: the deform workload's
 the hostile, one-row and zero-denominator theories of tests/theories/.
 The commands run in process under a sys.setprofile hook, and the script
 prints each function defined in src/fqft that no call entered, with its
-line count, then the total.  fqft is imported afresh under the hook, so
-calls made at import time count, and the modules loaded before are put
-back afterwards.  Left out: CI's FQFT_LOG runs, which enter the same
+executable line count, then the total.  fqft is imported afresh under the
+hook, so calls made at import time count, and the modules loaded before
+are put back afterwards.  Left out: CI's FQFT_LOG runs, which enter the same
 functions as the plain ones, and its inline Python checks, which are not
 CLI commands (the anomalous dilation identity among them).  The hook sees
 functions, not branches.  Standard library only:
@@ -19,14 +19,15 @@ functions, not branches.  Standard library only:
 
 from __future__ import annotations
 
-import ast
 import contextlib
 import importlib.util
+import inspect
 import io
 import os
 import random
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,28 +104,39 @@ def run_ci_commands():
                 run([command, *formal, str(THEORIES / theory)], code=2)
 
 
+def _lines(code):
+    """The distinct line numbers a code object's instructions carry."""
+    return {line for _, _, line in code.co_lines() if line is not None}
+
+
 def functions(package=PACKAGE):
     """{(file, first line): (name, line count)} of every function defined in
-    the package, methods and nested functions too.  The name is
-    "module.Qualified.name"; the first line is the first decorator's, as a
-    code object's co_firstlineno is, and the count runs from there to the
-    function's last line."""
+    the package, methods and nested functions too, read off the code
+    objects that compiling each module makes.  The name is
+    "module.Qualified.name"; the first line is the code object's
+    co_firstlineno (the first decorator's), and the count is the number of
+    lines its instructions carry, its comprehensions' and lambdas' too and
+    its nested functions' not: a docstring, a comment or a blank line
+    counts nothing."""
     out = {}
+
+    def visit(path, code, prefix, lines):
+        for const in code.co_consts:
+            if not isinstance(const, types.CodeType):
+                continue
+            if const.co_name.startswith("<"):  # a comprehension or a lambda
+                if lines is not None:
+                    lines |= _lines(const)
+                visit(path, const, prefix, lines)
+            elif const.co_flags & inspect.CO_OPTIMIZED:  # a function
+                own = _lines(const)
+                visit(path, const, prefix + const.co_name + ".", own)
+                out[str(path), const.co_firstlineno] = (prefix + const.co_name, len(own))
+            else:  # a class body
+                visit(path, const, prefix + const.co_name + ".", None)
+
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-
-        def visit(node, prefix):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.ClassDef):
-                    visit(child, prefix + child.name + ".")
-                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                    out[str(path), first] = (prefix + child.name, child.end_lineno - first + 1)
-                    visit(child, prefix + child.name + ".")
-                else:
-                    visit(child, prefix)
-
-        visit(tree, path.stem + ".")
+        visit(path, compile(path.read_text(), str(path), "exec"), path.stem + ".", None)
     return out
 
 
