@@ -495,6 +495,9 @@ def anomalous_dilation(theory: FormalTheory, beta):
     the record alone.  So the first read keeps its beta and sides there, and
     the twin's read takes them and clears the slot, with nothing to compare.
     A repeated read for one beta is not the twin's: it keeps its own sides.
+    Clearing keeps the sides alive only between the two reads: a theory kept
+    after a sweep holds none, where sides kept on every record would grow
+    with every record the theory has read.
     """
     alg = marginal_coupling_algebra(theory)
     v = RExpansion._of({(0, 0): FormalVector._of({("corr", beta, (), ()): _ONE})})

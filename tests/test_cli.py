@@ -104,6 +104,10 @@ def test_beta_formal_backend(capsys, tmp_path):
     assert code == 0
     assert report["results"]["zero"] is False
     assert report["results"]["beta"]["e"]["gc[e]*gc[e]"] == "1/2"
+    # the formal backend reads no Fock space, so --lmax 0 is no usage error there
+    argv = ["beta", "--backend", "formal", "--lmax", "0", "--theory", str(path)]
+    code, at_zero = run_cli(capsys, argv)
+    assert code == 0 and at_zero["results"] == report["results"]
 
 
 def test_beta_formal_running_golden(capsys, tmp_path):
@@ -340,6 +344,7 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         ["beta", "--backend", "formal", "--theory", "{tmp}/h-inf.json"],
         ["beta", "--backend", "formal", "--theory", "{tmp}/float-part.json"],
         ["beta", "--backend", "formal", "--theory", "{tmp}/bool-part.json"],
+        ["beta", "--backend", "formal", "--theory", "{tmp}/int-label.json"],
         ["beta", "--backend", "formal", "--theory", "{tmp}/deep.json"],
         ["beta", "--backend", "formal", "--theory", "{tmp}/one-row.json"],
         ["all", "--backend", "formal", "--theory", "{tmp}/one-row.json"],
@@ -373,6 +378,7 @@ def test_bad_qm_input_is_usage_error(capsys, argv):
         "theory-h-infinity",
         "theory-float-part",
         "theory-bool-part",
+        "theory-label-not-string",
         "theory-deeply-nested",
         "beta-theory-without-gc-form",
         "all-theory-without-gc-form",
@@ -395,6 +401,10 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
         (tmp_path / f"{name}.json").write_text(
             f'{{"primaries": {primaries}, "coefficients": [{bad}]}}'
         )
+    # a primary label is a JSON string, not a number
+    (tmp_path / "int-label.json").write_text(
+        '{"primaries": [{"label": 1, "h": "0", "hbar": "0"}], "coefficients": []}'
+    )
     # nested past the parser's recursion limit
     (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
     (tmp_path / "one-row.json").write_text(theory_to_json(_one_row_theory()))

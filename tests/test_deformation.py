@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 import sympy
@@ -95,7 +96,11 @@ def test_theory_validation():
     with pytest.raises(ValidationError):
         FormalTheory([("bad", -1, 0)], [])
     with pytest.raises(ValidationError):
-        FormalTheory([("spin", 1, 0)], [])
+        FormalTheory([("bad", 0, -1)], [])
+    # both chiral spin primaries, the holomorphic one and the antichiral one
+    for h, hbar in [(1, 0), (0, 1)]:
+        with pytest.raises(ValidationError):
+            FormalTheory([("spin", h, hbar)], [])
     with pytest.raises(ValidationError):
         # degenerate h_c + |mu| = 1 row that is not a marginal channel
         FormalTheory(
@@ -1014,12 +1019,19 @@ def test_dilation_identity_bites_on_a_wrong_correction(monkeypatch, p):
             monkeypatch.undo()
 
 
-@pytest.mark.parametrize("n", [2, 5, 11])
+@pytest.mark.parametrize("n", [2, 5, 11, "hostile"])
 def test_dilation_sweep_computes_one_correction_per_record(monkeypatch, n):
     # on a mirrored theory every off-diagonal pair shares its twin's record,
     # and the twin's read takes the sides: a sweep over every marginal
-    # computes n diagonal corrections and one per unordered pair
-    th = FormalTheory(*_formal_rows(random.Random(n), n))
+    # computes n diagonal corrections and one per unordered pair.  The
+    # hostile theory lists each pair's rows in opposite orders, so no pair
+    # shares a record, and a sweep computes one per ordered pair
+    if n == "hostile":
+        th = theory_from_json((Path(__file__).parent / "theories" / "hostile.json").read_text())
+        want = len(th.marginals) ** 2
+    else:
+        th = FormalTheory(*_formal_rows(random.Random(n), n))
+        want = n * (n + 1) // 2
     original, calls = fqft.deformation.compute_correction, []
 
     def counted(th, a, b):
@@ -1029,7 +1041,7 @@ def test_dilation_sweep_computes_one_correction_per_record(monkeypatch, n):
     monkeypatch.setattr(fqft.deformation, "compute_correction", counted)
     for b in th.marginals:
         anomalous_dilation(th, b)
-    assert len(calls) == n * (n + 1) // 2
+    assert len(calls) == want > 1
     assert {frozenset(pair) for pair in calls} == {
         frozenset((a, b)) for a in th.marginals for b in th.marginals
     }

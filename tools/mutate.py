@@ -16,7 +16,7 @@ An equivalent mutant computes what the original does, so no check can
 kill it without comparing bits; it stays in the list with its reason, and
 is never dropped.  A non-equivalent mutant that survives tier-1 is a
 missing test.  The results go to MUT_<label>.json at the root.  Standard
-library only; a full run of 29 mutants takes about 10 minutes on a 2-core
+library only; a full run of 37 mutants takes about 10 minutes on a 2-core
 Xeon, so it is not a CI step:
 
     python tools/mutate.py --label 42
@@ -134,6 +134,9 @@ MUTANTS = [
            "if alpha != beta and theory._pairs.get((beta, alpha)) is record:",
            "if alpha != beta:",
            "only a twin record keeps dilation sides: an unshared record has no twin read"),
+    Mutant("twin-not-shared", "src/fqft/deformation.py",
+           "self._pairs[beta, alpha] = record  # a mirrored pair: its twin's record", "pass",
+           "a mirrored pair, whose two row lists are equal, has one record for both orders"),
     Mutant("oracle-tolerance-loose", "src/fqft/cli.py",
            '"oracle": 1e-10', '"oracle": 1e-2',
            "the QM orders match the Taylor oracle of exp(-T(H + g O)) to 1e-10"),
@@ -158,6 +161,27 @@ MUTANTS = [
     Mutant("log-power-truncated", "src/fqft/rexp.py",
            "q >= 0 and q % 1 == 0", "q >= 0",
            "a Laurent-log key's log powers are non-negative integers: 0.5 is not 0"),
+    Mutant("pade-inner-b0", "src/fqft/qm.py",
+           "_PADE_MATRIX[:2, 0] = 0.0\n", "",
+           "the degree-13 Pade sums that A^6 multiplies have no identity term"),
+    Mutant("pade-index-b13", "src/fqft/qm.py",
+           "[0, 9, 11, 13]", "[0, 9, 11, 12]",
+           "the degree-13 Pade numerator multiplies A^6 A^6 A by b_13"),
+    Mutant("van-loan-transposed", "src/fqft/qm.py",
+           "row[:, n : 2 * n] = O", "row[:, n : 2 * n] = O.T",
+           "the Van Loan generator's block above -H is the observable O itself"),
+    Mutant("hbar-negative", "src/fqft/deformation.py",
+           "if p.h < 0 or p.hbar < 0:", "if p.h < 0:",
+           "a primary's dimensions h and hbar are both non-negative"),
+    Mutant("spin-antichiral", "src/fqft/deformation.py",
+           "if (p.h, p.hbar) in ((1, 0), (0, 1)):", "if (p.h, p.hbar) == (1, 0):",
+           "both chiral spin-1 primaries, (1, 0) and (0, 1), are unsupported"),
+    Mutant("label-not-string", "src/fqft/deformation.py",
+           "if type(label) is not str:", "if label is None:",
+           "a theory document's primary labels are JSON strings"),
+    Mutant("beta-formal-lmax", "src/fqft/cli.py",
+           '(args.command == "beta" and not formal)', '(args.command == "beta")',
+           "the formal beta reads no Fock space, so it takes any --lmax in range"),
 ]
 
 
