@@ -10,6 +10,8 @@ backend checked against an exact matrix-exponential oracle.
 
 __version__ = "0.1.0"
 
+import sys
+
 from .errors import (
     GeometryError,
     RecombinationError,
@@ -25,3 +27,15 @@ __all__ = [
     "SpaceMismatchError",
     "ValidationError",
 ]
+
+
+def _logger(level):
+    """The "fqft" logger when it is enabled for `level` (a logging level
+    number: 10 debug, 20 info), else None.  A process that never imported
+    logging cannot have enabled a logger, so this never imports it: logging
+    loads only where the CLI reads FQFT_LOG, or where the host imported it."""
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger("fqft")
+    return log if log.isEnabledFor(level) else None

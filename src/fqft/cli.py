@@ -4,12 +4,12 @@ import argparse
 import contextlib
 import functools
 import json
-import logging
 import os
 import sys
 import time
 from fractions import Fraction
 
+from . import _logger
 from .deformation import _unordered_pairs, fb_theory, theory_from_json
 from .deformation import beta as beta_fn
 from .fock import L_MAX_HARD_CAP, build_space
@@ -27,8 +27,6 @@ TOLERANCES = {
     "oracle": 1e-10,
     "qm_cutting": 1e-12,
 }
-
-log = logging.getLogger("fqft")
 
 # Hard cap on `qm --dim`.  One process and one BLAS thread on a 2-core Xeon,
 # Python 3.11, numpy 2.4 (OpenBLAS), `fqft qm --seed 1` reports a wall time
@@ -205,9 +203,15 @@ def build_parser():
 
 
 def main(argv=None):
-    # only int attributes are levels: logging.BASIC_FORMAT is a format string
-    level = getattr(logging, os.environ.get("FQFT_LOG", "warning").upper(), None)
-    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
+    name = os.environ.get("FQFT_LOG")
+    if name:
+        # logging loads only here: fqft logs nothing at warning or above, so
+        # an unset FQFT_LOG configures nothing
+        import logging
+
+        # only int attributes are levels: logging.BASIC_FORMAT is a format string
+        level = getattr(logging, name.upper(), None)
+        logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = build_parser()
     args = parser.parse_args(argv)
     formal = getattr(args, "backend", None) == "formal"
@@ -253,11 +257,14 @@ def main(argv=None):
     except OSError as err:
         parser.error(f"cannot write --out {args.out}: {err.strerror}")
     with out as sink:
-        log.info("running %s", args.command)
+        log = _logger(20)
+        if log:
+            log.info("running %s", args.command)
         start = time.perf_counter()
         results, passed = COMMANDS[args.command][0](args)
         elapsed = time.perf_counter() - start
-        log.info("%s finished in %.3fs (passed=%s)", args.command, elapsed, passed)
+        if log:
+            log.info("%s finished in %.3fs (passed=%s)", args.command, elapsed, passed)
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,

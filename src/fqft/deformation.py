@@ -42,6 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 
+from . import _logger
 from .errors import RecombinationError, ValidationError
 from .fock import _key as _fock_key
 from .fock import apply_current
@@ -620,6 +621,9 @@ class BetaResult:
 def beta(theory: FormalTheory) -> BetaResult:
     """beta^gamma in g_c; RecombinationError where double_deform raises it."""
     labels = theory.marginals
+    log = _logger(10)
+    if log:
+        log.debug("beta marginals=%d", len(labels))
     alg = JetAlgebra.combined_coupling(labels)
     names = {label: f"gc[{label}]" for label in labels}
     den, frac = theory.den * theory.mixing_den, theory._fraction

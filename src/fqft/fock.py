@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import _logger
 from .errors import ResourceLimitError, SpaceMismatchError
 from .rexp import Sparse
 from .scalars import canonical_rational
@@ -311,12 +312,8 @@ def _table_product(a: dict, b: dict, top: int) -> dict:
 
 def build_space(l_max: int) -> TruncatedFockSpace:
     space = TruncatedFockSpace(l_max)
-    # imported here, so that importing fock without building a space (as
-    # deformation's formal backend does) does not import logging
-    import logging
-
-    log = logging.getLogger("fqft")
-    if log.isEnabledFor(logging.DEBUG):
+    log = _logger(10)
+    if log:
         blocks = sum(map(len, space.blocks))
         log.debug("fock space l_max=%d dim=%d blocks=%d", l_max, space.dim, blocks)
     return space

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import _logger
 from .errors import GeometryError, SpaceMismatchError
 from .fock import BoundaryState, TruncatedFockSpace, scale_by_level
 from .scalars import _rational
@@ -187,6 +188,9 @@ def verify_cutting(space, cut_points, shifted=True):
     radii = list(cut_points)
     if len(radii) < 2 or any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
         raise GeometryError("cut points must be strictly decreasing radii")
+    log = _logger(10)
+    if log:
+        log.debug("verify_cutting l_max=%d radii=%d", space.l_max, len(radii))
     R0, Rn = radii[0], radii[-1]
     direct = annulus_pf(space, R0, Rn, shifted=shifted)
 

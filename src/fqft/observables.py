@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import _logger
 from .errors import GeometryError, ValidationError
 from .fock import BoundaryState, apply_current, scale_by_level
 from .rexp import RExpansion, Sparse
@@ -217,4 +218,7 @@ def ope_extract(space, a: LocalObservable, b: LocalObservable) -> OpeTable:
         for i, coeff in v.nonzero():
             _, mu, mubar = space.key_of(i)
             table.add_row(a.label, b.label, "1", mu, mubar, (m, mbar), coeff)
+    log = _logger(10)
+    if log:
+        log.debug("ope_extract a=%s b=%s rows=%d", a.label, b.label, len(table.rows))
     return table

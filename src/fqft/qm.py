@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _logger
 from .errors import GeometryError, QuadratureError, ValidationError
 from .jets import Jet, JetAlgebra
 
@@ -271,10 +272,13 @@ def _generator(H, O) -> _Generator:
     last call."""
     global _last
     key = (H.dtype, H.shape, H.tobytes(), O.dtype, O.shape, O.tobytes())
-    last = _last
-    if last is not None and last[0] == key:
+    last, n = _last, len(H)
+    reused = last is not None and last[0] == key
+    log = _logger(10)
+    if log:
+        log.debug("qm generator dim=%d %s", n, "reused" if reused else "built")
+    if reused:
         return last[1]
-    n = len(H)
     row = np.zeros((n, 3 * n), dtype=np.result_type(H, O))
     row[:, :n] = -H
     row[:, n : 2 * n] = O

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -553,6 +554,42 @@ def test_log_name_that_is_not_a_level_falls_back_to_warning(monkeypatch):
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["passed"] is True
     assert run.stderr == ""
+
+
+FINISHED = "INFO:fqft:verify-cutting finished in <t>s (passed=True)"
+
+
+@pytest.mark.parametrize(
+    "level, lines",
+    [
+        (None, []),
+        ("info", ["INFO:fqft:running verify-cutting", FINISHED]),
+        (
+            "debug",
+            [
+                "INFO:fqft:running verify-cutting",
+                "DEBUG:fqft:fock space l_max=3 dim=18 blocks=14",
+                "DEBUG:fqft:verify_cutting l_max=3 radii=4",
+                FINISHED,
+            ],
+        ),
+    ],
+    ids=["unset", "info", "debug"],
+)
+def test_fqft_log_prints_its_lines_in_a_fresh_process(monkeypatch, level, lines):
+    # a fresh process, for the same reason as above; logging loads only
+    # when FQFT_LOG is set
+    if level is None:
+        monkeypatch.delenv("FQFT_LOG", raising=False)
+    else:
+        monkeypatch.setenv("FQFT_LOG", level)
+    monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(fqft.__file__)))
+    argv = [sys.executable, "-m", "fqft.cli", "verify-cutting", "--lmax", "3"]
+    run = subprocess.run(argv, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["passed"] is True
+    # the elapsed time varies, so it is matched as a pattern
+    assert re.sub(r" in \d+\.\d{3}s ", " in <t>s ", run.stderr).splitlines() == lines
 
 
 def test_verify_cutting_at_low_lmax(capsys):

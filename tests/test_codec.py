@@ -122,6 +122,7 @@ def _leaves_out(code, modules):
     """Run `code` in a fresh interpreter; True when none of `modules` got imported."""
     check = f"\nimport sys\nsys.exit(any(m in sys.modules for m in {modules!r}))\n"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqft.__file__)))
+    env.pop("FQFT_LOG", None)  # logging loads where FQFT_LOG is set
     return subprocess.run([sys.executable, "-c", code + check], env=env).returncode == 0
 
 
@@ -141,9 +142,9 @@ def test_exact_pipeline_modules_do_not_import_numpy():
 
 
 def test_cli_loads_numpy_for_qm_only():
-    # `import fqft.cli` and the exact subcommands run as a real process load
-    # none of numpy, scipy and sympy; `fqft qm` and `import fqft.qm` load
-    # numpy but not scipy
+    # `import fqft.cli`, a cap space and the exact subcommands run as a real
+    # process load none of numpy, scipy, sympy and logging (FQFT_LOG unset);
+    # `fqft qm` and `import fqft.qm` load numpy but not scipy
     run = (
         "import contextlib, io\n"
         "from fqft.cli import main\n"
@@ -151,8 +152,16 @@ def test_cli_loads_numpy_for_qm_only():
         "    for argv in {argvs!r}:\n"
         "        assert main(argv) == 0\n"
     )
-    exact = [["verify-cutting", "--lmax", "2"], ["ope", "--lmax", "2"], ["beta", "--lmax", "2"]]
-    assert _leaves_out("import fqft.cli\n", ["numpy", "scipy", "sympy"])
-    assert _leaves_out(run.format(argvs=exact), ["numpy", "scipy", "sympy"])
+    theory = os.path.join(os.path.dirname(__file__), "theories", "hostile.json")
+    exact = [
+        ["verify-cutting", "--lmax", "2"],
+        ["ope", "--lmax", "2"],
+        ["beta", "--lmax", "2"],
+        ["beta", "--backend", "formal", "--theory", theory],
+    ]
+    unused = ["numpy", "scipy", "sympy", "logging"]
+    assert _leaves_out("import fqft.cli\n", unused)
+    assert _leaves_out("from fqft.fock import build_space\nbuild_space(16)\n", ["logging"])
+    assert _leaves_out(run.format(argvs=exact), unused)
     assert _leaves_out(run.format(argvs=[["qm", "--dim", "4", "--seed", "1"]]), ["scipy", "sympy"])
     assert _leaves_out("import fqft.qm\n", ["scipy", "sympy"])

@@ -1,8 +1,11 @@
 """Tests for the conformal perturbation theory engine."""
 
 import contextlib
+import gc
 import hashlib
+import logging
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -1143,6 +1146,45 @@ FORMAL_REPORT_DIGEST = "b3bc5b4c5507250dfeeac91cf0a84c2322c02709cd9a6efa94684535
 def test_formal_outputs_match_pinned_digests(n):
     th = FormalTheory(*_formal_rows(random.Random(n), n))
     assert _formal_digest(th) == FORMAL_DIGESTS[n]
+
+
+def test_beta_logs_its_marginal_count(caplog):
+    th = FormalTheory(*_formal_rows(random.Random(5), 5))
+    with caplog.at_level(logging.DEBUG, logger="fqft"):
+        beta(th)
+    assert caplog.messages == ["beta marginals=5"]
+
+
+# bytes a formal theory holds once built and swept as the deform workload
+# sweeps it (double_deform, anomalous_dilation for every marginal, beta),
+# with tracemalloc on Python 3.11: the larger of a standalone run and a run
+# inside the suite, which differ by up to 10 %.  Each bound is 1.5 times
+# that, room for another interpreter's object sizes; memos that outlive the
+# sweep (the kept-sides variant held 2.3 times as much) fail it
+SWEPT_THEORY_BYTES = {2: 20_944, 5: 73_592, 11: 244_584}
+
+
+@pytest.mark.parametrize("n", sorted(SWEPT_THEORY_BYTES))
+def test_a_swept_formal_theory_retains_a_pinned_size(n):
+    def sweep(th):
+        double_deform(th)
+        for b in th.marginals:
+            anomalous_dilation(th, b)
+        beta(th)
+
+    # a first sweep of another theory of the size warms state outside the trace
+    sweep(FormalTheory(*_formal_rows(random.Random(n + 100), n)))
+    rows = _formal_rows(random.Random(n), n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        th = FormalTheory(*rows)
+        sweep(th)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1.5 * SWEPT_THEORY_BYTES[n], kept
 
 
 def test_memos_are_per_theory():

@@ -1,5 +1,6 @@
 """Tests for surfaces, partition functions, gluing, and the cutting axiom."""
 
+import logging
 import math
 import random
 import time
@@ -364,6 +365,13 @@ def test_verify_cutting_exact(l_max):
     report = verify_cutting(space, [Fraction(4), Fraction(3), Fraction(2), Fraction(1)])
     assert report["exact_zero"]
     assert report["offending_level"] is None
+
+
+def test_verify_cutting_logs_its_size(caplog):
+    space = build_space(3)
+    with caplog.at_level(logging.DEBUG, logger="fqft"):
+        verify_cutting(space, [Fraction(4), Fraction(3), Fraction(2), Fraction(1)])
+    assert caplog.messages == ["verify_cutting l_max=3 radii=4"]
 
 
 @pytest.mark.parametrize("l_max", [0, 1, L_MAX_HARD_CAP])

@@ -27,7 +27,7 @@ def test_every_mutant_applies_to_the_tree():
 def test_ci_cli_steps_are_read_from_the_workflow():
     mutate = _mutate()
     steps = mutate.ci_cli_steps(mutate.WORKFLOW.read_text())
-    assert [name.split()[:2] for name, _ in steps] == [["CLI", "at"], ["Formal", "CLI"]]
+    assert [name.split()[:2] for name, _ in steps] == [["CLI", "at"], ["Formal", "CLI"], ["No", "logging"]]
     for _, script in steps:
         assert script.startswith("python ") and "python -m fqft.cli" in script
     # the formal step's inline check comes through whole, heredoc included

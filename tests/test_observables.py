@@ -1,5 +1,6 @@
 """Tests for local observables, correlators, dilation, and OPE extraction."""
 
+import logging
 import math
 import random
 from fractions import Fraction
@@ -327,6 +328,14 @@ def test_ope_extract_jj():
             assert row["exponents"] == (-2, 0)
     assert rows[(0, 0), (1, 1), ()] == 1
     assert rows[(1, 0), (2, 1), ()] == 1
+
+
+def test_ope_extract_logs_its_rows(caplog):
+    space = build_space(5)
+    j = current_observable(space)
+    with caplog.at_level(logging.DEBUG, logger="fqft"):
+        table = ope_extract(space, j, j)
+    assert caplog.messages == [f"ope_extract a=j b=j rows={len(table.rows)}"]
 
 
 def test_ope_extract_identity_pair():

@@ -1,6 +1,9 @@
 """Tests for the one-dimensional (quantum mechanics) backend."""
 
+import gc
+import logging
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -585,6 +588,37 @@ def test_segment_solves_with_its_diagonal_block(monkeypatch):
     th = QmTheory(np.random.default_rng(2).standard_normal((8, 8)))
     qm_double_deform(th, {"o": np.eye(8)}, 0.0, 1.0)
     assert shapes == [((8, 8), (8, 40))]
+
+
+def test_generator_logs_whether_it_was_built_or_reused(caplog, monkeypatch):
+    monkeypatch.setattr(qm, "_last", None)
+    H, O = np.random.default_rng(6).standard_normal((2, 3, 3))
+    th = QmTheory(H)
+    with caplog.at_level(logging.DEBUG, logger="fqft"):
+        qm_double_deform(th, {"o": O}, 0.0, 1.0)
+        qm_double_deform(th, {"o": O}, 0.0, 0.5)
+    assert caplog.messages == ["qm generator dim=3 built", "qm generator dim=3 reused"]
+
+
+def test_generator_slot_retains_a_pinned_size(capsys, monkeypatch):
+    # after one `fqft qm --dim 128` the slot holds the Van Loan generator:
+    # 3 802 178 bytes (tracemalloc, numpy 2.4), its M and M^6 (3n x 3n
+    # float64 each), its top rows and its key's byte copies of H and O.  The
+    # bound is 1.25 times that
+    monkeypatch.setattr(qm, "_last", None)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(["qm", "--dim", "128", "--seed", "1"]) == 0
+        gc.collect()
+        with_slot = tracemalloc.get_traced_memory()[0]
+        qm._last = None
+        gc.collect()
+        slot = with_slot - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert slot < 1.25 * 3_802_178, slot
 
 
 def test_generator_reuse_is_bit_for_bit_a_cold_computation(tmp_path, monkeypatch):

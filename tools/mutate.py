@@ -16,7 +16,7 @@ An equivalent mutant computes what the original does, so no check can
 kill it without comparing bits; it stays in the list with its reason, and
 is never dropped.  A non-equivalent mutant that survives tier-1 is a
 missing test.  The results go to MUT_<label>.json at the root.  Standard
-library only; a full run of 37 mutants takes about 10 minutes on a 2-core
+library only; a full run of 40 mutants takes about 11 minutes on a 2-core
 Xeon, so it is not a CI step:
 
     python tools/mutate.py --label 42
@@ -182,6 +182,15 @@ MUTANTS = [
     Mutant("beta-formal-lmax", "src/fqft/cli.py",
            '(args.command == "beta" and not formal)', '(args.command == "beta")',
            "the formal beta reads no Fock space, so it takes any --lmax in range"),
+    Mutant("space-imports-logging", "src/fqft/fock.py",
+           "log = _logger(10)", 'log = __import__("logging").getLogger("fqft")',
+           "building a space imports no logging: fqft._logger looks it up only where loaded"),
+    Mutant("cli-configures-unset", "src/fqft/cli.py",
+           'os.environ.get("FQFT_LOG")', 'os.environ.get("FQFT_LOG", "warning")',
+           "an unset FQFT_LOG configures no logging, so the CLI never imports it"),
+    Mutant("cli-running-at-debug", "src/fqft/cli.py",
+           "log = _logger(20)", "log = _logger(10)",
+           "FQFT_LOG=info prints the running and finished lines (logging.INFO is 20)"),
 ]
 
 
