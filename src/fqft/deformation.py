@@ -24,8 +24,11 @@ Two backends share the same pipeline.
   Each builder value is built once per theory: one table maps (num, den,
   LogPoly key) to its LogPoly, over one table of Fractions, and since
   LogPoly is immutable every output may hold the same object.  Dilation
-  computes each symbol's dimension once per theory, and a row whose
-  symbols all have a zero lam shift keeps the input's own vector.
+  computes each symbol's dimension once per theory, and each shifted value
+  once per theory and distinct shift: the corrections hand one LogPoly
+  object to many rows, so a table keyed by that object's identity holds
+  its shifts.  A row whose symbols all have a zero lam shift keeps the
+  input's own vector.
 * The numeric free-boson backend deforms the truncated Fock-space partition
   functions by the marginal observable j jbar, with exact rational entries:
   the deformed annulus and disk act on jets of boundary states, through
@@ -129,9 +132,13 @@ class FormalTheory:
     never a correction, only between the twins' two reads.  Values leave the
     ints through two tables: `_fraction` makes one Fraction per (num, den),
     and `_value` one LogPoly per (num, den, monomial key) on top of it,
-    shared by every output that holds that value.  `_dilate` fills a fourth
-    table, each correlator symbol's dimension.  All four start empty, fill
-    on use, and no two theories share them.
+    shared by every output that holds that value.  `_dilate` fills two
+    more: `_dimensions`, each correlator symbol's dimension, and `_shifted`,
+    which maps (id(val), lam shift, log(lam) power, binomial) to (val, the
+    shifted LogPoly), so each value is shifted once per distinct shift.  The
+    entry holds val itself, which keeps it alive, so no other object can
+    take its id while the key stands.  All five start empty, fill on use,
+    and no two theories share them.
     """
 
     def __init__(self, primaries, rows, mixing=None):
@@ -183,8 +190,10 @@ class FormalTheory:
                 if den % value.denominator:
                     den = lcm(den, value.denominator)
         self.den, self.mixing_den = den, mixing_den
-        # filled on use: pair records, Fractions, LogPoly values, symbol dimensions
-        self._pairs, self._fractions, self._values, self._dimensions = {}, {}, {}, {}
+        # filled on use: pair records, Fractions, LogPoly values, symbol
+        # dimensions and shifted values
+        self._pairs, self._fractions, self._values = {}, {}, {}
+        self._dimensions, self._shifted = {}, {}
 
     def _check_channel(self, c, mu, mubar):
         """Reject a row target that is unknown, has descendant labels that are
@@ -316,14 +325,25 @@ def theory_from_json(text: str) -> FormalTheory:
     number and raises ValueError, as does a string past
     scalars.SCALAR_MAX_DIGITS.  Partition parts are positive JSON ints,
     bools excluded.  Malformed documents raise ValueError, KeyError,
-    TypeError or ArithmeticError (a zero denominator, an infinite float)."""
+    TypeError or ArithmeticError (a zero denominator, an infinite float).
+
+    Each distinct string is decoded once per document, so equal strings give
+    one Fraction object (mirrored rows then share their values, and the
+    twin test of FormalTheory._pair meets them by identity); any other value
+    goes to decode_scalar as it is, a bool to its ValueError."""
     import json
 
-    doc = json.loads(text)
-    primaries = [
-        (p["label"], decode_scalar(p["h"]), decode_scalar(p["hbar"]))
-        for p in doc["primaries"]
-    ]
+    doc, decoded = json.loads(text), {}
+
+    def scalar(x):
+        if type(x) is not str:
+            return decode_scalar(x)
+        out = decoded.get(x)
+        if out is None:
+            out = decoded[x] = decode_scalar(x)
+        return out
+
+    primaries = [(p["label"], scalar(p["h"]), scalar(p["hbar"])) for p in doc["primaries"]]
     for label, _, _ in primaries:
         if type(label) is not str:
             raise ValueError(f"primary label {label!r} is not a string")
@@ -334,13 +354,11 @@ def theory_from_json(text: str) -> FormalTheory:
             c["c"],
             tuple(c["mu"]),
             tuple(c["mubar"]),
-            decode_scalar(c["value"]),
+            scalar(c["value"]),
         )
         for c in doc.get("coefficients", [])
     ]
-    mixing = {
-        (m["a"], m["gamma"]): decode_scalar(m["value"]) for m in doc.get("mixing", [])
-    }
+    mixing = {(m["a"], m["gamma"]): scalar(m["value"]) for m in doc.get("mixing", [])}
     return FormalTheory(primaries, rows, mixing)
 
 
@@ -440,14 +458,18 @@ def _dilate(theory, expansion, weight) -> RExpansion:
     (log lam)^{q - j} times itself at r^p (log r)^j, for j = 0..q.
 
     Each symbol's dimension is computed once per theory, and every symbol's
-    lam shift weight + p - D from it.  Each monomial's exponents shift
-    directly; a zero shift (so j = q and comb(q, j) = 1) is the value
-    itself, and the row at j = q of a (p, q) whose every symbol has a zero
-    shift is the input's own FormalVector (as lam^2 Dil leaves every row of
-    a correction).  Shifted values stay zero-free, but rows from different
-    q can meet at one (p, j): those are summed by FormalVector addition,
-    which drops what cancels and changes no operand."""
-    dims, out = theory._dimensions, {}
+    lam shift weight + p - D from it, never from a record's channel
+    exponent, so the identity compares two independent computations.  Each
+    monomial's exponents shift directly, once per theory for each value
+    object and (shift, log(lam) power, binomial): later reads take the
+    LogPoly from FormalTheory._shifted.  A zero shift (so j = q and
+    comb(q, j) = 1) is the value itself, and the row at j = q of a (p, q)
+    whose every symbol has a zero shift is the input's own FormalVector (as
+    lam^2 Dil leaves every row of a correction).  Shifted values stay
+    zero-free, but rows from different q can meet at one (p, j): those are
+    summed by FormalVector addition, which drops what cancels and changes
+    no operand."""
+    dims, shifted, out = theory._dimensions, theory._shifted, {}
     for (p, q), vec in expansion.terms.items():
         shifts, unshifted = {}, True
         for key in vec.terms:
@@ -462,10 +484,17 @@ def _dilate(theory, expansion, weight) -> RExpansion:
             if unshifted and j == q:
                 moved = vec
             else:
-                dj, n = q - j, comb(q, j)
-                moved = FormalVector._of(
-                    {key: _shift(val, shifts[key], dj, n) for key, val in vec.terms.items()}
-                )
+                dj, n, terms = q - j, comb(q, j), {}
+                for key, val in vec.terms.items():
+                    lam = shifts[key]
+                    if lam or dj:
+                        memo = (id(val), lam, dj, n)
+                        entry = shifted.get(memo)
+                        if entry is None:
+                            entry = shifted[memo] = (val, _shift(val, lam, dj, n))
+                        val = entry[1]
+                    terms[key] = val
+                moved = FormalVector._of(terms)
             row = out.get((p, j))
             out[p, j] = moved if row is None else row + moved
     return RExpansion._of({pq: vec for pq, vec in out.items() if vec.terms})
@@ -646,13 +675,15 @@ def beta(theory: FormalTheory) -> BetaResult:
 # ------------------------------------------------- numeric free-boson route
 
 
-def fb_theory(space) -> FormalTheory:
+def fb_theory(space, table=None) -> FormalTheory:
     """Formal theory data of the truncated free boson's marginal sector,
-    with structure constants taken from the extraction pipeline."""
-    from .observables import marginal_observable, ope_extract
+    with structure constants taken from the extraction pipeline: table, the
+    OPE jjbar x jjbar on space, extracted here unless the caller has it."""
+    if table is None:
+        from .observables import marginal_observable, ope_extract
 
-    o = marginal_observable(space)
-    table = ope_extract(space, o, o)
+        o = marginal_observable(space)
+        table = ope_extract(space, o, o)
     rows = []
     for row in table.rows:
         if row["coefficient"] == 0:

@@ -74,7 +74,7 @@ def _nonzero_beta_theory():
 
 def test_beta_free_boson_fails_on_nonzero_beta(capsys, monkeypatch):
     # the free-boson pass bit is the vanishing of beta, in `beta` and in `all`
-    monkeypatch.setattr(fqft.cli, "fb_theory", lambda space: _nonzero_beta_theory())
+    monkeypatch.setattr(fqft.cli, "fb_theory", lambda space, table=None: _nonzero_beta_theory())
     code, report = run_cli(capsys, ["beta", "--lmax", "2"])
     assert code == 1 and report["passed"] is False
     code, report = run_cli(capsys, ["all", "--lmax", "2"])
@@ -590,6 +590,36 @@ def test_fqft_log_prints_its_lines_in_a_fresh_process(monkeypatch, level, lines)
     assert json.loads(run.stdout)["passed"] is True
     # the elapsed time varies, so it is matched as a pattern
     assert re.sub(r" in \d+\.\d{3}s ", " in <t>s ", run.stderr).splitlines() == lines
+
+
+def test_all_extracts_the_marginal_ope_once(monkeypatch):
+    # ope's marginal constants and free-boson beta read one jjbar x jjbar
+    # table of the space `all` shares
+    monkeypatch.setenv("FQFT_LOG", "debug")
+    monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(fqft.__file__)))
+    argv = [sys.executable, "-m", "fqft.cli", "all", "--lmax", "4"]
+    run = subprocess.run(argv, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    stages = [ln.split(" rows=")[0] for ln in run.stderr.splitlines() if "ope_extract" in ln]
+    assert stages == ["DEBUG:fqft:ope_extract a=jjbar b=jjbar", "DEBUG:fqft:ope_extract a=j b=j"]
+
+
+@pytest.mark.parametrize("bad", ["1/0", "9" * 1001, True], ids=["zero-den", "long", "bool"])
+def test_a_repeated_bad_scalar_is_a_usage_error(capsys, tmp_path, bad):
+    # theory_from_json decodes each distinct string once: a bad value met
+    # again is rejected as on its first reading, and a bool is never decoded
+    doc = _theory_skeleton()
+    for c in doc["coefficients"][:2]:
+        c["value"] = bad
+    doc["primaries"][2]["h"] = bad
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as err:
+        main(["beta", "--backend", "formal", "--theory", str(path)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.strip().splitlines()[-1].startswith("fqft: error: invalid --theory")
 
 
 def test_verify_cutting_at_low_lmax(capsys):

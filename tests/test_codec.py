@@ -108,6 +108,36 @@ def test_decode_scalar_rejects_bools_and_values_past_its_bound(monkeypatch):
         decode_scalar("1/0")
 
 
+def test_theory_from_json_decodes_each_string_once():
+    # equal strings of one document decode to one Fraction, so mirrored rows
+    # share their values; JSON ints still become Fractions, bools are refused
+    doc = {
+        "primaries": [
+            {"label": "1", "h": 0, "hbar": "0"},
+            {"label": "e", "h": "1", "hbar": 1},
+            {"label": "f", "h": "1", "hbar": "1"},
+        ],
+        "coefficients": [
+            {"a": "e", "b": "f", "c": "e", "mu": [], "mubar": [], "value": "3/4"},
+            {"a": "f", "b": "e", "c": "e", "mu": [], "mubar": [], "value": "3/4"},
+            {"a": "e", "b": "e", "c": "1", "mu": [1], "mubar": [1], "value": 2},
+            {"a": "f", "b": "f", "c": "1", "mu": [1], "mubar": [1], "value": 2},
+        ],
+        "mixing": [{"a": "1", "gamma": "e", "value": "3/4"}],
+    }
+    th = theory_from_json(json.dumps(doc))
+    (ef,), (fe,) = th.rows["e", "f"], th.rows["f", "e"]
+    assert ef[3] is fe[3] and th.mixing["1", "e"] == Fraction(3, 4)
+    assert th._pair("e", "f") is th._pair("f", "e")
+    (ee,), (ff,) = th.rows["e", "e"], th.rows["f", "f"]
+    assert type(ee[3]) is type(ff[3]) is Fraction and ee[3] == ff[3] == 2
+    assert [(p.h, p.hbar) for p in th.primaries] == [(0, 0), (1, 1), (1, 1)]
+    assert all(type(x) is Fraction for p in th.primaries for x in (p.h, p.hbar))
+    doc["primaries"][1]["hbar"] = True
+    with pytest.raises(ValueError, match="bool"):
+        theory_from_json(json.dumps(doc))
+
+
 def test_numpy_values_become_python_numbers():
     assert _jsonable([np.float64(0.25), np.int64(3), np.bool_(True), np.array([[1.5, 2.0]])]) == [
         0.25,

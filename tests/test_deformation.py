@@ -844,6 +844,42 @@ def test_dilate_reuses_unshifted_rows_and_sums_where_they_meet():
         _same(got, _general_dilate(th, expansion))
 
 
+def test_dilate_memo_tells_apart_the_shifts_of_one_value(monkeypatch):
+    # the corrections hand _dilate one LogPoly object in many rows, and its
+    # per-theory memo keys each shifted value by the value's identity, the
+    # lam shift, the log(lam) power and comb(q, j).  Here one object sits at
+    # three powers p, under symbols of dimension 0, 1, 2 and 4, and in rows
+    # up to q = 2 whose comb(2, 1) = 2 meets the q = 1 row's 1 at one
+    # (lam, dj).  A key that drops lam, dj or the binomial gives some term
+    # another's shift
+    th = FormalTheory(_HOSTILE_PRIMARIES + [("m0", 1, 1)], [])
+    x = LogPoly({(0, 1, 0, 0): Fraction(2), (1, Fraction(-1, 2), 1, 0): Fraction(-3)})
+    keys = {c: ("corr", c, (), ()) for c in ("1", "half", "m0", "phi")}
+    expansion = RExpansion._of(
+        {
+            (0, 0): FormalVector._of({keys["1"]: x, keys["phi"]: x}),
+            (1, 0): FormalVector._of({keys["1"]: x, keys["half"]: x}),
+            (-2, 1): FormalVector._of({keys["half"]: x, keys["m0"]: x}),
+            (-2, 2): FormalVector._of({keys["half"]: x, keys["phi"]: x}),
+        }
+    )
+    want = _general_dilate(th, expansion)
+    built, shift = [], fqft.deformation._shift
+
+    def counted(*args):
+        built.append(args)
+        return shift(*args)
+
+    monkeypatch.setattr(fqft.deformation, "_shift", counted)
+    assert th._shifted == {}
+    _same(_dilate(th, expansion, 0), want)  # cold: each shifted value built
+    assert len(built) == len(th._shifted) > 0
+    _same(_dilate(th, expansion, 0), want)  # warm: each read from the memo
+    assert len(built) == len(th._shifted)
+    # every entry pins the value its key names, so no id in a key is reused
+    assert all(key[0] == id(val) for key, (val, _) in th._shifted.items())
+
+
 def _walk(x):
     """x and everything inside it: the values of dicts, jets, expansions,
     formal vectors and LogPolys, down to their scalars."""
@@ -1188,24 +1224,30 @@ def test_a_swept_formal_theory_retains_a_pinned_size(n):
 
 
 def test_memos_are_per_theory():
-    # the pair records, the Fraction and LogPoly value tables and the symbol
-    # dimensions fill on use, per theory: a theory built after another from
-    # the same rows starts with none of them, gets the same outputs, and
-    # holds none of the first theory's Fractions or LogPolys
+    # the pair records, the Fraction and LogPoly value tables, the symbol
+    # dimensions and the shifted values fill on use, per theory: a theory
+    # built after another from the same rows starts with none of them, gets
+    # the same outputs, and holds none of the first theory's Fractions or
+    # LogPolys
     data = _formal_rows(random.Random(5), 5)
     first = FormalTheory(*data)
     want = _formal_digest(first)
     assert first._pairs and first._fractions and first._values and first._dimensions
+    assert first._shifted
     second = FormalTheory(*data)
     assert second._pairs == second._fractions == second._values == second._dimensions == {}
+    assert second._shifted == {}
     assert _formal_digest(second) == want
     assert second._pairs.keys() == first._pairs.keys()
     assert second._values.keys() == first._values.keys()
+    assert len(second._shifted) == len(first._shifted)
     outputs = [double_deform(second), beta(second).coefficients]
     for b in second.marginals:
         outputs += anomalous_dilation(second, b)
     seen = {id(f) for f in first._fractions.values()}
     seen |= {id(v) for v in first._values.values()}
+    seen |= {id(x) for entry in first._shifted.values() for x in entry}
+    assert not any(id(x) in seen for entry in second._shifted.values() for x in entry)
     assert not any(id(x) in seen for out in outputs for x in _walk(out))
     held = [x for out in outputs for x in _walk(out) if isinstance(x, LogPoly)]
     assert any(id(x) in {id(v) for v in second._values.values()} for x in held)

@@ -146,6 +146,13 @@ MUTANTS = [
     Mutant("dilate-shift-without-p", "src/fqft/deformation.py",
            "canonical_rational(weight + p - D)", "canonical_rational(weight - D)",
            "Dil_lambda sends r^p to lam^p r^p: a symbol's lam shift is weight + p - D"),
+    Mutant("dilate-memo-without-lam", "src/fqft/deformation.py",
+           "memo = (id(val), lam, dj, n)", "memo = (id(val), dj, n)",
+           "one value under two lam shifts is two shifted values: the memo key holds lam"),
+    Mutant("dilate-memo-shared", "src/fqft/deformation.py",
+           "self._dimensions, self._shifted = {}, {}",
+           'self._dimensions, self._shifted = {}, globals().setdefault("_SHIFTED", {})',
+           "no two theories share a memo: one module-level table outlives every theory"),
     Mutant("qm-endpoints-reversed", "src/fqft/qm.py",
            "if not (finite and alpha <= beta):", "if not finite:",
            "a segment runs forward: beta >= alpha"),
