@@ -54,8 +54,8 @@ def _jsonable(x):
 # ----------------------------------------------------------------- commands
 
 
-# the free-boson commands build their space, or read the one `all` shares,
-# and with it the marginal OPE jjbar x jjbar that ope and beta both read
+# the free-boson commands build their space, or read the one `all` shares;
+# the space keeps the marginal OPE jjbar x jjbar that ope and beta both read
 
 def cmd_verify_cutting(args, space=None):
     space = space or build_space(args.l_max)
@@ -63,16 +63,11 @@ def cmd_verify_cutting(args, space=None):
     return report, report["exact_zero"]
 
 
-def _marginal_ope(space):
-    o = marginal_observable(space)
-    return ope_extract(space, o, o)
-
-
-def cmd_ope(args, space=None, marginal=None):
+def cmd_ope(args, space=None):
     space = space or build_space(args.l_max)
-    j = current_observable(space)
+    o, j = marginal_observable(space), current_observable(space)
+    consts = ope_extract(space, o, o).marginal_constants()
     table = ope_extract(space, j, j)
-    consts = (marginal or _marginal_ope(space)).marginal_constants()
     singular = [
         r
         for r in table.rows
@@ -89,11 +84,11 @@ def cmd_ope(args, space=None, marginal=None):
     return {"rows": table.rows, "marginal_constants": consts}, passed
 
 
-def cmd_beta(args, space=None, marginal=None):
+def cmd_beta(args, space=None):
     if args.backend == "formal":
         theory = args.formal_theory
     else:
-        theory = fb_theory(space or build_space(args.l_max), marginal)
+        theory = fb_theory(space or build_space(args.l_max))
     res = beta_fn(theory)
     results = {
         "marginals": sorted(theory.marginals),
@@ -144,15 +139,13 @@ def cmd_qm(args):
 
 
 def cmd_all(args):
-    # one space, which cutting, ope and free-boson beta share, and one
-    # marginal OPE for ope and free-boson beta; formal beta reads neither
+    # one space, which cutting, ope and free-boson beta share, and with it
+    # one marginal OPE for ope and free-boson beta; formal beta reads neither
     space = build_space(args.l_max)
-    cutting = cmd_verify_cutting(args, space)
-    marginal = _marginal_ope(space)
     runs = {
-        "verify-cutting": cutting,
-        "ope": cmd_ope(args, space, marginal),
-        "beta": cmd_beta(args, space, marginal),
+        "verify-cutting": cmd_verify_cutting(args, space),
+        "ope": cmd_ope(args, space),
+        "beta": cmd_beta(args, space),
         "qm": cmd_qm(args),
     }
     results = {name: {"results": sub, "passed": ok} for name, (sub, ok) in runs.items()}

@@ -675,17 +675,15 @@ def beta(theory: FormalTheory) -> BetaResult:
 # ------------------------------------------------- numeric free-boson route
 
 
-def fb_theory(space, table=None) -> FormalTheory:
+def fb_theory(space) -> FormalTheory:
     """Formal theory data of the truncated free boson's marginal sector,
-    with structure constants taken from the extraction pipeline: table, the
-    OPE jjbar x jjbar on space, extracted here unless the caller has it."""
-    if table is None:
-        from .observables import marginal_observable, ope_extract
+    with structure constants taken from the extraction pipeline: the OPE
+    jjbar x jjbar on space, which the space keeps once extracted."""
+    from .observables import marginal_observable, ope_extract
 
-        o = marginal_observable(space)
-        table = ope_extract(space, o, o)
+    o = marginal_observable(space)
     rows = []
-    for row in table.rows:
+    for row in ope_extract(space, o, o).rows:
         if row["coefficient"] == 0:
             continue
         s = sum(row["mu"])

@@ -3,7 +3,8 @@
 A basis key is (level, chiral, antichiral), the two partitions as
 non-increasing tuples, and the columns run in graded-lexicographic key
 order.  No per-column key is stored: `space.key_of(i)` reads column i's key
-off the block map and `space.index_of(level, mu, nu)` is its inverse.
+off the block map and `space.index_of(level, mu, nu)` is its inverse.  A
+space holds the OPE tables fqft.observables extracts on it (`ope_tables`).
 Boundary states are the sparse algebra of fqft.rexp.Sparse over a space,
 {basis index: nonzero coefficient}, with a truncation-loss count;
 `apply_current` applies a U(1) current mode j_n (or jbar_n) to a state one
@@ -124,6 +125,7 @@ class TruncatedFockSpace:
             levels += [level] * (start - first)
         self.dim = start
         self._ranks = [_rank(k) for k in range(l_max + 1)]
+        self.ope_tables = {}  # fqft.observables.ope_extract keeps its tables here
 
     def key_of(self, i: int) -> tuple:
         """The key (level, chiral, antichiral) of column i."""
@@ -204,9 +206,9 @@ class BoundaryState(Sparse):
 
 
 def scale_by_level(v: BoundaryState, by_level) -> BoundaryState:
-    """v with its level-E part scaled by by_level[E], one nonzero rational
-    per level 0..l_max; a product of two nonzero rationals is nonzero, so no
-    zero is stored."""
+    """v with its level-E part scaled by by_level[E], a nonzero rational for
+    each level v holds (a list or a dict); a product of two nonzero
+    rationals is nonzero, so no zero is stored."""
     levels = v.space.levels
     return v._like({i: by_level[levels[i]] * c for i, c in v.terms.items()})
 

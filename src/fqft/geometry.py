@@ -1,18 +1,19 @@
 """Surfaces, their partition functions, and the cutting axiom.
 
 A surface's kind is its type.  An Annulus depends on L_0 + Lbar_0 alone,
-so it is stored as one scalar per total level 0..l_max; a Disk is a
-boundary state, the vacuum.  Annulus(...) and Disk(...) check their
-radii.  annulus_pf and disk_pf check theirs once, before any ratio is
-formed, and build unchecked (`_of`), as glue does, whose radii are its
-pieces'.  glue takes an Annulus as its outer piece and dispatches on the
-inner one: annulus o annulus multiplies level scalars into an Annulus,
-annulus o disk applies them to the nonzeros of the disk's state and gives
-a Disk, and a bare BoundaryState comes back scaled and bare.
-verify_cutting checks the cutting identities over chains of nested annuli
-level by level, in O(l_max) per cut.  Every scalar is an exact rational:
-an annulus forms r/R once and its levels (r/R)^E as running integer
-products, one normalised Fraction each.
+so it is stored as one scalar per total level 0..l_max, int numerators
+over one int denominator; a Disk is a boundary state, the vacuum.
+Annulus(...) and Disk(...) check their radii.  annulus_pf and disk_pf
+check theirs once, before any ratio is formed, and build unchecked
+(`_of`), as glue does, whose radii are its pieces'.  glue takes an Annulus
+as its outer piece and dispatches on the inner one: annulus o annulus
+multiplies numerators pairwise and denominators once into an Annulus,
+annulus o disk scales the disk's state level by level and gives a Disk,
+and a bare BoundaryState comes back scaled and bare.  verify_cutting
+checks the cutting identities over chains of nested annuli level by
+level, in O(l_max) per cut, on cross-multiplied numerators.  For r/R = a/b
+in lowest terms, level E holds a^E b^(l_max - E) over b^l_max, each
+numerator from the last by one exact division and one int product.
 
 The shifted convention L_0 -> L_0 - 1/24 is the default, so annulus entries
 are (r/R)^{total level} and the disk is radius-independent.  shifted=False
@@ -39,25 +40,33 @@ from .scalars import _rational
 class Annulus:
     """The annulus r <= |z| <= R: one scalar per total level 0..l_max (the
     level-E subspace's eigenvalue) times the conformal anomaly q^{1/12},
-    held as the positive rational q: 1 in the shifted convention."""
+    held as the positive rational q: 1 in the shifted convention.  The
+    scalars are int numerators `nums` over one int denominator `den`;
+    `by_level` reads them as Fractions."""
 
-    __slots__ = ("space", "R", "r", "by_level", "anomaly")
+    __slots__ = ("space", "R", "r", "nums", "den", "anomaly")
 
     def __init__(self, space, R, r, by_level, anomaly):
         _check_annulus(R, r)
         if len(by_level) != space.l_max + 1:
             raise ValueError("need one scalar per level 0..l_max")
-        self.space, self.R, self.r = space, R, r
-        self.by_level = by_level
-        self.anomaly = anomaly
+        values = [_rational(x) for x in by_level]
+        self.space, self.R, self.r, self.anomaly = space, R, r, anomaly
+        self.den = math.lcm(*(x.denominator for x in values))
+        self.nums = [x.numerator * (self.den // x.denominator) for x in values]
 
     @classmethod
-    def _of(cls, space, R, r, by_level, anomaly):
+    def _of(cls, space, R, r, nums, den, anomaly):
         """Build unchecked, as BoundaryState._of does: R > r > 0, both
-        finite, and one scalar per level 0..l_max."""
+        finite, and one numerator per level 0..l_max."""
         out = object.__new__(cls)
-        out.space, out.R, out.r, out.by_level, out.anomaly = space, R, r, by_level, anomaly
+        out.space, out.R, out.r, out.nums, out.den, out.anomaly = space, R, r, nums, den, anomaly
         return out
+
+    @property
+    def by_level(self) -> list:
+        """The level scalars as normalised Fractions, made on each read."""
+        return [Fraction(n, self.den) for n in self.nums]
 
 
 class Disk:
@@ -92,27 +101,19 @@ def _check_disk(R):
         raise GeometryError("disk radius must be positive and finite")
 
 
-def _powers(ratio: Fraction, count: int) -> list:
-    """[ratio**E for E in 0..count-1]: running integer products of the
-    numerator and of the denominator, normalised into one Fraction each."""
-    num = den = 1
-    a, b = ratio.numerator, ratio.denominator
-    out = []
-    for _ in range(count):
-        out.append(Fraction(num, den))
-        num *= a
-        den *= b
-    return out
-
-
 def annulus_pf(space: TruncatedFockSpace, R, r, shifted: bool = True) -> Annulus:
     """(r/R)^{L_0 + Lbar_0} on the annulus r <= |z| <= R; unshifted, times
     the anomaly (r/R)^{1/12}."""
     _check_annulus(R, r)  # before r/R is formed
     Rq, rq = _rational(R), _rational(r)  # ints and Fractions as they are
-    ratio = Fraction(rq.numerator * Rq.denominator, rq.denominator * Rq.numerator)
-    by_level = _powers(ratio, space.l_max + 1)
-    return Annulus._of(space, R, r, by_level, 1 if shifted else ratio)
+    a, b = rq.numerator * Rq.denominator, rq.denominator * Rq.numerator
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    nums = [b**space.l_max]
+    for _ in range(space.l_max):
+        nums.append(nums[-1] // b * a)  # b divides a^E b^(l_max - E) for E < l_max
+    ratio = None if shifted else Fraction(a, b)
+    return Annulus._of(space, R, r, nums, nums[0], 1 if shifted else ratio)
 
 
 def disk_pf(space: TruncatedFockSpace, R, shifted: bool = True) -> Disk:
@@ -141,32 +142,42 @@ def glue(outer: Annulus, inner) -> Annulus | Disk | BoundaryState:
     if outer.space is not inner.space:
         raise SpaceMismatchError("gluing across different truncated spaces")
     if isinstance(inner, BoundaryState):
-        return scale_by_level(inner, outer.by_level)
+        return scale_by_level(inner, _scalars(outer, inner))
     if outer.r != inner.R:
         raise GeometryError("the annulus's inner radius must equal the inner piece's outer radius")
     # the result's radii are its pieces', checked when they were built
     anomaly = outer.anomaly * inner.anomaly
     if isinstance(inner, Annulus):
-        by_level = [x * y for x, y in zip(outer.by_level, inner.by_level)]
-        return Annulus._of(outer.space, outer.R, inner.r, by_level, anomaly)
-    return Disk._of(outer.space, outer.R, scale_by_level(inner.state, outer.by_level), anomaly)
+        nums = [x * y for x, y in zip(outer.nums, inner.nums)]
+        return Annulus._of(outer.space, outer.R, inner.r, nums, outer.den * inner.den, anomaly)
+    state = inner.state
+    return Disk._of(outer.space, outer.R, scale_by_level(state, _scalars(outer, state)), anomaly)
 
 
-def _residual(got, want, got_anomaly, want_anomaly):
-    """Max-abs residual between the values got[k] * got_anomaly^{1/12} and
-    want[k] * want_anomaly^{1/12}, and the k of the worst one (None when
-    they agree).  The values agree when the anomalies and the scalars are
-    equal as stored; a mismatch is never 0.0: one whose float difference
-    rounds to 0 reads inf."""
+def _scalars(outer: Annulus, state: BoundaryState) -> dict:
+    """{E: outer's level-E scalar as a Fraction} at the levels state holds."""
+    levels, nums, den = state.space.levels, outer.nums, outer.den
+    return {E: Fraction(nums[E], den) for E in {levels[i] for i in state.terms}}
+
+
+def _residual(got, want, got_anomaly, want_anomaly, got_den=1, want_den=1):
+    """Max-abs residual between the values got[k] / got_den *
+    got_anomaly^{1/12} and want[k] / want_den * want_anomaly^{1/12}, and
+    the k of the worst one (None when they agree).  The values agree when
+    the anomalies are equal and so are the cross-multiplied numerators
+    got[k] * want_den and want[k] * got_den; a mismatch is never 0.0: one
+    whose float difference rounds to 0 reads inf."""
     same_anomaly = got_anomaly == want_anomaly
-    if same_anomaly and got == want:
+    crossed = [x * want_den for x in got], [y * got_den for y in want]
+    if same_anomaly and crossed[0] == crossed[1]:
         return 0.0, None
     fg, fw = float(got_anomaly) ** (1 / 12), float(want_anomaly) ** (1 / 12)
     worst, arg = 0.0, None
-    for k, (x, y) in enumerate(zip(got, want)):
-        if same_anomaly and x == y:
+    for k, (x, y, cx, cy) in enumerate(zip(got, want, *crossed)):
+        if same_anomaly and cx == cy:
             continue
-        d = abs(fg * float(x) - fw * float(y))
+        # int true division rounds as float(Fraction(x, got_den)) does
+        d = abs(fg * (x / got_den) - fw * (y / want_den))
         if not d:
             d = float("inf")  # unequal, though no float tells them apart
         if d > worst:
@@ -200,7 +211,9 @@ def verify_cutting(space, cut_points, shifted=True):
         outer = annulus_pf(space, R0, radii[m], shifted=shifted)
         inner = annulus_pf(space, radii[m], Rn, shifted=shifted)
         glued = glue(outer, inner)
-        res, level = _residual(glued.by_level, direct.by_level, glued.anomaly, direct.anomaly)
+        res, level = _residual(
+            glued.nums, direct.nums, glued.anomaly, direct.anomaly, glued.den, direct.den
+        )
         if level is not None and (arg is None or res > worst):
             worst, arg, worst_cut = res, level, m
 

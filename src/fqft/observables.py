@@ -16,7 +16,9 @@ j_{-n} where n <= l_max minus the term's lowest level; every other mode
 maps the term to zero.  The two-point correlator is kept as a finite
 bigraded series in (z, zbar) on the unit disk; on D_R each coefficient is
 its dilation by R, which scales its level-E part by R^{-E}.  The OPE rows
-are read off its coefficients, most singular first.
+are read off its coefficients, most singular first.  The space keeps each
+table, keyed by all that its rows read (a's label and word, b's label and
+nonzeros), so a repeated extraction on one space returns that table.
 """
 
 from __future__ import annotations
@@ -209,8 +211,13 @@ def ope_extract(space, a: LocalObservable, b: LocalObservable) -> OpeTable:
     On D_1 the coefficient of z^m zbar^mbar is the one-point correlator of
     the target combination, i.e. a vector in the truncated Fock module whose
     basis components are descendants of the identity; each nonzero component
-    is one row.
+    is one row.  The space keeps the table: a repeated call returns it, and
+    its readers share it and leave it unchanged.
     """
+    memo = (a.label, a.word, b.label, tuple(b.state.nonzero()))
+    table = space.ope_tables.get(memo)
+    if table is not None:
+        return table
     series = two_point(space, a, b)
     table = OpeTable()
     # most singular first: ascending total exponent, then z-exponent
@@ -218,6 +225,7 @@ def ope_extract(space, a: LocalObservable, b: LocalObservable) -> OpeTable:
         for i, coeff in v.nonzero():
             _, mu, mubar = space.key_of(i)
             table.add_row(a.label, b.label, "1", mu, mubar, (m, mbar), coeff)
+    space.ope_tables[memo] = table
     log = _logger(10)
     if log:
         log.debug("ope_extract a=%s b=%s rows=%d", a.label, b.label, len(table.rows))

@@ -74,7 +74,7 @@ def _nonzero_beta_theory():
 
 def test_beta_free_boson_fails_on_nonzero_beta(capsys, monkeypatch):
     # the free-boson pass bit is the vanishing of beta, in `beta` and in `all`
-    monkeypatch.setattr(fqft.cli, "fb_theory", lambda space, table=None: _nonzero_beta_theory())
+    monkeypatch.setattr(fqft.cli, "fb_theory", lambda space: _nonzero_beta_theory())
     code, report = run_cli(capsys, ["beta", "--lmax", "2"])
     assert code == 1 and report["passed"] is False
     code, report = run_cli(capsys, ["all", "--lmax", "2"])
@@ -200,13 +200,15 @@ def test_out_flag(tmp_path, capsys):
 def test_failed_cutting_check_exits_1(capsys, monkeypatch):
     # a glued annulus off at one level fails the exact cutting check: exit 1,
     # passed false, and the report names the level
-    glue = fqft.geometry.glue
+    glue, Annulus = fqft.geometry.glue, fqft.geometry.Annulus
 
     def faulty_glue(outer, inner):
         out = glue(outer, inner)
-        if isinstance(inner, fqft.geometry.Annulus):
-            out.by_level[1] *= Fraction(101, 100)
-        return out
+        if not isinstance(inner, Annulus):
+            return out
+        by_level = out.by_level
+        by_level[1] *= Fraction(101, 100)
+        return Annulus(out.space, out.R, out.r, by_level, out.anomaly)
 
     monkeypatch.setattr(fqft.geometry, "glue", faulty_glue)
     code, report = run_cli(capsys, ["verify-cutting", "--lmax", "2"])

@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fqft import geometry
@@ -235,19 +235,29 @@ exact_radii = st.one_of(
 )
 
 
+# decreasing radii: large primes over small ints, and a small int over one
+_PRIME_CHAIN = [1000003, Fraction(131071, 7), 8191, Fraction(65537, 9), Fraction(3, 1000003)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(exact_radii, min_size=2, max_size=6, unique=True),
     st.integers(0, 8),
     st.booleans(),
-    st.data(),
+    st.integers(0, L_MAX_HARD_CAP),
 )
-def test_cutting_chain_matches_per_level_reference(radii, l_max, shifted, data):
+# l_max 0 and 1 and the cap, where an annulus's numerators reach b^l_max
+# for r/R = a/b, on chains of large-prime radii
+@example(_PRIME_CHAIN, 0, False, 0)
+@example(_PRIME_CHAIN[1:], 1, True, 1)
+@example(_PRIME_CHAIN, L_MAX_HARD_CAP, False, 9)
+@example(_PRIME_CHAIN[::2], L_MAX_HARD_CAP, True, L_MAX_HARD_CAP)
+def test_cutting_chain_matches_per_level_reference(radii, l_max, shifted, fault):
     # every annulus the chain cuts is (r/R)^E at each level, with the anomaly
     # r/R when unshifted; each glued level is the product of its two
     # factors' levels, and each glued anomaly the product of theirs; the
-    # check is exact, and a corrupted level is named
-    radii.sort(reverse=True)
+    # check is exact, and a corrupted level (fault mod l_max + 1) is named
+    radii = sorted(radii, reverse=True)
     space = build_space(l_max)
     R0, Rn = radii[0], radii[-1]
 
@@ -271,7 +281,7 @@ def test_cutting_chain_matches_per_level_reference(radii, l_max, shifted, data):
     assert report["exact_zero"], report
     assert report["cuts_checked"] == len(radii) - 2
     if len(radii) > 2:
-        E = data.draw(st.integers(0, l_max))
+        E = fault % (l_max + 1)
         report = _verify_cutting_with_fault(space, radii, shifted, E)
         assert report["offending_level"] == E and not report["exact_zero"]
 

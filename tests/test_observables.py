@@ -1,12 +1,18 @@
 """Tests for local observables, correlators, dilation, and OPE extraction."""
 
+import gc
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 
+import fqft
 from fqft.errors import GeometryError, ValidationError
 from fqft.fock import L_MAX_HARD_CAP, BoundaryState, apply_current, build_space, scale_by_level
 from fqft.geometry import annulus_pf
@@ -336,6 +342,99 @@ def test_ope_extract_logs_its_rows(caplog):
     with caplog.at_level(logging.DEBUG, logger="fqft"):
         table = ope_extract(space, j, j)
     assert caplog.messages == [f"ope_extract a=j b=j rows={len(table.rows)}"]
+
+
+def _on(space, x: LocalObservable) -> LocalObservable:
+    """x rebuilt on another space: its label, state, dims and word."""
+    return LocalObservable(space, x.label, BoundaryState(space, x.state.terms), x.dims, x.word)
+
+
+def test_ope_tables_are_kept_per_space():
+    # a repeated extraction on one space returns the table it kept, read
+    # off equal inputs (built apart); another space, another state of b,
+    # or another word or label of a is extracted afresh, and its rows are
+    # those a fresh space gives
+    space = build_space(4)
+    o, j = marginal_observable(space), current_observable(space)
+    table = ope_extract(space, o, o)
+    assert ope_extract(space, marginal_observable(space), marginal_observable(space)) is table
+    twice = LocalObservable(space, "jjbar", o.state.scale(2), o.dims, o.word)
+    cases = [
+        (o, twice),  # b's nonzeros
+        (LocalObservable(space, "jjbar", o.state, o.dims, ("j", "j")), o),  # a's word
+        (LocalObservable(space, "k", o.state, o.dims, o.word), o),  # a's label
+        (o, LocalObservable(space, "k", o.state, o.dims, o.word)),  # b's label
+        (j, j),
+    ]
+    for a, b in cases:
+        got = ope_extract(space, a, b)
+        assert got is not table and ope_extract(space, a, b) is got
+        other = build_space(4)
+        assert got.rows == ope_extract(other, _on(other, a), _on(other, b)).rows
+    assert [r["coefficient"] for r in ope_extract(space, o, twice).rows] == [
+        2 * r["coefficient"] for r in table.rows
+    ]
+    other = build_space(4)
+    fresh = ope_extract(other, _on(other, o), _on(other, o))
+    assert fresh is not table and fresh.rows == table.rows
+    assert len(space.ope_tables) == len(cases) + 1 and len(other.ope_tables) == 1
+
+
+def test_ope_tables_go_with_their_space():
+    space = build_space(4)
+    o = marginal_observable(space)
+    kept = weakref.ref(ope_extract(space, o, o))
+    assert kept() is not None
+    del space, o
+    gc.collect()
+    assert kept() is None
+
+
+def test_a_kept_table_logs_no_line(caplog):
+    # one debug line per extraction; a table read back logs none
+    space = build_space(4)
+    o = marginal_observable(space)
+    with caplog.at_level(logging.DEBUG, logger="fqft"):
+        table = ope_extract(space, o, o)
+        ope_extract(space, marginal_observable(space), o)
+    assert caplog.messages == [f"ope_extract a=jjbar b=jjbar rows={len(table.rows)}"]
+
+
+# Bytes a space retains once `fqft ope` and free-boson `fqft beta` have run
+# on it (its two OPE tables: jjbar x jjbar and j x j), pinned in a fresh
+# process (tracemalloc): Python 3.10's figures, the largest of 3.10-3.13
+# (3.11 retains 20 280 and 47 456); each bound is 1.25 times the pin
+KEPT_TABLE_BYTES = {10: 24_920, 16: 59_224}
+
+
+def test_kept_tables_pinned():
+    code = (
+        "import gc, sys, tracemalloc\n"
+        "from fqft.deformation import beta, fb_theory\n"
+        "from fqft.fock import build_space\n"
+        "from fqft.observables import current_observable, marginal_observable, ope_extract\n"
+        "def run(space):\n"
+        "    o, j = marginal_observable(space), current_observable(space)\n"
+        "    ope_extract(space, o, o).marginal_constants()\n"
+        "    ope_extract(space, j, j)\n"
+        "    assert beta(fb_theory(space)).is_zero()\n"
+        "run(build_space(4))\n"
+        "for l_max in map(int, sys.argv[1:]):\n"
+        "    space = build_space(l_max)\n"
+        "    tracemalloc.start()\n"
+        "    run(space)\n"
+        "    gc.collect()\n"
+        "    print(tracemalloc.get_traced_memory()[0])\n"
+        "    tracemalloc.stop()\n"
+    )
+    sizes = sorted(KEPT_TABLE_BYTES)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqft.__file__)))
+    env.pop("FQFT_LOG", None)
+    argv = [sys.executable, "-c", code, *map(str, sizes)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    for l_max, kept in zip(sizes, map(int, run.stdout.split())):
+        assert kept < 1.25 * KEPT_TABLE_BYTES[l_max], (l_max, kept)
 
 
 def test_ope_extract_identity_pair():

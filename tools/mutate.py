@@ -75,6 +75,14 @@ MUTANTS = [
     Mutant("glue-anomaly", "src/fqft/geometry.py",
            "anomaly = outer.anomaly * inner.anomaly", "anomaly = outer.anomaly",
            "cutting: the anomalies of glued surfaces multiply"),
+    Mutant("glue-denominator-outer", "src/fqft/geometry.py",
+           "outer.den * inner.den", "outer.den",
+           "cutting: a glued level is the product of its pieces' levels, denominators too"),
+    Mutant("cutting-not-cross-multiplied", "src/fqft/geometry.py",
+           "crossed = [x * want_den for x in got], [y * got_den for y in want]",
+           "crossed = got, want",
+           "cutting compares levels as values: numerators over unequal denominators "
+           "compare cross-multiplied"),
     Mutant("sugawara-half", "src/fqft/fock.py",
            "denominator, half = 24, 12", "denominator, half = 24, 24",
            "L_n = (1/2) sum_k :j_{-k} j_{k+n}:, the Sugawara weight 1/2"),
@@ -118,6 +126,10 @@ MUTANTS = [
            '_MARGINAL_TARGETS = (("jjbar", (), ()), ("1", (1,), (1,)))',
            '_MARGINAL_TARGETS = (("jjbar", (), ()),)',
            "C sums both |z|^{-2} targets: j jbar and j_{-1} jbar_{-1}|0>"),
+    Mutant("ope-memo-without-b-state", "src/fqft/observables.py",
+           "memo = (a.label, a.word, b.label, tuple(b.state.nonzero()))",
+           "memo = (a.label, a.word, b.label)",
+           "the OPE rows of O_a O_b read b's state: a kept table is keyed by b's nonzeros"),
     Mutant("handoff-any-second-read", "src/fqft/deformation.py",
            "if kept is not None and kept[0] == alpha:", "if kept is not None:",
            "a twin record keeps dilation sides only between the twins' two reads: "
