@@ -151,16 +151,17 @@ class FormalTheory:
         }
         if len(self.dims) != len(self.primaries):
             raise ValidationError("duplicate primary labels")
-        for p in self.primaries:
-            if p.h < 0 or p.hbar < 0:
+        # on the canonical dims, which are ints where integral
+        for label, (h, hbar) in self.dims.items():
+            if h < 0 or hbar < 0:
                 raise ValidationError(
-                    f"primary {p.label} has negative dimension components"
+                    f"primary {label} has negative dimension components"
                 )
-            if (p.h, p.hbar) in ((1, 0), (0, 1)):
+            if (h, hbar) in ((1, 0), (0, 1)):
                 raise ValidationError(
-                    f"spin-carrying marginal primary {p.label} is unsupported"
+                    f"spin-carrying marginal primary {label} is unsupported"
                 )
-        self.marginals = [p.label for p in self.primaries if (p.h, p.hbar) == (1, 1)]
+        self.marginals = [label for label, dims in self.dims.items() if dims == (1, 1)]
         self._marginal_set = set(self.marginals)
         self.mixing = {}
         self._mixing_of = {}  # source a -> [(gamma, M_a^gamma)], in mixing order
@@ -683,9 +684,7 @@ def fb_theory(space) -> FormalTheory:
 
     o = marginal_observable(space)
     rows = []
-    for row in ope_extract(space, o, o).rows:
-        if row["coefficient"] == 0:
-            continue
+    for row in ope_extract(space, o, o).rows:  # each row a nonzero of a state
         s = sum(row["mu"])
         sbar = sum(row["mubar"])
         if s != sbar:
@@ -716,7 +715,7 @@ def fb_deformed_annulus(space, R, r, w: Jet) -> Jet:
     terms = {mono: glue(annulus, v) for mono, v in w.terms.items()}
     base = terms.get(())
     if base is not None:
-        ratio = Fraction(r) / Fraction(R)
+        ratio = Fraction(annulus.r, annulus.R)  # the annulus's canonical radii
         g = terms.get(("g[jjbar]",), space.zero())
         for n in range(-(space.l_max // 2), space.l_max // 2 + 1):
             if n:

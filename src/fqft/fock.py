@@ -18,7 +18,9 @@ the same tables, each run's tables are summed once over the partitions
 its levels place, with one scalar per distinct numerator, an int when
 integral and a Fraction otherwise, and each level of the run places the
 summed partitions it holds.  The antichiral side is a spectator of every
-mode.  Every scalar is an exact rational (an int or a Fraction).
+mode.  Every scalar is an exact rational (an int or a Fraction).  The unit
+coefficient of the vacuum and of every basis state is one shared immutable
+Fraction(1), `_ONE`.
 
 The zero mode j_0 acts as zero throughout (the zero-mode sector is out of
 scope).  `apply_current` drops components pushed above the truncation level
@@ -75,6 +77,9 @@ def partition_count(n: int) -> int:
 def _rank(n: int) -> dict:
     """{partition: its position in partitions(n)}."""
     return {p: i for i, p in enumerate(partitions(n))}
+
+
+_ONE = Fraction(1)  # the unit coefficient of basis states; a Fraction is immutable
 
 
 def _key(chiral, antichiral) -> tuple:
@@ -144,7 +149,7 @@ class TruncatedFockSpace:
         return BoundaryState(self, {})
 
     def vacuum(self) -> "BoundaryState":
-        return BoundaryState(self, {0: Fraction(1)})
+        return BoundaryState._of(self, {0: _ONE})
 
     def state(self, chiral=(), antichiral=()) -> "BoundaryState":
         """Basis vector j_{chiral} jbar_{antichiral} |0>."""
@@ -152,7 +157,7 @@ class TruncatedFockSpace:
         i = self.index_of(*key)
         if i is None:
             raise ValueError(f"state {key} above truncation l_max={self.l_max}")
-        return BoundaryState(self, {i: Fraction(1)})
+        return BoundaryState(self, {i: _ONE})
 
 
 class BoundaryState(Sparse):

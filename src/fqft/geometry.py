@@ -15,6 +15,13 @@ level, in O(l_max) per cut, on cross-multiplied numerators.  For r/R = a/b
 in lowest terms, level E holds a^E b^(l_max - E) over b^l_max, each
 numerator from the last by one exact division and one int product.
 
+A radius enters by one rule.  An int or Fraction radius is made canonical
+(scalars.canonical_rational: an int when integral) before its check, so an
+integral one is compared as an int; any other radius, a float, is checked
+as it is and then taken exactly.  Every surface holds canonical radii, so
+glue's radius test compares ints where the radii are integral, and
+verify_cutting makes its chain canonical once.
+
 The shifted convention L_0 -> L_0 - 1/24 is the default, so annulus entries
 are (r/R)^{total level} and the disk is radius-independent.  shifted=False
 restores the conformal anomaly (c = 1) for cross-checks: one factor per
@@ -34,7 +41,7 @@ from fractions import Fraction
 from . import _logger
 from .errors import GeometryError, SpaceMismatchError
 from .fock import BoundaryState, TruncatedFockSpace, scale_by_level
-from .scalars import _rational
+from .scalars import _rational, canonical_rational
 
 
 class Annulus:
@@ -47,7 +54,7 @@ class Annulus:
     __slots__ = ("space", "R", "r", "nums", "den", "anomaly")
 
     def __init__(self, space, R, r, by_level, anomaly):
-        _check_annulus(R, r)
+        R, r = _check_annulus(R, r)
         if len(by_level) != space.l_max + 1:
             raise ValueError("need one scalar per level 0..l_max")
         values = [_rational(x) for x in by_level]
@@ -58,7 +65,7 @@ class Annulus:
     @classmethod
     def _of(cls, space, R, r, nums, den, anomaly):
         """Build unchecked, as BoundaryState._of does: R > r > 0, both
-        finite, and one numerator per level 0..l_max."""
+        finite and canonical, and one numerator per level 0..l_max."""
         out = object.__new__(cls)
         out.space, out.R, out.r, out.nums, out.den, out.anomaly = space, R, r, nums, den, anomaly
         return out
@@ -76,37 +83,51 @@ class Disk:
     __slots__ = ("space", "R", "state", "anomaly")
 
     def __init__(self, space, R, state, anomaly):
-        _check_disk(R)
-        self.space, self.R = space, R
+        self.space, self.R = space, _check_disk(R)
         self.state = state  # BoundaryState
         self.anomaly = anomaly
 
     @classmethod
     def _of(cls, space, R, state, anomaly):
-        """Build unchecked, as BoundaryState._of does: R > 0 and finite."""
+        """Build unchecked, as BoundaryState._of does: R > 0, finite and
+        canonical."""
         out = object.__new__(cls)
         out.space, out.R, out.state, out.anomaly = space, R, state, anomaly
         return out
 
 
+def _canonical(x):
+    """An int or Fraction radius in canonical form, an int when integral;
+    any other radius as it is."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 def _check_annulus(R, r):
+    """The checked radii R > r > 0, both finite, as canonical exact
+    rationals."""
+    R, r = _canonical(R), _canonical(r)
     # compared with math.inf, never passed through float(), which overflows
     # on a finite exact radius such as Fraction(10**400)
     if not (R > r > 0 and R != math.inf):
         raise GeometryError("annulus radii must satisfy R > r > 0 and be finite")
+    return canonical_rational(R), canonical_rational(r)
 
 
 def _check_disk(R):
+    """The checked radius R > 0, finite, as a canonical exact rational."""
+    R = _canonical(R)
     if not (R > 0 and R != math.inf):  # NaN fails R > 0
         raise GeometryError("disk radius must be positive and finite")
+    return canonical_rational(R)
 
 
 def annulus_pf(space: TruncatedFockSpace, R, r, shifted: bool = True) -> Annulus:
     """(r/R)^{L_0 + Lbar_0} on the annulus r <= |z| <= R; unshifted, times
     the anomaly (r/R)^{1/12}."""
-    _check_annulus(R, r)  # before r/R is formed
-    Rq, rq = _rational(R), _rational(r)  # ints and Fractions as they are
-    a, b = rq.numerator * Rq.denominator, rq.denominator * Rq.numerator
+    R, r = _check_annulus(R, r)  # before r/R is formed
+    a, b = r.numerator * R.denominator, r.denominator * R.numerator
     g = math.gcd(a, b)
     a, b = a // g, b // g
     nums = [b**space.l_max]
@@ -122,8 +143,8 @@ def disk_pf(space: TruncatedFockSpace, R, shifted: bool = True) -> Disk:
     In the shifted convention the result is R-independent; unshifted it
     carries the conformal-anomaly factor R^{-1/12}, as the anomaly 1/R.
     """
-    _check_disk(R)  # before 1/R is formed
-    anomaly = 1 if shifted else Fraction(1, _rational(R))
+    R = _check_disk(R)  # before 1/R is formed
+    anomaly = 1 if shifted else Fraction(1, R)
     return Disk._of(space, R, space.vacuum(), anomaly)
 
 
@@ -196,7 +217,7 @@ def verify_cutting(space, cut_points, shifted=True):
     each side's anomaly is compared with the other's alongside.
     Returns a residual report dict.
     """
-    radii = list(cut_points)
+    radii = [_canonical(x) for x in cut_points]
     if len(radii) < 2 or any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
         raise GeometryError("cut points must be strictly decreasing radii")
     log = _logger(10)

@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import hashlib
+import json
 import logging
 import random
 import tracemalloc
@@ -1271,3 +1272,72 @@ def test_memos_are_per_theory():
 def test_formal_report_matches_pinned_digest(capsys, tmp_path):
     th = FormalTheory(*_formal_rows(random.Random(11), 11))
     assert _formal_report_digest(capsys, tmp_path, th) == FORMAL_REPORT_DIGEST
+
+
+# ------------------------------------------- dimensions in any representation
+
+
+def _dims_as(primaries, kind):
+    """primaries with each dimension written as kind: "int" (an int when
+    integral, else a Fraction), "Fraction", "float" or "str" (as a JSON
+    string)."""
+    write = {
+        "int": canonical_rational,
+        "Fraction": Fraction,
+        "float": float,
+        "str": lambda x: str(Fraction(x)),
+    }[kind]
+    return [(label, write(h), write(hbar)) for label, h, hbar in primaries]
+
+
+_DIM_KINDS = ["int", "Fraction", "float", "str"]
+# each bad primary list with the whole ValidationError message it raises
+_BAD_PRIMARIES = [
+    ([("bad", -1, 0)], "primary bad has negative dimension components"),
+    ([("bad", 0, Fraction(-1, 2))], "primary bad has negative dimension components"),
+    ([("ok", 2, 2), ("bad", Fraction(1, 2), -3)], "primary bad has negative dimension components"),
+    ([("spin", 1, 0)], "spin-carrying marginal primary spin is unsupported"),
+    ([("spin", 0, 1)], "spin-carrying marginal primary spin is unsupported"),
+    # the first bad primary is named, in the primaries' order
+    ([("spin", 0, 1), ("bad", -1, -1)], "spin-carrying marginal primary spin is unsupported"),
+    ([("bad", -1, -1), ("spin", 1, 0)], "primary bad has negative dimension components"),
+    ([("dup", 1, 1), ("dup", -1, 0)], "duplicate primary labels"),
+]
+
+
+@pytest.mark.parametrize("kind", _DIM_KINDS)
+@pytest.mark.parametrize("case", range(len(_BAD_PRIMARIES)))
+def test_theory_validation_reads_dims_in_any_representation(case, kind):
+    primaries, message = _BAD_PRIMARIES[case]
+    with pytest.raises(ValidationError) as raised:
+        FormalTheory(_dims_as(primaries, kind), [])
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("kind", _DIM_KINDS)
+def test_marginals_are_the_dimension_one_one_primaries(kind):
+    # (1, 1) alone is marginal: (1, 2), (2, 1) and (1/2, 1) are not
+    primaries = [("1", 0, 0), ("a", 1, 2), ("e", 1, 1), ("b", 2, 1), ("c", Fraction(1, 2), 1),
+                 ("f", 1, 1)]
+    th = FormalTheory(_dims_as(primaries, kind), [])
+    assert th.marginals == ["e", "f"]
+    assert th.dims == {label: (canonical_rational(h), canonical_rational(hb))
+                       for label, h, hb in primaries}
+    assert [type(x) for d in th.dims.values() for x in d] == [
+        type(canonical_rational(x)) for _, h, hb in primaries for x in (h, hb)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_formal_outputs_do_not_depend_on_how_dims_are_written(n):
+    # ints, Fractions, floats and strings, and the JSON document's strings,
+    # give the pinned digest
+    primaries, rows, mixing = _formal_rows(random.Random(n), n)
+    for kind in _DIM_KINDS:
+        th = FormalTheory(_dims_as(primaries, kind), rows, mixing)
+        assert _formal_digest(th) == FORMAL_DIGESTS[n], kind
+    doc = json.loads(theory_to_json(FormalTheory(primaries, rows, mixing)))
+    for write in (str, int, float):  # a JSON string, int or float
+        for p in doc["primaries"]:
+            p["h"], p["hbar"] = write(Fraction(p["h"])), write(Fraction(p["hbar"]))
+        assert _formal_digest(theory_from_json(json.dumps(doc))) == FORMAL_DIGESTS[n], write

@@ -19,6 +19,8 @@ import fqft
 from fqft.fock import (
     BoundaryState,
     TruncatedFockSpace,
+    _ONE,
+    _key,
     apply_current,
     build_space,
     build_virasoro,
@@ -205,6 +207,55 @@ def test_state_lookup_roundtrip():
 def test_invalid_partition_raises(call):
     with pytest.raises(ValueError, match="partition parts must be"):
         call(build_space(4))
+
+
+_POSITIVE = "partition parts must be positive integers, got {}"
+_NON_INCREASING = "partition parts must be non-increasing"
+# each bad partition with the message it raises: a part that is not a
+# positive int (a bool, a float, zero, a negative int) is named before an
+# increasing pair, and the chiral side before the antichiral one
+_BAD_PARTS = [
+    ((True,), _POSITIVE),
+    ((2, False), _POSITIVE),
+    ((1.0,), _POSITIVE),
+    ((2, 0.5), _POSITIVE),
+    ((Fraction(1),), _POSITIVE),
+    ((0,), _POSITIVE),
+    ((3, 0), _POSITIVE),
+    ((-1,), _POSITIVE),
+    ((2, -1), _POSITIVE),
+    ((0, 1), _POSITIVE),
+    ((1, 2), _NON_INCREASING),
+    ((3, 1, 2), _NON_INCREASING),
+]
+
+
+@pytest.mark.parametrize("parts, message", _BAD_PARTS, ids=[repr(p) for p, _ in _BAD_PARTS])
+@pytest.mark.parametrize("side", ["mu", "nu"])
+def test_key_rejects_bad_parts_with_its_messages(parts, message, side):
+    good = (2, 1)
+    mu, nu = (parts, good) if side == "mu" else (good, parts)
+    with pytest.raises(ValueError) as raised:
+        _key(mu, nu)
+    assert str(raised.value) == message.format(parts)
+    # the chiral side's fault is named first
+    with pytest.raises(ValueError) as raised:
+        _key(parts, (1, 0))
+    assert str(raised.value) == message.format(parts)
+    # good parts, empty ones among them, pass
+    assert _key((3, 3, 1), ()) == (7, (3, 3, 1), ())
+    assert _key([], [2, 2]) == (4, (), (2, 2))
+
+
+def test_basis_states_share_one_unit():
+    # the vacuum and every basis state hold the one immutable Fraction(1),
+    # and a scaled state is a new value, which leaves it alone
+    space = build_space(3)
+    vac, v = space.vacuum(), space.state((2,), (1,))
+    assert vac.terms == {0: 1} and type(vac[0]) is Fraction
+    assert vac[0] is v.terms[space.index_of(3, (2,), (1,))] is _ONE
+    assert vac.terms is not space.vacuum().terms
+    assert v.scale(3).terms == {space.index_of(3, (2,), (1,)): 3} and _ONE == 1
 
 
 def test_current_mode_raising_and_lowering():

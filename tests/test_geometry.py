@@ -24,6 +24,7 @@ from fqft.geometry import (
     verify_cutting,
 )
 from fqft.jets import Jet, JetAlgebra
+from fqft.scalars import canonical_rational
 
 
 def _verify_cutting_with_fault(space, radii, shifted, level):
@@ -552,3 +553,136 @@ def test_bad_cut_points():
         verify_cutting(space, [1, 2, 3])
     with pytest.raises(GeometryError):
         verify_cutting(space, [2])
+
+
+# ------------------------------------------------------- one radius rule
+
+# positive rationals that a float holds exactly: dyadic, with a 53-bit
+# numerator at most, so float(q) is q
+_dyadic = st.builds(Fraction, st.integers(1, 2**20), st.sampled_from([1, 2, 4, 1024, 2**30]))
+_chain_values = st.lists(
+    st.one_of(_dyadic, st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 40))),
+    min_size=1,
+    max_size=5,
+    unique=True,
+)
+
+
+def _representations(q):
+    """Every way to write the positive rational q as a radius: a Fraction
+    always, an int when integral, a float when a float holds it exactly."""
+    out = [q]
+    if q.denominator == 1:
+        out.append(q.numerator)
+    if Fraction(float(q)) == q:
+        out.append(float(q))
+    return out
+
+
+def _written(chain, picks):
+    """chain with each value x written in its picks[i]-th representation; a
+    value that is not a rational (NaN, an infinity) stays as it is."""
+    out = []
+    for i, x in enumerate(chain):
+        kinds = _representations(x) if isinstance(x, Fraction) else [x]
+        out.append(kinds[picks[i] % len(kinds)])
+    return out
+
+
+def _pf_fields(pf):
+    """An annulus or a disk as its radii, numerators, denominator, anomaly
+    and state, each value with its type."""
+    if isinstance(pf, Annulus):
+        fields = [pf.R, pf.r, pf.den, pf.anomaly, *pf.nums]
+    else:
+        fields = [pf.R, pf.anomaly, *sorted(pf.state.terms.items())]
+    return [(x, type(x)) for x in fields]
+
+
+def _raised(call):
+    """The GeometryError call raises, as its message, or None."""
+    try:
+        call()
+    except GeometryError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _chain_values,
+    st.lists(st.integers(0, 2), min_size=7, max_size=7),
+    st.integers(0, 6),
+    st.booleans(),
+)
+@example([Fraction(4), Fraction(3), Fraction(2), Fraction(1)], [1] * 7, 4, True)
+@example([Fraction(4), Fraction(3), Fraction(2), Fraction(1)], [2] * 7, 4, False)
+@example([Fraction(7, 2), Fraction(3), Fraction(1, 4)], [2] * 7, 0, False)
+def test_radius_representation_changes_nothing(values, picks, l_max, shifted):
+    # an int, an integral or non-integral Fraction and an exact float of one
+    # value give equal reports and equal pieces, value and type, and every
+    # surface holds the canonical radius: an int when integral
+    space = build_space(l_max)
+    chain = sorted(values, reverse=True)
+    written = _written(chain, picks)
+    if len(chain) >= 2:
+        assert verify_cutting(space, written, shifted=shifted) == verify_cutting(
+            space, chain, shifted=shifted
+        )
+        R, r = written[0], written[-1]
+        want = annulus_pf(space, chain[0], chain[-1], shifted=shifted)
+        got = annulus_pf(space, R, r, shifted=shifted)
+        assert _pf_fields(got) == _pf_fields(want)
+        assert got.R == canonical_rational(chain[0]) and type(got.R) is type(
+            canonical_rational(chain[0])
+        )
+        built = Annulus(space, R, r, want.by_level, want.anomaly)
+        assert (built.R, type(built.R), built.r, type(built.r)) == (
+            want.R, type(want.R), want.r, type(want.r)
+        )
+        assert type(got.r) is type(canonical_rational(chain[-1]))
+    for x, q in zip(written, chain):
+        got, want = disk_pf(space, x, shifted=shifted), disk_pf(space, q, shifted=shifted)
+        assert _pf_fields(got) == _pf_fields(want)
+        assert type(got.R) is type(canonical_rational(q))
+        assert Disk(space, x, want.state, want.anomaly).R == want.R
+
+
+_BAD_CHAINS = {
+    "nan": lambda c: c[:1] + [_NAN] + c[1:],
+    "nan-first": lambda c: [_NAN] + c,
+    "inf-first": lambda c: [_INF] + c,
+    "minus-inf-last": lambda c: c + [-_INF],
+    "zero-last": lambda c: c + [Fraction(0)],
+    "negative-last": lambda c: c + [-c[0]],
+    "equal-neighbours": lambda c: c[:1] + c,
+    "increasing": lambda c: c[::-1] if len(c) > 1 else c + [c[0] + 1],
+    "one-radius": lambda c: c[:1],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _chain_values,
+    st.lists(st.integers(0, 2), min_size=8, max_size=8),
+    st.sampled_from(sorted(_BAD_CHAINS)),
+    st.booleans(),
+)
+def test_bad_radii_raise_one_message_in_every_representation(values, picks, bad, shifted):
+    # NaN, an infinity, 0, a negative radius, equal neighbours, an increasing
+    # chain and a single radius raise the GeometryError that the all-Fraction
+    # chain raises, in verify_cutting and in each piece
+    space = build_space(2)
+    chain = _BAD_CHAINS[bad](sorted(values, reverse=True))
+    written = _written(chain, picks)
+    want = _raised(lambda: verify_cutting(space, chain, shifted=shifted))
+    assert want is not None
+    assert _raised(lambda: verify_cutting(space, written, shifted=shifted)) == want
+    for (R, r), (Rw, rw) in zip(zip(chain, chain[1:]), zip(written, written[1:])):
+        want = _raised(lambda: annulus_pf(space, R, r, shifted=shifted))
+        assert _raised(lambda: annulus_pf(space, Rw, rw, shifted=shifted)) == want
+        assert _raised(lambda: Annulus(space, Rw, rw, [1] * 3, 1)) == want
+    for x, xw in zip(chain, written):
+        want = _raised(lambda: disk_pf(space, x, shifted=shifted))
+        assert _raised(lambda: disk_pf(space, xw, shifted=shifted)) == want
+        assert _raised(lambda: Disk(space, xw, space.vacuum(), 1)) == want

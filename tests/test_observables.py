@@ -495,3 +495,24 @@ def test_marginal_ope_at_cap():
     assert consts["K"] == {("jjbar", "jjbar"): 1}
     assert all(v == 0 for v in consts["C"].values())
     assert by_exponents(table)[(-2, -2), (), ()] == 1
+
+
+@pytest.mark.parametrize("l_max", [2, 3, 5, 12, L_MAX_HARD_CAP])
+def test_ope_rows_hold_no_zero_coefficient(l_max):
+    # a row is a nonzero of a coefficient state, so no table holds a zero,
+    # and fb_theory takes the marginal table's non-spin rows as they are
+    space = build_space(l_max)
+    observables = [identity_observable(space), current_observable(space),
+                   current_observable(space, bar=True), marginal_observable(space)]
+    for a in observables:
+        for b in observables:
+            table = ope_extract(space, a, b)
+            assert all(row["coefficient"] != 0 for row in table.rows), (a.label, b.label)
+    from fqft.deformation import fb_theory
+
+    o = observables[-1]
+    rows = [r for r in ope_extract(space, o, o).rows if sum(r["mu"]) == sum(r["mubar"])]
+    kept = fb_theory(space).rows.get(("jjbar", "jjbar"), [])
+    assert [(c, mu, mubar, v) for c, mu, mubar, v in kept] == [
+        ("1", r["mu"], r["mubar"], r["coefficient"]) for r in rows
+    ]

@@ -16,7 +16,7 @@ An equivalent mutant computes what the original does, so no check can
 kill it without comparing bits; it stays in the list with its reason, and
 is never dropped.  A non-equivalent mutant that survives tier-1 is a
 missing test.  The results go to MUT_<label>.json at the root.  Standard
-library only; a full run of 40 mutants takes about 11 minutes on a 2-core
+library only; a full run of 50 mutants takes about 12 minutes on a 2-core
 Xeon, so it is not a CI step:
 
     python tools/mutate.py --label 42
@@ -69,8 +69,8 @@ MUTANTS = [
            "1 if shifted else ratio)", "1 if shifted else 1 / ratio)",
            "the unshifted annulus carries (r/R)^{c/12}, not (R/r)^{c/12}"),
     Mutant("disk-anomaly", "src/fqft/geometry.py",
-           "anomaly = 1 if shifted else Fraction(1, _rational(R))",
-           "anomaly = 1 if shifted else _rational(R)",
+           "anomaly = 1 if shifted else Fraction(1, R)",
+           "anomaly = 1 if shifted else R",
            "the unshifted disk carries R^{-c/12}, not R^{c/12}"),
     Mutant("glue-anomaly", "src/fqft/geometry.py",
            "anomaly = outer.anomaly * inner.anomaly", "anomaly = outer.anomaly",
@@ -190,10 +190,10 @@ MUTANTS = [
            "row[:, n : 2 * n] = O", "row[:, n : 2 * n] = O.T",
            "the Van Loan generator's block above -H is the observable O itself"),
     Mutant("hbar-negative", "src/fqft/deformation.py",
-           "if p.h < 0 or p.hbar < 0:", "if p.h < 0:",
+           "if h < 0 or hbar < 0:", "if h < 0:",
            "a primary's dimensions h and hbar are both non-negative"),
     Mutant("spin-antichiral", "src/fqft/deformation.py",
-           "if (p.h, p.hbar) in ((1, 0), (0, 1)):", "if (p.h, p.hbar) == (1, 0):",
+           "if (h, hbar) in ((1, 0), (0, 1)):", "if (h, hbar) == (1, 0):",
            "both chiral spin-1 primaries, (1, 0) and (0, 1), are unsupported"),
     Mutant("label-not-string", "src/fqft/deformation.py",
            "if type(label) is not str:", "if label is None:",
@@ -210,6 +210,22 @@ MUTANTS = [
     Mutant("cli-running-at-debug", "src/fqft/cli.py",
            "log = _logger(20)", "log = _logger(10)",
            "FQFT_LOG=info prints the running and finished lines (logging.INFO is 20)"),
+    Mutant("radius-numerator-only", "src/fqft/geometry.py",
+           "if type(x) is Fraction and x.denominator == 1:", "if type(x) is Fraction:",
+           "a radius enters by one rule: canonical keeps a non-integral Fraction whole"),
+    Mutant("radius-float-kept", "src/fqft/geometry.py",
+           "return canonical_rational(R), canonical_rational(r)", "return R, r",
+           "a radius enters by one rule: a float, once checked, is taken exactly"),
+    Mutant("key-zero-part", "src/fqft/fock.py",
+           "type(p) is not int or p <= 0", "type(p) is not int or p < 0",
+           "a partition's parts are positive: j_0 is no creation mode"),
+    Mutant("spin-reads-h-for-hbar", "src/fqft/deformation.py",
+           "if (h, hbar) in ((1, 0), (0, 1)):", "if (h, h) in ((1, 0), (0, 1)):",
+           "both chiral spin-1 primaries, (1, 0) and (0, 1), are unsupported: "
+           "the check reads h and hbar"),
+    Mutant("marginal-reads-h-alone", "src/fqft/deformation.py",
+           "if dims == (1, 1)]", "if dims[0] == 1]",
+           "a marginal primary has h = hbar = 1: (1, 2) is not marginal"),
 ]
 
 
