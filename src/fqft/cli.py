@@ -7,7 +7,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import _logger
 from .deformation import _unordered_pairs, fb_theory, theory_from_json
@@ -18,7 +17,7 @@ from .jets import Jet
 from .observables import current_observable, marginal_observable, ope_extract
 from .scalars import encode_scalar
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 # the QM checks' fixed tolerances, relative to the oracle's size,
 # max(max|oracle|, 1); a report's config.tolerances records those its run
@@ -59,7 +58,7 @@ def _jsonable(x):
 
 def cmd_verify_cutting(args, space=None):
     space = space or build_space(args.l_max)
-    report = verify_cutting(space, [Fraction(k) for k in (4, 3, 2, 1)])
+    report = verify_cutting(space, [4, 3, 2, 1])
     return report, report["exact_zero"]
 
 
@@ -117,18 +116,16 @@ def cmd_qm(args):
     # so the glued segments share their observable
     obs = {"o": -O}
     seg = qm_double_deform(theory, obs, 0.0, T)
-    oracle = taylor_series_oracle(H, O, T, order=args.orders)
-    scale = max(max(float(np.max(np.abs(o))) for o in oracle), 1.0)
-    diffs = [float(np.max(np.abs(seg.orders[k] - o))) / scale for k, o in enumerate(oracle)]
+    oracle = taylor_series_oracle(H, O, T)
+    scale = max(float(np.max(np.abs(oracle))), 1.0)
+    diffs = [float(np.max(np.abs(d))) / scale for d in seg.orders - oracle]
     split = 0.4 * T
     glued = qm_double_deform(theory, obs, split, T).glue(
         qm_double_deform(theory, obs, 0.0, split)
     )
-    k = len(oracle)
-    cut_res = float(np.max(np.abs(glued.orders[:k] - seg.orders[:k]))) / scale
+    cut_res = float(np.max(np.abs(glued.orders - seg.orders))) / scale
     results = {
         "dim": dim,
-        "orders": args.orders,
         "oracle_diffs": diffs,
         "cutting_residual": cut_res,
     }
@@ -163,7 +160,6 @@ FLAGS = {
     "--theory": dict(help="formal theory JSON file"),
     "--dim": dict(type=int, default=4, help=f"qm Hilbert dimension, 1..{QM_DIM_HARD_CAP}"),
     "--seed": dict(type=int, default=0),
-    "--orders": dict(type=int, default=2, choices=[0, 1, 2]),
 }
 
 # each subcommand: its command, the flags it reads and the TOLERANCES keys
@@ -172,7 +168,7 @@ COMMANDS = {
     "verify-cutting": (cmd_verify_cutting, ["--lmax", "--arithmetic"], []),
     "ope": (cmd_ope, ["--lmax", "--arithmetic"], []),
     "beta": (cmd_beta, ["--lmax", "--backend", "--theory"], []),
-    "qm": (cmd_qm, ["--dim", "--seed", "--orders"], ["oracle", "qm_cutting"]),
+    "qm": (cmd_qm, ["--dim", "--seed"], ["oracle", "qm_cutting"]),
 }
 COMMANDS["all"] = (
     cmd_all,
@@ -181,7 +177,7 @@ COMMANDS["all"] = (
 )
 
 # the report's config holds those of these settings the subcommand takes
-SETTINGS = ("l_max", "arithmetic", "backend", "dim", "seed", "orders")
+SETTINGS = ("l_max", "arithmetic", "backend", "dim", "seed")
 
 
 @functools.cache

@@ -77,13 +77,15 @@ class Annulus:
 
 
 class Disk:
-    """The disk |z| <= R: a boundary state times the conformal anomaly
-    q^{1/12}, held as q as on an Annulus."""
+    """The disk |z| <= R: a boundary state over its space times the
+    conformal anomaly q^{1/12}, held as q as on an Annulus."""
 
     __slots__ = ("space", "R", "state", "anomaly")
 
     def __init__(self, space, R, state, anomaly):
         self.space, self.R = space, _check_disk(R)
+        if state.space is not space:
+            raise SpaceMismatchError("gluing across different truncated spaces")
         self.state = state  # BoundaryState
         self.anomaly = anomaly
 
@@ -251,7 +253,6 @@ def verify_cutting(space, cut_points, shifted=True):
 
     return {
         "l_max": space.l_max,
-        "mode": "exact",  # the one arithmetic; the key keeps reports byte-identical
         "shifted": shifted,
         "cuts_checked": len(cuts),
         "max_residual": worst,

@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 
 from . import _logger
-from .errors import GeometryError, ValidationError
+from .errors import GeometryError, SpaceMismatchError, ValidationError
 from .fock import BoundaryState, apply_current, scale_by_level
 from .rexp import RExpansion, Sparse
 
@@ -43,10 +43,9 @@ class LocalObservable:
     support no correlator at z != 0.
     """
 
-    __slots__ = ("space", "label", "state", "dims", "word")
+    __slots__ = ("label", "state", "dims", "word")
 
-    def __init__(self, space, label, state, dims, word=None):
-        self.space = space
+    def __init__(self, label, state, dims, word=None):
         self.label = label
         self.state = state  # canonical one-point correlator on D_1
         self.dims = dims  # (h, hbar)
@@ -57,7 +56,7 @@ class LocalObservable:
 
 
 def identity_observable(space) -> LocalObservable:
-    return LocalObservable(space, "1", space.vacuum(), (0, 0), word=())
+    return LocalObservable("1", space.vacuum(), (0, 0), word=())
 
 
 def current_observable(space, bar=False) -> LocalObservable:
@@ -65,13 +64,12 @@ def current_observable(space, bar=False) -> LocalObservable:
     label = "jbar" if bar else "j"
     state = space.state((), (1,)) if bar else space.state((1,))
     dims = (0, 1) if bar else (1, 0)
-    return LocalObservable(space, label, state, dims, word=(label,))
+    return LocalObservable(label, state, dims, word=(label,))
 
 
 def marginal_observable(space) -> LocalObservable:
     """The marginal field j jbar with dims (1, 1)."""
-    return LocalObservable(space, "jjbar", space.state((1,), (1,)), (1, 1),
-                           word=("j", "jbar"))
+    return LocalObservable("jjbar", space.state((1,), (1,)), (1, 1), word=("j", "jbar"))
 
 
 # --------------------------------------------------------------- correlators
@@ -121,15 +119,15 @@ def _mode_sum_insert(series: ZSeries, kind: str) -> ZSeries:
     return ZSeries(space, terms)
 
 
-def two_point(space, a: LocalObservable, b: LocalObservable) -> ZSeries:
-    """<O_a(z) O_b(0)>_{D_1} as a bigraded series in (z, zbar), the
-    transported series itself; on D_R each coefficient is dilation(R, .)."""
+def two_point(a: LocalObservable, b: LocalObservable) -> ZSeries:
+    """<O_a(z) O_b(0)>_{D_1} as a bigraded series in (z, zbar) over b's
+    space; on D_R each coefficient is dilation(R, .)."""
     if a.word is None:
         raise ValidationError(
             f"observable {a.label} is not current-generated; transport to z != 0 "
             "is unsupported"
         )
-    series = ZSeries(space, {(0, 0): b.state})
+    series = ZSeries(b.state.space, {(0, 0): b.state})
     for kind in reversed(a.word):
         series = _mode_sum_insert(series, kind)
     return series
@@ -211,14 +209,16 @@ def ope_extract(space, a: LocalObservable, b: LocalObservable) -> OpeTable:
     On D_1 the coefficient of z^m zbar^mbar is the one-point correlator of
     the target combination, i.e. a vector in the truncated Fock module whose
     basis components are descendants of the identity; each nonzero component
-    is one row.  The space keeps the table: a repeated call returns it, and
-    its readers share it and leave it unchanged.
+    is one row.  b lies over space, which keeps the table: a repeated call
+    returns it, and its readers share it and leave it unchanged.
     """
+    if b.state.space is not space:
+        raise SpaceMismatchError("OPE extraction across different truncated spaces")
     memo = (a.label, a.word, b.label, tuple(b.state.nonzero()))
     table = space.ope_tables.get(memo)
     if table is not None:
         return table
-    series = two_point(space, a, b)
+    series = two_point(a, b)
     table = OpeTable()
     # most singular first: ascending total exponent, then z-exponent
     for (m, mbar), v in sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0][0])):

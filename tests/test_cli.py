@@ -31,7 +31,7 @@ def run_cli(capsys, argv):
 def test_verify_cutting_exact(capsys):
     code, report = run_cli(capsys, ["verify-cutting", "--lmax", "2"])
     assert code == 0
-    assert report["schema_version"] == 5
+    assert report["schema_version"] == 6
     # the exact check is exact equality: it reads, and records, no tolerance
     assert set(report["config"]) == {"l_max", "arithmetic"}
     assert report["passed"] is True
@@ -140,9 +140,12 @@ def test_beta_formal_running_golden(capsys, tmp_path):
 def test_qm_report(capsys):
     code, report = run_cli(capsys, ["qm", "--dim", "4", "--seed", "7"])
     assert code == 0
+    # every order the segment computes is checked: three oracle diffs
+    assert len(report["results"]["oracle_diffs"]) == 3
     assert all(d < 1e-10 for d in report["results"]["oracle_diffs"])
     assert report["results"]["cutting_residual"] < 1e-12
-    assert set(report["config"]) == {"dim", "seed", "orders", "tolerances"}
+    assert report["schema_version"] == 6
+    assert set(report["config"]) == {"dim", "seed", "tolerances"}
     assert set(report["config"]["tolerances"]) == {"oracle", "qm_cutting"}
 
 
@@ -165,14 +168,15 @@ def test_report_determinism(capsys):
 
 
 # SHA-256 of the reports as commit 78d3fec wrote them, and of `all --lmax 8`
-# as commit 13fcb2d wrote it, the last to carry a float64 free boson.  The
+# as commit 13fcb2d wrote it, the last to carry a float64 free boson, each
+# moved to schema 6: schema_version 6, and no `mode` or `orders` key.  The
 # `all` report is hashed without its qm section, whose residuals are
 # rounding-level floats that depend on the BLAS numpy links; the rest is
 # pure Python.  Its config.tolerances pins the QM tolerances.
 REPORT_DIGESTS = {
-    "ope --lmax 12": "3b51abe0d0fdd07a8185db6c36d6d09006e30edc0bc00533eab580ae580c9ddd",
-    "all --lmax 8": "f4774dd4021f8a3e1cb47a5821b51d3cf7a79975810f14f97f2c5fe8e0cc40c3",
-    "beta --lmax 8": "1a38eb2527aae811de73448884c30c03daa10c77a0a0510eeaf5d92ca5752a0b",
+    "ope --lmax 12": "1517581ef64fb68682ad4a090e70dc073696a3849d414c70a070260bee43daef",
+    "all --lmax 8": "a93644726f3d420e95a1d8b9f58c98a45f59b8b0c99e012c137180382f0f1aad",
+    "beta --lmax 8": "e3b71330dac31d41926d6f1a5d098115fff7e7e994d1e838db134130346f403c",
 }
 
 
@@ -294,6 +298,9 @@ def test_bad_flags_exit_2():
         ["qm", "--tolerance", "bogus=1"],
         ["qm", "--seed", "-1"],
         ["all", "--seed", "-1"],
+        # qm checks the three orders it computes: no flag selects fewer
+        ["qm", "--orders", "1"],
+        ["all", "--orders", "1"],
     ],
     ids=[
         "dim-0",
@@ -304,6 +311,8 @@ def test_bad_flags_exit_2():
         "tolerance-unknown-key",
         "seed-negative",
         "all-seed-negative",
+        "orders",
+        "all-orders",
     ],
 )
 def test_bad_qm_input_is_usage_error(capsys, argv):

@@ -322,6 +322,18 @@ def test_space_mismatch():
         glue(annulus_pf(a, 2, 1), annulus_pf(b, 4, 2))
 
 
+def test_disk_refuses_a_state_over_another_space():
+    # a checked Disk holds a state over its own space, as glue needs: a
+    # foreign state, of a level the space lacks or not, is refused as glue
+    # refuses pieces over two spaces
+    sp4, sp8 = build_space(4), build_space(8)
+    for state in (sp8.state((3,), (3,)), sp8.vacuum()):
+        with pytest.raises(SpaceMismatchError, match="gluing across different truncated spaces"):
+            Disk(sp4, 1, state, 1)
+    disk = Disk(sp4, 1, sp4.vacuum(), 1)
+    assert glue(annulus_pf(sp4, 2, 1), disk).state == sp4.vacuum()
+
+
 def test_disk_vacuum_and_cutting_closure():
     space = build_space(4)
     for R in (1, 2, Fraction(7, 3)):

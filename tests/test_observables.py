@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 import fqft
-from fqft.errors import GeometryError, ValidationError
+from fqft.deformation import fb_theory
+from fqft.errors import GeometryError, SpaceMismatchError, ValidationError
 from fqft.fock import L_MAX_HARD_CAP, BoundaryState, apply_current, build_space, scale_by_level
 from fqft.geometry import annulus_pf
 from fqft.observables import (
@@ -129,9 +130,9 @@ def test_one_point_current_origin():
     # <j(0)>_{D_R} is the z^0 coefficient: j_{-1}|0> / R
     space = build_space(4)
     j, one = current_observable(space), identity_observable(space)
-    assert two_point(space, j, one).terms[0, 0] == space.state((1,))
+    assert two_point(j, one).terms[0, 0] == space.state((1,))
     for R in (1, Fraction(2)):
-        got = _on_disk(two_point(space, j, one), R).terms[0, 0]
+        got = _on_disk(two_point(j, one), R).terms[0, 0]
         assert got == space.state((1,)).scale(1 / Fraction(R))
 
 
@@ -139,7 +140,7 @@ def test_one_point_identity_anywhere():
     # the identity's one-point correlator is the vacuum at every z
     space = build_space(3)
     one = identity_observable(space)
-    assert _on_disk(two_point(space, one, one), 2).terms == {(0, 0): space.vacuum()}
+    assert _on_disk(two_point(one, one), 2).terms == {(0, 0): space.vacuum()}
 
 
 def test_one_point_current_mode_coefficients():
@@ -147,7 +148,7 @@ def test_one_point_current_mode_coefficients():
     space = build_space(4)
     j = current_observable(space)
     R = Fraction(2)
-    series = _on_disk(two_point(space, j, identity_observable(space)), R)
+    series = _on_disk(two_point(j, identity_observable(space)), R)
     assert len(series.terms) == space.l_max
     for n in range(1, space.l_max + 1):
         assert series.terms[n - 1, 0] == space.state((n,)).scale(R ** (-n))
@@ -158,7 +159,7 @@ def test_one_point_locality():
     space = build_space(4)
     j, one = current_observable(space), identity_observable(space)
     R, Rp = Fraction(3), Fraction(2)
-    series = two_point(space, j, one)
+    series = two_point(j, one)
     direct, inner = _on_disk(series, R), _on_disk(series, Rp)
     by_level = annulus_pf(space, R, Rp).by_level
     assert direct == inner.map_coeffs(lambda v: scale_by_level(v, by_level))
@@ -167,9 +168,9 @@ def test_one_point_locality():
 def test_one_point_unsupported_transport():
     # an observable without a current word has no correlator at z != 0
     space = build_space(4)
-    desc = LocalObservable(space, "1;[2];[]", space.state((2,)), (2, 0))
+    desc = LocalObservable("1;[2];[]", space.state((2,)), (2, 0))
     with pytest.raises(ValidationError):
-        two_point(space, desc, identity_observable(space))
+        two_point(desc, identity_observable(space))
 
 
 # --------------------------------------------------------------- two_point
@@ -178,7 +179,7 @@ def test_one_point_unsupported_transport():
 def test_two_point_jj_singular_term():
     space = build_space(4)
     j = current_observable(space)
-    series = two_point(space, j, j)
+    series = two_point(j, j)
     assert series.terms[-2, 0] == space.vacuum()
     # a ZSeries stores no zero state
     assert (-1, 0) not in series.terms and (-3, 0) not in series.terms
@@ -188,7 +189,7 @@ def test_two_point_jj_regular_rows_are_descendants():
     # coefficient of z^{m-1} is j_{-m} j_{-1}|0> on D_1
     space = build_space(5)
     j = current_observable(space)
-    series = two_point(space, j, j)
+    series = two_point(j, j)
     for m in range(1, space.l_max):
         assert series.terms[m - 1, 0] == space.state(
             tuple(sorted((m, 1), reverse=True))
@@ -199,7 +200,7 @@ def test_two_point_identity_insertion():
     space = build_space(3)
     one = identity_observable(space)
     jb = current_observable(space, bar=True)
-    series = two_point(space, one, jb)
+    series = two_point(one, jb)
     assert series.terms == {(0, 0): jb.state}
     assert _on_disk(series, Fraction(2)).terms == {(0, 0): dilation(2, jb.state)}
 
@@ -210,7 +211,7 @@ def test_two_point_radius_scaling():
     space = build_space(4)
     j, o = current_observable(space), marginal_observable(space)
     for a, b in ((j, j), (o, o), (j, identity_observable(space))):
-        s1 = two_point(space, a, b)
+        s1 = two_point(a, b)
         for R in (2, Fraction(3, 2), 0.5):
             s2 = _on_disk(s1, R)
             scale = Fraction(R)
@@ -223,7 +224,7 @@ def test_two_point_radius_scaling():
 def test_two_point_marginal_pair():
     space = build_space(4)
     o = marginal_observable(space)
-    series = two_point(space, o, o)
+    series = two_point(o, o)
     assert series.terms[-2, -2] == space.vacuum()
     # no |z|^{-2} marginal channel: chiral factorization forbids it
     assert (-1, -1) not in series.terms
@@ -241,13 +242,13 @@ def test_two_point_rejects_a_radius_geometry_rejects(R):
     space = build_space(3)
     j = current_observable(space)
     with pytest.raises(GeometryError, match="dilation scale must be positive and finite"):
-        _on_disk(two_point(space, j, j), R)
+        _on_disk(two_point(j, j), R)
 
 
 def test_two_point_radius_beyond_the_float_range():
     # a radius past the float range is finite, and scales exactly
     j = current_observable(build_space(3))
-    series = _on_disk(two_point(j.space, j, identity_observable(j.space)), 10**400)
+    series = _on_disk(two_point(j, identity_observable(j.state.space)), 10**400)
     assert series.terms[0, 0] == j.state.scale(Fraction(1, 10**400))
 
 
@@ -346,7 +347,7 @@ def test_ope_extract_logs_its_rows(caplog):
 
 def _on(space, x: LocalObservable) -> LocalObservable:
     """x rebuilt on another space: its label, state, dims and word."""
-    return LocalObservable(space, x.label, BoundaryState(space, x.state.terms), x.dims, x.word)
+    return LocalObservable(x.label, BoundaryState(space, x.state.terms), x.dims, x.word)
 
 
 def test_ope_tables_are_kept_per_space():
@@ -358,12 +359,12 @@ def test_ope_tables_are_kept_per_space():
     o, j = marginal_observable(space), current_observable(space)
     table = ope_extract(space, o, o)
     assert ope_extract(space, marginal_observable(space), marginal_observable(space)) is table
-    twice = LocalObservable(space, "jjbar", o.state.scale(2), o.dims, o.word)
+    twice = LocalObservable("jjbar", o.state.scale(2), o.dims, o.word)
     cases = [
         (o, twice),  # b's nonzeros
-        (LocalObservable(space, "jjbar", o.state, o.dims, ("j", "j")), o),  # a's word
-        (LocalObservable(space, "k", o.state, o.dims, o.word), o),  # a's label
-        (o, LocalObservable(space, "k", o.state, o.dims, o.word)),  # b's label
+        (LocalObservable("jjbar", o.state, o.dims, ("j", "j")), o),  # a's word
+        (LocalObservable("k", o.state, o.dims, o.word), o),  # a's label
+        (o, LocalObservable("k", o.state, o.dims, o.word)),  # b's label
         (j, j),
     ]
     for a, b in cases:
@@ -378,6 +379,21 @@ def test_ope_tables_are_kept_per_space():
     fresh = ope_extract(other, _on(other, o), _on(other, o))
     assert fresh is not table and fresh.rows == table.rows
     assert len(space.ope_tables) == len(cases) + 1 and len(other.ope_tables) == 1
+
+
+def test_ope_extract_refuses_b_over_another_space():
+    # the space keeps the table under a key that holds no space, so b must
+    # lie over the space the call names: a foreign b raises before the memo
+    # is read or filled, and the next proper call extracts its own rows.
+    # a's state is never read, so a may lie anywhere
+    big = build_space(8)
+    o4, o8 = marginal_observable(build_space(4)), marginal_observable(big)
+    with pytest.raises(SpaceMismatchError):
+        ope_extract(big, o4, o4)
+    assert big.ope_tables == {}
+    table = ope_extract(big, o8, o8)
+    assert len(table.rows) == 29 and ope_extract(big, o4, o8) is table
+    assert len(fb_theory(big).rows["jjbar", "jjbar"]) == 4
 
 
 def test_ope_tables_go_with_their_space():
@@ -482,7 +498,7 @@ def test_ope_roundtrip():
     j = current_observable(space)
     table = ope_extract(space, j, j)
     resummed = ope_resum(space, table, "j", "j")
-    series = two_point(space, j, j)
+    series = two_point(j, j)
     assert (resummed - series).is_zero()
 
 

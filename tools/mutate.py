@@ -130,6 +130,11 @@ MUTANTS = [
            "memo = (a.label, a.word, b.label, tuple(b.state.nonzero()))",
            "memo = (a.label, a.word, b.label)",
            "the OPE rows of O_a O_b read b's state: a kept table is keyed by b's nonzeros"),
+    Mutant("ope-foreign-space-unchecked", "src/fqft/observables.py",
+           "    if b.state.space is not space:\n"
+           "        raise SpaceMismatchError(\"OPE extraction across different truncated spaces\")\n",
+           "",
+           "the space keeps a table under a key that holds no space: b must lie over it"),
     Mutant("handoff-any-second-read", "src/fqft/deformation.py",
            "if kept is not None and kept[0] == alpha:", "if kept is not None:",
            "a twin record keeps dilation sides only between the twins' two reads: "
@@ -210,6 +215,11 @@ MUTANTS = [
     Mutant("cli-running-at-debug", "src/fqft/cli.py",
            "log = _logger(20)", "log = _logger(10)",
            "FQFT_LOG=info prints the running and finished lines (logging.INFO is 20)"),
+    Mutant("disk-foreign-state-unchecked", "src/fqft/geometry.py",
+           "        if state.space is not space:\n"
+           "            raise SpaceMismatchError(\"gluing across different truncated spaces\")\n",
+           "",
+           "a disk's state lies over the disk's space, as glue needs of its pieces"),
     Mutant("radius-numerator-only", "src/fqft/geometry.py",
            "if type(x) is Fraction and x.denominator == 1:", "if type(x) is Fraction:",
            "a radius enters by one rule: canonical keeps a non-integral Fraction whole"),

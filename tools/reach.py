@@ -47,11 +47,11 @@ FREE_BOSON = [
 ]
 QM = [
     ["qm", "--dim", "8", "--seed", "1"],
-    ["qm", "--dim", "8", "--orders", "1"],
+    ["qm", "--dim", "8"],
     ["qm", "--dim", "8", "--seed", "7"],
     ["qm", "--dim", "2", "--seed", "3"],
     ["qm", "--dim", "4", "--seed", "0"],
-    ["qm", "--dim", "1", "--orders", "0"],
+    ["qm", "--dim", "1"],
 ]
 
 
